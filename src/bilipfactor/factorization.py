@@ -6,6 +6,11 @@ auto-retry with smaller internal steps when a certificate exceeds its
 target.  Compactly supported factors are produced by blending a near-identity
 map to the identity across an annulus, then certifying the blend a
 posteriori; there is no uncertified extension step anywhere.
+
+Blend certificates go through a CertificateCache that lives for one run:
+each distinct factor shape is swept once, and linear-in-cube factors are
+swept on their canonical conjugate (blend cube C(0, 1)), which gives the
+same sampled lower bound up to rounding.
 """
 
 from __future__ import annotations
@@ -89,25 +94,40 @@ def _cert_pitch(cube: Cube) -> float:
     return cube.side / (CERT_POINTS[cube.dim] - 1)
 
 
-_cert_cache: dict = {}
+class CertificateCache:
+    """Sampled blend-factor certificates of one run, each swept once per key.
 
-
-def _certify_blend_factor(factor: Blend, target: float, normalized_key=None) -> DistortionCertificate:
-    """Sampled certificate of a blend factor over its own support cube.
-
-    normalized_key enables reuse across congruent factors (identical up to
-    translation); the cached value is what the estimator returns for any
-    congruent twin.
+    A key names a factor up to the changes its sampled distortion does not
+    see: position (shrink, translate) or scale (linear).  The first sweep
+    under a key stands for every later factor with that key; hits and
+    misses count the lookups.  Make one per run so that a report never
+    depends on what ran before it in the process.
     """
-    support = factor.cube.dilate(factor.lam)
-    if normalized_key is not None and normalized_key in _cert_cache:
-        l_lo, h, pc = _cert_cache[normalized_key]
-        cert = DistortionCertificate(region=support, h=h, L_lo=l_lo, method="sampled-pairs", pair_count=pc)
-    else:
-        cert = estimate_distortion(factor, support, _cert_pitch(support))
-        if normalized_key is not None:
-            _cert_cache[normalized_key] = (cert.L_lo, cert.h, cert.pair_count)
-    return cert
+
+    def __init__(self) -> None:
+        self._swept: dict = {}
+        self.hits = 0
+        self.misses = 0
+
+    def certify(self, key, factor: Blend, sweep: Blend | None = None) -> DistortionCertificate:
+        """Certificate of a blend factor over its own support cube.
+
+        sweep, when given, is the factor's conjugate by a similarity and is
+        swept in its place; only L_lo and pair_count come from the sweep.
+        """
+        swept = self._swept.get(key)
+        if swept is None:
+            self.misses += 1
+            m = factor if sweep is None else sweep
+            region = m.cube.dilate(m.lam)
+            swept = self._swept[key] = estimate_distortion(m, region, _cert_pitch(region))
+        else:
+            self.hits += 1
+        support = factor.cube.dilate(factor.lam)
+        return DistortionCertificate(
+            region=support, h=_cert_pitch(support), L_lo=swept.L_lo,
+            method=swept.method, pair_count=swept.pair_count,
+        )
 
 
 def _rotation_angle_axis(r: np.ndarray) -> tuple[float, np.ndarray | None]:
@@ -179,6 +199,7 @@ def _diagonal_steps(sigma: np.ndarray, alpha: float, l_bound: float) -> list[np.
 
 
 _PROBE_REGION = {2: Cube((0.0, 0.0), 2.0), 3: Cube((0.0, 0.0, 0.0), 2.0)}
+_UNIT_CUBE = {2: Cube((0.0, 0.0), 1.0), 3: Cube((0.0, 0.0, 0.0), 1.0)}
 
 
 def factor_diagonal(sigma, alpha: float, l_bound: float) -> FactorSequence:
@@ -263,6 +284,10 @@ def factor_linear_in_cube(
     width c_support, so every factor is the identity outside the cube of
     side c_support * L * sqrt(d) * l(q).  Each factor is certified at or
     below 1 + epsilon (internal step size auto-halves on failure).
+
+    A factor Blend(A, C(0, s), lam) with A linear is conjugate under
+    x -> s x to Blend(A, C(0, 1), lam), so the latter is swept in its place,
+    once per distinct (step, lam) in the call.
     """
     mat = a.matrix if isinstance(a, AffineMapData) else check_matrix(a)
     if isinstance(a, AffineMapData) and np.any(np.abs(a.shift) > 1e-12):
@@ -284,6 +309,8 @@ def factor_linear_in_cube(
     alpha0 = epsilon / (4.0 * c_support * l_bound * math.sqrt(d))
     # Strict w == 1 margin over the running image (see factor_shrink).
     margin = min(1.1, math.sqrt(c_support))
+    lam = c_support / margin
+    cache = CertificateCache()
     last_fail: tuple[int, float] | None = None
     for attempt in range(MAX_RETRIES + 1):
         alpha = alpha0 / 2**attempt
@@ -296,8 +323,10 @@ def factor_linear_in_cube(
             verts = q.vertices() @ partial.T
             s_i = 2.0 * float(np.max(np.abs(verts)))
             cube_i = Cube(q.center, margin * s_i)
-            factor = Blend(Affine(AffineMapData(step, np.zeros(d))), cube_i, c_support / margin)
-            cert = _certify_blend_factor(factor, 1.0 + epsilon)
+            inner = Affine(AffineMapData(step, np.zeros(d)))
+            factor = Blend(inner, cube_i, lam)
+            canonical = Blend(inner, _UNIT_CUBE[d], lam)
+            cert = cache.certify(("linear", d, step.tobytes(), lam), factor, sweep=canonical)
             if cert.L_lo > 1.0 + epsilon + 1e-12:
                 last_fail = (idx, cert.L_lo)
                 ok = False
@@ -316,7 +345,9 @@ def factor_linear_in_cube(
     raise FactorCertificationError(last_fail[0], last_fail[1], 1.0 + epsilon)
 
 
-def factor_shrink(q: Cube, lam: float, c: float, epsilon: float) -> FactorSequence:
+def factor_shrink(
+    q: Cube, lam: float, c: float, epsilon: float, cache: CertificateCache | None = None
+) -> FactorSequence:
     """Factor x -> center + c (x - center) on q into blended radial scalings.
 
     Factors are the identity outside lam * q; c may exceed 1 (expansion)
@@ -339,6 +370,7 @@ def factor_shrink(q: Cube, lam: float, c: float, epsilon: float) -> FactorSequen
     # lag by rounding and the lag compounds across steps).
     margin = min(1.2, (lam / max(1.0, c)) ** 0.25)
     lam_min = lam / (margin * max(1.0, c))
+    cache = CertificateCache() if cache is None else cache
     kappa = 1.0 + math.sqrt(d) * lam_min / (lam_min - 1.0)
     cap0 = 0.99 * epsilon / ((1.0 + epsilon) * kappa)
     last_fail: tuple[int, float] | None = None
@@ -356,7 +388,7 @@ def factor_shrink(q: Cube, lam: float, c: float, epsilon: float) -> FactorSequen
             inner = Affine(AffineMapData(step * np.eye(d), (1.0 - step) * center))
             factor = Blend(inner, cube_i, lam_i)
             key = ("shrink", d, round(step, 14), round(cube_i.side, 14), round(lam_i, 12))
-            cert = _certify_blend_factor(factor, 1.0 + epsilon, normalized_key=key)
+            cert = cache.certify(key, factor)
             if cert.L_lo > 1.0 + epsilon + 1e-12:
                 last_fail = (i, cert.L_lo)
                 ok = False
@@ -384,7 +416,9 @@ def _polyline_resample_by_step(path: np.ndarray, delta: float) -> np.ndarray:
 TRANSLATION_BLEND_LAM = 4.0  # support C(x, 4 l) stays within 2 diam(q) of the path
 
 
-def factor_translation_along_path(q: Cube, path: np.ndarray, epsilon: float) -> FactorSequence:
+def factor_translation_along_path(
+    q: Cube, path: np.ndarray, epsilon: float, cache: CertificateCache | None = None
+) -> FactorSequence:
     """Carry a cube along a rectifiable path by blended translation steps.
 
     Each factor translates the current cube C(p_j, l(q)) to C(p_{j+1}, l(q))
@@ -413,6 +447,7 @@ def factor_translation_along_path(q: Cube, path: np.ndarray, epsilon: float) -> 
     blend_side = 1.5 * q.side
     lam = TRANSLATION_BLEND_LAM / 1.5
     delta0 = 0.95 * (epsilon / (1.0 + epsilon)) * (lam - 1.0) * blend_side / 2.0
+    cache = CertificateCache() if cache is None else cache
     last_fail: tuple[int, float] | None = None
     for attempt in range(MAX_RETRIES + 1):
         delta = delta0 / 2**attempt
@@ -424,7 +459,7 @@ def factor_translation_along_path(q: Cube, path: np.ndarray, epsilon: float) -> 
             v = nodes[j + 1] - nodes[j]
             factor = Blend(Translation(tuple(v)), Cube(tuple(nodes[j]), blend_side), lam)
             key = ("translate", d, tuple(np.round(v / q.side, 12)), round(q.side, 14), lam)
-            cert = _certify_blend_factor(factor, 1.0 + epsilon, normalized_key=key)
+            cert = cache.certify(key, factor)
             if cert.L_lo > 1.0 + epsilon + 1e-12:
                 last_fail = (j, cert.L_lo)
                 ok = False

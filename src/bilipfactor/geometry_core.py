@@ -185,14 +185,6 @@ def svd(m: np.ndarray | list) -> SVDecomposition:
     return SVDecomposition(u=u, sigma=sigma, v_t=v_t, degenerate=degenerate)
 
 
-def singular_values(m: np.ndarray | list) -> np.ndarray:
-    return svd(m).sigma
-
-
-def operator_norm(m: np.ndarray | list) -> float:
-    return float(svd(m).sigma[0])
-
-
 def bilip_constant(a: AffineMapData | np.ndarray | list) -> float:
     """Minimal L with L^-1 |x-y| <= |f(x)-f(y)| <= L |x-y|: max(s_max, 1/s_min)."""
     m = a.matrix if isinstance(a, AffineMapData) else check_matrix(a)

@@ -1,96 +1,61 @@
-"""Hot-loop kernels with a compiled core and a NumPy fallback.
+"""The all-pairs ratio sweep behind every sampled distortion certificate.
 
-The all-pairs ratio sweep is the inner loop of every sampled distortion
-certificate.  At import time we pick the compiled Cython extension when it
-is present; otherwise a block-wise NumPy implementation with identical
-semantics is used.  Set BILIPFACTOR_PURE=1 to force the fallback (useful
-for benchmarking, see benchmarks/bench_kernels.py).
+One NumPy gather kernel: the pairs (i, j), i < j, are taken in blocks of
+whole rows holding at most _BLOCK_PAIRS pairs (or a single longer row), so
+the index arrays and the differences of one block stay small while each
+block is swept in a few vectorised passes.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_BLOCK = 512
-
-
-def pairwise_distortion_numpy(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float]:
-    """Return (max pair ratio, min image distance over distinct sources).
-
-    Pure-NumPy twin of the compiled kernel: identical pair set, identical
-    tie handling (coincident sources skipped, coincident images reported
-    through a zero minimum image distance).
-    """
-    n = xs.shape[0]
-    best2 = 1.0
-    min_img2 = np.inf
-    for i0 in range(0, n - 1, _BLOCK):
-        i1 = min(i0 + _BLOCK, n - 1)
-        for i in range(i0, i1):
-            dx = xs[i + 1 :] - xs[i]
-            dy = ys[i + 1 :] - ys[i]
-            dx2 = np.einsum("ij,ij->i", dx, dx)
-            dy2 = np.einsum("ij,ij->i", dy, dy)
-            keep = dx2 > 0.0
-            if not np.any(keep):
-                continue
-            dy2k = dy2[keep]
-            m = dy2k.min()
-            if m < min_img2:
-                min_img2 = m
-            pos = dy2k > 0.0
-            if np.any(pos):
-                r2 = dy2k[pos] / dx2[keep][pos]
-                np.maximum(r2, 1.0 / r2, out=r2)
-                b = r2.max()
-                if b > best2:
-                    best2 = b
-    if not np.isfinite(min_img2):
-        min_img2 = 0.0
-    return float(np.sqrt(best2)), float(np.sqrt(min_img2))
-
-
-def pairwise_sup_ratio_numpy(xs: np.ndarray, ys: np.ndarray) -> float:
-    """Max of |y_i-y_j|/|x_i-x_j| over pairs with distinct sources."""
-    n = xs.shape[0]
-    best2 = 0.0
-    for i in range(n - 1):
-        dx = xs[i + 1 :] - xs[i]
-        dy = ys[i + 1 :] - ys[i]
-        dx2 = np.einsum("ij,ij->i", dx, dx)
-        dy2 = np.einsum("ij,ij->i", dy, dy)
-        keep = dx2 > 0.0
-        if np.any(keep):
-            b = (dy2[keep] / dx2[keep]).max()
-            if b > best2:
-                best2 = b
-    return float(np.sqrt(best2))
-
-
+# No compiled kernel exists; kept as a constant for callers that record
+# which kernel ran.
 HAVE_COMPILED = False
-if os.environ.get("BILIPFACTOR_PURE") != "1":
-    try:
-        from ._pairwise import pairwise_distortion as _pd_compiled
-        from ._pairwise import pairwise_sup_ratio as _ps_compiled
 
-        HAVE_COMPILED = True
-    except ImportError:
-        pass
+_BLOCK_PAIRS = 1 << 15
 
 
 def pairwise_distortion(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float]:
-    xs = np.ascontiguousarray(xs, dtype=float)
-    ys = np.ascontiguousarray(ys, dtype=float)
-    if HAVE_COMPILED:
-        return _pd_compiled(xs, ys)
-    return pairwise_distortion_numpy(xs, ys)
+    """Return (max pair ratio, min image distance over distinct sources).
 
-
-def pairwise_sup_ratio(xs: np.ndarray, ys: np.ndarray) -> float:
-    xs = np.ascontiguousarray(xs, dtype=float)
-    ys = np.ascontiguousarray(ys, dtype=float)
-    if HAVE_COMPILED:
-        return _ps_compiled(xs, ys)
-    return pairwise_sup_ratio_numpy(xs, ys)
+    The ratio for a pair is max(|y_i-y_j|/|x_i-x_j|, |x_i-x_j|/|y_i-y_j|);
+    pairs with coincident sources are skipped.  A coincident image pair
+    yields min_image_distance == 0.0 (the caller decides how to fail).
+    """
+    xt = np.ascontiguousarray(np.transpose(xs), dtype=float)
+    yt = np.ascontiguousarray(np.transpose(ys), dtype=float)
+    n = xt.shape[1]
+    best2 = 1.0
+    min_img2 = np.inf
+    row_pairs = np.arange(n - 1, 0, -1)  # row i holds the pairs (i, i+1..n-1)
+    row_end = np.cumsum(row_pairs)
+    i0 = 0
+    while i0 < n - 1:
+        done = row_end[i0 - 1] if i0 else 0
+        i1 = max(i0 + 1, int(np.searchsorted(row_end, done + _BLOCK_PAIRS, side="right")))
+        counts = row_pairs[i0:i1]
+        ii = np.repeat(np.arange(i0, i1), counts)
+        # Pair k of the block is (i, i + 1 + offset of k within row i).
+        row_start = np.repeat(row_end[i0:i1] - counts - done, counts)
+        jj = ii + 1 + np.arange(ii.shape[0]) - row_start
+        # Adding squared differences axis by axis, in order, keeps each sum
+        # bit-equal to a plain per-pair loop.
+        dx2 = sum((c[jj] - c[ii]) ** 2 for c in xt)
+        dy2 = sum((c[jj] - c[ii]) ** 2 for c in yt)
+        i0 = i1
+        keep = dx2 > 0.0
+        if not np.any(keep):
+            continue
+        dx2 = dx2[keep]
+        dy2 = dy2[keep]
+        min_img2 = min(min_img2, dy2.min())
+        pos = dy2 > 0.0
+        if np.any(pos):
+            r2 = dy2[pos] / dx2[pos]
+            np.maximum(r2, 1.0 / r2, out=r2)
+            best2 = max(best2, r2.max())
+    if not np.isfinite(min_img2):
+        min_img2 = 0.0
+    return float(np.sqrt(best2)), float(np.sqrt(min_img2))

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .degree import resample_polyline
-from .factorization import factor_shrink, factor_translation_along_path
+from .factorization import CertificateCache, factor_shrink, factor_translation_along_path
 from .geometry_core import Cube
 from .map_engine import (
     AffineMapData,
@@ -377,7 +377,7 @@ def execute_shuffle(plan: ShufflePlan, epsilon: float) -> ShuffleResult:
     stages 2 and 3 carry the cores along the planned paths; stage 4 grows
     each core into its target cube inside mu S_j.  Factors are concatenated
     cube by cube (disjoint supports), each certified at or below
-    1 + epsilon.
+    1 + epsilon.  All stages share one certificate cache.
     """
     sims = [
         AffineMapData(
@@ -390,13 +390,14 @@ def execute_shuffle(plan: ShufflePlan, epsilon: float) -> ShuffleResult:
         return ShuffleResult(plan, [], [], sims, [0, 0, 0, 0], 0)
 
     core_side = plan.c2_const * plan.base_side
+    cache = CertificateCache()
     factors: list[MapExpr] = []
     certs: list[DistortionCertificate] = []
     offsets = []
 
     offsets.append(len(factors))
     for r, _ in plan.pairs:
-        fs = factor_shrink(r, plan.mu, core_side / r.side, epsilon)
+        fs = factor_shrink(r, plan.mu, core_side / r.side, epsilon, cache)
         factors.extend(fs.factors)
         certs.extend(fs.certificates)
 
@@ -404,7 +405,7 @@ def execute_shuffle(plan: ShufflePlan, epsilon: float) -> ShuffleResult:
     for j, (r, _) in enumerate(plan.pairs):
         if plan.gammas[j].shape[0] == 0:
             continue
-        fs = factor_translation_along_path(Cube(r.center, core_side), plan.gammas[j], epsilon)
+        fs = factor_translation_along_path(Cube(r.center, core_side), plan.gammas[j], epsilon, cache)
         factors.extend(fs.factors)
         certs.extend(fs.certificates)
 
@@ -412,14 +413,14 @@ def execute_shuffle(plan: ShufflePlan, epsilon: float) -> ShuffleResult:
     for j in range(len(plan.pairs)):
         if plan.zetas[j].shape[0] == 0:
             continue
-        fs = factor_translation_along_path(Cube(tuple(plan.zs[j]), core_side), plan.zetas[j], epsilon)
+        fs = factor_translation_along_path(Cube(tuple(plan.zs[j]), core_side), plan.zetas[j], epsilon, cache)
         factors.extend(fs.factors)
         certs.extend(fs.certificates)
 
     offsets.append(len(factors))
     for _, s in plan.pairs:
         fs = factor_shrink(Cube(s.center, core_side), plan.mu * s.side / core_side,
-                           s.side / core_side, epsilon)
+                           s.side / core_side, epsilon, cache)
         factors.extend(fs.factors)
         certs.extend(fs.certificates)
 

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bilipfactor
 from bilipfactor.cli import main
 
 
@@ -53,6 +57,29 @@ class TestDeterminism:
             main(["factor-linear", "--input", inp, "--out", str(out), "--epsilon", "0.25"])
             outs.append((out / "report.json").read_bytes())
         assert outs[0] == outs[1]
+
+    def test_report_independent_of_earlier_runs(self, tmp_path):
+        # The shifted polyline has the same steps up to rounding; a
+        # certificate kept from its run must not leak into the next report.
+        polyline = [[0.0, 0.0], [0.7, 0.2], [1.1, 0.9]]
+        shifted = {
+            "cube": {"center": [0.1, 0.3], "side": 0.5},
+            "path": [[x + 0.1, y + 0.3] for x, y in polyline],
+        }
+        plain = write_input(tmp_path, "plain.json", {"cube": {"center": [0.0, 0.0], "side": 0.5}, "path": polyline})
+        first = write_input(tmp_path, "shifted.json", shifted)
+        opts = ["--epsilon", "0.25"]
+        assert main(["factor-translate", "--input", first, "--out", str(tmp_path / "shifted"), *opts]) == 0
+        assert main(["factor-translate", "--input", plain, "--out", str(tmp_path / "second"), *opts]) == 0
+        src = str(Path(bilipfactor.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = "import sys; from bilipfactor.cli import main; sys.exit(main(sys.argv[1:]))"
+        fresh = tmp_path / "fresh"
+        subprocess.run(
+            [sys.executable, "-c", code, "factor-translate", "--input", plain, "--out", str(fresh), *opts],
+            env=env, check=True, timeout=300,
+        )
+        assert (tmp_path / "second" / "report.json").read_bytes() == (fresh / "report.json").read_bytes()
 
 
 class TestErrorPaths:

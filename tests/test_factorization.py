@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from bilipfactor import factorization
 from bilipfactor.factorization import (
+    CertificateCache,
     FactorCertificationError,
     Piecewise,
     check_factor_sequence,
@@ -181,6 +183,48 @@ class TestFactorLinearInCube:
             t_coarse = factor_linear_in_cube(a, q, 2.0, 0.3).T
             t_fine = factor_linear_in_cube(a, q, 2.0, 0.15).T
             assert t_fine >= t_coarse
+
+
+class TestCertificateCache:
+    @pytest.mark.parametrize(
+        "a,side",
+        [
+            (np.diag([2.0, 0.5]), 2.0),
+            (rotation_2d(2.0) @ np.diag([1.7, 0.8]) @ rotation_2d(-0.6), 1.0),
+            (rotation_3d(np.array([0.0, 0.6, 0.8]), 1.9) @ np.diag([1.5, 1.0, 0.7]), 1.0),
+        ],
+    )
+    def test_canonical_matches_direct_sweep(self, a, side):
+        d = a.shape[0]
+        fs = factor_linear_in_cube(a, Cube((0.0,) * d, side), 2.0, 0.25)
+        assert fs.T > 0
+        for f, cert in zip(fs.factors, fs.certificates):
+            assert cert.region.side == f.cube.side * f.lam
+            direct = estimate_distortion(f, cert.region, cert.h)
+            assert direct.h == cert.h
+            assert direct.pair_count == cert.pair_count
+            assert abs(direct.L_lo - cert.L_lo) <= 1e-12 * direct.L_lo
+
+    def test_identical_rotation_steps_swept_once(self, monkeypatch):
+        sweeps = []
+
+        def counting(*args, **kwargs):
+            sweeps.append(args[0])
+            return estimate_distortion(*args, **kwargs)
+
+        monkeypatch.setattr(factorization, "estimate_distortion", counting)
+        fs = factor_linear_in_cube(rotation_2d(2.5), Cube((0.0, 0.0), 1.0), 2.0, 0.25)
+        distinct = {step.tobytes() for step in fs.meta["linear_steps"]}
+        assert 0 < len(sweeps) <= len(distinct) < fs.T
+
+    def test_shared_cache_reuses_certificates(self):
+        cache = CertificateCache()
+        q = Cube((0.3, 0.2), 0.5)
+        first = factor_shrink(q, 3.0, 0.3, 0.25, cache)
+        misses = cache.misses
+        again = factor_shrink(q, 3.0, 0.3, 0.25, cache)
+        assert cache.misses == misses
+        assert [c.L_lo for c in again.certificates] == [c.L_lo for c in first.certificates]
 
 
 class TestFactorLinearOutside:
