@@ -2,7 +2,9 @@
 library, and write a deterministic report.json (plus optional SVG frames).
 
 Exit codes: 0 when every certification in the run passed, 1 on a
-certification failure (the report is still written), 2 on malformed input.
+certification failure (the report is still written), 2 on malformed input,
+including a map that cannot be evaluated where the run needs it or whose
+values break the linear algebra (the report carries the error).
 Reports embed the tool version, the full configuration echo, and every
 tolerance used, and repeated runs with the same config are byte-identical.
 """
@@ -42,7 +44,7 @@ from .jsonio import (
     map_from_json,
     map_to_json,
 )
-from .map_engine import CertificationError, affine_part, sup_distance
+from .map_engine import CertificationError, DomainError, affine_part, sup_distance
 from .pl_approx import complexity_count, freudenthal, pl_interpolate, verify_pl
 from .shuffle import PlanError, check_shuffle, execute_shuffle, plan_shuffle
 from .sphere import factor_scaling_sphere, factor_translation_sphere
@@ -449,7 +451,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         payload = _load_input(args.input)
         body, ok = COMMANDS[args.subcommand](payload, args)
-    except (SchemaError, KeyError, GeometryError, PlanError) as e:
+    except (SchemaError, KeyError, GeometryError, PlanError, DomainError, np.linalg.LinAlgError) as e:
         print(f"error: {e}", file=sys.stderr)
         write_json_atomic(
             report_path,
@@ -457,7 +459,7 @@ def main(argv: list[str] | None = None) -> int:
              "tolerances": TOLERANCES, "error": str(e), "passed": False},
         )
         return 2
-    except CertificationError as e:
+    except (CertificationError, DegreeError) as e:
         write_json_atomic(
             report_path,
             {"tool": "bilipfactor", "version": __version__, "config": config,

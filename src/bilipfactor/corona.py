@@ -6,11 +6,27 @@ region carries a single affine surrogate fit that approximates the map on
 every member cube.  All measure arithmetic is exact over dyadic rationals:
 cube sides are powers of two, so masses, Carleson sums and the multi-level
 good-set measure are computed with Fractions (no floating-point drift).
+
+Sampling: every fit and every child check looks at the map on the pitch-h
+lattice of a cube's 2Q window clipped to [0,1]^d.  When h = 2^-p the map is
+evaluated once on the pitch-h lattice of [0,1]^d, and the window of every
+cube of level L < p (its corners are multiples of 2^-(L+1)) is a slice of
+it, point for point the lattice box_lattice would build; so all windows
+are slices when 2^(depth+1) h divides 1.  Windows of deeper cubes, and all
+windows when h is not a power of two, are sampled on their own.
+
+Carleson sums and the invariant check work on one array per level, built
+from the coronization's sets.  Subtree sums are exact int64 counts in units
+of the finest cube volume 2^-(d depth), summed over 2^d blocks level by
+level and turned into Fractions only for the final ratios; a pyramid whose
+largest sum, (depth+1) 2^(d depth) units, could overflow int64 (always the
+case past d depth = 62) raises GeometryError before any array is built.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -25,7 +41,7 @@ from .geometry_core import (
     box_lattice,
     unit_cube_dyadics,
 )
-from .map_engine import MapExpr, almost_affine_fit, estimate_distortion
+from .map_engine import MapExpr, affine_fit_samples, estimate_distortion
 
 
 @dataclass(eq=False)
@@ -58,7 +74,7 @@ class Coronization:
         return out
 
 
-def _fit_window(q: DyadicCube, dim: int) -> tuple[np.ndarray, np.ndarray]:
+def _fit_window(q: DyadicCube) -> tuple[np.ndarray, np.ndarray]:
     """Sampling box for a cube's fit: 2Q clipped to the unit cube."""
     c = q.to_cube()
     lo = np.maximum(np.asarray(c.center) - c.side, 0.0)
@@ -66,11 +82,54 @@ def _fit_window(q: DyadicCube, dim: int) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
+def _sample_window(f: MapExpr, q: DyadicCube, h: float) -> tuple[np.ndarray, np.ndarray]:
+    lo, hi = _fit_window(q)
+    pts = box_lattice(lo, hi, h)
+    return pts, f.evaluate(pts)
+
+
+def _sup_error(fit: AffineMapData, pts: np.ndarray, imgs: np.ndarray) -> float:
+    return float(np.max(np.linalg.norm(fit.apply(pts) - imgs, axis=1)))
+
+
 def region_fit_error(fit: AffineMapData, f: MapExpr, q: DyadicCube, h: float) -> float:
     """sup over the lattice of 2Q intersected with [0,1]^d of |fit - f|."""
-    lo, hi = _fit_window(q, q.dim)
-    pts = box_lattice(lo, hi, h)
-    return float(np.max(np.linalg.norm(fit.apply(pts) - f.evaluate(pts), axis=1)))
+    return _sup_error(fit, *_sample_window(f, q, h))
+
+
+def _lattice_exponent(h: float) -> int | None:
+    """p with h == 2**-p for an integer p >= 0, else None."""
+    mant, exp = math.frexp(h)
+    return 1 - exp if mant == 0.5 and exp <= 1 else None
+
+
+class _WindowSamples:
+    """f on the lattice of each cube's clipped 2Q window, at pitch h.
+
+    When h = 2^-p, f is evaluated once on the pitch-h lattice of [0,1]^d.
+    The window of a level-L cube has its corners at multiples of 2^-(L+1),
+    so for L < p it is a slice of that lattice holding the same points, in
+    the same order, as box_lattice gives for it.  Any other window is
+    sampled on its own.
+    """
+
+    def __init__(self, f: MapExpr, dim: int, h: float):
+        self.f, self.dim, self.h = f, dim, h
+        self.p = _lattice_exponent(h)
+        if self.p is not None:
+            axis = np.linspace(0.0, 1.0, 2**self.p + 1)
+            self.pts = np.stack(np.meshgrid(*[axis] * dim, indexing="ij"), axis=-1)
+            self.imgs = f.evaluate(self.pts.reshape(-1, dim)).reshape(self.pts.shape)
+
+    def __call__(self, q: DyadicCube) -> tuple[np.ndarray, np.ndarray]:
+        if self.p is None or q.level >= self.p:
+            return _sample_window(self.f, q, self.h)
+        step = 2 ** (self.p - q.level - 1)  # lattice pitches per half side of q
+        end = 2 ** (q.level + 1)
+        win = tuple(
+            slice(max(2 * c - 1, 0) * step, min(2 * c + 3, end) * step + 1) for c in q.coords
+        )
+        return self.pts[win].reshape(-1, self.dim), self.imgs[win].reshape(-1, self.dim)
 
 
 def build_coronization(
@@ -96,8 +155,8 @@ def build_coronization(
     probe = Cube(tuple([0.5] * dim), 1.0)
     l_est = estimate_distortion(f, probe, max(h, 1.0 / 32.0)).L_lo
 
-    unit_lo = np.zeros(dim)
-    unit_hi = np.ones(dim)
+    sample = _WindowSamples(f, dim, h)
+    root_dim = math.sqrt(dim)
     assigned: dict[DyadicCube, int] = {}  # -1 = bad, else region index
     regions: list[StoppingRegion] = []
 
@@ -110,7 +169,7 @@ def build_coronization(
                 continue
             bad = False
             try:
-                fit, res = almost_affine_fit(f, q.to_cube(), h, clip=(unit_lo, unit_hi))
+                fit, res = affine_fit_samples(f, q.to_cube(), *sample(q))
                 if res > theta or bilip_constant(fit) > 2.0 * l_est:
                     bad = True
             except GeometryError:
@@ -129,7 +188,7 @@ def build_coronization(
                     continue
                 kids = p.children()
                 if all(
-                    region_fit_error(fit, f, c, h) <= theta * c.to_cube().diam for c in kids
+                    _sup_error(fit, *sample(c)) <= theta * (c.side * root_dim) for c in kids
                 ):
                     for c in kids:
                         members.add(c)
@@ -149,34 +208,125 @@ def build_coronization(
     )
 
 
+def _dim(c: Coronization) -> int:
+    return c.params["dim"] if "dim" in c.params else c.dim
+
+
+def _level_labels(
+    labelled: Iterable[tuple[DyadicCube, int]], dim: int, depth: int
+) -> list[np.ndarray]:
+    """One array of shape (2^L,)*dim per level L <= depth: each listed cube's
+    label at its coords, -1 elsewhere.
+
+    A cube listed twice keeps its first label.  Cubes off the pyramid
+    (deeper than depth, of another dimension, or with coords outside
+    [0, 2^L)) are left out.  Raises GeometryError, before allocating, when
+    a subtree sum in units of the finest cube volume, at most
+    (depth+1) 2^(dim depth), could overflow int64 (so dim * depth <= 62).
+    """
+    if dim * depth + (depth + 1).bit_length() > 63:
+        raise GeometryError(
+            f"depth {depth} in {dim}-D: exact subtree sums would overflow int64"
+        )
+    coords: list[list[tuple[int, ...]]] = [[] for _ in range(depth + 1)]
+    labels: list[list[int]] = [[] for _ in range(depth + 1)]
+    for q, i in labelled:
+        if q.level <= depth and len(q.coords) == dim:
+            coords[q.level].append(q.coords)
+            labels[q.level].append(i)
+    out = []
+    for level in range(depth + 1):
+        lab = np.full((1 << level,) * dim, -1, dtype=np.int64)
+        if coords[level]:
+            idx = np.asarray(coords[level], dtype=np.int64)
+            ok = np.all((idx >= 0) & (idx < 1 << level), axis=1)
+            flat = np.ravel_multi_index(tuple(idx[ok].T), lab.shape)
+            flat, first = np.unique(flat, return_index=True)
+            lab.flat[flat] = np.asarray(labels[level], dtype=np.int64)[ok][first]
+        out.append(lab)
+    return out
+
+
+def _children(a: np.ndarray, dim: int) -> np.ndarray:
+    """Entries of a level-(L+1) array grouped under their level-L parents:
+    shape (2^L,)*dim + (2^dim,)."""
+    n = a.shape[0] // 2
+    blocks = a.reshape((n, 2) * dim).transpose(*range(0, 2 * dim, 2), *range(1, 2 * dim, 2))
+    return blocks.reshape((n,) * dim + (2**dim,))
+
+
+def _member_faults(
+    tops: list[DyadicCube], lab: list[np.ndarray], dim: int, depth: int
+) -> dict[int, list[str]]:
+    """Per region label: members outside the top, members whose parent is
+    not a member, members with some but not all children in the region."""
+    top_level = np.array([q.level if q.dim == dim else depth + 1 for q in tops], dtype=np.int64)
+    top_coords = np.array(
+        [q.coords if q.dim == dim else (0,) * dim for q in tops], dtype=np.int64
+    ).reshape(-1, dim)
+    found: list[tuple[int, int, int, int, str]] = []
+    for level in range(depth + 1):
+        idx = np.nonzero(lab[level] >= 0)
+        ids = lab[level][idx]
+        xs = np.stack(idx, axis=-1)
+        shift = level - top_level[ids]
+        is_top = (shift == 0) & np.all(xs == top_coords[ids], axis=1)
+        outside = (shift < 0) | np.any(xs >> np.maximum(shift, 0)[:, None] != top_coords[ids], axis=1)
+        if level == 0:
+            gap = ~is_top
+        else:
+            gap = ~is_top & (lab[level - 1][tuple((xs >> 1).T)] != ids)
+        split = np.zeros_like(gap)
+        if level < depth:
+            kids_in = np.sum(_children(lab[level + 1], dim)[idx] == ids[:, None], axis=1)
+            split = (kids_in > 0) & (kids_in < 2**dim)
+        for kind, mask in enumerate((outside, gap, split)):
+            for n in np.flatnonzero(mask):
+                if kind == 2:
+                    m = DyadicCube(level, tuple(int(x) for x in xs[n]))
+                    text = f"children split at {m}"
+                else:
+                    text = ("member outside the top", "gap between member and top")[kind]
+                found.append((int(ids[n]), level, int(n), kind, text))
+    faults: dict[int, list[str]] = {}
+    for i, *_, text in sorted(found):
+        faults.setdefault(i, []).append(text)
+    return faults
+
+
 def check_coronization(c: Coronization) -> list[str]:
-    """Structural invariant check; returns a list of violations (empty = pass)."""
+    """Structural invariant check; returns a list of violations (empty = pass).
+
+    The member checks run on per-level arrays of region labels.  A region
+    that shares cubes with an earlier one is checked again on arrays of its
+    own members alone, so every region is judged by its own member set.
+    Members off the pyramid get no member checks; the cover or partition
+    check reports them.
+    """
     issues: list[str] = []
-    dim = c.params.get("dim", c.dim)
-    all_cubes: set[DyadicCube] = set()
-    for level in range(c.depth + 1):
-        all_cubes.update(unit_cube_dyadics(dim, level))
+    dim, depth = _dim(c), c.depth
     if c.good & c.bad:
         issues.append("good and bad overlap")
-    if (c.good | c.bad) != all_cubes:
+    union = c.good | c.bad
+    covered = _level_labels(((q, 0) for q in union), dim, depth)
+    total = sum(1 << (dim * level) for level in range(depth + 1))
+    if len(union) != total or sum(int(np.count_nonzero(a >= 0)) for a in covered) != total:
         issues.append("good + bad do not cover all dyadic cubes to depth")
+    lab = _level_labels(
+        ((m, i) for i, s in enumerate(c.regions) for m in s.members), dim, depth
+    )
+    faults = _member_faults([s.top for s in c.regions], lab, dim, depth)
     seen: set[DyadicCube] = set()
     for i, s in enumerate(c.regions):
         if s.top not in s.members:
             issues.append(f"region {i}: top not a member")
+        own = faults.get(i, [])
         if seen & s.members:
             issues.append(f"region {i}: overlaps another region")
+            alone = _level_labels(((m, 0) for m in s.members), dim, depth)
+            own = _member_faults([s.top], alone, dim, depth).get(0, [])
         seen |= s.members
-        for m in s.members:
-            if m != s.top:
-                if not s.top.contains_dyadic(m):
-                    issues.append(f"region {i}: member outside the top")
-                if m.parent() not in s.members:
-                    issues.append(f"region {i}: gap between member and top")
-            if m.level < c.depth:
-                kids_in = [k in s.members for k in m.children()]
-                if any(kids_in) and not all(kids_in):
-                    issues.append(f"region {i}: children split at {m}")
+        issues.extend(f"region {i}: {text}" for text in own)
     if seen != c.good:
         issues.append("regions do not partition the good cubes")
     return issues
@@ -194,35 +344,34 @@ def verify_region_fits(c: Coronization, f: MapExpr, finer: float = 2.0) -> int:
     return warnings
 
 
+def _packing(marks: list[np.ndarray], dim: int, depth: int) -> Fraction:
+    """max over dyadic R of sum_{marked Q in R} |Q| / |R|, exactly.
+
+    Subtree sums are int64 per-level arrays in units of the finest cube
+    volume 2^-(dim depth), built bottom-up by 2^dim block sums.
+    """
+    best = Fraction(0)
+    mass = None
+    for level in range(depth, -1, -1):
+        unit = 1 << (dim * (depth - level))  # |Q| of a level cube, in finest volumes
+        own = (marks[level] >= 0).astype(np.int64) * unit
+        if mass is not None:
+            own += _children(mass, dim).sum(axis=-1)
+        mass = own
+        best = max(best, Fraction(int(mass.max()), unit))
+    return best
+
+
 def carleson_constant(c: Coronization) -> tuple[Fraction, Fraction]:
     """Exact Carleson packing constants via subtree sums.
 
     c_bad     = max over dyadic R of sum_{Q bad, Q in R} |Q| / |R|
     c_tops    = max over dyadic R of sum_{tops Q(S) in R} |Q(S)| / |R|
     """
-    dim = c.params.get("dim", c.dim)
-    tops = {s.top for s in c.regions}
-    c_bad = Fraction(0)
-    c_tops = Fraction(0)
-    mass_bad: dict[DyadicCube, Fraction] = {}
-    mass_top: dict[DyadicCube, Fraction] = {}
-    for level in range(c.depth, -1, -1):
-        for q in unit_cube_dyadics(dim, level):
-            mb = q.volume if q in c.bad else Fraction(0)
-            mt = q.volume if q in tops else Fraction(0)
-            if level < c.depth:
-                for k in q.children():
-                    mb += mass_bad[k]
-                    mt += mass_top[k]
-            mass_bad[q] = mb
-            mass_top[q] = mt
-            c_bad = max(c_bad, mb / q.volume)
-            c_tops = max(c_tops, mt / q.volume)
-        # Only the two shallowest levels need to stay in memory.
-        keep = set(unit_cube_dyadics(dim, level))
-        mass_bad = {q: v for q, v in mass_bad.items() if q in keep}
-        mass_top = {q: v for q, v in mass_top.items() if q in keep}
-    return c_bad, c_tops
+    dim, depth = _dim(c), c.depth
+    bad = _level_labels(((q, 0) for q in c.bad), dim, depth)
+    tops = _level_labels(((s.top, 0) for s in c.regions), dim, depth)
+    return _packing(bad, dim, depth), _packing(tops, dim, depth)
 
 
 Box = tuple[tuple[Fraction, ...], tuple[Fraction, ...]]
@@ -345,7 +494,7 @@ def multilevel_decomposition(c: Coronization, alpha: float | Fraction) -> MultiL
     exact good measure cannot reach 1 - alpha at this depth.
     """
     alpha = Fraction(alpha).limit_denominator(10**9)
-    dim = c.params.get("dim", c.dim)
+    dim = _dim(c)
     root = DyadicCube(0, tuple([0] * dim))
     if root not in c.bad:
         raise GeometryError("multilevel decomposition expects the top cube forced bad")

@@ -359,7 +359,18 @@ def almost_affine_fit(
         if np.any(hi - lo <= 0):
             raise GeometryError("clip box excludes the whole sampling region")
     pts = box_lattice(lo, hi, h)
-    imgs = m.evaluate(pts)
+    return affine_fit_samples(m, q, pts, m.evaluate(pts))
+
+
+def affine_fit_samples(
+    m: MapExpr, q: Cube, pts: np.ndarray, imgs: np.ndarray
+) -> tuple[AffineMapData, float]:
+    """The fit of almost_affine_fit from given samples imgs = m(pts).
+
+    Callers that already hold m on the lattice of 2q pass it here, so the
+    least-squares solve sees the same bytes as if almost_affine_fit had
+    sampled the window itself.
+    """
     design = np.hstack([pts, np.ones((pts.shape[0], 1))])
     sol, _, rank, _ = np.linalg.lstsq(design, imgs, rcond=None)
     if rank < q.dim + 1:

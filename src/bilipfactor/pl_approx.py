@@ -18,7 +18,7 @@ import numpy as np
 
 from . import degree as degree_mod
 from .geometry_core import Cube, GeometryError
-from .map_engine import MapExpr
+from .map_engine import DomainError, MapExpr
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,7 +198,7 @@ class PLMap(MapExpr):
         t = (pts - tri.origin) / tri.pitch
         hi = np.asarray(tri.cells, dtype=float)
         if np.any(t < -1e-9) or np.any(t > hi + 1e-9):
-            raise ValueError("piecewise-affine map evaluated outside its triangulation")
+            raise DomainError("piecewise-affine map evaluated outside its triangulation")
         cell = np.minimum(np.floor(np.clip(t, 0.0, None)).astype(int), np.asarray(tri.cells) - 1)
         frac = t - cell
         order = np.argsort(frac, axis=1, kind="stable")  # ascending: simplex ordering

@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 import bilipfactor
+from bilipfactor import cli
 from bilipfactor.cli import main
+from bilipfactor.degree import DegreeError
 
 
 def write_input(tmp_path: Path, name: str, payload: dict) -> str:
@@ -115,6 +117,49 @@ class TestErrorPaths:
         assert main(["pl", "--input", inp, "--out", str(out), "--epsilon", "0.2"]) == 1
         rep = json.loads((out / "report.json").read_text())
         assert rep["passed"] is False
+
+
+    def test_grid_not_covering_unit_square_exit_two(self, tmp_path):
+        # The grid spans [0, 0.5]^2; a coronization samples all of [0, 1]^2.
+        xs = np.linspace(0.0, 0.5, 3)
+        g = np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1)
+        payload = {
+            "map": {"type": "grid", "origin": [0.0, 0.0], "pitch": 0.25, "extents": [3, 3],
+                    "values": g.reshape(-1, 2).tolist()},
+            "depth": 2,
+        }
+        inp = write_input(tmp_path, "grid.json", payload)
+        out = tmp_path / "o"
+        assert main(["corona", "--input", inp, "--out", str(out), "--h", str(1 / 16)]) == 2
+        rep = json.loads((out / "report.json").read_text())
+        assert rep["passed"] is False
+        assert "outside its hull" in rep["error"]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_map_exit_two(self, tmp_path):
+        # Vertex images overflow to inf, so the per-simplex SVD cannot converge.
+        payload = {"map": {"type": "affine", "matrix": [[1e308, 1e308], [1e308, 1e308]],
+                           "b": [0.0, 0.0]}, "eta": 0.2}
+        inp = write_input(tmp_path, "big.json", payload)
+        out = tmp_path / "o"
+        assert main(["pl", "--input", inp, "--out", str(out)]) == 2
+        rep = json.loads((out / "report.json").read_text())
+        assert rep["passed"] is False
+        assert "did not converge" in rep["error"]
+
+    def test_degree_error_outside_degree_exit_one(self, tmp_path, monkeypatch):
+        # No input makes a subcommand other than `degree` raise DegreeError
+        # today; a stand-in command checks where one would land.
+        def fails(payload, args):
+            raise DegreeError("non-regular value: target on a simplex face image")
+
+        monkeypatch.setitem(cli.COMMANDS, "pl", fails)
+        inp = write_input(tmp_path, "x.json", {})
+        out = tmp_path / "o"
+        assert main(["pl", "--input", inp, "--out", str(out)]) == 1
+        rep = json.loads((out / "report.json").read_text())
+        assert rep["passed"] is False
+        assert rep["certification_error"].startswith("non-regular value")
 
 
 class TestOtherSubcommands:

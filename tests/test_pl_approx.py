@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 
 from bilipfactor.geometry_core import AffineMapData, Cube, rotation_2d, rotation_3d
-from bilipfactor.map_engine import Affine, Identity, LogSpiral, MapExpr, estimate_distortion, sup_distance
+from bilipfactor.map_engine import (
+    Affine,
+    DomainError,
+    Identity,
+    LogSpiral,
+    MapExpr,
+    estimate_distortion,
+    sup_distance,
+)
 from bilipfactor.pl_approx import (
     complexity_count,
     freudenthal,
@@ -71,6 +79,11 @@ class TestInterpolate:
         pl = pl_interpolate(LogSpiral(0.05), tri)
         err = sup_distance(pl.as_map(), LogSpiral(0.05), box, tri.pitch / 2)
         assert err <= eta
+
+    def test_outside_triangulation_is_domain_error(self):
+        g = pl_interpolate(Identity(), freudenthal(2, 0.25, UNIT2)).as_map()
+        with pytest.raises(DomainError, match="outside its triangulation"):
+            g(np.array([1.5, 0.5]))
 
     def test_continuity_across_faces(self, rng):
         pl = pl_interpolate(LogSpiral(0.2), freudenthal(2, 0.2, Cube((1.5, 0.5), 1.0)))
