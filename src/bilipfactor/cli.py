@@ -132,21 +132,17 @@ def _sequence_frames(fs: FactorSequence, outdir: Path, prefix: str) -> None:
     frame_cube = fs.support if fs.support is not None else fs.region
     stride = max(1, math.ceil(fs.T / MAX_SVG_FRAMES))
     ring = square_boundary(fs.region)
-    current = ring.copy()
-    idx = 0
     canvas = SvgCanvas(frame_cube)
     canvas.rect(frame_cube, stroke="#999999")
-    canvas.polyline(current, closed=True)
-    write_text_atomic(outdir / f"{prefix}_{idx:04d}.svg", canvas.to_string())
-    for i, f in enumerate(fs.factors):
-        current = f.evaluate(current)
-        if (i + 1) % stride == 0 or i == fs.T - 1:
-            idx += 1
-            canvas = SvgCanvas(frame_cube)
-            canvas.rect(frame_cube, stroke="#999999")
-            canvas.polyline(current, closed=True)
-            canvas.text(frame_cube.lo() + 0.02 * frame_cube.side, f"prefix {i + 1}/{fs.T}")
-            write_text_atomic(outdir / f"{prefix}_{idx:04d}.svg", canvas.to_string())
+    canvas.polyline(ring, closed=True)
+    write_text_atomic(outdir / f"{prefix}_{0:04d}.svg", canvas.to_string())
+    stops = [k for k in range(1, fs.T + 1) if k % stride == 0 or k == fs.T]
+    for idx, (k, current) in enumerate(zip(stops, fs.factors.walk(ring, stops)), start=1):
+        canvas = SvgCanvas(frame_cube)
+        canvas.rect(frame_cube, stroke="#999999")
+        canvas.polyline(current, closed=True)
+        canvas.text(frame_cube.lo() + 0.02 * frame_cube.side, f"prefix {k}/{fs.T}")
+        write_text_atomic(outdir / f"{prefix}_{idx:04d}.svg", canvas.to_string())
 
 
 def _load_input(path: str) -> dict:
@@ -236,11 +232,8 @@ def _shuffle_frames(result, outdir: Path) -> None:
         write_text_atomic(outdir / f"shuffle_stage_{idx}.svg", canvas.to_string())
 
     emit(0, merged)
-    cur = merged
-    for s in range(4):
-        for f in result.factors[bounds[s] : bounds[s + 1]]:
-            cur = f.evaluate(cur)
-        emit(s + 1, cur)
+    for s, cur in enumerate(result.walk(merged, bounds[1:]), start=1):
+        emit(s, cur)
 
 
 def cmd_corona(payload: dict, args) -> tuple[dict, bool]:

@@ -7,15 +7,19 @@ target.  Compactly supported factors are produced by blending a near-identity
 map to the identity across an annulus, then certifying the blend a
 posteriori; there is no uncertified extension step anywhere.
 
-Blend certificates go through a CertificateCache that lives for one run:
-each distinct factor shape is swept once, and linear-in-cube factors are
-swept on their canonical conjugate (blend cube C(0, 1)), which gives the
-same sampled lower bound up to rounding.
+The blend builders (linear in a cube, shrink, translation along a path)
+emit one array-backed BlendRun per call.  Its certificates go through a
+CertificateCache that lives for one run: each distinct factor shape is
+swept once, and linear-in-cube factors are swept on their canonical
+conjugate (blend cube C(0, 1)), which gives the same sampled lower bound up
+to rounding.  RunCertificates keeps the distinct sweeps and one index per
+factor, and builds a factor's DistortionCertificate only when asked for it.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +39,7 @@ from .geometry_core import (
 from .map_engine import (
     Affine,
     Blend,
+    BlendRun,
     CertificationError,
     Compose,
     DistortionCertificate,
@@ -63,35 +68,83 @@ class FactorCertificationError(CertificationError):
         self.target = target
 
 
+def _cert_pitch(cube: Cube) -> float:
+    return cube.side / (CERT_POINTS[cube.dim] - 1)
+
+
+class RunCertificates(Sequence):
+    """Per-factor certificates of a BlendRun, backed by its distinct sweeps.
+
+    Factor i carries the bound of sweeps[index[i]] over its own support
+    cube C(centers[i], lams[i] sides[i]); self[i] builds that
+    DistortionCertificate on access, and L_lo holds every factor's bound.
+    """
+
+    __slots__ = ("run", "sweeps", "index", "L_lo")
+
+    def __init__(self, run: BlendRun, sweeps: list[DistortionCertificate], index: np.ndarray):
+        self.run = run
+        self.sweeps = sweeps
+        self.index = index
+        self.L_lo = np.array([c.L_lo for c in sweeps], dtype=float)[index]
+
+    def __len__(self) -> int:
+        return self.index.shape[0]
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        swept = self.sweeps[self.index[i]]
+        run = self.run
+        support = Cube(tuple(run.centers[i]), run.lams[i] * run.sides[i])
+        return DistortionCertificate(
+            region=support, h=_cert_pitch(support), L_lo=swept.L_lo,
+            method=swept.method, pair_count=swept.pair_count,
+        )
+
+
+def _bounds(certs: Sequence[DistortionCertificate]) -> np.ndarray:
+    if isinstance(certs, RunCertificates):
+        return certs.L_lo
+    return np.array([c.L_lo for c in certs], dtype=float)
+
+
 @dataclass(eq=False)
 class FactorSequence:
     """Ordered factors (applied first-to-last) realizing a target map.
 
     support is the cube outside which every factor is the identity (None
     for sequences of global linear factors).  certificates[i] is the
-    sampled (or exact-affine) distortion bound for factors[i].
+    sampled (or exact-affine) distortion bound for factors[i].  The blend
+    builders (linear in a cube, shrink, translate) emit one BlendRun with
+    RunCertificates; the others emit lists.  Only a BlendRun carries a
+    support: check_factor_sequence finds the factors that move shell
+    points with BlendRun.touching.
     """
 
-    factors: list[MapExpr]
+    factors: list[MapExpr] | BlendRun
     target: MapExpr
     region: Cube
     support: Cube | None
-    certificates: list[DistortionCertificate]
+    certificates: list[DistortionCertificate] | RunCertificates
     meta: dict = field(default_factory=dict)
 
     @property
     def T(self) -> int:
         return len(self.factors)
 
+    def __post_init__(self):
+        if self.support is not None and not isinstance(self.factors, BlendRun):
+            raise TypeError("a FactorSequence with a support holds its factors in a BlendRun")
+
     def composite(self) -> MapExpr:
+        if isinstance(self.factors, BlendRun):
+            return self.factors
         return compose_sequence(self.factors)
 
     def max_certified(self) -> float:
-        return max((c.L_lo for c in self.certificates), default=1.0)
-
-
-def _cert_pitch(cube: Cube) -> float:
-    return cube.side / (CERT_POINTS[cube.dim] - 1)
+        bounds = _bounds(self.certificates)
+        return float(bounds.max()) if bounds.size else 1.0
 
 
 class CertificateCache:
@@ -109,25 +162,52 @@ class CertificateCache:
         self.hits = 0
         self.misses = 0
 
-    def certify(self, key, factor: Blend, sweep: Blend | None = None) -> DistortionCertificate:
-        """Certificate of a blend factor over its own support cube.
+    def certify(
+        self, run: BlendRun, keys: list, bound: float, sweep=None
+    ) -> tuple[RunCertificates | None, tuple[int, float] | None]:
+        """Certificates of every factor of a run, or its first factor above bound.
 
-        sweep, when given, is the factor's conjugate by a similarity and is
-        swept in its place; only L_lo and pair_count come from the sweep.
+        keys[i] is the key of run[i].  Factors are looked up in order and
+        the first one under each new key is swept, each over its own
+        support cube; sweep, when given, maps that factor to its conjugate
+        by a similarity, which is swept in its place.  Returns
+        (certificates, None), or (None, (index, L_lo)) of the first factor
+        certified above bound, sweeping nothing after it.
         """
-        swept = self._swept.get(key)
-        if swept is None:
-            self.misses += 1
-            m = factor if sweep is None else sweep
-            region = m.cube.dilate(m.lam)
-            swept = self._swept[key] = estimate_distortion(m, region, _cert_pitch(region))
-        else:
-            self.hits += 1
-        support = factor.cube.dilate(factor.lam)
-        return DistortionCertificate(
-            region=support, h=_cert_pitch(support), L_lo=swept.L_lo,
-            method=swept.method, pair_count=swept.pair_count,
-        )
+        ids: dict = {}
+        firsts: list[int] = []
+        index = np.empty(len(keys), dtype=np.intp)
+        for i, key in enumerate(keys):
+            j = ids.get(key)
+            if j is None:
+                j = ids[key] = len(firsts)
+                firsts.append(i)
+            index[i] = j
+        swept: list[DistortionCertificate] = []
+        new = 0
+        for key, first in zip(ids, firsts):
+            cert = self._swept.get(key)
+            if cert is None:
+                self.misses += 1
+                new += 1
+                m = run[first] if sweep is None else sweep(run[first])
+                region = m.cube.dilate(m.lam)
+                cert = self._swept[key] = estimate_distortion(m, region, _cert_pitch(region))
+            if cert.L_lo > bound:
+                self.hits += first + 1 - new
+                return None, (first, cert.L_lo)
+            swept.append(cert)
+        self.hits += len(keys) - new
+        return RunCertificates(run, swept, index), None
+
+
+def _no_blends(kind: str, target: MapExpr, region: Cube, support: Cube, meta: dict) -> FactorSequence:
+    """A blend builder's sequence for a map that needs no factor."""
+    d = region.dim
+    run = BlendRun(kind, np.empty((0, d)), np.empty(0), np.empty(0), np.empty((0, d)),
+                   None if kind == "translation" else np.empty((0, d, d)))
+    certs = RunCertificates(run, [], np.empty(0, dtype=np.intp))
+    return FactorSequence(run, target, region, support, certs, meta)
 
 
 def _rotation_angle_axis(r: np.ndarray) -> tuple[float, np.ndarray | None]:
@@ -304,40 +384,33 @@ def factor_linear_in_cube(
     target = Affine(AffineMapData(mat, np.zeros(d)))
 
     if np.abs(mat - np.eye(d)).max() <= SVD_TOL:
-        return FactorSequence([], target, q, support, [], meta={"alpha": 0.0, "linear_steps": []})
+        return _no_blends("affine", target, q, support, {"alpha": 0.0, "linear_steps": []})
 
     alpha0 = epsilon / (4.0 * c_support * l_bound * math.sqrt(d))
     # Strict w == 1 margin over the running image (see factor_shrink).
     margin = min(1.1, math.sqrt(c_support))
     lam = c_support / margin
     cache = CertificateCache()
+    verts = q.vertices()
     last_fail: tuple[int, float] | None = None
     for attempt in range(MAX_RETRIES + 1):
         alpha = alpha0 / 2**attempt
         steps = _linear_chain(mat, alpha)
-        factors: list[MapExpr] = []
-        certs: list[DistortionCertificate] = []
+        n = len(steps)
+        # Blend cube side: margin times the sup-norm diameter of the running image.
+        sides = np.empty(n)
         partial = np.eye(d)
-        ok = True
         for idx, step in enumerate(steps):
-            verts = q.vertices() @ partial.T
-            s_i = 2.0 * float(np.max(np.abs(verts)))
-            cube_i = Cube(q.center, margin * s_i)
-            inner = Affine(AffineMapData(step, np.zeros(d)))
-            factor = Blend(inner, cube_i, lam)
-            canonical = Blend(inner, _UNIT_CUBE[d], lam)
-            cert = cache.certify(("linear", d, step.tobytes(), lam), factor, sweep=canonical)
-            if cert.L_lo > 1.0 + epsilon + 1e-12:
-                last_fail = (idx, cert.L_lo)
-                ok = False
-                break
-            factors.append(factor)
-            certs.append(cert)
+            sides[idx] = margin * (2.0 * float(np.max(np.abs(verts @ partial.T))))
             partial = step @ partial
-        if ok:
-            fs = FactorSequence(
-                factors, target, q, support, certs, meta={"alpha": alpha, "linear_steps": steps}
-            )
+        run = BlendRun("affine", np.broadcast_to(np.asarray(q.center), (n, d)), sides, np.full(n, lam),
+                       np.zeros((n, d)), np.array(steps).reshape(n, d, d))
+        certs, last_fail = cache.certify(
+            run, [("linear", d, step.tobytes(), lam) for step in steps], 1.0 + epsilon + 1e-12,
+            sweep=lambda f: Blend(f.inner, _UNIT_CUBE[d], f.lam),
+        )
+        if certs is not None:
+            fs = FactorSequence(run, target, q, support, certs, meta={"alpha": alpha, "linear_steps": steps})
             err = sup_distance(fs.composite(), target, q, q.side / 8)
             if err > 1e-9 * q.diam:
                 raise CertificationError(f"composite deviates from target by {err:.3e} on the cube")
@@ -363,7 +436,7 @@ def factor_shrink(
     target = Affine(AffineMapData(c * np.eye(d), (1.0 - c) * center))
     support = q.dilate(lam)
     if abs(c - 1.0) <= SVD_TOL:
-        return FactorSequence([], target, q, support, [], meta={"steps": 0})
+        return _no_blends("affine", target, q, support, {"steps": 0})
 
     # The blend cube carries a strict margin over the moving cube so that
     # cube points sit in the w == 1 interior (an exact-boundary point would
@@ -378,25 +451,19 @@ def factor_shrink(
         cap = cap0 / 2**attempt
         n = max(1, math.ceil(abs(math.log(c)) / math.log1p(cap) - 1e-12))
         step = c ** (1.0 / n)
-        factors: list[MapExpr] = []
-        certs: list[DistortionCertificate] = []
-        ok = True
-        for i in range(n):
-            r_prev = c ** (i / n)
-            cube_i = q.dilate(margin * r_prev)
-            lam_i = lam / (margin * r_prev)
-            inner = Affine(AffineMapData(step * np.eye(d), (1.0 - step) * center))
-            factor = Blend(inner, cube_i, lam_i)
-            key = ("shrink", d, round(step, 14), round(cube_i.side, 14), round(lam_i, 12))
-            cert = cache.certify(key, factor)
-            if cert.L_lo > 1.0 + epsilon + 1e-12:
-                last_fail = (i, cert.L_lo)
-                ok = False
-                break
-            factors.append(factor)
-            certs.append(cert)
-        if ok:
-            return FactorSequence(factors, target, q, support, certs, meta={"steps": n, "step_scale": step})
+        # Factor i scales by step about the center, blended on q dilated by
+        # margin c^(i/n) (the running image plus margin).
+        scale = np.array([margin * c ** (i / n) for i in range(n)])
+        sides = scale * q.side
+        lams = lam / scale
+        run = BlendRun("affine", np.broadcast_to(center, (n, d)), sides, lams,
+                       np.broadcast_to((1.0 - step) * center, (n, d)),
+                       np.broadcast_to(step * np.eye(d), (n, d, d)))
+        keys = [("shrink", d, round(step, 14), round(s, 14), round(l_i, 12))
+                for s, l_i in zip(sides.tolist(), lams.tolist())]
+        certs, last_fail = cache.certify(run, keys, 1.0 + epsilon + 1e-12)
+        if certs is not None:
+            return FactorSequence(run, target, q, support, certs, meta={"steps": n, "step_scale": step})
     raise FactorCertificationError(last_fail[0], last_fail[1], 1.0 + epsilon)
 
 
@@ -439,7 +506,7 @@ def factor_translation_along_path(
     tube = Cube(tuple((path.min(axis=0) + path.max(axis=0)) / 2.0),
                 float(np.max(path.max(axis=0) - path.min(axis=0)) + 4.0 * q.side))
     if total == 0.0:
-        return FactorSequence([], target, q, tube, [], meta={"steps": 0})
+        return _no_blends("translation", target, q, tube, {"steps": 0})
 
     # Blend cube 1.5x the moving cube (strict w == 1 margin over the cube;
     # an exact-boundary point would lag by rounding and the lag compounds),
@@ -452,24 +519,16 @@ def factor_translation_along_path(
     for attempt in range(MAX_RETRIES + 1):
         delta = delta0 / 2**attempt
         nodes = _polyline_resample_by_step(path, delta)
-        factors: list[MapExpr] = []
-        certs: list[DistortionCertificate] = []
-        ok = True
-        for j in range(len(nodes) - 1):
-            v = nodes[j + 1] - nodes[j]
-            factor = Blend(Translation(tuple(v)), Cube(tuple(nodes[j]), blend_side), lam)
-            key = ("translate", d, tuple(np.round(v / q.side, 12)), round(q.side, 14), lam)
-            cert = cache.certify(key, factor)
-            if cert.L_lo > 1.0 + epsilon + 1e-12:
-                last_fail = (j, cert.L_lo)
-                ok = False
-                break
-            factors.append(factor)
-            certs.append(cert)
-        if ok:
+        steps = np.diff(nodes, axis=0)
+        n = steps.shape[0]
+        run = BlendRun("translation", nodes[:-1], np.full(n, blend_side), np.full(n, lam), steps)
+        side_key = round(q.side, 14)
+        keys = [("translate", d, v, side_key, lam) for v in map(tuple, np.round(steps / q.side, 12).tolist())]
+        certs, last_fail = cache.certify(run, keys, 1.0 + epsilon + 1e-12)
+        if certs is not None:
             return FactorSequence(
-                factors, target, q, tube, certs,
-                meta={"steps": len(factors), "delta": delta, "path_length": total},
+                run, target, q, tube, certs,
+                meta={"steps": n, "delta": delta, "path_length": total},
             )
     raise FactorCertificationError(last_fail[0], last_fail[1], 1.0 + epsilon)
 
@@ -692,13 +751,16 @@ def check_factor_sequence(
         "max_certified": fs.max_certified(),
     }
     if epsilon is not None:
-        report["certificates_ok"] = all(c.L_lo <= 1.0 + epsilon + 1e-12 for c in fs.certificates)
+        report["certificates_ok"] = bool(np.all(_bounds(fs.certificates) <= 1.0 + epsilon + 1e-12))
     if fs.support is not None:
+        # A factor that moves no shell point is exactly the identity there.
         shell, _ = cube_lattice(fs.support.dilate(1.5), fs.support.side / 8)
         outside = shell[~fs.support.contains(shell, tol=1e-12)]
+        run = fs.factors
         worst = 0.0
-        for f in fs.factors:
-            worst = max(worst, float(np.max(np.linalg.norm(f.evaluate(outside) - outside, axis=1))))
+        for i in run.touching(outside):
+            moved = run[i : i + 1].evaluate(outside)
+            worst = max(worst, float(np.max(np.linalg.norm(moved - outside, axis=1))))
             if worst > 1e-12:
                 break
         report["support_identity_dev"] = worst

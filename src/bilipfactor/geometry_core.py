@@ -189,6 +189,10 @@ def bilip_constant(a: AffineMapData | np.ndarray | list) -> float:
     """Minimal L with L^-1 |x-y| <= |f(x)-f(y)| <= L |x-y|: max(s_max, 1/s_min)."""
     m = a.matrix if isinstance(a, AffineMapData) else check_matrix(a)
     dec = svd(m)
+    if not all(map(math.isfinite, dec.sigma)):
+        # Entries near the float limit overflow the SVD; NaN defeats the
+        # degenerate test below, so reject them before it.
+        raise GeometryError("not bi-Lipschitz: singular values overflow")
     if dec.degenerate or dec.sigma[-1] == 0.0:
         raise GeometryError("not bi-Lipschitz: singular matrix")
     return float(max(dec.sigma[0], 1.0 / dec.sigma[-1]))
@@ -197,6 +201,8 @@ def bilip_constant(a: AffineMapData | np.ndarray | list) -> float:
 def linear_dilatation(m: np.ndarray | list) -> float:
     """H(S) = s_max / s_min.  Satisfies H(S) == H(S^-1)."""
     dec = svd(m)
+    if not all(map(math.isfinite, dec.sigma)):
+        raise GeometryError("linear dilatation undefined: singular values overflow")
     if dec.degenerate or dec.sigma[-1] == 0.0:
         raise GeometryError("linear dilatation undefined: singular matrix")
     return float(dec.sigma[0] / dec.sigma[-1])

@@ -5,10 +5,17 @@ certification step in the package goes through estimate_distortion /
 sup_distance on deterministic lattices, so the certificates reproduce
 bit-for-bit.  Sampled distortion values are LOWER bounds on the true
 bi-Lipschitz constant: refining the lattice can only raise them.
+
+A BlendRun holds a chain of blends of one kind (translations, or affine
+maps) as arrays of centres, sides, lambdas and inner maps.  It evaluates
+as the composition of its Blend factors does, bit for bit, and walk()
+returns the images after any list of prefixes in one pass; indexing
+builds the individual Blend objects for JSON and tests.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,12 +162,19 @@ class Grid(MapExpr):
         return self.grid.interpolate(pts)
 
 
+def _weight_ratio(x: np.ndarray, center, side, lam) -> np.ndarray:
+    """(lam l/2 - |x - center|_sup) / ((lam - 1) l/2), broadcast over x (..., d)."""
+    half = side / 2.0
+    r = np.abs(x[..., 0] - center[..., 0])
+    for k in range(1, x.shape[-1]):
+        r = np.maximum(r, np.abs(x[..., k] - center[..., k]))
+    return (lam * half - r) / ((lam - 1.0) * half)
+
+
 def blend_weight(pts: np.ndarray, cube: Cube, lam: float) -> np.ndarray:
     """1 on the cube, 0 outside lam*cube, linear in the sup-norm in between."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    r = np.max(np.abs(pts - np.asarray(cube.center)), axis=1)
-    half = cube.side / 2.0
-    return np.clip((lam * half - r) / ((lam - 1.0) * half), 0.0, 1.0)
+    return np.clip(_weight_ratio(pts, np.asarray(cube.center), cube.side, lam), 0.0, 1.0)
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -183,6 +197,134 @@ class Blend(MapExpr):
             inner_vals = self.inner.evaluate(np.atleast_2d(pts)[active])
             out[active] = (1.0 - w[active, None]) * out[active] + w[active, None] * inner_vals
         return out
+
+
+# Points x block steps held at once by the translation walker.
+_WALK_ELEMS = 1 << 16
+_WALK_MIN_BLOCK = 16
+
+
+@dataclass(frozen=True, eq=False, slots=True)
+class BlendRun(MapExpr, Sequence):
+    """n blends applied in order, stored as arrays.
+
+    Factor i is Blend(inner_i, C(centers[i], sides[i]), lams[i]); inner_i is
+    Translation(shifts[i]) for kind "translation" and the affine map
+    x -> matrices[i] x + shifts[i] for kind "affine".  run[i] and iteration
+    build those Blend objects; walk() evaluates prefixes without them.
+    """
+
+    kind: str  # "translation" | "affine"
+    centers: np.ndarray  # (n, d)
+    sides: np.ndarray  # (n,)
+    lams: np.ndarray  # (n,)
+    shifts: np.ndarray  # (n, d)
+    matrices: np.ndarray | None = None  # (n, d, d) for kind "affine"
+
+    def __len__(self) -> int:
+        return self.sides.shape[0]
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            mats = None if self.matrices is None else self.matrices[i]
+            return BlendRun(self.kind, self.centers[i], self.sides[i], self.lams[i], self.shifts[i], mats)
+        if self.kind == "translation":
+            inner = Translation(tuple(self.shifts[i]))
+        else:
+            inner = Affine(AffineMapData(self.matrices[i], self.shifts[i]))
+        return Blend(inner, Cube(tuple(self.centers[i]), self.sides[i]), float(self.lams[i]))
+
+    def evaluate(self, pts):
+        return self.walk(pts, [len(self)])[0]
+
+    def _ratio(self, x: np.ndarray, steps) -> np.ndarray:
+        """blend_weight before clipping, of points x (..., d) at the given steps."""
+        return _weight_ratio(x, self.centers[steps], self.sides[steps], self.lams[steps])
+
+    def _step(self, x: np.ndarray, i: int) -> None:
+        """Apply factor i to every row of x in place, as Blend.evaluate does."""
+        w = np.clip(self._ratio(x, i), 0.0, 1.0)
+        active = w > 0.0
+        if np.any(active):
+            xa = x[active]
+            if self.kind == "translation":
+                inner = xa + self.shifts[i]
+            else:
+                inner = xa @ self.matrices[i].T + self.shifts[i]
+            wa = w[active, None]
+            x[active] = (1.0 - wa) * xa + wa * inner
+
+    def walk(self, pts, stops) -> np.ndarray:
+        """Images of pts after each prefix of stops (non-decreasing lengths in [0, n]).
+
+        Affine runs step every factor on all points, as Blend.evaluate
+        does.  Translation runs jump over each block of steps along which
+        every point keeps w == 0 (it stays put) or w == 1 (it moves by the
+        steps accumulated in order: 0 * x + (x + v) is x + v bit for bit,
+        signed zeros included, so the sum rounds as the factors do); a step
+        where some point has 0 < w < 1 runs as Blend.evaluate does.
+        """
+        x = np.array(pts, dtype=float, copy=True)
+        stops = [int(s) for s in stops]
+        out = np.empty((len(stops),) + x.shape)
+        if not x.shape[0]:
+            return out
+        if self.kind == "translation":
+            return self._walk_translations(x, stops, out)
+        k = 0
+        for j, stop in enumerate(stops):
+            while k < stop:
+                self._step(x, k)
+                k += 1
+            out[j] = x
+        return out
+
+    def _walk_translations(self, x: np.ndarray, stops: list[int], out: np.ndarray) -> np.ndarray:
+        m, d = x.shape
+        cap = max(1, _WALK_ELEMS // m)
+        block = min(_WALK_MIN_BLOCK, cap)
+        k = 0
+        for j, stop in enumerate(stops):
+            while k < stop:
+                first = self._ratio(x, k)
+                still = first <= 0.0
+                moving = first >= 1.0
+                if not np.all(still | moving):  # some point has 0 < w < 1
+                    self._step(x, k)
+                    k += 1
+                    block = min(_WALK_MIN_BLOCK, cap)
+                    continue
+                # Jump to the first step, at most a block ahead, where some
+                # point leaves its w (0 or 1).
+                span = min(stop - k, block)
+                keep = np.full(m, span)
+                if np.any(still):
+                    hit = self._ratio(x[still, None, :], slice(k, k + span)) > 0.0
+                    keep[still] = np.where(hit.any(axis=1), hit.argmax(axis=1), span)
+                if np.any(moving):
+                    path = np.empty((int(moving.sum()), span + 1, d))
+                    path[:, 0] = x[moving]
+                    path[:, 1:] = self.shifts[k : k + span]
+                    path = np.add.accumulate(path, axis=1)
+                    miss = self._ratio(path[:, :-1], slice(k, k + span)) < 1.0
+                    keep[moving] = np.where(miss.any(axis=1), miss.argmax(axis=1), span)
+                e = int(keep.min())  # >= 1: every point keeps its w at step k
+                if np.any(moving):
+                    x[moving] = path[:, e]
+                k += e
+                block = min(2 * block, cap) if e == span else min(_WALK_MIN_BLOCK, cap)
+            out[j] = x
+        return out
+
+    def touching(self, pts) -> np.ndarray:
+        """Indices of the factors that move some of pts (w > 0 there)."""
+        pts = np.asarray(pts, dtype=float)
+        chunk = max(1, _WALK_ELEMS // max(1, pts.shape[0]))
+        hits = [
+            a + np.flatnonzero(np.any(self._ratio(pts[:, None, :], slice(a, a + chunk)) > 0.0, axis=0))
+            for a in range(0, len(self), chunk)
+        ]
+        return np.concatenate(hits) if hits else np.empty(0, dtype=np.intp)
 
 
 @dataclass(frozen=True, eq=False, slots=True)

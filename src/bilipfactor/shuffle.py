@@ -8,23 +8,33 @@ factors per cube: shrink to a tiny core, translate along the path to the
 intermediate point, translate to the final center, and grow into the target
 cube.  Every factor is the identity outside the working region, and the
 composite restricts to an axis-preserving similarity on each source cube.
+The result keeps each builder call's BlendRun; check_shuffle and the SVG
+stages walk the sample points through all runs once, keeping the images
+at the prefixes they inspect.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .degree import resample_polyline
-from .factorization import CertificateCache, factor_shrink, factor_translation_along_path
+from .factorization import (
+    CertificateCache,
+    RunCertificates,
+    factor_shrink,
+    factor_translation_along_path,
+)
 from .geometry_core import Cube
 from .map_engine import (
     AffineMapData,
-    DistortionCertificate,
+    BlendRun,
     MapExpr,
     affine_part,
+    compose_sequence,
     estimate_distortion,
 )
 
@@ -54,8 +64,8 @@ class ShufflePlan:
 @dataclass(eq=False)
 class ShuffleResult:
     plan: ShufflePlan
-    factors: list[MapExpr]
-    certificates: list[DistortionCertificate]
+    runs: list[BlendRun]  # one per builder call, in application order
+    certificates: list[RunCertificates]  # certificates[k][i] certifies runs[k][i]
     similarities: list[AffineMapData]
     stage_offsets: list[int]  # factor index at the start of each of the 4 stages
     count_ceiling: int
@@ -63,15 +73,27 @@ class ShuffleResult:
 
     @property
     def T(self) -> int:
-        return len(self.factors)
+        return sum(len(run) for run in self.runs)
 
     def composite(self) -> MapExpr:
-        from .map_engine import compose_sequence
-
-        return compose_sequence(self.factors)
+        return compose_sequence(self.runs)
 
     def max_certified(self) -> float:
-        return max((c.L_lo for c in self.certificates), default=1.0)
+        return max((float(c.L_lo.max()) for c in self.certificates if len(c)), default=1.0)
+
+    def walk(self, pts: np.ndarray, stops: list[int]) -> np.ndarray:
+        """Images of pts after each prefix of stops, counted in factors over all runs."""
+        cur = np.array(pts, dtype=float)
+        out = np.empty((len(stops),) + cur.shape)
+        j = base = 0
+        for run in self.runs:
+            end = base + len(run)
+            hi = bisect_right(stops, end, lo=j)
+            imgs = run.walk(cur, [s - base for s in stops[j:hi]] + [len(run)])
+            out[j:hi] = imgs[:-1]
+            cur, j, base = imgs[-1], hi, end
+        out[j:] = cur
+        return out
 
 
 def _psi_inverse(psi: MapExpr, base_side: float, target: np.ndarray) -> np.ndarray:
@@ -237,6 +259,29 @@ def _dedupe(path: np.ndarray) -> np.ndarray:
     return path[keep]
 
 
+# Rows of a held at once by _min_distance.
+_MIN_DISTANCE_ROWS = 64
+
+
+def _min_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """min |a_i - b_j| over all pairs of planar points, a few rows of a at a time.
+
+    The minimum is taken over squared distances and rooted once; sqrt is
+    monotone and correctly rounded, so this equals the minimum of the norms.
+    """
+    best = math.inf
+    bx, by = b[:, 0].copy(), b[:, 1].copy()
+    rows = _MIN_DISTANCE_ROWS
+    for k in range(0, a.shape[0], rows):
+        dx = np.subtract.outer(a[k : k + rows, 0], bx)
+        dy = np.subtract.outer(a[k : k + rows, 1], by)
+        dx *= dx
+        dy *= dy
+        dx += dy
+        best = min(best, float(dx.min()))
+    return math.sqrt(best)
+
+
 def plan_shuffle(
     omega: tuple[MapExpr, float],
     pairs: list[tuple[Cube, Cube]],
@@ -353,9 +398,7 @@ def plan_shuffle(
             for obs in obstacles:
                 path = _dedupe(detour_around(path, obs))
             samples = resample_polyline(path, 1024)
-            dist = float(
-                np.min(np.linalg.norm(samples[:, None, :] - boundary[None, :, :], axis=2))
-            )
+            dist = _min_distance(samples, boundary)
             if dist < clearance - 1e-9:
                 raise PlanError(f"path {j} violates the boundary clearance bound")
             for obs in obstacles:
@@ -391,38 +434,28 @@ def execute_shuffle(plan: ShufflePlan, epsilon: float) -> ShuffleResult:
 
     core_side = plan.c2_const * plan.base_side
     cache = CertificateCache()
-    factors: list[MapExpr] = []
-    certs: list[DistortionCertificate] = []
-    offsets = []
-
-    offsets.append(len(factors))
+    seqs = []
+    offsets = [0]
     for r, _ in plan.pairs:
-        fs = factor_shrink(r, plan.mu, core_side / r.side, epsilon, cache)
-        factors.extend(fs.factors)
-        certs.extend(fs.certificates)
+        seqs.append(factor_shrink(r, plan.mu, core_side / r.side, epsilon, cache))
 
-    offsets.append(len(factors))
+    offsets.append(sum(fs.T for fs in seqs))
     for j, (r, _) in enumerate(plan.pairs):
         if plan.gammas[j].shape[0] == 0:
             continue
-        fs = factor_translation_along_path(Cube(r.center, core_side), plan.gammas[j], epsilon, cache)
-        factors.extend(fs.factors)
-        certs.extend(fs.certificates)
+        seqs.append(factor_translation_along_path(Cube(r.center, core_side), plan.gammas[j], epsilon, cache))
 
-    offsets.append(len(factors))
+    offsets.append(sum(fs.T for fs in seqs))
     for j in range(len(plan.pairs)):
         if plan.zetas[j].shape[0] == 0:
             continue
-        fs = factor_translation_along_path(Cube(tuple(plan.zs[j]), core_side), plan.zetas[j], epsilon, cache)
-        factors.extend(fs.factors)
-        certs.extend(fs.certificates)
+        core = Cube(tuple(plan.zs[j]), core_side)
+        seqs.append(factor_translation_along_path(core, plan.zetas[j], epsilon, cache))
 
-    offsets.append(len(factors))
+    offsets.append(sum(fs.T for fs in seqs))
     for _, s in plan.pairs:
-        fs = factor_shrink(Cube(s.center, core_side), plan.mu * s.side / core_side,
-                           s.side / core_side, epsilon, cache)
-        factors.extend(fs.factors)
-        certs.extend(fs.certificates)
+        seqs.append(factor_shrink(Cube(s.center, core_side), plan.mu * s.side / core_side,
+                                  s.side / core_side, epsilon, cache))
 
     # Parameter-only ceiling: worst-case path length d L^2 diam(Omega) per run.
     sqd = math.sqrt(2.0)
@@ -434,7 +467,7 @@ def execute_shuffle(plan: ShufflePlan, epsilon: float) -> ShuffleResult:
     ceiling = len(plan.pairs) * (2 * n_scale + 2 * n_translate)
 
     return ShuffleResult(
-        plan, factors, certs, sims, offsets, ceiling,
+        plan, [fs.factors for fs in seqs], [fs.certificates for fs in seqs], sims, offsets, ceiling,
         meta={"core_side": core_side, "epsilon": epsilon},
     )
 
@@ -482,28 +515,30 @@ def check_shuffle(result: ShuffleResult, n_prefixes: int = 48) -> dict:
     )
     n_core = 5
 
-    # One merged point set walked through the factors in a single pass.
+    # One merged point set walked through the factors in a single pass,
+    # with images kept at every stride-th prefix and at the end.
     merged = np.vstack([probes, outside, cores])
     s1 = len(probes)
     s2 = s1 + len(outside)
     stride = max(1, result.T // max(1, n_prefixes))
+    stops = sorted(set(range(stride, result.T + 1, stride)) | ({result.T} if result.T else set()))
+    prefixes = result.walk(merged, stops)
     disjoint_ok = True
-    for i, f in enumerate(result.factors):
-        merged = f.evaluate(merged)
-        if (i + 1) % stride == 0 or i == result.T - 1:
-            boxes = []
-            for j in range(len(plan.pairs)):
-                pts = merged[s2 + j * n_core : s2 + (j + 1) * n_core]
-                boxes.append((pts.min(axis=0), pts.max(axis=0)))
-            for a in range(len(boxes)):
-                for b in range(a + 1, len(boxes)):
-                    alo, ahi = boxes[a]
-                    blo, bhi = boxes[b]
-                    if np.all(alo < bhi) and np.all(blo < ahi):
-                        disjoint_ok = False
+    for img in prefixes:
+        boxes = []
+        for j in range(len(plan.pairs)):
+            pts = img[s2 + j * n_core : s2 + (j + 1) * n_core]
+            boxes.append((pts.min(axis=0), pts.max(axis=0)))
+        for a in range(len(boxes)):
+            for b in range(a + 1, len(boxes)):
+                alo, ahi = boxes[a]
+                blo, bhi = boxes[b]
+                if np.all(alo < bhi) and np.all(blo < ahi):
+                    disjoint_ok = False
 
-    images = merged[:s1]
-    out_images = merged[s1:s2]
+    final = prefixes[-1] if stops else merged
+    images = final[:s1]
+    out_images = final[s1:s2]
     residual = 0.0
     for j, sim in enumerate(result.similarities):
         want = sim.apply(probes[j * n_per : (j + 1) * n_per])

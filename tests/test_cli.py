@@ -21,6 +21,15 @@ def write_input(tmp_path: Path, name: str, payload: dict) -> str:
     return str(p)
 
 
+def _not_json(name: str):
+    raise ValueError(f"report.json holds {name}, which is not valid JSON")
+
+
+def load_report(out: Path) -> dict:
+    """The run's report.json, parsed strictly: a NaN or an Infinity fails the test."""
+    return json.loads((out / "report.json").read_text(), parse_constant=_not_json)
+
+
 LINEAR = {
     "map": {"type": "affine", "matrix": [[2.0, 0.0], [0.0, 0.5]], "b": [0.0, 0.0]},
     "cube": {"center": [0.0, 0.0], "side": 2.0},
@@ -33,7 +42,7 @@ class TestFactorLinear:
         inp = write_input(tmp_path, "lin.json", LINEAR)
         out = tmp_path / "run"
         assert main(["factor-linear", "--input", inp, "--out", str(out), "--epsilon", "0.25"]) == 0
-        rep = json.loads((out / "report.json").read_text())
+        rep = load_report(out)
         assert rep["passed"] is True
         assert rep["result"]["T"] > 0
         assert rep["result"]["max_certified"] <= 1.25 + 1e-12
@@ -44,7 +53,8 @@ class TestFactorLinear:
     def test_svg_frames(self, tmp_path):
         inp = write_input(tmp_path, "lin.json", LINEAR)
         out = tmp_path / "run"
-        main(["factor-linear", "--input", inp, "--out", str(out), "--epsilon", "0.25", "--svg"])
+        assert main(["factor-linear", "--input", inp, "--out", str(out), "--epsilon", "0.25", "--svg"]) == 0
+        assert load_report(out)["passed"] is True
         frames = sorted(out.glob("factor_linear_*.svg"))
         assert len(frames) >= 2
         assert frames[0].read_text().startswith("<svg")
@@ -57,6 +67,7 @@ class TestDeterminism:
         for name in ("a", "b"):
             out = tmp_path / name
             main(["factor-linear", "--input", inp, "--out", str(out), "--epsilon", "0.25"])
+            load_report(out)
             outs.append((out / "report.json").read_bytes())
         assert outs[0] == outs[1]
 
@@ -81,6 +92,7 @@ class TestDeterminism:
             [sys.executable, "-c", code, "factor-translate", "--input", plain, "--out", str(fresh), *opts],
             env=env, check=True, timeout=300,
         )
+        assert load_report(fresh)["passed"] is True
         assert (tmp_path / "second" / "report.json").read_bytes() == (fresh / "report.json").read_bytes()
 
 
@@ -89,10 +101,12 @@ class TestErrorPaths:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert main(["degree", "--input", str(bad), "--out", str(tmp_path / "o")]) == 2
+        assert "cannot read input JSON" in load_report(tmp_path / "o")["error"]
 
     def test_schema_violation_exit_two(self, tmp_path):
         inp = write_input(tmp_path, "x.json", {"map": {"type": "nope"}})
         assert main(["pl", "--input", inp, "--out", str(tmp_path / "o")]) == 2
+        assert load_report(tmp_path / "o")["passed"] is False
 
     def test_failed_verdicts_exit_one(self, tmp_path):
         # A grid-sampled fold is not injective: the pl verdicts fail.
@@ -115,7 +129,7 @@ class TestErrorPaths:
         inp = write_input(tmp_path, "fold.json", payload)
         out = tmp_path / "o"
         assert main(["pl", "--input", inp, "--out", str(out), "--epsilon", "0.2"]) == 1
-        rep = json.loads((out / "report.json").read_text())
+        rep = load_report(out)
         assert rep["passed"] is False
 
 
@@ -131,7 +145,7 @@ class TestErrorPaths:
         inp = write_input(tmp_path, "grid.json", payload)
         out = tmp_path / "o"
         assert main(["corona", "--input", inp, "--out", str(out), "--h", str(1 / 16)]) == 2
-        rep = json.loads((out / "report.json").read_text())
+        rep = load_report(out)
         assert rep["passed"] is False
         assert "outside its hull" in rep["error"]
 
@@ -143,9 +157,27 @@ class TestErrorPaths:
         inp = write_input(tmp_path, "big.json", payload)
         out = tmp_path / "o"
         assert main(["pl", "--input", inp, "--out", str(out)]) == 2
-        rep = json.loads((out / "report.json").read_text())
+        rep = load_report(out)
         assert rep["passed"] is False
         assert "did not converge" in rep["error"]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_affine_corona_exit_two(self, tmp_path):
+        # The SVD of this affine map overflows to sigma = [inf, nan]; the
+        # distortion estimate must fail instead of reporting L = Infinity.
+        payload = {"map": {"type": "affine", "matrix": [[1e308, 1e308], [1e308, 1e308]],
+                           "b": [0.0, 0.0]}, "depth": 2}
+        inp = write_input(tmp_path, "big.json", payload)
+        out = tmp_path / "o"
+        assert main(["corona", "--input", inp, "--out", str(out), "--h", "0.0625"]) == 2
+        rep = load_report(out)
+        assert rep["passed"] is False
+        assert "not bi-Lipschitz" in rep["error"]
+
+    def test_strict_loader_rejects_non_finite_numbers(self, tmp_path):
+        (tmp_path / "report.json").write_text('{"l_estimate": Infinity}')
+        with pytest.raises(ValueError, match="Infinity"):
+            load_report(tmp_path)
 
     def test_degree_error_outside_degree_exit_one(self, tmp_path, monkeypatch):
         # No input makes a subcommand other than `degree` raise DegreeError
@@ -157,7 +189,7 @@ class TestErrorPaths:
         inp = write_input(tmp_path, "x.json", {})
         out = tmp_path / "o"
         assert main(["pl", "--input", inp, "--out", str(out)]) == 1
-        rep = json.loads((out / "report.json").read_text())
+        rep = load_report(out)
         assert rep["passed"] is False
         assert rep["certification_error"].startswith("non-regular value")
 
@@ -172,14 +204,14 @@ class TestOtherSubcommands:
         inp = write_input(tmp_path, "deg.json", payload)
         out = tmp_path / "o"
         assert main(["degree", "--input", inp, "--out", str(out)]) == 0
-        rep = json.loads((out / "report.json").read_text())
+        rep = load_report(out)
         assert rep["result"]["degree"] == 1
 
     def test_sphere_factor_scaling(self, tmp_path):
         inp = write_input(tmp_path, "s.json", {"kind": "scaling", "a": 16.0})
         out = tmp_path / "o"
         assert main(["sphere-factor", "--input", inp, "--out", str(out), "--epsilon", "0.3"]) == 0
-        rep = json.loads((out / "report.json").read_text())
+        rep = load_report(out)
         assert rep["result"]["count"] == 36
 
     def test_factor_translate(self, tmp_path):
@@ -187,13 +219,14 @@ class TestOtherSubcommands:
         inp = write_input(tmp_path, "t.json", payload)
         out = tmp_path / "o"
         assert main(["factor-translate", "--input", inp, "--out", str(out), "--epsilon", "0.2"]) == 0
+        assert load_report(out)["result"]["check"]["support_ok"] is True
 
     def test_corona(self, tmp_path):
         payload = {"map": {"type": "logspiral", "k": 0.25}, "depth": 4}
         inp = write_input(tmp_path, "c.json", payload)
         out = tmp_path / "o"
         assert main(["corona", "--input", inp, "--out", str(out), "--h", str(1 / 64)]) == 0
-        rep = json.loads((out / "report.json").read_text())
+        rep = load_report(out)
         assert rep["result"]["invariant_issues"] == []
         assert rep["result"]["counts"]["regions"] >= 1
 
@@ -205,7 +238,7 @@ class TestOtherSubcommands:
         assert main(
             ["multilevel", "--input", inp, "--out", str(out), "--alpha", "0.5", "--h", str(1 / 64)]
         ) == 0
-        rep = json.loads((out / "report.json").read_text())
+        rep = load_report(out)
         assert rep["result"]["good_measure_ok"] is True
 
     def test_shuffle(self, tmp_path):
@@ -220,7 +253,7 @@ class TestOtherSubcommands:
         inp = write_input(tmp_path, "sh.json", payload)
         out = tmp_path / "o"
         assert main(["shuffle", "--input", inp, "--out", str(out), "--epsilon", "0.25", "--svg"]) == 0
-        rep = json.loads((out / "report.json").read_text())
+        rep = load_report(out)
         assert rep["result"]["check"]["similarity_ok"] is True
         assert (out / "shuffle_stage_4.svg").exists()
 

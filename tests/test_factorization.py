@@ -7,8 +7,10 @@ import pytest
 
 from bilipfactor import factorization
 from bilipfactor.factorization import (
+    TRANSLATION_BLEND_LAM,
     CertificateCache,
     FactorCertificationError,
+    FactorSequence,
     Piecewise,
     check_factor_sequence,
     factor_diagonal,
@@ -33,9 +35,11 @@ from bilipfactor.geometry_core import (
 from bilipfactor.map_engine import (
     Affine,
     Blend,
+    BlendRun,
     CertificationError,
     Identity,
     Translation,
+    blend_weight,
     estimate_distortion,
     sup_distance,
 )
@@ -365,3 +369,173 @@ class TestPiecewise:
         pw = Piecewise(((Cube((0.0, 0.0), 1.0), Translation((0.0, 0.0))),))
         pts = np.array([[0.1, 0.1], [3.0, 3.0]])
         assert np.abs(pw.evaluate(pts) - pts).max() == 0.0
+
+
+# Reference factors: each blend builder's factors as one Blend object per
+# factor, built step by step from the meta the builder reports.
+
+
+def reference_linear_factors(q: Cube, c_support: float, fs) -> list[Blend]:
+    d = q.dim
+    margin = min(1.1, math.sqrt(c_support))
+    lam = c_support / margin
+    partial = np.eye(d)
+    out = []
+    for step in fs.meta["linear_steps"]:
+        s_i = 2.0 * float(np.max(np.abs(q.vertices() @ partial.T)))
+        out.append(Blend(Affine(AffineMapData(step, np.zeros(d))), Cube(q.center, margin * s_i), lam))
+        partial = step @ partial
+    return out
+
+
+def reference_shrink_factors(q: Cube, lam: float, c: float, fs) -> list[Blend]:
+    d = q.dim
+    n, step = fs.meta["steps"], fs.meta["step_scale"]
+    margin = min(1.2, (lam / max(1.0, c)) ** 0.25)
+    center = np.asarray(q.center)
+    out = []
+    for i in range(n):
+        r_prev = c ** (i / n)
+        inner = Affine(AffineMapData(step * np.eye(d), (1.0 - step) * center))
+        out.append(Blend(inner, q.dilate(margin * r_prev), lam / (margin * r_prev)))
+    return out
+
+
+def reference_translation_factors(q: Cube, path: np.ndarray, fs) -> list[Blend]:
+    nodes = factorization._polyline_resample_by_step(np.asarray(path, dtype=float), fs.meta["delta"])
+    lam = TRANSLATION_BLEND_LAM / 1.5
+    return [
+        Blend(Translation(tuple(nodes[j + 1] - nodes[j])), Cube(tuple(nodes[j]), 1.5 * q.side), lam)
+        for j in range(len(nodes) - 1)
+    ]
+
+
+def reference_support_dev(fs) -> float:
+    """support_identity_dev as a per-factor loop with its early break."""
+    shell, _ = cube_lattice(fs.support.dilate(1.5), fs.support.side / 8)
+    outside = shell[~fs.support.contains(shell, tol=1e-12)]
+    worst = 0.0
+    for f in list(fs.factors):
+        worst = max(worst, float(np.max(np.linalg.norm(f.evaluate(outside) - outside, axis=1))))
+        if worst > 1e-12:
+            break
+    return worst
+
+
+def _mixed_points(run, rng, n: int = 12) -> np.ndarray:
+    """n points each with w == 1, 0 < w < 1 and w == 0 under the first factor."""
+    first = run[0]
+    half = first.cube.side / 2.0
+    u = rng.uniform(-1.0, 1.0, size=(3 * n, first.cube.dim))
+    u /= np.max(np.abs(u), axis=1, keepdims=True)  # sup-norm unit directions
+    radii = np.concatenate([
+        rng.uniform(0.1, 0.9, n) * half,
+        rng.uniform(1.05, 0.95 * first.lam, n) * half,
+        rng.uniform(1.05, 1.5, n) * first.lam * half,
+    ])
+    pts = np.asarray(first.cube.center) + radii[:, None] * u
+    w = blend_weight(pts, first.cube, first.lam)
+    assert np.all(w[:n] == 1.0) and np.all((w[n:-n] > 0.0) & (w[n:-n] < 1.0)) and np.all(w[-n:] == 0.0)
+    return pts
+
+
+LINEAR_CASE = (rotation_2d(0.9) @ np.diag([1.8, 0.7]), Cube((0.0, 0.0), 1.0), 2.0, 0.25)
+SHRINK_CASE = (Cube((0.3, -0.2), 0.5), 3.0, 0.3, 0.25)
+GROW_CASE = (Cube((2.0, -1.0), 0.2), 4.0, 3.0, 0.25)
+PATH = np.array([[0.1, 0.2], [1.3, 0.5], [1.1, 1.7]])
+TRANSLATE_CASE = (Cube((0.1, 0.2), 0.5), PATH, 0.25)
+
+
+def _runs():
+    a, q, c_support, eps = LINEAR_CASE
+    lin = factor_linear_in_cube(a, q, c_support, eps)
+    yield "linear", lin, reference_linear_factors(q, c_support, lin)
+    for name, (q, lam, c, eps) in (("shrink", SHRINK_CASE), ("grow", GROW_CASE)):
+        fs = factor_shrink(q, lam, c, eps)
+        yield name, fs, reference_shrink_factors(q, lam, c, fs)
+    q, path, eps = TRANSLATE_CASE
+    fs = factor_translation_along_path(q, path, eps)
+    yield "translate", fs, reference_translation_factors(q, path, fs)
+    a3 = rotation_3d(np.array([0.0, 0.6, 0.8]), 0.7) @ np.diag([1.4, 1.0, 0.8])
+    q3 = Cube((0.0, 0.0, 0.0), 1.0)
+    fs = factor_linear_in_cube(a3, q3, 2.0, 0.3)
+    yield "linear3", fs, reference_linear_factors(q3, 2.0, fs)
+
+
+RUNS = {name: (fs, ref) for name, fs, ref in _runs()}
+
+
+class TestBlendRun:
+    @pytest.mark.parametrize("name", sorted(RUNS))
+    def test_factors_match_reference_builder(self, name):
+        fs, ref = RUNS[name]
+        run = fs.factors
+        assert len(run) == fs.T == len(ref) > 0
+        for got, want in zip(run, ref):
+            assert got.cube.center == want.cube.center
+            assert got.cube.side == want.cube.side
+            assert got.lam == want.lam
+            assert type(got.inner) is type(want.inner)
+            if isinstance(want.inner, Translation):
+                assert np.asarray(got.inner.v).tobytes() == np.asarray(want.inner.v).tobytes()
+            else:
+                assert got.inner.map.matrix.tobytes() == want.inner.map.matrix.tobytes()
+                assert got.inner.map.shift.tobytes() == want.inner.map.shift.tobytes()
+        assert run[len(run) - 1].cube == run[-1].cube
+
+    @pytest.mark.parametrize("name", sorted(RUNS))
+    def test_walk_equals_per_factor_loop(self, name, rng):
+        fs, _ = RUNS[name]
+        run = fs.factors
+        pts = np.vstack([_mixed_points(run, rng), fs.region.vertices(), fs.region.dilate(0.3).vertices()])
+        prefixes = run.walk(pts, range(len(run) + 1))
+        cur = pts.copy()
+        assert prefixes[0].tobytes() == cur.tobytes()
+        for i, f in enumerate(list(run)):
+            cur = f.evaluate(cur)
+            assert prefixes[i + 1].tobytes() == cur.tobytes(), f"prefix {i + 1}"
+        assert run.evaluate(pts).tobytes() == cur.tobytes()
+        # Sparse, repeated and empty stops give the same images.
+        stops = [0, 3, 3, len(run) // 2, len(run)]
+        assert run.walk(pts, stops).tobytes() == prefixes[stops].tobytes()
+        assert run.walk(pts, []).shape == (0,) + pts.shape
+
+    def test_signed_zeros_match_per_factor_loop(self):
+        # A jump over w == 1 steps adds the steps in order; 0 * x + (x + v)
+        # keeps the sign of a zero sum, so the bytes agree with the factors.
+        steps = np.array([[-0.0, 0.25], [-0.0, -0.25], [0.5, -0.0], [-0.5, 0.0]])
+        run = BlendRun("translation", np.zeros((4, 2)), np.full(4, 4.0), np.full(4, 2.0), steps)
+        pts = np.array([[-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0], [0.5, -0.25]])
+        prefixes = run.walk(pts, range(1, 5))
+        cur = pts.copy()
+        for i, f in enumerate(list(run)):
+            cur = f.evaluate(cur)
+            assert prefixes[i].tobytes() == cur.tobytes()
+        assert np.any((prefixes == 0.0) & np.signbit(prefixes))  # a -0.0 was carried
+
+    @pytest.mark.parametrize("name", sorted(RUNS))
+    def test_certificates_per_factor(self, name):
+        fs, _ = RUNS[name]
+        assert len(fs.certificates) == fs.T
+        for f, cert in zip(fs.factors, fs.certificates):
+            support = f.cube.dilate(f.lam)
+            assert cert.region == support
+            assert cert.h == support.side / (factorization.CERT_POINTS[support.dim] - 1)
+        assert [c.L_lo for c in fs.certificates[:3]] == list(fs.certificates.L_lo[:3])
+        assert fs.max_certified() == max(c.L_lo for c in fs.certificates)
+
+    @pytest.mark.parametrize("name", sorted(RUNS))
+    def test_support_identity_dev_matches_per_factor_loop(self, name):
+        fs, _ = RUNS[name]
+        assert check_factor_sequence(fs)["support_identity_dev"] == reference_support_dev(fs) == 0.0
+        # A support far too small: factors move shell points, and the loop
+        # stops at the first one that moves them by more than 1e-12.
+        small = FactorSequence(fs.factors, fs.target, fs.region, fs.region.dilate(0.5), fs.certificates)
+        dev = check_factor_sequence(small)["support_identity_dev"]
+        assert dev == reference_support_dev(small)
+        assert dev > 1e-12
+
+    def test_support_requires_blend_run(self):
+        fs, _ = RUNS[sorted(RUNS)[0]]
+        with pytest.raises(TypeError, match="BlendRun"):
+            FactorSequence(list(fs.factors), fs.target, fs.region, fs.support, fs.certificates)

@@ -79,6 +79,17 @@ class TestScalars:
         with pytest.raises(GeometryError, match="not bi-Lipschitz"):
             bilip_constant(np.diag([1.0, 0.0]))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_singular_values_rejected(self):
+        # The SVD overflows to sigma = [inf, nan]; NaN must not pass the
+        # degenerate test and come back as L = inf.
+        huge = np.full((2, 2), 1e308)
+        assert not np.all(np.isfinite(svd(huge).sigma))
+        with pytest.raises(GeometryError, match="overflow"):
+            bilip_constant(huge)
+        with pytest.raises(GeometryError, match="overflow"):
+            linear_dilatation(huge)
+
     def test_dilatation_examples(self):
         assert linear_dilatation(np.eye(2)) == 1.0
         assert linear_dilatation(np.diag([2.0, 0.5])) == pytest.approx(4.0, abs=1e-12)

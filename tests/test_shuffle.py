@@ -3,10 +3,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from bilipfactor.degree import resample_polyline
 from bilipfactor.geometry_core import Cube
 from bilipfactor.map_engine import Identity, Scaling
 from bilipfactor.shuffle import (
     PlanError,
+    _min_distance,
+    _point_in_omega,
     check_shuffle,
     detour_around,
     execute_shuffle,
@@ -16,6 +19,61 @@ from bilipfactor.shuffle import (
 # Module tests use the identity chart (larger core size, fewer factors);
 # the scaled-chart instance runs in the acceptance suite.
 OMEGA4 = (Identity(), 4.0)
+
+
+def reference_check_shuffle(result, n_prefixes: int = 48) -> dict:
+    """check_shuffle as a per-factor loop: one Blend.evaluate per factor."""
+    plan = result.plan
+    factors = [f for run in result.runs for f in run]
+    bounds = [c.L_lo for certs in result.certificates for c in certs]
+    report: dict = {"T": len(factors), "max_certified": max(bounds, default=1.0)}
+    probes = np.vstack([r.vertices() for r, _ in plan.pairs])
+    n_per = 4
+    lo = plan.boundary.min(axis=0)
+    hi = plan.boundary.max(axis=0)
+    pad = 0.25 * float(np.max(hi - lo))
+    ring = resample_polyline(
+        np.array([[lo[0] - pad, lo[1] - pad], [hi[0] + pad, lo[1] - pad], [hi[0] + pad, hi[1] + pad],
+                  [lo[0] - pad, hi[1] + pad], [lo[0] - pad, lo[1] - pad]]),
+        41,
+    )
+    outside = ring[~_point_in_omega(plan.boundary, ring)]
+    cores = np.vstack([np.vstack([[r.center], r.dilate(0.5).vertices()]) for r, _ in plan.pairs])
+    n_core = 5
+    merged = np.vstack([probes, outside, cores])
+    s1 = len(probes)
+    s2 = s1 + len(outside)
+    stride = max(1, len(factors) // max(1, n_prefixes))
+    disjoint_ok = True
+    for i, f in enumerate(factors):
+        merged = f.evaluate(merged)
+        if (i + 1) % stride == 0 or i == len(factors) - 1:
+            boxes = []
+            for j in range(len(plan.pairs)):
+                pts = merged[s2 + j * n_core : s2 + (j + 1) * n_core]
+                boxes.append((pts.min(axis=0), pts.max(axis=0)))
+            for a in range(len(boxes)):
+                for b in range(a + 1, len(boxes)):
+                    alo, ahi = boxes[a]
+                    blo, bhi = boxes[b]
+                    if np.all(alo < bhi) and np.all(blo < ahi):
+                        disjoint_ok = False
+    images = merged[:s1]
+    out_images = merged[s1:s2]
+    residual = 0.0
+    for j, sim in enumerate(result.similarities):
+        want = sim.apply(probes[j * n_per : (j + 1) * n_per])
+        got = images[j * n_per : (j + 1) * n_per]
+        residual = max(residual, float(np.max(np.linalg.norm(want - got, axis=1))))
+    report["similarity_residual"] = residual
+    report["similarity_ok"] = residual <= 1e-9
+    dev = float(np.max(np.linalg.norm(out_images - outside, axis=1))) if len(outside) else 0.0
+    report["outside_identity_dev"] = dev
+    report["outside_ok"] = dev <= 1e-12
+    report["disjoint_ok"] = disjoint_ok
+    report["count_ceiling"] = result.count_ceiling
+    report["count_ok"] = len(factors) <= result.count_ceiling
+    return report
 
 
 class TestPlan:
@@ -51,6 +109,12 @@ class TestPlan:
         assert not np.allclose(plan.zs[0], [2.6, 2.6])
         half = pairs[0][1].dilate(0.5)
         assert half.contains(plan.zs[0][None, :])[0]
+
+    def test_min_distance_equals_dense_minimum(self, rng):
+        a = rng.uniform(0.0, 4.0, size=(300, 2))
+        b = rng.uniform(0.0, 4.0, size=(700, 2))
+        dense = float(np.min(np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)))
+        assert _min_distance(a, b) == dense
 
     def test_hypothesis_violations(self):
         small = [(Cube((1.0, 1.0), 0.2), Cube((3.0, 1.0), 0.2))]
@@ -134,3 +198,22 @@ class TestExecute:
             assert res.T <= res.count_ceiling
             ceilings.add(res.count_ceiling)
         assert len(ceilings) == 1
+
+
+class TestCheckReference:
+    @pytest.mark.parametrize(
+        "pairs,mu",
+        [
+            pytest.param([(Cube((1.0, 1.0), 0.5), Cube((3.0, 1.0), 0.5)),
+                          (Cube((3.0, 3.0), 0.5), Cube((1.0, 3.0), 0.5))], 1.5, id="swap"),
+            pytest.param([(Cube((1.0, 1.0), 0.6), Cube((2.6, 2.6), 0.6)),
+                          (Cube((2.6, 2.6), 0.6), Cube((1.0, 1.0), 0.6))], 1.4, id="crossing-swap"),
+            pytest.param([(Cube((0.8, 0.8), 0.5), Cube((2.0, 2.0), 0.5)),
+                          (Cube((2.0, 2.0), 0.5), Cube((3.2, 3.2), 0.5)),
+                          (Cube((3.2, 3.2), 0.5), Cube((0.8, 0.8), 0.5))], 1.5, id="three-cube-rotation"),
+        ],
+    )
+    def test_report_equals_per_factor_loop(self, pairs, mu):
+        res = execute_shuffle(plan_shuffle(OMEGA4, pairs, mu=mu, c1_bound=8.0), 0.25)
+        assert res.T == sum(len(run) for run in res.runs) > 0
+        assert check_shuffle(res) == reference_check_shuffle(res)
