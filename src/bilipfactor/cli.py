@@ -1,12 +1,15 @@
 """Batch front-end: read a map/problem description from JSON, dispatch to the
 library, and write a deterministic report.json (plus optional SVG frames).
 
-Exit codes: 0 when every certification in the run passed, 1 on a
-certification failure (the report is still written), 2 on malformed input,
-including a map that cannot be evaluated where the run needs it or whose
-values break the linear algebra (the report carries the error).
-Reports embed the tool version, the full configuration echo, and every
-tolerance used, and repeated runs with the same config are byte-identical.
+Every run writes one report.json, failures included.  Exit codes: 0 when
+every certification in the run passed, 1 on a certification failure (the
+report carries a "certification_error" when the run stopped early), 2 on
+malformed input (the report carries an "error"): a non-positive flag value,
+unreadable or ill-typed JSON, a map that cannot be evaluated where the run
+needs it or whose values break the linear algebra, and geometry the command
+cannot use.  Reports embed the tool version, the configuration echo (every
+flag but --out), and every tolerance used, and repeated runs with the same
+config are byte-identical.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from .factorization import (
     factor_linear_in_cube,
     factor_translation_along_path,
 )
-from .geometry_core import Cube, GeometryError
+from .geometry_core import Cube
 from .jsonio import (
     SchemaError,
     certificate_to_json,
@@ -44,9 +47,9 @@ from .jsonio import (
     map_from_json,
     map_to_json,
 )
-from .map_engine import CertificationError, DomainError, affine_part, sup_distance
+from .map_engine import CertificationError, affine_part, sup_distance
 from .pl_approx import complexity_count, freudenthal, pl_interpolate, verify_pl
-from .shuffle import PlanError, check_shuffle, execute_shuffle, plan_shuffle
+from .shuffle import check_shuffle, execute_shuffle, plan_shuffle
 from .sphere import factor_scaling_sphere, factor_translation_sphere
 from .svg import SvgCanvas, square_boundary
 
@@ -80,22 +83,12 @@ def _sanitize(obj):
 
 
 def write_json_atomic(path: Path, payload: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    text = json.dumps(_sanitize(payload), indent=2, sort_keys=True) + "\n"
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-report-")
-    try:
-        with os.fdopen(fd, "w") as f:
-            f.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    _write_atomic(path, json.dumps(_sanitize(payload), indent=2, sort_keys=True) + "\n")
 
 
-def write_text_atomic(path: Path, text: str) -> None:
+def _write_atomic(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-svg-")
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
     try:
         with os.fdopen(fd, "w") as f:
             f.write(text)
@@ -135,14 +128,14 @@ def _sequence_frames(fs: FactorSequence, outdir: Path, prefix: str) -> None:
     canvas = SvgCanvas(frame_cube)
     canvas.rect(frame_cube, stroke="#999999")
     canvas.polyline(ring, closed=True)
-    write_text_atomic(outdir / f"{prefix}_{0:04d}.svg", canvas.to_string())
+    _write_atomic(outdir / f"{prefix}_{0:04d}.svg", canvas.to_string())
     stops = [k for k in range(1, fs.T + 1) if k % stride == 0 or k == fs.T]
     for idx, (k, current) in enumerate(zip(stops, fs.factors.walk(ring, stops)), start=1):
         canvas = SvgCanvas(frame_cube)
         canvas.rect(frame_cube, stroke="#999999")
         canvas.polyline(current, closed=True)
         canvas.text(frame_cube.lo() + 0.02 * frame_cube.side, f"prefix {k}/{fs.T}")
-        write_text_atomic(outdir / f"{prefix}_{idx:04d}.svg", canvas.to_string())
+        _write_atomic(outdir / f"{prefix}_{idx:04d}.svg", canvas.to_string())
 
 
 def _load_input(path: str) -> dict:
@@ -229,7 +222,7 @@ def _shuffle_frames(result, outdir: Path) -> None:
             canvas.rect(plan.pairs[j][1], stroke="#2ca02c")
             off += n
         canvas.text(frame.lo() + 0.02 * frame.side, f"stage {idx}")
-        write_text_atomic(outdir / f"shuffle_stage_{idx}.svg", canvas.to_string())
+        _write_atomic(outdir / f"shuffle_stage_{idx}.svg", canvas.to_string())
 
     emit(0, merged)
     for s, cur in enumerate(result.walk(merged, bounds[1:]), start=1):
@@ -241,8 +234,7 @@ def cmd_corona(payload: dict, args) -> tuple[dict, bool]:
     depth = int(payload.get("depth", 5))
     dim = int(payload.get("dim", 2))
     force = bool(payload.get("force_top_bad", False))
-    c = build_coronization(m, dim, depth, eta=args.eta, theta=args.theta, h=args.h,
-                           force_top_bad=force)
+    c = build_coronization(m, dim, depth, theta=args.theta, h=args.h, force_top_bad=force)
     issues = check_coronization(c)
     c_bad, c_tops = carleson_constant(c)
     by_level: dict[int, dict] = {}
@@ -274,8 +266,7 @@ def cmd_multilevel(payload: dict, args) -> tuple[dict, bool]:
     m = map_from_json(payload["map"])
     depth = int(payload.get("depth", 5))
     dim = int(payload.get("dim", 2))
-    c = build_coronization(m, dim, depth, eta=args.eta, theta=args.theta, h=args.h,
-                           force_top_bad=True)
+    c = build_coronization(m, dim, depth, theta=args.theta, h=args.h, force_top_bad=True)
     ml = multilevel_decomposition(c, args.alpha)
     rep = {
         "depth": depth,
@@ -340,17 +331,15 @@ def cmd_pl(payload: dict, args) -> tuple[dict, bool]:
 
 
 def _pl_frame(pl, box: Cube, outdir: Path) -> None:
-    from .pl_approx import _image_simplices_all
-
-    sims = _image_simplices_all(pl)
+    sims, signs = pl.image_simplices()
     lo = sims.reshape(-1, 2).min(axis=0)
     hi = sims.reshape(-1, 2).max(axis=0)
     frame = Cube(tuple((lo + hi) / 2.0), float(np.max(hi - lo)))
     canvas = SvgCanvas(frame)
     for i in range(sims.shape[0]):
-        color = "#1f77b4" if pl.orientations[i] > 0 else "#d62728"
+        color = "#1f77b4" if signs[i] > 0 else "#d62728"
         canvas.polyline(sims[i], closed=True, stroke=color, width=0.4)
-    write_text_atomic(outdir / "pl_image.svg", canvas.to_string())
+    _write_atomic(outdir / "pl_image.svg", canvas.to_string())
 
 
 def cmd_sphere_factor(payload: dict, args) -> tuple[dict, bool]:
@@ -411,63 +400,36 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("subcommand", choices=sorted(COMMANDS))
     p.add_argument("--input", required=True, help="input problem JSON")
     p.add_argument("--out", default=".", help="output directory for report.json and SVG")
-    p.add_argument("--h", type=float, default=1.0 / 256.0, help="sampling resolution")
-    p.add_argument("--epsilon", type=float, default=0.25, help="distortion budget per factor")
-    p.add_argument("--eta", type=float, default=0.1, help="approximation error budget")
-    p.add_argument("--theta", type=float, default=0.05, help="corona fit tolerance")
-    p.add_argument("--alpha", type=float, default=0.5, help="allowed bad-measure fraction")
+    p.add_argument("--h", type=float, default=1.0 / 256.0, help="sampling resolution (corona, multilevel)")
+    p.add_argument("--epsilon", type=float, default=0.25,
+                   help="distortion budget per factor (factor-*, shuffle, sphere-factor, pl)")
+    p.add_argument("--eta", type=float, default=0.1, help="approximation error budget (pl)")
+    p.add_argument("--theta", type=float, default=0.05, help="corona fit tolerance (corona, multilevel)")
+    p.add_argument("--alpha", type=float, default=0.5, help="allowed bad-measure fraction (multilevel)")
     p.add_argument("--svg", action="store_true", help="emit SVG diagnostics")
-    p.add_argument("--seed", type=int, default=0, help="seed for optional randomized pair augmentation")
     return p
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    for name, value in (("h", args.h), ("epsilon", args.epsilon), ("eta", args.eta),
-                        ("theta", args.theta), ("alpha", args.alpha)):
-        if not value > 0:
-            print(f"error: --{name} must be positive", file=sys.stderr)
-            return 2
-    outdir = Path(args.out)
-    report_path = outdir / "report.json"
-    config = {
-        "subcommand": args.subcommand,
-        "input": os.path.basename(args.input),
-        "h": args.h,
-        "epsilon": args.epsilon,
-        "eta": args.eta,
-        "theta": args.theta,
-        "alpha": args.alpha,
-        "svg": bool(args.svg),
-        "seed": args.seed,
-    }
+    config = dict(vars(args), input=os.path.basename(args.input))
+    del config["out"]
+    envelope = {"tool": "bilipfactor", "version": __version__, "config": config, "tolerances": TOLERANCES}
+    report_path = Path(args.out) / "report.json"
     try:
+        for name in ("h", "epsilon", "eta", "theta", "alpha"):
+            if not getattr(args, name) > 0:
+                raise ValueError(f"--{name} must be positive")
         payload = _load_input(args.input)
         body, ok = COMMANDS[args.subcommand](payload, args)
-    except (SchemaError, KeyError, GeometryError, PlanError, DomainError, np.linalg.LinAlgError) as e:
+    except (ValueError, KeyError, TypeError) as e:
         print(f"error: {e}", file=sys.stderr)
-        write_json_atomic(
-            report_path,
-            {"tool": "bilipfactor", "version": __version__, "config": config,
-             "tolerances": TOLERANCES, "error": str(e), "passed": False},
-        )
+        write_json_atomic(report_path, {**envelope, "error": str(e), "passed": False})
         return 2
     except (CertificationError, DegreeError) as e:
-        write_json_atomic(
-            report_path,
-            {"tool": "bilipfactor", "version": __version__, "config": config,
-             "tolerances": TOLERANCES, "certification_error": str(e), "passed": False},
-        )
+        write_json_atomic(report_path, {**envelope, "certification_error": str(e), "passed": False})
         return 1
-    report = {
-        "tool": "bilipfactor",
-        "version": __version__,
-        "config": config,
-        "tolerances": TOLERANCES,
-        "passed": bool(ok),
-        "result": body,
-    }
-    write_json_atomic(report_path, report)
+    write_json_atomic(report_path, {**envelope, "passed": bool(ok), "result": body})
     return 0 if ok else 1
 
 

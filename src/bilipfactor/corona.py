@@ -136,7 +136,6 @@ def build_coronization(
     f: MapExpr,
     dim: int,
     depth: int,
-    eta: float,
     theta: float,
     h: float,
     force_top_bad: bool = False,
@@ -203,7 +202,7 @@ def build_coronization(
         good=good,
         bad=bad_set,
         regions=regions,
-        params={"eta": eta, "theta": theta, "h": h, "l_estimate": l_est,
+        params={"theta": theta, "h": h, "l_estimate": l_est,
                 "force_top_bad": force_top_bad, "dim": dim},
     )
 
@@ -332,10 +331,10 @@ def check_coronization(c: Coronization) -> list[str]:
     return issues
 
 
-def verify_region_fits(c: Coronization, f: MapExpr, finer: float = 2.0) -> int:
-    """Re-check every member's fit error on a finer lattice; returns warning count."""
+def verify_region_fits(c: Coronization, f: MapExpr) -> int:
+    """Re-check every member's fit error at half the build pitch; returns warning count."""
     theta = c.params["theta"]
-    h = c.params["h"] / finer
+    h = c.params["h"] / 2.0
     warnings = 0
     for s in c.regions:
         for q in s.members:
@@ -476,10 +475,6 @@ class MultiLevelDecomposition:
     carleson: Fraction
     levels: list[DecompositionLevel]
     good_measure: Fraction
-
-    @property
-    def zeta(self) -> Fraction:
-        return Fraction(1, 2**self.zeta_log2)
 
 
 def multilevel_decomposition(c: Coronization, alpha: float | Fraction) -> MultiLevelDecomposition:

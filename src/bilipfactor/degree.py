@@ -38,7 +38,6 @@ def simplex_sum_degree(
     image_simplices: np.ndarray,
     orientations: np.ndarray,
     y: np.ndarray,
-    perturb: bool = True,
 ) -> int:
     """Degree at y: sum of orientation signs over simplices whose image covers y.
 
@@ -71,18 +70,15 @@ def simplex_sum_degree(
                 break
         if regular:
             return total
-        if not perturb:
-            break
     raise DegreeError("non-regular value: target on a simplex face image")
 
 
-def degree_pl(pl, y: np.ndarray, domain=None) -> int:
-    """Local degree of a piecewise-affine map at y over a simplex-union domain.
+def degree_pl(pl, y: np.ndarray) -> int:
+    """Local degree at y of a piecewise-affine map over its whole triangulation.
 
-    pl must expose image_simplices(domain) -> (image_simplices, orientations);
-    domain defaults to the whole covered box.
+    pl must expose image_simplices() -> (image_simplices, orientations).
     """
-    sims, signs = pl.image_simplices(domain)
+    sims, signs = pl.image_simplices()
     return simplex_sum_degree(sims, signs, np.asarray(y, dtype=float))
 
 
@@ -99,11 +95,9 @@ def resample_polyline(path: np.ndarray, count: int) -> np.ndarray:
     if total == 0:
         return np.repeat(path[:1], count, axis=0)
     s = np.linspace(0.0, total, count)
-    out = np.empty((count, path.shape[1]))
     idx = np.clip(np.searchsorted(cum, s, side="right") - 1, 0, len(seg) - 1)
     t = (s - cum[idx]) / np.maximum(seg[idx], 1e-300)
-    out = path[idx] + t[:, None] * (path[idx + 1] - path[idx])
-    return out
+    return path[idx] + t[:, None] * (path[idx + 1] - path[idx])
 
 
 def degree_winding_2d(m: MapExpr, y: np.ndarray, boundary: np.ndarray) -> int:

@@ -309,7 +309,7 @@ def factor_diagonal(sigma, alpha: float, l_bound: float) -> FactorSequence:
         region=_PROBE_REGION[d],
         support=None,
         certificates=certs,
-        meta={"steps": steps, "n_per_axis": len(steps) // d if steps else 0},
+        meta={"steps": steps},
     )
 
 
@@ -373,6 +373,8 @@ def factor_linear_in_cube(
     if isinstance(a, AffineMapData) and np.any(np.abs(a.shift) > 1e-12):
         raise GeometryError("expected a linear map (zero translation)")
     d = mat.shape[0]
+    if q.dim != d:
+        raise GeometryError("map and cube dimensions differ")
     if np.linalg.det(mat) <= 0:
         raise GeometryError("linear factoring requires an orientation-preserving map")
     if np.max(np.abs(np.asarray(q.center))) > 1e-12:
@@ -526,10 +528,7 @@ def factor_translation_along_path(
         keys = [("translate", d, v, side_key, lam) for v in map(tuple, np.round(steps / q.side, 12).tolist())]
         certs, last_fail = cache.certify(run, keys, 1.0 + epsilon + 1e-12)
         if certs is not None:
-            return FactorSequence(
-                run, target, q, tube, certs,
-                meta={"steps": n, "delta": delta, "path_length": total},
-            )
+            return FactorSequence(run, target, q, tube, certs, meta={"steps": n, "delta": delta})
     raise FactorCertificationError(last_fail[0], last_fail[1], 1.0 + epsilon)
 
 
@@ -548,6 +547,8 @@ def factor_linear_outside_cube(
     """
     mat = a.matrix if isinstance(a, AffineMapData) else check_matrix(a)
     d = mat.shape[0]
+    if q.dim != d:
+        raise GeometryError("map and cube dimensions differ")
     if np.linalg.det(mat) <= 0:
         raise GeometryError("linear factoring requires an orientation-preserving map")
     if np.max(np.abs(np.asarray(q.center))) > 1e-12:
@@ -730,20 +731,16 @@ def glue_two(
     return glued, GlueReport((b1, b2), cert, bound)
 
 
-def check_factor_sequence(
-    fs: FactorSequence,
-    epsilon: float | None = None,
-    agreement_h: float | None = None,
-) -> dict:
+def check_factor_sequence(fs: FactorSequence, epsilon: float | None = None) -> dict:
     """Re-verify a factor sequence's contracts; returns a report dict.
 
-    Checks composite-vs-target agreement on the region lattice, per-factor
+    Checks composite-vs-target agreement on the region lattice at pitch
+    side / 16, per-factor
     certificates against 1 + epsilon (when given), and identity outside the
     support on a surrounding shell lattice.
     """
     region = fs.region
-    h = agreement_h if agreement_h is not None else region.side / 16
-    agree = sup_distance(fs.composite(), fs.target, region, h)
+    agree = sup_distance(fs.composite(), fs.target, region, region.side / 16)
     report = {
         "T": fs.T,
         "agreement_sup": agree,

@@ -359,14 +359,6 @@ class DyadicCube:
         return other.ancestor(other.level - self.level) == self
 
 
-def dyadic_children(q: DyadicCube) -> list[DyadicCube]:
-    return q.children()
-
-
-def dyadic_ancestor(q: DyadicCube, levels: int) -> DyadicCube:
-    return q.ancestor(levels)
-
-
 def unit_cube_dyadics(dim: int, level: int) -> list[DyadicCube]:
     """All 2^(level*dim) dyadic cubes of [0,1]^dim at the given level."""
     rng = range(2**level)

@@ -390,18 +390,11 @@ class DistortionCertificate:
     pair_count: int
 
 
-def estimate_distortion(
-    m: MapExpr,
-    region: Cube,
-    h: float,
-    extra_pairs: int = 0,
-    seed: int = 0,
-) -> DistortionCertificate:
+def estimate_distortion(m: MapExpr, region: Cube, h: float) -> DistortionCertificate:
     """Lower bound on the bi-Lipschitz constant of m over the region.
 
     All lattice pairs at pitch <= h are swept; an exact branch bypasses
-    sampling for affine expressions.  extra_pairs > 0 adds that many seeded
-    random point pairs inside the region on top of the lattice sweep.
+    sampling for affine expressions.
     """
     aff = affine_part(m, region.dim)
     if aff is not None:
@@ -416,20 +409,6 @@ def estimate_distortion(
     if min_img == 0.0:
         raise CertificationError("not injective on samples: coincident images")
     pair_count = pts.shape[0] * (pts.shape[0] - 1) // 2
-    if extra_pairs > 0:
-        rng = np.random.default_rng(seed)
-        lo, hi = region.lo(), region.hi()
-        xs = rng.uniform(lo, hi, size=(extra_pairs, region.dim))
-        ys = rng.uniform(lo, hi, size=(extra_pairs, region.dim))
-        dx = np.linalg.norm(xs - ys, axis=1)
-        keep = dx > 0
-        dy = np.linalg.norm(m.evaluate(xs[keep]) - m.evaluate(ys[keep]), axis=1)
-        if np.any(dy == 0.0):
-            raise CertificationError("not injective on samples: coincident images")
-        r = dy / dx[keep]
-        if r.size:
-            ratio = max(ratio, float(np.max(np.maximum(r, 1.0 / r))))
-        pair_count += int(np.count_nonzero(keep))
     return DistortionCertificate(
         region=region, h=pitch, L_lo=max(1.0, ratio), method="sampled-pairs", pair_count=pair_count
     )

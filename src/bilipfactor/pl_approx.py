@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,6 +39,16 @@ class Triangulation:
     @property
     def permutations(self) -> list[tuple[int, ...]]:
         return list(itertools.permutations(range(self.dim)))
+
+    @cached_property
+    def permutation_index(self) -> np.ndarray:
+        """Simplex index within a cell of each ordering p, at sum_k p[k] (d+1)^k."""
+        d = self.dim
+        base = (d + 1) ** np.arange(d)
+        out = np.full(((d + 1) ** d,), -1, dtype=int)
+        for i, perm in enumerate(self.permutations):
+            out[int(np.dot(perm, base))] = i
+        return out
 
     @property
     def n_cells(self) -> int:
@@ -110,36 +121,25 @@ class PLApprox:
     shifts: np.ndarray  # (n_simplices, d)
     constants: np.ndarray  # per-simplex bi-Lipschitz constants
     orientations: np.ndarray  # per-simplex determinant signs
-    verdicts: PLVerdicts | None = None
 
-    def image_simplices(self, domain=None) -> tuple[np.ndarray, np.ndarray]:
-        """(image vertex arrays (m, d+1, d), orientation signs (m,))."""
-        sims = _image_simplices_all(self)
-        if domain is None:
-            return sims, self.orientations
-        idx = np.asarray(domain, dtype=int)
-        return sims[idx], self.orientations[idx]
+    def image_simplices(self) -> tuple[np.ndarray, np.ndarray]:
+        """(image vertex arrays (n_simplices, d+1, d), orientation signs (n_simplices,))."""
+        return _simplex_images(self.tri, self.vertex_images)[1], self.orientations
 
     def as_map(self) -> "PLMap":
         return PLMap(self)
 
 
-def _cell_vertex_indices(tri: Triangulation) -> tuple[np.ndarray, np.ndarray]:
-    """(cell corner index array (n_cells, d), simplex offsets (d!, d+1, d))."""
-    ranges = [np.arange(c) for c in tri.cells]
-    grid = np.meshgrid(*ranges, indexing="ij")
+def _simplex_images(tri: Triangulation, images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(cell corner indices (n_cells, d), vertex images of every simplex (n_simplices, d+1, d)).
+
+    Simplex k d! + p is ordering p of cell k, cells in C order.
+    """
+    d = tri.dim
+    grid = np.meshgrid(*[np.arange(c) for c in tri.cells], indexing="ij")
     corners = np.stack([g.ravel() for g in grid], axis=-1)
-    return corners, tri.simplex_vertex_offsets()
-
-
-def _image_simplices_all(pl: PLApprox) -> np.ndarray:
-    corners, offsets = _cell_vertex_indices(pl.tri)
-    d = pl.tri.dim
-    nf = offsets.shape[0]
-    idx = corners[:, None, None, :] + offsets[None, :, :, :]  # (cells, d!, d+1, d)
-    flat = idx.reshape(-1, d)
-    imgs = pl.vertex_images[tuple(flat.T)]
-    return imgs.reshape(-1, d + 1, d)
+    idx = corners[:, None, None, :] + tri.simplex_vertex_offsets()[None, :, :, :]  # (cells, d!, d+1, d)
+    return corners, images[tuple(idx.reshape(-1, d).T)].reshape(-1, d + 1, d)
 
 
 def pl_interpolate(f: MapExpr, tri: Triangulation) -> PLApprox:
@@ -153,16 +153,11 @@ def pl_interpolate(f: MapExpr, tri: Triangulation) -> PLApprox:
     flat = verts.reshape(-1, tri.dim)
     images = f.evaluate(flat).reshape(verts.shape)
 
-    corners, offsets = _cell_vertex_indices(tri)
+    corners, img_flat = _simplex_images(tri, images)
     d = tri.dim
-    nf = offsets.shape[0]
-    idx = corners[:, None, None, :] + offsets[None, :, :, :]
-    flat_idx = idx.reshape(-1, d)
-    img_verts = images[tuple(flat_idx.T)].reshape(-1, nf, d + 1, d)
-
-    n = corners.shape[0] * nf
+    nf = math.factorial(d)
+    n = img_flat.shape[0]
     mats = np.empty((n, d, d))
-    img_flat = img_verts.reshape(n, d + 1, d)
     diffs = (img_flat[:, 1:, :] - img_flat[:, :-1, :]) / tri.pitch  # (n, d, d)
     for pi, perm in enumerate(tri.permutations):
         cols = list(reversed(perm))  # step j increments axis cols[j]
@@ -203,15 +198,8 @@ class PLMap(MapExpr):
         frac = t - cell
         order = np.argsort(frac, axis=1, kind="stable")  # ascending: simplex ordering
         d = tri.dim
-        perm_lookup = {perm: i for i, perm in enumerate(tri.permutations)}
-        codes = np.zeros(pts.shape[0], dtype=int)
-        base = np.array([(d + 1) ** k for k in range(d)])
-        code_to_idx = np.full(((d + 1) ** d,), -1, dtype=int)
-        for perm, i in perm_lookup.items():
-            code_to_idx[int(np.dot(perm, base))] = i
-        codes = order @ base
-        perm_idx = code_to_idx[codes]
-        nf = len(perm_lookup)
+        perm_idx = tri.permutation_index[order @ ((d + 1) ** np.arange(d))]
+        nf = math.factorial(d)
         strides = np.concatenate([np.cumprod(np.asarray(tri.cells)[::-1])[::-1][1:], [1]])
         cell_flat = cell @ strides
         sim = cell_flat * nf + perm_idx
@@ -227,8 +215,7 @@ def degrees_pl_batch(pl: PLApprox, targets: np.ndarray) -> tuple[np.ndarray, np.
     perturbed once along the fixed tie-break direction; still-degenerate
     targets are flagged unresolved.
     """
-    sims = _image_simplices_all(pl)
-    signs = pl.orientations
+    sims, signs = pl.image_simplices()
     d = pl.tri.dim
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     m = targets.shape[0]
@@ -295,7 +282,7 @@ def _triangles_overlap_opposite(pl: PLApprox) -> bool:
     neg = np.nonzero(signs < 0)[0]
     if len(pos) == 0 or len(neg) == 0:
         return False
-    sims = _image_simplices_all(pl)
+    sims, _ = pl.image_simplices()
     lo = sims.min(axis=1)
     hi = sims.max(axis=1)
     d = pl.tri.dim
@@ -320,13 +307,13 @@ def _tri_tri_overlap(t1: np.ndarray, t2: np.ndarray) -> bool:
     return True
 
 
-def verify_pl(pl: PLApprox, epsilon: float, target_pitch: float | None = None) -> PLVerdicts:
+def verify_pl(pl: PLApprox, epsilon: float) -> PLVerdicts:
     """Verify the interpolant is a small-distortion homeomorphism candidate.
 
     lipschitz_ok: every per-simplex constant <= (1+2*epsilon)+1e-9 with
     orientation +1.  injective_ok: degree exactly +1 at a deterministic
     sweep of image targets (values of the map on an offset interior
-    lattice) and no opposite-orientation image overlap.  The surjectivity
+    lattice at a third of the triangulation pitch) and no opposite-orientation image overlap.  The surjectivity
     spot-check requires degree >= 1 at the same targets.  Unresolved
     (non-regular) targets fail the verdicts when they exceed 0.1%.
     """
@@ -334,7 +321,7 @@ def verify_pl(pl: PLApprox, epsilon: float, target_pitch: float | None = None) -
     lipschitz_ok = bool(np.all(pl.constants <= bound) and np.all(pl.orientations == 1))
 
     tri = pl.tri
-    pitch = target_pitch if target_pitch is not None else tri.pitch / 3.0
+    pitch = tri.pitch / 3.0
     margin = 2.0 * tri.pitch
     lo = tri.origin + margin
     hi = tri.covered_hi() - margin
@@ -353,7 +340,7 @@ def verify_pl(pl: PLApprox, epsilon: float, target_pitch: float | None = None) -
     resolved = degrees[~unresolved]
     injective_ok = bool(ok_frac and np.all(resolved == 1) and not _triangles_overlap_opposite(pl))
     surjective_ok = bool(ok_frac and np.all(resolved >= 1))
-    verdicts = PLVerdicts(
+    return PLVerdicts(
         lipschitz_ok=lipschitz_ok,
         injective_ok=injective_ok,
         surjective_spotcheck_ok=surjective_ok,
@@ -362,8 +349,6 @@ def verify_pl(pl: PLApprox, epsilon: float, target_pitch: float | None = None) -
         max_simplex_constant=float(pl.constants.max()),
         min_orientation=int(pl.orientations.min()),
     )
-    pl.verdicts = verdicts
-    return verdicts
 
 
 def complexity_count(pl: PLApprox, box: Cube | tuple | None = None) -> int:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,17 +39,19 @@ from .map_engine import (
 )
 
 
+# check_shuffle tests disjointness at every (T // N_PREFIXES)-th prefix and at the end.
+N_PREFIXES = 48
+
+
 class PlanError(ValueError):
     pass
 
 
 @dataclass(eq=False)
 class ShufflePlan:
-    psi: MapExpr
     base_side: float
     pairs: list[tuple[Cube, Cube]]
     mu: float
-    c1_bound: float
     l_bound: float  # distortion of psi clamped to >= 2
     c1_const: float
     c2_const: float
@@ -69,7 +71,6 @@ class ShuffleResult:
     similarities: list[AffineMapData]
     stage_offsets: list[int]  # factor index at the start of each of the 4 stages
     count_ceiling: int
-    meta: dict = field(default_factory=dict)
 
     @property
     def T(self) -> int:
@@ -287,7 +288,6 @@ def plan_shuffle(
     pairs: list[tuple[Cube, Cube]],
     mu: float,
     c1_bound: float,
-    h: float = 1.0 / 64.0,
 ) -> ShufflePlan:
     """Validate the rearrangement hypotheses and pick targets and paths.
 
@@ -308,7 +308,7 @@ def plan_shuffle(
         raise PlanError("shuffling is planar only")
 
     base = Cube((side / 2.0, side / 2.0), side)
-    l_meas = estimate_distortion(psi, base, max(h * side, side / 64.0)).L_lo
+    l_meas = estimate_distortion(psi, base, side / 64.0).L_lo
     l_bound = max(2.0, l_meas)
     sqd = math.sqrt(2.0)
     c1 = 1.0 / (4.0 * sqd * l_bound * c1_bound)
@@ -342,7 +342,7 @@ def plan_shuffle(
     )
     if trivial:
         return ShufflePlan(
-            psi, side, list(pairs), mu, c1_bound, l_bound, c1, c2,
+            side, list(pairs), mu, l_bound, c1, c2,
             zs=[np.asarray(s.center) for _, s in pairs],
             gammas=[np.empty((0, 2))] * len(pairs),
             zetas=[np.empty((0, 2))] * len(pairs),
@@ -407,7 +407,7 @@ def plan_shuffle(
             store.append(path)
 
     return ShufflePlan(
-        psi, side, list(pairs), mu, c1_bound, l_bound, c1, c2,
+        side, list(pairs), mu, l_bound, c1, c2,
         zs=zs, gammas=gammas, zetas=zetas, clearance=clearance,
         boundary=boundary, trivial=False,
     )
@@ -467,12 +467,11 @@ def execute_shuffle(plan: ShufflePlan, epsilon: float) -> ShuffleResult:
     ceiling = len(plan.pairs) * (2 * n_scale + 2 * n_translate)
 
     return ShuffleResult(
-        plan, [fs.factors for fs in seqs], [fs.certificates for fs in seqs], sims, offsets, ceiling,
-        meta={"core_side": core_side, "epsilon": epsilon},
+        plan, [fs.factors for fs in seqs], [fs.certificates for fs in seqs], sims, offsets, ceiling
     )
 
 
-def check_shuffle(result: ShuffleResult, n_prefixes: int = 48) -> dict:
+def check_shuffle(result: ShuffleResult) -> dict:
     """Re-verify the rearrangement contracts; returns a report dict.
 
     Checks vertex-exact similarity on every source cube, identity outside
@@ -520,7 +519,7 @@ def check_shuffle(result: ShuffleResult, n_prefixes: int = 48) -> dict:
     merged = np.vstack([probes, outside, cores])
     s1 = len(probes)
     s2 = s1 + len(outside)
-    stride = max(1, result.T // max(1, n_prefixes))
+    stride = max(1, result.T // N_PREFIXES)
     stops = sorted(set(range(stride, result.T + 1, stride)) | ({result.T} if result.T else set()))
     prefixes = result.walk(merged, stops)
     disjoint_ok = True

@@ -33,8 +33,6 @@ class _Infinity:
 
 INFINITY = _Infinity()
 
-ExtendedPoint = "np.ndarray | _Infinity"
-
 
 def chordal_distance(x, y) -> float:
     """Chordal metric on R^d U {infinity} (unit-diameter sphere chart).
@@ -85,13 +83,14 @@ def sample_points(dim: int, radius: float, count: int) -> np.ndarray:
     return np.vstack([np.zeros(dim), pts])
 
 
-def spherical_distortion(m: MapExpr, dim: int = 2, sample_radius: float = 4.0, count: int = 160) -> float:
+def spherical_distortion(m: MapExpr, dim: int = 2, count: int = 160) -> float:
     """Sampled lower bound on the chordal bi-Lipschitz constant of m.
 
     m must fix infinity (translations, scalings, and their compositions
-    do); pairs include the infinity pairings.
+    do); the samples fill the ball of radius 4, and pairs include the
+    infinity pairings.
     """
-    pts = sample_points(dim, sample_radius, count)
+    pts = sample_points(dim, 4.0, count)
     imgs = m.evaluate(pts)
     d_src = _chordal_pairs(pts, with_infinity=True)
     d_img = _chordal_pairs(imgs, with_infinity=True)
@@ -147,7 +146,7 @@ class SphericalFactorReport:
         return Compose(tuple(reversed([s.map for s in self.steps])))
 
 
-def factor_translation_sphere(v, epsilon: float, dim: int | None = None) -> SphericalFactorReport:
+def factor_translation_sphere(v, epsilon: float) -> SphericalFactorReport:
     """Split a translation into N equal steps of chordal distortion <= 1+epsilon.
 
     Step length v0 = epsilon / (1 + epsilon) makes the analytic bound
@@ -156,7 +155,6 @@ def factor_translation_sphere(v, epsilon: float, dim: int | None = None) -> Sphe
     if epsilon <= 0:
         raise GeometryError("epsilon must be positive")
     v = np.asarray(v, dtype=float).reshape(-1)
-    dim = dim or v.shape[0]
     length = float(np.linalg.norm(v))
     target = Translation(tuple(v))
     if length == 0.0:
@@ -166,12 +164,12 @@ def factor_translation_sphere(v, epsilon: float, dim: int | None = None) -> Sphe
     step_v = v / n
     step = Translation(tuple(step_v))
     bound = translation_step_bound(length / n)
-    sampled = spherical_distortion(step, dim=dim)
+    sampled = spherical_distortion(step, dim=v.shape[0])
     steps = [SphericalStep(step, bound, sampled)] * n
     return SphericalFactorReport(list(steps), target, epsilon)
 
 
-def solve_scaling_step(epsilon: float, tol: float = 1e-12) -> float:
+def solve_scaling_step(epsilon: float) -> float:
     """Bisection root of a (1 - (a^2 - 1))^-1 == 1 + epsilon on a > 1."""
     target = 1.0 + epsilon
     lo, hi = 1.0, math.sqrt(2.0) - 1e-9
@@ -180,7 +178,7 @@ def solve_scaling_step(epsilon: float, tol: float = 1e-12) -> float:
         raise GeometryError("epsilon too large for the per-step scaling bound")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if hi - lo < tol:
+        if hi - lo < 1e-12:
             break
         if f(mid) > 0:
             hi = mid
@@ -189,8 +187,11 @@ def solve_scaling_step(epsilon: float, tol: float = 1e-12) -> float:
     return 0.5 * (lo + hi)
 
 
-def factor_scaling_sphere(a: float, epsilon: float, dim: int = 2) -> SphericalFactorReport:
-    """Split a scaling into equal a^(1/N) steps of chordal distortion <= 1+epsilon."""
+def factor_scaling_sphere(a: float, epsilon: float) -> SphericalFactorReport:
+    """Split a scaling into equal a^(1/N) steps of chordal distortion <= 1+epsilon.
+
+    The per-step sampled distortion is taken in the plane.
+    """
     if a <= 0:
         raise GeometryError("scaling factor must be positive")
     if epsilon <= 0:
@@ -203,7 +204,7 @@ def factor_scaling_sphere(a: float, epsilon: float, dim: int = 2) -> SphericalFa
     step_a = a ** (1.0 / n)
     step = Scaling(step_a)
     bound = scaling_step_bound(step_a)
-    sampled = spherical_distortion(step, dim=dim)
+    sampled = spherical_distortion(step)
     steps = [SphericalStep(step, bound, sampled)] * n
     return SphericalFactorReport(list(steps), target, epsilon)
 
@@ -216,14 +217,14 @@ def lift_distortion_bound(eps_prime: float) -> float:
     return (1.0 + eps_prime) / (1.0 - eps_prime) ** 2
 
 
-def invert_lift_bound(target: float, tol: float = 1e-12) -> float:
+def invert_lift_bound(target: float) -> float:
     """Largest eps' whose lift bound stays at or below the target (bisection)."""
     if target < 1.0:
         raise GeometryError("target bound must be at least 1")
     lo, hi = 0.0, 1.0 - 1e-12
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if hi - lo < tol:
+        if hi - lo < 1e-12:
             break
         if lift_distortion_bound(mid) > target:
             hi = mid

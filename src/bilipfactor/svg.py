@@ -7,6 +7,9 @@ import numpy as np
 from .geometry_core import Cube
 
 
+PIXELS = 640  # width and height of every drawing
+
+
 def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
@@ -18,51 +21,44 @@ class SvgCanvas:
     so drawings appear in the usual mathematical orientation.
     """
 
-    def __init__(self, frame: Cube, pixels: int = 640):
+    def __init__(self, frame: Cube):
         pad = 0.1 * frame.side
         self.x0 = frame.lo()[0] - pad
         self.y0 = frame.lo()[1] - pad
         self.span = frame.side + 2 * pad
-        self.pixels = pixels
         self.elements: list[str] = []
 
     def _pt(self, p) -> tuple[float, float]:
-        sx = (p[0] - self.x0) / self.span * self.pixels
-        sy = (1.0 - (p[1] - self.y0) / self.span) * self.pixels
+        sx = (p[0] - self.x0) / self.span * PIXELS
+        sy = (1.0 - (p[1] - self.y0) / self.span) * PIXELS
         return sx, sy
 
     def polyline(self, pts: np.ndarray, stroke: str = "#1f77b4", width: float = 1.5,
-                 closed: bool = False, fill: str = "none"):
+                 closed: bool = False):
         coords = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in (self._pt(p) for p in pts))
         tag = "polygon" if closed else "polyline"
         self.elements.append(
-            f'<{tag} points="{coords}" fill="{fill}" stroke="{stroke}" stroke-width="{_fmt(width)}"/>'
+            f'<{tag} points="{coords}" fill="none" stroke="{stroke}" stroke-width="{_fmt(width)}"/>'
         )
 
-    def rect(self, cube: Cube, stroke: str = "#d62728", width: float = 1.0, fill: str = "none"):
+    def rect(self, cube: Cube, stroke: str = "#d62728"):
         lo = cube.lo()
         x, y = self._pt((lo[0], cube.hi()[1]))
-        s = cube.side / self.span * self.pixels
+        s = cube.side / self.span * PIXELS
         self.elements.append(
             f'<rect x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(s)}" height="{_fmt(s)}" '
-            f'fill="{fill}" stroke="{stroke}" stroke-width="{_fmt(width)}"/>'
+            f'fill="none" stroke="{stroke}" stroke-width="1"/>'
         )
 
-    def circle(self, center, radius_px: float = 2.0, fill: str = "#2ca02c"):
-        x, y = self._pt(center)
-        self.elements.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(radius_px)}" fill="{fill}"/>')
-
-    def text(self, anchor, label: str, size_px: int = 12, fill: str = "#444444"):
+    def text(self, anchor, label: str):
         x, y = self._pt(anchor)
-        self.elements.append(
-            f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-size="{size_px}" fill="{fill}">{label}</text>'
-        )
+        self.elements.append(f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-size="12" fill="#444444">{label}</text>')
 
     def to_string(self) -> str:
         body = "\n".join(self.elements)
         return (
-            f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {self.pixels} {self.pixels}" '
-            f'width="{self.pixels}" height="{self.pixels}">\n{body}\n</svg>\n'
+            f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {PIXELS} {PIXELS}" '
+            f'width="{PIXELS}" height="{PIXELS}">\n{body}\n</svg>\n'
         )
 
 

@@ -223,18 +223,18 @@ def test_criterion_04_pl_approximation():
 
 def test_criterion_05_corona():
     affine = Affine(AffineMapData(np.array([[1.2, 0.1], [0.0, 0.9]]), np.array([0.1, 0.2])))
-    c_aff = build_coronization(affine, 2, 4, eta=0.1, theta=0.05, h=1 / 64)
+    c_aff = build_coronization(affine, 2, 4, theta=0.05, h=1 / 64)
     cb_aff, ct_aff = carleson_constant(c_aff)
     ok_affine = len(c_aff.bad) == 0 and cb_aff == 0 and ct_aff == 1
 
-    c_log = build_coronization(LogSpiral(0.2), 2, 6, eta=0.1, theta=0.05, h=1 / 128)
+    c_log = build_coronization(LogSpiral(0.2), 2, 6, theta=0.05, h=1 / 128)
     issues = check_coronization(c_log)
     cb_log, ct_log = carleson_constant(c_log)
     ok_log = issues == [] and isinstance(cb_log, Fraction) and isinstance(ct_log, Fraction)
 
     ok_brute = True
     for depth in (3, 4, 5):
-        c = build_coronization(LogSpiral(0.35), 2, depth, eta=0.1, theta=0.04, h=1 / 64)
+        c = build_coronization(LogSpiral(0.35), 2, depth, theta=0.04, h=1 / 64)
         ok_brute = ok_brute and (carleson_constant(c) == brute_force_carleson(c))
 
     report(
@@ -250,7 +250,7 @@ def test_criterion_06_multilevel():
     t0 = time.monotonic()
     failures = []
     for idx, m in enumerate(smooth_test_maps()):
-        c = build_coronization(m, 2, 5, eta=0.1, theta=0.05, h=1 / 64, force_top_bad=True)
+        c = build_coronization(m, 2, 5, theta=0.05, h=1 / 64, force_top_bad=True)
         region_of = c.region_index()
         for alpha in (0.5, 0.25):
             ml = multilevel_decomposition(c, alpha)

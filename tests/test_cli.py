@@ -96,7 +96,41 @@ class TestDeterminism:
         assert (tmp_path / "second" / "report.json").read_bytes() == (fresh / "report.json").read_bytes()
 
 
+IDENTITY = {"type": "identity"}
+UNIT = {"center": [0.5, 0.5], "side": 1.0}
+
+# (subcommand, input payload, text the error must contain)
+MALFORMED = {
+    "sphere-translation-v-not-numeric": ("sphere-factor", {"kind": "translation", "v": "abc"}, ""),
+    "sphere-scaling-a-not-numeric": ("sphere-factor", {"kind": "scaling", "a": "x"}, ""),
+    "translate-ragged-path": ("factor-translate", {"cube": UNIT, "path": [[0.5, 0.5], [1.0]]}, ""),
+    "corona-depth-not-integer": ("corona", {"map": IDENTITY, "depth": "x"}, ""),
+    "pl-eta-not-numeric": ("pl", {"map": IDENTITY, "eta": "x"}, ""),
+    "degree-target-not-numeric": ("degree", {"map": IDENTITY, "target": "a", "cube": UNIT}, ""),
+    "shuffle-base-side-not-numeric": (
+        "shuffle", {"omega": {"psi": IDENTITY, "base_side": "z"}, "pairs": []}, ""),
+    "corona-payload-is-list": ("corona", [1, 2], ""),
+    "linear-2d-map-on-3d-cube": (
+        "factor-linear",
+        {"map": {"type": "affine", "matrix": [[2.0, 0.0], [0.0, 0.5]], "b": [0.0, 0.0]},
+         "cube": {"center": [0.0, 0.0, 0.0], "side": 2.0}},
+        "map and cube dimensions differ",
+    ),
+}
+
+
 class TestErrorPaths:
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_input_exit_two_with_report(self, tmp_path, case):
+        sub, payload, needle = MALFORMED[case]
+        inp = write_input(tmp_path, "x.json", payload)
+        out = tmp_path / "o"
+        assert main([sub, "--input", inp, "--out", str(out)]) == 2
+        rep = load_report(out)
+        assert rep["passed"] is False
+        assert rep["error"] and needle in rep["error"]
+        assert "result" not in rep
+
     def test_malformed_json_exit_two(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -259,4 +293,24 @@ class TestOtherSubcommands:
 
     def test_negative_parameter_rejected(self, tmp_path):
         inp = write_input(tmp_path, "s.json", {"kind": "scaling", "a": 2.0})
-        assert main(["sphere-factor", "--input", inp, "--out", str(tmp_path), "--epsilon", "-1"]) == 2
+        out = tmp_path / "o"
+        assert main(["sphere-factor", "--input", inp, "--out", str(out), "--epsilon", "-1"]) == 2
+        rep = load_report(out)
+        assert rep["passed"] is False
+        assert rep["error"] == "--epsilon must be positive"
+        assert rep["config"]["epsilon"] == -1.0
+
+
+class TestConfigEcho:
+    def test_config_mirrors_parser(self, tmp_path):
+        inp = write_input(tmp_path, "s.json", {"kind": "scaling", "a": 2.0})
+        out = tmp_path / "o"
+        assert main(["sphere-factor", "--input", inp, "--out", str(out)]) == 0
+        options = {a.dest for a in cli.build_parser()._actions if a.option_strings} - {"help", "out"}
+        assert set(load_report(out)["config"]) == {"subcommand", "input"} | options
+
+    def test_seed_rejected(self, tmp_path):
+        inp = write_input(tmp_path, "s.json", {"kind": "scaling", "a": 2.0})
+        with pytest.raises(SystemExit) as exc:
+            main(["sphere-factor", "--input", inp, "--out", str(tmp_path / "o"), "--seed", "0"])
+        assert exc.value.code == 2

@@ -149,7 +149,7 @@ class TestDenseSampling:
         ids=["sliced", "mixed", "non-dyadic", "3d"],
     )
     def test_equals_per_window_loop(self, f, dim, depth, theta, h):
-        c = build_coronization(f, dim, depth, eta=0.1, theta=theta, h=h)
+        c = build_coronization(f, dim, depth, theta=theta, h=h)
         ref = reference_coronization(f, dim, depth, theta, h)
         assert c.good == ref.good and c.bad == ref.bad
         assert len(c.regions) == len(ref.regions) > 1
@@ -172,14 +172,14 @@ class TestDenseSampling:
 
 class TestBuild:
     def test_affine_single_region(self):
-        c = build_coronization(AFFINE, 2, 4, eta=0.1, theta=0.05, h=1 / 64)
+        c = build_coronization(AFFINE, 2, 4, theta=0.05, h=1 / 64)
         assert len(c.bad) == 0
         assert len(c.regions) == 1
         assert c.regions[0].top == DyadicCube(0, (0, 0))
         assert check_coronization(c) == []
 
     def test_logspiral_invariants(self):
-        c = build_coronization(LogSpiral(0.3), 2, 6, eta=0.1, theta=0.05, h=1 / 128)
+        c = build_coronization(LogSpiral(0.3), 2, 6, theta=0.05, h=1 / 128)
         assert check_coronization(c) == []
         c_bad, c_tops = carleson_constant(c)
         assert c_bad < math.inf and c_tops < math.inf
@@ -187,16 +187,16 @@ class TestBuild:
     def test_theta_sweep_region_count_non_decreasing(self):
         counts = []
         for theta in (0.2, 0.1, 0.05):
-            c = build_coronization(LogSpiral(0.3), 2, 4, eta=0.1, theta=theta, h=1 / 64)
+            c = build_coronization(LogSpiral(0.3), 2, 4, theta=theta, h=1 / 64)
             counts.append(len(c.regions))
         assert counts[0] <= counts[1] <= counts[2]
 
     def test_resolution_too_coarse(self):
         with pytest.raises(GeometryError, match="resolution"):
-            build_coronization(AFFINE, 2, 6, eta=0.1, theta=0.05, h=1 / 16)
+            build_coronization(AFFINE, 2, 6, theta=0.05, h=1 / 16)
 
     def test_region_fit_reverification(self):
-        c = build_coronization(LogSpiral(0.2), 2, 4, eta=0.1, theta=0.05, h=1 / 64)
+        c = build_coronization(LogSpiral(0.2), 2, 4, theta=0.05, h=1 / 64)
         warnings = verify_region_fits(c, LogSpiral(0.2))
         # Warnings are allowed but counted; a smooth map at this scale has few.
         assert warnings <= len(c.good) // 10
@@ -204,7 +204,7 @@ class TestBuild:
 
 class TestCarleson:
     def test_affine_exact_values(self):
-        c = build_coronization(AFFINE, 2, 4, eta=0.1, theta=0.05, h=1 / 64)
+        c = build_coronization(AFFINE, 2, 4, theta=0.05, h=1 / 64)
         c_bad, c_tops = carleson_constant(c)
         assert c_bad == 0
         assert c_tops == 1
@@ -219,11 +219,11 @@ class TestCarleson:
 
     def test_subtree_equals_brute_force(self):
         for depth in (3, 4, 5):
-            c = build_coronization(LogSpiral(0.35), 2, depth, eta=0.1, theta=0.04, h=1 / 64)
+            c = build_coronization(LogSpiral(0.35), 2, depth, theta=0.04, h=1 / 64)
             assert carleson_constant(c) == brute_force_carleson(c)
 
     def test_3d_equals_brute_force(self):
-        c = build_coronization(blend_3d(), 3, 2, eta=0.1, theta=0.01, h=1 / 8)
+        c = build_coronization(blend_3d(), 3, 2, theta=0.01, h=1 / 8)
         assert c.bad and len(c.regions) > 1
         assert carleson_constant(c) == brute_force_carleson(c)
 
@@ -248,7 +248,7 @@ class TestCarleson:
             carleson_constant(c)
 
     def test_logspiral_regression(self):
-        c = build_coronization(LogSpiral(0.2), 2, 6, eta=0.1, theta=0.05, h=1 / 128)
+        c = build_coronization(LogSpiral(0.2), 2, 6, theta=0.05, h=1 / 128)
         c_bad, c_tops = carleson_constant(c)
         assert 0 < float(c_bad) < 20
         assert 1 <= float(c_tops) < 20
@@ -261,7 +261,7 @@ class TestCheck:
         assert carleson_constant(c) == (0, 0)
 
     def test_same_issues_as_set_based_check(self):
-        base = build_coronization(LogSpiral(0.2), 2, 4, eta=0.1, theta=0.05, h=1 / 64)
+        base = build_coronization(LogSpiral(0.2), 2, 4, theta=0.05, h=1 / 64)
         assert check_coronization(base) == reference_check(base) == []
         big = max(base.regions, key=lambda s: len(s.members))
         deep = max(big.members, key=lambda q: (q.level, q.coords))
@@ -313,19 +313,19 @@ class TestBoxUnion:
 
 class TestMultilevel:
     def test_affine_single_level(self):
-        c = build_coronization(AFFINE, 2, 5, eta=0.1, theta=0.05, h=1 / 64, force_top_bad=True)
+        c = build_coronization(AFFINE, 2, 5, theta=0.05, h=1 / 64, force_top_bad=True)
         ml = multilevel_decomposition(c, 0.25)
         assert len(ml.levels) == 1
         assert ml.good_measure == ml.lam**2
         assert ml.good_measure >= Fraction(3, 4)
 
     def test_requires_forced_top(self):
-        c = build_coronization(AFFINE, 2, 4, eta=0.1, theta=0.05, h=1 / 64)
+        c = build_coronization(AFFINE, 2, 4, theta=0.05, h=1 / 64)
         with pytest.raises(GeometryError, match="top cube"):
             multilevel_decomposition(c, 0.5)
 
     def test_logspiral_invariants(self):
-        c = build_coronization(LogSpiral(0.2), 2, 7, eta=0.1, theta=0.05, h=1 / 128,
+        c = build_coronization(LogSpiral(0.2), 2, 7, theta=0.05, h=1 / 128,
                                force_top_bad=True)
         ml = multilevel_decomposition(c, 0.5)
         assert ml.good_measure >= Fraction(1, 2)
@@ -346,7 +346,7 @@ class TestMultilevel:
                 assert region_of[owners[0]] == region_of[q]
 
     def test_alpha_sweep_parameters_non_decreasing(self):
-        c = build_coronization(LogSpiral(0.1), 2, 6, eta=0.1, theta=0.05, h=1 / 64,
+        c = build_coronization(LogSpiral(0.1), 2, 6, theta=0.05, h=1 / 64,
                                force_top_bad=True)
         ml_coarse = multilevel_decomposition(c, 0.5)
         ml_fine = multilevel_decomposition(c, 0.25)
@@ -354,7 +354,7 @@ class TestMultilevel:
         assert ml_fine.n_bound >= ml_coarse.n_bound
 
     def test_good_sets_disjoint_and_measure_additive(self):
-        c = build_coronization(LogSpiral(0.15), 2, 6, eta=0.1, theta=0.05, h=1 / 64,
+        c = build_coronization(LogSpiral(0.15), 2, 6, theta=0.05, h=1 / 64,
                                force_top_bad=True)
         ml = multilevel_decomposition(c, 0.5)
         boxes = [b.outer for lv in ml.levels for b in lv.b_sets]
@@ -367,7 +367,7 @@ class TestMultilevel:
     def test_two_level_recursion(self):
         # A gentle spiral stops regions progressively near the origin, so the
         # level-1 good sets have holes and the construction recurses into them.
-        c = build_coronization(LogSpiral(0.05), 2, 8, eta=0.1, theta=0.05, h=1 / 256,
+        c = build_coronization(LogSpiral(0.05), 2, 8, theta=0.05, h=1 / 256,
                                force_top_bad=True)
         ml = multilevel_decomposition(c, 0.6)
         assert len(ml.levels) == 2
@@ -386,7 +386,7 @@ class TestMultilevel:
     def test_smooth_map_sample(self):
         # A slice of the smooth catalog at both alphas (full 20 in acceptance).
         for m in smooth_test_maps()[:4]:
-            c = build_coronization(m, 2, 5, eta=0.1, theta=0.05, h=1 / 64, force_top_bad=True)
+            c = build_coronization(m, 2, 5, theta=0.05, h=1 / 64, force_top_bad=True)
             for alpha in (0.5, 0.25):
                 ml = multilevel_decomposition(c, alpha)
                 assert ml.good_measure >= 1 - Fraction(alpha).limit_denominator(100)

@@ -180,6 +180,12 @@ class TestFactorLinearInCube:
         with pytest.raises(GeometryError):
             factor_linear_in_cube(np.diag([1.0, -1.0]), Cube((0.0, 0.0), 1.0), 2.0, 0.25)
 
+    @pytest.mark.parametrize("builder", [factor_linear_in_cube, factor_linear_outside_cube])
+    @pytest.mark.parametrize("diag, center", [([1.5, 0.8], (0.0, 0.0, 0.0)), ([1.5, 0.8, 1.2], (0.0, 0.0))])
+    def test_dimension_mismatch_rejected(self, builder, diag, center):
+        with pytest.raises(GeometryError, match="map and cube dimensions differ"):
+            builder(np.diag(diag), Cube(center, 2.0), 2.0, 0.25)
+
     def test_count_monotone_in_epsilon(self, rng):
         q = Cube((0.0, 0.0), 1.0)
         for _ in range(10):

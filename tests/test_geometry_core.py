@@ -11,8 +11,6 @@ from bilipfactor.geometry_core import (
     DyadicCube,
     GeometryError,
     bilip_constant,
-    dyadic_ancestor,
-    dyadic_children,
     linear_dilatation,
     pseudo_distance,
     rotation_2d,
@@ -126,7 +124,7 @@ class TestScalars:
 class TestDyadic:
     def test_children_level0(self):
         q = DyadicCube(0, (0, 0))
-        kids = dyadic_children(q)
+        kids = q.children()
         assert len(kids) == 4
         assert all(k.level == 1 for k in kids)
         # Children tile the parent exactly.
@@ -134,20 +132,20 @@ class TestDyadic:
 
     def test_ancestor_roundtrip(self):
         q = DyadicCube(0, (0, 0))
-        child = dyadic_children(q)[2]
-        assert dyadic_ancestor(child, 1) == q
+        child = q.children()[2]
+        assert child.ancestor(1) == q
 
     def test_3d_level2(self):
         q = DyadicCube(2, (1, 2, 3))
-        kids = dyadic_children(q)
+        kids = q.children()
         assert len(kids) == 8
         assert all(k.side == 0.125 for k in kids)
 
     def test_negative_request(self):
         with pytest.raises(GeometryError):
-            dyadic_ancestor(DyadicCube(1, (0, 0)), -1)
+            DyadicCube(1, (0, 0)).ancestor(-1)
         with pytest.raises(GeometryError):
-            dyadic_ancestor(DyadicCube(1, (0, 0)), 2)
+            DyadicCube(1, (0, 0)).ancestor(2)
 
     def test_level_counts_and_tiling(self):
         for d, k in ((2, 3), (3, 2)):
