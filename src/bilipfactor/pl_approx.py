@@ -211,63 +211,61 @@ class PLMap(MapExpr):
 def degrees_pl_batch(pl: PLApprox, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Simplex-sum degrees for many targets; returns (degrees, unresolved mask).
 
-    Targets on a face image (within the degree module's tolerance) are
-    perturbed once along the fixed tie-break direction; still-degenerate
-    targets are flagged unresolved.
+    Non-degenerate image simplices sit in CSR buckets: (grid cell key, simplex)
+    pairs over each bounding box, sorted by key, on a grid of the mean box size.
+    One pass gathers every target's bucket (a key off the grid has none), keeps
+    the boxes that hold the target within the face tolerance and solves all
+    barycentric systems in one einsum.  Targets within the tolerance of a face
+    are re-swept once, together, at the fixed tie-break perturbation; those
+    still on a face get degree 0 and are flagged unresolved.
     """
     sims, signs = pl.image_simplices()
     d = pl.tri.dim
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    m = targets.shape[0]
-    degrees = np.zeros(m, dtype=int)
-    unresolved = np.zeros(m, dtype=bool)
+    tol = degree_mod.FACE_TOL
 
-    lo = sims.min(axis=1)
-    hi = sims.max(axis=1)
-    scale = np.maximum(np.max(hi - lo, axis=1), 1e-300)
-    v0 = sims[:, 0, :]
+    lo, hi = sims.min(axis=1), sims.max(axis=1)
+    pad = tol * np.maximum(np.max(hi - lo, axis=1), 1e-300)[:, None]
+    box_lo, box_hi = lo - pad, hi + pad
     edges = np.transpose(sims[:, 1:, :] - sims[:, :1, :], (0, 2, 1))  # (n, d, d)
-    inv = np.linalg.inv(edges + np.where(np.abs(np.linalg.det(edges))[:, None, None] < 1e-300, np.eye(d), 0.0))
-    degenerate_sim = np.abs(np.linalg.det(edges)) < 1e-300
+    live = np.nonzero(~(np.abs(np.linalg.det(edges)) < 1e-300))[0]
+    inv = np.zeros_like(edges)
+    inv[live] = np.linalg.inv(edges[live])
 
-    # Bucket simplices by image bounding box on a grid of the mean bbox size.
     cell = float(np.mean(hi - lo)) or 1.0
     glo = lo.min(axis=0)
-    key_lo = np.floor((lo - glo) / cell).astype(int)
-    key_hi = np.floor((hi - glo) / cell).astype(int)
-    buckets: dict[tuple, list[int]] = {}
-    for i in range(sims.shape[0]):
-        ranges = [range(key_lo[i, k], key_hi[i, k] + 1) for k in range(d)]
-        for key in itertools.product(*ranges):
-            buckets.setdefault(key, []).append(i)
+    key_lo = np.floor((lo[live] - glo) / cell).astype(int)
+    span = np.floor((hi[live] - glo) / cell).astype(int) - key_lo + 1
+    shape = (key_lo + span).max(axis=0, initial=1)
+    per_sim = span.prod(axis=1)
+    owner = np.repeat(np.arange(live.size), per_sim)
+    rank = np.arange(owner.size) - np.repeat(np.cumsum(per_sim) - per_sim, per_sim)  # index in own key box
+    keys = key_lo[owner]
+    for k in reversed(range(d)):
+        rank, keys[:, k] = rank // span[owner, k], keys[:, k] + rank % span[owner, k]
+    bucket_key = np.ravel_multi_index(keys.T, shape)
+    order = np.argsort(bucket_key, kind="stable")
+    bucket_key, bucket_sim = bucket_key[order], live[owner[order]]
 
-    tol = degree_mod.FACE_TOL
-    for t in range(m):
-        y = targets[t]
-        for attempt in range(2):
-            yy = y if attempt == 0 else y + degree_mod.PERTURB_SIZE * degree_mod._PERTURB_DIR[:d]
-            key = tuple(np.floor((yy - glo) / cell).astype(int))
-            cand = buckets.get(key, [])
-            total = 0
-            regular = True
-            for i in cand:
-                if degenerate_sim[i]:
-                    continue
-                if np.any(yy < lo[i] - tol * scale[i]) or np.any(yy > hi[i] + tol * scale[i]):
-                    continue
-                lam_rest = inv[i] @ (yy - v0[i])
-                lam0 = 1.0 - lam_rest.sum()
-                lam_min = min(lam0, lam_rest.min())
-                if lam_min >= tol:
-                    total += int(signs[i])
-                elif lam_min >= -tol:
-                    regular = False
-                    break
-            if regular:
-                degrees[t] = total
-                break
-        else:
-            unresolved[t] = True
+    def sweep(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        key = np.floor((y - glo) / cell).astype(int)
+        on_grid = np.nonzero(np.all((key >= 0) & (key < shape), axis=1))[0]
+        flat = np.ravel_multi_index(key[on_grid].T, shape)
+        start = np.searchsorted(bucket_key, flat, side="left")
+        count = np.searchsorted(bucket_key, flat, side="right") - start
+        tgt = np.repeat(on_grid, count)
+        cand = bucket_sim[np.repeat(start - np.cumsum(count) + count, count) + np.arange(tgt.size)]
+        near = ~np.any((y[tgt] < box_lo[cand]) | (y[tgt] > box_hi[cand]), axis=1)
+        tgt, cand = tgt[near], cand[near]
+        lam_rest = np.einsum("nij,nj->ni", inv[cand], y[tgt] - sims[cand, 0])
+        lam_min = np.minimum(1.0 - lam_rest.sum(axis=1), lam_rest.min(axis=1))
+        total = np.bincount(tgt, weights=signs[cand] * (lam_min >= tol), minlength=len(y))
+        on_face = np.bincount(tgt, weights=(lam_min >= -tol) & (lam_min < tol), minlength=len(y)) > 0
+        return np.where(on_face, 0, total).astype(int), on_face
+
+    degrees, unresolved = sweep(targets)
+    retry = np.nonzero(unresolved)[0]
+    degrees[retry], unresolved[retry] = sweep(targets[retry] + degree_mod.PERTURB_SIZE * degree_mod._PERTURB_DIR[:d])
     return degrees, unresolved
 
 

@@ -155,6 +155,8 @@ def factor_translation_sphere(v, epsilon: float) -> SphericalFactorReport:
     if epsilon <= 0:
         raise GeometryError("epsilon must be positive")
     v = np.asarray(v, dtype=float).reshape(-1)
+    if v.shape[0] not in (2, 3):
+        raise GeometryError("only 2-D and 3-D translations are supported")
     length = float(np.linalg.norm(v))
     target = Translation(tuple(v))
     if length == 0.0:

@@ -103,6 +103,11 @@ UNIT = {"center": [0.5, 0.5], "side": 1.0}
 MALFORMED = {
     "sphere-translation-v-not-numeric": ("sphere-factor", {"kind": "translation", "v": "abc"}, ""),
     "sphere-scaling-a-not-numeric": ("sphere-factor", {"kind": "scaling", "a": "x"}, ""),
+    "sphere-translation-v-1d": (
+        "sphere-factor", {"kind": "translation", "v": [10.0]}, "only 2-D and 3-D translations are supported"),
+    "sphere-translation-v-4d": (
+        "sphere-factor", {"kind": "translation", "v": [1.0, 0.0, 0.0, 0.0]},
+        "only 2-D and 3-D translations are supported"),
     "translate-ragged-path": ("factor-translate", {"cube": UNIT, "path": [[0.5, 0.5], [1.0]]}, ""),
     "corona-depth-not-integer": ("corona", {"map": IDENTITY, "depth": "x"}, ""),
     "pl-eta-not-numeric": ("pl", {"map": IDENTITY, "eta": "x"}, ""),

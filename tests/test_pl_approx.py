@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from bilipfactor import degree as degree_mod
 from bilipfactor.geometry_core import AffineMapData, Cube, rotation_2d, rotation_3d
 from bilipfactor.map_engine import (
     Affine,
@@ -16,7 +18,9 @@ from bilipfactor.map_engine import (
     sup_distance,
 )
 from bilipfactor.pl_approx import (
+    PLApprox,
     complexity_count,
+    degrees_pl_batch,
     freudenthal,
     pl_interpolate,
     verify_pl,
@@ -167,3 +171,130 @@ class TestPolarizationBound:
             trials += 1
             ok += int(np.all(pl.constants <= 1 + 2 * eps + 1e-12))
         assert ok == trials
+
+
+def reference_degrees_pl_batch(pl: PLApprox, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The per-target loop degrees_pl_batch replaced, kept as its oracle."""
+    sims, signs = pl.image_simplices()
+    d = pl.tri.dim
+    targets = np.atleast_2d(np.asarray(targets, dtype=float))
+    m = targets.shape[0]
+    degrees = np.zeros(m, dtype=int)
+    unresolved = np.zeros(m, dtype=bool)
+
+    lo = sims.min(axis=1)
+    hi = sims.max(axis=1)
+    scale = np.maximum(np.max(hi - lo, axis=1), 1e-300)
+    v0 = sims[:, 0, :]
+    edges = np.transpose(sims[:, 1:, :] - sims[:, :1, :], (0, 2, 1))  # (n, d, d)
+    inv = np.linalg.inv(edges + np.where(np.abs(np.linalg.det(edges))[:, None, None] < 1e-300, np.eye(d), 0.0))
+    degenerate_sim = np.abs(np.linalg.det(edges)) < 1e-300
+
+    # Bucket simplices by image bounding box on a grid of the mean bbox size.
+    cell = float(np.mean(hi - lo)) or 1.0
+    glo = lo.min(axis=0)
+    key_lo = np.floor((lo - glo) / cell).astype(int)
+    key_hi = np.floor((hi - glo) / cell).astype(int)
+    buckets: dict[tuple, list[int]] = {}
+    for i in range(sims.shape[0]):
+        ranges = [range(key_lo[i, k], key_hi[i, k] + 1) for k in range(d)]
+        for key in itertools.product(*ranges):
+            buckets.setdefault(key, []).append(i)
+
+    tol = degree_mod.FACE_TOL
+    for t in range(m):
+        y = targets[t]
+        for attempt in range(2):
+            yy = y if attempt == 0 else y + degree_mod.PERTURB_SIZE * degree_mod._PERTURB_DIR[:d]
+            key = tuple(np.floor((yy - glo) / cell).astype(int))
+            cand = buckets.get(key, [])
+            total = 0
+            regular = True
+            for i in cand:
+                if degenerate_sim[i]:
+                    continue
+                if np.any(yy < lo[i] - tol * scale[i]) or np.any(yy > hi[i] + tol * scale[i]):
+                    continue
+                lam_rest = inv[i] @ (yy - v0[i])
+                lam0 = 1.0 - lam_rest.sum()
+                lam_min = min(lam0, lam_rest.min())
+                if lam_min >= tol:
+                    total += int(signs[i])
+                elif lam_min >= -tol:
+                    regular = False
+                    break
+            if regular:
+                degrees[t] = total
+                break
+        else:
+            unresolved[t] = True
+    return degrees, unresolved
+
+
+def _sweep_targets(pl: PLApprox) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(verify_pl's targets, vertex images and edge midpoints, points off the bucket grid).
+
+    The last group holds points far from every image box, and points a hair
+    below the lowest image vertex on each axis: those lie inside an image box
+    widened by the face tolerance, but their bucket key is off the grid, and
+    an off-grid key has no candidates.
+    """
+    tri = pl.tri
+    pitch = tri.pitch / 3.0
+    lo = tri.origin + 2.0 * tri.pitch
+    hi = tri.covered_hi() - 2.0 * tri.pitch
+    axes = [np.arange(lo[k] + pitch / math.pi, hi[k], pitch) for k in range(tri.dim)]
+    sources = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    sims, _ = pl.image_simplices()
+    verts = pl.vertex_images.reshape(-1, tri.dim)
+    i, j = np.triu_indices(tri.dim + 1, k=1)
+    mids = np.unique(0.5 * (sims[:, i] + sims[:, j]).reshape(-1, tri.dim), axis=0)
+    far_lo, far_hi = sims.min(axis=(0, 1)), sims.max(axis=(0, 1))
+    below = verts[np.argmin(verts, axis=0)] - 1e-14 * np.eye(tri.dim)
+    outside = np.concatenate([[far_lo - 0.5, far_hi + 0.5, far_hi + 1e6, far_lo - 1e6 * tri.pitch], below])
+    return pl.as_map().evaluate(sources), np.concatenate([verts, mids]), outside
+
+
+# name -> (map, triangulation pitch, covered box); the 2-D maps are criterion 04's plus a faster spiral.
+_ORACLE_CASES = {
+    "rotation": (Affine(AffineMapData(rotation_2d(0.3), np.zeros(2))), 0.05, Cube((1.0, 1.0), 1.0)),
+    "shear": (
+        Affine(AffineMapData(np.array([[1.0, 1.02 - 1.0 / 1.02], [0.0, 1.0]]), np.zeros(2))),
+        0.05,
+        Cube((1.0, 1.0), 1.0),
+    ),
+    "logspiral-0.05": (LogSpiral(0.05), 0.05, Cube((1.0, 1.0), 1.0)),
+    "logspiral-0.5": (LogSpiral(0.5), 0.05, Cube((1.0, 1.0), 1.0)),
+    "rotation-3d": (
+        Affine(AffineMapData(rotation_3d([1.0, 2.0, 0.5], 0.4), np.zeros(3))),
+        0.2,
+        Cube((0.5, 0.5, 0.5), 1.0),
+    ),
+}
+
+
+class TestDegreeSweep:
+    @pytest.mark.parametrize("name", list(_ORACLE_CASES))
+    def test_matches_reference_loop(self, name):
+        f, pitch, box = _ORACLE_CASES[name]
+        pl = pl_interpolate(f, freudenthal(box.dim, pitch, box))
+        sweep, on_faces, outside = _sweep_targets(pl)
+        degrees, unresolved = degrees_pl_batch(pl, np.concatenate([sweep, on_faces, outside]))
+        ref_degrees, ref_unresolved = reference_degrees_pl_batch(pl, np.concatenate([sweep, on_faces, outside]))
+        assert np.array_equal(degrees, ref_degrees)
+        assert np.array_equal(unresolved, ref_unresolved)
+        # The first pass flags every target on a face, so a degree there comes from the retry.
+        assert np.any(degrees[len(sweep) : -len(outside)] == 1)
+        assert np.all(degrees[-len(outside) :] == 0) and not np.any(unresolved[-len(outside) :])
+
+    def test_unresolved_after_retry_matches_reference(self):
+        # The shear sends the triangulation's e1 edges along the tie-break
+        # direction, so a vertex-image target stays on a face after the retry.
+        pl = pl_interpolate(Affine(AffineMapData(np.array([[1.0, 0.0], [1.0 / math.pi, 1.0]]), np.zeros(2))),
+                            freudenthal(2, 0.1, UNIT2))
+        targets = np.concatenate(_sweep_targets(pl))
+        degrees, unresolved = degrees_pl_batch(pl, targets)
+        ref_degrees, ref_unresolved = reference_degrees_pl_batch(pl, targets)
+        assert unresolved.any()
+        assert np.array_equal(unresolved, ref_unresolved)
+        assert np.array_equal(degrees, ref_degrees)
