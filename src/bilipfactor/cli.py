@@ -65,11 +65,9 @@ TOLERANCES = {
 }
 
 
-def _sanitize(obj):
-    if isinstance(obj, dict):
-        return {k: _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
+def _json_default(obj):
+    """Fractions, NumPy numbers and arrays as JSON values; anything else json
+    cannot encode itself as its str()."""
     if isinstance(obj, Fraction):
         return {"numerator": str(obj.numerator), "denominator": str(obj.denominator),
                 "value": float(obj)}
@@ -77,13 +75,11 @@ def _sanitize(obj):
         return obj.item()
     if isinstance(obj, np.ndarray):
         return obj.tolist()
-    if isinstance(obj, (bool, int, float, str)) or obj is None:
-        return obj
     return str(obj)
 
 
 def write_json_atomic(path: Path, payload: dict) -> None:
-    _write_atomic(path, json.dumps(_sanitize(payload), indent=2, sort_keys=True) + "\n")
+    _write_atomic(path, json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n")
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -237,26 +233,29 @@ def cmd_corona(payload: dict, args) -> tuple[dict, bool]:
     c = build_coronization(m, dim, depth, theta=args.theta, h=args.h, force_top_bad=force)
     issues = check_coronization(c)
     c_bad, c_tops = carleson_constant(c)
-    by_level: dict[int, dict] = {}
-    for q in sorted(c.good | c.bad, key=lambda q: (q.level, q.coords)):
-        lv = by_level.setdefault(q.level, {"good": [], "bad": []})
-        lv["good" if q in c.good else "bad"].append(list(q.coords))
+    labels = np.concatenate([lab.ravel() for lab in c.labels])
+    members = np.bincount(labels[labels >= 0], minlength=len(c.regions)).tolist()
     rep = {
         "depth": depth,
         "dim": dim,
         "params": c.params,
-        "counts": {"good": len(c.good), "bad": len(c.bad), "regions": len(c.regions)},
+        "counts": {"good": sum(members), "bad": int(np.count_nonzero(labels == -1)),
+                   "regions": len(c.regions)},
         "carleson": {"bad": c_bad, "tops": c_tops},
         "invariant_issues": issues,
-        "levels": {str(k): v for k, v in by_level.items()},
+        "levels": {
+            str(level): {"good": np.argwhere(lab >= 0).tolist(),
+                         "bad": np.argwhere(lab == -1).tolist()}
+            for level, lab in enumerate(c.labels)
+        },
         "regions": [
             {
                 "top": {"level": s.top.level, "coords": list(s.top.coords)},
-                "members": len(s.members),
+                "members": n,
                 "fit": {"matrix": s.fit.matrix.tolist(), "b": s.fit.shift.tolist()},
                 "residual": s.residual,
             }
-            for s in c.regions
+            for s, n in zip(c.regions, members)
         ],
     }
     return rep, not issues
@@ -307,7 +306,7 @@ def cmd_pl(payload: dict, args) -> tuple[dict, bool]:
         "eta": eta,
         "pitch": pitch,
         "simplices": tri.n_simplices,
-        "complexity_unit_box": complexity_count(pl, box),
+        "complexity_unit_box": complexity_count(tri, box),
         "sup_error": sup_err,
         "sup_ok": sup_err <= eta,
         "verdicts": {

@@ -15,18 +15,27 @@ it, point for point the lattice box_lattice would build; so all windows
 are slices when 2^(depth+1) h divides 1.  Windows of deeper cubes, and all
 windows when h is not a power of two, are sampled on their own.
 
-Carleson sums and the invariant check work on one array per level, built
-from the coronization's sets.  Subtree sums are exact int64 counts in units
-of the finest cube volume 2^-(d depth), summed over 2^d blocks level by
-level and turned into Fractions only for the final ratios; a pyramid whose
-largest sum, (depth+1) 2^(d depth) units, could overflow int64 (always the
-case past d depth = 62) raises GeometryError before any array is built.
+Storage: one int64 label array per level, labels[L] of shape (2^L,)*d,
+holding -1 for a bad cube and the region index for a good one.  The build
+writes it, and the checker, Carleson sums, multi-level decomposition and
+report read it directly; the cube sets good, bad, a region's members and
+region_index() are views computed from it.  One label per cube makes
+good/bad overlap, overlapping regions and cubes beyond the depth
+unrepresentable; the checker still finds cubes left unassigned, tops
+without their region's label, and members outside their top, cut off from
+it, or with their children split between regions.
+
+Carleson sums are exact int64 counts in units of the finest cube volume
+2^-(d depth), summed over 2^d blocks level by level and turned into
+Fractions only for the final ratios; a pyramid whose largest sum,
+(depth+1) 2^(d depth) units, could overflow int64 (always the case past
+d depth = 62) is refused by build_coronization before any array is built,
+as is a negative depth.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -39,9 +48,10 @@ from .geometry_core import (
     GeometryError,
     bilip_constant,
     box_lattice,
-    unit_cube_dyadics,
 )
 from .map_engine import MapExpr, affine_fit_samples, estimate_distortion
+
+_UNASSIGNED = -2  # build-time label of a cube not yet classified
 
 
 @dataclass(eq=False)
@@ -49,29 +59,45 @@ class StoppingRegion:
     """Coherent cube family under a unique top, with one affine surrogate."""
 
     top: DyadicCube
-    members: set[DyadicCube]
     fit: AffineMapData
     residual: float  # top's own fit residual at build resolution
 
 
 @dataclass(eq=False)
 class Coronization:
-    depth: int
-    good: set[DyadicCube]
-    bad: set[DyadicCube]
+    """labels[L], of shape (2^L,)*d, holds -1 for each bad level-L cube and
+    the index into regions of each good one."""
+
+    labels: list[np.ndarray]
     regions: list[StoppingRegion]
     params: dict = field(default_factory=dict)
 
     @property
-    def dim(self) -> int:
-        return next(iter(self.good | self.bad)).dim
+    def depth(self) -> int:
+        return len(self.labels) - 1
+
+    def _labelled(self, keep) -> dict[DyadicCube, int]:
+        """Cube -> label for every cube whose label passes keep, level by level in C order."""
+        out: dict[DyadicCube, int] = {}
+        for level, lab in enumerate(self.labels):
+            idx = np.argwhere(keep(lab))
+            for x, i in zip(idx.tolist(), lab[tuple(idx.T)].tolist()):
+                out[DyadicCube(level, tuple(x))] = i
+        return out
+
+    @property
+    def good(self) -> set[DyadicCube]:
+        return set(self.region_index())
+
+    @property
+    def bad(self) -> set[DyadicCube]:
+        return set(self._labelled(lambda lab: lab == -1))
+
+    def members(self, i: int) -> set[DyadicCube]:
+        return set(self._labelled(lambda lab: lab == i))
 
     def region_index(self) -> dict[DyadicCube, int]:
-        out: dict[DyadicCube, int] = {}
-        for i, s in enumerate(self.regions):
-            for q in s.members:
-                out[q] = i
-        return out
+        return self._labelled(lambda lab: (lab >= 0) & (lab < len(self.regions)))
 
 
 def _fit_window(q: DyadicCube) -> tuple[np.ndarray, np.ndarray]:
@@ -148,6 +174,12 @@ def build_coronization(
     REGION TOP's fit stays within theta * diam(Q) on every child; children
     join all-or-none, which makes regions coherent by construction.
     """
+    if depth < 0:
+        raise GeometryError(f"coronization depth must be non-negative, got {depth}")
+    if dim * depth + (depth + 1).bit_length() > 63:
+        raise GeometryError(
+            f"depth {depth} in {dim}-D: exact subtree sums would overflow int64"
+        )
     smallest = 2.0**-depth
     if (math.floor(smallest / h) + 1) ** dim < dim + 1:
         raise GeometryError("resolution too coarse: fewer than d+1 samples per smallest cube")
@@ -156,15 +188,18 @@ def build_coronization(
 
     sample = _WindowSamples(f, dim, h)
     root_dim = math.sqrt(dim)
-    assigned: dict[DyadicCube, int] = {}  # -1 = bad, else region index
+    labels = [
+        np.full((1 << level,) * dim, _UNASSIGNED, dtype=np.int64) for level in range(depth + 1)
+    ]
     regions: list[StoppingRegion] = []
 
     for level in range(depth + 1):
-        for q in sorted(unit_cube_dyadics(dim, level), key=lambda c: c.coords):
-            if q in assigned:
-                continue
+        # Regions opened on this level only label deeper cubes, so the
+        # unassigned cubes of this level are known before the first is visited.
+        for x in np.argwhere(labels[level] == _UNASSIGNED).tolist():
+            q = DyadicCube(level, tuple(x))
             if force_top_bad and level == 0:
-                assigned[q] = -1
+                labels[level][q.coords] = -1
                 continue
             bad = False
             try:
@@ -174,12 +209,11 @@ def build_coronization(
             except GeometryError:
                 bad = True
             if bad:
-                assigned[q] = -1
+                labels[level][q.coords] = -1
                 continue
             # Open a region and grow it downward under the top's fit.
             idx = len(regions)
-            members = {q}
-            assigned[q] = idx
+            labels[level][q.coords] = idx
             frontier = [q]
             while frontier:
                 p = frontier.pop(0)
@@ -190,60 +224,16 @@ def build_coronization(
                     _sup_error(fit, *sample(c)) <= theta * (c.side * root_dim) for c in kids
                 ):
                     for c in kids:
-                        members.add(c)
-                        assigned[c] = idx
+                        labels[c.level][c.coords] = idx
                     frontier.extend(kids)
-            regions.append(StoppingRegion(top=q, members=members, fit=fit, residual=res))
+            regions.append(StoppingRegion(top=q, fit=fit, residual=res))
 
-    good = {q for q, i in assigned.items() if i >= 0}
-    bad_set = {q for q, i in assigned.items() if i < 0}
     return Coronization(
-        depth=depth,
-        good=good,
-        bad=bad_set,
+        labels=labels,
         regions=regions,
         params={"theta": theta, "h": h, "l_estimate": l_est,
                 "force_top_bad": force_top_bad, "dim": dim},
     )
-
-
-def _dim(c: Coronization) -> int:
-    return c.params["dim"] if "dim" in c.params else c.dim
-
-
-def _level_labels(
-    labelled: Iterable[tuple[DyadicCube, int]], dim: int, depth: int
-) -> list[np.ndarray]:
-    """One array of shape (2^L,)*dim per level L <= depth: each listed cube's
-    label at its coords, -1 elsewhere.
-
-    A cube listed twice keeps its first label.  Cubes off the pyramid
-    (deeper than depth, of another dimension, or with coords outside
-    [0, 2^L)) are left out.  Raises GeometryError, before allocating, when
-    a subtree sum in units of the finest cube volume, at most
-    (depth+1) 2^(dim depth), could overflow int64 (so dim * depth <= 62).
-    """
-    if dim * depth + (depth + 1).bit_length() > 63:
-        raise GeometryError(
-            f"depth {depth} in {dim}-D: exact subtree sums would overflow int64"
-        )
-    coords: list[list[tuple[int, ...]]] = [[] for _ in range(depth + 1)]
-    labels: list[list[int]] = [[] for _ in range(depth + 1)]
-    for q, i in labelled:
-        if q.level <= depth and len(q.coords) == dim:
-            coords[q.level].append(q.coords)
-            labels[q.level].append(i)
-    out = []
-    for level in range(depth + 1):
-        lab = np.full((1 << level,) * dim, -1, dtype=np.int64)
-        if coords[level]:
-            idx = np.asarray(coords[level], dtype=np.int64)
-            ok = np.all((idx >= 0) & (idx < 1 << level), axis=1)
-            flat = np.ravel_multi_index(tuple(idx[ok].T), lab.shape)
-            flat, first = np.unique(flat, return_index=True)
-            lab.flat[flat] = np.asarray(labels[level], dtype=np.int64)[ok][first]
-        out.append(lab)
-    return out
 
 
 def _children(a: np.ndarray, dim: int) -> np.ndarray:
@@ -254,18 +244,15 @@ def _children(a: np.ndarray, dim: int) -> np.ndarray:
     return blocks.reshape((n,) * dim + (2**dim,))
 
 
-def _member_faults(
-    tops: list[DyadicCube], lab: list[np.ndarray], dim: int, depth: int
-) -> dict[int, list[str]]:
+def _member_faults(tops: list[DyadicCube], lab: list[np.ndarray]) -> dict[int, list[str]]:
     """Per region label: members outside the top, members whose parent is
     not a member, members with some but not all children in the region."""
-    top_level = np.array([q.level if q.dim == dim else depth + 1 for q in tops], dtype=np.int64)
-    top_coords = np.array(
-        [q.coords if q.dim == dim else (0,) * dim for q in tops], dtype=np.int64
-    ).reshape(-1, dim)
+    dim, depth = lab[0].ndim, len(lab) - 1
+    top_level = np.array([q.level for q in tops], dtype=np.int64)
+    top_coords = np.array([q.coords for q in tops], dtype=np.int64).reshape(-1, dim)
     found: list[tuple[int, int, int, int, str]] = []
     for level in range(depth + 1):
-        idx = np.nonzero(lab[level] >= 0)
+        idx = np.nonzero((lab[level] >= 0) & (lab[level] < len(tops)))
         ids = lab[level][idx]
         xs = np.stack(idx, axis=-1)
         shift = level - top_level[ids]
@@ -296,38 +283,20 @@ def _member_faults(
 def check_coronization(c: Coronization) -> list[str]:
     """Structural invariant check; returns a list of violations (empty = pass).
 
-    The member checks run on per-level arrays of region labels.  A region
-    that shares cubes with an earlier one is checked again on arrays of its
-    own members alone, so every region is judged by its own member set.
-    Members off the pyramid get no member checks; the cover or partition
-    check reports them.
+    Every cube has one label, so good and bad cannot overlap and regions
+    cannot overlap or miss a good cube.  What is left to find: a label that
+    is neither -1 nor a region index (a cube left unassigned), a region top
+    that does not carry its region's label, and members outside their top,
+    with a gap up to it, or with some but not all children in the region.
     """
     issues: list[str] = []
-    dim, depth = _dim(c), c.depth
-    if c.good & c.bad:
-        issues.append("good and bad overlap")
-    union = c.good | c.bad
-    covered = _level_labels(((q, 0) for q in union), dim, depth)
-    total = sum(1 << (dim * level) for level in range(depth + 1))
-    if len(union) != total or sum(int(np.count_nonzero(a >= 0)) for a in covered) != total:
+    if any(np.any((lab < -1) | (lab >= len(c.regions))) for lab in c.labels):
         issues.append("good + bad do not cover all dyadic cubes to depth")
-    lab = _level_labels(
-        ((m, i) for i, s in enumerate(c.regions) for m in s.members), dim, depth
-    )
-    faults = _member_faults([s.top for s in c.regions], lab, dim, depth)
-    seen: set[DyadicCube] = set()
+    faults = _member_faults([s.top for s in c.regions], c.labels)
     for i, s in enumerate(c.regions):
-        if s.top not in s.members:
+        if s.top.level > c.depth or c.labels[s.top.level][s.top.coords] != i:
             issues.append(f"region {i}: top not a member")
-        own = faults.get(i, [])
-        if seen & s.members:
-            issues.append(f"region {i}: overlaps another region")
-            alone = _level_labels(((m, 0) for m in s.members), dim, depth)
-            own = _member_faults([s.top], alone, dim, depth).get(0, [])
-        seen |= s.members
-        issues.extend(f"region {i}: {text}" for text in own)
-    if seen != c.good:
-        issues.append("regions do not partition the good cubes")
+        issues.extend(f"region {i}: {text}" for text in faults.get(i, []))
     return issues
 
 
@@ -336,24 +305,24 @@ def verify_region_fits(c: Coronization, f: MapExpr) -> int:
     theta = c.params["theta"]
     h = c.params["h"] / 2.0
     warnings = 0
-    for s in c.regions:
-        for q in s.members:
-            if region_fit_error(s.fit, f, q, h) > theta * q.to_cube().diam:
-                warnings += 1
+    for q, i in c.region_index().items():
+        if region_fit_error(c.regions[i].fit, f, q, h) > theta * q.to_cube().diam:
+            warnings += 1
     return warnings
 
 
-def _packing(marks: list[np.ndarray], dim: int, depth: int) -> Fraction:
+def _packing(marks: list[np.ndarray]) -> Fraction:
     """max over dyadic R of sum_{marked Q in R} |Q| / |R|, exactly.
 
     Subtree sums are int64 per-level arrays in units of the finest cube
     volume 2^-(dim depth), built bottom-up by 2^dim block sums.
     """
+    dim, depth = marks[0].ndim, len(marks) - 1
     best = Fraction(0)
     mass = None
     for level in range(depth, -1, -1):
         unit = 1 << (dim * (depth - level))  # |Q| of a level cube, in finest volumes
-        own = (marks[level] >= 0).astype(np.int64) * unit
+        own = marks[level].astype(np.int64) * unit
         if mass is not None:
             own += _children(mass, dim).sum(axis=-1)
         mass = own
@@ -367,10 +336,10 @@ def carleson_constant(c: Coronization) -> tuple[Fraction, Fraction]:
     c_bad     = max over dyadic R of sum_{Q bad, Q in R} |Q| / |R|
     c_tops    = max over dyadic R of sum_{tops Q(S) in R} |Q(S)| / |R|
     """
-    dim, depth = _dim(c), c.depth
-    bad = _level_labels(((q, 0) for q in c.bad), dim, depth)
-    tops = _level_labels(((s.top, 0) for s in c.regions), dim, depth)
-    return _packing(bad, dim, depth), _packing(tops, dim, depth)
+    tops = [np.zeros(lab.shape, dtype=bool) for lab in c.labels]
+    for s in c.regions:
+        tops[s.top.level][s.top.coords] = True
+    return _packing([lab == -1 for lab in c.labels]), _packing(tops)
 
 
 Box = tuple[tuple[Fraction, ...], tuple[Fraction, ...]]
@@ -489,9 +458,10 @@ def multilevel_decomposition(c: Coronization, alpha: float | Fraction) -> MultiL
     exact good measure cannot reach 1 - alpha at this depth.
     """
     alpha = Fraction(alpha).limit_denominator(10**9)
-    dim = _dim(c)
+    lab = c.labels
+    dim = lab[0].ndim
     root = DyadicCube(0, tuple([0] * dim))
-    if root not in c.bad:
+    if lab[0].flat[0] != -1:
         raise GeometryError("multilevel decomposition expects the top cube forced bad")
 
     c_bad, c_tops = carleson_constant(c)
@@ -507,29 +477,40 @@ def multilevel_decomposition(c: Coronization, alpha: float | Fraction) -> MultiL
         zeta_log2 += 1
     lam = 1 - Fraction(1, 2**k_param)
 
-    region_of = c.region_index()
-    minimal_by_region: list[list[DyadicCube]] = []
-    for s in c.regions:
-        mins = [
-            m
-            for m in s.members
-            if m.level < c.depth and m.children()[0] not in s.members
-        ]
-        minimal_by_region.append(sorted(mins, key=lambda q: (q.level, q.coords)))
+    def under(q: DyadicCube, level: int) -> tuple[tuple[int, ...], np.ndarray]:
+        """Lower corner and level-`level` labels of the subtree of q."""
+        n = 1 << (level - q.level)
+        corner = tuple(x * n for x in q.coords)
+        return corner, lab[level][tuple(slice(x, x + n) for x in corner)]
+
+    def cubes(level: int, corner: tuple[int, ...], mask: np.ndarray) -> list[DyadicCube]:
+        return [DyadicCube(level, tuple(x + o for x, o in zip(corner, rel)))
+                for rel in np.argwhere(mask).tolist()]
 
     def maximal_good_in_window(q_prev: DyadicCube) -> list[DyadicCube]:
-        lo_level = q_prev.level + k_param
-        hi_level = min(q_prev.level + zeta_log2, c.depth)
+        """Good cubes at levels q_prev.level + K ... + log2(1/zeta) under
+        q_prev with no good ancestor in that window, by (level, coords)."""
         found: list[DyadicCube] = []
-        stack = q_prev.children()
-        while stack:
-            cube = stack.pop()
-            if cube.level >= lo_level and cube in c.good:
-                found.append(cube)
-                continue
-            if cube.level < hi_level:
-                stack.extend(cube.children())
-        return sorted(found, key=lambda q: (q.level, q.coords))
+        taken = np.zeros((1,) * dim, dtype=bool)  # cubes under a found cube
+        for level in range(q_prev.level + k_param, min(q_prev.level + zeta_log2, c.depth) + 1):
+            corner, sub = under(q_prev, level)
+            grow = sub.shape[0] // taken.shape[0]
+            for axis in range(dim):
+                taken = taken.repeat(grow, axis=axis)
+            hit = (sub >= 0) & ~taken
+            found += cubes(level, corner, hit)
+            taken |= hit
+        return found
+
+    def minimal_under(r: DyadicCube) -> list[DyadicCube]:
+        """Members of r's region under r whose first child is not, by (level, coords)."""
+        i = lab[r.level][r.coords]
+        mins: list[DyadicCube] = []
+        for level in range(r.level, c.depth):
+            corner, sub = under(r, level)
+            first_child = under(r, level + 1)[1][(slice(None, None, 2),) * dim]
+            mins += cubes(level, corner, (sub == i) & (first_child != i))
+        return mins
 
     levels: list[DecompositionLevel] = []
     q_prev = [root]
@@ -546,7 +527,7 @@ def multilevel_decomposition(c: Coronization, alpha: float | Fraction) -> MultiL
         q_cubes: list[DyadicCube] = []
         b_sets: list[GoodSet] = []
         for r in r_cubes:
-            mins = [m for m in minimal_by_region[region_of[r]] if r.contains_dyadic(m)]
+            mins = minimal_under(r)
             q_cubes.extend(mins)
             outer = _shrunken_box(r, lam)
             holes = []

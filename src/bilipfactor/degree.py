@@ -1,9 +1,9 @@
-"""Local topological degree: simplex-sign sums for piecewise-affine maps and
-winding numbers for planar maps.
+"""Local topological degree of planar maps as winding numbers.
 
-The two computations are independent of each other and are cross-checked in
-the test suite; they serve as the injectivity/surjectivity oracle for the
-piecewise-affine verifier.
+Winding numbers are independent of the simplex-sum degrees of
+piecewise-affine maps (pl_approx.degrees_pl_batch, degree_pl); the two are
+cross-checked in the test suite, where winding numbers serve as the oracle
+for the piecewise-affine verifier.
 """
 
 from __future__ import annotations
@@ -16,70 +16,8 @@ import numpy as np
 from .geometry_core import Cube
 from .map_engine import MapExpr
 
-# Deterministic tie-break direction for non-regular targets.
-_PERTURB_DIR = np.array([1.0, 1.0 / math.pi, 1.0 / math.pi**2])
-PERTURB_SIZE = 1e-9
-FACE_TOL = 1e-12
-
-
 class DegreeError(RuntimeError):
     pass
-
-
-def _barycentric(image_vertices: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Barycentric coordinates of y in the simplex spanned by (d+1) image vertices."""
-    v0 = image_vertices[0]
-    mat = (image_vertices[1:] - v0).T
-    lam = np.linalg.solve(mat, y - v0)
-    return np.concatenate([[1.0 - lam.sum()], lam])
-
-
-def simplex_sum_degree(
-    image_simplices: np.ndarray,
-    orientations: np.ndarray,
-    y: np.ndarray,
-) -> int:
-    """Degree at y: sum of orientation signs over simplices whose image covers y.
-
-    image_simplices has shape (m, d+1, d); orientations holds the signs of
-    the per-simplex determinants.  A target on a face image (within
-    FACE_TOL relative to the simplex size) is perturbed once along the
-    fixed direction; failure after the retry raises "non-regular value".
-    """
-    y = np.asarray(y, dtype=float)
-    d = y.shape[0]
-    for attempt in range(2):
-        target = y if attempt == 0 else y + PERTURB_SIZE * _PERTURB_DIR[:d]
-        total = 0
-        regular = True
-        lo = image_simplices.min(axis=1)
-        hi = image_simplices.max(axis=1)
-        scale = np.maximum(np.max(hi - lo, axis=1), 1e-300)
-        near = np.all((target >= lo - FACE_TOL * scale[:, None]) &
-                      (target <= hi + FACE_TOL * scale[:, None]), axis=1)
-        for idx in np.nonzero(near)[0]:
-            try:
-                lam = _barycentric(image_simplices[idx], target)
-            except np.linalg.LinAlgError:
-                continue
-            tol = FACE_TOL
-            if np.all(lam >= tol):
-                total += int(orientations[idx])
-            elif np.all(lam >= -tol):
-                regular = False
-                break
-        if regular:
-            return total
-    raise DegreeError("non-regular value: target on a simplex face image")
-
-
-def degree_pl(pl, y: np.ndarray) -> int:
-    """Local degree at y of a piecewise-affine map over its whole triangulation.
-
-    pl must expose image_simplices() -> (image_simplices, orientations).
-    """
-    sims, signs = pl.image_simplices()
-    return simplex_sum_degree(sims, signs, np.asarray(y, dtype=float))
 
 
 def _polyline_length(path: np.ndarray) -> float:

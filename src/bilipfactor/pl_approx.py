@@ -17,9 +17,14 @@ from functools import cached_property
 
 import numpy as np
 
-from . import degree as degree_mod
+from .degree import DegreeError
 from .geometry_core import Cube, GeometryError
 from .map_engine import DomainError, MapExpr
+
+FACE_TOL = 1e-12
+PERTURB_SIZE = 1e-9
+# Deterministic tie-break direction for non-regular targets.
+_PERTURB_DIR = np.array([1.0, 1.0 / math.pi, 1.0 / math.pi**2])
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,7 +227,7 @@ def degrees_pl_batch(pl: PLApprox, targets: np.ndarray) -> tuple[np.ndarray, np.
     sims, signs = pl.image_simplices()
     d = pl.tri.dim
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    tol = degree_mod.FACE_TOL
+    tol = FACE_TOL
 
     lo, hi = sims.min(axis=1), sims.max(axis=1)
     pad = tol * np.maximum(np.max(hi - lo, axis=1), 1e-300)[:, None]
@@ -265,8 +270,16 @@ def degrees_pl_batch(pl: PLApprox, targets: np.ndarray) -> tuple[np.ndarray, np.
 
     degrees, unresolved = sweep(targets)
     retry = np.nonzero(unresolved)[0]
-    degrees[retry], unresolved[retry] = sweep(targets[retry] + degree_mod.PERTURB_SIZE * degree_mod._PERTURB_DIR[:d])
+    degrees[retry], unresolved[retry] = sweep(targets[retry] + PERTURB_SIZE * _PERTURB_DIR[:d])
     return degrees, unresolved
+
+
+def degree_pl(pl: PLApprox, y: np.ndarray) -> int:
+    """Simplex-sum degree at one target y; raises DegreeError when y stays on a face image."""
+    degrees, unresolved = degrees_pl_batch(pl, np.asarray(y, dtype=float)[None])
+    if unresolved[0]:
+        raise DegreeError("non-regular value: target on a simplex face image")
+    return int(degrees[0])
 
 
 def _triangles_overlap_opposite(pl: PLApprox) -> bool:
@@ -349,17 +362,9 @@ def verify_pl(pl: PLApprox, epsilon: float) -> PLVerdicts:
     )
 
 
-def complexity_count(pl: PLApprox, box: Cube | tuple | None = None) -> int:
-    """Number of simplices whose cell meets the box interior (default [0,1]^d)."""
-    tri = pl.tri
-    if box is None:
-        lo = np.zeros(tri.dim)
-        hi = np.ones(tri.dim)
-    elif isinstance(box, Cube):
-        lo, hi = box.lo(), box.hi()
-    else:
-        lo = np.asarray(box[0], dtype=float)
-        hi = np.asarray(box[1], dtype=float)
+def complexity_count(tri: Triangulation, box: Cube) -> int:
+    """Number of simplices whose cell meets the box interior."""
+    lo, hi = box.lo(), box.hi()
     total = 1
     for k in range(tri.dim):
         a0 = int(math.floor((lo[k] - tri.origin[k]) / tri.pitch + 1e-12))

@@ -21,7 +21,7 @@ from bilipfactor.corona import (
     check_coronization,
     multilevel_decomposition,
 )
-from bilipfactor.degree import DegreeError, degree_pl, degree_winding_2d
+from bilipfactor.degree import DegreeError, degree_winding_2d
 from bilipfactor.factorization import (
     check_factor_sequence,
     factor_diagonal,
@@ -38,7 +38,7 @@ from bilipfactor.geometry_core import (
     unit_cube_dyadics,
 )
 from bilipfactor.map_engine import Affine, Blend, Identity, LogSpiral, sup_distance
-from bilipfactor.pl_approx import complexity_count, freudenthal, pl_interpolate, verify_pl
+from bilipfactor.pl_approx import complexity_count, degree_pl, freudenthal, pl_interpolate, verify_pl
 from bilipfactor.shuffle import check_shuffle, execute_shuffle, plan_shuffle
 from bilipfactor.sphere import INFINITY, factor_scaling_sphere, factor_translation_sphere
 from bilipfactor.map_engine import Scaling
@@ -210,7 +210,7 @@ def test_criterion_04_pl_approximation():
     counts = []
     for e in (eta, eta / 2.0):
         tri = freudenthal(2, e / (4.0 * math.sqrt(2)), Cube((0.5, 0.5), 1.0))
-        counts.append(complexity_count(pl_interpolate(Identity(), tri), Cube((0.5, 0.5), 1.0)))
+        counts.append(complexity_count(tri, Cube((0.5, 0.5), 1.0)))
     ratio = counts[1] / counts[0]
     scaling_ok = 0.8 * 4 <= ratio <= 1.25 * 4
     elapsed = time.monotonic() - t0

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -96,6 +97,40 @@ class TestDeterminism:
         assert (tmp_path / "second" / "report.json").read_bytes() == (fresh / "report.json").read_bytes()
 
 
+def _sanitize(obj):
+    """The copy a report used to go through before json.dumps: the reference
+    for the encoder's default hook."""
+    if isinstance(obj, dict):
+        return {k: _sanitize(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_sanitize(v) for v in obj]
+    if isinstance(obj, Fraction):
+        return {"numerator": str(obj.numerator), "denominator": str(obj.denominator),
+                "value": float(obj)}
+    if isinstance(obj, (np.floating, np.integer)):
+        return obj.item()
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, (bool, int, float, str)) or obj is None:
+        return obj
+    return str(obj)
+
+
+class TestReportEncoding:
+    def test_default_hook_gives_sanitized_bytes(self, tmp_path):
+        payload = {
+            "fractions": [Fraction(3, 7), (Fraction(-1, 2**70), {"z": Fraction(5)})],
+            "numpy": {"f32": np.float32(0.1), "f64": np.float64(1 / 3), "i64": np.int64(-7),
+                      "bool": np.bool_(True), "nan": np.float64("nan"), "plain_nan": float("nan")},
+            "arrays": (np.arange(6, dtype=np.float32).reshape(2, 3) / 7, np.array([True, False]),
+                       np.array([], dtype=np.int64), [np.eye(2)]),
+            "nested": {"b": [[1, (2.5, None)], {"a": "x"}], "a": True, "other": Path("p")},
+        }
+        path = tmp_path / "report.json"
+        cli.write_json_atomic(path, payload)
+        assert path.read_text() == json.dumps(_sanitize(payload), indent=2, sort_keys=True) + "\n"
+
+
 IDENTITY = {"type": "identity"}
 UNIT = {"center": [0.5, 0.5], "side": 1.0}
 
@@ -115,6 +150,10 @@ MALFORMED = {
     "shuffle-base-side-not-numeric": (
         "shuffle", {"omega": {"psi": IDENTITY, "base_side": "z"}, "pairs": []}, ""),
     "corona-payload-is-list": ("corona", [1, 2], ""),
+    "corona-negative-depth": (
+        "corona", {"map": {"type": "logspiral", "k": 0.2}, "depth": -1}, "depth must be non-negative"),
+    "multilevel-negative-depth": (
+        "multilevel", {"map": {"type": "logspiral", "k": 0.2}, "depth": -1}, "depth must be non-negative"),
     "linear-2d-map-on-3d-cube": (
         "factor-linear",
         {"map": {"type": "affine", "matrix": [[2.0, 0.0], [0.0, 0.5]], "b": [0.0, 0.0]},

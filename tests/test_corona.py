@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import json
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from bilipfactor import cli
 from bilipfactor.corona import (
     Coronization,
     StoppingRegion,
@@ -44,9 +47,32 @@ from conftest import smooth_test_maps
 AFFINE = Affine(AffineMapData(np.array([[1.2, 0.1], [0.0, 0.9]]), np.array([0.1, 0.2])))
 
 
+@dataclass(eq=False)
+class SetRegion:
+    top: DyadicCube
+    members: set[DyadicCube]
+    fit: AffineMapData
+    residual: float
+
+
+@dataclass(eq=False)
+class SetCoronization:
+    good: set[DyadicCube]
+    bad: set[DyadicCube]
+    regions: list[SetRegion]
+
+
+def labelled(dim: int, depth: int, labels: dict[DyadicCube, int], regions) -> Coronization:
+    """A hand-built coronization: the given cube labels, -2 (unassigned) elsewhere."""
+    arrays = [np.full((1 << lv,) * dim, -2, dtype=np.int64) for lv in range(depth + 1)]
+    for q, i in labels.items():
+        arrays[q.level][q.coords] = i
+    return Coronization(arrays, regions, {"dim": dim})
+
+
 def brute_force_carleson(c: Coronization) -> tuple[Fraction, Fraction]:
     """Direct enumeration oracle (no subtree DP)."""
-    dim = c.params["dim"]
+    dim = c.labels[0].ndim
     tops = {s.top for s in c.regions}
     all_cubes = [q for lv in range(c.depth + 1) for q in unit_cube_dyadics(dim, lv)]
     c_bad = Fraction(0)
@@ -59,13 +85,13 @@ def brute_force_carleson(c: Coronization) -> tuple[Fraction, Fraction]:
     return c_bad, c_tops
 
 
-def reference_coronization(f, dim, depth, theta, h) -> Coronization:
+def reference_coronization(f, dim, depth, theta, h) -> SetCoronization:
     """The per-window greedy loop: every fit and every child check samples
     its own clipped 2Q window through box_lattice."""
     l_est = estimate_distortion(f, Cube((0.5,) * dim, 1.0), max(h, 1.0 / 32.0)).L_lo
     unit = (np.zeros(dim), np.ones(dim))
     assigned: dict[DyadicCube, int] = {}
-    regions: list[StoppingRegion] = []
+    regions: list[SetRegion] = []
     for level in range(depth + 1):
         for q in unit_cube_dyadics(dim, level):
             if q in assigned:
@@ -91,20 +117,19 @@ def reference_coronization(f, dim, depth, theta, h) -> Coronization:
                     members.update(kids)
                     assigned.update(dict.fromkeys(kids, idx))
                     frontier.extend(kids)
-            regions.append(StoppingRegion(top=q, members=members, fit=fit, residual=res))
-    return Coronization(
-        depth=depth,
+            regions.append(SetRegion(top=q, members=members, fit=fit, residual=res))
+    return SetCoronization(
         good={q for q, i in assigned.items() if i >= 0},
         bad={q for q, i in assigned.items() if i < 0},
         regions=regions,
-        params={"dim": dim},
     )
 
 
 def reference_check(c: Coronization) -> list[str]:
-    """Set-based invariant check: one pass over every member of every region."""
+    """Set-based invariant check on the cube-set views: one pass over every
+    member of every region."""
     issues: list[str] = []
-    dim = c.params["dim"]
+    dim = c.labels[0].ndim
     all_cubes = {q for lv in range(c.depth + 1) for q in unit_cube_dyadics(dim, lv)}
     if c.good & c.bad:
         issues.append("good and bad overlap")
@@ -112,19 +137,20 @@ def reference_check(c: Coronization) -> list[str]:
         issues.append("good + bad do not cover all dyadic cubes to depth")
     seen: set[DyadicCube] = set()
     for i, s in enumerate(c.regions):
-        if s.top not in s.members:
+        members = c.members(i)
+        if s.top not in members:
             issues.append(f"region {i}: top not a member")
-        if seen & s.members:
+        if seen & members:
             issues.append(f"region {i}: overlaps another region")
-        seen |= s.members
-        for m in s.members:
+        seen |= members
+        for m in members:
             if m != s.top:
                 if not s.top.contains_dyadic(m):
                     issues.append(f"region {i}: member outside the top")
-                if m.parent() not in s.members:
+                if m.parent() not in members:
                     issues.append(f"region {i}: gap between member and top")
             if m.level < c.depth:
-                kids_in = [k in s.members for k in m.children()]
+                kids_in = [k in members for k in m.children()]
                 if any(kids_in) and not all(kids_in):
                     issues.append(f"region {i}: children split at {m}")
     if seen != c.good:
@@ -153,8 +179,8 @@ class TestDenseSampling:
         ref = reference_coronization(f, dim, depth, theta, h)
         assert c.good == ref.good and c.bad == ref.bad
         assert len(c.regions) == len(ref.regions) > 1
-        for s, r in zip(c.regions, ref.regions):
-            assert s.top == r.top and s.members == r.members
+        for i, (s, r) in enumerate(zip(c.regions, ref.regions)):
+            assert s.top == r.top and c.members(i) == r.members
             assert s.fit.matrix.tobytes() == r.fit.matrix.tobytes()
             assert s.fit.shift.tobytes() == r.fit.shift.tobytes()
             assert s.residual == r.residual
@@ -211,9 +237,7 @@ class TestCarleson:
 
     def test_all_bad_geometric_sum(self):
         dim, depth = 2, 3
-        cubes = {q for lv in range(depth + 1) for q in unit_cube_dyadics(dim, lv)}
-        c = Coronization(depth=depth, good=set(), bad=cubes, regions=[],
-                         params={"dim": dim, "theta": 0.05, "h": 1 / 32, "eta": 0.1})
+        c = Coronization([np.full((1 << lv,) * dim, -1) for lv in range(depth + 1)], [])
         c_bad, _ = carleson_constant(c)
         assert c_bad == depth + 1
 
@@ -232,20 +256,22 @@ class TestCarleson:
         cubes = [q for lv in range(4) for q in unit_cube_dyadics(3, lv)]
         for _ in range(3):
             pick = gen.random(len(cubes))
-            bad = {q for q, u in zip(cubes, pick) if u < 0.15}
+            bad = {q: -1 for q, u in zip(cubes, pick) if u < 0.15}
             tops = [q for q, u in zip(cubes, pick) if 0.15 <= u < 0.3]
-            c = Coronization(
-                depth=3, good=set(tops), bad=bad,
-                regions=[StoppingRegion(top=q, members={q}, fit=None, residual=0.0) for q in tops],
-                params={"dim": 3},
-            )
+            c = labelled(3, 3, {**bad, **{q: i for i, q in enumerate(tops)}},
+                         [StoppingRegion(top=q, fit=None, residual=0.0) for q in tops])
             assert carleson_constant(c) == brute_force_carleson(c)
 
     def test_int64_guard(self):
-        c = Coronization(depth=32, good=set(), bad={DyadicCube(0, (0, 0))}, regions=[],
-                         params={"dim": 2})
+        # Refused before any label array is allocated: 4^32 entries at level 32.
         with pytest.raises(GeometryError, match="int64"):
-            carleson_constant(c)
+            build_coronization(AFFINE, 2, 32, theta=0.05, h=1 / 64)
+        with pytest.raises(GeometryError, match="int64"):
+            build_coronization(blend_3d(), 3, 21, theta=0.05, h=1 / 8)
+
+    def test_negative_depth_refused(self):
+        with pytest.raises(GeometryError, match="depth must be non-negative"):
+            build_coronization(AFFINE, 2, -1, theta=0.05, h=1 / 64)
 
     def test_logspiral_regression(self):
         c = build_coronization(LogSpiral(0.2), 2, 6, theta=0.05, h=1 / 128)
@@ -256,41 +282,59 @@ class TestCarleson:
 
 class TestCheck:
     def test_empty_hand_built_reports_issues(self):
-        c = Coronization(depth=2, good=set(), bad=set(), regions=[], params={"dim": 2})
+        c = labelled(2, 2, {}, [])
         assert check_coronization(c) == ["good + bad do not cover all dyadic cubes to depth"]
         assert carleson_constant(c) == (0, 0)
 
     def test_same_issues_as_set_based_check(self):
+        # Overlapping good/bad, overlapping regions and cubes beyond the depth
+        # cannot be written as per-level labels; every other fault can.
         base = build_coronization(LogSpiral(0.2), 2, 4, theta=0.05, h=1 / 64)
         assert check_coronization(base) == reference_check(base) == []
-        big = max(base.regions, key=lambda s: len(s.members))
-        deep = max(big.members, key=lambda q: (q.level, q.coords))
-        inner = next(m for m in big.members if m != big.top and m.level < base.depth
-                     and m.children()[0] in big.members)
-        other = next(s for s in base.regions if s is not big)
+        b = max(range(len(base.regions)), key=lambda i: len(base.members(i)))
+        big, members = base.regions[b], sorted(base.members(b), key=lambda q: (q.level, q.coords))
+        deep = members[-1]
+        inner = next(m for m in members if m != big.top and m.level < base.depth
+                     and m.children()[0] in members)
+        other = next(s for s in base.regions if not big.top.contains_dyadic(s.top))
 
-        def variant(good=None, bad=None, regions=None):
-            return Coronization(base.depth, base.good if good is None else good,
-                                base.bad if bad is None else bad,
-                                base.regions if regions is None else regions, {"dim": 2})
-
-        def with_members(s, members):
-            rs = [StoppingRegion(r.top, set(members), r.fit, r.residual) if r is s else r
-                  for r in base.regions]
-            return variant(regions=rs)
+        def relabel(q, i):
+            labels = [lab.copy() for lab in base.labels]
+            labels[q.level][q.coords] = i
+            return Coronization(labels, base.regions, base.params)
 
         cases = [
-            variant(bad=base.bad | {deep}),  # good and bad overlap
-            variant(good=base.good - {deep}),  # a cube neither good nor bad
-            variant(good=base.good | {DyadicCube(base.depth + 1, (0, 0))}),  # beyond depth
-            with_members(big, big.members - {inner}),  # a gap and a split
-            with_members(big, big.members - {big.top}),  # top not a member
-            with_members(big, big.members | {other.top}),  # outside the top, overlap
+            (relabel(deep, -2), "do not cover"),  # a cube neither good nor bad
+            (relabel(inner, -1), "gap between member and top"),  # and a split
+            (relabel(big.top, -1), "top not a member"),
+            (relabel(other.top, b), "member outside the top"),
         ]
-        for c in cases:
+        for c, needle in cases:
             issues = check_coronization(c)
-            assert issues
+            assert any(needle in text for text in issues)
             assert sorted(issues) == sorted(reference_check(c))
+
+
+class TestReport:
+    def test_cli_levels_counts_members_match_set_reference(self, tmp_path):
+        inp = tmp_path / "in.json"
+        inp.write_text(json.dumps({"map": {"type": "logspiral", "k": 0.2}, "depth": 4}))
+        out = tmp_path / "out"
+        assert cli.main(["corona", "--input", str(inp), "--out", str(out), "--h", str(1 / 64)]) == 0
+        rep = json.loads((out / "report.json").read_text())["result"]
+        ref = reference_coronization(LogSpiral(0.2), 2, 4, 0.05, 1 / 64)
+        assert ref.bad and len(ref.regions) > 1
+
+        def coords(cubes, level):
+            return sorted(list(q.coords) for q in cubes if q.level == level)
+
+        assert rep["levels"] == {
+            str(lv): {"good": coords(ref.good, lv), "bad": coords(ref.bad, lv)} for lv in range(5)
+        }
+        assert rep["counts"] == {"good": len(ref.good), "bad": len(ref.bad), "regions": len(ref.regions)}
+        assert [(r["top"], r["members"]) for r in rep["regions"]] == [
+            ({"level": s.top.level, "coords": list(s.top.coords)}, len(s.members)) for s in ref.regions
+        ]
 
 
 class TestBoxUnion:

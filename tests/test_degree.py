@@ -9,12 +9,11 @@ import pytest
 from bilipfactor.degree import (
     DegreeError,
     check_close_degree,
-    degree_pl,
     degree_winding_2d,
 )
 from bilipfactor.geometry_core import AffineMapData, Cube, rotation_2d
 from bilipfactor.map_engine import Affine, Blend, Identity, LogSpiral, MapExpr, Translation
-from bilipfactor.pl_approx import freudenthal, pl_interpolate
+from bilipfactor.pl_approx import degree_pl, freudenthal, pl_interpolate
 
 from conftest import random_orientation_preserving, small_rotation_blend
 

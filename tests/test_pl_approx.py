@@ -6,7 +6,6 @@ import math
 import numpy as np
 import pytest
 
-from bilipfactor import degree as degree_mod
 from bilipfactor.geometry_core import AffineMapData, Cube, rotation_2d, rotation_3d
 from bilipfactor.map_engine import (
     Affine,
@@ -18,7 +17,10 @@ from bilipfactor.map_engine import (
     sup_distance,
 )
 from bilipfactor.pl_approx import (
+    FACE_TOL,
+    PERTURB_SIZE,
     PLApprox,
+    _PERTURB_DIR,
     complexity_count,
     degrees_pl_batch,
     freudenthal,
@@ -139,10 +141,9 @@ class TestVerify:
 
 class TestComplexity:
     def test_counts(self):
-        pl = pl_interpolate(Identity(), freudenthal(2, 0.25, UNIT2))
-        assert complexity_count(pl) == 32
-        pl3 = pl_interpolate(Identity(), freudenthal(3, 0.5, Cube((0.5, 0.5, 0.5), 1.0)))
-        assert complexity_count(pl3) == 48
+        assert complexity_count(freudenthal(2, 0.25, UNIT2), UNIT2) == 32
+        unit3 = Cube((0.5, 0.5, 0.5), 1.0)
+        assert complexity_count(freudenthal(3, 0.5, unit3), unit3) == 48
 
     def test_halving_eta_scales_by_two_to_d(self):
         for d in (2, 3):
@@ -150,7 +151,7 @@ class TestComplexity:
             counts = []
             for eta in (0.4, 0.2, 0.1):
                 tri = freudenthal(d, eta / (4 * math.sqrt(d)), box)
-                counts.append(complexity_count(pl_interpolate(Identity(), tri)))
+                counts.append(complexity_count(tri, box))
             for a, b in zip(counts, counts[1:]):
                 assert 0.8 * 2**d <= b / a <= 1.25 * 2**d
 
@@ -201,11 +202,11 @@ def reference_degrees_pl_batch(pl: PLApprox, targets: np.ndarray) -> tuple[np.nd
         for key in itertools.product(*ranges):
             buckets.setdefault(key, []).append(i)
 
-    tol = degree_mod.FACE_TOL
+    tol = FACE_TOL
     for t in range(m):
         y = targets[t]
         for attempt in range(2):
-            yy = y if attempt == 0 else y + degree_mod.PERTURB_SIZE * degree_mod._PERTURB_DIR[:d]
+            yy = y if attempt == 0 else y + PERTURB_SIZE * _PERTURB_DIR[:d]
             key = tuple(np.floor((yy - glo) / cell).astype(int))
             cand = buckets.get(key, [])
             total = 0
