@@ -66,12 +66,12 @@ TOLERANCES = {
 
 
 def _json_default(obj):
-    """Fractions, NumPy numbers and arrays as JSON values; anything else json
-    cannot encode itself as its str()."""
+    """Fractions, NumPy numbers, bools and arrays as JSON values; anything else
+    json cannot encode itself as its str()."""
     if isinstance(obj, Fraction):
         return {"numerator": str(obj.numerator), "denominator": str(obj.denominator),
                 "value": float(obj)}
-    if isinstance(obj, (np.floating, np.integer)):
+    if isinstance(obj, (np.floating, np.integer, np.bool_)):
         return obj.item()
     if isinstance(obj, np.ndarray):
         return obj.tolist()

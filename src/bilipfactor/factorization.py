@@ -68,8 +68,9 @@ class FactorCertificationError(CertificationError):
         self.target = target
 
 
-def _cert_pitch(cube: Cube) -> float:
-    return cube.side / (CERT_POINTS[cube.dim] - 1)
+def cert_pitch(side, dim: int):
+    """Lattice pitch of a certificate sweep over a cube of this side (or array of sides)."""
+    return side / (CERT_POINTS[dim] - 1)
 
 
 class RunCertificates(Sequence):
@@ -98,7 +99,7 @@ class RunCertificates(Sequence):
         run = self.run
         support = Cube(tuple(run.centers[i]), run.lams[i] * run.sides[i])
         return DistortionCertificate(
-            region=support, h=_cert_pitch(support), L_lo=swept.L_lo,
+            region=support, h=cert_pitch(support.side, support.dim), L_lo=swept.L_lo,
             method=swept.method, pair_count=swept.pair_count,
         )
 
@@ -192,7 +193,7 @@ class CertificateCache:
                 new += 1
                 m = run[first] if sweep is None else sweep(run[first])
                 region = m.cube.dilate(m.lam)
-                cert = self._swept[key] = estimate_distortion(m, region, _cert_pitch(region))
+                cert = self._swept[key] = estimate_distortion(m, region, cert_pitch(region.side, region.dim))
             if cert.L_lo > bound:
                 self.hits += first + 1 - new
                 return None, (first, cert.L_lo)
@@ -579,7 +580,7 @@ def factor_linear_outside_cube(
             cube_i = Cube(q.center, s_inner)
             step_map = AffineMapData(step, np.zeros(d))
             factor = Compose((Affine(step_map), Blend(Affine(step_map.inverse()), cube_i, c_support)))
-            cert = estimate_distortion(factor, Cube(q.center, 2.0 * c_support * s_inner), _cert_pitch(cube_i))
+            cert = estimate_distortion(factor, Cube(q.center, 2.0 * c_support * s_inner), cert_pitch(s_inner, d))
             if cert.L_lo > 1.0 + epsilon + 1e-12:
                 last_fail = (idx, cert.L_lo)
                 ok = False

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from .factorization import RunCertificates, cert_pitch
 from .geometry_core import AffineMapData, Cube
 from .map_engine import (
     Affine,
     Blend,
+    BlendRun,
     Compose,
     DistortionCertificate,
     Grid,
@@ -118,11 +120,44 @@ def certificate_to_json(c: DistortionCertificate) -> dict:
 
 
 def factor_sequence_to_json(fs) -> dict:
+    if isinstance(fs.factors, BlendRun) and isinstance(fs.certificates, RunCertificates):
+        factors = _blend_run_to_json(fs.factors)
+        certificates = _run_certificates_to_json(fs.certificates)
+    else:
+        factors = [map_to_json(f) for f in fs.factors]
+        certificates = [certificate_to_json(c) for c in fs.certificates]
     return {
         "target": map_to_json(fs.target),
-        "factors": [map_to_json(f) for f in fs.factors],
+        "factors": factors,
         "region": cube_to_json(fs.region),
         "support": cube_to_json(fs.support) if fs.support is not None else None,
-        "certificates": [certificate_to_json(c) for c in fs.certificates],
+        "certificates": certificates,
         "T": fs.T,
     }
+
+
+def _blend_run_to_json(run: BlendRun) -> list[dict]:
+    """map_to_json of every run[i], read from the run's arrays."""
+    shifts = run.shifts.tolist()
+    if run.kind == "translation":
+        inners = [{"type": "translation", "v": v} for v in shifts]
+    else:
+        inners = [{"type": "affine", "matrix": a, "b": b} for a, b in zip(run.matrices.tolist(), shifts)]
+    return [
+        {"type": "blend", "inner": inner, "cube": {"center": c, "side": s}, "lambda": lam}
+        for inner, c, s, lam in zip(inners, run.centers.tolist(), run.sides.tolist(), run.lams.tolist())
+    ]
+
+
+def _run_certificates_to_json(certs: RunCertificates) -> list[dict]:
+    """certificate_to_json of every certs[i], read from the sweeps and the index."""
+    run = certs.run
+    supports = run.lams * run.sides
+    pitches = cert_pitch(supports, run.centers.shape[1])
+    swept = [(c.L_lo, c.method, c.pair_count) for c in certs.sweeps]
+    out = []
+    for c, s, h, j in zip(run.centers.tolist(), supports.tolist(), pitches.tolist(), certs.index.tolist()):
+        l_lo, method, pair_count = swept[j]
+        out.append({"region": {"center": c, "side": s}, "h": h, "L_lo": l_lo, "method": method,
+                    "pair_count": pair_count})
+    return out

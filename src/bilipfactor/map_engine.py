@@ -199,9 +199,15 @@ class Blend(MapExpr):
         return out
 
 
-# Points x block steps held at once by the translation walker.
+# Points x block steps held at once by the walker.
 _WALK_ELEMS = 1 << 16
 _WALK_MIN_BLOCK = 16
+_NEG_ZERO_BITS = np.float64(-0.0).view(np.int64)  # no other float has these bits
+
+
+def _first_true(mask: np.ndarray, none: int) -> np.ndarray:
+    """Per column of mask (span, m), the first row that is True, else none."""
+    return np.where(mask.any(axis=0), mask.argmax(axis=0), none)
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -237,9 +243,21 @@ class BlendRun(MapExpr, Sequence):
     def evaluate(self, pts):
         return self.walk(pts, [len(self)])[0]
 
-    def _ratio(self, x: np.ndarray, steps) -> np.ndarray:
-        """blend_weight before clipping, of points x (..., d) at the given steps."""
-        return _weight_ratio(x, self.centers[steps], self.sides[steps], self.lams[steps])
+    def _ratio(self, x: np.ndarray, i: int) -> np.ndarray:
+        """blend_weight of factor i before clipping, at the points x (m, d)."""
+        return _weight_ratio(x, self.centers[i], self.sides[i], self.lams[i])
+
+    def _block_ratio(self, x: np.ndarray, k: int, span: int) -> np.ndarray:
+        """_ratio at steps k .. k+span-1 as a (span, m) array: of the same
+        points x (m, d) at every step, or of x[i] at step k+i, x (span, m, d)."""
+        s = slice(k, k + span)
+        return _weight_ratio(x, self.centers[s, None], self.sides[s, None], self.lams[s, None])
+
+    def _inner(self, x: np.ndarray, i: int) -> np.ndarray:
+        """inner_i of the rows of x."""
+        if self.kind == "translation":
+            return x + self.shifts[i]
+        return x @ self.matrices[i].T + self.shifts[i]
 
     def _step(self, x: np.ndarray, i: int) -> None:
         """Apply factor i to every row of x in place, as Blend.evaluate does."""
@@ -247,81 +265,80 @@ class BlendRun(MapExpr, Sequence):
         active = w > 0.0
         if np.any(active):
             xa = x[active]
-            if self.kind == "translation":
-                inner = xa + self.shifts[i]
-            else:
-                inner = xa @ self.matrices[i].T + self.shifts[i]
             wa = w[active, None]
-            x[active] = (1.0 - wa) * xa + wa * inner
+            x[active] = (1.0 - wa) * xa + wa * self._inner(xa, i)
 
     def walk(self, pts, stops) -> np.ndarray:
         """Images of pts after each prefix of stops (non-decreasing lengths in [0, n]).
 
-        Affine runs step every factor on all points, as Blend.evaluate
-        does.  Translation runs jump over each block of steps along which
-        every point keeps w == 0 (it stays put) or w == 1 (it moves by the
-        steps accumulated in order: 0 * x + (x + v) is x + v bit for bit,
-        signed zeros included, so the sum rounds as the factors do); a step
-        where some point has 0 < w < 1 runs as Blend.evaluate does.
+        Both kinds jump over each block of steps along which every point
+        keeps w == 0 (it stays put) or w == 1 (it moves by inner alone).
+        The moving rows go through the block as one path: the steps summed
+        in order (translations) or one x @ M.T + s per step (affine), on the
+        same rows in the same order as Blend.evaluate's active rows.  Where
+        w == 1 Blend.evaluate writes 0 * x + inner(x), which is inner(x) bit
+        for bit unless inner(x) holds a -0.0.  So a step runs exactly, as
+        Blend.evaluate does, wherever some point has 0 < w < 1 or a moving
+        image holds a -0.0.
         """
         x = np.array(pts, dtype=float, copy=True)
         stops = [int(s) for s in stops]
         out = np.empty((len(stops),) + x.shape)
         if not x.shape[0]:
             return out
-        if self.kind == "translation":
-            return self._walk_translations(x, stops, out)
-        k = 0
-        for j, stop in enumerate(stops):
-            while k < stop:
-                self._step(x, k)
-                k += 1
-            out[j] = x
-        return out
-
-    def _walk_translations(self, x: np.ndarray, stops: list[int], out: np.ndarray) -> np.ndarray:
-        m, d = x.shape
-        cap = max(1, _WALK_ELEMS // m)
+        cap = max(1, _WALK_ELEMS // x.shape[0])
         block = min(_WALK_MIN_BLOCK, cap)
         k = 0
         for j, stop in enumerate(stops):
             while k < stop:
-                first = self._ratio(x, k)
-                still = first <= 0.0
-                moving = first >= 1.0
-                if not np.all(still | moving):  # some point has 0 < w < 1
-                    self._step(x, k)
-                    k += 1
-                    block = min(_WALK_MIN_BLOCK, cap)
-                    continue
-                # Jump to the first step, at most a block ahead, where some
-                # point leaves its w (0 or 1).
                 span = min(stop - k, block)
-                keep = np.full(m, span)
-                if np.any(still):
-                    hit = self._ratio(x[still, None, :], slice(k, k + span)) > 0.0
-                    keep[still] = np.where(hit.any(axis=1), hit.argmax(axis=1), span)
-                if np.any(moving):
-                    path = np.empty((int(moving.sum()), span + 1, d))
-                    path[:, 0] = x[moving]
-                    path[:, 1:] = self.shifts[k : k + span]
-                    path = np.add.accumulate(path, axis=1)
-                    miss = self._ratio(path[:, :-1], slice(k, k + span)) < 1.0
-                    keep[moving] = np.where(miss.any(axis=1), miss.argmax(axis=1), span)
-                e = int(keep.min())  # >= 1: every point keeps its w at step k
-                if np.any(moving):
-                    x[moving] = path[:, e]
-                k += e
+                e = self._walk_block(x, k, span)
+                if e == 0:
+                    self._step(x, k)
+                    e = 1
                 block = min(2 * block, cap) if e == span else min(_WALK_MIN_BLOCK, cap)
+                k += e
             out[j] = x
         return out
+
+    def _walk_block(self, x: np.ndarray, k: int, span: int) -> int:
+        """Move x in place over the steps k, k+1, ... (at most span of them)
+        along which every point keeps its w of step k, 0 or 1, and no moving
+        image holds a -0.0; return how many steps that is (0: step k runs
+        exactly)."""
+        first = self._ratio(x, k)
+        still = first <= 0.0
+        moving = first >= 1.0
+        if not np.all(still | moving):  # some point has 0 < w < 1
+            return 0
+        keep = np.full(x.shape[0], span)
+        if np.any(still):
+            keep[still] = _first_true(self._block_ratio(x[still], k, span) > 0.0, span)
+        if np.any(moving):
+            path = np.empty((span + 1, int(moving.sum()), x.shape[1]))
+            path[0] = x[moving]
+            if self.kind == "translation":
+                path[1:] = self.shifts[k : k + span, None]
+                path = np.add.accumulate(path, axis=0)
+            else:
+                for i in range(span):
+                    path[i + 1] = self._inner(path[i], k + i)
+            miss = self._block_ratio(path[:-1], k, span) < 1.0
+            neg_zero = path[1:].view(np.int64) == _NEG_ZERO_BITS
+            if neg_zero.any():
+                miss |= neg_zero.any(axis=2)
+            keep[moving] = _first_true(miss, span)
+        e = int(keep.min())
+        if e and np.any(moving):
+            x[moving] = path[e]
+        return e
 
     def touching(self, pts) -> np.ndarray:
         """Indices of the factors that move some of pts (w > 0 there)."""
         pts = np.asarray(pts, dtype=float)
         chunk = max(1, _WALK_ELEMS // max(1, pts.shape[0]))
         hits = [
-            a + np.flatnonzero(np.any(self._ratio(pts[:, None, :], slice(a, a + chunk)) > 0.0, axis=0))
+            a + np.flatnonzero(np.any(self._block_ratio(pts, a, chunk) > 0.0, axis=1))
             for a in range(0, len(self), chunk)
         ]
         return np.concatenate(hits) if hits else np.empty(0, dtype=np.intp)

@@ -98,8 +98,8 @@ class TestDeterminism:
 
 
 def _sanitize(obj):
-    """The copy a report used to go through before json.dumps: the reference
-    for the encoder's default hook."""
+    """The copy a report used to go through before json.dumps, with NumPy
+    bools as JSON booleans: the reference for the encoder's default hook."""
     if isinstance(obj, dict):
         return {k: _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -107,7 +107,7 @@ def _sanitize(obj):
     if isinstance(obj, Fraction):
         return {"numerator": str(obj.numerator), "denominator": str(obj.denominator),
                 "value": float(obj)}
-    if isinstance(obj, (np.floating, np.integer)):
+    if isinstance(obj, (np.floating, np.integer, np.bool_)):
         return obj.item()
     if isinstance(obj, np.ndarray):
         return obj.tolist()
@@ -129,6 +129,12 @@ class TestReportEncoding:
         path = tmp_path / "report.json"
         cli.write_json_atomic(path, payload)
         assert path.read_text() == json.dumps(_sanitize(payload), indent=2, sort_keys=True) + "\n"
+        assert json.loads(path.read_text())["numpy"]["bool"] is True
+
+    def test_numpy_comparison_is_a_json_boolean(self, tmp_path):
+        path = tmp_path / "report.json"
+        cli.write_json_atomic(path, {"b": np.float64(1.0) < 2})
+        assert path.read_text() == '{\n  "b": true\n}\n'
 
 
 IDENTITY = {"type": "identity"}

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
 import pytest
 
-from bilipfactor import factorization
+from bilipfactor import factorization, map_engine
 from bilipfactor.factorization import (
     TRANSLATION_BLEND_LAM,
     CertificateCache,
@@ -43,6 +44,7 @@ from bilipfactor.map_engine import (
     estimate_distortion,
     sup_distance,
 )
+from bilipfactor.jsonio import certificate_to_json, cube_to_json, factor_sequence_to_json, map_to_json
 
 from conftest import random_orientation_preserving
 
@@ -518,6 +520,71 @@ class TestBlendRun:
             cur = f.evaluate(cur)
             assert prefixes[i].tobytes() == cur.tobytes()
         assert np.any((prefixes == 0.0) & np.signbit(prefixes))  # a -0.0 was carried
+
+    def test_negative_zero_image_runs_exactly(self, monkeypatch):
+        # Where w == 1 Blend.evaluate writes 0 * x + inner(x): an image -0.0
+        # at x >= +0 becomes +0.0 there, so the walker runs such a step
+        # exactly.  OpenBLAS and NumPy's own loops start a dot product from
+        # +0.0, so x @ M.T is never -0.0 with them; a gemm that starts from
+        # the first product gives -0.0 when every product is -0.0, and the
+        # second half emulates one.
+        mats = np.array([[[-0.5, -0.0], [0.0, 1.0]], [[1.0, 0.0], [-0.0, 0.0]], [[-0.0, -0.0], [0.5, 1.0]]])
+        shifts = np.array([[-0.0, 0.25], [0.125, -0.0], [-0.0, -0.0]])
+        run = BlendRun("affine", np.zeros((6, 2)), np.full(6, 4.0), np.full(6, 2.0),
+                       np.tile(shifts, (2, 1)), np.tile(mats, (2, 1, 1)))
+        pts = np.array([[0.0, 0.0], [0.0, 0.5], [0.25, 0.0], [0.5, 0.25]])
+        assert np.all(blend_weight(pts, run[0].cube, run[0].lam) == 1.0)
+        prefixes = run.walk(pts, range(len(run) + 1))
+        cur = pts.copy()
+        for i, f in enumerate(list(run)):
+            cur = f.evaluate(cur)
+            assert prefixes[i + 1].tobytes() == cur.tobytes(), f"prefix {i + 1}"
+
+        def first_product_inner(self, x, i):
+            m = self.matrices[i]
+            y = x[:, :1] * m[:, 0]
+            for c in range(1, x.shape[1]):
+                y = y + x[:, c : c + 1] * m[:, c]
+            return y + self.shifts[i]
+
+        monkeypatch.setattr(BlendRun, "_inner", first_product_inner)
+        image = run._inner(pts, 0)
+        assert np.any((image == 0.0) & np.signbit(image))  # a -0.0 at x = +0.0
+        prefixes = run.walk(pts, range(len(run) + 1))
+        cur = pts.copy()
+        for i in range(len(run)):
+            run._step(cur, i)  # one factor as Blend.evaluate applies it
+            assert prefixes[i + 1].tobytes() == cur.tobytes(), f"prefix {i + 1}"
+
+    def test_small_blocks_on_the_check_lattice(self):
+        # check_factor_sequence walks a 3-D run on 17^3 points, where a block
+        # holds fewer steps than _WALK_MIN_BLOCK.
+        fs, _ = RUNS["linear3"]
+        run = fs.factors
+        pts, _ = cube_lattice(fs.region, fs.region.side / 16)
+        assert pts.shape[0] == 4913
+        assert map_engine._WALK_ELEMS // pts.shape[0] < map_engine._WALK_MIN_BLOCK
+        prefixes = run.walk(pts, range(len(run) + 1))
+        cur = pts.copy()
+        for i, f in enumerate(list(run)):
+            cur = f.evaluate(cur)
+            assert prefixes[i + 1].tobytes() == cur.tobytes(), f"prefix {i + 1}"
+        stops = [0, 1, 1, 14, 14, 15, len(run) // 2, len(run) - 1, len(run), len(run)]
+        assert run.walk(pts, stops).tobytes() == prefixes[stops].tobytes()
+
+    @pytest.mark.parametrize("name", sorted(RUNS))
+    def test_sequence_json_matches_per_factor_objects(self, name):
+        fs, _ = RUNS[name]
+        want = {
+            "target": map_to_json(fs.target),
+            "factors": [map_to_json(f) for f in fs.factors],
+            "region": cube_to_json(fs.region),
+            "support": cube_to_json(fs.support),
+            "certificates": [certificate_to_json(c) for c in fs.certificates],
+            "T": fs.T,
+        }
+        got = factor_sequence_to_json(fs)
+        assert json.dumps(got, indent=2, sort_keys=True) == json.dumps(want, indent=2, sort_keys=True)
 
     @pytest.mark.parametrize("name", sorted(RUNS))
     def test_certificates_per_factor(self, name):
