@@ -142,6 +142,21 @@ def _load_input(path: str) -> dict:
         raise SchemaError(f"cannot read input JSON: {e}") from e
 
 
+def _integer(payload: dict, key: str, default: int) -> int:
+    """payload[key] as an int: a JSON integer or an integral float, not a bool."""
+    v = payload.get(key, default)
+    if isinstance(v, bool) or not (isinstance(v, int) or isinstance(v, float) and v.is_integer()):
+        raise SchemaError(f"{key} must be an integer, got {v!r}")
+    return int(v)
+
+
+def _boolean(payload: dict, key: str, default: bool) -> bool:
+    v = payload.get(key, default)
+    if not isinstance(v, bool):
+        raise SchemaError(f"{key} must be true or false, got {v!r}")
+    return v
+
+
 def cmd_factor_linear(payload: dict, args) -> tuple[dict, bool]:
     m = map_from_json(payload["map"])
     aff = affine_part(m, 2 if "cube" not in payload else cube_from_json(payload["cube"]).dim)
@@ -227,9 +242,9 @@ def _shuffle_frames(result, outdir: Path) -> None:
 
 def cmd_corona(payload: dict, args) -> tuple[dict, bool]:
     m = map_from_json(payload["map"])
-    depth = int(payload.get("depth", 5))
-    dim = int(payload.get("dim", 2))
-    force = bool(payload.get("force_top_bad", False))
+    depth = _integer(payload, "depth", 5)
+    dim = _integer(payload, "dim", 2)
+    force = _boolean(payload, "force_top_bad", False)
     c = build_coronization(m, dim, depth, theta=args.theta, h=args.h, force_top_bad=force)
     issues = check_coronization(c)
     c_bad, c_tops = carleson_constant(c)
@@ -263,8 +278,8 @@ def cmd_corona(payload: dict, args) -> tuple[dict, bool]:
 
 def cmd_multilevel(payload: dict, args) -> tuple[dict, bool]:
     m = map_from_json(payload["map"])
-    depth = int(payload.get("depth", 5))
-    dim = int(payload.get("dim", 2))
+    depth = _integer(payload, "depth", 5)
+    dim = _integer(payload, "dim", 2)
     c = build_coronization(m, dim, depth, theta=args.theta, h=args.h, force_top_bad=True)
     ml = multilevel_decomposition(c, args.alpha)
     rep = {
@@ -295,7 +310,7 @@ def cmd_multilevel(payload: dict, args) -> tuple[dict, bool]:
 def cmd_pl(payload: dict, args) -> tuple[dict, bool]:
     m = map_from_json(payload["map"])
     eta = float(payload.get("eta", args.eta))
-    dim = int(payload.get("dim", 2))
+    dim = _integer(payload, "dim", 2)
     box = cube_from_json(payload["box"]) if "box" in payload else Cube((0.5,) * dim, 1.0)
     pitch = eta / (4.0 * math.sqrt(dim))
     tri = freudenthal(dim, pitch, box.dilate(1.0 + 4.0 * pitch / box.side))
@@ -371,6 +386,8 @@ def cmd_degree(payload: dict, args) -> tuple[dict, bool]:
     m = map_from_json(payload["map"])
     target = np.asarray(payload["target"], dtype=float)
     cube = cube_from_json(payload["cube"])
+    if target.shape != (2,) or cube.dim != 2:
+        raise SchemaError("winding degree is planar only: target and cube must be 2-D")
     ring = cube.vertices()[[0, 1, 3, 2, 0]]
     try:
         deg = degree_winding_2d(m, target, ring)

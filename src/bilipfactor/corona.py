@@ -13,7 +13,11 @@ evaluated once on the pitch-h lattice of [0,1]^d, and the window of every
 cube of level L < p (its corners are multiples of 2^-(L+1)) is a slice of
 it, point for point the lattice box_lattice would build; so all windows
 are slices when 2^(depth+1) h divides 1.  Windows of deeper cubes, and all
-windows when h is not a power of two, are sampled on their own.
+windows when h is not a power of two, are sampled on their own.  A region
+grows level by level from one error field |fit - f| on its top's window:
+every descendant's window is a slice of the top's, so below level p all
+child checks of a level are block maxima of that field, equal bit for bit
+to the sup on each window's own slice (a max does not round).
 
 Storage: one int64 label array per level, labels[L] of shape (2^L,)*d,
 holding -1 for a bad cube and the region index for a good one.  The build
@@ -114,8 +118,12 @@ def _sample_window(f: MapExpr, q: DyadicCube, h: float) -> tuple[np.ndarray, np.
     return pts, f.evaluate(pts)
 
 
+def _point_errors(fit: AffineMapData, pts: np.ndarray, imgs: np.ndarray) -> np.ndarray:
+    return np.linalg.norm(fit.apply(pts) - imgs, axis=1)
+
+
 def _sup_error(fit: AffineMapData, pts: np.ndarray, imgs: np.ndarray) -> float:
-    return float(np.max(np.linalg.norm(fit.apply(pts) - imgs, axis=1)))
+    return float(np.max(_point_errors(fit, pts, imgs)))
 
 
 def region_fit_error(fit: AffineMapData, f: MapExpr, q: DyadicCube, h: float) -> float:
@@ -147,15 +155,102 @@ class _WindowSamples:
             self.pts = np.stack(np.meshgrid(*[axis] * dim, indexing="ij"), axis=-1)
             self.imgs = f.evaluate(self.pts.reshape(-1, dim)).reshape(self.pts.shape)
 
-    def __call__(self, q: DyadicCube) -> tuple[np.ndarray, np.ndarray]:
+    def window(self, q: DyadicCube) -> tuple[slice, ...] | None:
+        """q's window as a slice of the lattice, or None if it is sampled on its own."""
         if self.p is None or q.level >= self.p:
-            return _sample_window(self.f, q, self.h)
+            return None
         step = 2 ** (self.p - q.level - 1)  # lattice pitches per half side of q
         end = 2 ** (q.level + 1)
-        win = tuple(
+        return tuple(
             slice(max(2 * c - 1, 0) * step, min(2 * c + 3, end) * step + 1) for c in q.coords
         )
+
+    def __call__(self, q: DyadicCube) -> tuple[np.ndarray, np.ndarray]:
+        win = self.window(q)
+        if win is None:
+            return _sample_window(self.f, q, self.h)
         return self.pts[win].reshape(-1, self.dim), self.imgs[win].reshape(-1, self.dim)
+
+    def field(self, fit: AffineMapData, q: DyadicCube) -> np.ndarray | None:
+        """|fit - f| at each point of q's window, shaped as the window, or
+        None if no child's window is a slice.  The points and the
+        expression are those _sup_error sees for q."""
+        win = self.window(q)
+        if win is None or q.level + 1 == self.p:
+            return None
+        return _point_errors(fit, *self(q)).reshape([s.stop - s.start for s in win])
+
+
+def _children(a: np.ndarray, dim: int) -> np.ndarray:
+    """Entries of a level-(L+1) array grouped under their level-L parents:
+    shape (2^L,)*dim + (2^dim,)."""
+    n = a.shape[0] // 2
+    blocks = a.reshape((n, 2) * dim).transpose(*range(0, 2 * dim, 2), *range(1, 2 * dim, 2))
+    return blocks.reshape((n,) * dim + (2**dim,))
+
+
+def _window_maxima(field: np.ndarray, top: DyadicCube, level: int, p: int) -> np.ndarray:
+    """Max of field (the error field of top's window, at h = 2^-p) over the
+    window of every level-`level` cube under top, top.level < level < p.
+
+    Each such window is a slice of top's: per axis, a cube c covers the
+    half-cells max(2c-1, 0) ... min(2c+3, 2^(level+1)) of 2^(p-level-1)
+    lattice pitches each.  The windows of neighbours overlap, so one
+    reduceat per axis takes the max over [start, stop) pairs and keeps
+    every other row; out[rel] belongs to the cube at top's corner + rel.
+    """
+    n = 1 << (level - top.level)
+    step = 1 << (p - level - 1)
+    end = 1 << (level + 1)
+    out = field
+    for axis, cq in enumerate(top.coords):
+        c = np.arange(cq * n, (cq + 1) * n)
+        origin = max(2 * cq - 1, 0) << (p - top.level - 1)
+        start = np.maximum(2 * c - 1, 0) * step - origin
+        stop = np.minimum(2 * c + 3, end) * step + 1 - origin
+        bounds = np.stack([start, stop], axis=-1).ravel()
+        if bounds[-1] == out.shape[axis]:  # the last window reaches the end: reduceat's default
+            bounds = bounds[:-1]
+        out = np.maximum.reduceat(out, bounds, axis=axis)
+        out = out[(slice(None),) * axis + (slice(None, None, 2),)]
+    return out
+
+
+def _grow(labels: list[np.ndarray], q: DyadicCube, idx: int, fit: AffineMapData,
+          sample: _WindowSamples, theta: float) -> None:
+    """Label q and every cube its region takes with idx, level by level.
+
+    A frontier cube's children all join when each passes
+    sup |fit - f| <= theta diam on its window; joined children are the
+    next frontier.  Child errors are block maxima of q's error field where
+    the windows are slices of it (levels below p), else _sup_error on each
+    child of the frontier, stopping at a cube's first failing child.
+    """
+    dim, depth = q.dim, len(labels) - 1
+    root_dim = math.sqrt(dim)
+    field = sample.field(fit, q) if q.level < depth else None
+    labels[q.level][q.coords] = idx
+    frontier = np.ones((1,) * dim, dtype=bool)
+    for level in range(q.level + 1, depth + 1):
+        n = 1 << (level - q.level)
+        corner = tuple(x * n for x in q.coords)
+        limit = theta * (2.0**-level * root_dim)
+        if field is not None and level < sample.p:
+            passed = _window_maxima(field, q, level, sample.p) <= limit
+        else:
+            passed = np.zeros((n,) * dim, dtype=bool)
+            for x in np.argwhere(frontier).tolist():
+                parent = DyadicCube(level - 1, tuple(c // 2 + r for c, r in zip(corner, x)))
+                for kid in parent.children():
+                    if not _sup_error(fit, *sample(kid)) <= limit:
+                        break
+                    passed[tuple(k - c for k, c in zip(kid.coords, corner))] = True
+        frontier &= _children(passed, dim).all(axis=-1)
+        if not frontier.any():
+            return
+        for axis in range(dim):
+            frontier = frontier.repeat(2, axis=axis)
+        labels[level][tuple(slice(c, c + n) for c in corner)][frontier] = idx
 
 
 def build_coronization(
@@ -172,7 +267,11 @@ def build_coronization(
     or whose fit distortion exceeds twice the measured distortion of f is
     bad.  A passing cube opens a region that keeps descending while the
     REGION TOP's fit stays within theta * diam(Q) on every child; children
-    join all-or-none, which makes regions coherent by construction.
+    join all-or-none, which makes regions coherent by construction.  Levels
+    are visited top-down and each level's unassigned cubes in C order; a
+    region is grown one level at a time on the boolean mask of its top's
+    subtree (_grow), with child errors taken from the top's error field
+    where the windows are lattice slices.
     """
     if depth < 0:
         raise GeometryError(f"coronization depth must be non-negative, got {depth}")
@@ -187,7 +286,6 @@ def build_coronization(
     l_est = estimate_distortion(f, probe, max(h, 1.0 / 32.0)).L_lo
 
     sample = _WindowSamples(f, dim, h)
-    root_dim = math.sqrt(dim)
     labels = [
         np.full((1 << level,) * dim, _UNASSIGNED, dtype=np.int64) for level in range(depth + 1)
     ]
@@ -211,21 +309,7 @@ def build_coronization(
             if bad:
                 labels[level][q.coords] = -1
                 continue
-            # Open a region and grow it downward under the top's fit.
-            idx = len(regions)
-            labels[level][q.coords] = idx
-            frontier = [q]
-            while frontier:
-                p = frontier.pop(0)
-                if p.level == depth:
-                    continue
-                kids = p.children()
-                if all(
-                    _sup_error(fit, *sample(c)) <= theta * (c.side * root_dim) for c in kids
-                ):
-                    for c in kids:
-                        labels[c.level][c.coords] = idx
-                    frontier.extend(kids)
+            _grow(labels, q, len(regions), fit, sample, theta)
             regions.append(StoppingRegion(top=q, fit=fit, residual=res))
 
     return Coronization(
@@ -234,14 +318,6 @@ def build_coronization(
         params={"theta": theta, "h": h, "l_estimate": l_est,
                 "force_top_bad": force_top_bad, "dim": dim},
     )
-
-
-def _children(a: np.ndarray, dim: int) -> np.ndarray:
-    """Entries of a level-(L+1) array grouped under their level-L parents:
-    shape (2^L,)*dim + (2^dim,)."""
-    n = a.shape[0] // 2
-    blocks = a.reshape((n, 2) * dim).transpose(*range(0, 2 * dim, 2), *range(1, 2 * dim, 2))
-    return blocks.reshape((n,) * dim + (2**dim,))
 
 
 def _member_faults(tops: list[DyadicCube], lab: list[np.ndarray]) -> dict[int, list[str]]:

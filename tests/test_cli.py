@@ -160,6 +160,20 @@ MALFORMED = {
         "corona", {"map": {"type": "logspiral", "k": 0.2}, "depth": -1}, "depth must be non-negative"),
     "multilevel-negative-depth": (
         "multilevel", {"map": {"type": "logspiral", "k": 0.2}, "depth": -1}, "depth must be non-negative"),
+    "corona-force-top-bad-string": (
+        "corona", {"map": IDENTITY, "depth": 2, "force_top_bad": "false"}, "force_top_bad must be true or false"),
+    "corona-depth-fractional": ("corona", {"map": IDENTITY, "depth": 2.7}, "depth must be an integer"),
+    "corona-depth-bool": ("corona", {"map": IDENTITY, "depth": True}, "depth must be an integer"),
+    "corona-depth-string": ("corona", {"map": IDENTITY, "depth": "2"}, "depth must be an integer"),
+    "corona-dim-fractional": ("corona", {"map": IDENTITY, "depth": 2, "dim": 2.5}, "dim must be an integer"),
+    "multilevel-depth-fractional": ("multilevel", {"map": IDENTITY, "depth": 2.7}, "depth must be an integer"),
+    "multilevel-dim-bool": ("multilevel", {"map": IDENTITY, "depth": 2, "dim": True}, "dim must be an integer"),
+    "pl-dim-fractional": ("pl", {"map": IDENTITY, "dim": 2.5}, "dim must be an integer"),
+    "degree-3d-cube": (
+        "degree", {"map": IDENTITY, "target": [0.4, 0.5, 0.5], "cube": {"center": [0.5, 0.5, 0.5], "side": 1.0}},
+        "winding degree is planar only"),
+    "degree-3d-target-2d-cube": (
+        "degree", {"map": IDENTITY, "target": [0.4, 0.5, 0.5], "cube": UNIT}, "winding degree is planar only"),
     "linear-2d-map-on-3d-cube": (
         "factor-linear",
         {"map": {"type": "affine", "matrix": [[2.0, 0.0], [0.0, 0.5]], "b": [0.0, 0.0]},

@@ -13,6 +13,8 @@ from bilipfactor.corona import (
     Coronization,
     StoppingRegion,
     _fit_window,
+    _sup_error,
+    _window_maxima,
     _WindowSamples,
     box_union_volume,
     build_coronization,
@@ -38,6 +40,7 @@ from bilipfactor.map_engine import (
     Blend,
     Identity,
     LogSpiral,
+    affine_fit_samples,
     almost_affine_fit,
     estimate_distortion,
 )
@@ -171,8 +174,10 @@ class TestDenseSampling:
             (LogSpiral(0.3), 2, 6, 0.05, 1 / 64),  # finest-level windows sampled directly
             (LogSpiral(0.3), 2, 4, 0.05, 0.02),  # non-dyadic pitch: every window sampled
             (blend_3d(), 3, 2, 0.02, 1 / 8),
+            (LogSpiral(0.05), 2, 6, 0.05, 1 / 128),  # regions grow 3+ levels on one error field
+            (blend_3d(), 3, 3, 0.02, 1 / 16),
         ],
-        ids=["sliced", "mixed", "non-dyadic", "3d"],
+        ids=["sliced", "mixed", "non-dyadic", "3d", "deep-regions", "3d-depth3"],
     )
     def test_equals_per_window_loop(self, f, dim, depth, theta, h):
         c = build_coronization(f, dim, depth, theta=theta, h=h)
@@ -194,6 +199,29 @@ class TestDenseSampling:
                 pts, imgs = sample(q)
                 assert pts.tobytes() == box_lattice(*_fit_window(q), h).tobytes()
                 assert imgs.tobytes() == pts.tobytes()
+
+    @pytest.mark.parametrize(
+        "f, dim, h",
+        [(LogSpiral(0.3), 2, 2.0**-7), (LogSpiral(0.3), 2, 2.0**-8), (blend_3d(), 3, 1 / 16)],
+        ids=["2d-h128", "2d-h256", "3d-h16"],
+    )
+    def test_window_maxima_equal_sup_error(self, f, dim, h):
+        # The growth loop reads each descendant's child-check error off one
+        # error field of the top's window; a matmul's rounding could depend
+        # on the array's shape, so every block max must equal _sup_error on
+        # the descendant's own slice exactly.
+        sample = _WindowSamples(f, dim, h)
+        tops = [DyadicCube(0, (0,) * dim), DyadicCube(2, (1, 2, 1)[:dim]), DyadicCube(2, (3,) * dim)]
+        for q in tops:
+            fit, _ = affine_fit_samples(f, q.to_cube(), *sample(q))
+            field = sample.field(fit, q)
+            for level in range(q.level + 1, sample.p):
+                maxima = _window_maxima(field, q, level, sample.p)
+                n = 1 << (level - q.level)
+                assert maxima.shape == (n,) * dim
+                for rel in np.ndindex(maxima.shape):
+                    c = DyadicCube(level, tuple(x * n + r for x, r in zip(q.coords, rel)))
+                    assert maxima[rel] == _sup_error(fit, *sample(c))
 
 
 class TestBuild:
