@@ -47,7 +47,7 @@ from .jsonio import (
     map_from_json,
     map_to_json,
 )
-from .map_engine import CertificationError, affine_part, sup_distance
+from .map_engine import CertificationError, affine_part, map_dim, sup_distance
 from .pl_approx import complexity_count, freudenthal, pl_interpolate, verify_pl
 from .shuffle import check_shuffle, execute_shuffle, plan_shuffle
 from .sphere import factor_scaling_sphere, factor_translation_sphere
@@ -67,7 +67,7 @@ TOLERANCES = {
 
 def _json_default(obj):
     """Fractions, NumPy numbers, bools and arrays as JSON values; anything else
-    json cannot encode itself as its str()."""
+    _encode cannot write itself as its str()."""
     if isinstance(obj, Fraction):
         return {"numerator": str(obj.numerator), "denominator": str(obj.denominator),
                 "value": float(obj)}
@@ -78,8 +78,67 @@ def _json_default(obj):
     return str(obj)
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+_FLOAT_TOKENS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _encode_float(o: float) -> str:
+    r = float.__repr__(o)
+    return _FLOAT_TOKENS.get(r, r)
+
+
+def _encode(o, ind: str) -> str:
+    """o as json.dumps(o, indent=2, sort_keys=True, default=_json_default)
+    writes it at indentation ind, in one pass: json skips its C encoder
+    whenever indent is set.  Exact types first, then json's isinstance order;
+    a key that is not a str raises TypeError."""
+    t = type(o)
+    if t is float:
+        return _encode_float(o)
+    if t is int:
+        return int.__repr__(o)
+    if t is str:
+        return _encode_str(o)
+    if t is dict:
+        return _encode_dict(o, ind)
+    if t is list or t is tuple:
+        return _encode_list(o, ind)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, str):
+        return _encode_str(o)
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return _encode_float(o)
+    if isinstance(o, (list, tuple)):
+        return _encode_list(o, ind)
+    if isinstance(o, dict):
+        return _encode_dict(o, ind)
+    return _encode(_json_default(o), ind)
+
+
+def _encode_dict(o: dict, ind: str) -> str:
+    if not o:
+        return "{}"
+    inner = ind + "  "
+    items = [_encode_str(k) + ": " + _encode(v, inner) for k, v in sorted(o.items())]
+    return "{\n" + inner + (",\n" + inner).join(items) + "\n" + ind + "}"
+
+
+def _encode_list(o, ind: str) -> str:
+    if not o:
+        return "[]"
+    inner = ind + "  "
+    return "[\n" + inner + (",\n" + inner).join([_encode(v, inner) for v in o]) + "\n" + ind + "]"
+
+
 def write_json_atomic(path: Path, payload: dict) -> None:
-    _write_atomic(path, json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n")
+    _write_atomic(path, _encode(payload, "") + "\n")
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -155,6 +214,14 @@ def _boolean(payload: dict, key: str, default: bool) -> bool:
     if not isinstance(v, bool):
         raise SchemaError(f"{key} must be true or false, got {v!r}")
     return v
+
+
+def _check_dim(m, dim: int, where: str) -> None:
+    """Refuse, before any sampling, a map that does not send dim-D points to
+    dim-D points."""
+    d = map_dim(m)
+    if d is not None and d != dim:
+        raise SchemaError(f"map and {where} dimensions differ: {d}-D map, {dim}-D {where}")
 
 
 def cmd_factor_linear(payload: dict, args) -> tuple[dict, bool]:
@@ -244,6 +311,7 @@ def cmd_corona(payload: dict, args) -> tuple[dict, bool]:
     m = map_from_json(payload["map"])
     depth = _integer(payload, "depth", 5)
     dim = _integer(payload, "dim", 2)
+    _check_dim(m, dim, "unit cube")
     force = _boolean(payload, "force_top_bad", False)
     c = build_coronization(m, dim, depth, theta=args.theta, h=args.h, force_top_bad=force)
     issues = check_coronization(c)
@@ -280,6 +348,7 @@ def cmd_multilevel(payload: dict, args) -> tuple[dict, bool]:
     m = map_from_json(payload["map"])
     depth = _integer(payload, "depth", 5)
     dim = _integer(payload, "dim", 2)
+    _check_dim(m, dim, "unit cube")
     c = build_coronization(m, dim, depth, theta=args.theta, h=args.h, force_top_bad=True)
     ml = multilevel_decomposition(c, args.alpha)
     rep = {
@@ -311,7 +380,10 @@ def cmd_pl(payload: dict, args) -> tuple[dict, bool]:
     m = map_from_json(payload["map"])
     eta = float(payload.get("eta", args.eta))
     dim = _integer(payload, "dim", 2)
+    _check_dim(m, dim, "box")
     box = cube_from_json(payload["box"]) if "box" in payload else Cube((0.5,) * dim, 1.0)
+    if box.dim != dim:
+        raise SchemaError(f"box and dim differ: {box.dim}-D box, dim {dim}")
     pitch = eta / (4.0 * math.sqrt(dim))
     tri = freudenthal(dim, pitch, box.dilate(1.0 + 4.0 * pitch / box.side))
     pl = pl_interpolate(m, tri)
@@ -388,6 +460,7 @@ def cmd_degree(payload: dict, args) -> tuple[dict, bool]:
     cube = cube_from_json(payload["cube"])
     if target.shape != (2,) or cube.dim != 2:
         raise SchemaError("winding degree is planar only: target and cube must be 2-D")
+    _check_dim(m, 2, "cube")
     ring = cube.vertices()[[0, 1, 3, 2, 0]]
     try:
         deg = degree_winding_2d(m, target, ring)

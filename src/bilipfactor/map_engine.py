@@ -396,6 +396,31 @@ def affine_part(m: MapExpr, dim: int) -> AffineMapData | None:
     return None
 
 
+def map_dim(m: MapExpr) -> int | None:
+    """The d of R^d -> R^d that the expression fixes, or None when it acts in
+    every dimension (identity, scaling) or its type does not say.  A blend
+    or composite whose parts fix different dimensions raises GeometryError."""
+    t = type(m)
+    if t is Translation:
+        return len(m.v)
+    if t is Affine:
+        return m.map.dim
+    if t is LogSpiral:
+        return 2
+    if t is Grid:
+        return m.grid.dim
+    if t is Blend:
+        dims = {m.cube.dim, map_dim(m.inner)}
+    elif t is Compose:
+        dims = {map_dim(f) for f in m.maps}
+    else:
+        return None
+    dims.discard(None)
+    if len(dims) > 1:
+        raise GeometryError(f"{t.__name__.lower()} parts act in different dimensions: {sorted(dims)}")
+    return dims.pop() if dims else None
+
+
 @dataclass(frozen=True, eq=False, slots=True)
 class DistortionCertificate:
     """Sampled (or exact-affine) lower bound on the bi-Lipschitz constant."""

@@ -99,7 +99,8 @@ class TestDeterminism:
 
 def _sanitize(obj):
     """The copy a report used to go through before json.dumps, with NumPy
-    bools as JSON booleans: the reference for the encoder's default hook."""
+    bools as JSON booleans: json.dumps of it is the reference for the report
+    encoder."""
     if isinstance(obj, dict):
         return {k: _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -136,9 +137,58 @@ class TestReportEncoding:
         cli.write_json_atomic(path, {"b": np.float64(1.0) < 2})
         assert path.read_text() == '{\n  "b": true\n}\n'
 
+    def test_generated_corpus_gives_sanitized_bytes(self, tmp_path):
+        path = tmp_path / "report.json"
+        corpus = _corpus(np.random.default_rng(20261018), 300)
+        for value in corpus + [dict(zip(map(str, range(len(corpus))), corpus))]:
+            cli.write_json_atomic(path, value)
+            assert path.read_text() == json.dumps(_sanitize(value), indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("payload", [{1: "a"}, {"a": [{"b": 0, "c": {2.5: None}}]}])
+    def test_non_string_key_raises(self, tmp_path, payload):
+        path = tmp_path / "report.json"
+        with pytest.raises(TypeError):
+            cli.write_json_atomic(path, payload)
+        assert not path.exists()
+
+
+_TEXT = ["a", "Z", " ", "/", "\u00e9", "\u2603", "\U0001f600", "\u2028", "\ud800",
+         '"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f"]
+_LEAVES = [
+    0, -1, 2**64 + 1, -(2**70), 0.0, -0.0, 0.1, 1 / 3, 5e-324, 1e308, -1e308, float("nan"), float("inf"),
+    float("-inf"), True, False, None, "", np.float32(0.1), np.float32("inf"), np.float64(-2.5),
+    np.float64("nan"), np.int64(-7), np.int32(2**31 - 1), np.bool_(True), np.bool_(False), np.array(3.5),
+    np.array(True), np.array([]), np.eye(2) / 3, np.arange(6, dtype=np.int64).reshape(2, 3),
+    np.array([[np.nan, -0.0]]), Fraction(3, 7), Fraction(-1, 2**70), Fraction(2**65), Path("p/q.json"),
+]
+
+
+def _text(rng) -> str:
+    return "".join(_TEXT[i] for i in rng.integers(len(_TEXT), size=rng.integers(0, 6)))
+
+
+def _corpus_value(rng, depth: int):
+    kind = int(rng.integers(5)) if depth < 4 else 0
+    if kind == 0:
+        return _LEAVES[rng.integers(len(_LEAVES))]
+    if kind == 1:
+        return _text(rng)
+    items = [_corpus_value(rng, depth + 1) for _ in range(rng.integers(0, 5))]
+    if kind == 2:
+        return {_text(rng): v for v in items}
+    return items if kind == 3 else tuple(items)
+
+
+def _corpus(rng, n: int) -> list:
+    """Nested dicts, lists and tuples with str keys, over every leaf kind a
+    report may hold and keys and strings with non-ASCII text, quotes,
+    backslashes and control characters."""
+    return [_corpus_value(rng, 0) for _ in range(n)] + _LEAVES
+
 
 IDENTITY = {"type": "identity"}
 UNIT = {"center": [0.5, 0.5], "side": 1.0}
+AFFINE_3D = {"type": "affine", "matrix": np.eye(3).tolist(), "b": [0.0, 0.0, 0.0]}
 
 # (subcommand, input payload, text the error must contain)
 MALFORMED = {
@@ -174,6 +224,25 @@ MALFORMED = {
         "winding degree is planar only"),
     "degree-3d-target-2d-cube": (
         "degree", {"map": IDENTITY, "target": [0.4, 0.5, 0.5], "cube": UNIT}, "winding degree is planar only"),
+    "corona-3d-map-dim-2": (
+        "corona", {"map": AFFINE_3D, "depth": 2, "dim": 2},
+        "map and unit cube dimensions differ: 3-D map, 2-D unit cube"),
+    "corona-planar-map-dim-3": (
+        "corona", {"map": {"type": "logspiral", "k": 0.2}, "depth": 1, "dim": 3},
+        "map and unit cube dimensions differ: 2-D map, 3-D unit cube"),
+    "multilevel-3d-map-dim-2": (
+        "multilevel", {"map": AFFINE_3D, "depth": 2, "dim": 2},
+        "map and unit cube dimensions differ: 3-D map, 2-D unit cube"),
+    "pl-3d-map-dim-2": ("pl", {"map": AFFINE_3D, "dim": 2}, "map and box dimensions differ: 3-D map, 2-D box"),
+    "pl-3d-box-dim-2": (
+        "pl", {"map": IDENTITY, "dim": 2, "box": {"center": [0.5, 0.5, 0.5], "side": 1.0}},
+        "box and dim differ: 3-D box, dim 2"),
+    "pl-compose-parts-disagree": (
+        "pl", {"map": {"type": "compose", "maps": [AFFINE_3D, {"type": "translation", "v": [0.1, 0.0]}]}},
+        "compose parts act in different dimensions: [2, 3]"),
+    "degree-3d-map-2d-cube": (
+        "degree", {"map": AFFINE_3D, "target": [0.4, 0.5], "cube": UNIT},
+        "map and cube dimensions differ: 3-D map, 2-D cube"),
     "linear-2d-map-on-3d-cube": (
         "factor-linear",
         {"map": {"type": "affine", "matrix": [[2.0, 0.0], [0.0, 0.5]], "b": [0.0, 0.0]},
@@ -230,6 +299,17 @@ class TestErrorPaths:
         rep = load_report(out)
         assert rep["passed"] is False
 
+
+    def test_multilevel_shortfall_exit_one(self, tmp_path):
+        # At depth 2 no good cube falls in the size window under the forced-bad
+        # root, so the exact good measure is 0.
+        inp = write_input(tmp_path, "m.json", {"map": IDENTITY, "depth": 2})
+        out = tmp_path / "o"
+        assert main(["multilevel", "--input", inp, "--out", str(out), "--h", "0.0625"]) == 1
+        rep = load_report(out)
+        assert rep["passed"] is False
+        assert rep["result"]["good_measure_ok"] is False
+        assert "error" not in rep and "certification_error" not in rep
 
     def test_grid_not_covering_unit_square_exit_two(self, tmp_path):
         # The grid spans [0, 0.5]^2; a coronization samples all of [0, 1]^2.
