@@ -252,6 +252,7 @@ def cmd_factor_translate(payload: dict, args) -> tuple[dict, bool]:
 
 def cmd_shuffle(payload: dict, args) -> tuple[dict, bool]:
     psi = map_from_json(payload["omega"]["psi"])
+    _check_dim(psi, 2, "base square")
     side = float(payload["omega"]["base_side"])
     pairs = [(cube_from_json(p["r"]), cube_from_json(p["s"])) for p in payload["pairs"]]
     plan = plan_shuffle((psi, side), pairs, float(payload.get("mu", 1.5)), float(payload.get("C1", 8.0)))

@@ -11,13 +11,13 @@ Sampling: every fit and every child check looks at the map on the pitch-h
 lattice of a cube's 2Q window clipped to [0,1]^d.  When h = 2^-p the map is
 evaluated once on the pitch-h lattice of [0,1]^d, and the window of every
 cube of level L < p (its corners are multiples of 2^-(L+1)) is a slice of
-it, point for point the lattice box_lattice would build; so all windows
-are slices when 2^(depth+1) h divides 1.  Windows of deeper cubes, and all
-windows when h is not a power of two, are sampled on their own.  A region
-grows level by level from one error field |fit - f| on its top's window:
-every descendant's window is a slice of the top's, so below level p all
-child checks of a level are block maxima of that field, equal bit for bit
-to the sup on each window's own slice (a max does not round).
+it, point for point the lattice box_lattice would build.  Windows of deeper
+cubes, and all windows when h is not a power of two, are sampled on their
+own.  The fits of a level are one stacked least-squares solve per window
+shape, each bit for bit the solve of its window alone.  A region grows
+level by level from one error field |fit - f| on its top's window: below
+level p every child check is a block maximum of that field, equal bit for
+bit to the sup on the child's own slice (a max does not round).
 
 Storage: one int64 label array per level, labels[L] of shape (2^L,)*d,
 holding -1 for a bad cube and the region index for a good one.  The build
@@ -50,12 +50,13 @@ from .geometry_core import (
     Cube,
     DyadicCube,
     GeometryError,
-    bilip_constant,
+    bilip_constants,
     box_lattice,
 )
 from .map_engine import MapExpr, affine_fit_samples, estimate_distortion
 
 _UNASSIGNED = -2  # build-time label of a cube not yet classified
+FIT_POINTS = 1 << 15  # window points per stacked affine fit, as kernels' pair blocks
 
 
 @dataclass(eq=False)
@@ -253,6 +254,36 @@ def _grow(labels: list[np.ndarray], q: DyadicCube, idx: int, fit: AffineMapData,
         labels[level][tuple(slice(c, c + n) for c in corner)][frontier] = idx
 
 
+def _level_fits(f: MapExpr, cubes: list[DyadicCube], sample: _WindowSamples, theta: float,
+                l_est: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(lin, shift, residual, bad) of each cube of one level, fitted in stacks of one
+    window shape and at most FIT_POINTS points (or one window).  Centre images are
+    m(center) one at a time: a Blend rounds some rows differently in a batch or lattice."""
+    k, dim = len(cubes), sample.dim
+    lin, shift, res, rank = np.empty((k, dim, dim)), np.empty((k, dim)), np.empty(k), np.empty(k, int)
+
+    def solve(group: list[tuple[int, np.ndarray, np.ndarray]]) -> None:
+        sel, pts, imgs = (list(x) for x in zip(*group))
+        centers = np.array([cubes[i].to_cube().center for i in sel])
+        lin[sel], shift[sel], err, rank[sel] = affine_fit_samples(
+            np.stack(pts), np.stack(imgs), centers, np.array([f(c) for c in centers]))
+        res[sel] = err / cubes[sel[0]].to_cube().diam
+
+    groups: dict[tuple[int, ...], list] = {}
+    for i, q in enumerate(cubes):
+        pts, imgs = sample(q)
+        groups.setdefault(pts.shape, []).append((i, pts, imgs))
+        if (len(groups[pts.shape]) + 1) * len(pts) > FIT_POINTS:
+            solve(groups.pop(pts.shape))
+    for group in groups.values():
+        solve(group)
+    finite = np.isfinite(lin).all(axis=(1, 2)) & np.isfinite(shift).all(axis=1)
+    bad = (rank < dim + 1) | ~finite | (res > theta)
+    lips = bilip_constants(lin[~bad].transpose(0, 2, 1))
+    bad[~bad] = np.isnan(lips) | (lips > 2.0 * l_est)
+    return lin, shift, res, bad
+
+
 def build_coronization(
     f: MapExpr,
     dim: int,
@@ -268,10 +299,10 @@ def build_coronization(
     bad.  A passing cube opens a region that keeps descending while the
     REGION TOP's fit stays within theta * diam(Q) on every child; children
     join all-or-none, which makes regions coherent by construction.  Levels
-    are visited top-down and each level's unassigned cubes in C order; a
-    region is grown one level at a time on the boolean mask of its top's
-    subtree (_grow), with child errors taken from the top's error field
-    where the windows are lattice slices.
+    are visited top-down; a level's unassigned cubes are fitted in one pass
+    (_level_fits), then open regions in C order, each grown one level at a
+    time on the boolean mask of its top's subtree (_grow), with child errors
+    taken from the top's error field where the windows are lattice slices.
     """
     if depth < 0:
         raise GeometryError(f"coronization depth must be non-negative, got {depth}")
@@ -291,26 +322,18 @@ def build_coronization(
     ]
     regions: list[StoppingRegion] = []
 
+    if force_top_bad:
+        labels[0].fill(-1)
     for level in range(depth + 1):
-        # Regions opened on this level only label deeper cubes, so the
-        # unassigned cubes of this level are known before the first is visited.
-        for x in np.argwhere(labels[level] == _UNASSIGNED).tolist():
-            q = DyadicCube(level, tuple(x))
-            if force_top_bad and level == 0:
-                labels[level][q.coords] = -1
-                continue
-            bad = False
-            try:
-                fit, res = affine_fit_samples(f, q.to_cube(), *sample(q))
-                if res > theta or bilip_constant(fit) > 2.0 * l_est:
-                    bad = True
-            except GeometryError:
-                bad = True
-            if bad:
-                labels[level][q.coords] = -1
-                continue
-            _grow(labels, q, len(regions), fit, sample, theta)
-            regions.append(StoppingRegion(top=q, fit=fit, residual=res))
+        # Regions opened here label only deeper cubes, so this level's unassigned
+        # cubes are all fitted first, marked bad, and relabelled as each good one opens.
+        cubes = [DyadicCube(level, tuple(x)) for x in np.argwhere(labels[level] == _UNASSIGNED).tolist()]
+        lin, shift, res, bad = _level_fits(f, cubes, sample, theta, l_est)
+        labels[level][labels[level] == _UNASSIGNED] = -1
+        for i in np.flatnonzero(~bad).tolist():
+            fit = AffineMapData(lin[i].T, shift[i])
+            _grow(labels, cubes[i], len(regions), fit, sample, theta)
+            regions.append(StoppingRegion(top=cubes[i], fit=fit, residual=float(res[i])))
 
     return Coronization(
         labels=labels,

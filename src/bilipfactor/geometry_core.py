@@ -77,6 +77,12 @@ class SVDecomposition:
         return self.u @ np.diag(self.sigma) @ self.v_t
 
 
+def sigma_2d(e: float, f: float, g: float, h: float) -> tuple[float, float]:
+    """Singular values q + r and q - r (signed as det) of [[e + f, g - h], [g + h, e - f]]."""
+    q, r = math.hypot(e, h), math.hypot(f, g)  # np.hypot differs in the last bit on some inputs
+    return q + r, q - r
+
+
 def _svd2(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # Closed form for 2x2: rotate-scale-rotate angles from the symmetric /
     # antisymmetric split of the matrix.
@@ -86,10 +92,7 @@ def _svd2(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     f = (a - d) / 2.0
     g = (c + b) / 2.0
     h = (c - b) / 2.0
-    q = math.hypot(e, h)
-    r = math.hypot(f, g)
-    sx = q + r
-    sy = q - r
+    sx, sy = sigma_2d(e, f, g, h)
     a1 = math.atan2(g, f)
     a2 = math.atan2(h, e)
     theta = (a2 - a1) / 2.0
@@ -188,14 +191,25 @@ def svd(m: np.ndarray | list) -> SVDecomposition:
 def bilip_constant(a: AffineMapData | np.ndarray | list) -> float:
     """Minimal L with L^-1 |x-y| <= |f(x)-f(y)| <= L |x-y|: max(s_max, 1/s_min)."""
     m = a.matrix if isinstance(a, AffineMapData) else check_matrix(a)
-    dec = svd(m)
-    if not all(map(math.isfinite, dec.sigma)):
-        # Entries near the float limit overflow the SVD; NaN defeats the
-        # degenerate test below, so reject them before it.
-        raise GeometryError("not bi-Lipschitz: singular values overflow")
-    if dec.degenerate or dec.sigma[-1] == 0.0:
-        raise GeometryError("not bi-Lipschitz: singular matrix")
-    return float(max(dec.sigma[0], 1.0 / dec.sigma[-1]))
+    lip = float(bilip_constants(m[None])[0])
+    if math.isnan(lip):
+        # Entries near the float limit overflow the SVD: not a singular matrix, nor L = inf.
+        kind = "singular matrix" if np.isfinite(svd(m).sigma).all() else "singular values overflow"
+        raise GeometryError(f"not bi-Lipschitz: {kind}")
+    return lip
+
+
+def bilip_constants(ms: np.ndarray) -> np.ndarray:
+    """bilip_constant of each finite matrix of a (k, d, d) stack, NaN where it raises.
+    svd sorts inf first and NaN last, so the extremes show any overflow."""
+    if ms.shape[1] == 3:
+        s_max, s_min = np.array([svd(m).sigma[[0, -1]] for m in ms]).reshape(-1, 2).T
+    else:
+        a, b, c, d = ms.reshape(-1, 4).T
+        efgh = [v.tolist() for v in ((a + d) / 2.0, (a - d) / 2.0, (c + b) / 2.0, (c - b) / 2.0)]
+        s_max, s_min = np.abs(np.array([sigma_2d(*x) for x in zip(*efgh)]).reshape(-1, 2)).T
+    ok = np.isfinite(s_max) & np.isfinite(s_min) & (s_min > SVD_TOL * np.where(s_max > 0, s_max, 1.0))
+    return np.where(ok, np.maximum(s_max, 1.0 / np.where(ok, s_min, 1.0)), np.nan)
 
 
 def linear_dilatation(m: np.ndarray | list) -> float:

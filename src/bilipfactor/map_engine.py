@@ -19,6 +19,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _linalg, _umath_linalg
 
 from . import kernels
 from .geometry_core import (
@@ -521,25 +522,26 @@ def almost_affine_fit(
         hi = np.minimum(hi, np.asarray(clip[1], dtype=float))
         if np.any(hi - lo <= 0):
             raise GeometryError("clip box excludes the whole sampling region")
-    pts = box_lattice(lo, hi, h)
-    return affine_fit_samples(m, q, pts, m.evaluate(pts))
-
-
-def affine_fit_samples(
-    m: MapExpr, q: Cube, pts: np.ndarray, imgs: np.ndarray
-) -> tuple[AffineMapData, float]:
-    """The fit of almost_affine_fit from given samples imgs = m(pts).
-
-    Callers that already hold m on the lattice of 2q pass it here, so the
-    least-squares solve sees the same bytes as if almost_affine_fit had
-    sampled the window itself.
-    """
-    design = np.hstack([pts, np.ones((pts.shape[0], 1))])
-    sol, _, rank, _ = np.linalg.lstsq(design, imgs, rcond=None)
-    if rank < q.dim + 1:
+    pts, center = box_lattice(lo, hi, h), np.asarray([q.center])
+    lin, shift, err, rank = affine_fit_samples(pts[None], m.evaluate(pts)[None], center, m.evaluate(center))
+    if rank[0] < q.dim + 1:
         raise GeometryError("rank deficient sample matrix in affine fit")
-    a = AffineMapData(sol[:-1].T, sol[-1])
-    center = np.asarray(q.center)
-    a = AffineMapData(a.matrix, a.shift + m(center) - a.apply(center))
-    residual = float(np.max(np.linalg.norm(imgs - a.apply(pts), axis=1))) / q.diam
-    return a, residual
+    return AffineMapData(lin[0].T, shift[0]), float(err[0]) / q.diam
+
+
+def affine_fit_samples(pts: np.ndarray, imgs: np.ndarray, centers: np.ndarray,
+                       center_imgs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Affine fits x @ lin[i] + shift[i] of k windows (pts, imgs = m(pts): (k, n, d)),
+    anchored at centers (k, d), center_imgs = m(centers); returns lin, shift, sup |fit - m|
+    per window and ranks.  One solve by np.linalg.lstsq's gufunc (its rcond and errors); the
+    anchor and residual use AffineMapData.apply's layout, so each fit has one window's bits."""
+    k, n, d = pts.shape
+    design = np.concatenate([pts, np.ones((k, n, 1))], axis=2)
+    with np.errstate(call=_linalg._raise_linalgerror_lstsq, invalid="call",
+                     over="ignore", divide="ignore", under="ignore"):
+        sol, _, rank, _ = _umath_linalg.lstsq(design, imgs, np.finfo(float).eps * max(n, d + 1),
+                                              signature="ddd->ddid")
+    lin = sol[:, :-1]
+    shift = sol[:, -1] + center_imgs - ((centers[:, None, :] @ lin)[:, 0] + sol[:, -1])
+    err = np.linalg.norm(imgs - (np.matmul(pts, lin) + shift[:, None, :]), axis=2).max(axis=1)
+    return lin, shift, err, rank

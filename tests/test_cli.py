@@ -243,6 +243,11 @@ MALFORMED = {
     "degree-3d-map-2d-cube": (
         "degree", {"map": AFFINE_3D, "target": [0.4, 0.5], "cube": UNIT},
         "map and cube dimensions differ: 3-D map, 2-D cube"),
+    "shuffle-3d-psi": (
+        "shuffle",
+        {"omega": {"psi": AFFINE_3D, "base_side": 4.0},
+         "pairs": [{"r": {"center": [1.0, 1.0], "side": 0.5}, "s": {"center": [3.0, 3.0], "side": 0.5}}]},
+        "map and base square dimensions differ: 3-D map, 2-D base square"),
     "linear-2d-map-on-3d-cube": (
         "factor-linear",
         {"map": {"type": "affine", "matrix": [[2.0, 0.0], [0.0, 0.5]], "b": [0.0, 0.0]},

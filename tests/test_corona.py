@@ -8,11 +8,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bilipfactor import cli
+from bilipfactor import cli, corona
 from bilipfactor.corona import (
     Coronization,
     StoppingRegion,
     _fit_window,
+    _level_fits,
     _sup_error,
     _window_maxima,
     _WindowSamples,
@@ -40,12 +41,14 @@ from bilipfactor.map_engine import (
     Blend,
     Identity,
     LogSpiral,
+    MapExpr,
     affine_fit_samples,
     almost_affine_fit,
     estimate_distortion,
 )
 
 from conftest import smooth_test_maps
+from test_geometry_core import reference_bilip
 
 AFFINE = Affine(AffineMapData(np.array([[1.2, 0.1], [0.0, 0.9]]), np.array([0.1, 0.2])))
 
@@ -86,6 +89,19 @@ def brute_force_carleson(c: Coronization) -> tuple[Fraction, Fraction]:
         c_bad = max(c_bad, bad_mass / r.volume)
         c_tops = max(c_tops, top_mass / r.volume)
     return c_bad, c_tops
+
+
+def reference_fit(m, q: Cube, pts: np.ndarray, imgs: np.ndarray) -> tuple[AffineMapData, float]:
+    """One window's fit as affine_fit_samples computed it before fits were stacked."""
+    design = np.hstack([pts, np.ones((pts.shape[0], 1))])
+    sol, _, rank, _ = np.linalg.lstsq(design, imgs, rcond=None)
+    if rank < q.dim + 1:
+        raise GeometryError("rank deficient sample matrix in affine fit")
+    a = AffineMapData(sol[:-1].T, sol[-1])
+    center = np.asarray(q.center)
+    a = AffineMapData(a.matrix, a.shift + m(center) - a.apply(center))
+    residual = float(np.max(np.linalg.norm(imgs - a.apply(pts), axis=1))) / q.diam
+    return a, residual
 
 
 def reference_coronization(f, dim, depth, theta, h) -> SetCoronization:
@@ -213,7 +229,7 @@ class TestDenseSampling:
         sample = _WindowSamples(f, dim, h)
         tops = [DyadicCube(0, (0,) * dim), DyadicCube(2, (1, 2, 1)[:dim]), DyadicCube(2, (3,) * dim)]
         for q in tops:
-            fit, _ = affine_fit_samples(f, q.to_cube(), *sample(q))
+            fit, _ = reference_fit(f, q.to_cube(), *sample(q))
             field = sample.field(fit, q)
             for level in range(q.level + 1, sample.p):
                 maxima = _window_maxima(field, q, level, sample.p)
@@ -222,6 +238,125 @@ class TestDenseSampling:
                 for rel in np.ndindex(maxima.shape):
                     c = DyadicCube(level, tuple(x * n + r for x, r in zip(q.coords, rel)))
                     assert maxima[rel] == _sup_error(fit, *sample(c))
+
+
+def fit_mismatches(f, cubes, sample, lin, shift) -> int:
+    """Cubes whose stacked matrix or shift differs in any bit from reference_fit's."""
+    count = 0
+    for q, a, b in zip(cubes, lin, shift):
+        fit, _ = reference_fit(f, q.to_cube(), *sample(q))
+        count += not (np.array_equal(a.T.view(np.int64), fit.matrix.view(np.int64))
+                      and np.array_equal(b.view(np.int64), fit.shift.view(np.int64)))
+    return count
+
+
+def stacked_windows(f, cubes, sample):
+    """One stack of the windows, centres and centre images of cubes, which share a window shape."""
+    pts, imgs = (np.stack(a) for a in zip(*(sample(q) for q in cubes)))
+    centers = np.array([q.to_cube().center for q in cubes])
+    return pts, imgs, centers, np.array([f(c) for c in centers])
+
+
+class TestStackedFit:
+    @pytest.mark.parametrize(
+        "f, dim, depth, h, theta, fit_points",
+        [
+            (LogSpiral(0.3), 2, 6, 2.0**-5, 0.05, None),  # levels 0-4 sliced, 5-6 sampled
+            (LogSpiral(0.3), 2, 6, 2.0**-5, 0.05, 256),  # many stacks per level; level 0 alone
+            (blend_3d(), 3, 3, 1 / 16, 0.01, None),
+            (LogSpiral(0.3), 2, 4, 0.02, 0.05, None),  # non-dyadic pitch: every window sampled
+        ],
+        ids=["2d", "2d-small-stacks", "3d", "non-dyadic"],
+    )
+    def test_equals_per_window_fit(self, monkeypatch, f, dim, depth, h, theta, fit_points):
+        # Every cube of every level, fitted as part of a stack, must carry the
+        # bits of its own one-window fit, and the same verdict.
+        if fit_points is not None:
+            monkeypatch.setattr(corona, "FIT_POINTS", fit_points)
+        l_est = estimate_distortion(f, Cube((0.5,) * dim, 1.0), max(h, 1.0 / 32.0)).L_lo
+        windows = _WindowSamples(f, dim, h)
+        seen: dict[DyadicCube, tuple[np.ndarray, np.ndarray]] = {}
+
+        def sample(q):  # each window sampled once, for the stack and the reference
+            if q not in seen:
+                seen[q] = windows(q)
+            return seen[q]
+
+        sample.dim = dim
+        verdicts = set()
+        for level in range(depth + 1):
+            cubes = unit_cube_dyadics(dim, level)
+            lin, shift, res, bad = _level_fits(f, cubes, sample, theta, l_est)
+            ref = [reference_fit(f, q.to_cube(), *seen.pop(q)) for q in cubes]
+            assert np.array_equal(lin.transpose(0, 2, 1).view(np.int64),
+                                  np.array([a.matrix for a, _ in ref]).view(np.int64))
+            assert np.array_equal(shift.view(np.int64), np.array([a.shift for a, _ in ref]).view(np.int64))
+            assert np.array_equal(res.view(np.int64), np.array([r for _, r in ref]).view(np.int64))
+            ref_bad = []
+            for a, r in ref:
+                try:
+                    ref_bad.append(r > theta or reference_bilip(a.matrix) > 2.0 * l_est)
+                except GeometryError:
+                    ref_bad.append(True)
+            assert bad.tolist() == ref_bad
+            verdicts |= set(ref_bad)
+        assert verdicts == {False, True}
+
+    @pytest.mark.parametrize("f, dim, depth, h", [(LogSpiral(0.3), 2, 4, 2.0**-5), (blend_3d(), 3, 2, 1 / 16)],
+                             ids=["2d", "3d"])
+    def test_single_window_fit(self, f, dim, depth, h):
+        # almost_affine_fit is the one-window stack: the same bits as reference_fit.
+        unit, sample = (np.zeros(dim), np.ones(dim)), _WindowSamples(f, dim, h)
+        for q in (q for level in range(depth + 1) for q in unit_cube_dyadics(dim, level)):
+            fit, res = almost_affine_fit(f, q.to_cube(), h, clip=unit)
+            ref, want = reference_fit(f, q.to_cube(), *sample(q))
+            assert fit.matrix.tobytes() == ref.matrix.tobytes() and fit.shift.tobytes() == ref.shift.tobytes()
+            assert res == want
+
+    def test_non_finite_and_singular_fits_are_bad(self):
+        # A NaN centre image gives a NaN shift with a finite residual test
+        # (NaN > theta is false); a collapsing map gives a singular matrix.
+        class NanAtQuarter(MapExpr):
+            def evaluate(self, pts):
+                out = np.array(pts, dtype=float)
+                out[np.all(out == 0.25, axis=-1)] = np.nan
+                return out
+
+        q = DyadicCube(1, (0, 0))  # centre (0.25, 0.25), not on its window's pitch-0.02 lattice
+        *_, bad = _level_fits(NanAtQuarter(), [q], _WindowSamples(NanAtQuarter(), 2, 0.02), 1.0, 10.0)
+        assert bad.tolist() == [True]
+        collapse = Affine(AffineMapData(np.array([[1.0, 0.0], [0.0, 0.0]]), np.zeros(2)))
+        cubes = unit_cube_dyadics(2, 1)
+        *_, bad = _level_fits(collapse, cubes, _WindowSamples(collapse, 2, 0.02), 1.0, 10.0)
+        assert bad.tolist() == [True] * 4
+
+    def test_einsum_anchor_is_caught(self):
+        # The anchor's bits depend on how c @ M is computed; an einsum rounds
+        # differently on some level-5 cubes, and the bit check must see it.
+        f, sample = LogSpiral(0.3), _WindowSamples(LogSpiral(0.3), 2, 2.0**-7)
+        cubes = [q for q in unit_cube_dyadics(2, 5) if 0 < min(q.coords) and max(q.coords) < 31]
+        pts, imgs, centers, center_imgs = stacked_windows(f, cubes, sample)
+        lin, shift, _, _ = affine_fit_samples(pts, imgs, centers, center_imgs)
+        assert fit_mismatches(f, cubes, sample, lin, shift) == 0
+        design = np.concatenate([pts, np.ones(pts.shape[:2] + (1,))], axis=2)
+        sol = np.stack([np.linalg.lstsq(a, b, rcond=None)[0] for a, b in zip(design, imgs)])
+        mutant = sol[:, -1] + center_imgs - (np.einsum("kd,kde->ke", centers, sol[:, :-1]) + sol[:, -1])
+        assert fit_mismatches(f, cubes, sample, lin, mutant) > 0
+
+    def test_lattice_centre_images_are_caught(self):
+        # For a level < p cube the centre is a lattice point, but on blend_3d()
+        # its lattice image differs in the last bit from m(center) on some cubes.
+        f = blend_3d()
+        sample = _WindowSamples(f, 3, 1 / 16)
+        mismatches = 0
+        for level in range(sample.p):
+            for q in unit_cube_dyadics(3, level):
+                pts, imgs, centers, _ = stacked_windows(f, [q], sample)
+                at = tuple((2 * c + 1) << (sample.p - level - 1) for c in q.coords)
+                assert np.array_equal(sample.pts[at], centers[0])
+                lin, shift, _, _ = affine_fit_samples(pts, imgs, centers, sample.imgs[at][None])
+                mismatches += fit_mismatches(f, [q], sample, lin, shift)
+        assert mismatches > 0
 
 
 class TestBuild:

@@ -11,6 +11,7 @@ from bilipfactor.geometry_core import (
     DyadicCube,
     GeometryError,
     bilip_constant,
+    bilip_constants,
     linear_dilatation,
     pseudo_distance,
     rotation_2d,
@@ -20,6 +21,20 @@ from bilipfactor.geometry_core import (
 )
 
 from conftest import random_orientation_preserving, random_rotation
+
+
+def reference_bilip(m) -> float:
+    """bilip_constant through svd(): max(sigma_0, 1/sigma_-1) of its sorted singular values."""
+    dec = svd(m)
+    if not all(map(math.isfinite, dec.sigma)):
+        raise GeometryError("not bi-Lipschitz: singular values overflow")
+    if dec.degenerate or dec.sigma[-1] == 0.0:
+        raise GeometryError("not bi-Lipschitz: singular matrix")
+    return float(max(dec.sigma[0], 1.0 / dec.sigma[-1]))
+
+
+def _bits(x: float) -> int:
+    return int(np.float64(x).view(np.int64))
 
 
 class TestSvd:
@@ -74,8 +89,48 @@ class TestScalars:
         assert bilip_constant(np.diag([4.0, 1.0])) == pytest.approx(4.0, abs=1e-12)
 
     def test_bilip_singular(self):
-        with pytest.raises(GeometryError, match="not bi-Lipschitz"):
+        with pytest.raises(GeometryError, match="not bi-Lipschitz: singular matrix"):
             bilip_constant(np.diag([1.0, 0.0]))
+        with pytest.raises(GeometryError, match="not bi-Lipschitz: singular matrix"):
+            bilip_constant(np.diag([1.0, 0.0, 2.0]))
+
+    def test_closed_form_equals_svd(self):
+        # 2x2 matrices take sigma_2d, not svd(); L must keep svd()'s bits,
+        # scalar and stacked, and the raising cases their messages.
+        gen = np.random.default_rng(20260)
+        ms = gen.normal(size=(10_000, 2, 2)) * gen.choice([1e-3, 1.0, 1e3], size=(10_000, 1, 1))
+        ms[1::5] = ms[1::5, ::-1]  # rows swapped: the determinant changes sign
+        ms[2::5, [0, 1], [1, 0]] = 0.0  # diagonal
+        ms[3::5, 1] = ms[3::5, 0] * gen.uniform(-2, 2, size=(2000, 1)) + gen.normal(size=(2000, 2)) * 1e-9
+        ms[4::50, 1] = ms[4::50, 0] * 0.5  # singular
+        stacked = bilip_constants(ms)
+        singular = 0
+        for m, got in zip(ms, stacked):
+            (a, b), (c, d) = m.tolist()
+            q, r = math.hypot((a + d) / 2.0, (c - b) / 2.0), math.hypot((a - d) / 2.0, (c + b) / 2.0)
+            assert svd(m).sigma.tolist() == [q + r, abs(q - r)]  # math.hypot, not np.hypot
+            try:
+                want = reference_bilip(m)
+            except GeometryError as e:
+                singular += 1
+                assert math.isnan(got)
+                with pytest.raises(GeometryError, match=str(e)):
+                    bilip_constant(m)
+                continue
+            assert _bits(bilip_constant(m)) == _bits(want) == _bits(got)
+        assert 0 < singular < 1000
+        assert (np.linalg.det(ms) < 0).sum() > 4000
+
+    def test_stacked_3d_equals_scalar(self, rng):
+        ms = rng.normal(size=(200, 3, 3))
+        ms[::20, 2] = ms[::20, 0]
+        want = []
+        for m in ms:
+            try:
+                want.append(bilip_constant(m))
+            except GeometryError:
+                want.append(math.nan)
+        assert np.array_equal(bilip_constants(ms), want, equal_nan=True)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_singular_values_rejected(self):
@@ -83,8 +138,9 @@ class TestScalars:
         # degenerate test and come back as L = inf.
         huge = np.full((2, 2), 1e308)
         assert not np.all(np.isfinite(svd(huge).sigma))
-        with pytest.raises(GeometryError, match="overflow"):
+        with pytest.raises(GeometryError, match="not bi-Lipschitz: singular values overflow"):
             bilip_constant(huge)
+        assert math.isnan(bilip_constants(huge[None])[0])
         with pytest.raises(GeometryError, match="overflow"):
             linear_dilatation(huge)
 

@@ -19,6 +19,7 @@ from bilipfactor.map_engine import (
     LogSpiral,
     Scaling,
     Translation,
+    affine_fit_samples,
     almost_affine_fit,
     blend_weight,
     estimate_distortion,
@@ -193,6 +194,34 @@ class TestProcrustes:
         xs = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
         with pytest.raises(GeometryError, match="rank deficient"):
             procrustes_isometry((xs, xs))
+
+
+class TestStackedLstsq:
+    def test_gufunc_matches_lstsq_per_matrix(self, rng):
+        # affine_fit_samples relies on the private gufunc behind np.linalg.lstsq
+        # taking a (k, n, d+1) stack; each solve must keep the public bits.
+        for d in (2, 3):
+            design = np.concatenate([rng.normal(size=(6, 40, d)), np.ones((6, 40, 1))], axis=2)
+            design[1, :, 1] = design[1, :, 0]  # rank deficient
+            imgs = rng.normal(size=(6, 40, d))
+            rcond = np.finfo(float).eps * 40
+            sol, _, rank, sv = np.linalg._umath_linalg.lstsq(design, imgs, rcond, signature="ddd->ddid")
+            for i in range(6):
+                want = np.linalg.lstsq(design[i], imgs[i], rcond=None)
+                assert sol[i].tobytes() == want[0].tobytes()
+                assert rank[i] == want[2] == (d if i == 1 else d + 1)
+                assert sv[i].tobytes() == want[3].tobytes()
+
+    def test_rank_and_failed_solve(self):
+        pts = np.array([[[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]], [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]])
+        *_, rank = affine_fit_samples(pts, pts, np.zeros((2, 2)), np.zeros((2, 2)))
+        assert rank.tolist() == [2, 3]
+        bad = pts.copy()
+        bad[1, 0, 0] = np.nan
+        with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+            np.linalg.lstsq(np.hstack([bad[1], np.ones((3, 1))]), pts[1], rcond=None)
+        with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+            affine_fit_samples(bad, pts, np.zeros((2, 2)), np.zeros((2, 2)))
 
 
 class TestAlmostAffineFit:
