@@ -12,7 +12,10 @@ emit one array-backed BlendRun per call.  Its certificates go through a
 CertificateCache that lives for one run: each distinct factor shape is
 swept once, and linear-in-cube factors are swept on their canonical
 conjugate (blend cube C(0, 1)), which gives the same sampled lower bound up
-to rounding.  RunCertificates keeps the distinct sweeps and one index per
+to rounding.  An attempt's new keys are swept as one stack in key order, a
+block of whole lattices at a time, stopping after the block that holds the
+first factor above the bound; certificates and cache end as in a scan one
+key at a time.  RunCertificates keeps the distinct sweeps and one index per
 factor, and builds a factor's DistortionCertificate only when asked for it.
 """
 
@@ -24,6 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import kernels
 from .geometry_core import (
     AffineMapData,
     Cube,
@@ -32,6 +36,7 @@ from .geometry_core import (
     bilip_constant,
     check_matrix,
     cube_lattice,
+    cube_lattices,
     rotation_2d,
     rotation_3d,
     svd,
@@ -43,6 +48,7 @@ from .map_engine import (
     CertificationError,
     Compose,
     DistortionCertificate,
+    DomainError,
     Identity,
     MapExpr,
     Translation,
@@ -154,7 +160,8 @@ class CertificateCache:
     A key names a factor up to the changes its sampled distortion does not
     see: position (shrink, translate) or scale (linear).  The first sweep
     under a key stands for every later factor with that key; hits and
-    misses count the lookups.  Make one per run so that a report never
+    misses count the lookups; certify keeps only the keys up to the first
+    factor above the bound.  Make one per run so that a report never
     depends on what ran before it in the process.
     """
 
@@ -164,16 +171,17 @@ class CertificateCache:
         self.misses = 0
 
     def certify(
-        self, run: BlendRun, keys: list, bound: float, sweep=None
+        self, run: BlendRun, keys: list, bound: float, conjugates: BlendRun | None = None
     ) -> tuple[RunCertificates | None, tuple[int, float] | None]:
         """Certificates of every factor of a run, or its first factor above bound.
 
         keys[i] is the key of run[i].  Factors are looked up in order and
-        the first one under each new key is swept, each over its own
-        support cube; sweep, when given, maps that factor to its conjugate
-        by a similarity, which is swept in its place.  Returns
+        the first one under each new key is swept over its own support cube,
+        or conjugates[i] (its conjugate by a similarity) in its place.  The
+        new keys are swept by _sweeps as the lookups reach them.  Returns
         (certificates, None), or (None, (index, L_lo)) of the first factor
-        certified above bound, sweeping nothing after it.
+        certified above bound.  Cache, hits, misses and errors raised are
+        those of a scan sweeping one key at a time.
         """
         ids: dict = {}
         firsts: list[int] = []
@@ -184,6 +192,8 @@ class CertificateCache:
                 j = ids[key] = len(firsts)
                 firsts.append(i)
             index[i] = j
+        todo = [first for key, first in zip(ids, firsts) if key not in self._swept]
+        sweeps = _sweeps((run if conjugates is None else conjugates)[np.array(todo, dtype=np.intp)])
         swept: list[DistortionCertificate] = []
         new = 0
         for key, first in zip(ids, firsts):
@@ -191,15 +201,41 @@ class CertificateCache:
             if cert is None:
                 self.misses += 1
                 new += 1
-                m = run[first] if sweep is None else sweep(run[first])
-                region = m.cube.dilate(m.lam)
-                cert = self._swept[key] = estimate_distortion(m, region, cert_pitch(region.side, region.dim))
+                cert = self._swept[key] = next(sweeps)
             if cert.L_lo > bound:
                 self.hits += first + 1 - new
                 return None, (first, cert.L_lo)
             swept.append(cert)
         self.hits += len(keys) - new
         return RunCertificates(run, swept, index), None
+
+
+def _sweeps(run: BlendRun):
+    """estimate_distortion of each factor of run over its support at cert_pitch, in order.
+
+    Whole lattices are stacked, at most kernels._BLOCK_PAIRS pairs (or one
+    lattice) a block, swept when its first certificate is asked for; a
+    factor's DomainError or CertificationError is raised when its turn comes.
+    """
+    d = run.centers.shape[1]
+    n = CERT_POINTS[d]  # cube_lattice's count at cert_pitch: side / (side / 2^k) is exact
+    pairs = n**d * (n**d - 1) // 2
+    per = max(1, kernels._BLOCK_PAIRS // pairs)
+    for a in range(0, len(run), per):
+        block = run[a : a + per]
+        sides = block.lams * block.sides
+        pts = cube_lattices(block.centers, sides, n)
+        imgs = block.apply_each(pts)
+        finite = np.isfinite(imgs).all(axis=(1, 2))
+        imgs[~finite] = pts[~finite]  # a finite kernel input; such a factor raises at its turn
+        ratios, min_imgs = kernels.pairwise_distortions(pts, imgs)
+        for i, side in enumerate(sides.tolist()):
+            if not finite[i]:
+                raise DomainError("map produced non-finite values on the sampling lattice")
+            if min_imgs[i] == 0.0:
+                raise CertificationError("not injective on samples: coincident images")
+            yield DistortionCertificate(Cube(tuple(block.centers[i]), side), side / (n - 1),
+                                        max(1.0, float(ratios[i])), "sampled-pairs", pairs)
 
 
 def _no_blends(kind: str, target: MapExpr, region: Cube, support: Cube, meta: dict) -> FactorSequence:
@@ -280,7 +316,6 @@ def _diagonal_steps(sigma: np.ndarray, alpha: float, l_bound: float) -> list[np.
 
 
 _PROBE_REGION = {2: Cube((0.0, 0.0), 2.0), 3: Cube((0.0, 0.0, 0.0), 2.0)}
-_UNIT_CUBE = {2: Cube((0.0, 0.0), 1.0), 3: Cube((0.0, 0.0, 0.0), 1.0)}
 
 
 def factor_diagonal(sigma, alpha: float, l_bound: float) -> FactorSequence:
@@ -408,9 +443,9 @@ def factor_linear_in_cube(
             partial = step @ partial
         run = BlendRun("affine", np.broadcast_to(np.asarray(q.center), (n, d)), sides, np.full(n, lam),
                        np.zeros((n, d)), np.array(steps).reshape(n, d, d))
+        canonical = BlendRun("affine", np.zeros((n, d)), np.ones(n), run.lams, run.shifts, run.matrices)
         certs, last_fail = cache.certify(
-            run, [("linear", d, step.tobytes(), lam) for step in steps], 1.0 + epsilon + 1e-12,
-            sweep=lambda f: Blend(f.inner, _UNIT_CUBE[d], f.lam),
+            run, [("linear", d, step.tobytes(), lam) for step in steps], 1.0 + epsilon + 1e-12, canonical
         )
         if certs is not None:
             fs = FactorSequence(run, target, q, support, certs, meta={"alpha": alpha, "linear_steps": steps})
@@ -703,8 +738,6 @@ def glue_two(
     glued = Piecewise(((a1, f1), (a2, f2)))
     b1 = estimate_distortion(f1, a1, h).L_lo
     b2 = estimate_distortion(f2, a2, h).L_lo
-    from . import kernels
-
     ratio, min_img = kernels.pairwise_distortion(pts, glued.evaluate(pts))
     if min_img == 0.0:
         raise CertificationError("not injective on samples: coincident images")

@@ -287,10 +287,19 @@ def cube_lattice(cube: Cube, h: float) -> tuple[np.ndarray, float]:
     if not (h > 0):
         raise GeometryError("lattice pitch must be positive")
     n = max(2, int(math.ceil(cube.side / h - 1e-12)) + 1)
-    axes = [np.linspace(cube.lo()[k], cube.hi()[k], n) for k in range(cube.dim)]
-    grid = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grid], axis=-1)
-    return pts, cube.side / (n - 1)
+    return cube_lattices(np.asarray([cube.center]), np.asarray([cube.side]), n)[0], cube.side / (n - 1)
+
+
+def cube_lattices(centers: np.ndarray, sides: np.ndarray, n: int) -> np.ndarray:
+    """Lattices of n points per axis spanning the cubes C(centers[i], sides[i]):
+    (k, n^d, d), points in meshgrid "ij" order, each with its own linspace's bits."""
+    k, d = centers.shape
+    half = sides[:, None] / 2.0  # Cube.lo() and Cube.hi() per row
+    axes = np.linspace(centers - half, centers + half, n, axis=-1)  # (k, d, n)
+    pts = np.empty((k,) + (n,) * d + (d,))
+    for a in range(d):
+        pts[..., a] = axes[:, a].reshape((k,) + (1,) * a + (n,) + (1,) * (d - 1 - a))
+    return pts.reshape(k, n**d, d)
 
 
 def box_lattice(lo: np.ndarray, hi: np.ndarray, h: float) -> np.ndarray:

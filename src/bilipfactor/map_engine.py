@@ -232,7 +232,7 @@ class BlendRun(MapExpr, Sequence):
         return self.sides.shape[0]
 
     def __getitem__(self, i):
-        if isinstance(i, slice):
+        if isinstance(i, (slice, np.ndarray)):
             mats = None if self.matrices is None else self.matrices[i]
             return BlendRun(self.kind, self.centers[i], self.sides[i], self.lams[i], self.shifts[i], mats)
         if self.kind == "translation":
@@ -243,6 +243,16 @@ class BlendRun(MapExpr, Sequence):
 
     def evaluate(self, pts):
         return self.walk(pts, [len(self)])[0]
+
+    def apply_each(self, pts: np.ndarray) -> np.ndarray:
+        """Factor i alone applied to the points pts[i], pts (n, m, d), with
+        Blend.evaluate's arithmetic: (1-w) x + w inner(x) where w > 0, else x."""
+        w = np.clip(self._block_ratio(pts, 0, len(self)), 0.0, 1.0)[..., None]
+        if self.kind == "translation":
+            inner = pts + self.shifts[:, None]
+        else:
+            inner = np.matmul(pts, self.matrices.swapaxes(1, 2)) + self.shifts[:, None]
+        return np.where(w > 0.0, (1.0 - w) * pts + w * inner, pts)
 
     def _ratio(self, x: np.ndarray, i: int) -> np.ndarray:
         """blend_weight of factor i before clipping, at the points x (m, d)."""

@@ -97,6 +97,36 @@ class TestDeterminism:
         assert (tmp_path / "second" / "report.json").read_bytes() == (fresh / "report.json").read_bytes()
 
 
+class TestImports:
+    def test_jobs_do_not_import_numpy_ma(self, tmp_path):
+        # numpy.ma is not imported with numpy; its first import (np.unique
+        # pulls it in) costs about 14 ms and 0.4 MB, which no job needs.
+        shuffle = {
+            "omega": {"psi": {"type": "identity"}, "base_side": 4.0},
+            "pairs": [{"r": {"center": [1.0, 1.0], "side": 0.5}, "s": {"center": [2.5, 1.0], "side": 0.5}}],
+            "mu": 1.5,
+            "C1": 8.0,
+        }
+        jobs = [
+            ["factor-linear", "--input", write_input(tmp_path, "lin.json", LINEAR), "--epsilon", "0.25"],
+            ["shuffle", "--input", write_input(tmp_path, "sh.json", shuffle), "--epsilon", "0.25"],
+            ["corona", "--input", write_input(tmp_path, "c.json", {"map": {"type": "logspiral", "k": 0.25},
+                                                                  "depth": 3}), "--h", str(1 / 32)],
+        ]
+        for n, job in enumerate(jobs):
+            job += ["--out", str(tmp_path / f"out{n}")]
+        code = (
+            "import json, sys; from bilipfactor.cli import main\n"
+            "codes = [main(job) for job in json.loads(sys.argv[1])]\n"
+            "print(json.dumps([codes, 'numpy.ma' in sys.modules]))"
+        )
+        src = str(Path(bilipfactor.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", code, json.dumps(jobs)], env=env, check=True,
+                              timeout=300, capture_output=True, text=True)
+        assert json.loads(done.stdout.splitlines()[-1]) == [[0, 0, 0], False]
+
+
 def _sanitize(obj):
     """The copy a report used to go through before json.dumps, with NumPy
     bools as JSON booleans: json.dumps of it is the reference for the report

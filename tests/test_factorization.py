@@ -6,13 +6,14 @@ import math
 import numpy as np
 import pytest
 
-from bilipfactor import factorization, map_engine
+from bilipfactor import factorization, kernels, map_engine
 from bilipfactor.factorization import (
     TRANSLATION_BLEND_LAM,
     CertificateCache,
     FactorCertificationError,
     FactorSequence,
     Piecewise,
+    cert_pitch,
     check_factor_sequence,
     factor_diagonal,
     factor_linear_in_cube,
@@ -220,11 +221,12 @@ class TestCertificateCache:
     def test_identical_rotation_steps_swept_once(self, monkeypatch):
         sweeps = []
 
-        def counting(*args, **kwargs):
-            sweeps.append(args[0])
-            return estimate_distortion(*args, **kwargs)
+        def counting(xs, ys):
+            sweeps.extend(range(xs.shape[0]))  # one lattice per swept key
+            return stacked(xs, ys)
 
-        monkeypatch.setattr(factorization, "estimate_distortion", counting)
+        stacked = kernels.pairwise_distortions
+        monkeypatch.setattr(kernels, "pairwise_distortions", counting)
         fs = factor_linear_in_cube(rotation_2d(2.5), Cube((0.0, 0.0), 1.0), 2.0, 0.25)
         distinct = {step.tobytes() for step in fs.meta["linear_steps"]}
         assert 0 < len(sweeps) <= len(distinct) < fs.T
@@ -237,6 +239,172 @@ class TestCertificateCache:
         again = factor_shrink(q, 3.0, 0.3, 0.25, cache)
         assert cache.misses == misses
         assert [c.L_lo for c in again.certificates] == [c.L_lo for c in first.certificates]
+
+
+def scan_certify(cache: CertificateCache, run: BlendRun, keys: list, bound: float):
+    """CertificateCache.certify as a scan that sweeps one key at a time with
+    estimate_distortion: returns None or the (index, L_lo) of the first
+    factor above bound, and updates the cache as certify does."""
+    firsts: dict = {}
+    for i, key in enumerate(keys):
+        firsts.setdefault(key, i)
+    new = 0
+    for key, first in firsts.items():
+        cert = cache._swept.get(key)
+        if cert is None:
+            cache.misses += 1
+            new += 1
+            region = run[first].cube.dilate(run[first].lam)
+            cert = cache._swept[key] = estimate_distortion(run[first], region, cert_pitch(region.side, region.dim))
+        if cert.L_lo > bound:
+            cache.hits += first + 1 - new
+            return first, cert.L_lo
+    cache.hits += len(keys) - new
+    return None
+
+
+def copy_cache(cache: CertificateCache) -> CertificateCache:
+    twin = CertificateCache()
+    twin._swept = dict(cache._swept)
+    twin.hits, twin.misses = cache.hits, cache.misses
+    return twin
+
+
+def certify_both(cache: CertificateCache, run: BlendRun, keys: list, bound: float):
+    """certify on cache and scan_certify on a copy of it; both must end alike.
+    Returns certify's failure, or the type of the error both raised."""
+    twin = copy_cache(cache)
+    try:
+        certs, fail = cache.certify(run, keys, bound)
+    except (map_engine.DomainError, CertificationError) as e:
+        with pytest.raises(type(e), match=str(e)):
+            scan_certify(twin, run, keys, bound)
+        fail = type(e)
+    else:
+        assert fail == scan_certify(twin, run, keys, bound)
+        if certs is not None:
+            assert list(certs.L_lo) == [twin._swept[k].L_lo for k in keys]
+    assert list(cache._swept) == list(twin._swept)
+    assert [c.L_lo for c in cache._swept.values()] == [c.L_lo for c in twin._swept.values()]
+    assert (cache.hits, cache.misses) == (twin.hits, twin.misses)
+    return fail
+
+
+def hand_run(kind: str, inners: list) -> BlendRun:
+    """Factors on blend cubes C(c_i, 1), c_i = (i/4, 0), lam 2: translations by
+    inners[i], or the linear maps inners[i] about c_i."""
+    n = len(inners)
+    centers = np.stack([np.arange(n) / 4.0, np.zeros(n)], axis=1)
+    inners = np.array(inners, dtype=float)
+    if kind == "translation":
+        return BlendRun(kind, centers, np.ones(n), np.full(n, 2.0), inners)
+    shifts = centers - np.matmul(inners, centers[:, :, None])[:, :, 0]
+    return BlendRun(kind, centers, np.ones(n), np.full(n, 2.0), shifts, inners)
+
+
+BOUND = 1.25
+
+
+class TestStackedSweep:
+    """The stacked sweep of CertificateCache.certify against a scan one key at a time."""
+
+    @staticmethod
+    def assert_sweeps_match_estimate(fs, conjugate: bool = False):
+        run, certs = fs.factors, fs.certificates
+        for j, swept in enumerate(certs.sweeps):
+            f = run[int(np.flatnonzero(certs.index == j)[0])]  # the factor the key was swept on
+            if conjugate:
+                f = Blend(f.inner, Cube((0.0,) * f.cube.dim, 1.0), f.lam)
+            region = f.cube.dilate(f.lam)
+            direct = estimate_distortion(f, region, cert_pitch(region.side, region.dim))
+            assert (swept.L_lo, swept.h, swept.pair_count) == (direct.L_lo, direct.h, direct.pair_count)
+            assert swept.method == direct.method == "sampled-pairs"
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_linear_equals_estimate_on_conjugates(self, d):
+        rng = np.random.default_rng(7100 + d)
+        for _ in range(4):
+            a = random_orientation_preserving(rng, d, rng.uniform(1.3, 2.5))
+            fs = factor_linear_in_cube(a, Cube((0.0,) * d, rng.uniform(0.3, 3.0)), rng.uniform(1.5, 3.0),
+                                       rng.uniform(0.15, 0.4))
+            assert fs.T > 0
+            self.assert_sweeps_match_estimate(fs, conjugate=True)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_shrink_equals_estimate(self, d):
+        rng = np.random.default_rng(7200 + d)
+        for _ in range(4):
+            c = rng.uniform(0.2, 2.5)
+            q = Cube(tuple(rng.uniform(-3.0, 3.0, size=d)), rng.uniform(0.1, 2.0))
+            cache = CertificateCache()
+            fs = factor_shrink(q, max(1.0, c) * rng.uniform(1.5, 3.0), c, rng.uniform(0.15, 0.4), cache)
+            assert fs.T > 0 and cache.misses == len(fs.certificates.sweeps)  # every key swept by this run
+            self.assert_sweeps_match_estimate(fs)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_translate_equals_estimate(self, d):
+        rng = np.random.default_rng(7300 + d)
+        for _ in range(4):
+            q = Cube(tuple(rng.uniform(-2.0, 2.0, size=d)), rng.uniform(0.2, 0.8))
+            legs = rng.normal(size=(int(rng.integers(1, 4)), d)) * rng.uniform(0.3, 1.0)
+            path = np.asarray(q.center) + np.concatenate([np.zeros((1, d)), np.cumsum(legs, axis=0)])
+            cache = CertificateCache()
+            fs = factor_translation_along_path(q, path, rng.uniform(0.15, 0.4), cache)
+            assert fs.T > 0 and cache.misses == len(fs.certificates.sweeps)
+            self.assert_sweeps_match_estimate(fs)
+
+    def test_first_key_above_bound_is_decisive(self):
+        # Keys pair up factors 2k, 2k + 1; key 8 (first at factor 16) moves
+        # far enough to exceed the bound, and 30 factors take two blocks.
+        keys = [i // 2 for i in range(30)]
+        shifts = [(0.3 if k == 8 else 0.02 * (1 + k % 3), 0.0) for k in keys]
+        run = hand_run("translation", shifts)
+        cache = CertificateCache()
+        fail = certify_both(cache, run, keys, BOUND)
+        assert fail[0] == 16 and fail[1] > BOUND
+        assert list(cache._swept) == list(range(9))
+        assert (cache.hits, cache.misses) == (8, 9)
+        # A retry meets the failing key cached, behind keys it has not swept.
+        assert certify_both(cache, run[10:], keys[10:], BOUND) == (6, fail[1])
+        assert list(cache._swept) == list(range(9))
+        fresh = [100, 101, 8, 102, 103]
+        assert certify_both(cache, run[np.array([0, 2, 16, 4, 6])], fresh, BOUND) == (2, fail[1])
+        assert list(cache._swept) == list(range(9)) + [100, 101]
+
+    def test_cached_and_new_keys_interleave(self):
+        keys = [i % 13 for i in range(40)]
+        run = hand_run("translation", [(0.01 * (1 + k % 5), 0.02) for k in keys])
+        cache = CertificateCache()
+        assert certify_both(cache, run[:7], keys[:7], BOUND) is None
+        assert certify_both(cache, run, keys, BOUND) is None
+        assert list(cache._swept) == list(range(7)) + list(range(7, 13))
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("offender", [3, 5])
+    def test_non_finite_sweep_raises_only_before_the_decisive_key(self, offender):
+        shifts = [(0.03, 0.0)] * 12
+        shifts[4] = (0.4, 0.0)
+        shifts[offender] = (np.inf, 0.0)
+        cache = CertificateCache()
+        fail = certify_both(cache, hand_run("translation", shifts), list(range(12)), BOUND)
+        if offender < 4:
+            assert fail is map_engine.DomainError
+            assert list(cache._swept) == [0, 1, 2]
+        else:
+            assert fail[0] == 4 and list(cache._swept) == [0, 1, 2, 3, 4]
+
+    @pytest.mark.parametrize("offender", [3, 5])
+    def test_coincident_sweep_raises_only_before_the_decisive_key(self, offender):
+        mats = [1.02 * np.eye(2)] * 12
+        mats[4] = np.diag([1.3, 1.0])
+        mats[offender] = np.zeros((2, 2))
+        cache = CertificateCache()
+        fail = certify_both(cache, hand_run("affine", mats), list(range(12)), BOUND)
+        if offender < 4:
+            assert fail is CertificationError
+            assert (list(cache._swept), cache.misses) == ([0, 1, 2], 4)
+        else:
+            assert fail[0] == 4 and list(cache._swept) == [0, 1, 2, 3, 4]
 
 
 class TestFactorLinearOutside:

@@ -12,6 +12,8 @@ from bilipfactor.geometry_core import (
     GeometryError,
     bilip_constant,
     bilip_constants,
+    cube_lattice,
+    cube_lattices,
     linear_dilatation,
     pseudo_distance,
     rotation_2d,
@@ -220,3 +222,29 @@ class TestDyadic:
         inv = a.inverse()
         pts = np.random.default_rng(0).normal(size=(10, 2))
         assert np.abs(inv.apply(a.apply(pts)) - pts).max() < 1e-12
+
+
+class TestCubeLattices:
+    @staticmethod
+    def meshgrid_lattice(center, side, n):
+        """One linspace per axis between the cube's corners, then meshgrid in "ij" order."""
+        c = Cube(center, side)
+        axes = [np.linspace(c.lo()[k], c.hi()[k], n) for k in range(c.dim)]
+        return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
+
+    @pytest.mark.parametrize("d,n", [(2, 9), (3, 5), (2, 2)])
+    def test_each_lattice_has_its_own_linspace_bits(self, d, n):
+        rng = np.random.default_rng(40 + d + n)
+        centers = rng.normal(size=(11, d)) * 10.0 ** rng.uniform(-3, 3, size=(11, 1))
+        sides = 10.0 ** rng.uniform(-4, 3, size=11)
+        pts = cube_lattices(centers, sides, n)
+        assert pts.shape == (11, n**d, d)
+        for i in range(11):
+            want = self.meshgrid_lattice(tuple(centers[i]), sides[i], n)
+            assert np.array_equal(pts[i].view(np.int64), want.view(np.int64))
+
+    def test_cube_lattice_is_the_single_cube_case(self):
+        q = Cube((0.3, -1.7, 2.0), 0.37)
+        pts, pitch = cube_lattice(q, q.side / 4)
+        assert pitch == q.side / 4
+        assert np.array_equal(pts, self.meshgrid_lattice(q.center, q.side, 5))

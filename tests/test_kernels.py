@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -76,3 +77,60 @@ def test_duplicated_images_give_zero_min(n, d):
 def test_fewer_than_two_points():
     for n in (0, 1):
         assert kernels.pairwise_distortion(np.zeros((n, 2)), np.zeros((n, 2))) == (1.0, 0.0)
+
+
+def test_wrapper_returns_a_float_pair():
+    xs, ys = sample(81, 2, seed=3)
+    ratio, min_img = kernels.pairwise_distortions(xs[None], ys[None])
+    got = kernels.pairwise_distortion(xs, ys)
+    assert type(got) is tuple and [type(v) for v in got] == [float, float]
+    assert got == (ratio[0], min_img[0]) == reference_pairwise(xs, ys)
+
+
+POOL = 7  # distinct point sets per shape; stack entry i is set (3 i) % POOL, so neighbours differ
+
+
+@functools.lru_cache(maxsize=None)
+def pooled(n: int, d: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pool set j: duplicated sources (j = 1), a coincident image pair (j = 2),
+    every source coincident (j = 3), or plain."""
+    xs, ys = sample(n, d, seed=1000 * n + 10 * d + j)
+    if j == 1:
+        xs[n - 3] = xs[2]
+        ys[n - 3] = ys[2] + 5.0
+    elif j == 2:
+        ys[n - 1] = ys[1]
+    elif j == 3:
+        xs[:] = xs[0]
+    return xs, ys
+
+
+@functools.lru_cache(maxsize=None)
+def pooled_reference(n: int, d: int, j: int) -> tuple[float, float]:
+    return reference_pairwise(*pooled(n, d, j))
+
+
+@pytest.mark.parametrize("block", [kernels._BLOCK_PAIRS, 1000])
+@pytest.mark.parametrize("k", [1, 7, 40])
+@pytest.mark.parametrize("n,d", [(81, 2), (125, 3), (300, 2)])
+def test_stack_matches_double_loop_per_set(n, d, k, block, monkeypatch):
+    # (300, 2) sets hold 44,850 pairs, so blocks end inside a set; stacks of
+    # 81 or 125 points put several sets in a block, and a block of 1000
+    # pairs ends inside every set and at set boundaries.
+    monkeypatch.setattr(kernels, "_BLOCK_PAIRS", block)
+    sets = [(3 * i) % POOL for i in range(k)]
+    xs = np.stack([pooled(n, d, j)[0] for j in sets])
+    ys = np.stack([pooled(n, d, j)[1] for j in sets])
+    ratio, min_img = kernels.pairwise_distortions(xs, ys)
+    assert ratio.shape == min_img.shape == (k,)
+    got = list(zip(ratio.tolist(), min_img.tolist()))
+    assert got == [pooled_reference(n, d, j) for j in sets]
+    if k > 3:
+        assert got[1] == (1.0, 0.0)  # set 3: no pair of distinct sources
+        assert got[3][1] == 0.0  # set 2: coincident images
+
+
+def test_empty_and_single_point_stacks():
+    for n in (0, 1):
+        ratio, min_img = kernels.pairwise_distortions(np.zeros((3, n, 2)), np.zeros((3, n, 2)))
+        assert ratio.tolist() == [1.0] * 3 and min_img.tolist() == [0.0] * 3
