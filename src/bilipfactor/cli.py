@@ -372,7 +372,7 @@ def cmd_multilevel(payload: dict, args) -> tuple[dict, bool]:
             for lv in ml.levels
         ],
         "good_measure": ml.good_measure,
-        "good_measure_ok": ml.good_measure >= 1 - Fraction(args.alpha).limit_denominator(10**9),
+        "good_measure_ok": ml.good_measure >= 1 - ml.alpha,
     }
     return rep, bool(rep["good_measure_ok"])
 

@@ -14,10 +14,11 @@ cube of level L < p (its corners are multiples of 2^-(L+1)) is a slice of
 it, point for point the lattice box_lattice would build.  Windows of deeper
 cubes, and all windows when h is not a power of two, are sampled on their
 own.  The fits of a level are one stacked least-squares solve per window
-shape, each bit for bit the solve of its window alone.  A region grows
-level by level from one error field |fit - f| on its top's window: below
-level p every child check is a block maximum of that field, equal bit for
-bit to the sup on the child's own slice (a max does not round).
+shape, each bit for bit the solve of its window alone.  A level's regions
+grow together, level by level, each from its fit's residual |fit - f| on
+its top's window: below level p every child check is a block maximum of
+that field, equal bit for bit to the sup on the child's own slice (a max
+does not round).
 
 Storage: one int64 label array per level, labels[L] of shape (2^L,)*d,
 holding -1 for a bad cube and the region index for a good one.  The build
@@ -172,39 +173,43 @@ class _WindowSamples:
             return _sample_window(self.f, q, self.h)
         return self.pts[win].reshape(-1, self.dim), self.imgs[win].reshape(-1, self.dim)
 
-    def field(self, fit: AffineMapData, q: DyadicCube) -> np.ndarray | None:
-        """|fit - f| at each point of q's window, shaped as the window, or
-        None if no child's window is a slice.  The points and the
-        expression are those _sup_error sees for q."""
+    def field_shape(self, q: DyadicCube) -> list[int] | None:
+        """The shape of q's window if some child's window is a slice of it, else None."""
         win = self.window(q)
-        if win is None or q.level + 1 == self.p:
-            return None
-        return _point_errors(fit, *self(q)).reshape([s.stop - s.start for s in win])
+        return None if win is None or q.level + 1 == self.p else [s.stop - s.start for s in win]
+
+    def field(self, fit: AffineMapData, q: DyadicCube) -> np.ndarray | None:
+        """|fit - f| at each point of q's window, shaped by field_shape.  The
+        points and the expression are those _sup_error sees for q."""
+        shape = self.field_shape(q)
+        return None if shape is None else _point_errors(fit, *self(q)).reshape(shape)
 
 
 def _children(a: np.ndarray, dim: int) -> np.ndarray:
-    """Entries of a level-(L+1) array grouped under their level-L parents:
-    shape (2^L,)*dim + (2^dim,)."""
-    n = a.shape[0] // 2
-    blocks = a.reshape((n, 2) * dim).transpose(*range(0, 2 * dim, 2), *range(1, 2 * dim, 2))
-    return blocks.reshape((n,) * dim + (2**dim,))
+    """Entries of level-(L+1) arrays (the trailing dim axes of a) grouped under
+    their level-L parents: shape a.shape[:-dim] + (2^L,)*dim + (2^dim,)."""
+    m, n = a.ndim - dim, a.shape[-1] // 2
+    blocks = a.reshape(a.shape[:m] + (n, 2) * dim)
+    blocks = blocks.transpose(*range(m), *range(m, m + 2 * dim, 2), *range(m + 1, m + 2 * dim, 2))
+    return blocks.reshape(a.shape[:m] + (n,) * dim + (2**dim,))
 
 
 def _window_maxima(field: np.ndarray, top: DyadicCube, level: int, p: int) -> np.ndarray:
-    """Max of field (the error field of top's window, at h = 2^-p) over the
-    window of every level-`level` cube under top, top.level < level < p.
+    """Max of field (the error field of top's window at h = 2^-p, or a stack of
+    fields of windows clipped as top's is, on the trailing axes) over the window
+    of every level-`level` cube under top, top.level < level < p.
 
     Each such window is a slice of top's: per axis, a cube c covers the
     half-cells max(2c-1, 0) ... min(2c+3, 2^(level+1)) of 2^(p-level-1)
     lattice pitches each.  The windows of neighbours overlap, so one
     reduceat per axis takes the max over [start, stop) pairs and keeps
-    every other row; out[rel] belongs to the cube at top's corner + rel.
+    every other row; out[..., rel] belongs to the cube at top's corner + rel.
     """
     n = 1 << (level - top.level)
     step = 1 << (p - level - 1)
     end = 1 << (level + 1)
     out = field
-    for axis, cq in enumerate(top.coords):
+    for axis, cq in enumerate(top.coords, start=field.ndim - top.dim):
         c = np.arange(cq * n, (cq + 1) * n)
         origin = max(2 * cq - 1, 0) << (p - top.level - 1)
         start = np.maximum(2 * c - 1, 0) * step - origin
@@ -217,57 +222,76 @@ def _window_maxima(field: np.ndarray, top: DyadicCube, level: int, p: int) -> np
     return out
 
 
-def _grow(labels: list[np.ndarray], q: DyadicCube, idx: int, fit: AffineMapData,
-          sample: _WindowSamples, theta: float) -> None:
-    """Label q and every cube its region takes with idx, level by level.
+def _grow_level(labels: list[np.ndarray], regions: list[StoppingRegion], first: int,
+                errors: list[np.ndarray], sample: _WindowSamples, theta: float) -> None:
+    """Label the tops of regions[first:], all of one level, and grow those
+    regions together, one level at a time.
 
     A frontier cube's children all join when each passes
-    sup |fit - f| <= theta diam on its window; joined children are the
-    next frontier.  Child errors are block maxima of q's error field where
-    the windows are slices of it (levels below p), else _sup_error on each
-    child of the frontier, stopping at a cube's first failing child.
+    sup |fit - f| <= theta diam on its window; joined children are the next
+    frontier.  The tops' subtrees are disjoint and unassigned, so one (k,) +
+    (n,)*d mask holds the frontiers.  Below level p child errors are block
+    maxima of the tops' error fields (errors[j], or None where no child's
+    window is a slice), stacked by how the windows are clipped; from p on
+    they are _sup_error on each child of the frontier, stopping at a cube's
+    first failing child.
     """
-    dim, depth = q.dim, len(labels) - 1
-    root_dim = math.sqrt(dim)
-    field = sample.field(fit, q) if q.level < depth else None
-    labels[q.level][q.coords] = idx
-    frontier = np.ones((1,) * dim, dtype=bool)
-    for level in range(q.level + 1, depth + 1):
-        n = 1 << (level - q.level)
-        corner = tuple(x * n for x in q.coords)
-        limit = theta * (2.0**-level * root_dim)
-        if field is not None and level < sample.p:
-            passed = _window_maxima(field, q, level, sample.p) <= limit
+    new, dim, depth = regions[first:], sample.dim, len(labels) - 1
+    if not new:
+        return
+    top = new[0].top.level
+    coords = np.array([s.top.coords for s in new])
+    labels[top][tuple(coords.T)] = np.arange(first, len(regions))
+    fields = []
+    if top < depth and errors[0] is not None:
+        stacks: dict[tuple, list[int]] = {}
+        for j, s in enumerate(new):
+            stacks.setdefault(tuple((c == 0, c + 1 == 1 << top) for c in s.top.coords), []).append(j)
+        for sel in stacks.values():
+            fields.append((sel, new[sel[0]].top, np.stack([errors[j] for j in sel])))
+    frontier = np.ones((len(new),) + (1,) * dim, dtype=bool)
+    for level in range(top + 1, depth + 1):
+        n = 1 << (level - top)
+        limit = theta * (2.0**-level * math.sqrt(dim))
+        passed = np.zeros((len(new),) + (n,) * dim, dtype=bool)
+        if fields and level < sample.p:
+            for sel, q, field in fields:
+                passed[sel] = _window_maxima(field, q, level, sample.p) <= limit
         else:
-            passed = np.zeros((n,) * dim, dtype=bool)
-            for x in np.argwhere(frontier).tolist():
-                parent = DyadicCube(level - 1, tuple(c // 2 + r for c, r in zip(corner, x)))
-                for kid in parent.children():
-                    if not _sup_error(fit, *sample(kid)) <= limit:
+            for j, *x in np.argwhere(frontier).tolist():
+                corner = [c * n for c in new[j].top.coords]
+                for kid in DyadicCube(level - 1, tuple(c // 2 + r for c, r in zip(corner, x))).children():
+                    if not _sup_error(new[j].fit, *sample(kid)) <= limit:
                         break
-                    passed[tuple(k - c for k, c in zip(kid.coords, corner))] = True
+                    passed[(j, *(c - o for c, o in zip(kid.coords, corner)))] = True
         frontier &= _children(passed, dim).all(axis=-1)
         if not frontier.any():
             return
-        for axis in range(dim):
+        for axis in range(1, dim + 1):
             frontier = frontier.repeat(2, axis=axis)
-        labels[level][tuple(slice(c, c + n) for c in corner)][frontier] = idx
+        j, *rel = np.nonzero(frontier)
+        labels[level][tuple(coords[j].T * n + rel)] = first + j
 
 
 def _level_fits(f: MapExpr, cubes: list[DyadicCube], sample: _WindowSamples, theta: float,
-                l_est: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(lin, shift, residual, bad) of each cube of one level, fitted in stacks of one
-    window shape and at most FIT_POINTS points (or one window).  Centre images are
-    m(center) one at a time: a Blend rounds some rows differently in a batch or lattice."""
+                l_est: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, dict]:
+    """(lin, shift, residual, bad, errors) of each cube of one level, fitted in stacks of one
+    window shape and at most FIT_POINTS points (or one window); errors[i] is sample.field
+    of cube i where that is not None.  Centre images are f.evaluate_each, each m(center) as
+    if alone: a Blend rounds some rows differently in a batch or lattice."""
     k, dim = len(cubes), sample.dim
     lin, shift, res, rank = np.empty((k, dim, dim)), np.empty((k, dim)), np.empty(k), np.empty(k, int)
+    errors: dict[int, np.ndarray] = {}
 
     def solve(group: list[tuple[int, np.ndarray, np.ndarray]]) -> None:
         sel, pts, imgs = (list(x) for x in zip(*group))
         centers = np.array([cubes[i].to_cube().center for i in sel])
         lin[sel], shift[sel], err, rank[sel] = affine_fit_samples(
-            np.stack(pts), np.stack(imgs), centers, np.array([f(c) for c in centers]))
-        res[sel] = err / cubes[sel[0]].to_cube().diam
+            np.stack(pts), np.stack(imgs), centers, f.evaluate_each(centers))
+        res[sel] = err.max(axis=1) / cubes[sel[0]].to_cube().diam
+        for i, e in zip(sel, err):
+            if (shape := sample.field_shape(cubes[i])) is not None:
+                errors[i] = e.reshape(shape)
 
     groups: dict[tuple[int, ...], list] = {}
     for i, q in enumerate(cubes):
@@ -281,7 +305,7 @@ def _level_fits(f: MapExpr, cubes: list[DyadicCube], sample: _WindowSamples, the
     bad = (rank < dim + 1) | ~finite | (res > theta)
     lips = bilip_constants(lin[~bad].transpose(0, 2, 1))
     bad[~bad] = np.isnan(lips) | (lips > 2.0 * l_est)
-    return lin, shift, res, bad
+    return lin, shift, res, bad, errors
 
 
 def build_coronization(
@@ -300,9 +324,9 @@ def build_coronization(
     REGION TOP's fit stays within theta * diam(Q) on every child; children
     join all-or-none, which makes regions coherent by construction.  Levels
     are visited top-down; a level's unassigned cubes are fitted in one pass
-    (_level_fits), then open regions in C order, each grown one level at a
-    time on the boolean mask of its top's subtree (_grow), with child errors
-    taken from the top's error field where the windows are lattice slices.
+    (_level_fits); its good ones open regions in C order, grown together one
+    level at a time (_grow_level), with child errors taken from each top's
+    fit residual field where the windows are lattice slices.
     """
     if depth < 0:
         raise GeometryError(f"coronization depth must be non-negative, got {depth}")
@@ -328,12 +352,12 @@ def build_coronization(
         # Regions opened here label only deeper cubes, so this level's unassigned
         # cubes are all fitted first, marked bad, and relabelled as each good one opens.
         cubes = [DyadicCube(level, tuple(x)) for x in np.argwhere(labels[level] == _UNASSIGNED).tolist()]
-        lin, shift, res, bad = _level_fits(f, cubes, sample, theta, l_est)
+        lin, shift, res, bad, errors = _level_fits(f, cubes, sample, theta, l_est)
         labels[level][labels[level] == _UNASSIGNED] = -1
-        for i in np.flatnonzero(~bad).tolist():
-            fit = AffineMapData(lin[i].T, shift[i])
-            _grow(labels, cubes[i], len(regions), fit, sample, theta)
-            regions.append(StoppingRegion(top=cubes[i], fit=fit, residual=float(res[i])))
+        good, first = np.flatnonzero(~bad).tolist(), len(regions)
+        regions += [StoppingRegion(cubes[i], AffineMapData(lin[i].T, shift[i]), float(res[i])) for i in good]
+        _grow_level(labels, regions, first, [errors.get(i) for i in good], sample, theta)
+        del errors  # this level's error fields, dropped before the next level is fitted
 
     return Coronization(
         labels=labels,
@@ -545,19 +569,30 @@ class MultiLevelDecomposition:
     good_measure: Fraction
 
 
+def _level_budget(packing: Fraction, alpha: Fraction) -> tuple[int, int, int]:
+    """The least K >= 1, N >= 1, zeta_log2 > K with C 2^-K, C/N, C/(zeta_log2 - K) < alpha/3
+    for C = packing: 2^K, N and zeta_log2 - K are the least integers above x = 3C/alpha."""
+    x = 3 * packing // alpha
+    k_param = max(1, x.bit_length())
+    return k_param, x + 1, k_param + x + 1
+
+
 def multilevel_decomposition(c: Coronization, alpha: float | Fraction) -> MultiLevelDecomposition:
     """Nested R/Q cube levels whose shrunken good sets fill all but alpha.
 
-    Parameters K, N, zeta come from the three packing inequalities
-    C 2^-K < alpha/3, C/N < alpha/3, C/(log2(1/zeta) - K) < alpha/3 with C
-    the measured Carleson constant.  Per level, the R cubes are the maximal
-    good cubes in the size window [zeta l(Q), 2^-K l(Q)] strictly inside
-    each previous-level Q; the Q cubes are the stopped minimal cubes of the
-    R's regions; the good sets are lam R minus the Q's.  The exact good
-    measure may fall short of 1 - alpha at this depth: that is a verdict for
-    the caller to compare, not an error.
+    Parameters K, N, zeta are the least solutions (_level_budget) of the
+    three packing inequalities C 2^-K < alpha/3, C/N < alpha/3,
+    C/(log2(1/zeta) - K) < alpha/3 with C the measured Carleson constant; an
+    alpha that rounds to 0 at denominator 10^9 is refused.  Per level, the R
+    cubes are the maximal good cubes in the size window [zeta l(Q), 2^-K l(Q)]
+    strictly inside each previous-level Q; the Q cubes are the stopped
+    minimal cubes of the R's regions; the good sets are lam R minus the Q's.
+    The exact good measure may fall short of 1 - alpha at this depth: that is
+    a verdict for the caller to compare, not an error.
     """
     alpha = Fraction(alpha).limit_denominator(10**9)
+    if alpha <= 0:
+        raise GeometryError("alpha must be positive at denominator 10^9")
     lab = c.labels
     dim = lab[0].ndim
     root = DyadicCube(0, tuple([0] * dim))
@@ -566,15 +601,7 @@ def multilevel_decomposition(c: Coronization, alpha: float | Fraction) -> MultiL
 
     c_bad, c_tops = carleson_constant(c)
     packing = max(c_bad, c_tops, Fraction(1))
-    k_param = 1
-    while packing * Fraction(1, 2**k_param) >= alpha / 3:
-        k_param += 1
-    n_bound = 1
-    while packing / n_bound >= alpha / 3:
-        n_bound += 1
-    zeta_log2 = k_param + 1
-    while packing / (zeta_log2 - k_param) >= alpha / 3:
-        zeta_log2 += 1
+    k_param, n_bound, zeta_log2 = _level_budget(packing, alpha)
     lam = 1 - Fraction(1, 2**k_param)
 
     def under(q: DyadicCube, level: int) -> tuple[tuple[int, ...], np.ndarray]:

@@ -49,6 +49,11 @@ class MapExpr:
     def evaluate(self, pts: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def evaluate_each(self, pts: np.ndarray) -> np.ndarray:
+        """Each row's image exactly as evaluate gives it for that row alone; maps whose
+        batches round rows differently (a Blend's active rows, a BLAS product) keep this loop."""
+        return np.array([self.evaluate(p[None])[0] for p in pts]).reshape(pts.shape)
+
     def __call__(self, pts) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)
         if pts.ndim == 1:
@@ -61,6 +66,8 @@ class Identity(MapExpr):
     def evaluate(self, pts):
         return np.array(pts, dtype=float, copy=True)
 
+    evaluate_each = evaluate  # elementwise: a row's bits do not depend on the batch
+
 
 @dataclass(frozen=True, slots=True)
 class Translation(MapExpr):
@@ -68,6 +75,8 @@ class Translation(MapExpr):
 
     def evaluate(self, pts):
         return pts + np.asarray(self.v)
+
+    evaluate_each = evaluate  # elementwise: a row's bits do not depend on the batch
 
 
 @dataclass(frozen=True, slots=True)
@@ -80,6 +89,8 @@ class Scaling(MapExpr):
 
     def evaluate(self, pts):
         return self.a * pts
+
+    evaluate_each = evaluate  # elementwise: a row's bits do not depend on the batch
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -108,6 +119,8 @@ class LogSpiral(MapExpr):
         out[nz, 0] = c * pts[nz, 0] - s * pts[nz, 1]
         out[nz, 1] = s * pts[nz, 0] + c * pts[nz, 1]
         return out
+
+    evaluate_each = evaluate  # elementwise: a row's bits do not depend on the batch
 
 
 @dataclass(frozen=True, eq=False)
@@ -536,15 +549,15 @@ def almost_affine_fit(
     lin, shift, err, rank = affine_fit_samples(pts[None], m.evaluate(pts)[None], center, m.evaluate(center))
     if rank[0] < q.dim + 1:
         raise GeometryError("rank deficient sample matrix in affine fit")
-    return AffineMapData(lin[0].T, shift[0]), float(err[0]) / q.diam
+    return AffineMapData(lin[0].T, shift[0]), float(err[0].max()) / q.diam
 
 
 def affine_fit_samples(pts: np.ndarray, imgs: np.ndarray, centers: np.ndarray,
                        center_imgs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Affine fits x @ lin[i] + shift[i] of k windows (pts, imgs = m(pts): (k, n, d)),
-    anchored at centers (k, d), center_imgs = m(centers); returns lin, shift, sup |fit - m|
-    per window and ranks.  One solve by np.linalg.lstsq's gufunc (its rcond and errors); the
-    anchor and residual use AffineMapData.apply's layout, so each fit has one window's bits."""
+    anchored at centers (k, d), center_imgs = m(centers); returns lin, shift, |fit - m| at
+    each point (k, n) and ranks.  One solve by np.linalg.lstsq's gufunc (its rcond and errors);
+    the anchor and residual use AffineMapData.apply's layout, so each fit has one window's bits."""
     k, n, d = pts.shape
     design = np.concatenate([pts, np.ones((k, n, 1))], axis=2)
     with np.errstate(call=_linalg._raise_linalgerror_lstsq, invalid="call",
@@ -553,5 +566,5 @@ def affine_fit_samples(pts: np.ndarray, imgs: np.ndarray, centers: np.ndarray,
                                               signature="ddd->ddid")
     lin = sol[:, :-1]
     shift = sol[:, -1] + center_imgs - ((centers[:, None, :] @ lin)[:, 0] + sol[:, -1])
-    err = np.linalg.norm(imgs - (np.matmul(pts, lin) + shift[:, None, :]), axis=2).max(axis=1)
+    err = np.linalg.norm(imgs - (np.matmul(pts, lin) + shift[:, None, :]), axis=2)
     return lin, shift, err, rank

@@ -454,6 +454,22 @@ class TestOtherSubcommands:
         rep = load_report(out)
         assert rep["result"]["good_measure_ok"] is True
 
+    @pytest.mark.parametrize("alpha, code", [("1e-5", 1), ("1e-12", 2)])
+    def test_multilevel_small_alpha(self, tmp_path, alpha, code):
+        # The level budget is closed-form, so a tiny alpha returns at once; one
+        # that rounds to 0 at denominator 10^9 is refused with a report.
+        payload = {"map": {"type": "logspiral", "k": 0.05}, "depth": 4}
+        inp = write_input(tmp_path, "m.json", payload)
+        out = tmp_path / "o"
+        assert main(["multilevel", "--input", inp, "--out", str(out), "--alpha", alpha, "--h", str(1 / 64)]) == code
+        rep = load_report(out)
+        assert rep["passed"] is False
+        if code == 1:
+            assert rep["result"]["params"]["N_bound"] > 10**5
+            assert rep["result"]["good_measure_ok"] is False
+        else:
+            assert rep["error"] == "alpha must be positive at denominator 10^9"
+
     def test_shuffle(self, tmp_path):
         payload = {
             "omega": {"psi": {"type": "identity"}, "base_side": 4.0},

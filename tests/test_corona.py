@@ -239,6 +239,42 @@ class TestDenseSampling:
                     c = DyadicCube(level, tuple(x * n + r for x, r in zip(q.coords, rel)))
                     assert maxima[rel] == _sup_error(fit, *sample(c))
 
+    @pytest.mark.parametrize(
+        "f, dim, depth, theta, h",
+        [
+            (LogSpiral(0.3), 2, 5, 0.05, 1 / 64),
+            (LogSpiral(0.3), 2, 6, 0.05, 1 / 64),
+            (blend_3d(), 3, 2, 0.02, 1 / 8),
+            (LogSpiral(0.05), 2, 6, 0.05, 1 / 128),
+            (blend_3d(), 3, 3, 0.02, 1 / 16),
+        ],
+        ids=["sliced", "mixed", "3d", "deep-regions", "3d-depth3"],
+    )
+    def test_kept_fields_equal_window_field(self, monkeypatch, f, dim, depth, theta, h):
+        # Growth reads each top's error field off the per-point residual of
+        # its stacked fit; every field it keeps must carry the bits of
+        # |fit - f| on the top's window alone, and a top whose children are
+        # all sampled on their own keeps none.
+        grown = []
+        grow = corona._grow_level
+
+        def spy(labels, regions, first, errors, sample, theta):
+            grown.extend((s.top, s.fit, e, sample) for s, e in zip(regions[first:], errors))
+            grow(labels, regions, first, errors, sample, theta)
+
+        monkeypatch.setattr(corona, "_grow_level", spy)
+        c = build_coronization(f, dim, depth, theta=theta, h=h)
+        assert [q for q, *_ in grown] == [s.top for s in c.regions]
+        checked = 0
+        for q, fit, err, sample in grown:
+            field = sample.field(fit, q)
+            if field is None:
+                assert err is None
+            else:
+                assert err.shape == field.shape and np.array_equal(err.view(np.int64), field.view(np.int64))
+                checked += 1
+        assert checked > 0
+
 
 def fit_mismatches(f, cubes, sample, lin, shift) -> int:
     """Cubes whose stacked matrix or shift differs in any bit from reference_fit's."""
@@ -282,11 +318,11 @@ class TestStackedFit:
                 seen[q] = windows(q)
             return seen[q]
 
-        sample.dim = dim
+        sample.dim, sample.field_shape = dim, windows.field_shape
         verdicts = set()
         for level in range(depth + 1):
             cubes = unit_cube_dyadics(dim, level)
-            lin, shift, res, bad = _level_fits(f, cubes, sample, theta, l_est)
+            lin, shift, res, bad, _ = _level_fits(f, cubes, sample, theta, l_est)
             ref = [reference_fit(f, q.to_cube(), *seen.pop(q)) for q in cubes]
             assert np.array_equal(lin.transpose(0, 2, 1).view(np.int64),
                                   np.array([a.matrix for a, _ in ref]).view(np.int64))
@@ -323,11 +359,11 @@ class TestStackedFit:
                 return out
 
         q = DyadicCube(1, (0, 0))  # centre (0.25, 0.25), not on its window's pitch-0.02 lattice
-        *_, bad = _level_fits(NanAtQuarter(), [q], _WindowSamples(NanAtQuarter(), 2, 0.02), 1.0, 10.0)
+        *_, bad, _ = _level_fits(NanAtQuarter(), [q], _WindowSamples(NanAtQuarter(), 2, 0.02), 1.0, 10.0)
         assert bad.tolist() == [True]
         collapse = Affine(AffineMapData(np.array([[1.0, 0.0], [0.0, 0.0]]), np.zeros(2)))
         cubes = unit_cube_dyadics(2, 1)
-        *_, bad = _level_fits(collapse, cubes, _WindowSamples(collapse, 2, 0.02), 1.0, 10.0)
+        *_, bad, _ = _level_fits(collapse, cubes, _WindowSamples(collapse, 2, 0.02), 1.0, 10.0)
         assert bad.tolist() == [True] * 4
 
     def test_einsum_anchor_is_caught(self):
@@ -589,6 +625,33 @@ class TestMultilevel:
             assert qp.level + ml.k_param <= r.level <= qp.level + ml.zeta_log2
             assert region_of[r] >= 0
         assert ml.good_measure >= Fraction(2, 5)
+
+    @pytest.mark.parametrize("packing", [Fraction(1), Fraction(3, 2), Fraction(7, 3), Fraction(2),
+                                         Fraction(5), Fraction(100, 7), Fraction(64, 3)])
+    def test_level_budget_equals_search(self, packing):
+        # The closed forms are the least solutions the inequalities' linear
+        # searches find, also where 3C/alpha is an integer or a power of two.
+        for alpha in [Fraction(3, 4), Fraction(1, 2), Fraction(3, 8), Fraction(1, 3), Fraction(1, 4),
+                      Fraction(3, 10), Fraction(1, 10), Fraction(3, 64), Fraction(1, 100), Fraction(3, 1000)]:
+            k_param = 1
+            while packing * Fraction(1, 2**k_param) >= alpha / 3:
+                k_param += 1
+            n_bound = 1
+            while packing / n_bound >= alpha / 3:
+                n_bound += 1
+            zeta_log2 = k_param + 1
+            while packing / (zeta_log2 - k_param) >= alpha / 3:
+                zeta_log2 += 1
+            assert corona._level_budget(packing, alpha) == (k_param, n_bound, zeta_log2)
+
+    def test_small_alpha(self):
+        c = build_coronization(LogSpiral(0.1), 2, 4, theta=0.05, h=1 / 64, force_top_bad=True)
+        ml = multilevel_decomposition(c, 1e-5)
+        x = 3 * ml.carleson // ml.alpha
+        assert (ml.k_param, ml.n_bound, ml.zeta_log2) == (x.bit_length(), x + 1, x.bit_length() + x + 1)
+        assert ml.levels == []  # the first R window starts below the depth
+        with pytest.raises(GeometryError, match="alpha must be positive"):
+            multilevel_decomposition(c, 1e-12)
 
     def test_smooth_map_sample(self):
         # A slice of the smooth catalog at both alphas (full 20 in acceptance).

@@ -10,6 +10,7 @@ from bilipfactor.geometry_core import AffineMapData, Cube, GeometryError, cube_l
 from bilipfactor.map_engine import (
     Affine,
     Blend,
+    BlendRun,
     CertificationError,
     Compose,
     DomainError,
@@ -26,6 +27,9 @@ from bilipfactor.map_engine import (
     procrustes_isometry,
     sup_distance,
 )
+
+from conftest import small_rotation_blend
+from test_corona import blend_3d
 
 
 def brute_force_distortion(m, region: Cube, h: float) -> float:
@@ -73,6 +77,45 @@ class TestEvaluate:
         assert np.allclose(bl([5.0, 5.0]), [5.0, 5.0])  # identity outside lam cube
         w = blend_weight(np.array([[0.75, 0.0]]), Cube((0.0, 0.0), 1.0), 2.0)
         assert 0.0 < w[0] < 1.0
+
+
+def catalogue() -> list[tuple[str, MapExpr, int]]:
+    """(id, map, dimension) for every map type of the catalogue."""
+    axis = np.linspace(0.0, 1.0, 5)
+    lattice = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1)
+    run = BlendRun(
+        "affine",
+        centers=np.array([[0.5, 0.5], [0.4, 0.6], [0.55, 0.45]]),
+        sides=np.array([0.4, 0.3, 0.5]),
+        lams=np.array([2.0, 1.5, 1.8]),
+        shifts=np.array([[0.01, -0.02], [0.0, 0.03], [-0.01, 0.0]]),
+        matrices=np.stack([rotation_2d(t) for t in (0.01, -0.02, 0.015)]),
+    )
+    return [
+        *((f"logspiral-{k}", LogSpiral(k), 2) for k in (0.05, 0.3, 1.0, -2.5)),
+        ("identity", Identity(), 3),
+        ("translation", Translation((0.07, -0.03)), 2),
+        ("scaling", Scaling(1.3), 3),
+        ("affine", Affine(AffineMapData(np.array([[1.2, 0.1], [-0.3, 0.9]]), np.array([0.1, 0.2]))), 2),
+        ("grid", Grid(GridMap(np.zeros(2), 0.25, (5, 5), lattice**2 + 0.1 * lattice[..., ::-1])), 2),
+        ("blend", small_rotation_blend((0.5, 0.5), 0.01, side=0.4), 2),
+        ("blend-3d", blend_3d(), 3),
+        ("blend-run", run, 2),
+        ("compose", Compose((small_rotation_blend((0.4, 0.6), 0.005), LogSpiral(0.02))), 2),
+    ]
+
+
+class TestEvaluateEach:
+    @pytest.mark.parametrize("m, dim", [c[1:] for c in catalogue()], ids=[c[0] for c in catalogue()])
+    def test_equals_per_row_evaluate(self, m, dim):
+        # Centre images of stacked fits come from one evaluate_each call, and
+        # must carry the bits of each row evaluated alone, origin included.
+        gen = np.random.default_rng(31)
+        for n in (1, 3, 8, 9, 17, 100, 1000):
+            pts = gen.uniform(0.0, 1.0, size=(n, dim))
+            pts[n // 2] = 0.0
+            alone = np.array([m.evaluate(p[None])[0] for p in pts])
+            assert np.array_equal(m.evaluate_each(pts).view(np.int64), alone.view(np.int64))
 
 
 class TestEstimateDistortion:
