@@ -4,12 +4,12 @@ library, and write a deterministic report.json (plus optional SVG frames).
 Every run writes one report.json, failures included.  Exit codes: 0 when
 every certification in the run passed, 1 on a certification failure (the
 report carries a "certification_error" when the run stopped early), 2 on
-malformed input (the report carries an "error"): a non-positive flag value,
-unreadable or ill-typed JSON, a map that cannot be evaluated where the run
-needs it or whose values break the linear algebra, and geometry the command
-cannot use.  Reports embed the tool version, the configuration echo (every
-flag but --out), and every tolerance used, and repeated runs with the same
-config are byte-identical.
+malformed input (the report carries an "error"): a non-positive or
+non-finite flag value, unreadable or ill-typed JSON, a map that cannot be
+evaluated where the run needs it or whose values break the linear algebra,
+and geometry the command cannot use.  Reports embed the tool version, the
+configuration echo (every flag but --out), and every tolerance used, and
+repeated runs with the same config are byte-identical.
 """
 
 from __future__ import annotations
@@ -367,7 +367,7 @@ def cmd_multilevel(payload: dict, args) -> tuple[dict, bool]:
             {
                 "R": [[r.level, list(r.coords)] for r in lv.r_cubes],
                 "Q": [[q.level, list(q.coords)] for q in lv.q_cubes],
-                "B_volumes": [b.volume for b in lv.b_sets],
+                "B_volumes": lv.b_volumes,
             }
             for lv in ml.levels
         ],
@@ -502,12 +502,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    config = dict(vars(args), input=os.path.basename(args.input))
-    del config["out"]
+    # a non-finite flag is echoed as its str ("inf", "nan"), so the report stays strict JSON
+    config = {k: str(v) if isinstance(v, float) and not math.isfinite(v) else v
+              for k, v in vars(args).items() if k != "out"}
+    config["input"] = os.path.basename(args.input)
     envelope = {"tool": "bilipfactor", "version": __version__, "config": config, "tolerances": TOLERANCES}
     report_path = Path(args.out) / "report.json"
     try:
         for name in ("h", "epsilon", "eta", "theta", "alpha"):
+            if not math.isfinite(getattr(args, name)):
+                raise ValueError(f"--{name} must be finite")
             if not getattr(args, name) > 0:
                 raise ValueError(f"--{name} must be positive")
         payload = _load_input(args.input)

@@ -5,7 +5,9 @@ into good and bad cubes plus coherent stopping-time regions, where each
 region carries a single affine surrogate fit that approximates the map on
 every member cube.  All measure arithmetic is exact over dyadic rationals:
 cube sides are powers of two, so masses, Carleson sums and the multi-level
-good-set measure are computed with Fractions (no floating-point drift).
+good-set volumes are integer sums on the label arrays, in units of a power
+of two, turned into Fractions only at the end (no floating-point drift and
+no rational box geometry).
 
 Sampling: every fit and every child check looks at the map on the pitch-h
 lattice of a cube's 2Q window clipped to [0,1]^d.  When h = 2^-p the map is
@@ -465,96 +467,16 @@ def carleson_constant(c: Coronization) -> tuple[Fraction, Fraction]:
     return _packing([lab == -1 for lab in c.labels]), _packing(tops)
 
 
-Box = tuple[tuple[Fraction, ...], tuple[Fraction, ...]]
-
-
-def _dyadic_box(q: DyadicCube) -> Box:
-    return q.lo_exact(), q.hi_exact()
-
-
-def _shrunken_box(q: DyadicCube, lam: Fraction) -> Box:
-    lo, hi = _dyadic_box(q)
-    half_loss = (1 - lam) * q.side_exact / 2
-    return (
-        tuple(a + half_loss for a in lo),
-        tuple(b - half_loss for b in hi),
-    )
-
-
-def _box_volume(b: Box) -> Fraction:
-    v = Fraction(1)
-    for a, bb in zip(b[0], b[1]):
-        v *= max(Fraction(0), bb - a)
-    return v
-
-
-def _clip_box(b: Box, outer: Box) -> Box | None:
-    lo = tuple(max(a, oa) for a, oa in zip(b[0], outer[0]))
-    hi = tuple(min(bb, ob) for bb, ob in zip(b[1], outer[1]))
-    if any(l >= h for l, h in zip(lo, hi)):
-        return None
-    return lo, hi
-
-
-def box_union_volume(boxes: list[Box]) -> Fraction:
-    """Exact volume of a union of axis boxes with rational corners."""
-    boxes = [b for b in boxes if _box_volume(b) > 0]
-    if not boxes:
-        return Fraction(0)
-    d = len(boxes[0][0])
-    denom = 1
-    for lo, hi in boxes:
-        for v in (*lo, *hi):
-            denom = denom * v.denominator // math.gcd(denom, v.denominator)
-    scaled = [
-        (tuple(int(v * denom) for v in lo), tuple(int(v * denom) for v in hi))
-        for lo, hi in boxes
-    ]
-    axes = []
-    for k in range(d):
-        coords = sorted({b[0][k] for b in scaled} | {b[1][k] for b in scaled})
-        axes.append(coords)
-    widths = [np.diff(np.asarray(ax, dtype=np.int64)) for ax in axes]
-    shape = tuple(len(w) for w in widths)
-    covered = np.zeros(shape, dtype=bool)
-    for lo, hi in scaled:
-        sel = tuple(
-            slice(
-                int(np.searchsorted(axes[k], lo[k])),
-                int(np.searchsorted(axes[k], hi[k])),
-            )
-            for k in range(d)
-        )
-        covered[sel] = True
-    total = 0
-    if d == 2:
-        for i in range(shape[0]):
-            row = covered[i]
-            total += int(widths[0][i]) * int(np.dot(row, widths[1]))
-    else:
-        for i in range(shape[0]):
-            for j in range(shape[1]):
-                run = covered[i, j]
-                total += int(widths[0][i]) * int(widths[1][j]) * int(np.dot(run, widths[2]))
-    return Fraction(total, denom**d)
-
-
-@dataclass(eq=False)
-class GoodSet:
-    """lam * R with the level's minimal cubes removed (a cube with holes)."""
-
-    r_cube: DyadicCube
-    outer: Box
-    holes: list[Box]
-    volume: Fraction
-
-
 @dataclass(eq=False)
 class DecompositionLevel:
+    """One level: its R cubes, their Q cubes (by R, then level, then C order),
+    and b_volumes[i], the exact |B| of the good set B = lam R minus the Q cubes
+    of r_cubes[i], computed from the label arrays in integers (_good_sets)."""
+
     r_cubes: list[DyadicCube]
     q_cubes: list[DyadicCube]
     owner: dict[DyadicCube, DyadicCube]  # R -> owning Q of the previous level
-    b_sets: list[GoodSet]
+    b_volumes: list[Fraction]
 
 
 @dataclass(eq=False)
@@ -577,6 +499,65 @@ def _level_budget(packing: Fraction, alpha: Fraction) -> tuple[int, int, int]:
     return k_param, x + 1, k_param + x + 1
 
 
+def _blocks(a: np.ndarray, level: int, corners: np.ndarray) -> np.ndarray:
+    """The subtrees, in a (one level's label array), of the level-`level` cubes
+    whose coords are the rows of corners: shape (k,) + (n,)*d, n = a.shape[0] >> level."""
+    dim, n = a.ndim, a.shape[0] >> level
+    view = a.reshape((1 << level, n) * dim).transpose(*range(0, 2 * dim, 2), *range(1, 2 * dim, 2))
+    return view[tuple(corners.T)]
+
+
+def _good_sets(lab: list[np.ndarray], r_cubes: list[DyadicCube],
+               k_param: int) -> tuple[list[DyadicCube], list[Fraction]]:
+    """The Q cubes of one decomposition level and the exact volume of each R's good set.
+
+    R's Q cubes are the members of its region under it whose first child is
+    not, listed by R, then level, then C order.  The R cubes of one dyadic
+    level rl are taken together: at each level L their subtrees are one
+    (k,) + (2^(L-rl),)*d block view of lab[L], so one mask per L marks the Q
+    cubes of all of them.  ORed down to level depth, these masks are each R's
+    holes, their exact union, with no disjointness assumed.  In units of 2^-e,
+    e = max(depth, rl + K + 1), lam R spans [delta, side - delta] on each axis,
+    delta = 2^(e-rl-K-1), and a depth cell overlaps it by one integer per axis,
+    the same weights w for every R of level rl: |B| is |lam R| less the hole
+    cells' weight products.  K <= rl, since an R lies at least K levels below
+    its owner, so e - rl <= depth + 1 and every sum is below 2^(d (depth+1)),
+    which build_coronization's guard keeps within int64.
+    """
+    depth, dim = len(lab) - 1, lab[0].ndim
+    rows = [(np.empty(0, np.int64), np.empty(0, np.int64), np.empty((0, dim), np.int64))]
+    volumes: list[Fraction] = [Fraction(0)] * len(r_cubes)
+    by_level: dict[int, list[int]] = {}
+    for j, r in enumerate(r_cubes):
+        by_level.setdefault(r.level, []).append(j)
+    for rl, sel in by_level.items():
+        corners = np.array([r_cubes[j].coords for j in sel])
+        ids = lab[rl][tuple(corners.T)].reshape((-1,) + (1,) * dim)
+        hole = np.zeros((len(sel),) + (1,) * dim, dtype=bool)  # at level L, from L = rl down
+        for level in range(rl, depth):
+            first_child = _blocks(lab[level + 1], rl, corners)[(slice(None),) + (slice(None, None, 2),) * dim]
+            mins = (_blocks(lab[level], rl, corners) == ids) & (first_child != ids)
+            found = np.argwhere(mins)
+            rows.append((np.asarray(sel)[found[:, 0]], np.full(len(found), level),
+                         corners[found[:, 0]] * mins.shape[-1] + found[:, 1:]))
+            hole |= mins
+            for axis in range(1, dim + 1):
+                hole = hole.repeat(2, axis=axis)
+        e = max(depth, rl + k_param + 1)
+        side, delta, cell = 1 << (e - rl), 1 << (e - rl - k_param - 1), 1 << (e - depth)
+        lo = np.arange(1 << (depth - rl), dtype=np.int64) * cell
+        w = np.maximum(np.minimum(lo + cell, side - delta) - np.maximum(lo, delta), 0)
+        mass = hole.astype(np.int64)
+        for _ in range(dim):
+            mass = mass @ w
+        for j, m in zip(sel, mass.tolist()):
+            volumes[j] = Fraction((side - 2 * delta) ** dim - m, 1 << (dim * e))
+    r_index, levels, coords = (np.concatenate(x) for x in zip(*rows))
+    order = np.argsort(r_index * (depth + 1) + levels, kind="stable")
+    q_cubes = [DyadicCube(level, tuple(x)) for level, x in zip(levels[order].tolist(), coords[order].tolist())]
+    return q_cubes, volumes
+
+
 def multilevel_decomposition(c: Coronization, alpha: float | Fraction) -> MultiLevelDecomposition:
     """Nested R/Q cube levels whose shrunken good sets fill all but alpha.
 
@@ -587,6 +568,9 @@ def multilevel_decomposition(c: Coronization, alpha: float | Fraction) -> MultiL
     cubes are the maximal good cubes in the size window [zeta l(Q), 2^-K l(Q)]
     strictly inside each previous-level Q; the Q cubes are the stopped
     minimal cubes of the R's regions; the good sets are lam R minus the Q's.
+    The Q cubes, the holes and the exact B volumes come from the label arrays
+    in integers, one stacked mask pass per level (_good_sets); no rational
+    boxes are built.
     The exact good measure may fall short of 1 - alpha at this depth: that is
     a verdict for the caller to compare, not an error.
     """
@@ -604,40 +588,23 @@ def multilevel_decomposition(c: Coronization, alpha: float | Fraction) -> MultiL
     k_param, n_bound, zeta_log2 = _level_budget(packing, alpha)
     lam = 1 - Fraction(1, 2**k_param)
 
-    def under(q: DyadicCube, level: int) -> tuple[tuple[int, ...], np.ndarray]:
-        """Lower corner and level-`level` labels of the subtree of q."""
-        n = 1 << (level - q.level)
-        corner = tuple(x * n for x in q.coords)
-        return corner, lab[level][tuple(slice(x, x + n) for x in corner)]
-
-    def cubes(level: int, corner: tuple[int, ...], mask: np.ndarray) -> list[DyadicCube]:
-        return [DyadicCube(level, tuple(x + o for x, o in zip(corner, rel)))
-                for rel in np.argwhere(mask).tolist()]
-
     def maximal_good_in_window(q_prev: DyadicCube) -> list[DyadicCube]:
         """Good cubes at levels q_prev.level + K ... + log2(1/zeta) under
         q_prev with no good ancestor in that window, by (level, coords)."""
         found: list[DyadicCube] = []
         taken = np.zeros((1,) * dim, dtype=bool)  # cubes under a found cube
         for level in range(q_prev.level + k_param, min(q_prev.level + zeta_log2, c.depth) + 1):
-            corner, sub = under(q_prev, level)
-            grow = sub.shape[0] // taken.shape[0]
+            n = 1 << (level - q_prev.level)
+            corner = [x * n for x in q_prev.coords]
+            sub = lab[level][tuple(slice(x, x + n) for x in corner)]
+            grow = n // taken.shape[0]
             for axis in range(dim):
                 taken = taken.repeat(grow, axis=axis)
             hit = (sub >= 0) & ~taken
-            found += cubes(level, corner, hit)
+            found += [DyadicCube(level, tuple(x + o for x, o in zip(corner, rel)))
+                      for rel in np.argwhere(hit).tolist()]
             taken |= hit
         return found
-
-    def minimal_under(r: DyadicCube) -> list[DyadicCube]:
-        """Members of r's region under r whose first child is not, by (level, coords)."""
-        i = lab[r.level][r.coords]
-        mins: list[DyadicCube] = []
-        for level in range(r.level, c.depth):
-            corner, sub = under(r, level)
-            first_child = under(r, level + 1)[1][(slice(None, None, 2),) * dim]
-            mins += cubes(level, corner, (sub == i) & (first_child != i))
-        return mins
 
     levels: list[DecompositionLevel] = []
     q_prev = [root]
@@ -651,21 +618,9 @@ def multilevel_decomposition(c: Coronization, alpha: float | Fraction) -> MultiL
                 owner[r] = qp
         if not r_cubes:
             break
-        q_cubes: list[DyadicCube] = []
-        b_sets: list[GoodSet] = []
-        for r in r_cubes:
-            mins = minimal_under(r)
-            q_cubes.extend(mins)
-            outer = _shrunken_box(r, lam)
-            holes = []
-            for m in mins:
-                clipped = _clip_box(_dyadic_box(m), outer)
-                if clipped is not None:
-                    holes.append(clipped)
-            vol = _box_volume(outer) - box_union_volume(holes)
-            b_sets.append(GoodSet(r_cube=r, outer=outer, holes=holes, volume=vol))
-            good_measure += vol
-        levels.append(DecompositionLevel(r_cubes, q_cubes, owner, b_sets))
+        q_cubes, b_volumes = _good_sets(lab, r_cubes, k_param)
+        good_measure += sum(b_volumes)
+        levels.append(DecompositionLevel(r_cubes, q_cubes, owner, b_volumes))
         q_prev = q_cubes
         if not q_prev:
             break

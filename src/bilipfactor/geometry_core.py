@@ -338,22 +338,12 @@ class DyadicCube:
         return 2.0 ** (-self.level)
 
     @property
-    def side_exact(self) -> Fraction:
-        return Fraction(1, 2**self.level)
-
-    @property
     def volume(self) -> Fraction:
         return Fraction(1, 2 ** (self.level * self.dim))
 
     def to_cube(self) -> Cube:
         s = self.side
         return Cube(tuple((c + 0.5) * s for c in self.coords), s)
-
-    def lo_exact(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(c, 2**self.level) for c in self.coords)
-
-    def hi_exact(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(c + 1, 2**self.level) for c in self.coords)
 
     def children(self) -> list[DyadicCube]:
         kids = []

@@ -454,6 +454,22 @@ class TestOtherSubcommands:
         rep = load_report(out)
         assert rep["result"]["good_measure_ok"] is True
 
+    def test_multilevel_3d(self, tmp_path):
+        payload = {"map": {"type": "affine", "b": [0.0, 0.0, 0.0],
+                           "matrix": [[1.1, 0.0, 0.0], [0.05, 0.95, 0.0], [0.0, 0.1, 1.0]]},
+                   "depth": 3, "dim": 3}
+        inp = write_input(tmp_path, "m.json", payload)
+        out = tmp_path / "o"
+        assert main(["multilevel", "--input", inp, "--out", str(out), "--alpha", "0.9", "--h", str(1 / 16)]) == 0
+        res = load_report(out)["result"]
+
+        def exact(v: dict) -> Fraction:
+            return Fraction(int(v["numerator"]), int(v["denominator"]))
+
+        volumes = [exact(v) for lv in res["levels"] for v in lv["B_volumes"]]
+        assert volumes
+        assert exact(res["good_measure"]) == sum(volumes)
+
     @pytest.mark.parametrize("alpha, code", [("1e-5", 1), ("1e-12", 2)])
     def test_multilevel_small_alpha(self, tmp_path, alpha, code):
         # The level budget is closed-form, so a tiny alpha returns at once; one
@@ -494,6 +510,19 @@ class TestOtherSubcommands:
         assert rep["passed"] is False
         assert rep["error"] == "--epsilon must be positive"
         assert rep["config"]["epsilon"] == -1.0
+
+
+    @pytest.mark.parametrize("sub, flag, value", [("multilevel", "alpha", "inf"), ("corona", "theta", "inf"),
+                                                  ("multilevel", "alpha", "nan"), ("pl", "epsilon", "inf")])
+    def test_non_finite_parameter_rejected(self, tmp_path, sub, flag, value):
+        # The report is strict JSON: the config echoes the value as its string.
+        inp = write_input(tmp_path, "c.json", {"map": {"type": "logspiral", "k": 0.25}, "depth": 2})
+        out = tmp_path / "o"
+        assert main([sub, "--input", inp, "--out", str(out), f"--{flag}", value]) == 2
+        rep = load_report(out)
+        assert rep["passed"] is False
+        assert rep["error"] == f"--{flag} must be finite"
+        assert rep["config"][flag] == value
 
 
 class TestConfigEcho:

@@ -17,7 +17,6 @@ from bilipfactor.corona import (
     _sup_error,
     _window_maxima,
     _WindowSamples,
-    box_union_volume,
     build_coronization,
     carleson_constant,
     check_coronization,
@@ -536,6 +535,109 @@ class TestReport:
         ]
 
 
+Box = tuple[tuple[Fraction, ...], tuple[Fraction, ...]]
+
+
+def _box_volume(b: Box) -> Fraction:
+    v = Fraction(1)
+    for a, bb in zip(b[0], b[1]):
+        v *= max(Fraction(0), bb - a)
+    return v
+
+
+def box_union_volume(boxes: list[Box]) -> Fraction:
+    """Exact volume of a union of axis boxes with rational corners."""
+    boxes = [b for b in boxes if _box_volume(b) > 0]
+    if not boxes:
+        return Fraction(0)
+    d = len(boxes[0][0])
+    denom = 1
+    for lo, hi in boxes:
+        for v in (*lo, *hi):
+            denom = denom * v.denominator // math.gcd(denom, v.denominator)
+    scaled = [
+        (tuple(int(v * denom) for v in lo), tuple(int(v * denom) for v in hi))
+        for lo, hi in boxes
+    ]
+    axes = []
+    for k in range(d):
+        coords = sorted({b[0][k] for b in scaled} | {b[1][k] for b in scaled})
+        axes.append(coords)
+    widths = [np.diff(np.asarray(ax, dtype=np.int64)) for ax in axes]
+    shape = tuple(len(w) for w in widths)
+    covered = np.zeros(shape, dtype=bool)
+    for lo, hi in scaled:
+        sel = tuple(
+            slice(
+                int(np.searchsorted(axes[k], lo[k])),
+                int(np.searchsorted(axes[k], hi[k])),
+            )
+            for k in range(d)
+        )
+        covered[sel] = True
+    total = 0
+    if d == 2:
+        for i in range(shape[0]):
+            row = covered[i]
+            total += int(widths[0][i]) * int(np.dot(row, widths[1]))
+    else:
+        for i in range(shape[0]):
+            for j in range(shape[1]):
+                run = covered[i, j]
+                total += int(widths[0][i]) * int(widths[1][j]) * int(np.dot(run, widths[2]))
+    return Fraction(total, denom**d)
+
+
+def minimal_under(c: Coronization, r: DyadicCube) -> list[DyadicCube]:
+    """Members of r's region under r whose first child is not, by (level, coords):
+    the per-R reference for a level's Q cubes."""
+    lab, dim = c.labels, c.labels[0].ndim
+
+    def under(level: int) -> tuple[tuple[int, ...], np.ndarray]:
+        n = 1 << (level - r.level)
+        corner = tuple(x * n for x in r.coords)
+        return corner, lab[level][tuple(slice(x, x + n) for x in corner)]
+
+    i = lab[r.level][r.coords]
+    mins: list[DyadicCube] = []
+    for level in range(r.level, c.depth):
+        corner, sub = under(level)
+        first_child = under(level + 1)[1][(slice(None, None, 2),) * dim]
+        mins += [DyadicCube(level, tuple(x + o for x, o in zip(corner, rel)))
+                 for rel in np.argwhere((sub == i) & (first_child != i)).tolist()]
+    return mins
+
+
+def reference_good_sets(c: Coronization, ml) -> list[tuple[list[DyadicCube], list[Fraction]]]:
+    """Per level of ml: the Q list from minimal_under, and each R's |B| as
+    |lam R| minus box_union_volume of its Q boxes clipped to lam R, in Fractions."""
+    out = []
+    for lv in ml.levels:
+        q_cubes, volumes = [], []
+        for r in lv.r_cubes:
+            mins = minimal_under(c, r)
+            q_cubes += mins
+            side = Fraction(1, 2**r.level)
+            loss = (1 - ml.lam) * side / 2
+            outer = (tuple(x * side + loss for x in r.coords), tuple((x + 1) * side - loss for x in r.coords))
+            holes = []
+            for m in mins:
+                ms = Fraction(1, 2**m.level)
+                lo = tuple(max(x * ms, o) for x, o in zip(m.coords, outer[0]))
+                hi = tuple(min((x + 1) * ms, o) for x, o in zip(m.coords, outer[1]))
+                if all(a < b for a, b in zip(lo, hi)):
+                    holes.append((lo, hi))
+            volumes.append(_box_volume(outer) - box_union_volume(holes))
+        out.append((q_cubes, volumes))
+    return out
+
+
+def assert_good_sets_equal_reference(c: Coronization, ml) -> None:
+    for lv, (q_cubes, volumes) in zip(ml.levels, reference_good_sets(c, ml), strict=True):
+        assert lv.q_cubes == q_cubes
+        assert lv.b_volumes == volumes
+
+
 class TestBoxUnion:
     def test_disjoint_boxes(self):
         f = Fraction
@@ -596,16 +698,26 @@ class TestMultilevel:
         assert ml_fine.k_param >= ml_coarse.k_param
         assert ml_fine.n_bound >= ml_coarse.n_bound
 
-    def test_good_sets_disjoint_and_measure_additive(self):
-        c = build_coronization(LogSpiral(0.15), 2, 6, theta=0.05, h=1 / 64,
-                               force_top_bad=True)
-        ml = multilevel_decomposition(c, 0.5)
-        boxes = [b.outer for lv in ml.levels for b in lv.b_sets]
-        union = box_union_volume([b for b in boxes])
-        total = sum((b.volume for lv in ml.levels for b in lv.b_sets), Fraction(0))
-        # B sets live in disjoint shrunken R cubes minus holes: the union of
-        # their outers bounds the summed measure from above.
-        assert total <= union
+    def test_good_sets_equal_box_oracle(self):
+        # Every B volume equals |lam R| less the box-union oracle, and every Q
+        # list the per-R reference: on the slice test_smooth_map_sample uses
+        # (affine maps, so no R has holes) and on a spiral whose good sets have them.
+        for m, depth in [(m, 5) for m in smooth_test_maps()[:4]] + [(LogSpiral(0.15), 6)]:
+            c = build_coronization(m, 2, depth, theta=0.05, h=1 / 64, force_top_bad=True)
+            for alpha in (0.5, 0.25):
+                ml = multilevel_decomposition(c, alpha)
+                assert ml.levels
+                assert_good_sets_equal_reference(c, ml)
+
+    @pytest.mark.parametrize("theta, n_r, n_q", [(0.02, 3714, 0), (0.05, 512, 75)])
+    def test_3d_good_sets_equal_box_oracle(self, theta, n_r, n_q):
+        # At theta 0.02 every R is a whole region; at 0.05 the good sets have holes.
+        c = build_coronization(blend_3d(), 3, 4, theta=theta, h=1 / 16, force_top_bad=True)
+        ml = multilevel_decomposition(c, 0.9)
+        assert sum(len(lv.r_cubes) for lv in ml.levels) == n_r
+        assert sum(len(lv.q_cubes) for lv in ml.levels) == n_q
+        assert_good_sets_equal_reference(c, ml)
+        assert ml.good_measure == sum(v for lv in ml.levels for v in lv.b_volumes)
 
     def test_two_level_recursion(self):
         # A gentle spiral stops regions progressively near the origin, so the
@@ -625,6 +737,7 @@ class TestMultilevel:
             assert qp.level + ml.k_param <= r.level <= qp.level + ml.zeta_log2
             assert region_of[r] >= 0
         assert ml.good_measure >= Fraction(2, 5)
+        assert_good_sets_equal_reference(c, ml)
 
     @pytest.mark.parametrize("packing", [Fraction(1), Fraction(3, 2), Fraction(7, 3), Fraction(2),
                                          Fraction(5), Fraction(100, 7), Fraction(64, 3)])
