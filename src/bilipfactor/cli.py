@@ -44,6 +44,7 @@ from .jsonio import (
     SchemaError,
     certificate_to_json,
     cube_from_json,
+    factor_sequence_to_json,
     map_from_json,
     map_to_json,
 )
@@ -168,8 +169,6 @@ def _sequence_report(fs: FactorSequence, epsilon: float) -> dict:
     if "alpha" in fs.meta:
         out["internal_alpha"] = fs.meta["alpha"]
     if fs.T <= MAX_FACTOR_JSON:
-        from .jsonio import factor_sequence_to_json
-
         out["sequence"] = factor_sequence_to_json(fs)
     else:
         out["certificates"] = [certificate_to_json(c) for c in fs.certificates[:8]]

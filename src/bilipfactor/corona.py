@@ -10,17 +10,17 @@ of two, turned into Fractions only at the end (no floating-point drift and
 no rational box geometry).
 
 Sampling: every fit and every child check looks at the map on the pitch-h
-lattice of a cube's 2Q window clipped to [0,1]^d.  When h = 2^-p the map is
-evaluated once on the pitch-h lattice of [0,1]^d, and the window of every
-cube of level L < p (its corners are multiples of 2^-(L+1)) is a slice of
-it, point for point the lattice box_lattice would build.  Windows of deeper
-cubes, and all windows when h is not a power of two, are sampled on their
-own.  The fits of a level are one stacked least-squares solve per window
-shape, each bit for bit the solve of its window alone.  A level's regions
-grow together, level by level, each from its fit's residual |fit - f| on
-its top's window: below level p every child check is a block maximum of
-that field, equal bit for bit to the sup on the child's own slice (a max
-does not round).
+lattice of a cube's 2Q window clipped to [0,1]^d.  A level's cubes are one
+(k, d) coordinate array, grouped once by clip class (per axis, the window
+is cut at 0, at 1 or neither), which fixes the window's shape.  When
+h = 2^-p the map is evaluated once on the pitch-h lattice of [0,1]^d, and a
+class's windows at a level L < p are one gather from it, point for point
+box_lattice's; other windows are sampled on their own and stacked.  Each
+stacked fit is bit for bit its window's own solve.  A level's regions grow
+together from the fit stacks' residuals |fit - f|: below level p a child
+check is a block maximum of its top's, equal bit for bit to the sup on the
+child's own window (a max does not round).  The multi-level R and Q cubes
+are selected on the label arrays, one stacked mask pass per cube level.
 
 Storage: one int64 label array per level, labels[L] of shape (2^L,)*d,
 holding -1 for a bad cube and the region index for a good one.  The build
@@ -42,6 +42,7 @@ as is a negative depth.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -108,31 +109,28 @@ class Coronization:
         return self._labelled(lambda lab: (lab >= 0) & (lab < len(self.regions)))
 
 
-def _fit_window(q: DyadicCube) -> tuple[np.ndarray, np.ndarray]:
-    """Sampling box for a cube's fit: 2Q clipped to the unit cube."""
-    c = q.to_cube()
-    lo = np.maximum(np.asarray(c.center) - c.side, 0.0)
-    hi = np.minimum(np.asarray(c.center) + c.side, 1.0)
-    return lo, hi
+def _fit_window(level: int, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sampling boxes (lo, hi), each (k, d), of the level cubes at coords (k, d): 2Q
+    clipped to the unit cube."""
+    side = 2.0**-level
+    centers = (coords + 0.5) * side
+    return np.maximum(centers - side, 0.0), np.minimum(centers + side, 1.0)
 
 
-def _sample_window(f: MapExpr, q: DyadicCube, h: float) -> tuple[np.ndarray, np.ndarray]:
-    lo, hi = _fit_window(q)
-    pts = box_lattice(lo, hi, h)
-    return pts, f.evaluate(pts)
-
-
-def _point_errors(fit: AffineMapData, pts: np.ndarray, imgs: np.ndarray) -> np.ndarray:
-    return np.linalg.norm(fit.apply(pts) - imgs, axis=1)
+def _box_windows(f: MapExpr, level: int, coords: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Each window's box_lattice at pitch h and f on it, one evaluate per window, stacked."""
+    pts = [box_lattice(lo, hi, h) for lo, hi in zip(*_fit_window(level, coords))]
+    return np.stack(pts), np.stack([f.evaluate(x) for x in pts])
 
 
 def _sup_error(fit: AffineMapData, pts: np.ndarray, imgs: np.ndarray) -> float:
-    return float(np.max(_point_errors(fit, pts, imgs)))
+    return float(np.max(np.linalg.norm(fit.apply(pts) - imgs, axis=1)))
 
 
 def region_fit_error(fit: AffineMapData, f: MapExpr, q: DyadicCube, h: float) -> float:
     """sup over the lattice of 2Q intersected with [0,1]^d of |fit - f|."""
-    return _sup_error(fit, *_sample_window(f, q, h))
+    pts, imgs = _box_windows(f, q.level, np.array([q.coords]), h)
+    return _sup_error(fit, pts[0], imgs[0])
 
 
 def _lattice_exponent(h: float) -> int | None:
@@ -146,7 +144,7 @@ class _WindowSamples:
 
     When h = 2^-p, f is evaluated once on the pitch-h lattice of [0,1]^d.
     The window of a level-L cube has its corners at multiples of 2^-(L+1),
-    so for L < p it is a slice of that lattice holding the same points, in
+    so for L < p it is a box of that lattice holding the same points, in
     the same order, as box_lattice gives for it.  Any other window is
     sampled on its own.
     """
@@ -159,32 +157,18 @@ class _WindowSamples:
             self.pts = np.stack(np.meshgrid(*[axis] * dim, indexing="ij"), axis=-1)
             self.imgs = f.evaluate(self.pts.reshape(-1, dim)).reshape(self.pts.shape)
 
-    def window(self, q: DyadicCube) -> tuple[slice, ...] | None:
-        """q's window as a slice of the lattice, or None if it is sampled on its own."""
-        if self.p is None or q.level >= self.p:
-            return None
-        step = 2 ** (self.p - q.level - 1)  # lattice pitches per half side of q
-        end = 2 ** (q.level + 1)
-        return tuple(
-            slice(max(2 * c - 1, 0) * step, min(2 * c + 3, end) * step + 1) for c in q.coords
-        )
-
-    def __call__(self, q: DyadicCube) -> tuple[np.ndarray, np.ndarray]:
-        win = self.window(q)
-        if win is None:
-            return _sample_window(self.f, q, self.h)
-        return self.pts[win].reshape(-1, self.dim), self.imgs[win].reshape(-1, self.dim)
-
-    def field_shape(self, q: DyadicCube) -> list[int] | None:
-        """The shape of q's window if some child's window is a slice of it, else None."""
-        win = self.window(q)
-        return None if win is None or q.level + 1 == self.p else [s.stop - s.start for s in win]
-
-    def field(self, fit: AffineMapData, q: DyadicCube) -> np.ndarray | None:
-        """|fit - f| at each point of q's window, shaped by field_shape.  The
-        points and the expression are those _sup_error sees for q."""
-        shape = self.field_shape(q)
-        return None if shape is None else _point_errors(fit, *self(q)).reshape(shape)
+    def __call__(self, level: int, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Points and images on the windows of the level cubes at coords (k, d), which share
+        a clip class: (k,) + window shape + (d,) for lattice boxes, else (k, n, d)."""
+        if self.p is None or level >= self.p:
+            return _box_windows(self.f, level, coords, self.h)
+        step, size = 1 << (self.p - level - 1), self.pts.shape[:-1]
+        lo = np.maximum(2 * coords - 1, 0) * step
+        shape = tuple((np.minimum(2 * coords[0] + 3, 2 << level) * step + 1 - lo[0]).tolist())
+        at = (np.ravel_multi_index(lo.T, size)[:, None]
+              + np.ravel_multi_index(np.indices(shape).reshape(self.dim, -1), size))
+        return tuple(a.reshape(-1, self.dim)[at].reshape(at.shape[:1] + shape + (self.dim,))
+                     for a in (self.pts, self.imgs))
 
 
 def _children(a: np.ndarray, dim: int) -> np.ndarray:
@@ -196,24 +180,25 @@ def _children(a: np.ndarray, dim: int) -> np.ndarray:
     return blocks.reshape(a.shape[:m] + (n,) * dim + (2**dim,))
 
 
-def _window_maxima(field: np.ndarray, top: DyadicCube, level: int, p: int) -> np.ndarray:
-    """Max of field (the error field of top's window at h = 2^-p, or a stack of
-    fields of windows clipped as top's is, on the trailing axes) over the window
-    of every level-`level` cube under top, top.level < level < p.
+def _window_maxima(field: np.ndarray, top: int, corner, level: int, p: int) -> np.ndarray:
+    """Max of field (the error field, at h = 2^-p, of the window of the level-`top`
+    cube at corner, or a stack of fields of windows of its clip class, on the
+    trailing axes) over the window of every level-`level` cube under it,
+    top < level < p.
 
-    Each such window is a slice of top's: per axis, a cube c covers the
+    Each such window is a slice of the top's: per axis, a cube c covers the
     half-cells max(2c-1, 0) ... min(2c+3, 2^(level+1)) of 2^(p-level-1)
     lattice pitches each.  The windows of neighbours overlap, so one
     reduceat per axis takes the max over [start, stop) pairs and keeps
-    every other row; out[..., rel] belongs to the cube at top's corner + rel.
+    every other row; out[..., rel] belongs to the cube at the corner + rel.
     """
-    n = 1 << (level - top.level)
+    n = 1 << (level - top)
     step = 1 << (p - level - 1)
     end = 1 << (level + 1)
     out = field
-    for axis, cq in enumerate(top.coords, start=field.ndim - top.dim):
+    for axis, cq in enumerate(corner, start=field.ndim - len(corner)):
         c = np.arange(cq * n, (cq + 1) * n)
-        origin = max(2 * cq - 1, 0) << (p - top.level - 1)
+        origin = max(2 * cq - 1, 0) << (p - top - 1)
         start = np.maximum(2 * c - 1, 0) * step - origin
         stop = np.minimum(2 * c + 3, end) * step + 1 - origin
         bounds = np.stack([start, stop], axis=-1).ravel()
@@ -224,90 +209,84 @@ def _window_maxima(field: np.ndarray, top: DyadicCube, level: int, p: int) -> np
     return out
 
 
-def _grow_level(labels: list[np.ndarray], regions: list[StoppingRegion], first: int,
-                errors: list[np.ndarray], sample: _WindowSamples, theta: float) -> None:
-    """Label the tops of regions[first:], all of one level, and grow those
-    regions together, one level at a time.
+def _grow_level(labels: list[np.ndarray], regions: list[StoppingRegion], top: int, coords: np.ndarray,
+                ids: np.ndarray, fields: list[tuple[np.ndarray, np.ndarray]], sample: _WindowSamples,
+                theta: float) -> None:
+    """Grow the regions opened among the level-`top` cubes at coords together,
+    one level at a time; ids holds each cube's label (-1 for a bad cube) and
+    fields the (good cube indices, error fields) chunks of _level_fits.
 
     A frontier cube's children all join when each passes
     sup |fit - f| <= theta diam on its window; joined children are the next
     frontier.  The tops' subtrees are disjoint and unassigned, so one (k,) +
     (n,)*d mask holds the frontiers.  Below level p child errors are block
-    maxima of the tops' error fields (errors[j], or None where no child's
-    window is a slice), stacked by how the windows are clipped; from p on
-    they are _sup_error on each child of the frontier, stopping at a cube's
-    first failing child.
+    maxima of the tops' error fields, a chunk (one clip class) at a time; from
+    p on they are _sup_error on each child of the frontier, stopping at a
+    cube's first failing child.
     """
-    new, dim, depth = regions[first:], sample.dim, len(labels) - 1
-    if not new:
+    good = ids >= 0
+    if not good.any():
         return
-    top = new[0].top.level
-    coords = np.array([s.top.coords for s in new])
-    labels[top][tuple(coords.T)] = np.arange(first, len(regions))
-    fields = []
-    if top < depth and errors[0] is not None:
-        stacks: dict[tuple, list[int]] = {}
-        for j, s in enumerate(new):
-            stacks.setdefault(tuple((c == 0, c + 1 == 1 << top) for c in s.top.coords), []).append(j)
-        for sel in stacks.values():
-            fields.append((sel, new[sel[0]].top, np.stack([errors[j] for j in sel])))
-    frontier = np.ones((len(new),) + (1,) * dim, dtype=bool)
+    dim, depth, tops, first = sample.dim, len(labels) - 1, coords[good], int(ids[good][0])
+    frontier = np.ones((len(tops),) + (1,) * dim, dtype=bool)
     for level in range(top + 1, depth + 1):
         n = 1 << (level - top)
         limit = theta * (2.0**-level * math.sqrt(dim))
-        passed = np.zeros((len(new),) + (n,) * dim, dtype=bool)
+        passed = np.zeros((len(tops),) + (n,) * dim, dtype=bool)
         if fields and level < sample.p:
-            for sel, q, field in fields:
-                passed[sel] = _window_maxima(field, q, level, sample.p) <= limit
+            for sel, field in fields:
+                passed[ids[sel] - first] = _window_maxima(field, top, coords[sel[0]], level, sample.p) <= limit
         else:
             for j, *x in np.argwhere(frontier).tolist():
-                corner = [c * n for c in new[j].top.coords]
-                for kid in DyadicCube(level - 1, tuple(c // 2 + r for c, r in zip(corner, x))).children():
-                    if not _sup_error(new[j].fit, *sample(kid)) <= limit:
+                for off in np.ndindex((2,) * dim):
+                    rel = tuple(2 * a + b for a, b in zip(x, off))
+                    pts, imgs = sample(level, tops[j:j + 1] * n + rel)
+                    if not _sup_error(regions[first + j].fit, pts[0], imgs[0]) <= limit:
                         break
-                    passed[(j, *(c - o for c, o in zip(kid.coords, corner)))] = True
+                    passed[(j, *rel)] = True
         frontier &= _children(passed, dim).all(axis=-1)
         if not frontier.any():
             return
         for axis in range(1, dim + 1):
             frontier = frontier.repeat(2, axis=axis)
         j, *rel = np.nonzero(frontier)
-        labels[level][tuple(coords[j].T * n + rel)] = first + j
+        labels[level][tuple(tops[j].T * n + rel)] = first + j
 
 
-def _level_fits(f: MapExpr, cubes: list[DyadicCube], sample: _WindowSamples, theta: float,
-                l_est: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, dict]:
-    """(lin, shift, residual, bad, errors) of each cube of one level, fitted in stacks of one
-    window shape and at most FIT_POINTS points (or one window); errors[i] is sample.field
-    of cube i where that is not None.  Centre images are f.evaluate_each, each m(center) as
-    if alone: a Blend rounds some rows differently in a batch or lattice."""
-    k, dim = len(cubes), sample.dim
+def _level_fits(f: MapExpr, level: int, coords: np.ndarray, sample: _WindowSamples, theta: float,
+                l_est: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list]:
+    """(lin, shift, residual, bad, fields) of the level cubes at coords (k, d).
+
+    The cubes are grouped once by clip class (per axis: the window cut at 0,
+    at 1, or neither), which fixes the window's shape.  A class is fitted in
+    chunks of at most FIT_POINTS points (or one window; the first chunk is
+    one window, whose size sets the rest), one sample call each.  Where the
+    children's windows are lattice boxes too, fields keeps each chunk's good
+    cubes' indices and |fit - f| shaped as their windows.  Centre images are
+    f.evaluate_each, each m(center) as if alone: a Blend rounds some rows
+    differently in a batch or lattice."""
+    k, dim, side = len(coords), sample.dim, 2.0**-level
     lin, shift, res, rank = np.empty((k, dim, dim)), np.empty((k, dim)), np.empty(k), np.empty(k, int)
-    errors: dict[int, np.ndarray] = {}
-
-    def solve(group: list[tuple[int, np.ndarray, np.ndarray]]) -> None:
-        sel, pts, imgs = (list(x) for x in zip(*group))
-        centers = np.array([cubes[i].to_cube().center for i in sel])
-        lin[sel], shift[sel], err, rank[sel] = affine_fit_samples(
-            np.stack(pts), np.stack(imgs), centers, f.evaluate_each(centers))
-        res[sel] = err.max(axis=1) / cubes[sel[0]].to_cube().diam
-        for i, e in zip(sel, err):
-            if (shape := sample.field_shape(cubes[i])) is not None:
-                errors[i] = e.reshape(shape)
-
-    groups: dict[tuple[int, ...], list] = {}
-    for i, q in enumerate(cubes):
-        pts, imgs = sample(q)
-        groups.setdefault(pts.shape, []).append((i, pts, imgs))
-        if (len(groups[pts.shape]) + 1) * len(pts) > FIT_POINTS:
-            solve(groups.pop(pts.shape))
-    for group in groups.values():
-        solve(group)
+    fields = []
+    clip = ((coords == 0) + 2 * (coords == (1 << level) - 1)) @ (4 ** np.arange(dim))
+    order = np.argsort(clip, kind="stable")
+    for todo in np.split(order, np.flatnonzero(np.diff(clip[order])) + 1):
+        size = 1
+        while len(todo):
+            sel, todo = todo[:size], todo[size:]
+            pts, imgs = sample(level, coords[sel])
+            centers = (coords[sel] + 0.5) * side
+            lin[sel], shift[sel], err, rank[sel] = affine_fit_samples(
+                pts.reshape(len(sel), -1, dim), imgs.reshape(len(sel), -1, dim), centers, f.evaluate_each(centers))
+            res[sel] = err.max(axis=1) / (side * math.sqrt(dim))
+            if sample.p is not None and level + 1 < sample.p:
+                fields.append((sel, err.reshape(pts.shape[:-1])))
+            size = max(1, FIT_POINTS // err.shape[1])
     finite = np.isfinite(lin).all(axis=(1, 2)) & np.isfinite(shift).all(axis=1)
     bad = (rank < dim + 1) | ~finite | (res > theta)
     lips = bilip_constants(lin[~bad].transpose(0, 2, 1))
     bad[~bad] = np.isnan(lips) | (lips > 2.0 * l_est)
-    return lin, shift, res, bad, errors
+    return lin, shift, res, bad, [(sel[~bad[sel]], err[~bad[sel]]) for sel, err in fields if not bad[sel].all()]
 
 
 def build_coronization(
@@ -325,10 +304,11 @@ def build_coronization(
     bad.  A passing cube opens a region that keeps descending while the
     REGION TOP's fit stays within theta * diam(Q) on every child; children
     join all-or-none, which makes regions coherent by construction.  Levels
-    are visited top-down; a level's unassigned cubes are fitted in one pass
-    (_level_fits); its good ones open regions in C order, grown together one
-    level at a time (_grow_level), with child errors taken from each top's
-    fit residual field where the windows are lattice slices.
+    are visited top-down; a level's unassigned cubes, one (k, d) coordinate
+    array, are fitted in one pass (_level_fits); its good ones open regions
+    in C order, grown together one level at a time (_grow_level), with child
+    errors taken from each top's fit residual field where the windows are
+    lattice boxes.
     """
     if depth < 0:
         raise GeometryError(f"coronization depth must be non-negative, got {depth}")
@@ -352,14 +332,15 @@ def build_coronization(
         labels[0].fill(-1)
     for level in range(depth + 1):
         # Regions opened here label only deeper cubes, so this level's unassigned
-        # cubes are all fitted first, marked bad, and relabelled as each good one opens.
-        cubes = [DyadicCube(level, tuple(x)) for x in np.argwhere(labels[level] == _UNASSIGNED).tolist()]
-        lin, shift, res, bad, errors = _level_fits(f, cubes, sample, theta, l_est)
-        labels[level][labels[level] == _UNASSIGNED] = -1
-        good, first = np.flatnonzero(~bad).tolist(), len(regions)
-        regions += [StoppingRegion(cubes[i], AffineMapData(lin[i].T, shift[i]), float(res[i])) for i in good]
-        _grow_level(labels, regions, first, [errors.get(i) for i in good], sample, theta)
-        del errors  # this level's error fields, dropped before the next level is fitted
+        # cubes are all fitted first and labelled at once: -1, or the region each opens.
+        coords = np.argwhere(labels[level] == _UNASSIGNED)
+        lin, shift, res, bad, fields = _level_fits(f, level, coords, sample, theta, l_est)
+        ids = np.where(bad, -1, len(regions) + np.cumsum(~bad) - 1)
+        labels[level][tuple(coords.T)] = ids
+        regions += [StoppingRegion(DyadicCube(level, tuple(x)), AffineMapData(lin[i].T, shift[i]), float(res[i]))
+                    for i, x in zip(np.flatnonzero(~bad).tolist(), coords[~bad].tolist())]
+        _grow_level(labels, regions, level, coords, ids, fields, sample, theta)
+        del fields  # this level's error fields, dropped before the next level is fitted
 
     return Coronization(
         labels=labels,
@@ -507,9 +488,29 @@ def _blocks(a: np.ndarray, level: int, corners: np.ndarray) -> np.ndarray:
     return view[tuple(corners.T)]
 
 
+def _by_level(cubes: list[DyadicCube]) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """(level, indices into cubes, coords (k, d)) for each dyadic level among cubes."""
+    levels, coords = np.array([q.level for q in cubes]), np.array([q.coords for q in cubes])
+    return [(lv, np.flatnonzero(levels == lv), coords[levels == lv]) for lv in sorted(set(levels.tolist()))]
+
+
+def _ordered(marks: list[tuple[np.ndarray, int, np.ndarray, np.ndarray]], dim: int,
+             depth: int) -> tuple[list[DyadicCube], np.ndarray]:
+    """The cubes marked in (owner indices, level, owner coords, (k,) + (n,)*d mask) blocks
+    and their owner indices, by owner, then level, then C order."""
+    rows = [(np.empty(0, np.int64), np.empty(0, np.int64), np.empty((0, dim), np.int64))]
+    for sel, level, corners, mask in marks:
+        at = np.argwhere(mask)
+        rows.append((sel[at[:, 0]], np.full(len(at), level), corners[at[:, 0]] * mask.shape[-1] + at[:, 1:]))
+    owner, levels, coords = (np.concatenate(x) for x in zip(*rows))
+    order = np.argsort(owner * (depth + 1) + levels, kind="stable")
+    cubes = [DyadicCube(lv, tuple(x)) for lv, x in zip(levels[order].tolist(), coords[order].tolist())]
+    return cubes, owner[order]
+
+
 def _good_sets(lab: list[np.ndarray], r_cubes: list[DyadicCube],
-               k_param: int) -> tuple[list[DyadicCube], list[Fraction]]:
-    """The Q cubes of one decomposition level and the exact volume of each R's good set.
+               k_param: int) -> tuple[list[DyadicCube], list[Fraction], Fraction]:
+    """The Q cubes of one decomposition level, and the exact volume of each R's good set and their sum.
 
     R's Q cubes are the members of its region under it whose first child is
     not, listed by R, then level, then C order.  The R cubes of one dyadic
@@ -520,26 +521,21 @@ def _good_sets(lab: list[np.ndarray], r_cubes: list[DyadicCube],
     e = max(depth, rl + K + 1), lam R spans [delta, side - delta] on each axis,
     delta = 2^(e-rl-K-1), and a depth cell overlaps it by one integer per axis,
     the same weights w for every R of level rl: |B| is |lam R| less the hole
-    cells' weight products.  K <= rl, since an R lies at least K levels below
-    its owner, so e - rl <= depth + 1 and every sum is below 2^(d (depth+1)),
-    which build_coronization's guard keeps within int64.
+    cells' weight products, summed per rl over one denominator.  K <= rl, as
+    an R lies at least K levels below its owner, so e - rl <= depth + 1 and
+    every sum is below 2^(d (depth+1)), within the build's int64 guard.
     """
     depth, dim = len(lab) - 1, lab[0].ndim
-    rows = [(np.empty(0, np.int64), np.empty(0, np.int64), np.empty((0, dim), np.int64))]
+    marks = []
     volumes: list[Fraction] = [Fraction(0)] * len(r_cubes)
-    by_level: dict[int, list[int]] = {}
-    for j, r in enumerate(r_cubes):
-        by_level.setdefault(r.level, []).append(j)
-    for rl, sel in by_level.items():
-        corners = np.array([r_cubes[j].coords for j in sel])
+    total = Fraction(0)
+    for rl, sel, corners in _by_level(r_cubes):
         ids = lab[rl][tuple(corners.T)].reshape((-1,) + (1,) * dim)
         hole = np.zeros((len(sel),) + (1,) * dim, dtype=bool)  # at level L, from L = rl down
         for level in range(rl, depth):
             first_child = _blocks(lab[level + 1], rl, corners)[(slice(None),) + (slice(None, None, 2),) * dim]
             mins = (_blocks(lab[level], rl, corners) == ids) & (first_child != ids)
-            found = np.argwhere(mins)
-            rows.append((np.asarray(sel)[found[:, 0]], np.full(len(found), level),
-                         corners[found[:, 0]] * mins.shape[-1] + found[:, 1:]))
+            marks.append((sel, level, corners, mins))
             hole |= mins
             for axis in range(1, dim + 1):
                 hole = hole.repeat(2, axis=axis)
@@ -550,12 +546,11 @@ def _good_sets(lab: list[np.ndarray], r_cubes: list[DyadicCube],
         mass = hole.astype(np.int64)
         for _ in range(dim):
             mass = mass @ w
-        for j, m in zip(sel, mass.tolist()):
-            volumes[j] = Fraction((side - 2 * delta) ** dim - m, 1 << (dim * e))
-    r_index, levels, coords = (np.concatenate(x) for x in zip(*rows))
-    order = np.argsort(r_index * (depth + 1) + levels, kind="stable")
-    q_cubes = [DyadicCube(level, tuple(x)) for level, x in zip(levels[order].tolist(), coords[order].tolist())]
-    return q_cubes, volumes
+        held = [(side - 2 * delta) ** dim - m for m in mass.tolist()]
+        for j, v in zip(sel.tolist(), held):
+            volumes[j] = Fraction(v, 1 << (dim * e))
+        total += Fraction(sum(held), 1 << (dim * e))
+    return _ordered(marks, dim, depth)[0], volumes, total
 
 
 def multilevel_decomposition(c: Coronization, alpha: float | Fraction) -> MultiLevelDecomposition:
@@ -566,61 +561,46 @@ def multilevel_decomposition(c: Coronization, alpha: float | Fraction) -> MultiL
     C/(log2(1/zeta) - K) < alpha/3 with C the measured Carleson constant; an
     alpha that rounds to 0 at denominator 10^9 is refused.  Per level, the R
     cubes are the maximal good cubes in the size window [zeta l(Q), 2^-K l(Q)]
-    strictly inside each previous-level Q; the Q cubes are the stopped
-    minimal cubes of the R's regions; the good sets are lam R minus the Q's.
-    The Q cubes, the holes and the exact B volumes come from the label arrays
-    in integers, one stacked mask pass per level (_good_sets); no rational
-    boxes are built.
+    strictly inside each previous-level Q, by Q, then level, then C order;
+    the Q cubes are the stopped minimal cubes of the R's regions; the good
+    sets are lam R minus the Q's.  Both come from the label arrays, one
+    stacked mask pass per level of the owning cubes (the Q's of _good_sets,
+    its holes and exact B volumes, summed in integers); no boxes are built.
     The exact good measure may fall short of 1 - alpha at this depth: that is
     a verdict for the caller to compare, not an error.
     """
     alpha = Fraction(alpha).limit_denominator(10**9)
     if alpha <= 0:
         raise GeometryError("alpha must be positive at denominator 10^9")
-    lab = c.labels
-    dim = lab[0].ndim
-    root = DyadicCube(0, tuple([0] * dim))
+    lab, dim = c.labels, c.labels[0].ndim
     if lab[0].flat[0] != -1:
         raise GeometryError("multilevel decomposition expects the top cube forced bad")
 
     c_bad, c_tops = carleson_constant(c)
     packing = max(c_bad, c_tops, Fraction(1))
     k_param, n_bound, zeta_log2 = _level_budget(packing, alpha)
-    lam = 1 - Fraction(1, 2**k_param)
-
-    def maximal_good_in_window(q_prev: DyadicCube) -> list[DyadicCube]:
-        """Good cubes at levels q_prev.level + K ... + log2(1/zeta) under
-        q_prev with no good ancestor in that window, by (level, coords)."""
-        found: list[DyadicCube] = []
-        taken = np.zeros((1,) * dim, dtype=bool)  # cubes under a found cube
-        for level in range(q_prev.level + k_param, min(q_prev.level + zeta_log2, c.depth) + 1):
-            n = 1 << (level - q_prev.level)
-            corner = [x * n for x in q_prev.coords]
-            sub = lab[level][tuple(slice(x, x + n) for x in corner)]
-            grow = n // taken.shape[0]
-            for axis in range(dim):
-                taken = taken.repeat(grow, axis=axis)
-            hit = (sub >= 0) & ~taken
-            found += [DyadicCube(level, tuple(x + o for x, o in zip(corner, rel)))
-                      for rel in np.argwhere(hit).tolist()]
-            taken |= hit
-        return found
 
     levels: list[DecompositionLevel] = []
-    q_prev = [root]
+    q_prev = [DyadicCube(0, (0,) * dim)]
     good_measure = Fraction(0)
     for _ in range(n_bound):
-        r_cubes: list[DyadicCube] = []
-        owner: dict[DyadicCube, DyadicCube] = {}
-        for qp in q_prev:
-            for r in maximal_good_in_window(qp):
-                r_cubes.append(r)
-                owner[r] = qp
+        marks = []  # the R cubes: good, K ... zeta_log2 levels under a Q, with no good ancestor there
+        for ql, sel, corners in _by_level(q_prev):
+            taken = np.zeros((len(sel),) + (1,) * dim, dtype=bool)  # the cubes under a found R
+            for level in range(ql + k_param, min(ql + zeta_log2, c.depth) + 1):
+                hit = _blocks(lab[level], ql, corners) >= 0
+                for axis in range(1, dim + 1):
+                    taken = taken.repeat(hit.shape[-1] // taken.shape[-1], axis=axis)
+                hit &= ~taken
+                marks.append((sel, level, corners, hit))
+                taken |= hit
+        r_cubes, owner = _ordered(marks, dim, c.depth)
         if not r_cubes:
             break
-        q_cubes, b_volumes = _good_sets(lab, r_cubes, k_param)
-        good_measure += sum(b_volumes)
-        levels.append(DecompositionLevel(r_cubes, q_cubes, owner, b_volumes))
+        q_cubes, b_volumes, measure = _good_sets(lab, r_cubes, k_param)
+        good_measure += measure
+        levels.append(DecompositionLevel(r_cubes, q_cubes, {r: q_prev[j] for r, j in zip(r_cubes, owner.tolist())},
+                                         b_volumes))
         q_prev = q_cubes
         if not q_prev:
             break
@@ -630,7 +610,7 @@ def multilevel_decomposition(c: Coronization, alpha: float | Fraction) -> MultiL
         n_bound=n_bound,
         k_param=k_param,
         zeta_log2=zeta_log2,
-        lam=lam,
+        lam=1 - Fraction(1, 2**k_param),
         carleson=packing,
         levels=levels,
         good_measure=good_measure,
@@ -668,10 +648,8 @@ def secondary_subdivision(parent: Cube, k: int, c4: float, p: int) -> SecondaryS
     n_cells = int(math.ceil(parent.side / pitch - 1e-12))
     cubes: list[Cube] = []
     idx_ranges = [range(n_cells)] * d
-    import itertools as _it
-
     inside = 0
-    for idx in _it.product(*idx_ranges):
+    for idx in itertools.product(*idx_ranges):
         cell_lo = lo + pitch * np.asarray(idx, dtype=float)
         side = shrink * pitch
         cubes.append(Cube(tuple(cell_lo + side / 2.0), side))

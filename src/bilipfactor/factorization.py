@@ -28,12 +28,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
+from .degree import degree_winding_2d
 from .geometry_core import (
     AffineMapData,
     Cube,
     GeometryError,
     SVD_TOL,
     bilip_constant,
+    box_lattice,
     check_matrix,
     cube_lattice,
     cube_lattices,
@@ -540,7 +542,10 @@ def factor_translation_along_path(
         raise GeometryError("path must start at the cube center")
     end = path[-1]
     target = Translation(tuple(end - np.asarray(q.center)))
-    total = float(np.sum(np.linalg.norm(np.diff(path, axis=0), axis=1)))
+    with np.errstate(over="ignore"):  # an overflowing length is refused below
+        total = float(np.sum(np.linalg.norm(np.diff(path, axis=0), axis=1)))
+    if not math.isfinite(total):
+        raise GeometryError(f"path length must be finite, got {total}")
     tube = Cube(tuple((path.min(axis=0) + path.max(axis=0)) / 2.0),
                 float(np.max(path.max(axis=0) - path.min(axis=0)) + 4.0 * q.side))
     if total == 0.0:
@@ -720,8 +725,6 @@ def glue_two(
     targets (planar case); the glued sampled distortion is certified
     against max of the piece bounds.
     """
-    from .geometry_core import box_lattice
-
     lo = np.minimum(a1.lo(), a2.lo())
     hi = np.maximum(a1.hi(), a2.hi())
     hull = Cube(tuple((lo + hi) / 2.0), float(np.max(hi - lo)))
@@ -751,8 +754,6 @@ def glue_two(
             f"glued distortion {cert.L_lo:.6f} exceeds the piece bound {bound:.6f}"
         )
     if hull.dim == 2:
-        from .degree import degree_winding_2d
-
         boundary = np.array(
             [[lo[0], lo[1]], [hi[0], lo[1]], [hi[0], hi[1]], [lo[0], hi[1]], [lo[0], lo[1]]]
         )

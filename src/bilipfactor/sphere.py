@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry_core import GeometryError
-from .map_engine import Compose, MapExpr, Scaling, Translation
+from .map_engine import Compose, Identity, MapExpr, Scaling, Translation
 
 
 class _Infinity:
@@ -140,8 +140,6 @@ class SphericalFactorReport:
 
     def composite(self) -> MapExpr:
         if not self.steps:
-            from .map_engine import Identity
-
             return Identity()
         return Compose(tuple(reversed([s.map for s in self.steps])))
 
@@ -157,7 +155,10 @@ def factor_translation_sphere(v, epsilon: float) -> SphericalFactorReport:
     v = np.asarray(v, dtype=float).reshape(-1)
     if v.shape[0] not in (2, 3):
         raise GeometryError("only 2-D and 3-D translations are supported")
-    length = float(np.linalg.norm(v))
+    with np.errstate(over="ignore"):  # an overflowing length is refused below
+        length = float(np.linalg.norm(v))
+    if not math.isfinite(length):
+        raise GeometryError(f"translation length must be finite, got {length}")
     target = Translation(tuple(v))
     if length == 0.0:
         return SphericalFactorReport([], target, epsilon)
@@ -196,6 +197,8 @@ def factor_scaling_sphere(a: float, epsilon: float) -> SphericalFactorReport:
     """
     if a <= 0:
         raise GeometryError("scaling factor must be positive")
+    if not math.isfinite(a):
+        raise GeometryError(f"scaling factor must be finite, got {a}")
     if epsilon <= 0:
         raise GeometryError("epsilon must be positive")
     target = Scaling(a) if a != 1.0 else Scaling(1.0)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -230,6 +231,14 @@ MALFORMED = {
         "sphere-factor", {"kind": "translation", "v": [1.0, 0.0, 0.0, 0.0]},
         "only 2-D and 3-D translations are supported"),
     "translate-ragged-path": ("factor-translate", {"cube": UNIT, "path": [[0.5, 0.5], [1.0]]}, ""),
+    "translate-path-length-overflows": (
+        "factor-translate", {"cube": {"center": [0.0, 0.0], "side": 1.0}, "path": [[0.0, 0.0], [1e308, 1e308]]},
+        "path length must be finite"),
+    "sphere-translation-v-infinite": (
+        "sphere-factor", {"kind": "translation", "v": [math.inf, 0.0]}, "translation length must be finite"),
+    "sphere-translation-v-overflows": (
+        "sphere-factor", {"kind": "translation", "v": [1e308, 1e308]}, "translation length must be finite"),
+    "sphere-scaling-a-infinite": ("sphere-factor", {"kind": "scaling", "a": math.inf}, "scaling factor must be finite"),
     "corona-depth-not-integer": ("corona", {"map": IDENTITY, "depth": "x"}, ""),
     "pl-eta-not-numeric": ("pl", {"map": IDENTITY, "eta": "x"}, ""),
     "degree-target-not-numeric": ("degree", {"map": IDENTITY, "target": "a", "cube": UNIT}, ""),

@@ -181,6 +181,21 @@ def blend_3d(theta: float = 0.03) -> Blend:
     return Blend(Affine(AffineMapData(rot, np.zeros(3))), Cube((0.4, 0.5, 0.6), 0.3), 2.0)
 
 
+def window(sample, q: DyadicCube) -> tuple[np.ndarray, np.ndarray]:
+    """q's window points and images, (n, d) each, from a one-cube sample call."""
+    return tuple(a.reshape(-1, q.dim) for a in sample(q.level, np.array([q.coords])))
+
+
+def window_field(sample, fit: AffineMapData, q: DyadicCube) -> np.ndarray | None:
+    """|fit - f| at each point of q's window, shaped as its lattice box, or None when no
+    child's window is a lattice box.  The points and the expression are those
+    _sup_error sees for q."""
+    if sample.p is None or q.level + 1 >= sample.p:
+        return None
+    pts, imgs = sample(q.level, np.array([q.coords]))
+    return np.linalg.norm(fit.apply(pts.reshape(-1, q.dim)) - imgs.reshape(-1, q.dim), axis=1).reshape(pts.shape[1:-1])
+
+
 class TestDenseSampling:
     @pytest.mark.parametrize(
         "f, dim, depth, theta, h",
@@ -191,8 +206,9 @@ class TestDenseSampling:
             (blend_3d(), 3, 2, 0.02, 1 / 8),
             (LogSpiral(0.05), 2, 6, 0.05, 1 / 128),  # regions grow 3+ levels on one error field
             (blend_3d(), 3, 3, 0.02, 1 / 16),
+            (blend_3d(), 3, 3, 0.02, 1 / 8),  # a Blend at level p: box_lattice fits, one child at a time
         ],
-        ids=["sliced", "mixed", "non-dyadic", "3d", "deep-regions", "3d-depth3"],
+        ids=["sliced", "mixed", "non-dyadic", "3d", "deep-regions", "3d-depth3", "3d-level-p"],
     )
     def test_equals_per_window_loop(self, f, dim, depth, theta, h):
         c = build_coronization(f, dim, depth, theta=theta, h=h)
@@ -205,15 +221,24 @@ class TestDenseSampling:
             assert s.fit.shift.tobytes() == r.fit.shift.tobytes()
             assert s.residual == r.residual
 
-    @pytest.mark.parametrize("h", [2.0**-7, 2.0**-8])
-    def test_sliced_windows_are_box_lattices(self, h):
-        sample = _WindowSamples(Identity(), 2, h)
+    @pytest.mark.parametrize("dim, h", [(2, 2.0**-7), (2, 2.0**-8), (3, 2.0**-4)],
+                             ids=["0.0078125", "0.00390625", "3d-0.0625"])
+    def test_sliced_windows_are_box_lattices(self, dim, h):
+        # Every clip class's windows, gathered as one stack, are box_lattice's window by window.
+        sample = _WindowSamples(Identity(), dim, h)
         assert sample.p == -math.log2(h)
-        for level in range(7):
-            for q in unit_cube_dyadics(2, level):
-                pts, imgs = sample(q)
-                assert pts.tobytes() == box_lattice(*_fit_window(q), h).tobytes()
-                assert imgs.tobytes() == pts.tobytes()
+        for level in range(min(7, sample.p)):
+            classes: dict[tuple, list[list[int]]] = {}
+            for x in np.argwhere(np.ones((1 << level,) * dim, dtype=bool)).tolist():
+                classes.setdefault(tuple((c == 0, c + 1 == 1 << level) for c in x), []).append(x)
+            assert len(classes) == min(level + 1, 3) ** dim
+            for group in classes.values():
+                pts, imgs = sample(level, np.array(group))
+                assert len(pts) == len(group)
+                for x, a, b in zip(group, pts, imgs):
+                    lo, hi = _fit_window(level, np.array([x]))
+                    assert a.reshape(-1, dim).tobytes() == box_lattice(lo[0], hi[0], h).tobytes()
+                    assert b.tobytes() == a.tobytes()
 
     @pytest.mark.parametrize(
         "f, dim, h",
@@ -228,15 +253,15 @@ class TestDenseSampling:
         sample = _WindowSamples(f, dim, h)
         tops = [DyadicCube(0, (0,) * dim), DyadicCube(2, (1, 2, 1)[:dim]), DyadicCube(2, (3,) * dim)]
         for q in tops:
-            fit, _ = reference_fit(f, q.to_cube(), *sample(q))
-            field = sample.field(fit, q)
+            fit, _ = reference_fit(f, q.to_cube(), *window(sample, q))
+            field = window_field(sample, fit, q)
             for level in range(q.level + 1, sample.p):
-                maxima = _window_maxima(field, q, level, sample.p)
+                maxima = _window_maxima(field, q.level, q.coords, level, sample.p)
                 n = 1 << (level - q.level)
                 assert maxima.shape == (n,) * dim
                 for rel in np.ndindex(maxima.shape):
                     c = DyadicCube(level, tuple(x * n + r for x, r in zip(q.coords, rel)))
-                    assert maxima[rel] == _sup_error(fit, *sample(c))
+                    assert maxima[rel] == _sup_error(fit, *window(sample, c))
 
     @pytest.mark.parametrize(
         "f, dim, depth, theta, h",
@@ -257,16 +282,18 @@ class TestDenseSampling:
         grown = []
         grow = corona._grow_level
 
-        def spy(labels, regions, first, errors, sample, theta):
-            grown.extend((s.top, s.fit, e, sample) for s, e in zip(regions[first:], errors))
-            grow(labels, regions, first, errors, sample, theta)
+        def spy(labels, regions, top, coords, ids, fields, sample, theta):
+            kept = {i: field[n] for sel, field in fields for n, i in enumerate(sel.tolist())}
+            grown.extend((regions[ids[i]].top, regions[ids[i]].fit, kept.get(i), sample)
+                         for i in np.flatnonzero(ids >= 0).tolist())
+            grow(labels, regions, top, coords, ids, fields, sample, theta)
 
         monkeypatch.setattr(corona, "_grow_level", spy)
         c = build_coronization(f, dim, depth, theta=theta, h=h)
         assert [q for q, *_ in grown] == [s.top for s in c.regions]
         checked = 0
         for q, fit, err, sample in grown:
-            field = sample.field(fit, q)
+            field = window_field(sample, fit, q)
             if field is None:
                 assert err is None
             else:
@@ -279,7 +306,7 @@ def fit_mismatches(f, cubes, sample, lin, shift) -> int:
     """Cubes whose stacked matrix or shift differs in any bit from reference_fit's."""
     count = 0
     for q, a, b in zip(cubes, lin, shift):
-        fit, _ = reference_fit(f, q.to_cube(), *sample(q))
+        fit, _ = reference_fit(f, q.to_cube(), *window(sample, q))
         count += not (np.array_equal(a.T.view(np.int64), fit.matrix.view(np.int64))
                       and np.array_equal(b.view(np.int64), fit.shift.view(np.int64)))
     return count
@@ -287,7 +314,7 @@ def fit_mismatches(f, cubes, sample, lin, shift) -> int:
 
 def stacked_windows(f, cubes, sample):
     """One stack of the windows, centres and centre images of cubes, which share a window shape."""
-    pts, imgs = (np.stack(a) for a in zip(*(sample(q) for q in cubes)))
+    pts, imgs = (np.stack(a) for a in zip(*(window(sample, q) for q in cubes)))
     centers = np.array([q.to_cube().center for q in cubes])
     return pts, imgs, centers, np.array([f(c) for c in centers])
 
@@ -312,17 +339,19 @@ class TestStackedFit:
         windows = _WindowSamples(f, dim, h)
         seen: dict[DyadicCube, tuple[np.ndarray, np.ndarray]] = {}
 
-        def sample(q):  # each window sampled once, for the stack and the reference
-            if q not in seen:
-                seen[q] = windows(q)
-            return seen[q]
+        def sample(level, coords):  # each window sampled once, for the stack and the reference
+            cubes = [DyadicCube(level, tuple(x)) for x in coords.tolist()]
+            for q in cubes:
+                if q not in seen:
+                    seen[q] = windows(level, np.array([q.coords]))
+            return tuple(np.concatenate(a) for a in zip(*(seen[q] for q in cubes)))
 
-        sample.dim, sample.field_shape = dim, windows.field_shape
+        sample.dim, sample.p = dim, windows.p
         verdicts = set()
         for level in range(depth + 1):
             cubes = unit_cube_dyadics(dim, level)
-            lin, shift, res, bad, _ = _level_fits(f, cubes, sample, theta, l_est)
-            ref = [reference_fit(f, q.to_cube(), *seen.pop(q)) for q in cubes]
+            lin, shift, res, bad, _ = _level_fits(f, level, np.array([q.coords for q in cubes]), sample, theta, l_est)
+            ref = [reference_fit(f, q.to_cube(), *(a.reshape(-1, dim) for a in seen.pop(q))) for q in cubes]
             assert np.array_equal(lin.transpose(0, 2, 1).view(np.int64),
                                   np.array([a.matrix for a, _ in ref]).view(np.int64))
             assert np.array_equal(shift.view(np.int64), np.array([a.shift for a, _ in ref]).view(np.int64))
@@ -344,7 +373,7 @@ class TestStackedFit:
         unit, sample = (np.zeros(dim), np.ones(dim)), _WindowSamples(f, dim, h)
         for q in (q for level in range(depth + 1) for q in unit_cube_dyadics(dim, level)):
             fit, res = almost_affine_fit(f, q.to_cube(), h, clip=unit)
-            ref, want = reference_fit(f, q.to_cube(), *sample(q))
+            ref, want = reference_fit(f, q.to_cube(), *window(sample, q))
             assert fit.matrix.tobytes() == ref.matrix.tobytes() and fit.shift.tobytes() == ref.shift.tobytes()
             assert res == want
 
@@ -357,12 +386,12 @@ class TestStackedFit:
                 out[np.all(out == 0.25, axis=-1)] = np.nan
                 return out
 
-        q = DyadicCube(1, (0, 0))  # centre (0.25, 0.25), not on its window's pitch-0.02 lattice
-        *_, bad, _ = _level_fits(NanAtQuarter(), [q], _WindowSamples(NanAtQuarter(), 2, 0.02), 1.0, 10.0)
+        q = np.array([[0, 0]])  # level 1: centre (0.25, 0.25), not on its window's pitch-0.02 lattice
+        *_, bad, _ = _level_fits(NanAtQuarter(), 1, q, _WindowSamples(NanAtQuarter(), 2, 0.02), 1.0, 10.0)
         assert bad.tolist() == [True]
         collapse = Affine(AffineMapData(np.array([[1.0, 0.0], [0.0, 0.0]]), np.zeros(2)))
-        cubes = unit_cube_dyadics(2, 1)
-        *_, bad, _ = _level_fits(collapse, cubes, _WindowSamples(collapse, 2, 0.02), 1.0, 10.0)
+        cubes = np.array([q.coords for q in unit_cube_dyadics(2, 1)])
+        *_, bad, _ = _level_fits(collapse, 1, cubes, _WindowSamples(collapse, 2, 0.02), 1.0, 10.0)
         assert bad.tolist() == [True] * 4
 
     def test_einsum_anchor_is_caught(self):
