@@ -317,13 +317,13 @@ def cmd_corona(payload: dict, args) -> tuple[dict, bool]:
     issues = check_coronization(c)
     c_bad, c_tops = carleson_constant(c)
     labels = np.concatenate([lab.ravel() for lab in c.labels])
-    members = np.bincount(labels[labels >= 0], minlength=len(c.regions)).tolist()
+    members = np.bincount(labels[labels >= 0], minlength=len(c.tops)).tolist()
     rep = {
         "depth": depth,
         "dim": dim,
         "params": c.params,
         "counts": {"good": sum(members), "bad": int(np.count_nonzero(labels == -1)),
-                   "regions": len(c.regions)},
+                   "regions": len(c.tops)},
         "carleson": {"bad": c_bad, "tops": c_tops},
         "invariant_issues": issues,
         "levels": {
@@ -333,12 +333,13 @@ def cmd_corona(payload: dict, args) -> tuple[dict, bool]:
         },
         "regions": [
             {
-                "top": {"level": s.top.level, "coords": list(s.top.coords)},
+                "top": {"level": top[0], "coords": top[1:]},
                 "members": n,
-                "fit": {"matrix": s.fit.matrix.tolist(), "b": s.fit.shift.tolist()},
-                "residual": s.residual,
+                "fit": {"matrix": matrix, "b": b},
+                "residual": residual,
             }
-            for s, n in zip(c.regions, members)
+            for top, n, matrix, b, residual in zip(c.tops.tolist(), members, c.lin.transpose(0, 2, 1).tolist(),
+                                                   c.shift.tolist(), c.residual.tolist())
         ],
     }
     return rep, not issues
@@ -364,8 +365,8 @@ def cmd_multilevel(payload: dict, args) -> tuple[dict, bool]:
         },
         "levels": [
             {
-                "R": [[r.level, list(r.coords)] for r in lv.r_cubes],
-                "Q": [[q.level, list(q.coords)] for q in lv.q_cubes],
+                "R": [[r[0], r[1:]] for r in lv.r_rows.tolist()],
+                "Q": [[q[0], q[1:]] for q in lv.q_rows.tolist()],
                 "B_volumes": lv.b_volumes,
             }
             for lv in ml.levels

@@ -23,14 +23,17 @@ child's own window (a max does not round).  The multi-level R and Q cubes
 are selected on the label arrays, one stacked mask pass per cube level.
 
 Storage: one int64 label array per level, labels[L] of shape (2^L,)*d,
-holding -1 for a bad cube and the region index for a good one.  The build
-writes it, and the checker, Carleson sums, multi-level decomposition and
-report read it directly; the cube sets good, bad, a region's members and
-region_index() are views computed from it.  One label per cube makes
-good/bad overlap, overlapping regions and cubes beyond the depth
-unrepresentable; the checker still finds cubes left unassigned, tops
-without their region's label, and members outside their top, cut off from
-it, or with their children split between regions.
+holding -1 for a bad cube and the region index for a good one, and the
+regions as columns of one row each: top [level, *coords], fit and residual;
+the multi-level R and Q cubes are int64 rows [level, *coords] too.  The
+build writes these arrays and the checker, Carleson sums, multi-level
+decomposition and report read them; the DyadicCube views (good, bad,
+members, region_index, r_cubes, q_cubes, owner) serve the tests and the
+acceptance suite.  One label per cube makes good/bad overlap, overlapping
+regions and cubes beyond the depth unrepresentable; the checker still finds
+cubes left unassigned, tops without their region's label, and members
+outside their top, cut off from it, or with their children split between
+regions.
 
 Carleson sums are exact int64 counts in units of the finest cube volume
 2^-(d depth), summed over 2^d blocks level by level and turned into
@@ -46,6 +49,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -64,21 +68,17 @@ FIT_POINTS = 1 << 15  # window points per stacked affine fit, as kernels' pair b
 
 
 @dataclass(eq=False)
-class StoppingRegion:
-    """Coherent cube family under a unique top, with one affine surrogate."""
-
-    top: DyadicCube
-    fit: AffineMapData
-    residual: float  # top's own fit residual at build resolution
-
-
-@dataclass(eq=False)
 class Coronization:
     """labels[L], of shape (2^L,)*d, holds -1 for each bad level-L cube and
-    the index into regions of each good one."""
+    the index of the region of each good one.  Region i, a coherent cube family
+    under its top tops[i], has one affine surrogate x @ lin[i] + shift[i]
+    (matrix lin[i].T); residual[i] is its top's own fit residual."""
 
     labels: list[np.ndarray]
-    regions: list[StoppingRegion]
+    tops: np.ndarray  # (n, 1+d) int64 rows [level, *coords]
+    lin: np.ndarray  # (n, d, d)
+    shift: np.ndarray  # (n, d)
+    residual: np.ndarray  # (n,)
     params: dict = field(default_factory=dict)
 
     @property
@@ -106,7 +106,7 @@ class Coronization:
         return set(self._labelled(lambda lab: lab == i))
 
     def region_index(self) -> dict[DyadicCube, int]:
-        return self._labelled(lambda lab: (lab >= 0) & (lab < len(self.regions)))
+        return self._labelled(lambda lab: (lab >= 0) & (lab < len(self.tops)))
 
 
 def _fit_window(level: int, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -123,14 +123,15 @@ def _box_windows(f: MapExpr, level: int, coords: np.ndarray, h: float) -> tuple[
     return np.stack(pts), np.stack([f.evaluate(x) for x in pts])
 
 
-def _sup_error(fit: AffineMapData, pts: np.ndarray, imgs: np.ndarray) -> float:
-    return float(np.max(np.linalg.norm(fit.apply(pts) - imgs, axis=1)))
+def _sup_error(lin: np.ndarray, shift: np.ndarray, pts: np.ndarray, imgs: np.ndarray) -> float:
+    """max |pts @ lin + shift - imgs|: the operands AffineMapData.apply multiplies for matrix lin.T."""
+    return float(np.max(np.linalg.norm(pts @ lin + shift - imgs, axis=1)))
 
 
 def region_fit_error(fit: AffineMapData, f: MapExpr, q: DyadicCube, h: float) -> float:
     """sup over the lattice of 2Q intersected with [0,1]^d of |fit - f|."""
     pts, imgs = _box_windows(f, q.level, np.array([q.coords]), h)
-    return _sup_error(fit, pts[0], imgs[0])
+    return _sup_error(fit.matrix.T, fit.shift, pts[0], imgs[0])
 
 
 def _lattice_exponent(h: float) -> int | None:
@@ -209,12 +210,13 @@ def _window_maxima(field: np.ndarray, top: int, corner, level: int, p: int) -> n
     return out
 
 
-def _grow_level(labels: list[np.ndarray], regions: list[StoppingRegion], top: int, coords: np.ndarray,
-                ids: np.ndarray, fields: list[tuple[np.ndarray, np.ndarray]], sample: _WindowSamples,
+def _grow_level(labels: list[np.ndarray], top: int, coords: np.ndarray, ids: np.ndarray, lin: np.ndarray,
+                shift: np.ndarray, fields: list[tuple[np.ndarray, np.ndarray]], sample: _WindowSamples,
                 theta: float) -> None:
     """Grow the regions opened among the level-`top` cubes at coords together,
-    one level at a time; ids holds each cube's label (-1 for a bad cube) and
-    fields the (good cube indices, error fields) chunks of _level_fits.
+    one level at a time; ids holds each cube's label (-1 for a bad cube), lin
+    and shift its fit, and fields the (good cube indices, error fields) chunks
+    of _level_fits.
 
     A frontier cube's children all join when each passes
     sup |fit - f| <= theta diam on its window; joined children are the next
@@ -228,6 +230,7 @@ def _grow_level(labels: list[np.ndarray], regions: list[StoppingRegion], top: in
     if not good.any():
         return
     dim, depth, tops, first = sample.dim, len(labels) - 1, coords[good], int(ids[good][0])
+    lin, shift = lin[good], shift[good]
     frontier = np.ones((len(tops),) + (1,) * dim, dtype=bool)
     for level in range(top + 1, depth + 1):
         n = 1 << (level - top)
@@ -241,7 +244,7 @@ def _grow_level(labels: list[np.ndarray], regions: list[StoppingRegion], top: in
                 for off in np.ndindex((2,) * dim):
                     rel = tuple(2 * a + b for a, b in zip(x, off))
                     pts, imgs = sample(level, tops[j:j + 1] * n + rel)
-                    if not _sup_error(regions[first + j].fit, pts[0], imgs[0]) <= limit:
+                    if not _sup_error(lin[j], shift[j], pts[0], imgs[0]) <= limit:
                         break
                     passed[(j, *rel)] = True
         frontier &= _children(passed, dim).all(axis=-1)
@@ -326,7 +329,8 @@ def build_coronization(
     labels = [
         np.full((1 << level,) * dim, _UNASSIGNED, dtype=np.int64) for level in range(depth + 1)
     ]
-    regions: list[StoppingRegion] = []
+    columns = []  # per level, the (tops, lin, shift, residual) rows of the regions it opens
+    n_regions = 0
 
     if force_top_bad:
         labels[0].fill(-1)
@@ -335,35 +339,43 @@ def build_coronization(
         # cubes are all fitted first and labelled at once: -1, or the region each opens.
         coords = np.argwhere(labels[level] == _UNASSIGNED)
         lin, shift, res, bad, fields = _level_fits(f, level, coords, sample, theta, l_est)
-        ids = np.where(bad, -1, len(regions) + np.cumsum(~bad) - 1)
+        ids = np.where(bad, -1, n_regions + np.cumsum(~bad) - 1)
         labels[level][tuple(coords.T)] = ids
-        regions += [StoppingRegion(DyadicCube(level, tuple(x)), AffineMapData(lin[i].T, shift[i]), float(res[i]))
-                    for i, x in zip(np.flatnonzero(~bad).tolist(), coords[~bad].tolist())]
-        _grow_level(labels, regions, level, coords, ids, fields, sample, theta)
+        new = coords[~bad]
+        columns.append((np.column_stack([np.full(len(new), level), new]), lin[~bad], shift[~bad], res[~bad]))
+        n_regions += len(new)
+        _grow_level(labels, level, coords, ids, lin, shift, fields, sample, theta)
         del fields  # this level's error fields, dropped before the next level is fitted
 
-    return Coronization(
-        labels=labels,
-        regions=regions,
-        params={"theta": theta, "h": h, "l_estimate": l_est,
-                "force_top_bad": force_top_bad, "dim": dim},
-    )
+    tops, lin, shift, residual = (np.concatenate(c) for c in zip(*columns))
+    return Coronization(labels, tops, lin, shift, residual,
+                        {"theta": theta, "h": h, "l_estimate": l_est, "force_top_bad": force_top_bad, "dim": dim})
 
 
-def _member_faults(tops: list[DyadicCube], lab: list[np.ndarray]) -> dict[int, list[str]]:
-    """Per region label: members outside the top, members whose parent is
-    not a member, members with some but not all children in the region."""
-    dim, depth = lab[0].ndim, len(lab) - 1
-    top_level = np.array([q.level for q in tops], dtype=np.int64)
-    top_coords = np.array([q.coords for q in tops], dtype=np.int64).reshape(-1, dim)
+def check_coronization(c: Coronization) -> list[str]:
+    """Structural invariant check; returns a list of violations (empty = pass).
+
+    Every cube has one label, so good and bad cannot overlap and regions
+    cannot overlap or miss a good cube.  What is left to find: a label that
+    is neither -1 nor a region index (a cube left unassigned), a region top
+    that does not carry its region's label, and members outside their top,
+    with a gap up to it, or with some but not all children in the region;
+    the region faults are listed by region, then level and C order.
+    """
+    lab, tops, dim, depth = c.labels, c.tops, c.labels[0].ndim, c.depth
+    issues: list[str] = []
+    if any(np.any((a < -1) | (a >= len(tops))) for a in lab):
+        issues.append("good + bad do not cover all dyadic cubes to depth")
     found: list[tuple[int, int, int, int, str]] = []
+    member_tops = np.zeros(len(tops), dtype=bool)
     for level in range(depth + 1):
         idx = np.nonzero((lab[level] >= 0) & (lab[level] < len(tops)))
         ids = lab[level][idx]
-        xs = np.stack(idx, axis=-1)
-        shift = level - top_level[ids]
-        is_top = (shift == 0) & np.all(xs == top_coords[ids], axis=1)
-        outside = (shift < 0) | np.any(xs >> np.maximum(shift, 0)[:, None] != top_coords[ids], axis=1)
+        xs, top_coords = np.stack(idx, axis=-1), tops[ids, 1:]
+        shift = level - tops[ids, 0]
+        is_top = (shift == 0) & np.all(xs == top_coords, axis=1)
+        member_tops[ids[is_top]] = True
+        outside = (shift < 0) | np.any(xs >> np.maximum(shift, 0)[:, None] != top_coords, axis=1)
         if level == 0:
             gap = ~is_top
         else:
@@ -375,46 +387,12 @@ def _member_faults(tops: list[DyadicCube], lab: list[np.ndarray]) -> dict[int, l
         for kind, mask in enumerate((outside, gap, split)):
             for n in np.flatnonzero(mask):
                 if kind == 2:
-                    m = DyadicCube(level, tuple(int(x) for x in xs[n]))
-                    text = f"children split at {m}"
+                    text = f"children split at DyadicCube(level={level}, coords={tuple(xs[n].tolist())})"
                 else:
                     text = ("member outside the top", "gap between member and top")[kind]
                 found.append((int(ids[n]), level, int(n), kind, text))
-    faults: dict[int, list[str]] = {}
-    for i, *_, text in sorted(found):
-        faults.setdefault(i, []).append(text)
-    return faults
-
-
-def check_coronization(c: Coronization) -> list[str]:
-    """Structural invariant check; returns a list of violations (empty = pass).
-
-    Every cube has one label, so good and bad cannot overlap and regions
-    cannot overlap or miss a good cube.  What is left to find: a label that
-    is neither -1 nor a region index (a cube left unassigned), a region top
-    that does not carry its region's label, and members outside their top,
-    with a gap up to it, or with some but not all children in the region.
-    """
-    issues: list[str] = []
-    if any(np.any((lab < -1) | (lab >= len(c.regions))) for lab in c.labels):
-        issues.append("good + bad do not cover all dyadic cubes to depth")
-    faults = _member_faults([s.top for s in c.regions], c.labels)
-    for i, s in enumerate(c.regions):
-        if s.top.level > c.depth or c.labels[s.top.level][s.top.coords] != i:
-            issues.append(f"region {i}: top not a member")
-        issues.extend(f"region {i}: {text}" for text in faults.get(i, []))
-    return issues
-
-
-def verify_region_fits(c: Coronization, f: MapExpr) -> int:
-    """Re-check every member's fit error at half the build pitch; returns warning count."""
-    theta = c.params["theta"]
-    h = c.params["h"] / 2.0
-    warnings = 0
-    for q, i in c.region_index().items():
-        if region_fit_error(c.regions[i].fit, f, q, h) > theta * q.to_cube().diam:
-            warnings += 1
-    return warnings
+    found += [(i, -1, 0, 0, "top not a member") for i in np.flatnonzero(~member_tops).tolist()]
+    return issues + [f"region {i}: {text}" for i, *_, text in sorted(found)]
 
 
 def _packing(marks: list[np.ndarray]) -> Fraction:
@@ -443,21 +421,35 @@ def carleson_constant(c: Coronization) -> tuple[Fraction, Fraction]:
     c_tops    = max over dyadic R of sum_{tops Q(S) in R} |Q(S)| / |R|
     """
     tops = [np.zeros(lab.shape, dtype=bool) for lab in c.labels]
-    for s in c.regions:
-        tops[s.top.level][s.top.coords] = True
+    for level, _, coords in _by_level(c.tops):
+        tops[level][tuple(coords.T)] = True
     return _packing([lab == -1 for lab in c.labels]), _packing(tops)
 
 
 @dataclass(eq=False)
 class DecompositionLevel:
-    """One level: its R cubes, their Q cubes (by R, then level, then C order),
-    and b_volumes[i], the exact |B| of the good set B = lam R minus the Q cubes
-    of r_cubes[i], computed from the label arrays in integers (_good_sets)."""
+    """One level as (k, 1+d) int64 rows [level, *coords]: its R cubes, their Q
+    cubes (by R, then level, then C order) and owner_rows[i], the previous
+    level's Q that owns R i; b_volumes[i] is the exact |B| of the good set
+    B = lam R minus R i's Q cubes, from the label arrays in integers
+    (_good_sets).  r_cubes, q_cubes and owner (R -> Q) are cached cube views."""
 
-    r_cubes: list[DyadicCube]
-    q_cubes: list[DyadicCube]
-    owner: dict[DyadicCube, DyadicCube]  # R -> owning Q of the previous level
+    r_rows: np.ndarray
+    q_rows: np.ndarray
+    owner_rows: np.ndarray
     b_volumes: list[Fraction]
+
+    @cached_property
+    def r_cubes(self) -> list[DyadicCube]:
+        return [DyadicCube(level, tuple(x)) for level, *x in self.r_rows.tolist()]
+
+    @cached_property
+    def q_cubes(self) -> list[DyadicCube]:
+        return [DyadicCube(level, tuple(x)) for level, *x in self.q_rows.tolist()]
+
+    @cached_property
+    def owner(self) -> dict[DyadicCube, DyadicCube]:
+        return {r: DyadicCube(level, tuple(x)) for r, (level, *x) in zip(self.r_cubes, self.owner_rows.tolist())}
 
 
 @dataclass(eq=False)
@@ -488,29 +480,28 @@ def _blocks(a: np.ndarray, level: int, corners: np.ndarray) -> np.ndarray:
     return view[tuple(corners.T)]
 
 
-def _by_level(cubes: list[DyadicCube]) -> list[tuple[int, np.ndarray, np.ndarray]]:
-    """(level, indices into cubes, coords (k, d)) for each dyadic level among cubes."""
-    levels, coords = np.array([q.level for q in cubes]), np.array([q.coords for q in cubes])
-    return [(lv, np.flatnonzero(levels == lv), coords[levels == lv]) for lv in sorted(set(levels.tolist()))]
+def _by_level(rows: np.ndarray) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """(level, row indices, coords (k, d)) for each dyadic level among the rows [level, *coords]."""
+    levels = rows[:, 0]
+    return [(lv, np.flatnonzero(levels == lv), rows[levels == lv, 1:]) for lv in sorted(set(levels.tolist()))]
 
 
 def _ordered(marks: list[tuple[np.ndarray, int, np.ndarray, np.ndarray]], dim: int,
-             depth: int) -> tuple[list[DyadicCube], np.ndarray]:
-    """The cubes marked in (owner indices, level, owner coords, (k,) + (n,)*d mask) blocks
-    and their owner indices, by owner, then level, then C order."""
+             depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows [level, *coords] of the cubes marked in (owner indices, level, owner coords,
+    (k,) + (n,)*d mask) blocks and their owner indices, by owner, then level, then C order."""
     rows = [(np.empty(0, np.int64), np.empty(0, np.int64), np.empty((0, dim), np.int64))]
     for sel, level, corners, mask in marks:
         at = np.argwhere(mask)
         rows.append((sel[at[:, 0]], np.full(len(at), level), corners[at[:, 0]] * mask.shape[-1] + at[:, 1:]))
     owner, levels, coords = (np.concatenate(x) for x in zip(*rows))
     order = np.argsort(owner * (depth + 1) + levels, kind="stable")
-    cubes = [DyadicCube(lv, tuple(x)) for lv, x in zip(levels[order].tolist(), coords[order].tolist())]
-    return cubes, owner[order]
+    return np.column_stack([levels[order], coords[order]]), owner[order]
 
 
-def _good_sets(lab: list[np.ndarray], r_cubes: list[DyadicCube],
-               k_param: int) -> tuple[list[DyadicCube], list[Fraction], Fraction]:
-    """The Q cubes of one decomposition level, and the exact volume of each R's good set and their sum.
+def _good_sets(lab: list[np.ndarray], r_rows: np.ndarray,
+               k_param: int) -> tuple[np.ndarray, list[Fraction], Fraction]:
+    """The Q rows of one decomposition level, and the exact volume of each R's good set and their sum.
 
     R's Q cubes are the members of its region under it whose first child is
     not, listed by R, then level, then C order.  The R cubes of one dyadic
@@ -527,9 +518,9 @@ def _good_sets(lab: list[np.ndarray], r_cubes: list[DyadicCube],
     """
     depth, dim = len(lab) - 1, lab[0].ndim
     marks = []
-    volumes: list[Fraction] = [Fraction(0)] * len(r_cubes)
+    volumes: list[Fraction] = [Fraction(0)] * len(r_rows)
     total = Fraction(0)
-    for rl, sel, corners in _by_level(r_cubes):
+    for rl, sel, corners in _by_level(r_rows):
         ids = lab[rl][tuple(corners.T)].reshape((-1,) + (1,) * dim)
         hole = np.zeros((len(sel),) + (1,) * dim, dtype=bool)  # at level L, from L = rl down
         for level in range(rl, depth):
@@ -581,7 +572,7 @@ def multilevel_decomposition(c: Coronization, alpha: float | Fraction) -> MultiL
     k_param, n_bound, zeta_log2 = _level_budget(packing, alpha)
 
     levels: list[DecompositionLevel] = []
-    q_prev = [DyadicCube(0, (0,) * dim)]
+    q_prev = np.zeros((1, 1 + dim), dtype=np.int64)
     good_measure = Fraction(0)
     for _ in range(n_bound):
         marks = []  # the R cubes: good, K ... zeta_log2 levels under a Q, with no good ancestor there
@@ -594,15 +585,14 @@ def multilevel_decomposition(c: Coronization, alpha: float | Fraction) -> MultiL
                 hit &= ~taken
                 marks.append((sel, level, corners, hit))
                 taken |= hit
-        r_cubes, owner = _ordered(marks, dim, c.depth)
-        if not r_cubes:
+        r_rows, owner = _ordered(marks, dim, c.depth)
+        if not len(r_rows):
             break
-        q_cubes, b_volumes, measure = _good_sets(lab, r_cubes, k_param)
+        q_rows, b_volumes, measure = _good_sets(lab, r_rows, k_param)
         good_measure += measure
-        levels.append(DecompositionLevel(r_cubes, q_cubes, {r: q_prev[j] for r, j in zip(r_cubes, owner.tolist())},
-                                         b_volumes))
-        q_prev = q_cubes
-        if not q_prev:
+        levels.append(DecompositionLevel(r_rows, q_rows, q_prev[owner], b_volumes))
+        q_prev = q_rows
+        if not len(q_prev):
             break
 
     return MultiLevelDecomposition(

@@ -32,6 +32,14 @@ class _Infinity:
 
 
 INFINITY = _Infinity()
+MAX_STEPS = 10**6  # most equal steps a spherical factorization may take
+
+
+def _step_count(ratio: float, epsilon: float) -> int:
+    """ceil(ratio) up to float noise, refused when not finite or above MAX_STEPS."""
+    if not ratio - 1e-12 <= MAX_STEPS:  # inf and NaN fail too
+        raise GeometryError(f"epsilon {epsilon} needs {ratio - 1e-12:.4g} steps, more than the {MAX_STEPS} allowed")
+    return math.ceil(ratio - 1e-12)
 
 
 def chordal_distance(x, y) -> float:
@@ -163,7 +171,7 @@ def factor_translation_sphere(v, epsilon: float) -> SphericalFactorReport:
     if length == 0.0:
         return SphericalFactorReport([], target, epsilon)
     v0 = epsilon / (1.0 + epsilon)
-    n = int(math.ceil(length / v0 - 1e-12))
+    n = _step_count(length / v0, epsilon)
     step_v = v / n
     step = Translation(tuple(step_v))
     bound = translation_step_bound(length / n)
@@ -205,7 +213,7 @@ def factor_scaling_sphere(a: float, epsilon: float) -> SphericalFactorReport:
     if a == 1.0:
         return SphericalFactorReport([], target, epsilon)
     a0 = solve_scaling_step(epsilon)
-    n = int(math.ceil(abs(math.log(a)) / math.log(a0) - 1e-12))
+    n = _step_count(abs(math.log(a)) / math.log(a0), epsilon)
     step_a = a ** (1.0 / n)
     step = Scaling(step_a)
     bound = scaling_step_bound(step_a)

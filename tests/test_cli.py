@@ -308,6 +308,18 @@ class TestErrorPaths:
         assert rep["error"] and needle in rep["error"]
         assert "result" not in rep
 
+    @pytest.mark.parametrize("payload", [{"kind": "translation", "v": [1.0, 0.0]}, {"kind": "scaling", "a": 2.0}],
+                             ids=["translation", "scaling"])
+    def test_sphere_factor_tiny_epsilon_exit_two(self, tmp_path, payload):
+        # The step count is refused before any step is built: 1e300 steps, or about 1.8e12.
+        inp = write_input(tmp_path, "s.json", payload)
+        out = tmp_path / "o"
+        assert main(["sphere-factor", "--input", inp, "--out", str(out), "--epsilon", "1e-300"]) == 2
+        rep = load_report(out)
+        assert rep["passed"] is False
+        assert rep["error"].startswith("epsilon 1e-300 needs ") and "steps, more than the" in rep["error"]
+        assert "result" not in rep
+
     def test_malformed_json_exit_two(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

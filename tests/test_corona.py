@@ -11,7 +11,6 @@ import pytest
 from bilipfactor import cli, corona
 from bilipfactor.corona import (
     Coronization,
-    StoppingRegion,
     _fit_window,
     _level_fits,
     _sup_error,
@@ -23,7 +22,6 @@ from bilipfactor.corona import (
     multilevel_decomposition,
     region_fit_error,
     secondary_subdivision,
-    verify_region_fits,
 )
 from bilipfactor.geometry_core import (
     AffineMapData,
@@ -67,18 +65,26 @@ class SetCoronization:
     regions: list[SetRegion]
 
 
-def labelled(dim: int, depth: int, labels: dict[DyadicCube, int], regions) -> Coronization:
-    """A hand-built coronization: the given cube labels, -2 (unassigned) elsewhere."""
+def labelled(dim: int, depth: int, labels: dict[DyadicCube, int], tops: list[DyadicCube]) -> Coronization:
+    """A hand-built coronization: the given cube labels, -2 (unassigned) elsewhere,
+    and one region with a zero fit per given top."""
     arrays = [np.full((1 << lv,) * dim, -2, dtype=np.int64) for lv in range(depth + 1)]
     for q, i in labels.items():
         arrays[q.level][q.coords] = i
-    return Coronization(arrays, regions, {"dim": dim})
+    n = len(tops)
+    rows = np.array([(q.level, *q.coords) for q in tops], dtype=np.int64).reshape(n, 1 + dim)
+    return Coronization(arrays, rows, np.zeros((n, dim, dim)), np.zeros((n, dim)), np.zeros(n), {"dim": dim})
+
+
+def tops_of(c: Coronization) -> list[DyadicCube]:
+    """The region tops, region by region, as cubes."""
+    return [DyadicCube(level, tuple(x)) for level, *x in c.tops.tolist()]
 
 
 def brute_force_carleson(c: Coronization) -> tuple[Fraction, Fraction]:
     """Direct enumeration oracle (no subtree DP)."""
     dim = c.labels[0].ndim
-    tops = {s.top for s in c.regions}
+    tops = set(tops_of(c))
     all_cubes = [q for lv in range(c.depth + 1) for q in unit_cube_dyadics(dim, lv)]
     c_bad = Fraction(0)
     c_tops = Fraction(0)
@@ -154,16 +160,16 @@ def reference_check(c: Coronization) -> list[str]:
     if (c.good | c.bad) != all_cubes:
         issues.append("good + bad do not cover all dyadic cubes to depth")
     seen: set[DyadicCube] = set()
-    for i, s in enumerate(c.regions):
+    for i, top in enumerate(tops_of(c)):
         members = c.members(i)
-        if s.top not in members:
+        if top not in members:
             issues.append(f"region {i}: top not a member")
         if seen & members:
             issues.append(f"region {i}: overlaps another region")
         seen |= members
         for m in members:
-            if m != s.top:
-                if not s.top.contains_dyadic(m):
+            if m != top:
+                if not top.contains_dyadic(m):
                     issues.append(f"region {i}: member outside the top")
                 if m.parent() not in members:
                     issues.append(f"region {i}: gap between member and top")
@@ -214,12 +220,12 @@ class TestDenseSampling:
         c = build_coronization(f, dim, depth, theta=theta, h=h)
         ref = reference_coronization(f, dim, depth, theta, h)
         assert c.good == ref.good and c.bad == ref.bad
-        assert len(c.regions) == len(ref.regions) > 1
-        for i, (s, r) in enumerate(zip(c.regions, ref.regions)):
-            assert s.top == r.top and c.members(i) == r.members
-            assert s.fit.matrix.tobytes() == r.fit.matrix.tobytes()
-            assert s.fit.shift.tobytes() == r.fit.shift.tobytes()
-            assert s.residual == r.residual
+        assert len(c.tops) == len(ref.regions) > 1
+        for i, (top, r) in enumerate(zip(tops_of(c), ref.regions)):
+            assert top == r.top and c.members(i) == r.members
+            assert c.lin[i].T.tobytes() == r.fit.matrix.tobytes()
+            assert c.shift[i].tobytes() == r.fit.shift.tobytes()
+            assert c.residual[i] == r.residual
 
     @pytest.mark.parametrize("dim, h", [(2, 2.0**-7), (2, 2.0**-8), (3, 2.0**-4)],
                              ids=["0.0078125", "0.00390625", "3d-0.0625"])
@@ -261,7 +267,7 @@ class TestDenseSampling:
                 assert maxima.shape == (n,) * dim
                 for rel in np.ndindex(maxima.shape):
                     c = DyadicCube(level, tuple(x * n + r for x, r in zip(q.coords, rel)))
-                    assert maxima[rel] == _sup_error(fit, *window(sample, c))
+                    assert maxima[rel] == _sup_error(fit.matrix.T, fit.shift, *window(sample, c))
 
     @pytest.mark.parametrize(
         "f, dim, depth, theta, h",
@@ -282,15 +288,15 @@ class TestDenseSampling:
         grown = []
         grow = corona._grow_level
 
-        def spy(labels, regions, top, coords, ids, fields, sample, theta):
+        def spy(labels, top, coords, ids, lin, shift, fields, sample, theta):
             kept = {i: field[n] for sel, field in fields for n, i in enumerate(sel.tolist())}
-            grown.extend((regions[ids[i]].top, regions[ids[i]].fit, kept.get(i), sample)
-                         for i in np.flatnonzero(ids >= 0).tolist())
-            grow(labels, regions, top, coords, ids, fields, sample, theta)
+            grown.extend((DyadicCube(top, tuple(coords[i].tolist())), AffineMapData(lin[i].T, shift[i]), kept.get(i),
+                          sample) for i in np.flatnonzero(ids >= 0).tolist())
+            grow(labels, top, coords, ids, lin, shift, fields, sample, theta)
 
         monkeypatch.setattr(corona, "_grow_level", spy)
         c = build_coronization(f, dim, depth, theta=theta, h=h)
-        assert [q for q, *_ in grown] == [s.top for s in c.regions]
+        assert [q for q, *_ in grown] == tops_of(c)
         checked = 0
         for q, fit, err, sample in grown:
             field = window_field(sample, fit, q)
@@ -423,12 +429,22 @@ class TestStackedFit:
         assert mismatches > 0
 
 
+def verify_region_fits(c: Coronization, f: MapExpr) -> int:
+    """Re-check every member's fit error at half the build pitch; returns warning count."""
+    theta = c.params["theta"]
+    h = c.params["h"] / 2.0
+    warnings = 0
+    for q, i in c.region_index().items():
+        if region_fit_error(AffineMapData(c.lin[i].T, c.shift[i]), f, q, h) > theta * q.to_cube().diam:
+            warnings += 1
+    return warnings
+
+
 class TestBuild:
     def test_affine_single_region(self):
         c = build_coronization(AFFINE, 2, 4, theta=0.05, h=1 / 64)
         assert len(c.bad) == 0
-        assert len(c.regions) == 1
-        assert c.regions[0].top == DyadicCube(0, (0, 0))
+        assert tops_of(c) == [DyadicCube(0, (0, 0))]
         assert check_coronization(c) == []
 
     def test_logspiral_invariants(self):
@@ -441,7 +457,7 @@ class TestBuild:
         counts = []
         for theta in (0.2, 0.1, 0.05):
             c = build_coronization(LogSpiral(0.3), 2, 4, theta=theta, h=1 / 64)
-            counts.append(len(c.regions))
+            counts.append(len(c.tops))
         assert counts[0] <= counts[1] <= counts[2]
 
     def test_resolution_too_coarse(self):
@@ -464,7 +480,7 @@ class TestCarleson:
 
     def test_all_bad_geometric_sum(self):
         dim, depth = 2, 3
-        c = Coronization([np.full((1 << lv,) * dim, -1) for lv in range(depth + 1)], [])
+        c = labelled(dim, depth, {q: -1 for lv in range(depth + 1) for q in unit_cube_dyadics(dim, lv)}, [])
         c_bad, _ = carleson_constant(c)
         assert c_bad == depth + 1
 
@@ -475,7 +491,7 @@ class TestCarleson:
 
     def test_3d_equals_brute_force(self):
         c = build_coronization(blend_3d(), 3, 2, theta=0.01, h=1 / 8)
-        assert c.bad and len(c.regions) > 1
+        assert c.bad and len(c.tops) > 1
         assert carleson_constant(c) == brute_force_carleson(c)
 
     def test_random_3d_sets_equal_brute_force(self):
@@ -485,8 +501,7 @@ class TestCarleson:
             pick = gen.random(len(cubes))
             bad = {q: -1 for q, u in zip(cubes, pick) if u < 0.15}
             tops = [q for q, u in zip(cubes, pick) if 0.15 <= u < 0.3]
-            c = labelled(3, 3, {**bad, **{q: i for i, q in enumerate(tops)}},
-                         [StoppingRegion(top=q, fit=None, residual=0.0) for q in tops])
+            c = labelled(3, 3, {**bad, **{q: i for i, q in enumerate(tops)}}, tops)
             assert carleson_constant(c) == brute_force_carleson(c)
 
     def test_int64_guard(self):
@@ -518,23 +533,24 @@ class TestCheck:
         # cannot be written as per-level labels; every other fault can.
         base = build_coronization(LogSpiral(0.2), 2, 4, theta=0.05, h=1 / 64)
         assert check_coronization(base) == reference_check(base) == []
-        b = max(range(len(base.regions)), key=lambda i: len(base.members(i)))
-        big, members = base.regions[b], sorted(base.members(b), key=lambda q: (q.level, q.coords))
+        tops = tops_of(base)
+        b = max(range(len(tops)), key=lambda i: len(base.members(i)))
+        big, members = tops[b], sorted(base.members(b), key=lambda q: (q.level, q.coords))
         deep = members[-1]
-        inner = next(m for m in members if m != big.top and m.level < base.depth
+        inner = next(m for m in members if m != big and m.level < base.depth
                      and m.children()[0] in members)
-        other = next(s for s in base.regions if not big.top.contains_dyadic(s.top))
+        other = next(t for t in tops if not big.contains_dyadic(t))
 
         def relabel(q, i):
             labels = [lab.copy() for lab in base.labels]
             labels[q.level][q.coords] = i
-            return Coronization(labels, base.regions, base.params)
+            return Coronization(labels, base.tops, base.lin, base.shift, base.residual, base.params)
 
         cases = [
             (relabel(deep, -2), "do not cover"),  # a cube neither good nor bad
             (relabel(inner, -1), "gap between member and top"),  # and a split
-            (relabel(big.top, -1), "top not a member"),
-            (relabel(other.top, b), "member outside the top"),
+            (relabel(big, -1), "top not a member"),
+            (relabel(other, b), "member outside the top"),
         ]
         for c, needle in cases:
             issues = check_coronization(c)
@@ -562,6 +578,50 @@ class TestReport:
         assert [(r["top"], r["members"]) for r in rep["regions"]] == [
             ({"level": s.top.level, "coords": list(s.top.coords)}, len(s.members)) for s in ref.regions
         ]
+        # JSON floats round-trip, so every written fit and residual keeps its bits.
+        for r, s in zip(rep["regions"], ref.regions, strict=True):
+            assert r["fit"] == {"matrix": s.fit.matrix.tolist(), "b": s.fit.shift.tolist()}
+            assert r["residual"] == s.residual
+
+    def test_cli_multilevel_matches_decomposition(self, tmp_path):
+        inp = tmp_path / "in.json"
+        inp.write_text(json.dumps({"map": {"type": "logspiral", "k": 0.15}, "depth": 6}))
+        out = tmp_path / "out"
+        argv = ["--input", str(inp), "--out", str(out), "--h", str(1 / 64), "--theta", "0.05", "--alpha", "0.5"]
+        assert cli.main(["multilevel", *argv]) == 0
+        rep = json.loads((out / "report.json").read_text())["result"]
+        c = build_coronization(LogSpiral(0.15), 2, 6, theta=0.05, h=1 / 64, force_top_bad=True)
+        ml = multilevel_decomposition(c, 0.5)
+        assert len(rep["levels"]) == len(ml.levels) > 0 and any(lv.q_cubes for lv in ml.levels)
+        for got, lv in zip(rep["levels"], ml.levels):
+            assert got["R"] == [[r.level, list(r.coords)] for r in lv.r_cubes]
+            assert got["Q"] == [[q.level, list(q.coords)] for q in lv.q_cubes]
+            assert [Fraction(int(v["numerator"]), int(v["denominator"])) for v in got["B_volumes"]] == lv.b_volumes
+
+    def test_cli_builds_no_cubes_or_fits(self, tmp_path, monkeypatch):
+        # Regions and R/Q cubes stay arrays from the build to the report: the
+        # cube and fit objects are views that only tests ask for.
+        made = []
+
+        def counted(cls):
+            post_init = cls.__post_init__
+
+            def wrapped(self):
+                made.append(cls.__name__)
+                post_init(self)
+            return wrapped
+
+        for cls in (DyadicCube, AffineMapData):
+            monkeypatch.setattr(cls, "__post_init__", counted(cls))
+        inp = tmp_path / "in.json"
+        inp.write_text(json.dumps({"map": {"type": "logspiral", "k": 0.15}, "depth": 6}))
+        for sub in ("corona", "multilevel"):
+            out = tmp_path / sub
+            assert cli.main([sub, "--input", str(inp), "--out", str(out), "--h", str(1 / 64)]) == 0
+            assert (out / "report.json").exists()
+        assert made == []
+        DyadicCube(0, (0, 0))
+        assert made == ["DyadicCube"]
 
 
 Box = tuple[tuple[Fraction, ...], tuple[Fraction, ...]]
