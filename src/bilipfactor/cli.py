@@ -18,6 +18,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 from fractions import Fraction
@@ -41,6 +42,7 @@ from .factorization import (
 )
 from .geometry_core import Cube
 from .jsonio import (
+    Rows,
     SchemaError,
     certificate_to_json,
     cube_from_json,
@@ -104,6 +106,8 @@ def _encode(o, ind: str) -> str:
         return _encode_dict(o, ind)
     if t is list or t is tuple:
         return _encode_list(o, ind)
+    if t is Rows:
+        return _encode_rows(o, ind)
     if o is None:
         return "null"
     if o is True:
@@ -136,6 +140,68 @@ def _encode_list(o, ind: str) -> str:
         return "[]"
     inner = ind + "  "
     return "[\n" + inner + (",\n" + inner).join([_encode(v, inner) for v in o]) + "\n" + ind + "]"
+
+
+_SLOT = re.compile(r'"%(\d+)"')
+
+
+def _encode_rows(o: Rows, ind: str) -> str:
+    """The list o stands for, as _encode writes it: the row template is
+    encoded once, each "%j" in it becomes column j's conversion, and each
+    row is one % format."""
+    inner = ind + "  "
+    blocks = []
+    template = _encode(_row_template(o.record, blocks), inner)
+    lengths = {len(b) for b in blocks}
+    if len(lengths) > 1:
+        raise ValueError(f"rows of arrays of {sorted(lengths)} rows")
+    n = lengths.pop() if lengths else 0
+    if not n:
+        return "[]"
+    columns = [col for b in blocks for col in b.T]
+    cols = []
+
+    def slot(m) -> str:
+        vals, spec = _column(columns[int(m.group(1))])
+        cols.append(vals)
+        return spec
+
+    template = _SLOT.sub(slot, template)
+    rows = [template % row for row in zip(*cols)] if cols else [template % ()] * n
+    return "[\n" + inner + (",\n" + inner).join(rows) + "\n" + ind + "]"
+
+
+def _row_template(o, blocks: list[np.ndarray]):
+    """A rows record with % doubled in its keys and strs and each array
+    leaf a replaced by the "%j" names of its columns, a reshaped to
+    (rows, columns) and appended to blocks."""
+    t = type(o)
+    if t is str:
+        return o.replace("%", "%%")
+    if t is dict:
+        return {str.replace(k, "%", "%%"): _row_template(v, blocks) for k, v in o.items()}
+    if t is list or t is tuple:
+        return [_row_template(v, blocks) for v in o]
+    if t is not np.ndarray:
+        return o
+    j, k = sum(b.shape[1] for b in blocks), math.prod(o.shape[1:])
+    blocks.append(o.reshape(len(o), k))
+    return np.array([f"%{i}" for i in range(j, j + k)], dtype=object).reshape(o.shape[1:]).tolist()
+
+
+def _column(col: np.ndarray) -> tuple[list, str]:
+    """A rows column of floats, ints or strs (one type) and its conversion:
+    %r writes ints and finite floats as int.__repr__ and float.__repr__ do;
+    strs, and floats where one is not finite, are written as tokens."""
+    vals = col.tolist()
+    kinds = set(map(type, vals))
+    if kinds == {int} or kinds == {float} and all(map(math.isfinite, vals)):
+        return vals, "%r"
+    if kinds == {float}:
+        return [_encode_float(v) for v in vals], "%s"
+    if kinds == {str}:
+        return list(map(_encode_str, vals)), "%s"
+    raise TypeError(f"a rows column holds {sorted(k.__name__ for k in kinds)}, not one of float, int, str")
 
 
 def write_json_atomic(path: Path, payload: dict) -> None:
@@ -317,30 +383,23 @@ def cmd_corona(payload: dict, args) -> tuple[dict, bool]:
     issues = check_coronization(c)
     c_bad, c_tops = carleson_constant(c)
     labels = np.concatenate([lab.ravel() for lab in c.labels])
-    members = np.bincount(labels[labels >= 0], minlength=len(c.tops)).tolist()
+    members = np.bincount(labels[labels >= 0], minlength=len(c.tops))
     rep = {
         "depth": depth,
         "dim": dim,
         "params": c.params,
-        "counts": {"good": sum(members), "bad": int(np.count_nonzero(labels == -1)),
+        "counts": {"good": int(members.sum()), "bad": int(np.count_nonzero(labels == -1)),
                    "regions": len(c.tops)},
         "carleson": {"bad": c_bad, "tops": c_tops},
         "invariant_issues": issues,
-        "levels": {
-            str(level): {"good": np.argwhere(lab >= 0).tolist(),
-                         "bad": np.argwhere(lab == -1).tolist()}
-            for level, lab in enumerate(c.labels)
-        },
-        "regions": [
-            {
-                "top": {"level": top[0], "coords": top[1:]},
-                "members": n,
-                "fit": {"matrix": matrix, "b": b},
-                "residual": residual,
-            }
-            for top, n, matrix, b, residual in zip(c.tops.tolist(), members, c.lin.transpose(0, 2, 1).tolist(),
-                                                   c.shift.tolist(), c.residual.tolist())
-        ],
+        "levels": {str(level): {"good": Rows(np.argwhere(lab >= 0)), "bad": Rows(np.argwhere(lab == -1))}
+                   for level, lab in enumerate(c.labels)},
+        "regions": Rows({
+            "top": {"level": c.tops[:, 0], "coords": c.tops[:, 1:]},
+            "members": members,
+            "fit": {"matrix": c.lin.transpose(0, 2, 1), "b": c.shift},
+            "residual": c.residual,
+        }),
     }
     return rep, not issues
 
@@ -365,8 +424,8 @@ def cmd_multilevel(payload: dict, args) -> tuple[dict, bool]:
         },
         "levels": [
             {
-                "R": [[r[0], r[1:]] for r in lv.r_rows.tolist()],
-                "Q": [[q[0], q[1:]] for q in lv.q_rows.tolist()],
+                "R": Rows([lv.r_rows[:, 0], lv.r_rows[:, 1:]]),
+                "Q": Rows([lv.q_rows[:, 0], lv.q_rows[:, 1:]]),
                 "B_volumes": lv.b_volumes,
             }
             for lv in ml.levels
@@ -437,20 +496,19 @@ def cmd_sphere_factor(payload: dict, args) -> tuple[dict, bool]:
         report = factor_scaling_sphere(float(payload["a"]), args.epsilon)
     else:
         raise SchemaError("sphere-factor kind must be 'translation' or 'scaling'")
-    steps = report.steps
+    step = report.step
     rep = {
         "kind": kind,
         "count": report.count,
         "per_step": {
-            "analytic_bound": steps[0].analytic_bound if steps else 1.0,
-            "sampled": steps[0].sampled if steps else 1.0,
-            "map": map_to_json(steps[0].map) if steps else None,
+            "analytic_bound": step.analytic_bound if step else 1.0,
+            "sampled": step.sampled if step else 1.0,
+            "map": map_to_json(step.map) if step else None,
         },
     }
-    ok = all(
-        s.analytic_bound <= 1.0 + args.epsilon + 1e-12
-        and s.sampled <= 1.0 + args.epsilon + TOLERANCES["sphere_step_slack"]
-        for s in steps
+    ok = step is None or (
+        step.analytic_bound <= 1.0 + args.epsilon + 1e-12
+        and step.sampled <= 1.0 + args.epsilon + TOLERANCES["sphere_step_slack"]
     )
     return rep, ok
 

@@ -26,6 +26,22 @@ class SchemaError(ValueError):
     pass
 
 
+class Rows:
+    """A JSON list of records of one shape, held as columns.
+
+    record is one row's shape: dicts, lists and fixed leaves, plus arrays
+    whose first axis runs over the rows, so that row i holds a[i] (as
+    .tolist() gives it) wherever the record holds an array a.  Each array
+    holds floats, ints or strs, one type per array; a record without arrays
+    stands for no rows.  The report encoder (cli.write_json_atomic) writes
+    the list with one % format per row."""
+
+    __slots__ = ("record",)
+
+    def __init__(self, record):
+        self.record = record
+
+
 def cube_to_json(c: Cube) -> dict:
     return {"center": list(c.center), "side": c.side}
 
@@ -136,28 +152,25 @@ def factor_sequence_to_json(fs) -> dict:
     }
 
 
-def _blend_run_to_json(run: BlendRun) -> list[dict]:
-    """map_to_json of every run[i], read from the run's arrays."""
-    shifts = run.shifts.tolist()
+def _blend_run_to_json(run: BlendRun) -> Rows:
+    """map_to_json of every run[i], as rows of the run's arrays."""
     if run.kind == "translation":
-        inners = [{"type": "translation", "v": v} for v in shifts]
+        inner = {"type": "translation", "v": run.shifts}
     else:
-        inners = [{"type": "affine", "matrix": a, "b": b} for a, b in zip(run.matrices.tolist(), shifts)]
-    return [
-        {"type": "blend", "inner": inner, "cube": {"center": c, "side": s}, "lambda": lam}
-        for inner, c, s, lam in zip(inners, run.centers.tolist(), run.sides.tolist(), run.lams.tolist())
-    ]
+        inner = {"type": "affine", "matrix": run.matrices, "b": run.shifts}
+    return Rows({"type": "blend", "inner": inner, "cube": {"center": run.centers, "side": run.sides},
+                 "lambda": run.lams})
 
 
-def _run_certificates_to_json(certs: RunCertificates) -> list[dict]:
-    """certificate_to_json of every certs[i], read from the sweeps and the index."""
-    run = certs.run
+def _run_certificates_to_json(certs: RunCertificates) -> Rows:
+    """certificate_to_json of every certs[i], as rows of the run's arrays,
+    the sweeps and the index."""
+    run, sweeps, index = certs.run, certs.sweeps, certs.index
     supports = run.lams * run.sides
-    pitches = cert_pitch(supports, run.centers.shape[1])
-    swept = [(c.L_lo, c.method, c.pair_count) for c in certs.sweeps]
-    out = []
-    for c, s, h, j in zip(run.centers.tolist(), supports.tolist(), pitches.tolist(), certs.index.tolist()):
-        l_lo, method, pair_count = swept[j]
-        out.append({"region": {"center": c, "side": s}, "h": h, "L_lo": l_lo, "method": method,
-                    "pair_count": pair_count})
-    return out
+    return Rows({
+        "region": {"center": run.centers, "side": supports},
+        "h": cert_pitch(supports, run.centers.shape[1]),
+        "L_lo": certs.L_lo,
+        "method": np.array([c.method for c in sweeps])[index],
+        "pair_count": np.array([c.pair_count for c in sweeps])[index],
+    })

@@ -8,7 +8,9 @@ the point at infinity is first class, and every map under test fixes it.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,18 +140,23 @@ class SphericalStep:
 
 @dataclass(eq=False)
 class SphericalFactorReport:
-    steps: list[SphericalStep]
+    """count equal steps: the target is step.map applied count times (step
+    is None when count is 0)."""
+
+    step: SphericalStep | None
+    count: int
     target: MapExpr
     epsilon: float
 
     @property
-    def count(self) -> int:
-        return len(self.steps)
+    def steps(self) -> Iterator[SphericalStep]:
+        """Every step in order: the one step, count times."""
+        return itertools.repeat(self.step, self.count)
 
     def composite(self) -> MapExpr:
-        if not self.steps:
+        if not self.count:
             return Identity()
-        return Compose(tuple(reversed([s.map for s in self.steps])))
+        return Compose((self.step.map,) * self.count)
 
 
 def factor_translation_sphere(v, epsilon: float) -> SphericalFactorReport:
@@ -169,15 +176,14 @@ def factor_translation_sphere(v, epsilon: float) -> SphericalFactorReport:
         raise GeometryError(f"translation length must be finite, got {length}")
     target = Translation(tuple(v))
     if length == 0.0:
-        return SphericalFactorReport([], target, epsilon)
+        return SphericalFactorReport(None, 0, target, epsilon)
     v0 = epsilon / (1.0 + epsilon)
     n = _step_count(length / v0, epsilon)
     step_v = v / n
     step = Translation(tuple(step_v))
     bound = translation_step_bound(length / n)
     sampled = spherical_distortion(step, dim=v.shape[0])
-    steps = [SphericalStep(step, bound, sampled)] * n
-    return SphericalFactorReport(list(steps), target, epsilon)
+    return SphericalFactorReport(SphericalStep(step, bound, sampled), n, target, epsilon)
 
 
 def solve_scaling_step(epsilon: float) -> float:
@@ -211,15 +217,14 @@ def factor_scaling_sphere(a: float, epsilon: float) -> SphericalFactorReport:
         raise GeometryError("epsilon must be positive")
     target = Scaling(a) if a != 1.0 else Scaling(1.0)
     if a == 1.0:
-        return SphericalFactorReport([], target, epsilon)
+        return SphericalFactorReport(None, 0, target, epsilon)
     a0 = solve_scaling_step(epsilon)
     n = _step_count(abs(math.log(a)) / math.log(a0), epsilon)
     step_a = a ** (1.0 / n)
     step = Scaling(step_a)
     bound = scaling_step_bound(step_a)
     sampled = spherical_distortion(step)
-    steps = [SphericalStep(step, bound, sampled)] * n
-    return SphericalFactorReport(list(steps), target, epsilon)
+    return SphericalFactorReport(SphericalStep(step, bound, sampled), n, target, epsilon)
 
 
 def lift_distortion_bound(eps_prime: float) -> float:

@@ -15,6 +15,9 @@ import bilipfactor
 from bilipfactor import cli
 from bilipfactor.cli import main
 from bilipfactor.degree import DegreeError
+from bilipfactor.jsonio import Rows
+from bilipfactor.map_engine import Translation
+from bilipfactor.sphere import spherical_distortion, translation_step_bound
 
 
 def write_input(tmp_path: Path, name: str, payload: dict) -> str:
@@ -175,6 +178,45 @@ class TestReportEncoding:
             cli.write_json_atomic(path, value)
             assert path.read_text() == json.dumps(_sanitize(value), indent=2, sort_keys=True) + "\n"
 
+    @pytest.mark.parametrize("depth", [0, 1, 3])
+    def test_rows_give_sanitized_bytes(self, tmp_path, depth):
+        # Each case nests a rows leaf depth levels deep, in a dict or a list,
+        # and compares the writer with json.dumps of the records it stands for.
+        path = tmp_path / "report.json"
+        rng = np.random.default_rng(20261019 + depth)
+        for _ in range(150):
+            n = int(rng.choice([0, 1, 2, 5]))
+            record = _rows_record(rng, n, 0)
+            plain = [_row(record, i) for i in range(n if _has_array(record) else 0)]
+            rows = Rows(record)
+            for k in range(depth):
+                rows, plain = ({"k%": rows, "a": k}, {"k%": plain, "a": k}) if k % 2 else ([rows, k], [plain, k])
+            cli.write_json_atomic(path, rows)
+            assert path.read_text() == json.dumps(_sanitize(plain), indent=2, sort_keys=True) + "\n"
+
+    def test_rows_without_rows_or_columns(self, tmp_path):
+        path = tmp_path / "report.json"
+        cases = [(Rows({"a": np.zeros(0)}), []), (Rows(np.zeros((0, 3), dtype=np.int64)), []),
+                 (Rows({"a": "x"}), []), (Rows([np.zeros((2, 0)), "%"]), [[[], "%"], [[], "%"]])]
+        for rows, plain in cases:
+            cli.write_json_atomic(path, {"r": rows})
+            assert path.read_text() == json.dumps({"r": plain}, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("column", [np.array([True, False]), np.array([1, 2.5], dtype=object),
+                                        np.array(["a", 1], dtype=object), np.array([None], dtype=object)],
+                             ids=["bool", "int-float", "str-int", "none"])
+    def test_rows_column_of_other_types_raises(self, tmp_path, column):
+        path = tmp_path / "report.json"
+        with pytest.raises(TypeError):
+            cli.write_json_atomic(path, {"r": Rows({"x": column})})
+        assert not path.exists()
+
+    def test_rows_of_unequal_lengths_raise(self, tmp_path):
+        path = tmp_path / "report.json"
+        with pytest.raises(ValueError):
+            cli.write_json_atomic(path, {"r": Rows([np.zeros(2), np.zeros((3, 0))])})
+        assert not path.exists()
+
     @pytest.mark.parametrize("payload", [{1: "a"}, {"a": [{"b": 0, "c": {2.5: None}}]}])
     def test_non_string_key_raises(self, tmp_path, payload):
         path = tmp_path / "report.json"
@@ -215,6 +257,58 @@ def _corpus(rng, n: int) -> list:
     report may hold and keys and strings with non-ASCII text, quotes,
     backslashes and control characters."""
     return [_corpus_value(rng, 0) for _ in range(n)] + _LEAVES
+
+
+# Fixed text of rows templates: % in every role a % format gives it, and non-ASCII.
+_TEMPLATE_TEXT = ["%", "%s", "%r", "%0", "%%1", '"%2"', "%(a)s", "\u00e9%", "\u2603", "\U0001f600", "plain"]
+_ROW_FLOATS = [0.0, -0.0, 0.1, 1 / 3, -2.5, 5e-324, 1e308, -1e308, 1e22, float("nan"), float("inf"), float("-inf")]
+_ROW_INTS = [0, -1, 7, 2**63 - 1, -(2**63), 2**64 + 1, -(2**70), 10**30]
+
+
+def _rows_column(rng, shape: tuple) -> np.ndarray:
+    """An array leaf of a rows record: floats (with -0.0 and non-finite
+    values), int64, ints beyond int64, or text with % and non-ASCII."""
+    size = math.prod(shape)
+    kind = int(rng.integers(4))
+    if kind == 0:
+        return np.array([_ROW_FLOATS[i] for i in rng.integers(len(_ROW_FLOATS), size=size)]).reshape(shape)
+    if kind == 1:
+        return rng.integers(-(2**62), 2**62, size=shape)
+    values = _ROW_INTS if kind == 2 else _TEMPLATE_TEXT + _TEXT
+    out = np.empty(size, dtype=object)
+    out[:] = [values[i] for i in rng.integers(len(values), size=size)]
+    return out.reshape(shape)
+
+
+def _rows_record(rng, n: int, depth: int):
+    kind = int(rng.integers(4)) if depth < 3 else int(rng.integers(2))
+    if kind == 0:
+        return _rows_column(rng, (n,) + tuple(rng.integers(0, 3, size=rng.integers(0, 3))))
+    if kind == 1:
+        fixed = [v for v in _LEAVES if not isinstance(v, np.ndarray)] + _TEMPLATE_TEXT
+        return fixed[rng.integers(len(fixed))]
+    items = [_rows_record(rng, n, depth + 1) for _ in range(rng.integers(0, 4))]
+    if kind == 2:
+        return {_TEMPLATE_TEXT[rng.integers(len(_TEMPLATE_TEXT))] + _text(rng): v for v in items}
+    return items
+
+
+def _has_array(record) -> bool:
+    if isinstance(record, dict):
+        return any(map(_has_array, record.values()))
+    return isinstance(record, np.ndarray) or isinstance(record, list) and any(map(_has_array, record))
+
+
+def _row(record, i: int):
+    """Row i of a rows record: every array leaf a replaced by a[i]."""
+    if isinstance(record, np.ndarray):
+        v = record[i]
+        return v.tolist() if isinstance(v, (np.ndarray, np.generic)) else v
+    if isinstance(record, dict):
+        return {k: _row(v, i) for k, v in record.items()}
+    if isinstance(record, list):
+        return [_row(v, i) for v in record]
+    return record
 
 
 IDENTITY = {"type": "identity"}
@@ -440,6 +534,21 @@ class TestOtherSubcommands:
         assert main(["degree", "--input", inp, "--out", str(out)]) == 0
         rep = load_report(out)
         assert rep["result"]["degree"] == 1
+
+    def test_sphere_factor_near_step_ceiling(self, tmp_path):
+        # 909,092 equal steps: the report holds the count and the one step,
+        # which is checked once.
+        inp = write_input(tmp_path, "s.json", {"kind": "translation", "v": [1.0, 0.0]})
+        out = tmp_path / "o"
+        assert main(["sphere-factor", "--input", inp, "--out", str(out), "--epsilon", "1.1e-6"]) == 0
+        n = 909_092
+        step = Translation((1.0 / n, 0.0))
+        assert load_report(out)["result"] == {
+            "kind": "translation",
+            "count": n,
+            "per_step": {"analytic_bound": translation_step_bound(1.0 / n), "sampled": spherical_distortion(step),
+                         "map": {"type": "translation", "v": [1.0 / n, 0.0]}},
+        }
 
     def test_sphere_factor_scaling(self, tmp_path):
         inp = write_input(tmp_path, "s.json", {"kind": "scaling", "a": 16.0})

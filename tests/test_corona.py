@@ -33,6 +33,7 @@ from bilipfactor.geometry_core import (
     rotation_3d,
     unit_cube_dyadics,
 )
+from bilipfactor.jsonio import map_to_json
 from bilipfactor.map_engine import (
     Affine,
     Blend,
@@ -558,7 +559,83 @@ class TestCheck:
             assert sorted(issues) == sorted(reference_check(c))
 
 
+def plain(o):
+    """o with every Fraction as the report writes it."""
+    if isinstance(o, Fraction):
+        return {"numerator": str(o.numerator), "denominator": str(o.denominator), "value": float(o)}
+    if isinstance(o, dict):
+        return {k: plain(v) for k, v in o.items()}
+    if isinstance(o, (list, tuple)):
+        return [plain(v) for v in o]
+    return o
+
+
+def assert_report_dumps(out, result) -> None:
+    """report.json is json.dumps(indent=2, sort_keys=True) of its envelope
+    with the given result."""
+    text = (out / "report.json").read_text()
+    envelope = {k: v for k, v in json.loads(text).items() if k != "result"}
+    assert text == json.dumps({**envelope, "result": plain(result)}, indent=2, sort_keys=True) + "\n"
+
+
 class TestReport:
+    @pytest.mark.parametrize("f, dim, depth, theta, h", [(LogSpiral(0.2), 2, 4, 0.05, 1 / 64),
+                                                         (blend_3d(), 3, 3, 0.02, 1 / 8)], ids=["2d", "3d"])
+    def test_cli_corona_bytes_equal_plain_report(self, tmp_path, f, dim, depth, theta, h):
+        inp = tmp_path / "in.json"
+        inp.write_text(json.dumps({"map": map_to_json(f), "depth": depth, "dim": dim}))
+        out = tmp_path / "out"
+        assert cli.main(["corona", "--input", str(inp), "--out", str(out), "--h", str(h), "--theta", str(theta)]) == 0
+        ref = reference_coronization(f, dim, depth, theta, h)
+        c = build_coronization(f, dim, depth, theta=theta, h=h)
+        c_bad, c_tops = carleson_constant(c)
+
+        def coords(cubes, level):
+            return sorted(list(q.coords) for q in cubes if q.level == level)
+
+        levels = {str(lv): {"good": coords(ref.good, lv), "bad": coords(ref.bad, lv)} for lv in range(depth + 1)}
+        # Empty lists: level 0 of the 2-D case has no good cube, levels 0-2 of the 3-D case no bad one.
+        empty = [kind for lv in levels.values() for kind in ("good", "bad") if not lv[kind]]
+        assert empty == (["good"] if dim == 2 else ["bad"] * 3)
+        assert_report_dumps(out, {
+            "depth": depth,
+            "dim": dim,
+            "params": c.params,
+            "counts": {"good": len(ref.good), "bad": len(ref.bad), "regions": len(ref.regions)},
+            "carleson": {"bad": c_bad, "tops": c_tops},
+            "invariant_issues": [],
+            "levels": levels,
+            "regions": [
+                {"top": {"level": s.top.level, "coords": list(s.top.coords)}, "members": len(s.members),
+                 "fit": {"matrix": s.fit.matrix.tolist(), "b": s.fit.shift.tolist()}, "residual": s.residual}
+                for s in ref.regions
+            ],
+        })
+
+    def test_cli_multilevel_bytes_equal_plain_report(self, tmp_path):
+        inp = tmp_path / "in.json"
+        inp.write_text(json.dumps({"map": {"type": "logspiral", "k": 0.15}, "depth": 6}))
+        out = tmp_path / "out"
+        argv = ["--input", str(inp), "--out", str(out), "--h", str(1 / 64), "--theta", "0.05", "--alpha", "0.5"]
+        assert cli.main(["multilevel", *argv]) == 0
+        c = build_coronization(LogSpiral(0.15), 2, 6, theta=0.05, h=1 / 64, force_top_bad=True)
+        ml = multilevel_decomposition(c, 0.5)
+        assert any(lv.q_cubes for lv in ml.levels)
+        assert_report_dumps(out, {
+            "depth": 6,
+            "dim": 2,
+            "params": {"alpha": 0.5, "K": ml.k_param, "N_bound": ml.n_bound, "zeta_log2": ml.zeta_log2,
+                       "lambda": ml.lam, "carleson": ml.carleson},
+            "levels": [
+                {"R": [[r.level, list(r.coords)] for r in lv.r_cubes],
+                 "Q": [[q.level, list(q.coords)] for q in lv.q_cubes],
+                 "B_volumes": lv.b_volumes}
+                for lv in ml.levels
+            ],
+            "good_measure": ml.good_measure,
+            "good_measure_ok": ml.good_measure >= 1 - ml.alpha,
+        })
+
     def test_cli_levels_counts_members_match_set_reference(self, tmp_path):
         inp = tmp_path / "in.json"
         inp.write_text(json.dumps({"map": {"type": "logspiral", "k": 0.2}, "depth": 4}))
