@@ -2,10 +2,12 @@
 
 One NumPy gather kernel over a stack of k point sets of the same size: the
 pairs (i, j), i < j, of set 0, then of set 1, ..., are taken in blocks of
-whole rows holding at most _BLOCK_PAIRS pairs (or a single longer row), so
-the index arrays and the differences of one block stay small while each
-block is swept in a few vectorised passes.  A block may end inside a set or
-hold the rows of several; each set's extremes are reduced on its own.
+whole rows holding at most _INNER_PAIRS pairs (or a single longer row), so
+each block is swept in a few vectorised passes on index arrays and
+differences of at most 64 KB.  Temporaries of that size stay below glibc's
+default mmap threshold, so they reuse heap memory instead of faulting in
+fresh pages on every block.  A block may end inside a set or hold the rows
+of several; each set's extremes are reduced on its own.
 """
 
 from __future__ import annotations
@@ -16,7 +18,10 @@ import numpy as np
 # which kernel ran.
 HAVE_COMPILED = False
 
+# Pairs of the lattice stacks that callers hand to one call (factorization._sweeps).
 _BLOCK_PAIRS = 1 << 15
+# Pairs of one block of the kernel: 2^13 float64 or int64 values are 64 KB.
+_INNER_PAIRS = 1 << 13
 
 
 def pairwise_distortion(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float]:
@@ -45,7 +50,7 @@ def pairwise_distortions(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np
     i0 = 0
     while i0 < rows:
         done = row_end[i0 - 1] if i0 else 0
-        i1 = max(i0 + 1, int(np.searchsorted(row_end, done + _BLOCK_PAIRS, side="right")))
+        i1 = max(i0 + 1, int(np.searchsorted(row_end, done + _INNER_PAIRS, side="right")))
         counts = row_pairs[i0:i1]
         row_start = row_end[i0:i1] - counts - done
         ii = np.repeat(row_pt[i0:i1], counts)

@@ -303,20 +303,23 @@ class BlendRun(MapExpr, Sequence):
         w == 1 Blend.evaluate writes 0 * x + inner(x), which is inner(x) bit
         for bit unless inner(x) holds a -0.0.  So a step runs exactly, as
         Blend.evaluate does, wherever some point has 0 < w < 1 or a moving
-        image holds a -0.0.
+        image holds a -0.0.  Every block's path is a view of one buffer,
+        sized for the longest block and all points, so the walk takes its
+        scratch memory once.
         """
         x = np.array(pts, dtype=float, copy=True)
         stops = [int(s) for s in stops]
         out = np.empty((len(stops),) + x.shape)
-        if not x.shape[0]:
+        if not x.shape[0] or not stops:
             return out
         cap = max(1, _WALK_ELEMS // x.shape[0])
+        buf = np.empty((min(cap, stops[-1]) + 1) * x.size)
         block = min(_WALK_MIN_BLOCK, cap)
         k = 0
         for j, stop in enumerate(stops):
             while k < stop:
                 span = min(stop - k, block)
-                e = self._walk_block(x, k, span)
+                e = self._walk_block(x, k, span, buf)
                 if e == 0:
                     self._step(x, k)
                     e = 1
@@ -325,11 +328,12 @@ class BlendRun(MapExpr, Sequence):
             out[j] = x
         return out
 
-    def _walk_block(self, x: np.ndarray, k: int, span: int) -> int:
+    def _walk_block(self, x: np.ndarray, k: int, span: int, buf: np.ndarray) -> int:
         """Move x in place over the steps k, k+1, ... (at most span of them)
         along which every point keeps its w of step k, 0 or 1, and no moving
         image holds a -0.0; return how many steps that is (0: step k runs
-        exactly)."""
+        exactly).  The moving points' path is built in the flat buffer buf,
+        which holds at least (span + 1) * x.size floats."""
         first = self._ratio(x, k)
         still = first <= 0.0
         moving = first >= 1.0
@@ -339,11 +343,12 @@ class BlendRun(MapExpr, Sequence):
         if np.any(still):
             keep[still] = _first_true(self._block_ratio(x[still], k, span) > 0.0, span)
         if np.any(moving):
-            path = np.empty((span + 1, int(moving.sum()), x.shape[1]))
-            path[0] = x[moving]
+            m = int(np.count_nonzero(moving))
+            path = buf[: (span + 1) * m * x.shape[1]].reshape(span + 1, m, x.shape[1])
+            np.compress(moving, x, axis=0, out=path[0])
             if self.kind == "translation":
                 path[1:] = self.shifts[k : k + span, None]
-                path = np.add.accumulate(path, axis=0)
+                np.add.accumulate(path, axis=0, out=path)
             else:
                 for i in range(span):
                     path[i + 1] = self._inner(path[i], k + i)

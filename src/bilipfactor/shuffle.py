@@ -207,21 +207,43 @@ def _segment_rect_interval(p: np.ndarray, q: np.ndarray, rect: Cube) -> tuple[fl
     return t0, t1
 
 
+def _crossings(path: np.ndarray, rect: Cube) -> np.ndarray:
+    """For each segment of the polyline, whether _segment_rect_interval finds
+    it inside the rect: one slab test over all segments, with its operations."""
+    lo, hi = rect.lo(), rect.hi()
+    p = path[:-1]
+    d = path[1:] - p
+    t0, t1 = np.zeros(p.shape[0]), np.ones(p.shape[0])
+    inside = np.ones(p.shape[0], dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for k in range(2):
+            flat = np.abs(d[:, k]) < 1e-300
+            inside &= ~(flat & ((p[:, k] <= lo[k]) | (p[:, k] >= hi[k])))
+            ta = (lo[k] - p[:, k]) / d[:, k]
+            tb = (hi[k] - p[:, k]) / d[:, k]
+            t0 = np.where(flat, t0, np.maximum(t0, np.minimum(ta, tb)))
+            t1 = np.where(flat, t1, np.minimum(t1, np.maximum(ta, tb)))
+    return inside & ~(t1 - t0 <= 1e-12)
+
+
 def detour_around(path: np.ndarray, rect: Cube) -> np.ndarray:
     """Reroute the parts of a polyline crossing the rect interior along its boundary."""
-    out: list[np.ndarray] = [path[0]]
-    i = 0
-    n = len(path)
-    while i < n - 1:
+    out = [path[:1]]
+    last = path[0]  # the last point of out
+    while True:
+        hits = np.flatnonzero(_crossings(path, rect))
+        if not hits.size:
+            out.append(path[1:])
+            return np.concatenate(out)
+        i = int(hits[0])
+        out.append(path[1 : i + 1])
+        if i:
+            last = path[i]
         p, q = path[i], path[i + 1]
-        iv = _segment_rect_interval(p, q, rect)
-        if iv is None:
-            out.append(q)
-            i += 1
-            continue
-        t0, t1 = iv
+        t0, _ = _segment_rect_interval(p, q, rect)
         a = p + t0 * (q - p)
         # Scan forward for the exit point (the obstacle may span segments).
+        n = len(path)
         j = i
         b = None
         first = True
@@ -239,28 +261,35 @@ def detour_around(path: np.ndarray, rect: Cube) -> np.ndarray:
         if b is None:
             b = path[-1]
             j = n - 2
-        if t0 > 1e-12:
-            out.append(a)
-        out.extend(_boundary_route(rect, a, b)[1:])
-        path = np.vstack([out[-1][None, :], path[j + 1 :]])
-        n = len(path)
-        i = 0
-        out.pop()
-        if len(out) == 0 or np.linalg.norm(out[-1] - path[0]) > 1e-15:
-            out.append(path[0])
-        continue
-    return np.asarray(out)
+        route = ([a] if t0 > 1e-12 else []) + _boundary_route(rect, a, b)[1:-1]
+        if route:
+            out.append(np.asarray(route))
+            last = route[-1]
+        if np.linalg.norm(last - b) > 1e-15:
+            out.append(b[None, :])
+            last = b
+        path = np.vstack([b[None, :], path[j + 1 :]])
 
 
 def _dedupe(path: np.ndarray) -> np.ndarray:
-    keep = [0]
-    for i in range(1, len(path)):
-        if np.linalg.norm(path[i] - path[keep[-1]]) > 1e-14:
-            keep.append(i)
+    """Drop each point within 1e-14 of the last point kept before it."""
+    gaps = np.diff(path, axis=0)
+    # sqrt of vecdot has the bits of np.linalg.norm of each row alone.
+    near = np.flatnonzero(~(np.sqrt(np.vecdot(gaps, gaps)) > 1e-14)) + 1
+    keep = np.ones(path.shape[0], dtype=bool)
+    done = 0  # rows 0..done are decided
+    for r in near.tolist():
+        if r <= done:
+            continue
+        last = r - 1  # kept, as is every row after done up to r
+        while r < path.shape[0] and not np.linalg.norm(path[r] - path[last]) > 1e-14:
+            keep[r] = False
+            r += 1
+        done = r
     return path[keep]
 
 
-# Rows of a held at once by _min_distance.
+# Rows of a held at once by _min_distance and _closer_than.
 _MIN_DISTANCE_ROWS = 64
 
 
@@ -281,6 +310,24 @@ def _min_distance(a: np.ndarray, b: np.ndarray) -> float:
         dx += dy
         best = min(best, float(dx.min()))
     return math.sqrt(best)
+
+
+def _closer_than(a: np.ndarray, b: np.ndarray, r: float) -> bool:
+    """Whether _min_distance(a, b) < r, from the points of b near each chunk of a.
+
+    A point of b outside a chunk's bounding box grown by 2r is more than r
+    from every point of the chunk, rounding of the box included, so only
+    the points inside it go through _min_distance.
+    """
+    rows = _MIN_DISTANCE_ROWS
+    for k in range(0, a.shape[0], rows):
+        chunk = a[k : k + rows]
+        lo = chunk.min(axis=0) - 2.0 * r
+        hi = chunk.max(axis=0) + 2.0 * r
+        near = b[np.all((b >= lo) & (b <= hi), axis=1)]
+        if near.shape[0] and _min_distance(chunk, near) < r:
+            return True
+    return False
 
 
 def plan_shuffle(
@@ -398,8 +445,7 @@ def plan_shuffle(
             for obs in obstacles:
                 path = _dedupe(detour_around(path, obs))
             samples = resample_polyline(path, 1024)
-            dist = _min_distance(samples, boundary)
-            if dist < clearance - 1e-9:
+            if _closer_than(samples, boundary, clearance - 1e-9):
                 raise PlanError(f"path {j} violates the boundary clearance bound")
             for obs in obstacles:
                 if np.any(obs.dilate(1.0 - 1e-9).contains(samples, tol=-1e-12)):

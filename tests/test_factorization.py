@@ -740,6 +740,48 @@ class TestBlendRun:
         stops = [0, 1, 1, 14, 14, 15, len(run) // 2, len(run) - 1, len(run), len(run)]
         assert run.walk(pts, stops).tobytes() == prefixes[stops].tobytes()
 
+    @pytest.mark.parametrize("elems", [map_engine._WALK_ELEMS, 96])
+    @pytest.mark.parametrize("kind", ["translation", "affine"])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_walk_buffer_with_changing_moving_sets(self, d, kind, elems, monkeypatch):
+        # Groups of steps on cubes of different sizes, so the moving points
+        # (w == 1) of one block are more or fewer than those of the last, and
+        # every block's path is a view of the walk's one buffer; a few points
+        # sit where 0 < w < 1 and make steps run exactly.
+        monkeypatch.setattr(map_engine, "_WALK_ELEMS", elems)
+        gen = np.random.default_rng(4104 + d)
+        groups = [(0.9, 9), (0.3, 7), (1.6, 13), (0.3, 2), (0.9, 20)]  # (side, steps)
+        sides = np.concatenate([np.full(steps, side) for side, steps in groups])
+        n = sides.shape[0]
+        centers = np.zeros((n, d))
+        shifts = gen.uniform(-4e-4, 4e-4, size=(n, d))
+        mats = None
+        if kind == "affine":
+            mats = np.stack([random_orientation_preserving(gen, d, 1.0005) for _ in range(n)])
+        run = BlendRun(kind, centers, sides, np.full(n, 1.5), shifts, mats)
+        # Sup-norm radii: inside every cube, inside the two larger ones (w == 0
+        # on the smallest), inside the largest alone, outside all, and 0 < w < 1
+        # on the middle one.
+        radii = [(0.0, 0.1, 5), (0.25, 0.4, 9), (0.7, 0.75, 11), (1.3, 3.0, 7), (0.55, 0.56, 2)]
+        u = gen.uniform(-1.0, 1.0, size=(34, d))
+        u /= np.max(np.abs(u), axis=1, keepdims=True)
+        pts = u * np.concatenate([gen.uniform(a, b, size=m) for a, b, m in radii])[:, None]
+        cur = pts.copy()
+        prefixes = [cur]
+        for f in run:
+            cur = f.evaluate(cur)
+            prefixes.append(cur)
+        prefixes = np.array(prefixes)
+        assert prefixes.tobytes() == run.walk(pts, range(n + 1)).tobytes()
+        stops = [0, 0, 5, 9, 9, 16, 29, 29, 31, n]
+        first = run.walk(pts, stops)
+        assert first.tobytes() == prefixes[stops].tobytes()
+        # Nothing a walk returns is shared with another walk's result.
+        again = run.walk(pts, stops)
+        first[:] = np.nan
+        assert again.tobytes() == prefixes[stops].tobytes()
+        assert run.evaluate(pts).tobytes() == prefixes[-1].tobytes()
+
     @pytest.mark.parametrize("name", sorted(RUNS))
     def test_sequence_json_matches_per_factor_objects(self, name, tmp_path):
         # A run's factors and certificates are rows leaves, which only the

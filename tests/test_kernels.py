@@ -110,14 +110,16 @@ def pooled_reference(n: int, d: int, j: int) -> tuple[float, float]:
     return reference_pairwise(*pooled(n, d, j))
 
 
-@pytest.mark.parametrize("block", [kernels._BLOCK_PAIRS, 1000])
+@pytest.mark.parametrize("block", [kernels._BLOCK_PAIRS, kernels._INNER_PAIRS, 1000])
 @pytest.mark.parametrize("k", [1, 7, 40])
 @pytest.mark.parametrize("n,d", [(81, 2), (125, 3), (300, 2)])
 def test_stack_matches_double_loop_per_set(n, d, k, block, monkeypatch):
-    # (300, 2) sets hold 44,850 pairs, so blocks end inside a set; stacks of
-    # 81 or 125 points put several sets in a block, and a block of 1000
-    # pairs ends inside every set and at set boundaries.
-    monkeypatch.setattr(kernels, "_BLOCK_PAIRS", block)
+    # The kernel's block is set to the sweeps' stack size, to its own
+    # default and to 1000 pairs.  (300, 2) sets hold 44,850 pairs, so blocks
+    # end inside a set; at the default, 81- and 125-point sets (3,240 and
+    # 7,750 pairs) straddle two blocks and a stack of 40 spans many; a
+    # block of 1000 pairs ends inside every set and at set boundaries.
+    monkeypatch.setattr(kernels, "_INNER_PAIRS", block)
     sets = [(3 * i) % POOL for i in range(k)]
     xs = np.stack([pooled(n, d, j)[0] for j in sets])
     ys = np.stack([pooled(n, d, j)[1] for j in sets])

@@ -8,8 +8,13 @@ from bilipfactor.geometry_core import Cube
 from bilipfactor.map_engine import Identity, Scaling
 from bilipfactor.shuffle import (
     PlanError,
+    _boundary_route,
+    _closer_than,
+    _crossings,
+    _dedupe,
     _min_distance,
     _point_in_omega,
+    _segment_rect_interval,
     check_shuffle,
     detour_around,
     execute_shuffle,
@@ -129,6 +134,178 @@ class TestPlan:
         ]
         with pytest.raises(PlanError, match="overlap"):
             plan_shuffle(OMEGA4, touching, mu=1.5, c1_bound=8.0)
+
+
+def reference_detour_around(path: np.ndarray, rect: Cube, max_detours: int = 1000) -> np.ndarray:
+    """detour_around as a per-segment loop of _segment_rect_interval calls."""
+    out = [path[0]]
+    i = 0
+    n = len(path)
+    while i < n - 1:
+        p, q = path[i], path[i + 1]
+        iv = _segment_rect_interval(p, q, rect)
+        if iv is None:
+            out.append(q)
+            i += 1
+            continue
+        max_detours -= 1
+        assert max_detours >= 0, "the loop does not end on this input"
+        t0, t1 = iv
+        a = p + t0 * (q - p)
+        j = i
+        b = None
+        first = True
+        while j < n - 1:
+            pj, qj = (a, path[j + 1]) if first else (path[j], path[j + 1])
+            iv2 = _segment_rect_interval(pj, qj, rect)
+            if iv2 is None:
+                break
+            _, te = iv2
+            if te < 1.0 - 1e-12:
+                b = pj + te * (qj - pj)
+                break
+            first = False
+            j += 1
+        if b is None:
+            b = path[-1]
+            j = n - 2
+        if t0 > 1e-12:
+            out.append(a)
+        out.extend(_boundary_route(rect, a, b)[1:])
+        path = np.vstack([out[-1][None, :], path[j + 1 :]])
+        n = len(path)
+        i = 0
+        out.pop()
+        if len(out) == 0 or np.linalg.norm(out[-1] - path[0]) > 1e-15:
+            out.append(path[0])
+    return np.asarray(out)
+
+
+def reference_dedupe(path: np.ndarray) -> np.ndarray:
+    keep = [0]
+    for i in range(1, len(path)):
+        if np.linalg.norm(path[i] - path[keep[-1]]) > 1e-14:
+            keep.append(i)
+    return path[keep]
+
+
+def random_detour_case(gen: np.random.Generator) -> tuple[np.ndarray, Cube]:
+    """A polyline and a rect on a dyadic grid, so that vertices sit on the rect's
+    edges and corners and many segments are axis-parallel, with some vertices
+    off the grid; the end points lie outside the open rect."""
+    rect = Cube(tuple(gen.integers(-8, 9, size=2) / 8.0), gen.integers(2, 17) / 8.0)
+    lo, hi = rect.lo(), rect.hi()
+    n = int(gen.integers(2, 12))
+    grid = lo + gen.integers(-8, int(8 * rect.side) + 9, size=(n, 2)) / 8.0
+    path = np.where(gen.random((n, 1)) < 0.8, grid, gen.uniform(lo - 1.0, hi + 1.0, size=(n, 2)))
+    if gen.random() < 0.3:  # a run of vertices inside the rect
+        a = int(gen.integers(1, n))
+        path[a : a + 3] = gen.uniform(lo, hi, size=(len(path[a : a + 3]), 2))
+    corners = rect.vertices()
+    pick = gen.random(n) < 0.15
+    path[pick] = corners[gen.integers(0, 4, size=int(pick.sum()))]
+    flat = gen.random(n - 1) < 0.3  # copy one coordinate of the previous vertex
+    for i in np.flatnonzero(flat):
+        path[i + 1, i % 2] = path[i, i % 2]
+    for end in (0, n - 1):
+        while np.all((path[end] > lo) & (path[end] < hi)):
+            path[end] = gen.uniform(lo - 1.0, hi + 1.0)
+    return path, rect
+
+
+def near_duplicate_path(gen: np.random.Generator) -> np.ndarray:
+    """A random polyline with chains of points within about 1e-14 of each other."""
+    rows = []
+    for p in gen.uniform(-2.0, 2.0, size=(int(gen.integers(1, 30)), 2)):
+        rows.append(p)
+        for _ in range(int(gen.integers(0, 5)) if gen.random() < 0.5 else 0):
+            step = gen.choice([0.0, 2e-15, 6e-15, 9e-15, 1.1e-14, 3e-14])
+            rows.append(rows[-1] + step * gen.uniform(-1.0, 1.0, size=2))
+    return np.array(rows)
+
+
+class TestArrayPlanHelpers:
+    def test_closer_than_equals_dense_minimum(self, rng):
+        for na, nb, scale in ((300, 700, 4.0), (64, 1, 1.0), (1, 2049, 1.0), (1024, 2049, 0.05)):
+            a = rng.uniform(0.0, scale, size=(na, 2))
+            b = rng.uniform(0.0, 1.0, size=(nb, 2))
+            m = _min_distance(a, b)
+            assert _min_distance(a, b) == float(np.min(np.linalg.norm(a[:, None] - b[None], axis=2)))
+            assert not _closer_than(a, b, m)
+            assert _closer_than(a, b, float(np.nextafter(m, np.inf)))
+        a = rng.uniform(0.0, 1.0, size=(100, 2))
+        b = np.vstack([rng.uniform(2.0, 3.0, size=(50, 2)), a[77:78]])
+        assert _min_distance(a, b) == 0.0
+        assert not _closer_than(a, b, 0.0)
+        assert _closer_than(a, b, float(np.nextafter(0.0, 1.0)))
+
+    def test_closer_than_on_plan_samples(self):
+        pairs = [(Cube((1.0, 1.0), 0.5), Cube((3.0, 1.0), 0.5)),
+                 (Cube((3.0, 3.0), 0.5), Cube((1.0, 3.0), 0.5))]
+        plan = plan_shuffle(OMEGA4, pairs, mu=1.5, c1_bound=8.0)
+        paths = [g for g in plan.gammas + plan.zetas if g.shape[0]]
+        assert len(paths) >= 2
+        for g in paths:
+            samples = resample_polyline(g, 1024)
+            m = _min_distance(samples, plan.boundary)
+            assert m >= plan.clearance - 1e-9
+            assert not _closer_than(samples, plan.boundary, m)
+            assert _closer_than(samples, plan.boundary, float(np.nextafter(m, np.inf)))
+
+    def test_crossings_equal_segment_intervals(self):
+        gen = np.random.default_rng(4101)
+        for _ in range(400):
+            path, rect = random_detour_case(gen)
+            want = [_segment_rect_interval(p, q, rect) is not None for p, q in zip(path[:-1], path[1:])]
+            assert _crossings(path, rect).tolist() == want
+
+    def test_detour_equals_segment_loop(self):
+        gen = np.random.default_rng(4102)
+        crossed = spanned = 0
+        for _ in range(400):
+            path, rect = random_detour_case(gen)
+            want = reference_detour_around(path, rect)
+            got = detour_around(path, rect)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            inside = np.all((path > rect.lo()) & (path < rect.hi()), axis=1)
+            crossed += bool(_crossings(path, rect).any())
+            spanned += bool(np.any(inside[1:] & inside[:-1]))
+        assert crossed > 100 and spanned > 20  # detours, some over several segments
+
+    def test_detour_at_edges_and_corners(self):
+        rect = Cube((0.0, 0.0), 2.0)
+        cases = [
+            [[-2.0, -1.0], [2.0, -1.0]],  # along an edge
+            [[-1.0, -2.0], [-1.0, 2.0]],  # along the other edge
+            [[-2.0, -2.0], [2.0, 2.0]],  # through two corners
+            [[-2.0, 0.0], [-1.0, 1.0], [1.0, 1.0], [2.0, 0.0]],  # corner to corner along an edge
+            [[-2.0, 0.5], [0.0, 0.5], [0.5, 0.0], [0.0, -0.5], [-2.0, -0.5]],  # in and out on one side
+            [[-2.0, 0.0], [-0.5, 0.0], [0.5, 0.25], [0.25, -0.5], [2.0, 0.0]],  # spans three segments
+            [[0.0, -2.0], [0.0, -1.0], [0.0, 1.0], [0.0, 2.0]],  # axis-parallel, touching both edges
+            [[-1.0, -1.0], [1.0, 1.0]],  # corner to corner through the interior
+        ]
+        for path in cases:
+            path = np.array(path)
+            want = reference_detour_around(path, rect)
+            assert detour_around(path, rect).tobytes() == want.tobytes()
+
+    def test_dedupe_equals_scalar_loop(self):
+        gen = np.random.default_rng(4103)
+        dropped = 0
+        for _ in range(300):
+            path = near_duplicate_path(gen)
+            want = reference_dedupe(path)
+            got = _dedupe(path)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            dropped += len(path) - len(want)
+        assert dropped > 100
+        chain = np.array([[0.0, 0.0], [8e-15, 0.0], [1.6e-14, 0.0], [2.4e-14, 0.0], [1.0, 0.0]])
+        assert _dedupe(chain).tobytes() == chain[[0, 2, 4]].tobytes()
+        # Gaps at the threshold: with an FMA ddot (OpenBLAS), the norm of a
+        # row alone and a row-wise sum of squares fall on either side of 1e-14.
+        for gap in ([6.510583682916479e-16, 9.978783643364427e-15], [3.527194882787934e-15, 9.357291074816184e-15]):
+            edge = np.array([[0.0, 0.0], gap, [1.0, 0.0]])
+            assert _dedupe(edge).tobytes() == reference_dedupe(edge).tobytes()
 
 
 class TestDetour:
