@@ -519,6 +519,8 @@ def cmd_degree(payload: dict, args) -> tuple[dict, bool]:
     cube = cube_from_json(payload["cube"])
     if target.shape != (2,) or cube.dim != 2:
         raise SchemaError("winding degree is planar only: target and cube must be 2-D")
+    if not np.all(np.isfinite(target)):
+        raise SchemaError(f"target must be finite, got {target.tolist()}")
     _check_dim(m, 2, "cube")
     ring = cube.vertices()[[0, 1, 3, 2, 0]]
     try:

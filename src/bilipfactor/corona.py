@@ -45,7 +45,6 @@ as is a negative depth.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -604,55 +603,4 @@ def multilevel_decomposition(c: Coronization, alpha: float | Fraction) -> MultiL
         carleson=packing,
         levels=levels,
         good_measure=good_measure,
-    )
-
-
-@dataclass(eq=False)
-class SecondarySubdivision:
-    parent: Cube
-    level: int
-    p: int
-    pitch: float
-    cubes: list[Cube]  # shrunken grid cubes, corner-anchored in their cells
-    separation: float
-    collar_fraction_bound: float
-    covered_fraction: float
-
-
-def secondary_subdivision(parent: Cube, k: int, c4: float, p: int) -> SecondarySubdivision:
-    """Shrunken grid cubes on pitch c4 l(parent) / p^(k-1) meeting the parent.
-
-    Each emitted cube is its grid cell scaled by (1 - 1/p) toward the
-    cell's lower corner; anchoring at the corner makes consecutive levels
-    nest exactly (a finer cube is inside or interior-disjoint from every
-    coarser one).  Same-level cubes are separated by pitch / p.
-    """
-    if p < 2:
-        raise GeometryError("subdivision parameter p must be at least 2")
-    if not (c4 > 0):
-        raise GeometryError("c4 must be positive")
-    d = parent.dim
-    pitch = c4 * parent.side / p ** (k - 1)
-    shrink = 1.0 - 1.0 / p
-    lo = parent.lo()
-    n_cells = int(math.ceil(parent.side / pitch - 1e-12))
-    cubes: list[Cube] = []
-    idx_ranges = [range(n_cells)] * d
-    inside = 0
-    for idx in itertools.product(*idx_ranges):
-        cell_lo = lo + pitch * np.asarray(idx, dtype=float)
-        side = shrink * pitch
-        cubes.append(Cube(tuple(cell_lo + side / 2.0), side))
-        if np.all(cell_lo + pitch <= parent.hi() + 1e-12):
-            inside += 1
-    covered = inside * (shrink * pitch) ** d / parent.side**d
-    return SecondarySubdivision(
-        parent=parent,
-        level=k,
-        p=p,
-        pitch=pitch,
-        cubes=cubes,
-        separation=pitch / p,
-        collar_fraction_bound=3.0 * d / p,
-        covered_fraction=covered,
     )

@@ -9,11 +9,9 @@ for the piecewise-affine verifier.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry_core import Cube
 from .map_engine import MapExpr
 
 class DegreeError(RuntimeError):
@@ -74,33 +72,3 @@ def degree_winding_2d(m: MapExpr, y: np.ndarray, boundary: np.ndarray) -> int:
     if abs(total - 2.0 * math.pi * winding) > 1e-6 * 2.0 * math.pi:
         raise DegreeError("insufficient boundary resolution: non-integer winding")
     return int(winding)
-
-
-@dataclass(frozen=True)
-class CloseDegreeResult:
-    verdict: str  # "equal" | "unequal" | "hypothesis-unverifiable"
-    degree1: int | None = None
-    degree2: int | None = None
-
-
-def check_close_degree(
-    h1: MapExpr, h2: MapExpr, p: np.ndarray, domain: Cube, h: float
-) -> CloseDegreeResult:
-    """Degrees of two maps at p agree when they are closer on the boundary
-    than p is to either boundary image (checked on a boundary lattice)."""
-    if domain.dim != 2:
-        raise DegreeError("close-degree check implemented for planar domains")
-    p = np.asarray(p, dtype=float)
-    verts = np.asarray(domain.vertices())
-    ring = verts[[0, 1, 3, 2, 0]]  # square boundary loop
-    count = max(16, int(math.ceil(4.0 * domain.side / h)) + 1)
-    samples = resample_polyline(ring, count)
-    v1 = h1.evaluate(samples)
-    v2 = h2.evaluate(samples)
-    gap = float(np.max(np.linalg.norm(v1 - v2, axis=1)))
-    dist = float(min(np.min(np.linalg.norm(v1 - p, axis=1)), np.min(np.linalg.norm(v2 - p, axis=1))))
-    if not gap < dist:
-        return CloseDegreeResult("hypothesis-unverifiable")
-    d1 = degree_winding_2d(h1, p, ring)
-    d2 = degree_winding_2d(h2, p, ring)
-    return CloseDegreeResult("equal" if d1 == d2 else "unequal", d1, d2)

@@ -1,5 +1,6 @@
 """Factoring model maps (diagonal, rotation, full linear, shrink, translation
-along a path) into certified small-distortion factors, plus gluing operators.
+along a path) into certified small-distortion factors, plus the gluing
+operator glue_identity_outside.
 
 Every emitted factor comes with a sampled distortion certificate; builders
 auto-retry with smaller internal steps when a certificate exceeds its
@@ -28,14 +29,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .degree import degree_winding_2d
 from .geometry_core import (
     AffineMapData,
     Cube,
     GeometryError,
     SVD_TOL,
     bilip_constant,
-    box_lattice,
     check_matrix,
     cube_lattice,
     cube_lattices,
@@ -714,56 +713,6 @@ def _boundary_lattice(region: Cube, h: float) -> np.ndarray:
         (np.abs(pts - lo) < 1e-12 * region.side) | (np.abs(pts - hi) < 1e-12 * region.side), axis=1
     )
     return pts[on_face]
-
-
-def glue_two(
-    a1: Cube, f1: MapExpr, a2: Cube, f2: MapExpr, h: float
-) -> tuple[MapExpr, GlueReport]:
-    """Glue two maps that agree on the overlap of their (covering) regions.
-
-    Bijectivity is spot-checked by winding degree +1 at sampled interior
-    targets (planar case); the glued sampled distortion is certified
-    against max of the piece bounds.
-    """
-    lo = np.minimum(a1.lo(), a2.lo())
-    hi = np.maximum(a1.hi(), a2.hi())
-    hull = Cube(tuple((lo + hi) / 2.0), float(np.max(hi - lo)))
-    pts = box_lattice(lo, hi, h)  # the working box is the union's bounding box
-    in1 = a1.contains(pts, tol=1e-12)
-    in2 = a2.contains(pts, tol=1e-12)
-    if not np.all(in1 | in2):
-        raise GeometryError("regions do not cover the working cube")
-    both = in1 & in2
-    if np.any(both):
-        dev = float(np.max(np.linalg.norm(f1.evaluate(pts[both]) - f2.evaluate(pts[both]), axis=1)))
-        if dev > 1e-9:
-            raise GeometryError(f"pieces disagree on the overlap (deviation {dev:.3e})")
-    glued = Piecewise(((a1, f1), (a2, f2)))
-    b1 = estimate_distortion(f1, a1, h).L_lo
-    b2 = estimate_distortion(f2, a2, h).L_lo
-    ratio, min_img = kernels.pairwise_distortion(pts, glued.evaluate(pts))
-    if min_img == 0.0:
-        raise CertificationError("not injective on samples: coincident images")
-    cert = DistortionCertificate(
-        region=hull, h=h, L_lo=max(1.0, ratio), method="sampled-pairs",
-        pair_count=pts.shape[0] * (pts.shape[0] - 1) // 2,
-    )
-    bound = max(b1, b2)
-    if cert.L_lo > bound + 1e-6:
-        raise CertificationError(
-            f"glued distortion {cert.L_lo:.6f} exceeds the piece bound {bound:.6f}"
-        )
-    if hull.dim == 2:
-        boundary = np.array(
-            [[lo[0], lo[1]], [hi[0], lo[1]], [hi[0], hi[1]], [lo[0], hi[1]], [lo[0], lo[1]]]
-        )
-        inset = 0.25 * (hi - lo)
-        targets = box_lattice(lo + inset, hi - inset, float(np.max(hi - lo)) / 4)
-        for x in targets[:9]:
-            deg = degree_winding_2d(glued, glued(x), boundary)
-            if deg != 1:
-                raise CertificationError(f"bijectivity spot-check failed: degree {deg} at {x}")
-    return glued, GlueReport((b1, b2), cert, bound)
 
 
 def check_factor_sequence(fs: FactorSequence, epsilon: float | None = None) -> dict:

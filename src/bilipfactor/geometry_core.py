@@ -212,25 +212,6 @@ def bilip_constants(ms: np.ndarray) -> np.ndarray:
     return np.where(ok, np.maximum(s_max, 1.0 / np.where(ok, s_min, 1.0)), np.nan)
 
 
-def linear_dilatation(m: np.ndarray | list) -> float:
-    """H(S) = s_max / s_min.  Satisfies H(S) == H(S^-1)."""
-    dec = svd(m)
-    if not all(map(math.isfinite, dec.sigma)):
-        raise GeometryError("linear dilatation undefined: singular values overflow")
-    if dec.degenerate or dec.sigma[-1] == 0.0:
-        raise GeometryError("linear dilatation undefined: singular matrix")
-    return float(dec.sigma[0] / dec.sigma[-1])
-
-
-def pseudo_distance(s: np.ndarray | list, t: np.ndarray | list) -> float:
-    """D(S, T) = H(S^-1 T) >= 1, with equality iff S^-1 T is conformal."""
-    s = check_matrix(s)
-    t = check_matrix(t)
-    if abs(np.linalg.det(s)) < SVD_TOL or abs(np.linalg.det(t)) < SVD_TOL:
-        raise GeometryError("pseudo distance undefined: singular matrix")
-    return linear_dilatation(np.linalg.solve(s, t))
-
-
 @dataclass(frozen=True, slots=True)
 class Cube:
     """Axis-parallel cube: center x(Q) and side length l(Q) > 0."""

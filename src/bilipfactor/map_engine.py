@@ -29,7 +29,6 @@ from .geometry_core import (
     bilip_constant,
     box_lattice,
     cube_lattice,
-    svd,
 )
 
 
@@ -489,46 +488,6 @@ def sup_distance(m1: MapExpr, m2: MapExpr, region: Cube, h: float) -> float:
     """Max over the region lattice of |m1(x) - m2(x)| (lower bound on the sup)."""
     pts, _ = cube_lattice(region, h)
     return float(np.max(np.linalg.norm(m1.evaluate(pts) - m2.evaluate(pts), axis=1)))
-
-
-def procrustes_isometry(
-    samples: list[tuple[np.ndarray, np.ndarray]] | tuple[np.ndarray, np.ndarray],
-) -> tuple[AffineMapData, float]:
-    """Least-squares rigid alignment J(x) = R x + b of sample pairs (x_i, y_i).
-
-    R is the orthogonal minimizer of sum |J(x_i) - y_i|^2 (SVD of the
-    cross-covariance); det(R) = +1 unless a reflection fits strictly
-    better.  Returns (J, max_i |J(x_i) - y_i|).
-    """
-    if isinstance(samples, tuple) and len(samples) == 2:
-        xs, ys = np.asarray(samples[0], float), np.asarray(samples[1], float)
-    else:
-        xs = np.asarray([p[0] for p in samples], dtype=float)
-        ys = np.asarray([p[1] for p in samples], dtype=float)
-    d = xs.shape[1]
-    if xs.shape[0] < d + 1:
-        raise GeometryError("need at least d+1 sample pairs")
-    xc, yc = xs.mean(axis=0), ys.mean(axis=0)
-    xs0, ys0 = xs - xc, ys - yc
-    cov = xs0.T @ ys0
-    if np.linalg.matrix_rank(xs0, tol=1e-10 * max(1.0, np.abs(xs0).max())) < d:
-        raise GeometryError("rank deficient: sample cloud is collinear/coplanar")
-    dec = svd(cov)
-    r_free = (dec.u @ dec.v_t).T
-    if np.linalg.det(r_free) >= 0:
-        r = r_free
-    else:
-        # Candidate proper rotation: flip the least-significant direction.
-        u = dec.u.copy()
-        u[:, -1] = -u[:, -1]
-        r_proper = (u @ dec.v_t).T
-        res_free = np.sum((xs0 @ r_free.T - ys0) ** 2)
-        res_proper = np.sum((xs0 @ r_proper.T - ys0) ** 2)
-        r = r_free if res_free < res_proper - 1e-15 else r_proper
-    b = yc - r @ xc
-    j = AffineMapData(r, b)
-    dev = float(np.max(np.linalg.norm(j.apply(xs) - ys, axis=1)))
-    return j, dev
 
 
 def almost_affine_fit(

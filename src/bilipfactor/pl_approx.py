@@ -63,10 +63,6 @@ class Triangulation:
     def n_simplices(self) -> int:
         return self.n_cells * math.factorial(self.dim)
 
-    @property
-    def simplex_diameter(self) -> float:
-        return self.pitch * math.sqrt(self.dim)
-
     def covered_hi(self) -> np.ndarray:
         return self.origin + self.pitch * np.asarray(self.cells)
 
@@ -113,7 +109,6 @@ class PLVerdicts:
     n_targets: int = 0
     n_unresolved: int = 0
     max_simplex_constant: float = 0.0
-    min_orientation: int = 0
 
 
 @dataclass(eq=False)
@@ -358,7 +353,6 @@ def verify_pl(pl: PLApprox, epsilon: float) -> PLVerdicts:
         n_targets=n_targets,
         n_unresolved=n_unres,
         max_simplex_constant=float(pl.constants.max()),
-        min_orientation=int(pl.orientations.min()),
     )
 
 

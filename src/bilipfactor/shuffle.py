@@ -347,8 +347,10 @@ def plan_shuffle(
     clearance bound l * min(1 / (C1 L)^2, (mu - 1) / C1).
     """
     psi, side = omega
-    if mu <= 1:
-        raise PlanError("mu must exceed 1")
+    if not 1.0 < mu < math.inf:  # NaN fails too
+        raise PlanError(f"mu must be a finite number above 1, got {mu}")
+    if not 0.0 < c1_bound < math.inf:
+        raise PlanError(f"C1 must be finite and positive, got {c1_bound}")
     if not pairs:
         raise PlanError("no cube pairs given")
     if pairs[0][0].dim != 2:
@@ -358,14 +360,20 @@ def plan_shuffle(
     l_meas = estimate_distortion(psi, base, side / 64.0).L_lo
     l_bound = max(2.0, l_meas)
     sqd = math.sqrt(2.0)
-    c1 = 1.0 / (4.0 * sqd * l_bound * c1_bound)
-    c2 = min(
-        c1 / (3.0 * sqd * c1_bound * l_bound),
-        1.0 / (2.0 * sqd * c1_bound**2 * l_bound**2),
-        (mu - 1.0) / (2.0 * sqd * c1_bound),
-    )
     ell = side
-    clearance = ell * min(1.0 / (c1_bound**2 * l_bound**2), (mu - 1.0) / c1_bound)
+    try:  # c1_bound**2 overflows or underflows to 0 for extreme C1
+        c1 = 1.0 / (4.0 * sqd * l_bound * c1_bound)
+        c2 = min(
+            c1 / (3.0 * sqd * c1_bound * l_bound),
+            1.0 / (2.0 * sqd * c1_bound**2 * l_bound**2),
+            (mu - 1.0) / (2.0 * sqd * c1_bound),
+        )
+        clearance = ell * min(1.0 / (c1_bound**2 * l_bound**2), (mu - 1.0) / c1_bound)
+    except ArithmeticError as e:
+        raise PlanError(f"C1 = {c1_bound} puts the plan constants out of range") from e
+    for name, value in (("c1", c1), ("c2", c2), ("clearance", clearance)):
+        if not 0.0 < value < math.inf:
+            raise PlanError(f"C1 = {c1_bound} gives {name} = {value}, which is not finite and positive")
 
     ring = base.vertices()[[0, 1, 3, 2, 0]]
     boundary = psi.evaluate(resample_polyline(ring, 2048))

@@ -44,27 +44,6 @@ def _step_count(ratio: float, epsilon: float) -> int:
     return math.ceil(ratio - 1e-12)
 
 
-def chordal_distance(x, y) -> float:
-    """Chordal metric on R^d U {infinity} (unit-diameter sphere chart).
-
-    chi(x, y) = |x-y| / sqrt((1+|x|^2)(1+|y|^2)) for finite points and
-    1 / sqrt(1+|x|^2) when the other point is infinite.
-    """
-    x_inf = x is INFINITY
-    y_inf = y is INFINITY
-    if x_inf and y_inf:
-        return 0.0
-    if x_inf:
-        return 1.0 / math.sqrt(1.0 + float(np.dot(y, y)))
-    if y_inf:
-        return 1.0 / math.sqrt(1.0 + float(np.dot(x, x)))
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    return float(
-        np.linalg.norm(x - y) / math.sqrt((1.0 + np.dot(x, x)) * (1.0 + np.dot(y, y)))
-    )
-
-
 def _chordal_pairs(pts: np.ndarray, with_infinity: bool) -> np.ndarray:
     """Condensed chordal distance matrix over finite points (+ infinity row)."""
     norms2 = np.einsum("ij,ij->i", pts, pts)
@@ -225,27 +204,3 @@ def factor_scaling_sphere(a: float, epsilon: float) -> SphericalFactorReport:
     bound = scaling_step_bound(step_a)
     sampled = spherical_distortion(step)
     return SphericalFactorReport(SphericalStep(step, bound, sampled), n, target, epsilon)
-
-
-def lift_distortion_bound(eps_prime: float) -> float:
-    """Chordal bound (1 + e')(1 - e')^-2 for a Euclidean (1+e')-bi-Lipschitz
-    origin-fixing map."""
-    if not (0.0 <= eps_prime < 1.0):
-        raise GeometryError("requires 0 <= eps' < 1")
-    return (1.0 + eps_prime) / (1.0 - eps_prime) ** 2
-
-
-def invert_lift_bound(target: float) -> float:
-    """Largest eps' whose lift bound stays at or below the target (bisection)."""
-    if target < 1.0:
-        raise GeometryError("target bound must be at least 1")
-    lo, hi = 0.0, 1.0 - 1e-12
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo < 1e-12:
-            break
-        if lift_distortion_bound(mid) > target:
-            hi = mid
-        else:
-            lo = mid
-    return lo

@@ -315,6 +315,13 @@ IDENTITY = {"type": "identity"}
 UNIT = {"center": [0.5, 0.5], "side": 1.0}
 AFFINE_3D = {"type": "affine", "matrix": np.eye(3).tolist(), "b": [0.0, 0.0, 0.0]}
 
+
+def shuffle_input(**params) -> dict:
+    """One cube moved across the 4x4 square under the identity, with mu and C1 overridden."""
+    pairs = [{"r": {"center": [1.0, 1.0], "side": 0.5}, "s": {"center": [2.5, 1.0], "side": 0.5}}]
+    return {"omega": {"psi": IDENTITY, "base_side": 4.0}, "pairs": pairs, "mu": 1.5, "C1": 8.0, **params}
+
+
 # (subcommand, input payload, text the error must contain)
 MALFORMED = {
     "sphere-translation-v-not-numeric": ("sphere-factor", {"kind": "translation", "v": "abc"}, ""),
@@ -381,6 +388,18 @@ MALFORMED = {
         {"omega": {"psi": AFFINE_3D, "base_side": 4.0},
          "pairs": [{"r": {"center": [1.0, 1.0], "side": 0.5}, "s": {"center": [3.0, 3.0], "side": 0.5}}]},
         "map and base square dimensions differ: 3-D map, 2-D base square"),
+    "shuffle-c1-zero": ("shuffle", shuffle_input(C1=0), "C1 must be finite and positive, got 0"),
+    "shuffle-c1-negative": ("shuffle", shuffle_input(C1=-3), "C1 must be finite and positive, got -3"),
+    "shuffle-c1-nan": ("shuffle", shuffle_input(C1=math.nan), "C1 must be finite and positive, got nan"),
+    "shuffle-c1-underflows": ("shuffle", shuffle_input(C1=1e-200), "C1 = 1e-200 puts the plan constants out of range"),
+    "shuffle-c1-overflows": ("shuffle", shuffle_input(C1=1e200), "C1 = 1e+200 puts the plan constants out of range"),
+    "shuffle-c1-c2-vanishes": ("shuffle", shuffle_input(C1=1e154), "C1 = 1e+154 gives c2 = 0.0"),
+    "shuffle-mu-nan": ("shuffle", shuffle_input(mu=math.nan), "mu must be a finite number above 1, got nan"),
+    "shuffle-mu-infinite": ("shuffle", shuffle_input(mu=math.inf), "mu must be a finite number above 1, got inf"),
+    "degree-target-nan": (
+        "degree", {"map": IDENTITY, "target": [math.nan, 0.5], "cube": UNIT}, "target must be finite"),
+    "degree-target-infinite": (
+        "degree", {"map": IDENTITY, "target": [math.inf, 0.5], "cube": UNIT}, "target must be finite"),
     "linear-2d-map-on-3d-cube": (
         "factor-linear",
         {"map": {"type": "affine", "matrix": [[2.0, 0.0], [0.0, 0.5]], "b": [0.0, 0.0]},

@@ -21,7 +21,6 @@ from bilipfactor.corona import (
     check_coronization,
     multilevel_decomposition,
     region_fit_error,
-    secondary_subdivision,
 )
 from bilipfactor.geometry_core import (
     AffineMapData,
@@ -939,40 +938,3 @@ class TestMultilevel:
             for alpha in (0.5, 0.25):
                 ml = multilevel_decomposition(c, alpha)
                 assert ml.good_measure >= 1 - Fraction(alpha).limit_denominator(100)
-
-
-class TestSecondarySubdivision:
-    def test_pitch_and_size_example(self):
-        parent = Cube((0.5, 0.5), 1.0)
-        sub = secondary_subdivision(parent, 1, c4=1 / 8, p=4)
-        assert sub.pitch == pytest.approx(1 / 8)
-        assert all(c.side == pytest.approx((1 / 8) * (3 / 4)) for c in sub.cubes)
-        assert sub.separation == pytest.approx(1 / 32)
-
-    def test_collar_bound_values(self):
-        parent = Cube((0.5, 0.5), 1.0)
-        assert secondary_subdivision(parent, 1, 1 / 8, 4).collar_fraction_bound == pytest.approx(1.5)
-        sub = secondary_subdivision(parent, 1, 1 / 8, 64)
-        assert sub.collar_fraction_bound == pytest.approx(6 / 64)
-        assert sub.covered_fraction >= 1 - sub.collar_fraction_bound - 0.05
-
-    def test_nesting_two_levels(self):
-        parent = Cube((0.5, 0.5), 1.0)
-        lvl1 = secondary_subdivision(parent, 1, 1 / 8, 4)
-        lvl2 = secondary_subdivision(parent, 2, 1 / 8, 4)
-        for c2 in lvl2.cubes[:200]:
-            for c1 in lvl1.cubes:
-                inside = np.all(c2.lo() >= c1.lo() - 1e-12) and np.all(c2.hi() <= c1.hi() + 1e-12)
-                disjoint = not c1.overlaps(c2, tol=1e-12)
-                assert inside or disjoint
-
-    def test_separation_invariant(self):
-        parent = Cube((0.0, 0.0), 2.0)
-        sub = secondary_subdivision(parent, 1, 1 / 4, 8)
-        cubes = sub.cubes
-        for i in range(min(len(cubes), 30)):
-            for j in range(i + 1, min(len(cubes), 30)):
-                lo_i, hi_i = cubes[i].lo(), cubes[i].hi()
-                lo_j, hi_j = cubes[j].lo(), cubes[j].hi()
-                gap = np.max(np.maximum(lo_j - hi_i, lo_i - hi_j))
-                assert gap >= sub.separation - 1e-12

@@ -6,13 +6,9 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from bilipfactor.degree import (
-    DegreeError,
-    check_close_degree,
-    degree_winding_2d,
-)
+from bilipfactor.degree import DegreeError, degree_winding_2d
 from bilipfactor.geometry_core import AffineMapData, Cube, rotation_2d
-from bilipfactor.map_engine import Affine, Blend, Identity, LogSpiral, MapExpr, Translation
+from bilipfactor.map_engine import Affine, Blend, Identity, LogSpiral, MapExpr
 from bilipfactor.pl_approx import degree_pl, freudenthal, pl_interpolate
 
 from conftest import random_orientation_preserving, small_rotation_blend
@@ -69,28 +65,6 @@ class TestWinding:
     def test_target_on_boundary_rejected(self):
         with pytest.raises(DegreeError):
             degree_winding_2d(Identity(), np.array([0.5, 1.0]), square_ring(UNIT))
-
-
-class TestCloseDegree:
-    def test_equal_maps(self):
-        res = check_close_degree(Identity(), Identity(), np.array([0.5, 0.5]), UNIT, 0.01)
-        assert res.verdict == "equal"
-
-    def test_small_bump(self):
-        bump = Blend(Translation((0.01, 0.0)), Cube((0.5, 0.5), 0.25), 2.0)
-        res = check_close_degree(Identity(), bump, np.array([0.5, 0.5]), UNIT, 0.01)
-        assert res.verdict == "equal" and res.degree1 == res.degree2 == 1
-
-    def test_rotation_vs_pl(self):
-        rot = Affine(AffineMapData(rotation_2d(0.25), np.zeros(2)))
-        pl = pl_interpolate(rot, freudenthal(2, 0.02, Cube((0.5, 0.5), 1.4)))
-        res = check_close_degree(rot, pl.as_map(), rot(np.array([0.5, 0.52])), UNIT, 0.01)
-        assert res.verdict == "equal"
-
-    def test_hypothesis_unverifiable(self):
-        far = Translation((10.0, 0.0))
-        res = check_close_degree(Identity(), far, np.array([0.5, 0.5]), UNIT, 0.05)
-        assert res.verdict == "hypothesis-unverifiable"
 
 
 class TestOracleAgreement:

@@ -22,7 +22,6 @@ from bilipfactor.factorization import (
     factor_shrink,
     factor_translation_along_path,
     glue_identity_outside,
-    glue_two,
 )
 from bilipfactor.geometry_core import (
     AffineMapData,
@@ -521,23 +520,6 @@ class TestGlue:
             glue_identity_outside(
                 [(Cube((0.0, 0.0), 1.0), Identity()), (Cube((0.5, 0.0), 1.0), Identity())], 0.25
             )
-
-    def test_glue_two_matching_shear(self):
-        shear = AffineMapData(np.array([[1.0, 0.3], [0.0, 1.0]]), np.zeros(2))
-        f = Affine(shear)
-        left = Cube((-0.5, 0.0), 1.0)
-        right = Cube((0.5, 0.0), 1.0)
-        g, rep = glue_two(left, f, right, f, 0.2)
-        gen = np.random.default_rng(1)
-        pts = np.stack([gen.uniform(-0.9, 0.9, 100), gen.uniform(-0.45, 0.45, 100)], axis=-1)
-        assert np.abs(g.evaluate(pts) - shear.apply(pts)).max() <= 1e-12
-        assert rep.glued.L_lo <= rep.bound + 1e-9
-
-    def test_glue_two_mismatch_rejected(self):
-        left = Cube((-0.5, 0.0), 1.2)
-        right = Cube((0.5, 0.0), 1.2)
-        with pytest.raises(GeometryError, match="disagree"):
-            glue_two(left, Identity(), right, Translation((0.1, 0.0)), 0.2)
 
 
 class TestPiecewise:

@@ -14,8 +14,6 @@ from bilipfactor.geometry_core import (
     bilip_constants,
     cube_lattice,
     cube_lattices,
-    linear_dilatation,
-    pseudo_distance,
     rotation_2d,
     rotation_3d,
     svd,
@@ -143,34 +141,6 @@ class TestScalars:
         with pytest.raises(GeometryError, match="not bi-Lipschitz: singular values overflow"):
             bilip_constant(huge)
         assert math.isnan(bilip_constants(huge[None])[0])
-        with pytest.raises(GeometryError, match="overflow"):
-            linear_dilatation(huge)
-
-    def test_dilatation_examples(self):
-        assert linear_dilatation(np.eye(2)) == 1.0
-        assert linear_dilatation(np.diag([2.0, 0.5])) == pytest.approx(4.0, abs=1e-12)
-        assert linear_dilatation(rotation_2d(1.1)) == pytest.approx(1.0, abs=1e-12)
-
-    def test_dilatation_inverse_symmetry(self, rng):
-        for _ in range(200):
-            m = random_orientation_preserving(rng, 2, 5.0)
-            assert linear_dilatation(m) == pytest.approx(
-                linear_dilatation(np.linalg.inv(m)), rel=1e-9
-            )
-
-    def test_pseudo_distance(self, rng):
-        assert pseudo_distance(np.diag([2.0, 3.0]), np.diag([2.0, 3.0])) == pytest.approx(1.0)
-        assert pseudo_distance(np.eye(2), np.diag([2.0, 0.5])) == pytest.approx(4.0, abs=1e-9)
-        assert pseudo_distance(rotation_2d(0.7), np.eye(2)) == pytest.approx(1.0, abs=1e-9)
-        for _ in range(100):
-            s = random_orientation_preserving(rng, 2, 4.0)
-            t = random_orientation_preserving(rng, 2, 4.0)
-            assert pseudo_distance(s, t) == pytest.approx(pseudo_distance(t, s), rel=1e-9)
-            assert pseudo_distance(s, t) >= 1.0 - 1e-12
-        # Equality holds exactly for conformal S^-1 T.
-        s = rotation_2d(0.3)
-        t = 2.5 * rotation_2d(-0.9)
-        assert pseudo_distance(s, t) == pytest.approx(1.0, abs=1e-9)
 
     def test_submultiplicative_bilip(self, rng):
         for _ in range(1000):

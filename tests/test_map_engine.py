@@ -24,7 +24,6 @@ from bilipfactor.map_engine import (
     almost_affine_fit,
     blend_weight,
     estimate_distortion,
-    procrustes_isometry,
     sup_distance,
 )
 
@@ -185,58 +184,6 @@ class TestSupDistance:
         tri = freudenthal(2, eta / (4 * np.sqrt(2)), box)
         pl = pl_interpolate(LogSpiral(0.2), tri)
         assert sup_distance(pl.as_map(), LogSpiral(0.2), box, tri.pitch / 2) <= eta
-
-
-class TestProcrustes:
-    def test_exact_recovery(self, rng):
-        xs = rng.uniform(-1, 1, size=(40, 2))
-        r = rotation_2d(0.9)
-        b = np.array([0.3, -0.2])
-        j, dev = procrustes_isometry((xs, xs @ r.T + b))
-        assert dev <= 1e-12
-        assert np.abs(j.matrix - r).max() < 1e-12
-
-    def test_noisy_recovery(self, rng):
-        xs = rng.uniform(-1, 1, size=(60, 2))
-        r = rotation_2d(-0.4)
-        noise = rng.uniform(-1e-3, 1e-3, size=xs.shape)
-        j, dev = procrustes_isometry((xs, xs @ r.T + noise))
-        assert dev <= 5e-3
-
-    def test_rotation_invariance_of_deviation(self, rng):
-        xs = rng.uniform(-1, 1, size=(50, 2))
-        ys = LogSpiral(0.1).evaluate(xs + np.array([2.0, 0.0]))
-        _, dev0 = procrustes_isometry((xs, ys))
-        pre = rotation_2d(0.77)
-        _, dev1 = procrustes_isometry((xs @ pre.T, ys))
-        assert dev0 == pytest.approx(dev1, abs=1e-9)
-
-    def test_grid_search_oracle_logspiral(self):
-        # Independent oracle: best isometry over a 1-degree angle grid and
-        # 1e-2 translation grid, scored by max deviation.
-        k = 0.05
-        axis = np.linspace(-1, 1, 9)
-        xs = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
-        xs = xs[np.linalg.norm(xs, axis=1) <= 1.0]
-        ys = LogSpiral(k).evaluate(xs)
-        j, dev = procrustes_isometry((xs, ys))
-        best = np.inf
-        for deg in range(-8, 9):
-            r = rotation_2d(math.radians(deg))
-            res = ys - xs @ r.T
-            center = np.round(res.mean(axis=0), 2)
-            for dx in (-0.01, 0.0, 0.01):
-                for dy in (-0.01, 0.0, 0.01):
-                    t = center + np.array([dx, dy])
-                    best = min(best, np.max(np.linalg.norm(xs @ r.T + t - ys, axis=1)))
-        # The least-squares isometry is comparable to the grid-search one.
-        assert dev <= best + 2e-2
-        assert dev <= 10 * k  # measured constant reported, not assumed
-
-    def test_rank_deficient(self):
-        xs = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
-        with pytest.raises(GeometryError, match="rank deficient"):
-            procrustes_isometry((xs, xs))
 
 
 class TestStackedLstsq:

@@ -38,15 +38,6 @@ class TestFreudenthal:
         assert freudenthal(2, 1.0, (np.zeros(2), np.ones(2))).n_simplices == 2
         assert freudenthal(3, 1.0, (np.zeros(3), np.ones(3))).n_simplices == 6
 
-    def test_simplex_diameter(self):
-        for d in (2, 3):
-            tri = freudenthal(d, 0.2, (np.zeros(d), np.ones(d)))
-            assert tri.simplex_diameter == pytest.approx(0.2 * math.sqrt(d))
-        # diameter eta/4 corresponds to pitch eta / (4 sqrt(d))
-        eta = 0.1
-        tri = freudenthal(2, eta / (4 * math.sqrt(2)), (np.zeros(2), np.ones(2)))
-        assert tri.simplex_diameter == pytest.approx(eta / 4)
-
     def test_offsets_partition_cell(self):
         # The d! simplices tile the unit cell: their volumes sum to 1.
         for d in (2, 3):
@@ -127,7 +118,7 @@ class TestVerify:
         pl = pl_interpolate(Fold(), freudenthal(2, 0.125, Cube((0.0, 0.0), 2.0)))
         v = verify_pl(pl, 0.2)
         assert (not v.lipschitz_ok) or (not v.injective_ok)
-        assert v.min_orientation == -1
+        assert pl.orientations.min() == -1
 
     def test_global_lipschitz_matches_per_simplex(self):
         # Sampled global estimate stays within the per-simplex bound.

@@ -9,11 +9,9 @@ from bilipfactor.geometry_core import GeometryError
 from bilipfactor.map_engine import Compose, Scaling, Translation
 from bilipfactor.sphere import (
     INFINITY,
-    chordal_distance,
+    _chordal_pairs,
     factor_scaling_sphere,
     factor_translation_sphere,
-    invert_lift_bound,
-    lift_distortion_bound,
     sample_points,
     scaling_step_bound,
     solve_scaling_step,
@@ -32,6 +30,33 @@ def oracle_scaling_step(epsilon: float) -> float:
         else:
             lo = mid
     return lo
+
+
+def chordal_distance(x, y) -> float:
+    """Chordal metric on R^d U {infinity} (unit-diameter sphere chart).
+
+    chi(x, y) = |x-y| / sqrt((1+|x|^2)(1+|y|^2)) for finite points and
+    1 / sqrt(1+|x|^2) when the other point is infinite.
+    """
+    x_inf = x is INFINITY
+    y_inf = y is INFINITY
+    if x_inf and y_inf:
+        return 0.0
+    if x_inf:
+        return 1.0 / math.sqrt(1.0 + float(np.dot(y, y)))
+    if y_inf:
+        return 1.0 / math.sqrt(1.0 + float(np.dot(x, x)))
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    return float(
+        np.linalg.norm(x - y) / math.sqrt((1.0 + np.dot(x, x)) * (1.0 + np.dot(y, y)))
+    )
+
+
+def lift_distortion_bound(eps_prime: float) -> float:
+    """Chordal bound (1 + e')(1 - e')^-2 for a Euclidean (1+e')-bi-Lipschitz
+    origin-fixing map, 0 <= e' < 1."""
+    return (1.0 + eps_prime) / (1.0 - eps_prime) ** 2
 
 
 class TestChordal:
@@ -66,6 +91,17 @@ class TestChordal:
             slack = chordal_distance(a, b) + chordal_distance(b, c) - chordal_distance(a, c)
             worst = min(worst, slack)
         assert worst >= -1e-12
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_pairs_match_oracle(self, dim):
+        # _chordal_pairs is the metric spherical_distortion sweeps; its
+        # last row and column are the distances to infinity.
+        pts = sample_points(dim, 4.0, 40)
+        got = _chordal_pairs(pts, True)
+        points = list(pts) + [INFINITY]
+        want = np.array([[chordal_distance(x, y) for y in points] for x in points])
+        assert got.shape == want.shape == (42, 42)
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
 
 class TestDistortion:
@@ -147,15 +183,6 @@ class TestLiftBound:
     def test_values(self):
         assert lift_distortion_bound(0.0) == 1.0
         assert lift_distortion_bound(0.1) == pytest.approx(1.1 / 0.81, abs=1e-12)
-
-    def test_inversion_round_trip(self):
-        eps = invert_lift_bound(1.1)
-        assert lift_distortion_bound(eps) <= 1.1 + 1e-9
-        assert lift_distortion_bound(min(eps * 1.01, 0.999)) > 1.1
-
-    def test_domain(self):
-        with pytest.raises(GeometryError):
-            lift_distortion_bound(1.0)
 
 
 class TestSamples:
