@@ -274,6 +274,25 @@ def _integer(payload: dict, key: str, default: int) -> int:
     return int(v)
 
 
+def _number(payload: dict, key: str, default: float | None) -> float:
+    """payload[key] (required when default is None) as a float: a JSON number, not a bool."""
+    v = payload[key] if default is None else payload.get(key, default)
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise SchemaError(f"{key} must be a number, got {v!r}")
+    try:
+        return float(v)
+    except OverflowError:  # an integer beyond the float range
+        return math.inf if v > 0 else -math.inf
+
+
+def _positive(payload: dict, key: str, default: float | None) -> float:
+    """_number(payload, key, default), refused unless finite and positive."""
+    v = _number(payload, key, default)
+    if not 0.0 < v < math.inf:  # NaN fails too
+        raise SchemaError(f"{key} must be finite and positive, got {v!r}")
+    return v
+
+
 def _boolean(payload: dict, key: str, default: bool) -> bool:
     v = payload.get(key, default)
     if not isinstance(v, bool):
@@ -295,7 +314,7 @@ def cmd_factor_linear(payload: dict, args) -> tuple[dict, bool]:
     if aff is None:
         raise SchemaError("factor-linear expects an affine map")
     cube = cube_from_json(payload["cube"]) if "cube" in payload else Cube((0.0,) * aff.dim, 2.0)
-    c_support = float(payload.get("C", 2.0))
+    c_support = _positive(payload, "C", 2.0)
     fs = factor_linear_in_cube(aff, cube, c_support, args.epsilon)
     rep = _sequence_report(fs, args.epsilon)
     ok = rep["check"]["agreement_ok"] and rep["check"].get("support_ok", True) and rep["check"]["certificates_ok"]
@@ -318,9 +337,9 @@ def cmd_factor_translate(payload: dict, args) -> tuple[dict, bool]:
 def cmd_shuffle(payload: dict, args) -> tuple[dict, bool]:
     psi = map_from_json(payload["omega"]["psi"])
     _check_dim(psi, 2, "base square")
-    side = float(payload["omega"]["base_side"])
+    side = _positive(payload["omega"], "base_side", None)
     pairs = [(cube_from_json(p["r"]), cube_from_json(p["s"])) for p in payload["pairs"]]
-    plan = plan_shuffle((psi, side), pairs, float(payload.get("mu", 1.5)), float(payload.get("C1", 8.0)))
+    plan = plan_shuffle((psi, side), pairs, _number(payload, "mu", 1.5), _number(payload, "C1", 8.0))
     result = execute_shuffle(plan, args.epsilon)
     check = check_shuffle(result)
     rep = {
@@ -438,7 +457,7 @@ def cmd_multilevel(payload: dict, args) -> tuple[dict, bool]:
 
 def cmd_pl(payload: dict, args) -> tuple[dict, bool]:
     m = map_from_json(payload["map"])
-    eta = float(payload.get("eta", args.eta))
+    eta = _positive(payload, "eta", args.eta)
     dim = _integer(payload, "dim", 2)
     _check_dim(m, dim, "box")
     box = cube_from_json(payload["box"]) if "box" in payload else Cube((0.5,) * dim, 1.0)
@@ -493,7 +512,7 @@ def cmd_sphere_factor(payload: dict, args) -> tuple[dict, bool]:
     if kind == "translation":
         report = factor_translation_sphere(np.asarray(payload["v"], dtype=float), args.epsilon)
     elif kind == "scaling":
-        report = factor_scaling_sphere(float(payload["a"]), args.epsilon)
+        report = factor_scaling_sphere(_number(payload, "a", None), args.epsilon)
     else:
         raise SchemaError("sphere-factor kind must be 'translation' or 'scaling'")
     step = report.step

@@ -9,15 +9,17 @@ map to the identity across an annulus, then certifying the blend a
 posteriori; there is no uncertified extension step anywhere.
 
 The blend builders (linear in a cube, shrink, translation along a path)
-emit one array-backed BlendRun per call.  Its certificates go through a
-CertificateCache that lives for one run: each distinct factor shape is
-swept once, and linear-in-cube factors are swept on their canonical
-conjugate (blend cube C(0, 1)), which gives the same sampled lower bound up
-to rounding.  An attempt's new keys are swept as one stack in key order, a
-block of whole lattices at a time, stopping after the block that holds the
-first factor above the bound; certificates and cache end as in a scan one
-key at a time.  RunCertificates keeps the distinct sweeps and one index per
-factor, and builds a factor's DistortionCertificate only when asked for it.
+emit one array-backed BlendRun per call.  A factor's key is a constant
+prefix plus one row of a key array; only the distinct rows become key
+tuples.  The bounds go into a dict from key to L_lo that lives for one run
+(or one shuffle): each distinct factor shape is swept once, and
+linear-in-cube factors are swept on their canonical conjugate (blend cube
+C(0, 1)), which gives the same sampled lower bound up to rounding.  An
+attempt's new keys are swept as one stack in key order, a block of whole
+lattices at a time, stopping after the block that holds the first factor
+above the bound; bounds and dict end as in a scan one key at a time.
+RunCertificates keeps one bound per factor and builds a factor's
+DistortionCertificate only when asked for it.
 """
 
 from __future__ import annotations
@@ -80,34 +82,36 @@ def cert_pitch(side, dim: int):
     return side / (CERT_POINTS[dim] - 1)
 
 
-class RunCertificates(Sequence):
-    """Per-factor certificates of a BlendRun, backed by its distinct sweeps.
+def sweep_method(dim: int) -> tuple[str, int]:
+    """Method and pair count of every certificate of a blend run."""
+    n = CERT_POINTS[dim] ** dim
+    return "sampled-pairs", n * (n - 1) // 2
 
-    Factor i carries the bound of sweeps[index[i]] over its own support
-    cube C(centers[i], lams[i] sides[i]); self[i] builds that
-    DistortionCertificate on access, and L_lo holds every factor's bound.
+
+class RunCertificates(Sequence):
+    """Per-factor certificates of a BlendRun: L_lo[i] is factor i's sampled
+    bound over its support cube C(centers[i], lams[i] sides[i]), and self[i]
+    builds that DistortionCertificate on access.
     """
 
-    __slots__ = ("run", "sweeps", "index", "L_lo")
+    __slots__ = ("run", "L_lo")
 
-    def __init__(self, run: BlendRun, sweeps: list[DistortionCertificate], index: np.ndarray):
+    def __init__(self, run: BlendRun, L_lo: np.ndarray):
         self.run = run
-        self.sweeps = sweeps
-        self.index = index
-        self.L_lo = np.array([c.L_lo for c in sweeps], dtype=float)[index]
+        self.L_lo = L_lo
 
     def __len__(self) -> int:
-        return self.index.shape[0]
+        return self.L_lo.shape[0]
 
     def __getitem__(self, i):
         if isinstance(i, slice):
             return [self[j] for j in range(*i.indices(len(self)))]
-        swept = self.sweeps[self.index[i]]
         run = self.run
         support = Cube(tuple(run.centers[i]), run.lams[i] * run.sides[i])
+        method, pairs = sweep_method(support.dim)
         return DistortionCertificate(
-            region=support, h=cert_pitch(support.side, support.dim), L_lo=swept.L_lo,
-            method=swept.method, pair_count=swept.pair_count,
+            region=support, h=cert_pitch(support.side, support.dim), L_lo=float(self.L_lo[i]),
+            method=method, pair_count=pairs,
         )
 
 
@@ -155,88 +159,63 @@ class FactorSequence:
         return float(bounds.max()) if bounds.size else 1.0
 
 
-class CertificateCache:
-    """Sampled blend-factor certificates of one run, each swept once per key.
+def _certify(
+    run: BlendRun, prefix: tuple, rows: np.ndarray, bound: float, cache: dict,
+    conjugates: BlendRun | None = None,
+) -> tuple[RunCertificates | None, tuple[int, float] | None]:
+    """Certificates of every factor of a run, or its first factor above bound.
 
-    A key names a factor up to the changes its sampled distortion does not
-    see: position (shrink, translate) or scale (linear).  The first sweep
-    under a key stands for every later factor with that key; hits and
-    misses count the lookups; certify keeps only the keys up to the first
-    factor above the bound.  Make one per run so that a report never
-    depends on what ran before it in the process.
+    run[i] has the key prefix + tuple(rows[i]).  A key names a factor up to
+    the changes its sampled distortion does not see: position (shrink,
+    translate) or scale (linear).  cache maps each key swept so far to its
+    L_lo.  The distinct rows are looked up in first-occurrence order, and
+    the first factor under each key not in cache is swept over its own
+    support cube, or conjugates[i] (its conjugate by a similarity) in its
+    place, by _sweeps as the lookups reach it.  Returns (certificates,
+    None), or (None, (index, L_lo)) of the first factor certified above
+    bound.  Cache and errors raised are those of a scan over per-factor
+    keys sweeping one key at a time.
     """
-
-    def __init__(self) -> None:
-        self._swept: dict = {}
-        self.hits = 0
-        self.misses = 0
-
-    def certify(
-        self, run: BlendRun, keys: list, bound: float, conjugates: BlendRun | None = None
-    ) -> tuple[RunCertificates | None, tuple[int, float] | None]:
-        """Certificates of every factor of a run, or its first factor above bound.
-
-        keys[i] is the key of run[i].  Factors are looked up in order and
-        the first one under each new key is swept over its own support cube,
-        or conjugates[i] (its conjugate by a similarity) in its place.  The
-        new keys are swept by _sweeps as the lookups reach them.  Returns
-        (certificates, None), or (None, (index, L_lo)) of the first factor
-        certified above bound.  Cache, hits, misses and errors raised are
-        those of a scan sweeping one key at a time.
-        """
-        ids: dict = {}
-        firsts: list[int] = []
-        index = np.empty(len(keys), dtype=np.intp)
-        for i, key in enumerate(keys):
-            j = ids.get(key)
-            if j is None:
-                j = ids[key] = len(firsts)
-                firsts.append(i)
-            index[i] = j
-        todo = [first for key, first in zip(ids, firsts) if key not in self._swept]
-        sweeps = _sweeps((run if conjugates is None else conjugates)[np.array(todo, dtype=np.intp)])
-        swept: list[DistortionCertificate] = []
-        new = 0
-        for key, first in zip(ids, firsts):
-            cert = self._swept.get(key)
-            if cert is None:
-                self.misses += 1
-                new += 1
-                cert = self._swept[key] = next(sweeps)
-            if cert.L_lo > bound:
-                self.hits += first + 1 - new
-                return None, (first, cert.L_lo)
-            swept.append(cert)
-        self.hits += len(keys) - new
-        return RunCertificates(run, swept, index), None
+    _, firsts, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(firsts)
+    firsts = firsts[order].tolist()
+    keys = [prefix + tuple(row) for row in rows[firsts].tolist()]
+    todo = [first for key, first in zip(keys, firsts) if key not in cache]
+    sweeps = _sweeps((run if conjugates is None else conjugates)[np.array(todo, dtype=np.intp)])
+    bounds = np.empty(len(keys))
+    for j, key, first in zip(order.tolist(), keys, firsts):
+        l_lo = cache.get(key)
+        if l_lo is None:
+            l_lo = cache[key] = next(sweeps)
+        if l_lo > bound:
+            return None, (first, l_lo)
+        bounds[j] = l_lo
+    return RunCertificates(run, bounds[inverse]), None
 
 
 def _sweeps(run: BlendRun):
-    """estimate_distortion of each factor of run over its support at cert_pitch, in order.
+    """estimate_distortion's L_lo of each factor of run over its support at cert_pitch, in order.
 
     Whole lattices are stacked, at most kernels._BLOCK_PAIRS pairs (or one
-    lattice) a block, swept when its first certificate is asked for; a
-    factor's DomainError or CertificationError is raised when its turn comes.
+    lattice) a block, swept when its first bound is asked for; a factor's
+    DomainError or CertificationError is raised when its turn comes.
     """
     d = run.centers.shape[1]
     n = CERT_POINTS[d]  # cube_lattice's count at cert_pitch: side / (side / 2^k) is exact
-    pairs = n**d * (n**d - 1) // 2
-    per = max(1, kernels._BLOCK_PAIRS // pairs)
+    per = max(1, kernels._BLOCK_PAIRS // sweep_method(d)[1])
     for a in range(0, len(run), per):
         block = run[a : a + per]
-        sides = block.lams * block.sides
-        pts = cube_lattices(block.centers, sides, n)
+        pts = cube_lattices(block.centers, block.lams * block.sides, n)
         imgs = block.apply_each(pts)
         finite = np.isfinite(imgs).all(axis=(1, 2))
         imgs[~finite] = pts[~finite]  # a finite kernel input; such a factor raises at its turn
         ratios, min_imgs = kernels.pairwise_distortions(pts, imgs)
-        for i, side in enumerate(sides.tolist()):
-            if not finite[i]:
+        for ok, ratio, min_img in zip(finite.tolist(), ratios.tolist(), min_imgs.tolist()):
+            if not ok:
                 raise DomainError("map produced non-finite values on the sampling lattice")
-            if min_imgs[i] == 0.0:
+            if min_img == 0.0:
                 raise CertificationError("not injective on samples: coincident images")
-            yield DistortionCertificate(Cube(tuple(block.centers[i]), side), side / (n - 1),
-                                        max(1.0, float(ratios[i])), "sampled-pairs", pairs)
+            yield max(1.0, ratio)
 
 
 def _no_blends(kind: str, target: MapExpr, region: Cube, support: Cube, meta: dict) -> FactorSequence:
@@ -244,7 +223,7 @@ def _no_blends(kind: str, target: MapExpr, region: Cube, support: Cube, meta: di
     d = region.dim
     run = BlendRun(kind, np.empty((0, d)), np.empty(0), np.empty(0), np.empty((0, d)),
                    None if kind == "translation" else np.empty((0, d, d)))
-    certs = RunCertificates(run, [], np.empty(0, dtype=np.intp))
+    certs = RunCertificates(run, np.empty(0))
     return FactorSequence(run, target, region, support, certs, meta)
 
 
@@ -429,7 +408,7 @@ def factor_linear_in_cube(
     # Strict w == 1 margin over the running image (see factor_shrink).
     margin = min(1.1, math.sqrt(c_support))
     lam = c_support / margin
-    cache = CertificateCache()
+    cache: dict = {}
     verts = q.vertices()
     last_fail: tuple[int, float] | None = None
     for attempt in range(MAX_RETRIES + 1):
@@ -445,9 +424,8 @@ def factor_linear_in_cube(
         run = BlendRun("affine", np.broadcast_to(np.asarray(q.center), (n, d)), sides, np.full(n, lam),
                        np.zeros((n, d)), np.array(steps).reshape(n, d, d))
         canonical = BlendRun("affine", np.zeros((n, d)), np.ones(n), run.lams, run.shifts, run.matrices)
-        certs, last_fail = cache.certify(
-            run, [("linear", d, step.tobytes(), lam) for step in steps], 1.0 + epsilon + 1e-12, canonical
-        )
+        certs, last_fail = _certify(run, ("linear", d, lam), run.matrices.reshape(n, d * d).view(np.int64),
+                                    1.0 + epsilon + 1e-12, cache, canonical)
         if certs is not None:
             fs = FactorSequence(run, target, q, support, certs, meta={"alpha": alpha, "linear_steps": steps})
             err = sup_distance(fs.composite(), target, q, q.side / 8)
@@ -458,7 +436,7 @@ def factor_linear_in_cube(
 
 
 def factor_shrink(
-    q: Cube, lam: float, c: float, epsilon: float, cache: CertificateCache | None = None
+    q: Cube, lam: float, c: float, epsilon: float, cache: dict | None = None
 ) -> FactorSequence:
     """Factor x -> center + c (x - center) on q into blended radial scalings.
 
@@ -482,7 +460,7 @@ def factor_shrink(
     # lag by rounding and the lag compounds across steps).
     margin = min(1.2, (lam / max(1.0, c)) ** 0.25)
     lam_min = lam / (margin * max(1.0, c))
-    cache = CertificateCache() if cache is None else cache
+    cache = {} if cache is None else cache
     kappa = 1.0 + math.sqrt(d) * lam_min / (lam_min - 1.0)
     cap0 = 0.99 * epsilon / ((1.0 + epsilon) * kappa)
     last_fail: tuple[int, float] | None = None
@@ -498,9 +476,8 @@ def factor_shrink(
         run = BlendRun("affine", np.broadcast_to(center, (n, d)), sides, lams,
                        np.broadcast_to((1.0 - step) * center, (n, d)),
                        np.broadcast_to(step * np.eye(d), (n, d, d)))
-        keys = [("shrink", d, round(step, 14), round(s, 14), round(l_i, 12))
-                for s, l_i in zip(sides.tolist(), lams.tolist())]
-        certs, last_fail = cache.certify(run, keys, 1.0 + epsilon + 1e-12)
+        rows = np.column_stack([[round(s, 14) for s in sides.tolist()], [round(l_i, 12) for l_i in lams.tolist()]])
+        certs, last_fail = _certify(run, ("shrink", d, round(step, 14)), rows, 1.0 + epsilon + 1e-12, cache)
         if certs is not None:
             return FactorSequence(run, target, q, support, certs, meta={"steps": n, "step_scale": step})
     raise FactorCertificationError(last_fail[0], last_fail[1], 1.0 + epsilon)
@@ -523,7 +500,7 @@ TRANSLATION_BLEND_LAM = 4.0  # support C(x, 4 l) stays within 2 diam(q) of the p
 
 
 def factor_translation_along_path(
-    q: Cube, path: np.ndarray, epsilon: float, cache: CertificateCache | None = None
+    q: Cube, path: np.ndarray, epsilon: float, cache: dict | None = None
 ) -> FactorSequence:
     """Carry a cube along a rectifiable path by blended translation steps.
 
@@ -556,7 +533,8 @@ def factor_translation_along_path(
     blend_side = 1.5 * q.side
     lam = TRANSLATION_BLEND_LAM / 1.5
     delta0 = 0.95 * (epsilon / (1.0 + epsilon)) * (lam - 1.0) * blend_side / 2.0
-    cache = CertificateCache() if cache is None else cache
+    cache = {} if cache is None else cache
+    prefix = ("translate", d, round(q.side, 14), lam)
     last_fail: tuple[int, float] | None = None
     for attempt in range(MAX_RETRIES + 1):
         delta = delta0 / 2**attempt
@@ -564,9 +542,7 @@ def factor_translation_along_path(
         steps = np.diff(nodes, axis=0)
         n = steps.shape[0]
         run = BlendRun("translation", nodes[:-1], np.full(n, blend_side), np.full(n, lam), steps)
-        side_key = round(q.side, 14)
-        keys = [("translate", d, v, side_key, lam) for v in map(tuple, np.round(steps / q.side, 12).tolist())]
-        certs, last_fail = cache.certify(run, keys, 1.0 + epsilon + 1e-12)
+        certs, last_fail = _certify(run, prefix, np.round(steps / q.side, 12), 1.0 + epsilon + 1e-12, cache)
         if certs is not None:
             return FactorSequence(run, target, q, tube, certs, meta={"steps": n, "delta": delta})
     raise FactorCertificationError(last_fail[0], last_fail[1], 1.0 + epsilon)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .factorization import RunCertificates, cert_pitch
+from .factorization import RunCertificates, cert_pitch, sweep_method
 from .geometry_core import AffineMapData, Cube
 from .map_engine import (
     Affine,
@@ -13,7 +13,6 @@ from .map_engine import (
     Compose,
     DistortionCertificate,
     Grid,
-    GridMap,
     Identity,
     LogSpiral,
     MapExpr,
@@ -71,10 +70,10 @@ def map_to_json(m: MapExpr) -> dict:
     if isinstance(m, Grid):
         return {
             "type": "grid",
-            "origin": m.grid.origin.tolist(),
-            "pitch": m.grid.pitch,
-            "extents": list(m.grid.extents),
-            "values": m.grid.values.reshape(-1, m.grid.dim).tolist(),
+            "origin": m.origin.tolist(),
+            "pitch": m.pitch,
+            "extents": list(m.extents),
+            "values": m.values.reshape(-1, m.origin.shape[0]).tolist(),
         }
     if isinstance(m, Blend):
         return {
@@ -110,7 +109,7 @@ def map_from_json(obj) -> MapExpr:
             origin = np.asarray(obj["origin"], dtype=float)
             extents = tuple(int(e) for e in obj["extents"])
             values = np.asarray(obj["values"], dtype=float).reshape(extents + (origin.shape[0],))
-            return Grid(GridMap(origin, float(obj["pitch"]), extents, values))
+            return Grid(origin, float(obj["pitch"]), extents, values)
         if t == "blend":
             return Blend(
                 map_from_json(obj["inner"]), cube_from_json(obj["cube"]), float(obj["lambda"])
@@ -163,14 +162,16 @@ def _blend_run_to_json(run: BlendRun) -> Rows:
 
 
 def _run_certificates_to_json(certs: RunCertificates) -> Rows:
-    """certificate_to_json of every certs[i], as rows of the run's arrays,
-    the sweeps and the index."""
-    run, sweeps, index = certs.run, certs.sweeps, certs.index
+    """certificate_to_json of every certs[i], as rows of the run's arrays
+    and the bounds."""
+    run = certs.run
+    d = run.centers.shape[1]
     supports = run.lams * run.sides
+    method, pairs = sweep_method(d)
     return Rows({
         "region": {"center": run.centers, "side": supports},
-        "h": cert_pitch(supports, run.centers.shape[1]),
+        "h": cert_pitch(supports, d),
         "L_lo": certs.L_lo,
-        "method": np.array([c.method for c in sweeps])[index],
-        "pair_count": np.array([c.pair_count for c in sweeps])[index],
+        "method": method,
+        "pair_count": pairs,
     })

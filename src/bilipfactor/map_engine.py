@@ -122,8 +122,8 @@ class LogSpiral(MapExpr):
     evaluate_each = evaluate  # elementwise: a row's bits do not depend on the batch
 
 
-@dataclass(frozen=True, eq=False)
-class GridMap:
+@dataclass(frozen=True, eq=False, slots=True)
+class Grid(MapExpr):
     """Multilinear interpolation of image samples on a regular lattice."""
 
     origin: np.ndarray
@@ -142,11 +142,7 @@ class GridMap:
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "extents", tuple(int(e) for e in self.extents))
 
-    @property
-    def dim(self) -> int:
-        return self.origin.shape[0]
-
-    def interpolate(self, pts: np.ndarray) -> np.ndarray:
+    def evaluate(self, pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         t = (pts - self.origin) / self.pitch
         hi = np.asarray(self.extents) - 1
@@ -155,7 +151,7 @@ class GridMap:
         t = np.clip(t, 0.0, hi)
         i0 = np.minimum(t.astype(int), hi - 1)
         f = t - i0
-        d = self.dim
+        d = self.origin.shape[0]
         out = np.zeros((pts.shape[0], d))
         for corner in range(2**d):
             offs = np.array([(corner >> k) & 1 for k in range(d)])
@@ -165,14 +161,6 @@ class GridMap:
             idx = tuple((i0 + offs).T)
             out += w[:, None] * self.values[idx]
         return out
-
-
-@dataclass(frozen=True, eq=False, slots=True)
-class Grid(MapExpr):
-    grid: GridMap
-
-    def evaluate(self, pts):
-        return self.grid.interpolate(pts)
 
 
 def _weight_ratio(x: np.ndarray, center, side, lam) -> np.ndarray:
@@ -436,7 +424,7 @@ def map_dim(m: MapExpr) -> int | None:
     if t is LogSpiral:
         return 2
     if t is Grid:
-        return m.grid.dim
+        return m.origin.shape[0]
     if t is Blend:
         dims = {m.cube.dim, map_dim(m.inner)}
     elif t is Compose:

@@ -22,12 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .degree import resample_polyline
-from .factorization import (
-    CertificateCache,
-    RunCertificates,
-    factor_shrink,
-    factor_translation_along_path,
-)
+from .factorization import RunCertificates, factor_shrink, factor_translation_along_path
 from .geometry_core import Cube
 from .map_engine import (
     AffineMapData,
@@ -474,7 +469,7 @@ def execute_shuffle(plan: ShufflePlan, epsilon: float) -> ShuffleResult:
     stages 2 and 3 carry the cores along the planned paths; stage 4 grows
     each core into its target cube inside mu S_j.  Factors are concatenated
     cube by cube (disjoint supports), each certified at or below
-    1 + epsilon.  All stages share one certificate cache.
+    1 + epsilon.  All stages share one dict of swept bounds.
     """
     sims = [
         AffineMapData(
@@ -487,7 +482,7 @@ def execute_shuffle(plan: ShufflePlan, epsilon: float) -> ShuffleResult:
         return ShuffleResult(plan, [], [], sims, [0, 0, 0, 0], 0)
 
     core_side = plan.c2_const * plan.base_side
-    cache = CertificateCache()
+    cache: dict = {}
     seqs = []
     offsets = [0]
     for r, _ in plan.pairs:

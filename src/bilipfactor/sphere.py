@@ -3,7 +3,8 @@ translations and scalings into small-spherical-distortion steps.
 
 The sphere of unit diameter is handled entirely through the chart
 R^d U {infinity}: the chordal metric has a closed three-case form there,
-the point at infinity is first class, and every map under test fixes it.
+the point at infinity enters the sampled pairs as one extra row
+(_chordal_pairs), and every map under test fixes it.
 """
 
 from __future__ import annotations
@@ -19,21 +20,6 @@ from .geometry_core import GeometryError
 from .map_engine import Compose, Identity, MapExpr, Scaling, Translation
 
 
-class _Infinity:
-    """The point at infinity of the extended plane (a singleton)."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "INFINITY"
-
-
-INFINITY = _Infinity()
 MAX_STEPS = 10**6  # most equal steps a spherical factorization may take
 
 

@@ -12,7 +12,6 @@ import time
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
 from bilipfactor.cli import main as cli_main
 from bilipfactor.corona import (
@@ -23,7 +22,6 @@ from bilipfactor.corona import (
 )
 from bilipfactor.degree import DegreeError, degree_winding_2d
 from bilipfactor.factorization import (
-    check_factor_sequence,
     factor_diagonal,
     factor_rotation,
     glue_identity_outside,
@@ -31,16 +29,14 @@ from bilipfactor.factorization import (
 from bilipfactor.geometry_core import (
     AffineMapData,
     Cube,
-    DyadicCube,
     bilip_constant,
     rotation_2d,
     rotation_3d,
-    unit_cube_dyadics,
 )
 from bilipfactor.map_engine import Affine, Blend, Identity, LogSpiral, sup_distance
 from bilipfactor.pl_approx import complexity_count, degree_pl, freudenthal, pl_interpolate, verify_pl
 from bilipfactor.shuffle import check_shuffle, execute_shuffle, plan_shuffle
-from bilipfactor.sphere import INFINITY, factor_scaling_sphere, factor_translation_sphere
+from bilipfactor.sphere import factor_scaling_sphere, factor_translation_sphere
 from bilipfactor.map_engine import Scaling
 
 from conftest import random_orientation_preserving, smooth_test_maps

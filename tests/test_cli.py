@@ -400,6 +400,17 @@ MALFORMED = {
         "degree", {"map": IDENTITY, "target": [math.nan, 0.5], "cube": UNIT}, "target must be finite"),
     "degree-target-infinite": (
         "degree", {"map": IDENTITY, "target": [math.inf, 0.5], "cube": UNIT}, "target must be finite"),
+    "pl-eta-zero": ("pl", {"map": IDENTITY, "eta": 0}, "eta must be finite and positive, got 0.0"),
+    "pl-eta-negative": ("pl", {"map": IDENTITY, "eta": -1}, "eta must be finite and positive, got -1.0"),
+    "pl-eta-nan": ("pl", {"map": IDENTITY, "eta": math.nan}, "eta must be finite and positive, got nan"),
+    "pl-eta-infinite": ("pl", {"map": IDENTITY, "eta": math.inf}, "eta must be finite and positive, got inf"),
+    "pl-eta-bool": ("pl", {"map": IDENTITY, "eta": True}, "eta must be a number, got True"),
+    "pl-eta-integer-overflows": ("pl", {"map": IDENTITY, "eta": 10**400}, "eta must be finite and positive, got inf"),
+    **{f"shuffle-base-side-{name}": (
+        "shuffle", {**shuffle_input(), "omega": {"psi": IDENTITY, "base_side": side}},
+        f"base_side must be finite and positive, got {float(side)!r}")
+       for name, side in [("zero", 0), ("negative", -4), ("nan", math.nan), ("infinite", math.inf)]},
+    "linear-c-infinite": ("factor-linear", {**LINEAR, "C": math.inf}, "C must be finite and positive, got inf"),
     "linear-2d-map-on-3d-cube": (
         "factor-linear",
         {"map": {"type": "affine", "matrix": [[2.0, 0.0], [0.0, 0.5]], "b": [0.0, 0.0]},

@@ -9,7 +9,6 @@ import pytest
 from bilipfactor import cli, factorization, kernels, map_engine
 from bilipfactor.factorization import (
     TRANSLATION_BLEND_LAM,
-    CertificateCache,
     FactorCertificationError,
     FactorSequence,
     Piecewise,
@@ -231,50 +230,40 @@ class TestCertificateCache:
         assert 0 < len(sweeps) <= len(distinct) < fs.T
 
     def test_shared_cache_reuses_certificates(self):
-        cache = CertificateCache()
+        cache: dict = {}
         q = Cube((0.3, 0.2), 0.5)
         first = factor_shrink(q, 3.0, 0.3, 0.25, cache)
-        misses = cache.misses
+        swept = list(cache.items())
         again = factor_shrink(q, 3.0, 0.3, 0.25, cache)
-        assert cache.misses == misses
+        assert list(cache.items()) == swept
         assert [c.L_lo for c in again.certificates] == [c.L_lo for c in first.certificates]
 
 
-def scan_certify(cache: CertificateCache, run: BlendRun, keys: list, bound: float):
-    """CertificateCache.certify as a scan that sweeps one key at a time with
-    estimate_distortion: returns None or the (index, L_lo) of the first
-    factor above bound, and updates the cache as certify does."""
+def scan_certify(cache: dict, run: BlendRun, keys: list, bound: float):
+    """_certify as a scan over per-factor key tuples that sweeps one key at a
+    time with estimate_distortion: returns None or the (index, L_lo) of the
+    first factor above bound, and updates cache as _certify does."""
     firsts: dict = {}
     for i, key in enumerate(keys):
         firsts.setdefault(key, i)
-    new = 0
     for key, first in firsts.items():
-        cert = cache._swept.get(key)
-        if cert is None:
-            cache.misses += 1
-            new += 1
+        l_lo = cache.get(key)
+        if l_lo is None:
             region = run[first].cube.dilate(run[first].lam)
-            cert = cache._swept[key] = estimate_distortion(run[first], region, cert_pitch(region.side, region.dim))
-        if cert.L_lo > bound:
-            cache.hits += first + 1 - new
-            return first, cert.L_lo
-    cache.hits += len(keys) - new
+            l_lo = cache[key] = estimate_distortion(run[first], region, cert_pitch(region.side, region.dim)).L_lo
+        if l_lo > bound:
+            return first, l_lo
     return None
 
 
-def copy_cache(cache: CertificateCache) -> CertificateCache:
-    twin = CertificateCache()
-    twin._swept = dict(cache._swept)
-    twin.hits, twin.misses = cache.hits, cache.misses
-    return twin
-
-
-def certify_both(cache: CertificateCache, run: BlendRun, keys: list, bound: float):
-    """certify on cache and scan_certify on a copy of it; both must end alike.
-    Returns certify's failure, or the type of the error both raised."""
-    twin = copy_cache(cache)
+def certify_both(cache: dict, run: BlendRun, rows: np.ndarray, bound: float, prefix: tuple = ()):
+    """_certify on cache and scan_certify, with the keys prefix + tuple(rows[i]),
+    on a copy of it; both must end alike, down to the sign of a zero in a
+    key.  Returns _certify's failure, or the type of the error both raised."""
+    keys = [prefix + tuple(row) for row in rows.tolist()]
+    twin = dict(cache)
     try:
-        certs, fail = cache.certify(run, keys, bound)
+        certs, fail = factorization._certify(run, prefix, rows, bound, cache)
     except (map_engine.DomainError, CertificationError) as e:
         with pytest.raises(type(e), match=str(e)):
             scan_certify(twin, run, keys, bound)
@@ -282,11 +271,20 @@ def certify_both(cache: CertificateCache, run: BlendRun, keys: list, bound: floa
     else:
         assert fail == scan_certify(twin, run, keys, bound)
         if certs is not None:
-            assert list(certs.L_lo) == [twin._swept[k].L_lo for k in keys]
-    assert list(cache._swept) == list(twin._swept)
-    assert [c.L_lo for c in cache._swept.values()] == [c.L_lo for c in twin._swept.values()]
-    assert (cache.hits, cache.misses) == (twin.hits, twin.misses)
+            assert len(certs) == len(run)
+            assert list(certs.L_lo) == [twin[k] for k in keys]
+    assert repr(list(cache.items())) == repr(list(twin.items()))
     return fail
+
+
+def int_rows(keys) -> np.ndarray:
+    """One-column key rows holding keys."""
+    return np.array(keys, dtype=np.int64).reshape(-1, 1)
+
+
+def keyed(keys) -> list[tuple]:
+    """The dict keys int_rows(keys) gives under an empty prefix."""
+    return [(k,) for k in keys]
 
 
 def hand_run(kind: str, inners: list) -> BlendRun:
@@ -294,30 +292,47 @@ def hand_run(kind: str, inners: list) -> BlendRun:
     inners[i], or the linear maps inners[i] about c_i."""
     n = len(inners)
     centers = np.stack([np.arange(n) / 4.0, np.zeros(n)], axis=1)
-    inners = np.array(inners, dtype=float)
+    inners = np.array(inners, dtype=float).reshape((n, 2) if kind == "translation" else (n, 2, 2))
     if kind == "translation":
         return BlendRun(kind, centers, np.ones(n), np.full(n, 2.0), inners)
     shifts = centers - np.matmul(inners, centers[:, :, None])[:, :, 0]
     return BlendRun(kind, centers, np.ones(n), np.full(n, 2.0), shifts, inners)
 
 
+def hand_rows(run: BlendRun) -> np.ndarray:
+    """Key rows of a hand_run as the builders make them: rounded translation
+    vectors (factor_translation_along_path), or matrix bits (factor_linear_in_cube)."""
+    if run.kind == "translation":
+        return np.round(run.shifts, 12)
+    return np.ascontiguousarray(run.matrices).reshape(len(run), 4).view(np.int64)
+
+
 BOUND = 1.25
 
 
 class TestStackedSweep:
-    """The stacked sweep of CertificateCache.certify against a scan one key at a time."""
+    """The stacked sweep of _certify against a scan one key at a time."""
 
     @staticmethod
-    def assert_sweeps_match_estimate(fs, conjugate: bool = False):
+    def assert_sweeps_match_estimate(fs, keys: list, conjugate: bool = False):
+        """Each key's first factor, the one it was swept on, has estimate_distortion's
+        bound bit for bit, and every factor under the key shares it."""
         run, certs = fs.factors, fs.certificates
-        for j, swept in enumerate(certs.sweeps):
-            f = run[int(np.flatnonzero(certs.index == j)[0])]  # the factor the key was swept on
+        firsts: dict = {}
+        for i, key in enumerate(keys):
+            firsts.setdefault(key, i)
+        assert [certs.L_lo[firsts[key]] for key in keys] == list(certs.L_lo)
+        for first in firsts.values():
+            f = run[first]
             if conjugate:
                 f = Blend(f.inner, Cube((0.0,) * f.cube.dim, 1.0), f.lam)
             region = f.cube.dilate(f.lam)
             direct = estimate_distortion(f, region, cert_pitch(region.side, region.dim))
-            assert (swept.L_lo, swept.h, swept.pair_count) == (direct.L_lo, direct.h, direct.pair_count)
-            assert swept.method == direct.method == "sampled-pairs"
+            cert = certs[first]
+            assert (cert.L_lo, cert.pair_count) == (direct.L_lo, direct.pair_count)
+            assert cert.method == direct.method == "sampled-pairs"
+            assert conjugate or cert.h == direct.h
+        return [certs.L_lo[first] for first in firsts.values()]
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_linear_equals_estimate_on_conjugates(self, d):
@@ -327,7 +342,8 @@ class TestStackedSweep:
             fs = factor_linear_in_cube(a, Cube((0.0,) * d, rng.uniform(0.3, 3.0)), rng.uniform(1.5, 3.0),
                                        rng.uniform(0.15, 0.4))
             assert fs.T > 0
-            self.assert_sweeps_match_estimate(fs, conjugate=True)
+            self.assert_sweeps_match_estimate(fs, [step.tobytes() for step in fs.meta["linear_steps"]],
+                                              conjugate=True)
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_shrink_equals_estimate(self, d):
@@ -335,10 +351,13 @@ class TestStackedSweep:
         for _ in range(4):
             c = rng.uniform(0.2, 2.5)
             q = Cube(tuple(rng.uniform(-3.0, 3.0, size=d)), rng.uniform(0.1, 2.0))
-            cache = CertificateCache()
+            cache: dict = {}
             fs = factor_shrink(q, max(1.0, c) * rng.uniform(1.5, 3.0), c, rng.uniform(0.15, 0.4), cache)
-            assert fs.T > 0 and cache.misses == len(fs.certificates.sweeps)  # every key swept by this run
-            self.assert_sweeps_match_estimate(fs)
+            run = fs.factors
+            keys = [(round(s, 14), round(l_i, 12)) for s, l_i in zip(run.sides.tolist(), run.lams.tolist())]
+            assert fs.T > 0
+            # every key swept by this run, in first-occurrence order
+            assert list(cache.values()) == self.assert_sweeps_match_estimate(fs, keys)
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_translate_equals_estimate(self, d):
@@ -347,10 +366,11 @@ class TestStackedSweep:
             q = Cube(tuple(rng.uniform(-2.0, 2.0, size=d)), rng.uniform(0.2, 0.8))
             legs = rng.normal(size=(int(rng.integers(1, 4)), d)) * rng.uniform(0.3, 1.0)
             path = np.asarray(q.center) + np.concatenate([np.zeros((1, d)), np.cumsum(legs, axis=0)])
-            cache = CertificateCache()
+            cache: dict = {}
             fs = factor_translation_along_path(q, path, rng.uniform(0.15, 0.4), cache)
-            assert fs.T > 0 and cache.misses == len(fs.certificates.sweeps)
-            self.assert_sweeps_match_estimate(fs)
+            keys = list(map(tuple, np.round(fs.factors.shifts / q.side, 12).tolist()))
+            assert fs.T > 0
+            assert list(cache.values()) == self.assert_sweeps_match_estimate(fs, keys)
 
     def test_first_key_above_bound_is_decisive(self):
         # Keys pair up factors 2k, 2k + 1; key 8 (first at factor 16) moves
@@ -358,25 +378,24 @@ class TestStackedSweep:
         keys = [i // 2 for i in range(30)]
         shifts = [(0.3 if k == 8 else 0.02 * (1 + k % 3), 0.0) for k in keys]
         run = hand_run("translation", shifts)
-        cache = CertificateCache()
-        fail = certify_both(cache, run, keys, BOUND)
+        cache: dict = {}
+        fail = certify_both(cache, run, int_rows(keys), BOUND)
         assert fail[0] == 16 and fail[1] > BOUND
-        assert list(cache._swept) == list(range(9))
-        assert (cache.hits, cache.misses) == (8, 9)
+        assert list(cache) == keyed(range(9))
         # A retry meets the failing key cached, behind keys it has not swept.
-        assert certify_both(cache, run[10:], keys[10:], BOUND) == (6, fail[1])
-        assert list(cache._swept) == list(range(9))
+        assert certify_both(cache, run[10:], int_rows(keys[10:]), BOUND) == (6, fail[1])
+        assert list(cache) == keyed(range(9))
         fresh = [100, 101, 8, 102, 103]
-        assert certify_both(cache, run[np.array([0, 2, 16, 4, 6])], fresh, BOUND) == (2, fail[1])
-        assert list(cache._swept) == list(range(9)) + [100, 101]
+        assert certify_both(cache, run[np.array([0, 2, 16, 4, 6])], int_rows(fresh), BOUND) == (2, fail[1])
+        assert list(cache) == keyed(list(range(9)) + [100, 101])
 
     def test_cached_and_new_keys_interleave(self):
         keys = [i % 13 for i in range(40)]
         run = hand_run("translation", [(0.01 * (1 + k % 5), 0.02) for k in keys])
-        cache = CertificateCache()
-        assert certify_both(cache, run[:7], keys[:7], BOUND) is None
-        assert certify_both(cache, run, keys, BOUND) is None
-        assert list(cache._swept) == list(range(7)) + list(range(7, 13))
+        cache: dict = {}
+        assert certify_both(cache, run[:7], int_rows(keys[:7]), BOUND) is None
+        assert certify_both(cache, run, int_rows(keys), BOUND) is None
+        assert list(cache) == keyed(list(range(7)) + list(range(7, 13)))
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("offender", [3, 5])
@@ -384,26 +403,120 @@ class TestStackedSweep:
         shifts = [(0.03, 0.0)] * 12
         shifts[4] = (0.4, 0.0)
         shifts[offender] = (np.inf, 0.0)
-        cache = CertificateCache()
-        fail = certify_both(cache, hand_run("translation", shifts), list(range(12)), BOUND)
+        cache: dict = {}
+        fail = certify_both(cache, hand_run("translation", shifts), int_rows(range(12)), BOUND)
         if offender < 4:
             assert fail is map_engine.DomainError
-            assert list(cache._swept) == [0, 1, 2]
+            assert list(cache) == keyed([0, 1, 2])
         else:
-            assert fail[0] == 4 and list(cache._swept) == [0, 1, 2, 3, 4]
+            assert fail[0] == 4 and list(cache) == keyed([0, 1, 2, 3, 4])
 
     @pytest.mark.parametrize("offender", [3, 5])
     def test_coincident_sweep_raises_only_before_the_decisive_key(self, offender):
         mats = [1.02 * np.eye(2)] * 12
         mats[4] = np.diag([1.3, 1.0])
         mats[offender] = np.zeros((2, 2))
-        cache = CertificateCache()
-        fail = certify_both(cache, hand_run("affine", mats), list(range(12)), BOUND)
+        cache: dict = {}
+        fail = certify_both(cache, hand_run("affine", mats), int_rows(range(12)), BOUND)
         if offender < 4:
             assert fail is CertificationError
-            assert (list(cache._swept), cache.misses) == ([0, 1, 2], 4)
+            assert list(cache) == keyed([0, 1, 2])
         else:
-            assert fail[0] == 4 and list(cache._swept) == [0, 1, 2, 3, 4]
+            assert fail[0] == 4 and list(cache) == keyed([0, 1, 2, 3, 4])
+
+
+TRANSLATE_PREFIX = ("translate", 2, 1.0, 2.0)
+LINEAR_PREFIX = ("linear", 2, 2.0)
+
+
+def random_inners(rng: np.random.Generator, kind: str, n: int) -> list:
+    """n translation vectors or linear maps drawn from a few shapes: repeats
+    next to each other and apart, copies off by 1e-15 (beyond the 12 rounded
+    digits of a translation row), zeros of either sign, now and then one far
+    enough to exceed BOUND, and NaN translations (a linear factor with NaN
+    entries cannot be built)."""
+    if kind == "translation":
+        shapes = [np.array([0.02, 0.0]), np.array([0.0, -0.03]), np.array([0.01, 0.015]), np.array([0.3, 0.0])]
+    else:
+        shapes = [np.diag([1.02, 1.0]), np.array([[1.0, 0.01], [0.0, 0.99]]), np.diag([1.3, 1.0])]
+    weights = np.r_[np.full(len(shapes) - 1, 10.0), 1.0]
+    out, j = [], 0
+    for _ in range(n):
+        if rng.random() < 0.5:  # else repeat the last shape
+            j = rng.choice(len(shapes), p=weights / weights.sum())
+        v = shapes[j].copy()
+        u = rng.random()
+        if u < 0.15:
+            v = np.where(v == 0.0, -0.0, v)
+        elif u < 0.3:
+            v.flat[0] += 1e-15
+        elif u < 0.33 and kind == "translation":
+            v[0] = np.nan
+        out.append(v)
+    return out
+
+
+class TestKeyRows:
+    """_certify's distinct rows against scan_certify over per-factor key tuples."""
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("kind,prefix", [("translation", TRANSLATE_PREFIX), ("affine", LINEAR_PREFIX)])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_tuple_scan(self, kind, prefix, seed):
+        rng = np.random.default_rng(7400 + seed)
+        run = hand_run(kind, random_inners(rng, kind, int(rng.integers(1, 48))))
+        cache: dict = {}
+        cut = int(rng.integers(0, len(run) + 1))
+        outcomes = []
+        for part in (run[:cut], run, run[cut:]):  # a fresh dict, then one partly filled
+            outcomes.append(certify_both(cache, part, hand_rows(part), BOUND, prefix))
+        assert outcomes[1] == certify_both({}, run, hand_rows(run), BOUND, prefix)
+
+    @pytest.mark.parametrize("kind,prefix", [("translation", TRANSLATE_PREFIX), ("affine", LINEAR_PREFIX)])
+    def test_empty_run(self, kind, prefix):
+        run = hand_run(kind, [])
+        cache = {prefix + (0,): 1.5}
+        assert certify_both(cache, run, hand_rows(run), BOUND, prefix) is None
+        assert cache == {prefix + (0,): 1.5}
+
+    def test_repeats_next_to_each_other_and_apart(self):
+        shifts = [(0.02, 0.0), (0.02, 0.0), (0.01, 0.015), (0.02, 0.0), (0.01, 0.015), (0.01, 0.015)]
+        run = hand_run("translation", shifts)
+        cache: dict = {}
+        assert certify_both(cache, run, hand_rows(run), BOUND, TRANSLATE_PREFIX) is None
+        assert list(cache) == [TRANSLATE_PREFIX + (0.02, 0.0), TRANSLATE_PREFIX + (0.01, 0.015)]
+
+    def test_rows_equal_after_rounding_share_a_key(self):
+        run = hand_run("translation", [(0.02, 0.01), (0.02 + 1e-15, 0.01), (0.02 + 1e-11, 0.01)])
+        cache: dict = {}
+        assert certify_both(cache, run, hand_rows(run), BOUND, TRANSLATE_PREFIX) is None
+        assert list(cache) == [TRANSLATE_PREFIX + (0.02, 0.01), TRANSLATE_PREFIX + (0.02000000001, 0.01)]
+
+    def test_signed_zeros(self):
+        # Float rows compare by value, so +-0.0 share a key; matrix bits do not.
+        run = hand_run("translation", [(0.0, 0.02), (-0.0, 0.02), (0.0, 0.02)])
+        cache: dict = {}
+        assert certify_both(cache, run, hand_rows(run), BOUND, TRANSLATE_PREFIX) is None
+        assert repr(list(cache)) == repr([TRANSLATE_PREFIX + (0.0, 0.02)])
+        mats = [np.diag([1.02, 1.0]), np.array([[1.02, -0.0], [0.0, 1.0]]), np.diag([1.02, 1.0])]
+        run = hand_run("affine", mats)
+        cache = {}
+        assert certify_both(cache, run, hand_rows(run), BOUND, LINEAR_PREFIX) is None
+        assert len(cache) == 2 and len(set(cache.values())) == 1
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_nan_rows_raise_at_the_first(self):
+        # NaN rows never share a key, as NaN tuples do not.
+        good, bad = (0.02, 0.0), (np.nan, 0.0)
+        run = hand_run("translation", [good, good, bad, good, bad])
+        cache: dict = {}
+        assert certify_both(cache, run, hand_rows(run), BOUND, TRANSLATE_PREFIX) is map_engine.DomainError
+        assert len(cache) == 1
+        # Behind a factor above the bound, the NaN rows are never reached.
+        run = hand_run("translation", [good, (0.3, 0.0), bad, bad])
+        cache = {}
+        fail = certify_both(cache, run, hand_rows(run), BOUND, TRANSLATE_PREFIX)
+        assert fail[0] == 1 and len(cache) == 2
 
 
 class TestFactorLinearOutside:

@@ -15,7 +15,6 @@ from bilipfactor.map_engine import (
     Compose,
     DomainError,
     Grid,
-    GridMap,
     Identity,
     LogSpiral,
     Scaling,
@@ -64,7 +63,7 @@ class TestEvaluate:
         xs = np.linspace(0.0, 1.0, 5)
         g = np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1)
         vals = 2.0 * g  # samples of x -> 2x
-        gm = Grid(GridMap(np.zeros(2), 0.25, (5, 5), vals))
+        gm = Grid(np.zeros(2), 0.25, (5, 5), vals)
         pts = np.random.default_rng(0).uniform(0, 1, size=(50, 2))
         assert np.abs(gm.evaluate(pts) - 2.0 * pts).max() < 1e-12
         with pytest.raises(DomainError):
@@ -96,7 +95,7 @@ def catalogue() -> list[tuple[str, MapExpr, int]]:
         ("translation", Translation((0.07, -0.03)), 2),
         ("scaling", Scaling(1.3), 3),
         ("affine", Affine(AffineMapData(np.array([[1.2, 0.1], [-0.3, 0.9]]), np.array([0.1, 0.2]))), 2),
-        ("grid", Grid(GridMap(np.zeros(2), 0.25, (5, 5), lattice**2 + 0.1 * lattice[..., ::-1])), 2),
+        ("grid", Grid(np.zeros(2), 0.25, (5, 5), lattice**2 + 0.1 * lattice[..., ::-1]), 2),
         ("blend", small_rotation_blend((0.5, 0.5), 0.01, side=0.4), 2),
         ("blend-3d", blend_3d(), 3),
         ("blend-run", run, 2),

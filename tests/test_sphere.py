@@ -8,7 +8,6 @@ import pytest
 from bilipfactor.geometry_core import GeometryError
 from bilipfactor.map_engine import Compose, Scaling, Translation
 from bilipfactor.sphere import (
-    INFINITY,
     _chordal_pairs,
     factor_scaling_sphere,
     factor_translation_sphere,
@@ -18,6 +17,23 @@ from bilipfactor.sphere import (
     spherical_distortion,
     translation_step_bound,
 )
+
+
+class _Infinity:
+    """The point at infinity of the extended plane (a singleton)."""
+
+    _instance = None
+
+    def __new__(cls):
+        if cls._instance is None:
+            cls._instance = super().__new__(cls)
+        return cls._instance
+
+    def __repr__(self):
+        return "INFINITY"
+
+
+INFINITY = _Infinity()
 
 
 def oracle_scaling_step(epsilon: float) -> float:

@@ -1,9 +1,10 @@
 """Static guards on the library surface, read with ast alone (no lint tool).
 
 Every public top-level name of src/bilipfactor must be reached: read in the
-package outside its own definition, be the CLI entry point, be imported by
-the acceptance suite, or be one of the names perfbench looks up by name.
-Every name a library module imports must be read in that module.
+package outside its own definition, be the CLI entry point, be imported and
+read by the acceptance suite, or be one of the names perfbench looks up by
+name.  Every name a library module or the acceptance suite imports must be
+read there.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ def _parse(path: Path) -> ast.Module:
 
 
 MODULES = {p.stem: _parse(p) for p in sorted(PACKAGE.glob("*.py"))}
+ACCEPTANCE = _parse(ROOT / "tests" / "test_acceptance.py")
 
 
 def _binds(stmt: ast.stmt) -> set[str]:
@@ -61,12 +63,25 @@ def _package_module(node: ast.ImportFrom) -> str | None:
 
 
 def _imported_names(tree: ast.Module) -> set[tuple[str, str]]:
-    """(module, name) of every `from bilipfactor.module import name` in the tree."""
+    """(module, name) of every `from bilipfactor.module import name` in the
+    tree whose bound name the tree reads."""
+    loads = _loads(tree)
     out = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and (mod := _package_module(node)):
-            out.update((mod, a.name) for a in node.names)
+            out.update((mod, a.name) for a in node.names if (a.asname or a.name) in loads)
     return out
+
+
+def _unread_imports(tree: ast.Module) -> list[str]:
+    """The names the tree's imports bind and it never reads."""
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update((a.asname or a.name).partition(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(a.asname or a.name for a in node.names)
+    return sorted(bound - _loads(tree))
 
 
 def _attribute_reads(tree: ast.Module) -> set[tuple[str, str]]:
@@ -102,7 +117,7 @@ def _public_names() -> set[tuple[str, str]]:
 
 
 def test_every_public_name_is_reached():
-    acceptance = _imported_names(_parse(ROOT / "tests" / "test_acceptance.py"))
+    acceptance = _imported_names(ACCEPTANCE)
     allowed = _reached_in_package() | ENTRY_POINTS | acceptance | PERFBENCH_NAMES
     unreached = sorted(f"{mod}.{n}" for mod, n in _public_names() - allowed)
     assert not unreached, f"public names nothing in src/, the CLI, acceptance or perfbench reads: {unreached}"
@@ -122,12 +137,10 @@ def test_perfbench_names_are_still_read_by_perfbench():
 
 @pytest.mark.parametrize("mod", sorted(MODULES))
 def test_every_import_is_read(mod):
-    tree = MODULES[mod]
-    bound = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            bound.update((a.asname or a.name).partition(".")[0] for a in node.names)
-        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            bound.update(a.asname or a.name for a in node.names)
-    unread = sorted(bound - _loads(tree))
+    unread = _unread_imports(MODULES[mod])
     assert not unread, f"{mod} imports names it never reads: {unread}"
+
+
+def test_acceptance_reads_every_import():
+    unread = _unread_imports(ACCEPTANCE)
+    assert not unread, f"test_acceptance.py imports names it never reads: {unread}"
