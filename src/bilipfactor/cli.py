@@ -44,7 +44,7 @@ from .geometry_core import Cube
 from .jsonio import (
     Rows,
     SchemaError,
-    certificate_to_json,
+    certificates_to_json,
     cube_from_json,
     factor_sequence_to_json,
     map_from_json,
@@ -221,14 +221,15 @@ def _write_atomic(path: Path, text: str) -> None:
         raise
 
 
-def _sequence_report(fs: FactorSequence, epsilon: float) -> dict:
+def _sequence_report(fs: FactorSequence, epsilon: float) -> tuple[dict, bool]:
+    """The report of a factor sequence, and whether agreement, support and bounds all pass."""
     check = check_factor_sequence(fs, epsilon)
     out = {
         "T": fs.T,
         "check": check,
         "max_certified": fs.max_certified(),
         "certificates_summary": {
-            "count": len(fs.certificates),
+            "count": fs.T,
             "max_L_lo": fs.max_certified(),
         },
     }
@@ -237,12 +238,12 @@ def _sequence_report(fs: FactorSequence, epsilon: float) -> dict:
     if fs.T <= MAX_FACTOR_JSON:
         out["sequence"] = factor_sequence_to_json(fs)
     else:
-        out["certificates"] = [certificate_to_json(c) for c in fs.certificates[:8]]
-    return out
+        out["certificates"] = certificates_to_json(fs.factors[:8], fs.L_lo[:8])
+    return out, check["agreement_ok"] and check["support_ok"] and check["certificates_ok"]
 
 
 def _sequence_frames(fs: FactorSequence, outdir: Path, prefix: str) -> None:
-    frame_cube = fs.support if fs.support is not None else fs.region
+    frame_cube = fs.support
     stride = max(1, math.ceil(fs.T / MAX_SVG_FRAMES))
     ring = square_boundary(fs.region)
     canvas = SvgCanvas(frame_cube)
@@ -316,8 +317,7 @@ def cmd_factor_linear(payload: dict, args) -> tuple[dict, bool]:
     cube = cube_from_json(payload["cube"]) if "cube" in payload else Cube((0.0,) * aff.dim, 2.0)
     c_support = _positive(payload, "C", 2.0)
     fs = factor_linear_in_cube(aff, cube, c_support, args.epsilon)
-    rep = _sequence_report(fs, args.epsilon)
-    ok = rep["check"]["agreement_ok"] and rep["check"].get("support_ok", True) and rep["check"]["certificates_ok"]
+    rep, ok = _sequence_report(fs, args.epsilon)
     if args.svg and cube.dim == 2:
         _sequence_frames(fs, Path(args.out), "factor_linear")
     return rep, ok
@@ -327,8 +327,7 @@ def cmd_factor_translate(payload: dict, args) -> tuple[dict, bool]:
     cube = cube_from_json(payload["cube"])
     path = np.asarray(payload["path"], dtype=float)
     fs = factor_translation_along_path(cube, path, args.epsilon)
-    rep = _sequence_report(fs, args.epsilon)
-    ok = rep["check"]["agreement_ok"] and rep["check"]["certificates_ok"]
+    rep, ok = _sequence_report(fs, args.epsilon)
     if args.svg and cube.dim == 2:
         _sequence_frames(fs, Path(args.out), "factor_translate")
     return rep, ok

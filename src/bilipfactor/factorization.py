@@ -1,9 +1,10 @@
-"""Factoring model maps (diagonal, rotation, full linear, shrink, translation
-along a path) into certified small-distortion factors, plus the gluing
-operator glue_identity_outside.
+"""Factoring model maps (linear in a cube, shrink, translation along a path)
+into certified small-distortion factors, the near-identity step chains of
+diagonal and rotation matrices they are built from, and the gluing operator
+glue_identity_outside.
 
-Every emitted factor comes with a sampled distortion certificate; builders
-auto-retry with smaller internal steps when a certificate exceeds its
+Every factor a blend builder emits comes with a sampled distortion bound;
+builders auto-retry with smaller internal steps when a bound exceeds its
 target.  Compactly supported factors are produced by blending a near-identity
 map to the identity across an annulus, then certifying the blend a
 posteriori; there is no uncertified extension step anywhere.
@@ -18,14 +19,12 @@ C(0, 1)), which gives the same sampled lower bound up to rounding.  An
 attempt's new keys are swept as one stack in key order, a block of whole
 lattices at a time, stopping after the block that holds the first factor
 above the bound; bounds and dict end as in a scan one key at a time.
-RunCertificates keeps one bound per factor and builds a factor's
-DistortionCertificate only when asked for it.
+A FactorSequence keeps the run and one bound per factor.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,6 +41,7 @@ from .geometry_core import (
     cube_lattices,
     rotation_2d,
     rotation_3d,
+    step_count,
     svd,
 )
 from .map_engine import (
@@ -88,82 +88,36 @@ def sweep_method(dim: int) -> tuple[str, int]:
     return "sampled-pairs", n * (n - 1) // 2
 
 
-class RunCertificates(Sequence):
-    """Per-factor certificates of a BlendRun: L_lo[i] is factor i's sampled
-    bound over its support cube C(centers[i], lams[i] sides[i]), and self[i]
-    builds that DistortionCertificate on access.
-    """
-
-    __slots__ = ("run", "L_lo")
-
-    def __init__(self, run: BlendRun, L_lo: np.ndarray):
-        self.run = run
-        self.L_lo = L_lo
-
-    def __len__(self) -> int:
-        return self.L_lo.shape[0]
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
-        run = self.run
-        support = Cube(tuple(run.centers[i]), run.lams[i] * run.sides[i])
-        method, pairs = sweep_method(support.dim)
-        return DistortionCertificate(
-            region=support, h=cert_pitch(support.side, support.dim), L_lo=float(self.L_lo[i]),
-            method=method, pair_count=pairs,
-        )
-
-
-def _bounds(certs: Sequence[DistortionCertificate]) -> np.ndarray:
-    if isinstance(certs, RunCertificates):
-        return certs.L_lo
-    return np.array([c.L_lo for c in certs], dtype=float)
-
-
 @dataclass(eq=False)
 class FactorSequence:
-    """Ordered factors (applied first-to-last) realizing a target map.
+    """Ordered factors (applied first-to-last) realizing target on region.
 
-    support is the cube outside which every factor is the identity (None
-    for sequences of global linear factors).  certificates[i] is the
-    sampled (or exact-affine) distortion bound for factors[i].  The blend
-    builders (linear in a cube, shrink, translate) emit one BlendRun with
-    RunCertificates; the others emit lists.  Only a BlendRun carries a
-    support: check_factor_sequence finds the factors that move shell
-    points with BlendRun.touching.
+    Every factor is the identity outside support.  L_lo[i] is factors[i]'s
+    sampled distortion bound over its support cube C(centers[i], lams[i]
+    sides[i]), swept at cert_pitch; check_factor_sequence finds the factors
+    that move shell points with BlendRun.touching.
     """
 
-    factors: list[MapExpr] | BlendRun
+    factors: BlendRun
     target: MapExpr
     region: Cube
-    support: Cube | None
-    certificates: list[DistortionCertificate] | RunCertificates
+    support: Cube
+    L_lo: np.ndarray
     meta: dict = field(default_factory=dict)
 
     @property
     def T(self) -> int:
         return len(self.factors)
 
-    def __post_init__(self):
-        if self.support is not None and not isinstance(self.factors, BlendRun):
-            raise TypeError("a FactorSequence with a support holds its factors in a BlendRun")
-
-    def composite(self) -> MapExpr:
-        if isinstance(self.factors, BlendRun):
-            return self.factors
-        return compose_sequence(self.factors)
-
     def max_certified(self) -> float:
-        bounds = _bounds(self.certificates)
-        return float(bounds.max()) if bounds.size else 1.0
+        return float(self.L_lo.max()) if self.L_lo.size else 1.0
 
 
 def _certify(
     run: BlendRun, prefix: tuple, rows: np.ndarray, bound: float, cache: dict,
     conjugates: BlendRun | None = None,
-) -> tuple[RunCertificates | None, tuple[int, float] | None]:
-    """Certificates of every factor of a run, or its first factor above bound.
+) -> tuple[np.ndarray | None, tuple[int, float] | None]:
+    """The bound of every factor of a run, or its first factor above bound.
 
     run[i] has the key prefix + tuple(rows[i]).  A key names a factor up to
     the changes its sampled distortion does not see: position (shrink,
@@ -171,10 +125,10 @@ def _certify(
     L_lo.  The distinct rows are looked up in first-occurrence order, and
     the first factor under each key not in cache is swept over its own
     support cube, or conjugates[i] (its conjugate by a similarity) in its
-    place, by _sweeps as the lookups reach it.  Returns (certificates,
-    None), or (None, (index, L_lo)) of the first factor certified above
-    bound.  Cache and errors raised are those of a scan over per-factor
-    keys sweeping one key at a time.
+    place, by _sweeps as the lookups reach it.  Returns (bounds, None), or
+    (None, (index, L_lo)) of the first factor certified above bound.  Cache
+    and errors raised are those of a scan over per-factor keys sweeping one
+    key at a time.
     """
     _, firsts, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
     order = np.argsort(firsts)
@@ -190,7 +144,7 @@ def _certify(
         if l_lo > bound:
             return None, (first, l_lo)
         bounds[j] = l_lo
-    return RunCertificates(run, bounds[inverse]), None
+    return bounds[inverse], None
 
 
 def _sweeps(run: BlendRun):
@@ -223,8 +177,7 @@ def _no_blends(kind: str, target: MapExpr, region: Cube, support: Cube, meta: di
     d = region.dim
     run = BlendRun(kind, np.empty((0, d)), np.empty(0), np.empty(0), np.empty((0, d)),
                    None if kind == "translation" else np.empty((0, d, d)))
-    certs = RunCertificates(run, np.empty(0))
-    return FactorSequence(run, target, region, support, certs, meta)
+    return FactorSequence(run, target, region, support, np.empty(0), meta)
 
 
 def _rotation_angle_axis(r: np.ndarray) -> tuple[float, np.ndarray | None]:
@@ -295,19 +248,15 @@ def _diagonal_steps(sigma: np.ndarray, alpha: float, l_bound: float) -> list[np.
     return steps
 
 
-_PROBE_REGION = {2: Cube((0.0, 0.0), 2.0), 3: Cube((0.0, 0.0, 0.0), 2.0)}
-
-
-def factor_diagonal(sigma, alpha: float, l_bound: float) -> FactorSequence:
-    """Split diag(sigma) into d*n single-entry diagonal factors near the identity.
+def factor_diagonal(sigma, alpha: float, l_bound: float) -> list[np.ndarray]:
+    """Split diag(sigma) into d*n single-entry diagonal steps near the identity.
 
     n is the smallest integer with L^(1/n) < 1 + alpha; partial products
-    keep every diagonal entry inside [1/L, L].  All-ones sigma yields an
-    empty sequence.
+    keep every diagonal entry inside [1/L, L].  All-ones sigma yields no
+    step.
     """
     sigma = np.asarray(sigma, dtype=float).reshape(-1)
-    d = sigma.shape[0]
-    if d not in (2, 3):
+    if sigma.shape[0] not in (2, 3):
         raise GeometryError("sigma must have length 2 or 3")
     if np.any(sigma <= 0):
         raise GeometryError("sigma entries must be positive")
@@ -315,21 +264,10 @@ def factor_diagonal(sigma, alpha: float, l_bound: float) -> FactorSequence:
         raise GeometryError("alpha must lie in (0, 1)")
     if np.any(sigma > l_bound + 1e-12) or np.any(sigma < 1.0 / l_bound - 1e-12):
         raise GeometryError("sigma outside [1/L, L]")
-    steps = _diagonal_steps(sigma, alpha, l_bound)
-    target = Affine(AffineMapData(np.diag(sigma), np.zeros(d)))
-    factors = [Affine(AffineMapData(m, np.zeros(d))) for m in steps]
-    certs = [estimate_distortion(f, _PROBE_REGION[d], 1.0) for f in factors]
-    return FactorSequence(
-        factors=factors,
-        target=target,
-        region=_PROBE_REGION[d],
-        support=None,
-        certificates=certs,
-        meta={"steps": steps},
-    )
+    return _diagonal_steps(sigma, alpha, l_bound)
 
 
-def factor_rotation(r, alpha: float) -> FactorSequence:
+def factor_rotation(r, alpha: float) -> list[np.ndarray]:
     """Split a rotation into N equal-angle steps with ||step - I|| < alpha.
 
     d=2 uses the rotation angle directly; d=3 uses the axis-angle form.
@@ -342,17 +280,7 @@ def factor_rotation(r, alpha: float) -> FactorSequence:
         raise GeometryError("input is not orthogonal")
     if np.linalg.det(r) < 0:
         raise GeometryError("orientation-reversing isometry cannot be factored")
-    steps = _rotation_steps(r, alpha)
-    factors = [Affine(AffineMapData(m, np.zeros(d))) for m in steps]
-    certs = [estimate_distortion(f, _PROBE_REGION[d], 1.0) for f in factors]
-    return FactorSequence(
-        factors=factors,
-        target=Affine(AffineMapData(r, np.zeros(d))),
-        region=_PROBE_REGION[d],
-        support=None,
-        certificates=certs,
-        meta={"steps": steps},
-    )
+    return _rotation_steps(r, alpha)
 
 
 def _linear_chain(a: np.ndarray, alpha: float) -> list[np.ndarray]:
@@ -424,14 +352,13 @@ def factor_linear_in_cube(
         run = BlendRun("affine", np.broadcast_to(np.asarray(q.center), (n, d)), sides, np.full(n, lam),
                        np.zeros((n, d)), np.array(steps).reshape(n, d, d))
         canonical = BlendRun("affine", np.zeros((n, d)), np.ones(n), run.lams, run.shifts, run.matrices)
-        certs, last_fail = _certify(run, ("linear", d, lam), run.matrices.reshape(n, d * d).view(np.int64),
-                                    1.0 + epsilon + 1e-12, cache, canonical)
-        if certs is not None:
-            fs = FactorSequence(run, target, q, support, certs, meta={"alpha": alpha, "linear_steps": steps})
-            err = sup_distance(fs.composite(), target, q, q.side / 8)
+        bounds, last_fail = _certify(run, ("linear", d, lam), run.matrices.reshape(n, d * d).view(np.int64),
+                                     1.0 + epsilon + 1e-12, cache, canonical)
+        if bounds is not None:
+            err = sup_distance(run, target, q, q.side / 8)
             if err > 1e-9 * q.diam:
                 raise CertificationError(f"composite deviates from target by {err:.3e} on the cube")
-            return fs
+            return FactorSequence(run, target, q, support, bounds, meta={"alpha": alpha, "linear_steps": steps})
     raise FactorCertificationError(last_fail[0], last_fail[1], 1.0 + epsilon)
 
 
@@ -477,9 +404,9 @@ def factor_shrink(
                        np.broadcast_to((1.0 - step) * center, (n, d)),
                        np.broadcast_to(step * np.eye(d), (n, d, d)))
         rows = np.column_stack([[round(s, 14) for s in sides.tolist()], [round(l_i, 12) for l_i in lams.tolist()]])
-        certs, last_fail = _certify(run, ("shrink", d, round(step, 14)), rows, 1.0 + epsilon + 1e-12, cache)
-        if certs is not None:
-            return FactorSequence(run, target, q, support, certs, meta={"steps": n, "step_scale": step})
+        bounds, last_fail = _certify(run, ("shrink", d, round(step, 14)), rows, 1.0 + epsilon + 1e-12, cache)
+        if bounds is not None:
+            return FactorSequence(run, target, q, support, bounds, meta={"steps": n, "step_scale": step})
     raise FactorCertificationError(last_fail[0], last_fail[1], 1.0 + epsilon)
 
 
@@ -538,13 +465,15 @@ def factor_translation_along_path(
     last_fail: tuple[int, float] | None = None
     for attempt in range(MAX_RETRIES + 1):
         delta = delta0 / 2**attempt
+        # Refused before any node is made: a side small enough to zero delta, or too many steps.
+        step_count(total / delta if delta > 0.0 else math.inf, f"epsilon {epsilon} with cube side {q.side}")
         nodes = _polyline_resample_by_step(path, delta)
         steps = np.diff(nodes, axis=0)
         n = steps.shape[0]
         run = BlendRun("translation", nodes[:-1], np.full(n, blend_side), np.full(n, lam), steps)
-        certs, last_fail = _certify(run, prefix, np.round(steps / q.side, 12), 1.0 + epsilon + 1e-12, cache)
-        if certs is not None:
-            return FactorSequence(run, target, q, tube, certs, meta={"steps": n, "delta": delta})
+        bounds, last_fail = _certify(run, prefix, np.round(steps / q.side, 12), 1.0 + epsilon + 1e-12, cache)
+        if bounds is not None:
+            return FactorSequence(run, target, q, tube, bounds, meta={"steps": n, "delta": delta})
     raise FactorCertificationError(last_fail[0], last_fail[1], 1.0 + epsilon)
 
 
@@ -553,13 +482,14 @@ def factor_linear_outside_cube(
     q: Cube,
     c_support: float,
     epsilon: float,
-) -> FactorSequence:
+) -> tuple[list[MapExpr], list[DistortionCertificate], Cube]:
     """Factor a linear map on the complement of a cube at the origin.
 
     Same chain as factor_linear_in_cube with inverted supports: each factor
     acts as its linear step outside an inscribed cube of the running image
-    of q and is the identity on a reported inner cube (meta
-    "identity_inside", which contains (1/(c_support L sqrt(d))) q).
+    of q and is the identity on an inner cube, which contains
+    (1/(c_support L sqrt(d))) q.  Returns (factors, certificates, inner
+    cube).
     """
     mat = a.matrix if isinstance(a, AffineMapData) else check_matrix(a)
     d = mat.shape[0]
@@ -573,7 +503,7 @@ def factor_linear_outside_cube(
     target = Affine(AffineMapData(mat, np.zeros(d)))
     probe = Cube(q.center, c_support * l_bound * math.sqrt(d) * q.side)
     if np.abs(mat - np.eye(d)).max() <= SVD_TOL:
-        return FactorSequence([], target, probe, None, [], meta={"identity_inside": q})
+        return [], [], q
 
     alpha0 = epsilon / (4.0 * c_support * l_bound * math.sqrt(d))
     last_fail: tuple[int, float] | None = None
@@ -604,16 +534,13 @@ def factor_linear_outside_cube(
             certs.append(cert)
             partial = step @ partial
         if ok:
-            fs = FactorSequence(
-                factors, target, probe, None, certs,
-                meta={"alpha": alpha, "identity_inside": Cube(q.center, inner_side)},
-            )
             pts, _ = cube_lattice(probe, probe.side / 16)
             outside = pts[~q.contains(pts, tol=1e-12)]
-            err = float(np.max(np.linalg.norm(fs.composite().evaluate(outside) - target.evaluate(outside), axis=1)))
+            comp = compose_sequence(factors)
+            err = float(np.max(np.linalg.norm(comp.evaluate(outside) - target.evaluate(outside), axis=1)))
             if err > 1e-9 * probe.diam:
                 raise CertificationError(f"composite deviates from target outside the cube by {err:.3e}")
-            return fs
+            return factors, certs, Cube(q.center, inner_side)
     raise FactorCertificationError(last_fail[0], last_fail[1], 1.0 + epsilon)
 
 
@@ -652,7 +579,8 @@ def glue_identity_outside(
     against the square of the largest piece bound.
     """
     if not pieces:
-        return Identity(), GlueReport((), DistortionCertificate(_PROBE_REGION[2], 0.0, 1.0, "exact-affine", 0), 1.0)
+        empty = DistortionCertificate(Cube((0.0, 0.0), 2.0), 0.0, 1.0, "exact-affine", 0)
+        return Identity(), GlueReport((), empty, 1.0)
     for i, (r1, _) in enumerate(pieces):
         for r2, _ in pieces[i + 1 :]:
             if r1.overlaps(r2, tol=1e-12):
@@ -695,12 +623,11 @@ def check_factor_sequence(fs: FactorSequence, epsilon: float | None = None) -> d
     """Re-verify a factor sequence's contracts; returns a report dict.
 
     Checks composite-vs-target agreement on the region lattice at pitch
-    side / 16, per-factor
-    certificates against 1 + epsilon (when given), and identity outside the
-    support on a surrounding shell lattice.
+    side / 16, per-factor bounds against 1 + epsilon (when given), and
+    identity outside the support on a surrounding shell lattice.
     """
     region = fs.region
-    agree = sup_distance(fs.composite(), fs.target, region, region.side / 16)
+    agree = sup_distance(fs.factors, fs.target, region, region.side / 16)
     report = {
         "T": fs.T,
         "agreement_sup": agree,
@@ -708,18 +635,17 @@ def check_factor_sequence(fs: FactorSequence, epsilon: float | None = None) -> d
         "max_certified": fs.max_certified(),
     }
     if epsilon is not None:
-        report["certificates_ok"] = bool(np.all(_bounds(fs.certificates) <= 1.0 + epsilon + 1e-12))
-    if fs.support is not None:
-        # A factor that moves no shell point is exactly the identity there.
-        shell, _ = cube_lattice(fs.support.dilate(1.5), fs.support.side / 8)
-        outside = shell[~fs.support.contains(shell, tol=1e-12)]
-        run = fs.factors
-        worst = 0.0
-        for i in run.touching(outside):
-            moved = run[i : i + 1].evaluate(outside)
-            worst = max(worst, float(np.max(np.linalg.norm(moved - outside, axis=1))))
-            if worst > 1e-12:
-                break
-        report["support_identity_dev"] = worst
-        report["support_ok"] = worst <= 1e-12
+        report["certificates_ok"] = bool(np.all(fs.L_lo <= 1.0 + epsilon + 1e-12))
+    # A factor that moves no shell point is exactly the identity there.
+    shell, _ = cube_lattice(fs.support.dilate(1.5), fs.support.side / 8)
+    outside = shell[~fs.support.contains(shell, tol=1e-12)]
+    run = fs.factors
+    worst = 0.0
+    for i in run.touching(outside):
+        moved = run[i : i + 1].evaluate(outside)
+        worst = max(worst, float(np.max(np.linalg.norm(moved - outside, axis=1))))
+        if worst > 1e-12:
+            break
+    report["support_identity_dev"] = worst
+    report["support_ok"] = worst <= 1e-12
     return report

@@ -20,6 +20,16 @@ class GeometryError(ValueError):
     """Raised on contract violations (singular matrices, bad dimensions...)."""
 
 
+MAX_STEPS = 10**6  # most equal steps a factorization along a path or a sphere may take
+
+
+def step_count(ratio: float, what: str) -> int:
+    """ceil(ratio) up to float noise, refused when not finite or above MAX_STEPS."""
+    if not ratio - 1e-12 <= MAX_STEPS:  # inf and NaN fail too
+        raise GeometryError(f"{what} needs {ratio - 1e-12:.4g} steps, more than the {MAX_STEPS} allowed")
+    return math.ceil(ratio - 1e-12)
+
+
 def check_matrix(m: np.ndarray | list) -> np.ndarray:
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] not in (2, 3):

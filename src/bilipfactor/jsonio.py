@@ -4,14 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .factorization import RunCertificates, cert_pitch, sweep_method
+from .factorization import cert_pitch, sweep_method
 from .geometry_core import AffineMapData, Cube
 from .map_engine import (
     Affine,
     Blend,
     BlendRun,
     Compose,
-    DistortionCertificate,
     Grid,
     Identity,
     LogSpiral,
@@ -124,29 +123,13 @@ def map_from_json(obj) -> MapExpr:
     raise SchemaError(f"unknown map type {t!r}")
 
 
-def certificate_to_json(c: DistortionCertificate) -> dict:
-    return {
-        "region": cube_to_json(c.region),
-        "h": c.h,
-        "L_lo": c.L_lo,
-        "method": c.method,
-        "pair_count": c.pair_count,
-    }
-
-
 def factor_sequence_to_json(fs) -> dict:
-    if isinstance(fs.factors, BlendRun) and isinstance(fs.certificates, RunCertificates):
-        factors = _blend_run_to_json(fs.factors)
-        certificates = _run_certificates_to_json(fs.certificates)
-    else:
-        factors = [map_to_json(f) for f in fs.factors]
-        certificates = [certificate_to_json(c) for c in fs.certificates]
     return {
         "target": map_to_json(fs.target),
-        "factors": factors,
+        "factors": _blend_run_to_json(fs.factors),
         "region": cube_to_json(fs.region),
-        "support": cube_to_json(fs.support) if fs.support is not None else None,
-        "certificates": certificates,
+        "support": cube_to_json(fs.support),
+        "certificates": certificates_to_json(fs.factors, fs.L_lo),
         "T": fs.T,
     }
 
@@ -161,17 +144,16 @@ def _blend_run_to_json(run: BlendRun) -> Rows:
                  "lambda": run.lams})
 
 
-def _run_certificates_to_json(certs: RunCertificates) -> Rows:
-    """certificate_to_json of every certs[i], as rows of the run's arrays
-    and the bounds."""
-    run = certs.run
+def certificates_to_json(run: BlendRun, L_lo: np.ndarray) -> Rows:
+    """The certificate of every run[i], with bound L_lo[i], as rows: a
+    sampled-pairs sweep over its support cube at cert_pitch."""
     d = run.centers.shape[1]
     supports = run.lams * run.sides
     method, pairs = sweep_method(d)
     return Rows({
         "region": {"center": run.centers, "side": supports},
         "h": cert_pitch(supports, d),
-        "L_lo": certs.L_lo,
+        "L_lo": L_lo,
         "method": method,
         "pair_count": pairs,
     })

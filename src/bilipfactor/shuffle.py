@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .degree import resample_polyline
-from .factorization import RunCertificates, factor_shrink, factor_translation_along_path
+from .factorization import factor_shrink, factor_translation_along_path
 from .geometry_core import Cube
 from .map_engine import (
     AffineMapData,
@@ -62,7 +62,7 @@ class ShufflePlan:
 class ShuffleResult:
     plan: ShufflePlan
     runs: list[BlendRun]  # one per builder call, in application order
-    certificates: list[RunCertificates]  # certificates[k][i] certifies runs[k][i]
+    bounds: list[np.ndarray]  # bounds[k][i] is the sampled bound of runs[k][i]
     similarities: list[AffineMapData]
     stage_offsets: list[int]  # factor index at the start of each of the 4 stages
     count_ceiling: int
@@ -75,7 +75,7 @@ class ShuffleResult:
         return compose_sequence(self.runs)
 
     def max_certified(self) -> float:
-        return max((float(c.L_lo.max()) for c in self.certificates if len(c)), default=1.0)
+        return max((float(b.max()) for b in self.bounds if b.size), default=1.0)
 
     def walk(self, pts: np.ndarray, stops: list[int]) -> np.ndarray:
         """Images of pts after each prefix of stops, counted in factors over all runs."""
@@ -516,7 +516,7 @@ def execute_shuffle(plan: ShufflePlan, epsilon: float) -> ShuffleResult:
     ceiling = len(plan.pairs) * (2 * n_scale + 2 * n_translate)
 
     return ShuffleResult(
-        plan, [fs.factors for fs in seqs], [fs.certificates for fs in seqs], sims, offsets, ceiling
+        plan, [fs.factors for fs in seqs], [fs.L_lo for fs in seqs], sims, offsets, ceiling
     )
 
 

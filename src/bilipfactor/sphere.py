@@ -16,18 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry_core import GeometryError
+from .geometry_core import GeometryError, step_count
 from .map_engine import Compose, Identity, MapExpr, Scaling, Translation
-
-
-MAX_STEPS = 10**6  # most equal steps a spherical factorization may take
-
-
-def _step_count(ratio: float, epsilon: float) -> int:
-    """ceil(ratio) up to float noise, refused when not finite or above MAX_STEPS."""
-    if not ratio - 1e-12 <= MAX_STEPS:  # inf and NaN fail too
-        raise GeometryError(f"epsilon {epsilon} needs {ratio - 1e-12:.4g} steps, more than the {MAX_STEPS} allowed")
-    return math.ceil(ratio - 1e-12)
 
 
 def _chordal_pairs(pts: np.ndarray, with_infinity: bool) -> np.ndarray:
@@ -143,7 +133,7 @@ def factor_translation_sphere(v, epsilon: float) -> SphericalFactorReport:
     if length == 0.0:
         return SphericalFactorReport(None, 0, target, epsilon)
     v0 = epsilon / (1.0 + epsilon)
-    n = _step_count(length / v0, epsilon)
+    n = step_count(length / v0, f"epsilon {epsilon}")
     step_v = v / n
     step = Translation(tuple(step_v))
     bound = translation_step_bound(length / n)
@@ -184,7 +174,7 @@ def factor_scaling_sphere(a: float, epsilon: float) -> SphericalFactorReport:
     if a == 1.0:
         return SphericalFactorReport(None, 0, target, epsilon)
     a0 = solve_scaling_step(epsilon)
-    n = _step_count(abs(math.log(a)) / math.log(a0), epsilon)
+    n = step_count(abs(math.log(a)) / math.log(a0), f"epsilon {epsilon}")
     step_a = a ** (1.0 / n)
     step = Scaling(step_a)
     bound = scaling_step_bound(step_a)

@@ -82,9 +82,8 @@ def test_criterion_01_linear_factoring(tmp_path):
         # Diagonal partial products (same internal alpha as the run).
         alpha = rep["result"]["internal_alpha"]
         sigma = np.linalg.svd(mat, compute_uv=False)
-        fs = factor_diagonal(sigma, alpha, l_bound)
         partial = np.eye(2)
-        for m in fs.meta["steps"]:
+        for m in factor_diagonal(sigma, alpha, l_bound):
             partial = m @ partial
             assert np.all(np.diag(partial) <= l_bound + 1e-12)
             assert np.all(np.diag(partial) >= 1.0 / l_bound - 1e-12)
@@ -98,24 +97,24 @@ def test_criterion_01_linear_factoring(tmp_path):
 
 
 def test_criterion_02_counts_match_oracles():
-    fs_diag = factor_diagonal([2.0, 0.5], 0.1, 2.0)
+    t_diag = len(factor_diagonal([2.0, 0.5], 0.1, 2.0))
     n_diag = oracle_diagonal_steps(2.0, 0.1)
-    ok1 = fs_diag.T == 2 * n_diag == 16
+    ok1 = t_diag == 2 * n_diag == 16
 
-    fs_rot2 = factor_rotation(rotation_2d(math.pi / 2), 0.1)
+    t_rot2 = len(factor_rotation(rotation_2d(math.pi / 2), 0.1))
     n_rot2 = oracle_rotation_steps(math.pi / 2, 0.1)
-    ok2 = fs_rot2.T == n_rot2 == 16
+    ok2 = t_rot2 == n_rot2 == 16
 
-    fs_rot3 = factor_rotation(rotation_3d([0.0, 0.0, 1.0], math.pi), 0.5)
+    t_rot3 = len(factor_rotation(rotation_3d([0.0, 0.0, 1.0], math.pi), 0.5))
     n_rot3 = oracle_rotation_steps(math.pi, 0.5)
-    ok3 = fs_rot3.T == n_rot3 == 7
+    ok3 = t_rot3 == n_rot3 == 7
 
     report(
         2,
         ok1 and ok2 and ok3,
-        f"diag(2,1/2)@0.1 -> {fs_diag.T} (oracle {2 * n_diag}); "
-        f"R(pi/2)@0.1 -> {fs_rot2.T} (oracle {n_rot2}); "
-        f"R(pi,z)@0.5 -> {fs_rot3.T} (oracle {n_rot3})",
+        f"diag(2,1/2)@0.1 -> {t_diag} (oracle {2 * n_diag}); "
+        f"R(pi/2)@0.1 -> {t_rot2} (oracle {n_rot2}); "
+        f"R(pi,z)@0.5 -> {t_rot3} (oracle {n_rot3})",
     )
 
 

@@ -335,6 +335,12 @@ MALFORMED = {
     "translate-path-length-overflows": (
         "factor-translate", {"cube": {"center": [0.0, 0.0], "side": 1.0}, "path": [[0.0, 0.0], [1e308, 1e308]]},
         "path length must be finite"),
+    "translate-side-zeroes-step": (
+        "factor-translate", {"cube": {"center": [0.0, 0.0], "side": 5e-324}, "path": [[0.0, 0.0], [1.0, 0.0]]},
+        "epsilon 0.25 with cube side 5e-324 needs inf steps, more than the 1000000 allowed"),
+    "translate-side-too-many-steps": (
+        "factor-translate", {"cube": {"center": [0.0, 0.0], "side": 1e-300}, "path": [[0.0, 0.0], [1.0, 0.0]]},
+        "epsilon 0.25 with cube side 1e-300 needs 4.211e+300 steps, more than the 1000000 allowed"),
     "sphere-translation-v-infinite": (
         "sphere-factor", {"kind": "translation", "v": [math.inf, 0.0]}, "translation length must be finite"),
     "sphere-translation-v-overflows": (

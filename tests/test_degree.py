@@ -8,10 +8,10 @@ import pytest
 
 from bilipfactor.degree import DegreeError, degree_winding_2d
 from bilipfactor.geometry_core import AffineMapData, Cube, rotation_2d
-from bilipfactor.map_engine import Affine, Blend, Identity, LogSpiral, MapExpr
+from bilipfactor.map_engine import Affine, Blend, Identity, MapExpr
 from bilipfactor.pl_approx import degree_pl, freudenthal, pl_interpolate
 
-from conftest import random_orientation_preserving, small_rotation_blend
+from conftest import random_orientation_preserving
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,6 @@ import pytest
 from bilipfactor import cli, factorization, kernels, map_engine
 from bilipfactor.factorization import (
     TRANSLATION_BLEND_LAM,
-    FactorCertificationError,
     FactorSequence,
     Piecewise,
     cert_pitch,
@@ -41,9 +40,8 @@ from bilipfactor.map_engine import (
     Translation,
     blend_weight,
     estimate_distortion,
-    sup_distance,
 )
-from bilipfactor.jsonio import certificate_to_json, cube_to_json, factor_sequence_to_json, map_to_json
+from bilipfactor.jsonio import cube_to_json, factor_sequence_to_json, map_to_json
 
 from conftest import random_orientation_preserving
 
@@ -69,26 +67,23 @@ def oracle_diagonal_steps(l_bound: float, alpha: float) -> int:
 
 class TestDiagonal:
     def test_identity_vector(self):
-        assert factor_diagonal([1.0, 1.0], 0.3, 2.0).T == 0
+        assert factor_diagonal([1.0, 1.0], 0.3, 2.0) == []
 
     def test_example_counts(self):
-        fs = factor_diagonal([2.0, 0.5], 0.1, 2.0)
-        assert fs.T == 2 * oracle_diagonal_steps(2.0, 0.1) == 16
-        steps = fs.meta["steps"]
+        steps = factor_diagonal([2.0, 0.5], 0.1, 2.0)
+        assert len(steps) == 2 * oracle_diagonal_steps(2.0, 0.1) == 16
         worst = max(np.abs(np.linalg.svd(m - np.eye(2), compute_uv=False)).max() for m in steps)
         assert worst == pytest.approx(2 ** (1 / 8) - 1, abs=1e-12)
         assert worst < 0.1
 
-        fs2 = factor_diagonal([4.0, 1.0], 0.5, 4.0)
-        assert fs2.T == 2 * oracle_diagonal_steps(4.0, 0.5) == 8
+        assert len(factor_diagonal([4.0, 1.0], 0.5, 4.0)) == 2 * oracle_diagonal_steps(4.0, 0.5) == 8
 
     def test_partial_products_within_band(self, rng):
         for _ in range(20):
             l_bound = rng.uniform(1.2, 4.0)
             sigma = np.exp(rng.uniform(-np.log(l_bound), np.log(l_bound), size=2))
-            fs = factor_diagonal(sigma, 0.2, l_bound)
             partial = np.eye(2)
-            for m in fs.meta["steps"]:
+            for m in factor_diagonal(sigma, 0.2, l_bound):
                 partial = m @ partial
                 diag = np.diag(partial)
                 assert np.all(diag <= l_bound + 1e-12)
@@ -102,23 +97,23 @@ class TestDiagonal:
 
 class TestRotation:
     def test_identity(self):
-        assert factor_rotation(np.eye(2), 0.2).T == 0
+        assert factor_rotation(np.eye(2), 0.2) == []
 
     def test_2d_quarter_turn(self):
-        fs = factor_rotation(rotation_2d(math.pi / 2), 0.1)
-        assert fs.T == oracle_rotation_steps(math.pi / 2, 0.1) == 16
+        steps = factor_rotation(rotation_2d(math.pi / 2), 0.1)
+        assert len(steps) == oracle_rotation_steps(math.pi / 2, 0.1) == 16
         prod = np.eye(2)
-        for m in fs.meta["steps"]:
+        for m in steps:
             assert np.linalg.svd(m - np.eye(2), compute_uv=False).max() < 0.1
             prod = m @ prod
         assert np.abs(prod - rotation_2d(math.pi / 2)).max() <= 1e-10
 
     def test_3d_half_turn(self):
         r = rotation_3d([0.0, 0.0, 1.0], math.pi)
-        fs = factor_rotation(r, 0.5)
-        assert fs.T == oracle_rotation_steps(math.pi, 0.5) == 7
+        steps = factor_rotation(r, 0.5)
+        assert len(steps) == oracle_rotation_steps(math.pi, 0.5) == 7
         prod = np.eye(3)
-        for m in fs.meta["steps"]:
+        for m in steps:
             prod = m @ prod
         assert np.abs(prod - r).max() <= 1e-10
 
@@ -126,9 +121,8 @@ class TestRotation:
         for _ in range(20):
             axis = rng.normal(size=3)
             r = rotation_3d(axis / np.linalg.norm(axis), rng.uniform(-math.pi, math.pi))
-            fs = factor_rotation(r, 0.3)
             prod = np.eye(3)
-            for m in fs.meta["steps"]:
+            for m in factor_rotation(r, 0.3):
                 assert np.linalg.svd(m - np.eye(3), compute_uv=False).max() < 0.3
                 prod = m @ prod
             assert np.abs(prod - r).max() <= 1e-10
@@ -209,12 +203,11 @@ class TestCertificateCache:
         d = a.shape[0]
         fs = factor_linear_in_cube(a, Cube((0.0,) * d, side), 2.0, 0.25)
         assert fs.T > 0
-        for f, cert in zip(fs.factors, fs.certificates):
-            assert cert.region.side == f.cube.side * f.lam
-            direct = estimate_distortion(f, cert.region, cert.h)
-            assert direct.h == cert.h
-            assert direct.pair_count == cert.pair_count
-            assert abs(direct.L_lo - cert.L_lo) <= 1e-12 * direct.L_lo
+        for f, l_lo in zip(fs.factors, fs.L_lo):
+            want = certificate_json(f, l_lo)
+            direct = estimate_distortion(f, f.cube.dilate(f.lam), want["h"])
+            assert direct.pair_count == want["pair_count"]
+            assert abs(direct.L_lo - l_lo) <= 1e-12 * direct.L_lo
 
     def test_identical_rotation_steps_swept_once(self, monkeypatch):
         sweeps = []
@@ -236,7 +229,7 @@ class TestCertificateCache:
         swept = list(cache.items())
         again = factor_shrink(q, 3.0, 0.3, 0.25, cache)
         assert list(cache.items()) == swept
-        assert [c.L_lo for c in again.certificates] == [c.L_lo for c in first.certificates]
+        assert again.L_lo.tolist() == first.L_lo.tolist()
 
 
 def scan_certify(cache: dict, run: BlendRun, keys: list, bound: float):
@@ -263,16 +256,15 @@ def certify_both(cache: dict, run: BlendRun, rows: np.ndarray, bound: float, pre
     keys = [prefix + tuple(row) for row in rows.tolist()]
     twin = dict(cache)
     try:
-        certs, fail = factorization._certify(run, prefix, rows, bound, cache)
+        bounds, fail = factorization._certify(run, prefix, rows, bound, cache)
     except (map_engine.DomainError, CertificationError) as e:
         with pytest.raises(type(e), match=str(e)):
             scan_certify(twin, run, keys, bound)
         fail = type(e)
     else:
         assert fail == scan_certify(twin, run, keys, bound)
-        if certs is not None:
-            assert len(certs) == len(run)
-            assert list(certs.L_lo) == [twin[k] for k in keys]
+        if bounds is not None:
+            assert list(bounds) == [twin[k] for k in keys]
     assert repr(list(cache.items())) == repr(list(twin.items()))
     return fail
 
@@ -317,22 +309,22 @@ class TestStackedSweep:
     def assert_sweeps_match_estimate(fs, keys: list, conjugate: bool = False):
         """Each key's first factor, the one it was swept on, has estimate_distortion's
         bound bit for bit, and every factor under the key shares it."""
-        run, certs = fs.factors, fs.certificates
+        run = fs.factors
         firsts: dict = {}
         for i, key in enumerate(keys):
             firsts.setdefault(key, i)
-        assert [certs.L_lo[firsts[key]] for key in keys] == list(certs.L_lo)
+        assert [fs.L_lo[firsts[key]] for key in keys] == list(fs.L_lo)
         for first in firsts.values():
             f = run[first]
             if conjugate:
                 f = Blend(f.inner, Cube((0.0,) * f.cube.dim, 1.0), f.lam)
             region = f.cube.dilate(f.lam)
             direct = estimate_distortion(f, region, cert_pitch(region.side, region.dim))
-            cert = certs[first]
-            assert (cert.L_lo, cert.pair_count) == (direct.L_lo, direct.pair_count)
-            assert cert.method == direct.method == "sampled-pairs"
-            assert conjugate or cert.h == direct.h
-        return [certs.L_lo[first] for first in firsts.values()]
+            cert = certificate_json(run[first], fs.L_lo[first])
+            assert (cert["L_lo"], cert["pair_count"]) == (direct.L_lo, direct.pair_count)
+            assert cert["method"] == direct.method == "sampled-pairs"
+            assert conjugate or cert["h"] == direct.h
+        return [fs.L_lo[first] for first in firsts.values()]
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_linear_equals_estimate_on_conjugates(self, d):
@@ -522,13 +514,12 @@ class TestKeyRows:
 class TestFactorLinearOutside:
     def test_contracts(self):
         q = Cube((0.0, 0.0), 1.0)
-        fs = factor_linear_outside_cube(np.diag([1.5, 0.8]), q, 2.0, 0.3)
-        assert all(c.L_lo <= 1.3 + 1e-12 for c in fs.certificates)
-        inner = fs.meta["identity_inside"]
+        factors, certs, inner = factor_linear_outside_cube(np.diag([1.5, 0.8]), q, 2.0, 0.3)
+        assert all(c.L_lo <= 1.3 + 1e-12 for c in certs)
         l_bound = bilip_constant(np.diag([1.5, 0.8]))
         assert inner.side >= q.side / (2.0 * l_bound * math.sqrt(2)) - 1e-12
         pts = inner.dilate(0.95).vertices()
-        for f in fs.factors:
+        for f in factors:
             assert np.abs(f.evaluate(pts) - pts).max() <= 1e-12
 
 
@@ -546,7 +537,7 @@ class TestShrink:
         assert step >= 1.0 / (1.0 + 0.2)
         assert fs.T == fs.meta["steps"]
         # Vertex images are exact.
-        comp = fs.composite()
+        comp = fs.factors
         assert np.abs(comp.evaluate(q.vertices()) - 0.5 * q.vertices()).max() <= 1e-12
 
     def test_off_center_and_growth(self):
@@ -554,7 +545,7 @@ class TestShrink:
         fs = factor_shrink(q, 4.0, 3.0, 0.25)
         rep = check_factor_sequence(fs, 0.25)
         assert rep["agreement_ok"] and rep["certificates_ok"] and rep["support_ok"]
-        comp = fs.composite()
+        comp = fs.factors
         center = np.array(q.center)
         want = center + 3.0 * (q.vertices() - center)
         assert np.abs(comp.evaluate(q.vertices()) - want).max() <= 1e-11
@@ -574,7 +565,7 @@ class TestTranslationAlongPath:
         fs = factor_translation_along_path(q, np.array([[0.0, 0.0], [3.0, 0.0]]), 0.2)
         rep = check_factor_sequence(fs, 0.2)
         assert rep["agreement_ok"] and rep["certificates_ok"]
-        comp = fs.composite()
+        comp = fs.factors
         assert np.abs(comp(np.array([0.0, 0.0])) - [3.0, 0.0]).max() <= 1e-12
         # Factors are the identity far from the path.
         far = np.array([[0.0, 5.0], [1.5, -4.0], [-3.0, 0.0], [6.0, 2.0]])
@@ -585,7 +576,7 @@ class TestTranslationAlongPath:
         q = Cube((0.0, 0.0), 0.5)
         path = np.array([[0.0, 0.0], [1.5, 0.0], [1.5, 1.0]])
         fs = factor_translation_along_path(q, path, 0.2)
-        comp = fs.composite()
+        comp = fs.factors
         assert np.abs(comp(np.array([0.0, 0.0])) - [1.5, 1.0]).max() <= 1e-12
         # Identity at lattice points at distance >= 2 diam(q) from the path.
         grid, _ = cube_lattice(Cube((0.75, 0.5), 6.0), 0.5)
@@ -600,7 +591,7 @@ class TestTranslationAlongPath:
         path = np.array([[1.0, 1.0], [2.0, 1.5]])
         fs = factor_translation_along_path(q, path, 0.25)
         pts = q.dilate(0.999).vertices()
-        comp = fs.composite()
+        comp = fs.factors
         assert np.abs(comp.evaluate(pts) - (pts + np.array([1.0, 0.5]))).max() <= 1e-11
 
 
@@ -679,6 +670,20 @@ def reference_translation_factors(q: Cube, path: np.ndarray, fs) -> list[Blend]:
         Blend(Translation(tuple(nodes[j + 1] - nodes[j])), Cube(tuple(nodes[j]), 1.5 * q.side), lam)
         for j in range(len(nodes) - 1)
     ]
+
+
+def certificate_json(f: Blend, l_lo: float) -> dict:
+    """A blend factor's certificate as a report writes it: the sampled
+    bound l_lo of a pairwise sweep over f's support cube at cert_pitch."""
+    region = f.cube.dilate(f.lam)
+    n = factorization.CERT_POINTS[region.dim] ** region.dim
+    return {
+        "region": cube_to_json(region),
+        "h": cert_pitch(region.side, region.dim),
+        "L_lo": l_lo,
+        "method": "sampled-pairs",
+        "pair_count": n * (n - 1) // 2,
+    }
 
 
 def reference_support_dev(fs) -> float:
@@ -888,7 +893,7 @@ class TestBlendRun:
             "factors": [map_to_json(f) for f in fs.factors],
             "region": cube_to_json(fs.region),
             "support": cube_to_json(fs.support),
-            "certificates": [certificate_to_json(c) for c in fs.certificates],
+            "certificates": [certificate_json(f, l_lo) for f, l_lo in zip(fs.factors, fs.L_lo.tolist())],
             "T": fs.T,
         }
         path = tmp_path / "sequence.json"
@@ -898,13 +903,8 @@ class TestBlendRun:
     @pytest.mark.parametrize("name", sorted(RUNS))
     def test_certificates_per_factor(self, name):
         fs, _ = RUNS[name]
-        assert len(fs.certificates) == fs.T
-        for f, cert in zip(fs.factors, fs.certificates):
-            support = f.cube.dilate(f.lam)
-            assert cert.region == support
-            assert cert.h == support.side / (factorization.CERT_POINTS[support.dim] - 1)
-        assert [c.L_lo for c in fs.certificates[:3]] == list(fs.certificates.L_lo[:3])
-        assert fs.max_certified() == max(c.L_lo for c in fs.certificates)
+        assert fs.L_lo.shape == (fs.T,)
+        assert fs.max_certified() == max(fs.L_lo.tolist())
 
     @pytest.mark.parametrize("name", sorted(RUNS))
     def test_support_identity_dev_matches_per_factor_loop(self, name):
@@ -912,12 +912,29 @@ class TestBlendRun:
         assert check_factor_sequence(fs)["support_identity_dev"] == reference_support_dev(fs) == 0.0
         # A support far too small: factors move shell points, and the loop
         # stops at the first one that moves them by more than 1e-12.
-        small = FactorSequence(fs.factors, fs.target, fs.region, fs.region.dilate(0.5), fs.certificates)
+        small = FactorSequence(fs.factors, fs.target, fs.region, fs.region.dilate(0.5), fs.L_lo)
         dev = check_factor_sequence(small)["support_identity_dev"]
         assert dev == reference_support_dev(small)
         assert dev > 1e-12
 
-    def test_support_requires_blend_run(self):
-        fs, _ = RUNS[sorted(RUNS)[0]]
-        with pytest.raises(TypeError, match="BlendRun"):
-            FactorSequence(list(fs.factors), fs.target, fs.region, fs.support, fs.certificates)
+    def test_long_sequence_report_carries_summary_and_first_certificates(self, tmp_path):
+        # T = 2106 > MAX_FACTOR_JSON: the report holds a certificate summary
+        # and the first 8 certificates in place of the sequence.
+        q, path = Cube((0.0, 0.0), 0.01), [[0.0, 0.0], [3.0, 0.0], [3.0, 2.0]]
+        inp = tmp_path / "t.json"
+        inp.write_text(json.dumps({"cube": cube_to_json(q), "path": path}))
+        assert cli.main(["factor-translate", "--input", str(inp), "--out", str(tmp_path / "o")]) == 0
+        text = (tmp_path / "o" / "report.json").read_text()
+        report = json.loads(text)
+        result = report["result"]
+        run = factor_translation_along_path(q, np.array(path), 0.25).factors
+        keys = [tuple(row) for row in np.round(run.shifts / q.side, 12).tolist()]
+        cache: dict = {}
+        assert scan_certify(cache, run, keys, math.inf) is None
+        bounds = [cache[key] for key in keys]
+        assert result["T"] == len(run) == 2106 > cli.MAX_FACTOR_JSON
+        assert "sequence" not in result
+        assert result["certificates_summary"] == {"count": len(run), "max_L_lo": result["max_certified"]}
+        assert result["max_certified"] == max(bounds)
+        report["result"]["certificates"] = [certificate_json(run[i], bounds[i]) for i in range(8)]
+        assert text == json.dumps(report, indent=2, sort_keys=True) + "\n"

@@ -15,12 +15,11 @@ from bilipfactor.geometry_core import (
     cube_lattice,
     cube_lattices,
     rotation_2d,
-    rotation_3d,
     svd,
     unit_cube_dyadics,
 )
 
-from conftest import random_orientation_preserving, random_rotation
+from conftest import random_orientation_preserving
 
 
 def reference_bilip(m) -> float:

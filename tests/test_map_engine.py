@@ -1,12 +1,11 @@
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
 import pytest
 
-from bilipfactor.geometry_core import AffineMapData, Cube, GeometryError, cube_lattice, rotation_2d
+from bilipfactor.geometry_core import AffineMapData, Cube, cube_lattice, rotation_2d
 from bilipfactor.map_engine import (
     Affine,
     Blend,

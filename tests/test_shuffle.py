@@ -5,7 +5,7 @@ import pytest
 
 from bilipfactor.degree import resample_polyline
 from bilipfactor.geometry_core import Cube
-from bilipfactor.map_engine import Identity, Scaling
+from bilipfactor.map_engine import Identity
 from bilipfactor.shuffle import (
     PlanError,
     _boundary_route,
@@ -30,7 +30,7 @@ def reference_check_shuffle(result, n_prefixes: int = 48) -> dict:
     """check_shuffle as a per-factor loop: one Blend.evaluate per factor."""
     plan = result.plan
     factors = [f for run in result.runs for f in run]
-    bounds = [c.L_lo for certs in result.certificates for c in certs]
+    bounds = [l_lo for b in result.bounds for l_lo in b.tolist()]
     report: dict = {"T": len(factors), "max_certified": max(bounds, default=1.0)}
     probes = np.vstack([r.vertices() for r, _ in plan.pairs])
     n_per = 4

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from bilipfactor.geometry_core import GeometryError
-from bilipfactor.map_engine import Compose, Scaling, Translation
+from bilipfactor.map_engine import Scaling, Translation
 from bilipfactor.sphere import (
     _chordal_pairs,
     factor_scaling_sphere,

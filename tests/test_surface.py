@@ -3,8 +3,8 @@
 Every public top-level name of src/bilipfactor must be reached: read in the
 package outside its own definition, be the CLI entry point, be imported and
 read by the acceptance suite, or be one of the names perfbench looks up by
-name.  Every name a library module or the acceptance suite imports must be
-read there.
+name.  Every name a library module or a test module imports must be read
+there.
 """
 
 from __future__ import annotations
@@ -33,7 +33,9 @@ def _parse(path: Path) -> ast.Module:
 
 
 MODULES = {p.stem: _parse(p) for p in sorted(PACKAGE.glob("*.py"))}
-ACCEPTANCE = _parse(ROOT / "tests" / "test_acceptance.py")
+TEST_MODULES = {f"tests/{p.stem}": _parse(p) for p in sorted((ROOT / "tests").glob("*.py"))}
+ACCEPTANCE = TEST_MODULES["tests/test_acceptance"]
+IMPORTERS = MODULES | TEST_MODULES
 
 
 def _binds(stmt: ast.stmt) -> set[str]:
@@ -135,9 +137,9 @@ def test_perfbench_names_are_still_read_by_perfbench():
     assert not stale, f"perfbench no longer names {stale}: drop them from PERFBENCH_NAMES"
 
 
-@pytest.mark.parametrize("mod", sorted(MODULES))
+@pytest.mark.parametrize("mod", sorted(IMPORTERS))
 def test_every_import_is_read(mod):
-    unread = _unread_imports(MODULES[mod])
+    unread = _unread_imports(IMPORTERS[mod])
     assert not unread, f"{mod} imports names it never reads: {unread}"
 
 
