@@ -198,22 +198,22 @@ def _rotation_angle_axis(r: np.ndarray) -> tuple[float, np.ndarray | None]:
     return math.pi, axis / np.linalg.norm(axis)
 
 
-def rotation_step_count(theta: float, alpha: float) -> int:
-    """Minimal N with ||R_step - I|| = 2 sin(theta / 2N) strictly below alpha."""
+def rotation_step_count(theta: float, alpha: float, what: str) -> int:
+    """Minimal N with ||R_step - I|| = 2 sin(theta / 2N) strictly below alpha, at most MAX_STEPS."""
     theta = abs(theta)
     if theta == 0.0:
         return 0
     if alpha >= 2.0:
         return 1
-    n = max(1, math.ceil(theta / (2.0 * math.asin(alpha / 2.0)) - 1e-12))
+    n = max(1, step_count(theta / (2.0 * math.asin(alpha / 2.0)), what))
     while 2.0 * math.sin(theta / (2.0 * n)) >= alpha:
         n += 1
     return n
 
 
-def _rotation_steps(r: np.ndarray, alpha: float) -> list[np.ndarray]:
+def _rotation_steps(r: np.ndarray, alpha: float, what: str) -> list[np.ndarray]:
     theta, axis = _rotation_angle_axis(r)
-    n = rotation_step_count(theta, alpha)
+    n = rotation_step_count(theta, alpha, what)
     if n == 0:
         return []
     if r.shape[0] == 2:
@@ -223,21 +223,21 @@ def _rotation_steps(r: np.ndarray, alpha: float) -> list[np.ndarray]:
     return [step] * n
 
 
-def diagonal_step_count(l_bound: float, alpha: float) -> int:
-    """Minimal n with L^(1/n) strictly below 1 + alpha."""
+def diagonal_step_count(l_bound: float, alpha: float, what: str) -> int:
+    """Minimal n with L^(1/n) strictly below 1 + alpha, at most MAX_STEPS."""
     if l_bound <= 1.0 + SVD_TOL:
         return 1
-    n = max(1, math.ceil(math.log(l_bound) / math.log1p(alpha) - 1e-12))
+    n = max(1, step_count(math.log(l_bound) / math.log1p(alpha), what))
     while l_bound ** (1.0 / n) >= 1.0 + alpha:
         n += 1
     return n
 
 
-def _diagonal_steps(sigma: np.ndarray, alpha: float, l_bound: float) -> list[np.ndarray]:
+def _diagonal_steps(sigma: np.ndarray, alpha: float, l_bound: float, what: str) -> list[np.ndarray]:
     d = sigma.shape[0]
     if np.all(np.abs(sigma - 1.0) <= SVD_TOL):
         return []
-    n = diagonal_step_count(l_bound, alpha)
+    n = diagonal_step_count(l_bound, alpha, what)
     steps = []
     for k in range(d):
         factor = sigma[k] ** (1.0 / n)
@@ -264,7 +264,7 @@ def factor_diagonal(sigma, alpha: float, l_bound: float) -> list[np.ndarray]:
         raise GeometryError("alpha must lie in (0, 1)")
     if np.any(sigma > l_bound + 1e-12) or np.any(sigma < 1.0 / l_bound - 1e-12):
         raise GeometryError("sigma outside [1/L, L]")
-    return _diagonal_steps(sigma, alpha, l_bound)
+    return _diagonal_steps(sigma, alpha, l_bound, f"alpha {alpha}")
 
 
 def factor_rotation(r, alpha: float) -> list[np.ndarray]:
@@ -280,17 +280,18 @@ def factor_rotation(r, alpha: float) -> list[np.ndarray]:
         raise GeometryError("input is not orthogonal")
     if np.linalg.det(r) < 0:
         raise GeometryError("orientation-reversing isometry cannot be factored")
-    return _rotation_steps(r, alpha)
+    return _rotation_steps(r, alpha, f"alpha {alpha}")
 
 
-def _linear_chain(a: np.ndarray, alpha: float) -> list[np.ndarray]:
-    """Near-identity linear steps (rotation, diagonal, rotation) multiplying to a."""
+def _linear_chain(a: np.ndarray, alpha: float, what: str) -> list[np.ndarray]:
+    """Near-identity linear steps (rotation, diagonal, rotation) multiplying to a;
+    a step count above MAX_STEPS is refused, naming what, before its list is built."""
     dec = svd(a)
     l_bound = max(dec.sigma[0], 1.0 / dec.sigma[-1])
     return (
-        _rotation_steps(dec.v_t, alpha)
-        + _diagonal_steps(dec.sigma, alpha, l_bound)
-        + _rotation_steps(dec.u, alpha)
+        _rotation_steps(dec.v_t, alpha, what)
+        + _diagonal_steps(dec.sigma, alpha, l_bound, what)
+        + _rotation_steps(dec.u, alpha, what)
     )
 
 
@@ -341,7 +342,7 @@ def factor_linear_in_cube(
     last_fail: tuple[int, float] | None = None
     for attempt in range(MAX_RETRIES + 1):
         alpha = alpha0 / 2**attempt
-        steps = _linear_chain(mat, alpha)
+        steps = _linear_chain(mat, alpha, f"epsilon {epsilon}")
         n = len(steps)
         # Blend cube side: margin times the sup-norm diameter of the running image.
         sides = np.empty(n)
@@ -393,7 +394,7 @@ def factor_shrink(
     last_fail: tuple[int, float] | None = None
     for attempt in range(MAX_RETRIES + 1):
         cap = cap0 / 2**attempt
-        n = max(1, math.ceil(abs(math.log(c)) / math.log1p(cap) - 1e-12))
+        n = max(1, step_count(abs(math.log(c)) / math.log1p(cap), f"epsilon {epsilon}"))
         step = c ** (1.0 / n)
         # Factor i scales by step about the center, blended on q dilated by
         # margin c^(i/n) (the running image plus margin).
@@ -509,7 +510,7 @@ def factor_linear_outside_cube(
     last_fail: tuple[int, float] | None = None
     for attempt in range(MAX_RETRIES + 1):
         alpha = alpha0 / 2**attempt
-        steps = _linear_chain(mat, alpha)
+        steps = _linear_chain(mat, alpha, f"epsilon {epsilon}")
         factors: list[MapExpr] = []
         certs: list[DistortionCertificate] = []
         partial = np.eye(d)

@@ -10,7 +10,10 @@ A BlendRun holds a chain of blends of one kind (translations, or affine
 maps) as arrays of centres, sides, lambdas and inner maps.  It evaluates
 as the composition of its Blend factors does, bit for bit, and walk()
 returns the images after any list of prefixes in one pass; indexing
-builds the individual Blend objects for JSON and tests.
+builds the individual Blend objects for JSON and tests.  The walk holds
+points as coordinate rows (d, m): one M @ x per affine step, contiguous
+weight ratios.  M @ x must round as Blend's x @ M.T does on the same
+rows; tests/test_factorization.py pins that for the BLAS in use.
 """
 
 from __future__ import annotations
@@ -164,18 +167,19 @@ class Grid(MapExpr):
 
 
 def _weight_ratio(x: np.ndarray, center, side, lam) -> np.ndarray:
-    """(lam l/2 - |x - center|_sup) / ((lam - 1) l/2), broadcast over x (..., d)."""
+    """(lam l/2 - |x - center|_sup) / ((lam - 1) l/2) of points held as
+    coordinate rows x (..., d, m); center (..., d, 1), side and lam broadcast."""
     half = side / 2.0
-    r = np.abs(x[..., 0] - center[..., 0])
-    for k in range(1, x.shape[-1]):
-        r = np.maximum(r, np.abs(x[..., k] - center[..., k]))
-    return (lam * half - r) / ((lam - 1.0) * half)
+    r = np.abs(x[..., 0, :] - center[..., 0, :])
+    for k in range(1, x.shape[-2]):
+        np.maximum(r, np.abs(x[..., k, :] - center[..., k, :]), out=r)
+    return np.divide(np.subtract(lam * half, r, out=r), (lam - 1.0) * half, out=r)
 
 
 def blend_weight(pts: np.ndarray, cube: Cube, lam: float) -> np.ndarray:
     """1 on the cube, 0 outside lam*cube, linear in the sup-norm in between."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    return np.clip(_weight_ratio(pts, np.asarray(cube.center), cube.side, lam), 0.0, 1.0)
+    return np.clip(_weight_ratio(pts.T, np.asarray(cube.center)[:, None], cube.side, lam), 0.0, 1.0)
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -203,12 +207,10 @@ class Blend(MapExpr):
 # Points x block steps held at once by the walker.
 _WALK_ELEMS = 1 << 16
 _WALK_MIN_BLOCK = 16
+# Still points x steps of one chunk of their weight ratios: 15 * 2^10 floats
+# are 120 KB, below glibc's default mmap threshold of 128 KB.
+_RATIO_ELEMS = 15 << 10
 _NEG_ZERO_BITS = np.float64(-0.0).view(np.int64)  # no other float has these bits
-
-
-def _first_true(mask: np.ndarray, none: int) -> np.ndarray:
-    """Per column of mask (span, m), the first row that is True, else none."""
-    return np.where(mask.any(axis=0), mask.argmax(axis=0), none)
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -247,59 +249,59 @@ class BlendRun(MapExpr, Sequence):
     def apply_each(self, pts: np.ndarray) -> np.ndarray:
         """Factor i alone applied to the points pts[i], pts (n, m, d), with
         Blend.evaluate's arithmetic: (1-w) x + w inner(x) where w > 0, else x."""
-        w = np.clip(self._block_ratio(pts, 0, len(self)), 0.0, 1.0)[..., None]
+        w = np.clip(self._ratio(pts.swapaxes(1, 2), slice(None)), 0.0, 1.0)[..., None]
         if self.kind == "translation":
             inner = pts + self.shifts[:, None]
         else:
             inner = np.matmul(pts, self.matrices.swapaxes(1, 2)) + self.shifts[:, None]
         return np.where(w > 0.0, (1.0 - w) * pts + w * inner, pts)
 
-    def _ratio(self, x: np.ndarray, i: int) -> np.ndarray:
-        """blend_weight of factor i before clipping, at the points x (m, d)."""
-        return _weight_ratio(x, self.centers[i], self.sides[i], self.lams[i])
+    def _ratio(self, x: np.ndarray, s) -> np.ndarray:
+        """blend_weight before clipping of the factors s (an index or a slice) at the coordinate
+        rows x: x (d, m) at each factor of s, or x[i] (x (span, d, m)) at the i-th factor of s."""
+        return _weight_ratio(x, self.centers[s, :, None], self.sides[s, None], self.lams[s, None])
 
-    def _block_ratio(self, x: np.ndarray, k: int, span: int) -> np.ndarray:
-        """_ratio at steps k .. k+span-1 as a (span, m) array: of the same
-        points x (m, d) at every step, or of x[i] at step k+i, x (span, m, d)."""
-        s = slice(k, k + span)
-        return _weight_ratio(x, self.centers[s, None], self.sides[s, None], self.lams[s, None])
-
-    def _inner(self, x: np.ndarray, i: int) -> np.ndarray:
-        """inner_i of the rows of x."""
-        if self.kind == "translation":
-            return x + self.shifts[i]
-        return x @ self.matrices[i].T + self.shifts[i]
+    def _inner(self, x: np.ndarray, i: int, out: np.ndarray) -> np.ndarray:
+        """inner_i of the coordinate rows x (d, m) into out: matrices[i] @ x (if affine), plus shift."""
+        if self.kind == "affine":
+            x = np.matmul(self.matrices[i], x, out=out)
+        return np.add(x, self.shifts[i, :, None], out=out)
 
     def _step(self, x: np.ndarray, i: int) -> None:
-        """Apply factor i to every row of x in place, as Blend.evaluate does."""
+        """Apply factor i to the coordinate rows x (d, m) in place, as Blend.evaluate does."""
         w = np.clip(self._ratio(x, i), 0.0, 1.0)
         active = w > 0.0
         if np.any(active):
-            xa = x[active]
-            wa = w[active, None]
-            x[active] = (1.0 - wa) * xa + wa * self._inner(xa, i)
+            xa = x[:, active]
+            wa = w[active]
+            x[:, active] = (1.0 - wa) * xa + wa * self._inner(xa, i, np.empty_like(xa))
 
     def walk(self, pts, stops) -> np.ndarray:
         """Images of pts after each prefix of stops (non-decreasing lengths in [0, n]).
 
-        Both kinds jump over each block of steps along which every point
-        keeps w == 0 (it stays put) or w == 1 (it moves by inner alone).
-        The moving rows go through the block as one path: the steps summed
-        in order (translations) or one x @ M.T + s per step (affine), on the
-        same rows in the same order as Blend.evaluate's active rows.  Where
-        w == 1 Blend.evaluate writes 0 * x + inner(x), which is inner(x) bit
-        for bit unless inner(x) holds a -0.0.  So a step runs exactly, as
-        Blend.evaluate does, wherever some point has 0 < w < 1 or a moving
-        image holds a -0.0.  Every block's path is a view of one buffer,
-        sized for the longest block and all points, so the walk takes its
-        scratch memory once.
+        The walk copies pts (m, d) once, as coordinate rows (d, m).  Both
+        kinds jump over each block of steps along which every point keeps
+        w == 0 (it stays put) or w == 1 (it moves by inner alone).  The
+        moving points, the columns of Blend.evaluate's active rows in their
+        order, go through the block as one path: the steps summed in order
+        (translations) or one M @ x plus shift per step (affine).  M @ x has
+        the bits of Blend's x @ M.T for the same rows (the tests pin this for
+        the BLAS in use); a subset of the rows may round differently, so
+        only the moving points are multiplied.  Where w == 1 Blend.evaluate
+        writes 0 * x + inner(x), which is inner(x) bit for bit unless
+        inner(x) holds a -0.0.  So a step runs exactly, as Blend.evaluate
+        does, wherever some point has 0 < w < 1 or a moving image holds a
+        -0.0.  Every block's path is a view of one buffer, sized for the
+        longest block and all points, so the walk takes its scratch memory
+        once.
         """
-        x = np.array(pts, dtype=float, copy=True)
+        pts = np.asarray(pts, dtype=float)
+        x = np.array(pts.T, order="C")
         stops = [int(s) for s in stops]
-        out = np.empty((len(stops),) + x.shape)
-        if not x.shape[0] or not stops:
+        out = np.empty((len(stops),) + pts.shape)
+        if not pts.shape[0] or not stops:
             return out
-        cap = max(1, _WALK_ELEMS // x.shape[0])
+        cap = max(1, _WALK_ELEMS // pts.shape[0])
         buf = np.empty((min(cap, stops[-1]) + 1) * x.size)
         block = min(_WALK_MIN_BLOCK, cap)
         k = 0
@@ -312,49 +314,55 @@ class BlendRun(MapExpr, Sequence):
                     e = 1
                 block = min(2 * block, cap) if e == span else min(_WALK_MIN_BLOCK, cap)
                 k += e
-            out[j] = x
+            out[j] = x.T
         return out
 
     def _walk_block(self, x: np.ndarray, k: int, span: int, buf: np.ndarray) -> int:
-        """Move x in place over the steps k, k+1, ... (at most span of them)
-        along which every point keeps its w of step k, 0 or 1, and no moving
-        image holds a -0.0; return how many steps that is (0: step k runs
-        exactly).  The moving points' path is built in the flat buffer buf,
-        which holds at least (span + 1) * x.size floats."""
+        """Move the coordinate rows x (d, m) in place over the steps k, k+1,
+        ... (at most span of them) along which every point keeps its w of
+        step k, 0 or 1, and no moving image holds a -0.0; return how many
+        steps that is (0: step k runs exactly).  The still points' ratios
+        are taken a chunk of steps at a time, at most _RATIO_ELEMS values,
+        up to the first step that moves one; the moving points' path is
+        built in buf, which holds at least (span + 1) * x.size floats."""
         first = self._ratio(x, k)
         still = first <= 0.0
         moving = first >= 1.0
         if not np.all(still | moving):  # some point has 0 < w < 1
             return 0
-        keep = np.full(x.shape[0], span)
         if np.any(still):
-            keep[still] = _first_true(self._block_ratio(x[still], k, span) > 0.0, span)
-        if np.any(moving):
-            m = int(np.count_nonzero(moving))
-            path = buf[: (span + 1) * m * x.shape[1]].reshape(span + 1, m, x.shape[1])
-            np.compress(moving, x, axis=0, out=path[0])
-            if self.kind == "translation":
-                path[1:] = self.shifts[k : k + span, None]
-                np.add.accumulate(path, axis=0, out=path)
-            else:
-                for i in range(span):
-                    path[i + 1] = self._inner(path[i], k + i)
-            miss = self._block_ratio(path[:-1], k, span) < 1.0
-            neg_zero = path[1:].view(np.int64) == _NEG_ZERO_BITS
-            if neg_zero.any():
-                miss |= neg_zero.any(axis=2)
-            keep[moving] = _first_true(miss, span)
-        e = int(keep.min())
-        if e and np.any(moving):
-            x[moving] = path[e]
-        return e
+            xs = x[:, still]
+            per = max(1, _RATIO_ELEMS // xs.shape[1])
+            for a in range(0, span, per):
+                hit = np.any(self._ratio(xs, slice(k + a, k + min(a + per, span))) > 0.0, axis=1)
+                if hit.any():
+                    span = a + int(hit.argmax())
+                    break
+        if not np.any(moving):
+            return span
+        d, m = x.shape[0], int(np.count_nonzero(moving))
+        path = buf[: (span + 1) * d * m].reshape(span + 1, d, m)
+        np.compress(moving, x, axis=1, out=path[0])
+        if self.kind == "translation":
+            path[1:] = self.shifts[k : k + span, :, None]
+            np.add.accumulate(path, axis=0, out=path)
+        else:
+            for i in range(span):
+                self._inner(path[i], k + i, path[i + 1])
+        miss = np.any(self._ratio(path[:-1], slice(k, k + span)) < 1.0, axis=1)
+        miss |= np.any(path[1:].view(np.int64) == _NEG_ZERO_BITS, axis=(1, 2))
+        if miss.any():
+            span = int(miss.argmax())
+        if span:
+            x[:, moving] = path[span]
+        return span
 
     def touching(self, pts) -> np.ndarray:
         """Indices of the factors that move some of pts (w > 0 there)."""
-        pts = np.asarray(pts, dtype=float)
-        chunk = max(1, _WALK_ELEMS // max(1, pts.shape[0]))
+        x = np.array(np.asarray(pts, dtype=float).T, order="C")
+        chunk = max(1, _WALK_ELEMS // max(1, x.shape[1]))
         hits = [
-            a + np.flatnonzero(np.any(self._block_ratio(pts, a, chunk) > 0.0, axis=1))
+            a + np.flatnonzero(np.any(self._ratio(x, slice(a, a + chunk)) > 0.0, axis=1))
             for a in range(0, len(self), chunk)
         ]
         return np.concatenate(hits) if hits else np.empty(0, dtype=np.intp)

@@ -29,7 +29,6 @@ from .map_engine import (
     BlendRun,
     MapExpr,
     affine_part,
-    compose_sequence,
     estimate_distortion,
 )
 
@@ -70,9 +69,6 @@ class ShuffleResult:
     @property
     def T(self) -> int:
         return sum(len(run) for run in self.runs)
-
-    def composite(self) -> MapExpr:
-        return compose_sequence(self.runs)
 
     def max_certified(self) -> float:
         return max((float(b.max()) for b in self.bounds if b.size), default=1.0)

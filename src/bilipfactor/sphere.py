@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry_core import GeometryError, step_count
-from .map_engine import Compose, Identity, MapExpr, Scaling, Translation
+from .map_engine import MapExpr, Scaling, Translation
 
 
 def _chordal_pairs(pts: np.ndarray, with_infinity: bool) -> np.ndarray:
@@ -107,11 +107,6 @@ class SphericalFactorReport:
     def steps(self) -> Iterator[SphericalStep]:
         """Every step in order: the one step, count times."""
         return itertools.repeat(self.step, self.count)
-
-    def composite(self) -> MapExpr:
-        if not self.count:
-            return Identity()
-        return Compose((self.step.map,) * self.count)
 
 
 def factor_translation_sphere(v, epsilon: float) -> SphericalFactorReport:

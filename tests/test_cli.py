@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -448,6 +449,26 @@ class TestErrorPaths:
         rep = load_report(out)
         assert rep["passed"] is False
         assert rep["error"].startswith("epsilon 1e-300 needs ") and "steps, more than the" in rep["error"]
+        assert "result" not in rep
+
+    @pytest.mark.parametrize("sub, payload, steps", [
+        ("factor-linear", LINEAR, "1.568e+10"),
+        ("factor-linear", {**LINEAR, "map": {"type": "affine", "matrix": [[math.cos(1.0), -math.sin(1.0)],
+                                                                         [math.sin(1.0), math.cos(1.0)]],
+                                             "b": [0.0, 0.0]}}, "5.657e+09"),
+        ("shuffle", shuffle_input(), "4.291e+10"),
+    ], ids=["linear-diagonal", "linear-rotation", "shuffle-shrink"])
+    def test_linear_and_shrink_tiny_epsilon_exit_two(self, tmp_path, sub, payload, steps):
+        # The diagonal, rotation (the SVD splits the 1 rad turn into its two rotations) and
+        # shrink step counts are refused before any step list is built.
+        inp = write_input(tmp_path, "x.json", payload)
+        out = tmp_path / "o"
+        start = time.perf_counter()
+        assert main([sub, "--input", inp, "--out", str(out), "--epsilon", "1e-9"]) == 2
+        assert time.perf_counter() - start < 1.0
+        rep = load_report(out)
+        assert rep["passed"] is False
+        assert rep["error"] == f"epsilon 1e-09 needs {steps} steps, more than the 1000000 allowed"
         assert "result" not in rep
 
     def test_malformed_json_exit_two(self, tmp_path):

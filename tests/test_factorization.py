@@ -94,6 +94,11 @@ class TestDiagonal:
         with pytest.raises(GeometryError):
             factor_diagonal([3.0, 1.0], 0.1, 2.0)
 
+    def test_step_ceiling(self):
+        # log 2 / log1p(1e-12), about 6.9e11 steps per axis, is refused before any list is built.
+        with pytest.raises(GeometryError, match=r"^alpha 1e-12 needs 6.931e\+11 steps, more than the 1000000 allowed"):
+            factor_diagonal([2.0, 0.5], 1e-12, 2.0)
+
 
 class TestRotation:
     def test_identity(self):
@@ -132,6 +137,11 @@ class TestRotation:
             factor_rotation(np.diag([2.0, 0.5]), 0.1)
         with pytest.raises(GeometryError, match="orientation"):
             factor_rotation(np.diag([1.0, -1.0]), 0.1)
+
+    def test_step_ceiling(self):
+        # 1e12 steps are refused before the list is built.
+        with pytest.raises(GeometryError, match=r"^alpha 1e-12 needs 1e\+12 steps, more than the 1000000 allowed"):
+            factor_rotation(rotation_2d(1.0), 1e-12)
 
 
 class TestFactorLinearInCube:
@@ -793,9 +803,10 @@ class TestBlendRun:
         # Where w == 1 Blend.evaluate writes 0 * x + inner(x): an image -0.0
         # at x >= +0 becomes +0.0 there, so the walker runs such a step
         # exactly.  OpenBLAS and NumPy's own loops start a dot product from
-        # +0.0, so x @ M.T is never -0.0 with them; a gemm that starts from
+        # +0.0, so M @ x is never -0.0 with them; a gemm that starts from
         # the first product gives -0.0 when every product is -0.0, and the
-        # second half emulates one.
+        # second half emulates one, in BlendRun._inner (the one product the
+        # walk's paths and exact steps take) and in the factors' Affine maps.
         mats = np.array([[[-0.5, -0.0], [0.0, 1.0]], [[1.0, 0.0], [-0.0, 0.0]], [[-0.0, -0.0], [0.5, 1.0]]])
         shifts = np.array([[-0.0, 0.25], [0.125, -0.0], [-0.0, -0.0]])
         run = BlendRun("affine", np.zeros((6, 2)), np.full(6, 4.0), np.full(6, 2.0),
@@ -808,21 +819,52 @@ class TestBlendRun:
             cur = f.evaluate(cur)
             assert prefixes[i + 1].tobytes() == cur.tobytes(), f"prefix {i + 1}"
 
-        def first_product_inner(self, x, i):
+        calls = []
+
+        def first_product_inner(self, x, i, out):  # coordinate rows x (d, m)
+            calls.append(i)
             m = self.matrices[i]
-            y = x[:, :1] * m[:, 0]
+            y = m[:, :1] * x[:1]
+            for c in range(1, x.shape[0]):
+                y = y + m[:, c : c + 1] * x[c : c + 1]
+            out[...] = y + self.shifts[i, :, None]
+            return out
+
+        def first_product_apply(self, x):  # rows x (m, d), as Affine.evaluate takes them
+            y = x[:, :1] * self.matrix[:, 0]
             for c in range(1, x.shape[1]):
-                y = y + x[:, c : c + 1] * m[:, c]
-            return y + self.shifts[i]
+                y = y + x[:, c : c + 1] * self.matrix[:, c]
+            return y + self.shift
 
         monkeypatch.setattr(BlendRun, "_inner", first_product_inner)
-        image = run._inner(pts, 0)
+        monkeypatch.setattr(AffineMapData, "apply", first_product_apply)
+        image = run._inner(pts.T.copy(), 0, np.empty((2, 4)))
         assert np.any((image == 0.0) & np.signbit(image))  # a -0.0 at x = +0.0
+        assert image.T.tobytes() == run[0].inner.evaluate(pts).tobytes()
+        calls.clear()
         prefixes = run.walk(pts, range(len(run) + 1))
+        assert sorted(set(calls)) == list(range(len(run)))  # the emulated product reached the walker
         cur = pts.copy()
-        for i in range(len(run)):
-            run._step(cur, i)  # one factor as Blend.evaluate applies it
+        for i, f in enumerate(list(run)):
+            cur = f.evaluate(cur)  # one factor as Blend.evaluate applies it
             assert prefixes[i + 1].tobytes() == cur.tobytes(), f"prefix {i + 1}"
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_inner_product_equals_affine_rows(self, d):
+        # The walker multiplies coordinate rows, M @ X; the factors multiply
+        # rows, x @ M.T.  Its images are the factors' bit for bit only if the
+        # two products agree on every batch size.
+        gen = np.random.default_rng(2300 + d)
+        n = 5000
+        mats = np.stack([random_orientation_preserving(gen, d, 1.01), gen.normal(size=(d, d))])
+        run = BlendRun("affine", np.zeros((2, d)), np.ones(2), np.full(2, 2.0), gen.normal(size=(2, d)), mats)
+        pts = gen.uniform(-3.0, 3.0, size=(n, d))
+        for i in range(2):
+            inner = run[i].inner
+            for m in range(1, n + 1):
+                x = pts[-m:]
+                got = run._inner(np.array(x.T, order="C"), i, np.empty((d, m)))
+                assert got.T.tobytes() == inner.evaluate(x).tobytes(), f"factor {i}, {m} points"
 
     def test_small_blocks_on_the_check_lattice(self):
         # check_factor_sequence walks a 3-D run on 17^3 points, where a block

@@ -5,7 +5,7 @@ import pytest
 
 from bilipfactor.degree import resample_polyline
 from bilipfactor.geometry_core import Cube
-from bilipfactor.map_engine import Identity
+from bilipfactor.map_engine import Identity, compose_sequence
 from bilipfactor.shuffle import (
     PlanError,
     _boundary_route,
@@ -343,7 +343,7 @@ class TestExecute:
         # Same-size source and target: the restriction is a pure translation.
         sim = res.similarities[0]
         assert np.abs(sim.matrix - np.eye(2)).max() < 1e-12
-        comp = res.composite()
+        comp = compose_sequence(res.runs)  # the runs' composite, first run first
         vertices = pairs[0][0].vertices()
         assert np.abs(comp.evaluate(vertices) - (vertices + [1.5, 0.0])).max() <= 1e-9
 

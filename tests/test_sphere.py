@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from bilipfactor.geometry_core import GeometryError
-from bilipfactor.map_engine import Scaling, Translation
+from bilipfactor.map_engine import Compose, Identity, MapExpr, Scaling, Translation
 from bilipfactor.sphere import (
+    SphericalFactorReport,
     _chordal_pairs,
     factor_scaling_sphere,
     factor_translation_sphere,
@@ -46,6 +47,13 @@ def oracle_scaling_step(epsilon: float) -> float:
         else:
             lo = mid
     return lo
+
+
+def composite(rep: SphericalFactorReport) -> MapExpr:
+    """The report's step map applied count times (the identity for no step)."""
+    if not rep.count:
+        return Identity()
+    return Compose((rep.step.map,) * rep.count)
 
 
 def chordal_distance(x, y) -> float:
@@ -122,8 +130,6 @@ class TestChordal:
 
 class TestDistortion:
     def test_identity(self):
-        from bilipfactor.map_engine import Identity
-
         assert spherical_distortion(Identity()) == pytest.approx(1.0, abs=1e-12)
 
     def test_small_translation_under_bound(self):
@@ -164,7 +170,7 @@ class TestTranslationFactoring:
     def test_composite_exact(self, rng):
         v = np.array([3.7, -2.1])
         rep = factor_translation_sphere(v, 0.2)
-        comp = rep.composite()
+        comp = composite(rep)
         pts = rng.normal(scale=10.0, size=(100, 2))
         assert np.abs(comp.evaluate(pts) - (pts + v)).max() <= 1e-12
 
@@ -183,7 +189,7 @@ class TestScalingFactoring:
 
     def test_shrinking_scale(self, rng):
         rep = factor_scaling_sphere(1.0 / 7.0, 0.25)
-        comp = rep.composite()
+        comp = composite(rep)
         pts = rng.normal(scale=3.0, size=(50, 2))
         assert np.abs(comp.evaluate(pts) - pts / 7.0).max() <= 1e-12
         assert all(s.sampled <= 1.25 + 1e-6 for s in rep.steps)
