@@ -40,7 +40,7 @@ from .factorization import (
     factor_linear_in_cube,
     factor_translation_along_path,
 )
-from .geometry_core import Cube
+from .geometry_core import TOLERANCES, Cube
 from .jsonio import (
     Rows,
     SchemaError,
@@ -58,14 +58,6 @@ from .svg import SvgCanvas, square_boundary
 
 MAX_FACTOR_JSON = 2000  # above this, reports carry certificate summaries only
 MAX_SVG_FRAMES = 48
-
-TOLERANCES = {
-    "agreement_rel": 1e-9,
-    "support_identity": 1e-12,
-    "certificate_slack": 1e-12,
-    "similarity_residual": 1e-9,
-    "sphere_step_slack": 1e-6,
-}
 
 
 def _json_default(obj):
@@ -372,7 +364,7 @@ def _shuffle_frames(result, outdir: Path) -> None:
     frame = Cube(tuple((lo + hi) / 2.0), float(np.max(hi - lo)))
     rings = [square_boundary(r, 16) for r, _ in plan.pairs]
     sizes = [r.shape[0] for r in rings]
-    merged = np.vstack(rings) if rings else np.empty((0, 2))
+    merged = np.vstack(rings)
     bounds = result.stage_offsets + [result.T]
 
     def emit(idx: int, pts: np.ndarray):
@@ -525,7 +517,7 @@ def cmd_sphere_factor(payload: dict, args) -> tuple[dict, bool]:
         },
     }
     ok = step is None or (
-        step.analytic_bound <= 1.0 + args.epsilon + 1e-12
+        step.analytic_bound <= 1.0 + args.epsilon + TOLERANCES["certificate_slack"]
         and step.sampled <= 1.0 + args.epsilon + TOLERANCES["sphere_step_slack"]
     )
     return rep, ok

@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 
+from .geometry_core import resample_polyline
 from .map_engine import MapExpr
 
 class DegreeError(RuntimeError):
@@ -20,20 +21,6 @@ class DegreeError(RuntimeError):
 
 def _polyline_length(path: np.ndarray) -> float:
     return float(np.sum(np.linalg.norm(np.diff(path, axis=0), axis=1)))
-
-
-def resample_polyline(path: np.ndarray, count: int) -> np.ndarray:
-    """count points spread uniformly in arc length along the polyline."""
-    path = np.asarray(path, dtype=float)
-    seg = np.linalg.norm(np.diff(path, axis=0), axis=1)
-    cum = np.concatenate([[0.0], np.cumsum(seg)])
-    total = cum[-1]
-    if total == 0:
-        return np.repeat(path[:1], count, axis=0)
-    s = np.linspace(0.0, total, count)
-    idx = np.clip(np.searchsorted(cum, s, side="right") - 1, 0, len(seg) - 1)
-    t = (s - cum[idx]) / np.maximum(seg[idx], 1e-300)
-    return path[idx] + t[:, None] * (path[idx + 1] - path[idx])
 
 
 def degree_winding_2d(m: MapExpr, y: np.ndarray, boundary: np.ndarray) -> int:

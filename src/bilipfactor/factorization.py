@@ -35,10 +35,12 @@ from .geometry_core import (
     Cube,
     GeometryError,
     SVD_TOL,
+    TOLERANCES,
     bilip_constant,
     check_matrix,
     cube_lattice,
     cube_lattices,
+    resample_polyline,
     rotation_2d,
     rotation_3d,
     step_count,
@@ -274,6 +276,8 @@ def factor_rotation(r, alpha: float) -> list[np.ndarray]:
     The step norm 2 sin(theta/2N) is exact, and the N-fold product equals
     the input to within 1e-10.
     """
+    if not alpha > 0:  # NaN fails too
+        raise GeometryError(f"alpha must be positive, got {alpha}")
     r = check_matrix(r)
     d = r.shape[0]
     if np.abs(r @ r.T - np.eye(d)).max() > 1e-9:
@@ -354,10 +358,10 @@ def factor_linear_in_cube(
                        np.zeros((n, d)), np.array(steps).reshape(n, d, d))
         canonical = BlendRun("affine", np.zeros((n, d)), np.ones(n), run.lams, run.shifts, run.matrices)
         bounds, last_fail = _certify(run, ("linear", d, lam), run.matrices.reshape(n, d * d).view(np.int64),
-                                     1.0 + epsilon + 1e-12, cache, canonical)
+                                     1.0 + epsilon + TOLERANCES["certificate_slack"], cache, canonical)
         if bounds is not None:
             err = sup_distance(run, target, q, q.side / 8)
-            if err > 1e-9 * q.diam:
+            if err > TOLERANCES["agreement_rel"] * q.diam:
                 raise CertificationError(f"composite deviates from target by {err:.3e} on the cube")
             return FactorSequence(run, target, q, support, bounds, meta={"alpha": alpha, "linear_steps": steps})
     raise FactorCertificationError(last_fail[0], last_fail[1], 1.0 + epsilon)
@@ -405,23 +409,11 @@ def factor_shrink(
                        np.broadcast_to((1.0 - step) * center, (n, d)),
                        np.broadcast_to(step * np.eye(d), (n, d, d)))
         rows = np.column_stack([[round(s, 14) for s in sides.tolist()], [round(l_i, 12) for l_i in lams.tolist()]])
-        bounds, last_fail = _certify(run, ("shrink", d, round(step, 14)), rows, 1.0 + epsilon + 1e-12, cache)
+        bounds, last_fail = _certify(run, ("shrink", d, round(step, 14)), rows,
+                                     1.0 + epsilon + TOLERANCES["certificate_slack"], cache)
         if bounds is not None:
             return FactorSequence(run, target, q, support, bounds, meta={"steps": n, "step_scale": step})
     raise FactorCertificationError(last_fail[0], last_fail[1], 1.0 + epsilon)
-
-
-def _polyline_resample_by_step(path: np.ndarray, delta: float) -> np.ndarray:
-    seg = np.linalg.norm(np.diff(path, axis=0), axis=1)
-    total = float(seg.sum())
-    if total == 0.0:
-        return path[:1]
-    n = max(1, int(math.ceil(total / delta - 1e-12)))
-    cum = np.concatenate([[0.0], np.cumsum(seg)])
-    s = np.linspace(0.0, total, n + 1)
-    idx = np.clip(np.searchsorted(cum, s, side="right") - 1, 0, len(seg) - 1)
-    t = (s - cum[idx]) / np.maximum(seg[idx], 1e-300)
-    return path[idx] + t[:, None] * (path[idx + 1] - path[idx])
 
 
 TRANSLATION_BLEND_LAM = 4.0  # support C(x, 4 l) stays within 2 diam(q) of the path
@@ -467,12 +459,13 @@ def factor_translation_along_path(
     for attempt in range(MAX_RETRIES + 1):
         delta = delta0 / 2**attempt
         # Refused before any node is made: a side small enough to zero delta, or too many steps.
-        step_count(total / delta if delta > 0.0 else math.inf, f"epsilon {epsilon} with cube side {q.side}")
-        nodes = _polyline_resample_by_step(path, delta)
+        n = max(1, step_count(total / delta if delta > 0.0 else math.inf,
+                              f"epsilon {epsilon} with cube side {q.side}"))
+        nodes = resample_polyline(path, n + 1)
         steps = np.diff(nodes, axis=0)
-        n = steps.shape[0]
         run = BlendRun("translation", nodes[:-1], np.full(n, blend_side), np.full(n, lam), steps)
-        bounds, last_fail = _certify(run, prefix, np.round(steps / q.side, 12), 1.0 + epsilon + 1e-12, cache)
+        bounds, last_fail = _certify(run, prefix, np.round(steps / q.side, 12),
+                                     1.0 + epsilon + TOLERANCES["certificate_slack"], cache)
         if bounds is not None:
             return FactorSequence(run, target, q, tube, bounds, meta={"steps": n, "delta": delta})
     raise FactorCertificationError(last_fail[0], last_fail[1], 1.0 + epsilon)
@@ -527,7 +520,7 @@ def factor_linear_outside_cube(
             step_map = AffineMapData(step, np.zeros(d))
             factor = Compose((Affine(step_map), Blend(Affine(step_map.inverse()), cube_i, c_support)))
             cert = estimate_distortion(factor, Cube(q.center, 2.0 * c_support * s_inner), cert_pitch(s_inner, d))
-            if cert.L_lo > 1.0 + epsilon + 1e-12:
+            if cert.L_lo > 1.0 + epsilon + TOLERANCES["certificate_slack"]:
                 last_fail = (idx, cert.L_lo)
                 ok = False
                 break
@@ -539,7 +532,7 @@ def factor_linear_outside_cube(
             outside = pts[~q.contains(pts, tol=1e-12)]
             comp = compose_sequence(factors)
             err = float(np.max(np.linalg.norm(comp.evaluate(outside) - target.evaluate(outside), axis=1)))
-            if err > 1e-9 * probe.diam:
+            if err > TOLERANCES["agreement_rel"] * probe.diam:
                 raise CertificationError(f"composite deviates from target outside the cube by {err:.3e}")
             return factors, certs, Cube(q.center, inner_side)
     raise FactorCertificationError(last_fail[0], last_fail[1], 1.0 + epsilon)
@@ -632,11 +625,11 @@ def check_factor_sequence(fs: FactorSequence, epsilon: float | None = None) -> d
     report = {
         "T": fs.T,
         "agreement_sup": agree,
-        "agreement_ok": agree <= 1e-9 * region.diam,
+        "agreement_ok": agree <= TOLERANCES["agreement_rel"] * region.diam,
         "max_certified": fs.max_certified(),
     }
     if epsilon is not None:
-        report["certificates_ok"] = bool(np.all(fs.L_lo <= 1.0 + epsilon + 1e-12))
+        report["certificates_ok"] = bool(np.all(fs.L_lo <= 1.0 + epsilon + TOLERANCES["certificate_slack"]))
     # A factor that moves no shell point is exactly the identity there.
     shell, _ = cube_lattice(fs.support.dilate(1.5), fs.support.side / 8)
     outside = shell[~fs.support.contains(shell, tol=1e-12)]
@@ -645,8 +638,8 @@ def check_factor_sequence(fs: FactorSequence, epsilon: float | None = None) -> d
     for i in run.touching(outside):
         moved = run[i : i + 1].evaluate(outside)
         worst = max(worst, float(np.max(np.linalg.norm(moved - outside, axis=1))))
-        if worst > 1e-12:
+        if worst > TOLERANCES["support_identity"]:
             break
     report["support_identity_dev"] = worst
-    report["support_ok"] = worst <= 1e-12
+    report["support_ok"] = worst <= TOLERANCES["support_identity"]
     return report

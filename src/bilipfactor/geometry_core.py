@@ -1,4 +1,4 @@
-"""Exact small-dimension linear algebra, cubes, and dyadic-cube combinatorics.
+"""Exact small-dimension linear algebra, cubes, dyadic cubes, polylines, report tolerances.
 
 Everything here is a plain value: matrices and vectors are small NumPy
 arrays, cubes are frozen dataclasses, and every operation is a pure
@@ -14,6 +14,15 @@ from fractions import Fraction
 import numpy as np
 
 SVD_TOL = 1e-12
+
+# The slack of each report verdict: echoed in every report, read by the checks as they run.
+TOLERANCES = {
+    "agreement_rel": 1e-9,
+    "support_identity": 1e-12,
+    "certificate_slack": 1e-12,
+    "similarity_residual": 1e-9,
+    "sphere_step_slack": 1e-6,
+}
 
 
 class GeometryError(ValueError):
@@ -369,6 +378,20 @@ def unit_cube_dyadics(dim: int, level: int) -> list[DyadicCube]:
     if dim == 2:
         return [DyadicCube(level, (i, j)) for i in rng for j in rng]
     return [DyadicCube(level, (i, j, k)) for i in rng for j in rng for k in rng]
+
+
+def resample_polyline(path: np.ndarray, count: int) -> np.ndarray:
+    """count points spread uniformly in arc length along the polyline."""
+    path = np.asarray(path, dtype=float)
+    seg = np.linalg.norm(np.diff(path, axis=0), axis=1)
+    total = float(seg.sum())
+    if total == 0:
+        return np.repeat(path[:1], count, axis=0)
+    cum = np.concatenate([[0.0], np.cumsum(seg)])
+    s = np.linspace(0.0, total, count)
+    idx = np.clip(np.searchsorted(cum, s, side="right") - 1, 0, len(seg) - 1)
+    t = (s - cum[idx]) / np.maximum(seg[idx], 1e-300)
+    return path[idx] + t[:, None] * (path[idx + 1] - path[idx])
 
 
 def rotation_2d(theta: float) -> np.ndarray:

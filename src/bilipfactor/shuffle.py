@@ -21,9 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .degree import resample_polyline
 from .factorization import factor_shrink, factor_translation_along_path
-from .geometry_core import Cube
+from .geometry_core import TOLERANCES, Cube, resample_polyline
 from .map_engine import (
     AffineMapData,
     BlendRun,
@@ -179,28 +178,11 @@ def _boundary_route(rect: Cube, a: np.ndarray, b: np.ndarray) -> list[np.ndarray
     return pts
 
 
-def _segment_rect_interval(p: np.ndarray, q: np.ndarray, rect: Cube) -> tuple[float, float] | None:
-    """Parameter interval of the open segment inside the rect interior (slab clip)."""
-    lo, hi = rect.lo(), rect.hi()
-    d = q - p
-    t0, t1 = 0.0, 1.0
-    for k in range(2):
-        if abs(d[k]) < 1e-300:
-            if p[k] <= lo[k] or p[k] >= hi[k]:
-                return None
-        else:
-            ta = (lo[k] - p[k]) / d[k]
-            tb = (hi[k] - p[k]) / d[k]
-            ta, tb = min(ta, tb), max(ta, tb)
-            t0, t1 = max(t0, ta), min(t1, tb)
-    if t1 - t0 <= 1e-12:
-        return None
-    return t0, t1
-
-
-def _crossings(path: np.ndarray, rect: Cube) -> np.ndarray:
-    """For each segment of the polyline, whether _segment_rect_interval finds
-    it inside the rect: one slab test over all segments, with its operations."""
+def _crossings(path: np.ndarray, rect: Cube) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Slab clip of each segment of the polyline: (hit, t0, t1), where [t0, t1] is
+    its parameter interval inside the open rect and hit says that interval is
+    longer than 1e-12 (along an axis the segment does not move on, it only has
+    to lie strictly between the two faces)."""
     lo, hi = rect.lo(), rect.hi()
     p = path[:-1]
     d = path[1:] - p
@@ -212,9 +194,11 @@ def _crossings(path: np.ndarray, rect: Cube) -> np.ndarray:
             inside &= ~(flat & ((p[:, k] <= lo[k]) | (p[:, k] >= hi[k])))
             ta = (lo[k] - p[:, k]) / d[:, k]
             tb = (hi[k] - p[:, k]) / d[:, k]
-            t0 = np.where(flat, t0, np.maximum(t0, np.minimum(ta, tb)))
-            t1 = np.where(flat, t1, np.minimum(t1, np.maximum(ta, tb)))
-    return inside & ~(t1 - t0 <= 1e-12)
+            # A tie keeps the earlier bound (+0.0 over -0.0), as Python's min and max do.
+            enter, leave = np.where(tb < ta, tb, ta), np.where(tb > ta, tb, ta)
+            t0 = np.where(~flat & (enter > t0), enter, t0)
+            t1 = np.where(~flat & (leave < t1), leave, t1)
+    return inside & ~(t1 - t0 <= 1e-12), t0, t1
 
 
 def detour_around(path: np.ndarray, rect: Cube) -> np.ndarray:
@@ -222,7 +206,8 @@ def detour_around(path: np.ndarray, rect: Cube) -> np.ndarray:
     out = [path[:1]]
     last = path[0]  # the last point of out
     while True:
-        hits = np.flatnonzero(_crossings(path, rect))
+        hit, t0, _ = _crossings(path, rect)
+        hits = np.flatnonzero(hit)
         if not hits.size:
             out.append(path[1:])
             return np.concatenate(out)
@@ -231,35 +216,26 @@ def detour_around(path: np.ndarray, rect: Cube) -> np.ndarray:
         if i:
             last = path[i]
         p, q = path[i], path[i + 1]
-        t0, _ = _segment_rect_interval(p, q, rect)
-        a = p + t0 * (q - p)
-        # Scan forward for the exit point (the obstacle may span segments).
-        n = len(path)
-        j = i
-        b = None
-        first = True
-        while j < n - 1:
-            pj, qj = (a, path[j + 1]) if first else (path[j], path[j + 1])
-            iv2 = _segment_rect_interval(pj, qj, rect)
-            if iv2 is None:
-                break
-            _, te = iv2
-            if te < 1.0 - 1e-12:
-                b = pj + te * (qj - pj)
-                break
-            first = False
-            j += 1
-        if b is None:
+        a = p + t0[i] * (q - p)
+        # Exit where the first segment from a on leaves the interior, or at its
+        # start if it does not enter (the obstacle may span segments).
+        rest = np.vstack([a[None, :], path[i + 1 :]])
+        inside, _, t1 = _crossings(rest, rect)
+        leaving = np.flatnonzero(~inside | (t1 < 1.0 - 1e-12))
+        if leaving.size:
+            k = int(leaving[0])
+            b = rest[k] + t1[k] * (rest[k + 1] - rest[k]) if inside[k] else rest[k]
+        else:
+            k = rest.shape[0] - 2
             b = path[-1]
-            j = n - 2
-        route = ([a] if t0 > 1e-12 else []) + _boundary_route(rect, a, b)[1:-1]
+        route = ([a] if t0[i] > 1e-12 else []) + _boundary_route(rect, a, b)[1:-1]
         if route:
             out.append(np.asarray(route))
             last = route[-1]
         if np.linalg.norm(last - b) > 1e-15:
             out.append(b[None, :])
             last = b
-        path = np.vstack([b[None, :], path[j + 1 :]])
+        path = np.vstack([b[None, :], path[i + k + 1 :]])
 
 
 def _dedupe(path: np.ndarray) -> np.ndarray:
@@ -527,11 +503,7 @@ def check_shuffle(result: ShuffleResult) -> dict:
     plan = result.plan
     report: dict = {"T": result.T, "max_certified": result.max_certified()}
 
-    probes = (
-        np.vstack([r.vertices() for r, _ in plan.pairs])
-        if plan.pairs
-        else np.empty((0, 2))
-    )
+    probes = np.vstack([r.vertices() for r, _ in plan.pairs])
     n_per = 4
 
     lo = plan.boundary.min(axis=0)
@@ -552,11 +524,7 @@ def check_shuffle(result: ShuffleResult) -> dict:
     outside = ring[~_point_in_omega(plan.boundary, ring)]
 
     # Moving-core sample points for the disjointness sweep.
-    cores = (
-        np.vstack([np.vstack([[r.center], r.dilate(0.5).vertices()]) for r, _ in plan.pairs])
-        if plan.pairs
-        else np.empty((0, 2))
-    )
+    cores = np.vstack([np.vstack([[r.center], r.dilate(0.5).vertices()]) for r, _ in plan.pairs])
     n_core = 5
 
     # One merged point set walked through the factors in a single pass,
@@ -567,32 +535,22 @@ def check_shuffle(result: ShuffleResult) -> dict:
     stride = max(1, result.T // N_PREFIXES)
     stops = sorted(set(range(stride, result.T + 1, stride)) | ({result.T} if result.T else set()))
     prefixes = result.walk(merged, stops)
-    disjoint_ok = True
-    for img in prefixes:
-        boxes = []
-        for j in range(len(plan.pairs)):
-            pts = img[s2 + j * n_core : s2 + (j + 1) * n_core]
-            boxes.append((pts.min(axis=0), pts.max(axis=0)))
-        for a in range(len(boxes)):
-            for b in range(a + 1, len(boxes)):
-                alo, ahi = boxes[a]
-                blo, bhi = boxes[b]
-                if np.all(alo < bhi) and np.all(blo < ahi):
-                    disjoint_ok = False
+    boxes = prefixes[:, s2:].reshape(len(stops), len(plan.pairs), n_core, 2)
+    box_lo, box_hi = boxes.min(axis=2), boxes.max(axis=2)
+    # overlap[s, a, b]: at stop s the boxes of cores a and b overlap.
+    overlap = np.all((box_lo[:, :, None] < box_hi[:, None, :]) & (box_lo[:, None, :] < box_hi[:, :, None]), axis=3)
+    a, b = np.triu_indices(len(plan.pairs), 1)
+    disjoint_ok = not overlap[:, a, b].any()
 
     final = prefixes[-1] if stops else merged
-    images = final[:s1]
     out_images = final[s1:s2]
-    residual = 0.0
-    for j, sim in enumerate(result.similarities):
-        want = sim.apply(probes[j * n_per : (j + 1) * n_per])
-        got = images[j * n_per : (j + 1) * n_per]
-        residual = max(residual, float(np.max(np.linalg.norm(want - got, axis=1))))
+    want = np.vstack([sim.apply(probes[j * n_per : (j + 1) * n_per]) for j, sim in enumerate(result.similarities)])
+    residual = float(np.max(np.linalg.norm(want - final[:s1], axis=1)))
     report["similarity_residual"] = residual
-    report["similarity_ok"] = residual <= 1e-9
+    report["similarity_ok"] = residual <= TOLERANCES["similarity_residual"]
     dev = float(np.max(np.linalg.norm(out_images - outside, axis=1))) if len(outside) else 0.0
     report["outside_identity_dev"] = dev
-    report["outside_ok"] = dev <= 1e-12
+    report["outside_ok"] = dev <= TOLERANCES["support_identity"]
     report["disjoint_ok"] = disjoint_ok
     report["count_ceiling"] = result.count_ceiling
     report["count_ok"] = result.T <= result.count_ceiling

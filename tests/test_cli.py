@@ -16,6 +16,7 @@ import bilipfactor
 from bilipfactor import cli
 from bilipfactor.cli import main
 from bilipfactor.degree import DegreeError
+from bilipfactor.geometry_core import TOLERANCES
 from bilipfactor.jsonio import Rows
 from bilipfactor.map_engine import Translation
 from bilipfactor.sphere import spherical_distortion, translation_step_bound
@@ -710,6 +711,31 @@ class TestOtherSubcommands:
         assert rep["passed"] is False
         assert rep["error"] == f"--{flag} must be finite"
         assert rep["config"][flag] == value
+
+
+# A passing run whose verdict reads each tolerance.
+TOLERANCE_RUNS = {
+    "agreement_rel": ("factor-linear", LINEAR, "0.25"),
+    "support_identity": ("factor-translate", {"cube": {"center": [0.0, 0.0], "side": 0.5},
+                                              "path": [[0.0, 0.0], [2.0, 0.0]]}, "0.2"),
+    "certificate_slack": ("factor-linear", LINEAR, "0.25"),
+    "similarity_residual": ("shuffle", shuffle_input(), "0.25"),
+    "sphere_step_slack": ("sphere-factor", {"kind": "scaling", "a": 16.0}, "0.3"),
+}
+
+
+class TestTolerances:
+    @pytest.mark.parametrize("key", sorted(TOLERANCES))
+    def test_verdict_reads_the_echoed_tolerance(self, tmp_path, monkeypatch, key):
+        sub, payload, eps = TOLERANCE_RUNS[key]
+        inp = write_input(tmp_path, "in.json", payload)
+        assert main([sub, "--input", inp, "--out", str(tmp_path / "a"), "--epsilon", eps]) == 0
+        assert load_report(tmp_path / "a")["passed"] is True
+        monkeypatch.setitem(TOLERANCES, key, -1.0)
+        assert main([sub, "--input", inp, "--out", str(tmp_path / "b"), "--epsilon", eps]) == 1
+        rep = load_report(tmp_path / "b")
+        assert rep["passed"] is False
+        assert rep["tolerances"][key] == -1.0
 
 
 class TestConfigEcho:

@@ -8,7 +8,9 @@ import pytest
 
 from bilipfactor import cli, factorization, kernels, map_engine
 from bilipfactor.factorization import (
+    MAX_RETRIES,
     TRANSLATION_BLEND_LAM,
+    FactorCertificationError,
     FactorSequence,
     Piecewise,
     cert_pitch,
@@ -27,6 +29,7 @@ from bilipfactor.geometry_core import (
     GeometryError,
     bilip_constant,
     cube_lattice,
+    resample_polyline,
     rotation_2d,
     rotation_3d,
     svd,
@@ -137,6 +140,13 @@ class TestRotation:
             factor_rotation(np.diag([2.0, 0.5]), 0.1)
         with pytest.raises(GeometryError, match="orientation"):
             factor_rotation(np.diag([1.0, -1.0]), 0.1)
+
+    @pytest.mark.parametrize("alpha", [0.0, -0.1, math.nan])
+    def test_alpha_must_be_positive(self, alpha):
+        # Refused before any step count: at 0 the count divides by zero, and
+        # below 0 its search for a step norm under alpha never ends.
+        with pytest.raises(GeometryError, match=f"^alpha must be positive, got {alpha}$"):
+            factor_rotation(rotation_2d(1.0), alpha)
 
     def test_step_ceiling(self):
         # 1e12 steps are refused before the list is built.
@@ -604,6 +614,44 @@ class TestTranslationAlongPath:
         comp = fs.factors
         assert np.abs(comp.evaluate(pts) - (pts + np.array([1.0, 0.5]))).max() <= 1e-11
 
+    RETRY_PATH = np.array([[0.0, 0.0], [1.5, 0.0], [1.5, 1.0], [0.25, 1.75]])
+
+    @staticmethod
+    def patch_sweeps(monkeypatch, ratio: float, first_only: bool) -> list:
+        """Sweeps read ratio (the first sweep only, or every sweep); returns the call log."""
+        real = kernels.pairwise_distortions
+        calls = []
+
+        def patched(xs, ys):
+            calls.append(xs.shape[0])
+            ratios, min_imgs = real(xs, ys)
+            if first_only and len(calls) > 1:
+                return ratios, min_imgs
+            return np.full_like(ratios, ratio), min_imgs
+
+        monkeypatch.setattr(kernels, "pairwise_distortions", patched)
+        return calls
+
+    def test_retry_halves_the_step(self, monkeypatch):
+        q = Cube((0.0, 0.0), 0.5)
+        delta0 = factor_translation_along_path(q, self.RETRY_PATH, 0.2).meta["delta"]
+        calls = self.patch_sweeps(monkeypatch, 1.5, first_only=True)
+        fs = factor_translation_along_path(q, self.RETRY_PATH, 0.2)
+        assert len(calls) > 1
+        assert fs.meta["delta"] == delta0 / 2
+        nodes = reference_translation_nodes(self.RETRY_PATH, fs.meta["delta"])
+        assert fs.T == fs.meta["steps"] == nodes.shape[0] - 1
+        assert fs.factors.centers.tobytes() == nodes[:-1].tobytes()
+        assert fs.factors.shifts.tobytes() == np.diff(nodes, axis=0).tobytes()
+        assert fs.max_certified() <= 1.2 + 1e-12
+
+    def test_every_retry_fails(self, monkeypatch):
+        calls = self.patch_sweeps(monkeypatch, 1.5, first_only=False)
+        with pytest.raises(FactorCertificationError, match=r"^factor 0 certified at 1\.500000 > target 1\.200000") as e:
+            factor_translation_along_path(Cube((0.0, 0.0), 0.5), self.RETRY_PATH, 0.2)
+        assert (e.value.index, e.value.bound) == (0, 1.5)
+        assert len(calls) == MAX_RETRIES + 1
+
 
 class TestGlue:
     def _rotation_blend_piece(self, center, theta):
@@ -673,8 +721,14 @@ def reference_shrink_factors(q: Cube, lam: float, c: float, fs) -> list[Blend]:
     return out
 
 
+def reference_translation_nodes(path: np.ndarray, delta: float) -> np.ndarray:
+    """The builder's nodes at step delta: ceil(length / delta) equal arc-length steps."""
+    total = float(np.linalg.norm(np.diff(path, axis=0), axis=1).sum())
+    return resample_polyline(path, math.ceil(total / delta - 1e-12) + 1)
+
+
 def reference_translation_factors(q: Cube, path: np.ndarray, fs) -> list[Blend]:
-    nodes = factorization._polyline_resample_by_step(np.asarray(path, dtype=float), fs.meta["delta"])
+    nodes = reference_translation_nodes(path, fs.meta["delta"])
     lam = TRANSLATION_BLEND_LAM / 1.5
     return [
         Blend(Translation(tuple(nodes[j + 1] - nodes[j])), Cube(tuple(nodes[j]), 1.5 * q.side), lam)

@@ -3,8 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from bilipfactor.degree import resample_polyline
-from bilipfactor.geometry_core import Cube
+from bilipfactor.geometry_core import Cube, resample_polyline
 from bilipfactor.map_engine import Identity, compose_sequence
 from bilipfactor.shuffle import (
     PlanError,
@@ -14,7 +13,6 @@ from bilipfactor.shuffle import (
     _dedupe,
     _min_distance,
     _point_in_omega,
-    _segment_rect_interval,
     check_shuffle,
     detour_around,
     execute_shuffle,
@@ -136,6 +134,25 @@ class TestPlan:
             plan_shuffle(OMEGA4, touching, mu=1.5, c1_bound=8.0)
 
 
+def _segment_rect_interval(p: np.ndarray, q: np.ndarray, rect: Cube) -> tuple[float, float] | None:
+    """Parameter interval of the open segment inside the rect interior (scalar slab clip)."""
+    lo, hi = rect.lo(), rect.hi()
+    d = q - p
+    t0, t1 = 0.0, 1.0
+    for k in range(2):
+        if abs(d[k]) < 1e-300:
+            if p[k] <= lo[k] or p[k] >= hi[k]:
+                return None
+        else:
+            ta = (lo[k] - p[k]) / d[k]
+            tb = (hi[k] - p[k]) / d[k]
+            ta, tb = min(ta, tb), max(ta, tb)
+            t0, t1 = max(t0, ta), min(t1, tb)
+    if t1 - t0 <= 1e-12:
+        return None
+    return t0, t1
+
+
 def reference_detour_around(path: np.ndarray, rect: Cube, max_detours: int = 1000) -> np.ndarray:
     """detour_around as a per-segment loop of _segment_rect_interval calls."""
     out = [path[0]]
@@ -158,7 +175,8 @@ def reference_detour_around(path: np.ndarray, rect: Cube, max_detours: int = 100
         while j < n - 1:
             pj, qj = (a, path[j + 1]) if first else (path[j], path[j + 1])
             iv2 = _segment_rect_interval(pj, qj, rect)
-            if iv2 is None:
+            if iv2 is None:  # leaves through the segment's first vertex
+                b = pj
                 break
             _, te = iv2
             if te < 1.0 - 1e-12:
@@ -256,8 +274,11 @@ class TestArrayPlanHelpers:
         gen = np.random.default_rng(4101)
         for _ in range(400):
             path, rect = random_detour_case(gen)
-            want = [_segment_rect_interval(p, q, rect) is not None for p, q in zip(path[:-1], path[1:])]
-            assert _crossings(path, rect).tolist() == want
+            want = [_segment_rect_interval(p, q, rect) for p, q in zip(path[:-1], path[1:])]
+            hit, t0, t1 = _crossings(path, rect)
+            assert hit.tolist() == [iv is not None for iv in want]
+            got = np.column_stack([t0, t1])[hit]
+            assert got.tobytes() == np.array([iv for iv in want if iv is not None]).reshape(-1, 2).tobytes()
 
     def test_detour_equals_segment_loop(self):
         gen = np.random.default_rng(4102)
@@ -268,7 +289,7 @@ class TestArrayPlanHelpers:
             got = detour_around(path, rect)
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
             inside = np.all((path > rect.lo()) & (path < rect.hi()), axis=1)
-            crossed += bool(_crossings(path, rect).any())
+            crossed += bool(_crossings(path, rect)[0].any())
             spanned += bool(np.any(inside[1:] & inside[:-1]))
         assert crossed > 100 and spanned > 20  # detours, some over several segments
 
@@ -319,6 +340,17 @@ class TestDetour:
             [np.linspace(a, b, 50) for a, b in zip(out[:-1], out[1:])]
         )
         assert not np.any(inner.contains(samples, tol=-1e-9))
+
+    def test_exit_through_a_boundary_vertex(self):
+        # The path leaves the rect at the vertex (0, 1) of its top edge; the
+        # rest of the path is kept after the detour.
+        path = np.array([[-2.0, 0.0], [0.0, 1.0], [0.5, 2.0], [5.0, 2.0], [5.0, -3.0]])
+        rect = Cube((0.0, 0.0), 2.0)
+        out = detour_around(path, rect)
+        want = np.array([[-2.0, 0.0], [-1.0, 0.5], [-1.0, 1.0], [0.0, 1.0], [0.5, 2.0], [5.0, 2.0], [5.0, -3.0]])
+        assert out.tobytes() == want.tobytes()
+        assert not _crossings(out, rect)[0].any()
+        assert out.tobytes() == reference_detour_around(path, rect).tobytes()
 
     def test_clear_segment_untouched(self):
         path = np.array([[0.0, 0.0], [4.0, 0.0]])

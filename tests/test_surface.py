@@ -141,8 +141,3 @@ def test_perfbench_names_are_still_read_by_perfbench():
 def test_every_import_is_read(mod):
     unread = _unread_imports(IMPORTERS[mod])
     assert not unread, f"{mod} imports names it never reads: {unread}"
-
-
-def test_acceptance_reads_every_import():
-    unread = _unread_imports(ACCEPTANCE)
-    assert not unread, f"test_acceptance.py imports names it never reads: {unread}"
