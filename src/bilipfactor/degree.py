@@ -12,15 +12,11 @@ import math
 
 import numpy as np
 
-from .geometry_core import resample_polyline
+from .geometry_core import polyline_length, resample_polyline
 from .map_engine import MapExpr
 
 class DegreeError(RuntimeError):
     pass
-
-
-def _polyline_length(path: np.ndarray) -> float:
-    return float(np.sum(np.linalg.norm(np.diff(path, axis=0), axis=1)))
 
 
 def degree_winding_2d(m: MapExpr, y: np.ndarray, boundary: np.ndarray) -> int:
@@ -42,7 +38,7 @@ def degree_winding_2d(m: MapExpr, y: np.ndarray, boundary: np.ndarray) -> int:
     dist = float(np.min(np.linalg.norm(probe - y, axis=1)))
     if dist <= 0:
         raise DegreeError("target lies on the sampled boundary image")
-    perimeter = _polyline_length(probe)
+    perimeter = polyline_length(probe)
     count = int(min(2_000_000, max(256, math.ceil(64.0 * perimeter / dist))))
     imgs = m.evaluate(resample_polyline(boundary, count + 1))
 

@@ -40,6 +40,7 @@ from .geometry_core import (
     check_matrix,
     cube_lattice,
     cube_lattices,
+    polyline_length,
     resample_polyline,
     rotation_2d,
     rotation_3d,
@@ -132,7 +133,7 @@ def _certify(
     and errors raised are those of a scan over per-factor keys sweeping one
     key at a time.
     """
-    _, firsts, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+    firsts, inverse = _key_groups(rows)
     order = np.argsort(firsts)
     firsts = firsts[order].tolist()
     keys = [prefix + tuple(row) for row in rows[firsts].tolist()]
@@ -147,6 +148,18 @@ def _certify(
             return None, (first, l_lo)
         bounds[j] = l_lo
     return bounds[inverse], None
+
+
+def _key_groups(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.unique(rows, axis=0)'s first indices and inverse, up to the order of the groups:
+    a stable lexsort puts equal rows next to each other, the first of each group at its head."""
+    order = np.lexsort(rows.T[::-1])
+    ranked = rows[order]
+    head = np.ones(len(rows), dtype=bool)
+    head[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    inverse = np.empty(len(rows), dtype=np.intp)
+    inverse[order] = np.cumsum(head) - 1
+    return order[head], inverse
 
 
 def _sweeps(run: BlendRun):
@@ -439,7 +452,7 @@ def factor_translation_along_path(
     end = path[-1]
     target = Translation(tuple(end - np.asarray(q.center)))
     with np.errstate(over="ignore"):  # an overflowing length is refused below
-        total = float(np.sum(np.linalg.norm(np.diff(path, axis=0), axis=1)))
+        total = polyline_length(path)
     if not math.isfinite(total):
         raise GeometryError(f"path length must be finite, got {total}")
     tube = Cube(tuple((path.min(axis=0) + path.max(axis=0)) / 2.0),

@@ -380,11 +380,16 @@ def unit_cube_dyadics(dim: int, level: int) -> list[DyadicCube]:
     return [DyadicCube(level, (i, j, k)) for i in rng for j in rng for k in rng]
 
 
+def polyline_length(path: np.ndarray) -> float:
+    """Arc length of the polyline: the sum of its segment lengths."""
+    return float(np.linalg.norm(np.diff(path, axis=0), axis=1).sum())
+
+
 def resample_polyline(path: np.ndarray, count: int) -> np.ndarray:
     """count points spread uniformly in arc length along the polyline."""
     path = np.asarray(path, dtype=float)
     seg = np.linalg.norm(np.diff(path, axis=0), axis=1)
-    total = float(seg.sum())
+    total = polyline_length(path)
     if total == 0:
         return np.repeat(path[:1], count, axis=0)
     cum = np.concatenate([[0.0], np.cumsum(seg)])

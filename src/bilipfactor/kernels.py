@@ -1,13 +1,14 @@
 """The all-pairs ratio sweep behind every sampled distortion certificate.
 
-One NumPy gather kernel over a stack of k point sets of the same size: the
-pairs (i, j), i < j, of set 0, then of set 1, ..., are taken in blocks of
-whole rows holding at most _INNER_PAIRS pairs (or a single longer row), so
-each block is swept in a few vectorised passes on index arrays and
-differences of at most 64 KB.  Temporaries of that size stay below glibc's
+One NumPy row-tile kernel over a stack of k point sets of the same size: rows
+[i0, i1) of a run of sets are swept against columns (i0, n) as one broadcast
+difference per coordinate, a tile of at most _INNER_PAIRS values (or a single
+longer row of one set), and each set's extremes are reduced over its part of
+the tile.  The tile's lower triangle repeats pairs and holds the diagonal;
+max and min are exact, so a repeat changes nothing, and a diagonal entry has
+coincident sources, which are skipped.  Tiles of 64 KB stay below glibc's
 default mmap threshold, so they reuse heap memory instead of faulting in
-fresh pages on every block.  A block may end inside a set or hold the rows
-of several; each set's extremes are reduced on its own.
+fresh pages on every tile.
 """
 
 from __future__ import annotations
@@ -37,38 +38,34 @@ def pairwise_distortion(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float]:
 
 def pairwise_distortions(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """pairwise_distortion of each set: xs, ys (k, n, d) -> ratios, min image distances (k,)."""
-    k, n, d = xs.shape
+    k, n = xs.shape[:2]
     best2, min_img2 = np.ones(k), np.full(k, np.inf)
-    xt = np.ascontiguousarray(np.reshape(xs, (k * n, d)).T, dtype=float)
-    yt = np.ascontiguousarray(np.reshape(ys, (k * n, d)).T, dtype=float)
-    # Row r is row i = r % (n-1) of set r // (n-1): the pairs of its point i with i+1..n-1.
-    rows = max(0, k * (n - 1))
-    row_set, row_i = np.divmod(np.arange(rows), max(1, n - 1))
-    row_pairs = n - 1 - row_i
-    row_end = np.cumsum(row_pairs)
-    row_pt = row_set * n + row_i  # point i of the row's set, in the stacked points
+    xt = np.ascontiguousarray(np.moveaxis(xs, 2, 0), dtype=float)  # (d, k, n)
+    yt = np.ascontiguousarray(np.moveaxis(ys, 2, 0), dtype=float)
     i0 = 0
-    while i0 < rows:
-        done = row_end[i0 - 1] if i0 else 0
-        i1 = max(i0 + 1, int(np.searchsorted(row_end, done + _INNER_PAIRS, side="right")))
-        counts = row_pairs[i0:i1]
-        row_start = row_end[i0:i1] - counts - done
-        ii = np.repeat(row_pt[i0:i1], counts)
-        # Pair p of the block is (i, i + 1 + offset of p within row i).
-        jj = ii + 1 + np.arange(ii.shape[0]) - np.repeat(row_start, counts)
-        # Adding squared differences axis by axis, in order, keeps each sum
-        # bit-equal to a plain per-pair loop.
-        dx2 = sum((c[jj] - c[ii]) ** 2 for c in xt)
-        dy2 = sum((c[jj] - c[ii]) ** 2 for c in yt)
-        keep = dx2 > 0.0
-        r2 = np.divide(dy2, dx2, out=np.ones_like(dy2), where=keep & (dy2 > 0.0))
-        np.maximum(r2, 1.0 / r2, out=r2)
-        # The block's sets and the offset of each set's first row in the block.
-        sets = row_set[i0:i1]
-        first = np.flatnonzero(np.diff(sets, prepend=-1))
-        s = sets[first]
-        best2[s] = np.maximum(best2[s], np.maximum.reduceat(r2, row_start[first]))
-        min_img2[s] = np.minimum(min_img2[s], np.minimum.reduceat(np.where(keep, dy2, np.inf), row_start[first]))
+    while i0 < n - 1:
+        cols = n - 1 - i0
+        per = max(1, min(k, _INNER_PAIRS // cols))  # sets of a tile; at least 1 when k == 0
+        i1 = min(n - 1, i0 + max(1, _INNER_PAIRS // (per * cols)))
+        for s0 in range(0, k, per):
+            s = slice(s0, s0 + per)
+            dx2, dy2 = _squared_distances(xt, s, i0, i1), _squared_distances(yt, s, i0, i1)
+            keep = dx2 > 0.0
+            r2 = np.divide(dy2, dx2, out=np.ones_like(dy2), where=keep & (dy2 > 0.0))
+            # max(r2, 1 / r2) of every pair: a correctly rounded reciprocal is monotone.
+            best2[s] = np.maximum(best2[s], np.maximum(r2.max(axis=1), 1.0 / r2.min(axis=1)))
+            min_img2[s] = np.minimum(min_img2[s], np.min(dy2, axis=1, where=keep, initial=np.inf))
         i0 = i1
     min_img2[~np.isfinite(min_img2)] = 0.0
     return np.sqrt(best2), np.sqrt(min_img2)
+
+
+def _squared_distances(ct: np.ndarray, s: slice, i0: int, i1: int) -> np.ndarray:
+    """|p_i - p_j|^2 of rows i in [i0, i1) and columns j in (i0, n) of sets s of ct (d, k, n),
+    one row per set; squares are added axis by axis, in order, as a plain per-pair loop does."""
+    out = None
+    for c in ct:
+        t = c[s, i0:i1, None] - c[s, None, i0 + 1 :]
+        t *= t
+        out = t if out is None else np.add(out, t, out=out)
+    return out.reshape(out.shape[0], -1)

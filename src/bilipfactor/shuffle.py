@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .factorization import factor_shrink, factor_translation_along_path
-from .geometry_core import TOLERANCES, Cube, resample_polyline
+from .geometry_core import TOLERANCES, Cube, GeometryError, resample_polyline
 from .map_engine import (
     AffineMapData,
     BlendRun,
@@ -202,7 +202,10 @@ def _crossings(path: np.ndarray, rect: Cube) -> tuple[np.ndarray, np.ndarray, np
 
 
 def detour_around(path: np.ndarray, rect: Cube) -> np.ndarray:
-    """Reroute the parts of a polyline crossing the rect interior along its boundary."""
+    """Reroute the parts of a polyline crossing the rect interior along its boundary; both ends lie outside it."""
+    for name, pt in (("start", path[0]), ("end", path[-1])):
+        if np.all((pt > rect.lo()) & (pt < rect.hi())):
+            raise GeometryError(f"path {name} {pt.tolist()} lies inside the rect to detour around")
     out = [path[:1]]
     last = path[0]  # the last point of out
     while True:

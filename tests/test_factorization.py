@@ -530,6 +530,33 @@ class TestKeyRows:
         fail = certify_both(cache, run, hand_rows(run), BOUND, TRANSLATE_PREFIX)
         assert fail[0] == 1 and len(cache) == 2
 
+    @staticmethod
+    def grouping_cases() -> dict:
+        rng = np.random.default_rng(7480)
+        shapes = np.array([[0.0, 0.02], [-0.0, 0.02], [0.0, -0.0], [np.nan, 0.02], [0.01, np.nan], [0.01, 0.015]])
+        mats = np.array([np.diag([1.02, 1.0]), [[1.02, -0.0], [0.0, 1.0]], [[1.0, 0.01], [0.0, 0.99]]])
+        # Steps of a path whose length per step falls between two 12-digit roundings by turns.
+        x = 0.0123456789015 + np.where(np.arange(10**4) % 2, 4e-13, -4e-13) + rng.uniform(-5e-14, 5e-14, 10**4)
+        translate = np.round(np.column_stack([x, np.full(10**4, 0.5) - x]), 12)
+        return {
+            "float-signed-zeros-nan": shapes[rng.integers(0, len(shapes), 300)],
+            "matrix-bits": mats[rng.integers(0, len(mats), 300)].reshape(300, 4).view(np.int64),
+            "translate-neighbours": translate,
+            "no-rows": np.empty((0, 2)),
+        }
+
+    @pytest.mark.parametrize("case", ["float-signed-zeros-nan", "matrix-bits", "translate-neighbours", "no-rows"])
+    def test_groups_equal_np_unique(self, case):
+        rows = self.grouping_cases()[case]
+        firsts, inverse = factorization._key_groups(rows)
+        _, want_firsts, want_inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+        assert sorted(firsts.tolist()) == sorted(want_firsts.tolist())
+        # Each row's group named by its first index: the same partition.
+        assert firsts[inverse].tolist() == want_firsts[want_inverse.ravel()].tolist()
+        if case == "translate-neighbours":
+            heads = np.flatnonzero((rows[1:] != rows[:-1]).any(axis=1)).size + 1
+            assert len(firsts) == 2 and heads > len(rows) // 2  # neighbours alternate, not in runs
+
 
 class TestFactorLinearOutside:
     def test_contracts(self):

@@ -14,6 +14,7 @@ from bilipfactor.geometry_core import (
     bilip_constants,
     cube_lattice,
     cube_lattices,
+    polyline_length,
     rotation_2d,
     svd,
     unit_cube_dyadics,
@@ -217,3 +218,14 @@ class TestCubeLattices:
         pts, pitch = cube_lattice(q, q.side / 4)
         assert pitch == q.side / 4
         assert np.array_equal(pts, self.meshgrid_lattice(q.center, q.side, 5))
+
+
+class TestPolylineLength:
+    def test_sums_segment_lengths(self):
+        assert polyline_length(np.array([[0.0, 0.0]])) == 0.0
+        assert polyline_length(np.array([[0.0, 0.0], [3.0, 4.0], [3.0, 0.0], [3.0, 0.0]])) == 9.0
+        assert polyline_length(np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 2.0]])) == 3.0
+
+    def test_overflow_gives_inf(self):
+        with np.errstate(over="ignore"):
+            assert polyline_length(np.array([[0.0, 0.0], [1e308, 1e308]])) == math.inf

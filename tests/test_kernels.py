@@ -110,15 +110,16 @@ def pooled_reference(n: int, d: int, j: int) -> tuple[float, float]:
     return reference_pairwise(*pooled(n, d, j))
 
 
-@pytest.mark.parametrize("block", [kernels._BLOCK_PAIRS, kernels._INNER_PAIRS, 1000])
+@pytest.mark.parametrize("block", [kernels._BLOCK_PAIRS, kernels._INNER_PAIRS, 1000, 1])
 @pytest.mark.parametrize("k", [1, 7, 40])
 @pytest.mark.parametrize("n,d", [(81, 2), (125, 3), (300, 2)])
 def test_stack_matches_double_loop_per_set(n, d, k, block, monkeypatch):
-    # The kernel's block is set to the sweeps' stack size, to its own
-    # default and to 1000 pairs.  (300, 2) sets hold 44,850 pairs, so blocks
-    # end inside a set; at the default, 81- and 125-point sets (3,240 and
-    # 7,750 pairs) straddle two blocks and a stack of 40 spans many; a
-    # block of 1000 pairs ends inside every set and at set boundaries.
+    # The kernel's tile bound is set to the sweeps' stack size, to its own
+    # default, to 1000 values and to 1.  A tile holds rows of a run of sets
+    # against the columns after its first row: at the stack size whole
+    # stacks of 81- and 125-point sets fit a few tiles; at the default and
+    # at 1000, tiles take fewer rows or split a stack of 40 (300-point rows
+    # hold 299 values); at 1 every tile is a single row of a single set.
     monkeypatch.setattr(kernels, "_INNER_PAIRS", block)
     sets = [(3 * i) % POOL for i in range(k)]
     xs = np.stack([pooled(n, d, j)[0] for j in sets])
@@ -136,3 +137,6 @@ def test_empty_and_single_point_stacks():
     for n in (0, 1):
         ratio, min_img = kernels.pairwise_distortions(np.zeros((3, n, 2)), np.zeros((3, n, 2)))
         assert ratio.tolist() == [1.0] * 3 and min_img.tolist() == [0.0] * 3
+    for n in (0, 1, 2, 81):  # no set: two empty arrays, whatever the set size
+        ratio, min_img = kernels.pairwise_distortions(np.zeros((0, n, 2)), np.zeros((0, n, 2)))
+        assert ratio.shape == min_img.shape == (0,)

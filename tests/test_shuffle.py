@@ -1,8 +1,15 @@
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import bilipfactor
 from bilipfactor.geometry_core import Cube, resample_polyline
 from bilipfactor.map_engine import Identity, compose_sequence
 from bilipfactor.shuffle import (
@@ -356,6 +363,26 @@ class TestDetour:
         path = np.array([[0.0, 0.0], [4.0, 0.0]])
         out = detour_around(path, Cube((2.0, 3.0), 1.0))
         assert np.allclose(out, path)
+
+    @pytest.mark.parametrize("path,name", [
+        ([[-2.0, 0.0], [0.0, 0.0]], "end"),
+        ([[0.5, 0.5], [-2.0, 0.0]], "start"),
+        ([[0.0, 0.0], [0.5, 0.0]], "start"),  # both inside: the start is named
+    ], ids=["end", "start", "both"])
+    def test_end_point_inside_the_rect_is_refused(self, path, name):
+        # In a child with a timeout: a path ending inside the rect used to loop for ever.
+        code = (
+            "import json, sys, numpy as np; from bilipfactor.geometry_core import Cube, GeometryError\n"
+            "from bilipfactor.shuffle import detour_around\n"
+            "try:\n    detour_around(np.array(json.loads(sys.argv[1])), Cube((0.0, 0.0), 2.0))\n"
+            "except GeometryError as e:\n    print(e)"
+        )
+        src = str(Path(bilipfactor.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", code, json.dumps(path)], env=env, check=True, timeout=60,
+                              capture_output=True, text=True)
+        point = path[0] if name == "start" else path[-1]
+        assert done.stdout.strip() == f"path {name} {point} lies inside the rect to detour around"
 
 
 class TestExecute:
