@@ -40,7 +40,7 @@ from .factorization import (
     factor_linear_in_cube,
     factor_translation_along_path,
 )
-from .geometry_core import TOLERANCES, Cube
+from .geometry_core import TOLERANCES, Cube, check_points
 from .jsonio import (
     Rows,
     SchemaError,
@@ -455,6 +455,8 @@ def cmd_pl(payload: dict, args) -> tuple[dict, bool]:
     if box.dim != dim:
         raise SchemaError(f"box and dim differ: {box.dim}-D box, dim {dim}")
     pitch = eta / (4.0 * math.sqrt(dim))
+    # verify_pl's sweep, the largest point set, has at most 3 side / pitch + 4 targets per axis.
+    check_points(math.prod([12.0 * math.sqrt(dim) * box.side / eta + 4.0] * dim), f"eta {eta}", "sweep targets")
     tri = freudenthal(dim, pitch, box.dilate(1.0 + 4.0 * pitch / box.side))
     pl = pl_interpolate(m, tri)
     verdicts = verify_pl(pl, args.epsilon)

@@ -59,6 +59,7 @@ from .geometry_core import (
     GeometryError,
     bilip_constants,
     box_lattice,
+    check_points,
 )
 from .map_engine import MapExpr, affine_fit_samples, estimate_distortion
 
@@ -318,6 +319,8 @@ def build_coronization(
         raise GeometryError(
             f"depth {depth} in {dim}-D: exact subtree sums would overflow int64"
         )
+    check_points(sum(1 << (dim * level) for level in range(depth + 1)), f"depth {depth} in {dim}-D", "label cells")
+    check_points(math.prod([float(np.ceil(1.0 / h - 1e-12)) + 1.0] * dim), f"h {h}", "lattice points")
     smallest = 2.0**-depth
     if (math.floor(smallest / h) + 1) ** dim < dim + 1:
         raise GeometryError("resolution too coarse: fewer than d+1 samples per smallest cube")

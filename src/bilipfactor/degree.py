@@ -19,6 +19,13 @@ class DegreeError(RuntimeError):
     pass
 
 
+def winding_sum(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """Summed wrapped arctan2 increments of closed rings (first point repeated last), given as
+    coordinates dx, dy (..., n) relative to a point each: 2 pi times each winding number, up to rounding."""
+    inc = np.diff(np.arctan2(dy, dx), axis=-1)
+    return np.sum((inc + math.pi) % (2.0 * math.pi) - math.pi, axis=-1)
+
+
 def degree_winding_2d(m: MapExpr, y: np.ndarray, boundary: np.ndarray) -> int:
     """Winding number of m o boundary around y (planar maps only).
 
@@ -47,10 +54,7 @@ def degree_winding_2d(m: MapExpr, y: np.ndarray, boundary: np.ndarray) -> int:
     step = float(np.max(np.linalg.norm(np.diff(imgs, axis=0), axis=1)))
     if dist < 10.0 * step:
         raise DegreeError("insufficient boundary resolution near the target")
-    ang = np.arctan2(rel[:, 1], rel[:, 0])
-    inc = np.diff(ang)
-    inc = (inc + math.pi) % (2.0 * math.pi) - math.pi
-    total = float(np.sum(inc))
+    total = float(winding_sum(rel[:, 0], rel[:, 1]))
     winding = round(total / (2.0 * math.pi))
     if abs(total - 2.0 * math.pi * winding) > 1e-6 * 2.0 * math.pi:
         raise DegreeError("insufficient boundary resolution: non-integer winding")

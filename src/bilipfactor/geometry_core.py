@@ -30,6 +30,7 @@ class GeometryError(ValueError):
 
 
 MAX_STEPS = 10**6  # most equal steps a factorization along a path or a sphere may take
+MAX_POINTS = 1 << 19  # most lattice points, PL sweep targets or dyadic label cells one array may hold
 
 
 def step_count(ratio: float, what: str) -> int:
@@ -37,6 +38,12 @@ def step_count(ratio: float, what: str) -> int:
     if not ratio - 1e-12 <= MAX_STEPS:  # inf and NaN fail too
         raise GeometryError(f"{what} needs {ratio - 1e-12:.4g} steps, more than the {MAX_STEPS} allowed")
     return math.ceil(ratio - 1e-12)
+
+
+def check_points(count: float, what: str, items: str) -> None:
+    """Refuse count items above MAX_POINTS before they are allocated; a float count that overflowed is inf."""
+    if not count <= MAX_POINTS:
+        raise GeometryError(f"{what} needs {count:.4g} {items}, more than the {MAX_POINTS} allowed")
 
 
 def check_matrix(m: np.ndarray | list) -> np.ndarray:

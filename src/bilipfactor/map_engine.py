@@ -3,8 +3,10 @@
 Maps R^d -> R^d are represented by a closed set of MapExpr variants; every
 certification step in the package goes through estimate_distortion /
 sup_distance on deterministic lattices, so the certificates reproduce
-bit-for-bit.  Sampled distortion values are LOWER bounds on the true
-bi-Lipschitz constant: refining the lattice can only raise them.
+bit-for-bit.  A sampled distortion value is the largest ratio over the
+lattice pairs of the map as evaluated in floats: a lower bound on the true
+bi-Lipschitz constant up to that rounding, which a finer lattice that
+contains the coarser one can only raise.
 
 A BlendRun holds a chain of blends of one kind (translations, or affine
 maps) as arrays of centres, sides, lambdas and inner maps.  It evaluates
@@ -447,7 +449,8 @@ def map_dim(m: MapExpr) -> int | None:
 
 @dataclass(frozen=True, eq=False, slots=True)
 class DistortionCertificate:
-    """Sampled (or exact-affine) lower bound on the bi-Lipschitz constant."""
+    """L_lo: the closed-form constant of an affine map ("exact-affine"), or the largest ratio over
+    the pitch-h lattice pairs of the map as evaluated in floats, a lower bound up to that rounding."""
 
     region: Cube
     h: float
@@ -457,11 +460,8 @@ class DistortionCertificate:
 
 
 def estimate_distortion(m: MapExpr, region: Cube, h: float) -> DistortionCertificate:
-    """Lower bound on the bi-Lipschitz constant of m over the region.
-
-    All lattice pairs at pitch <= h are swept; an exact branch bypasses
-    sampling for affine expressions.
-    """
+    """Distortion of m over the region: all lattice pairs at pitch <= h are swept for the
+    largest ratio of m's float images; an exact branch bypasses sampling for affine expressions."""
     aff = affine_part(m, region.dim)
     if aff is not None:
         return DistortionCertificate(
@@ -481,7 +481,8 @@ def estimate_distortion(m: MapExpr, region: Cube, h: float) -> DistortionCertifi
 
 
 def sup_distance(m1: MapExpr, m2: MapExpr, region: Cube, h: float) -> float:
-    """Max over the region lattice of |m1(x) - m2(x)| (lower bound on the sup)."""
+    """Max over the region lattice of |m1(x) - m2(x)| as evaluated in floats
+    (a lower bound on the sup up to the rounding of those evaluations)."""
     pts, _ = cube_lattice(region, h)
     return float(np.max(np.linalg.norm(m1.evaluate(pts) - m2.evaluate(pts), axis=1)))
 

@@ -23,6 +23,7 @@ from .map_engine import DomainError, MapExpr
 
 FACE_TOL = 1e-12
 PERTURB_SIZE = 1e-9
+SWEEP_TARGETS = 1 << 13  # targets per pass of the degree sweep, which bounds its candidate arrays
 # Deterministic tie-break direction for non-regular targets.
 _PERTURB_DIR = np.array([1.0, 1.0 / math.pi, 1.0 / math.pi**2])
 
@@ -213,11 +214,11 @@ def degrees_pl_batch(pl: PLApprox, targets: np.ndarray) -> tuple[np.ndarray, np.
 
     Non-degenerate image simplices sit in CSR buckets: (grid cell key, simplex)
     pairs over each bounding box, sorted by key, on a grid of the mean box size.
-    One pass gathers every target's bucket (a key off the grid has none), keeps
-    the boxes that hold the target within the face tolerance and solves all
-    barycentric systems in one einsum.  Targets within the tolerance of a face
-    are re-swept once, together, at the fixed tie-break perturbation; those
-    still on a face get degree 0 and are flagged unresolved.
+    Each pass of SWEEP_TARGETS targets gathers their buckets (a key off the
+    grid has none), keeps the boxes that hold a target within the face
+    tolerance and solves all barycentric systems in one einsum.  Targets within
+    the tolerance of a face are re-swept once, together, at the fixed tie-break
+    perturbation; those still on a face get degree 0 and are flagged unresolved.
     """
     sims, signs = pl.image_simplices()
     d = pl.tri.dim
@@ -248,6 +249,10 @@ def degrees_pl_batch(pl: PLApprox, targets: np.ndarray) -> tuple[np.ndarray, np.
     bucket_key, bucket_sim = bucket_key[order], live[owner[order]]
 
     def sweep(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        parts = [sweep_chunk(y[i : i + SWEEP_TARGETS]) for i in range(0, max(len(y), 1), SWEEP_TARGETS)]
+        return tuple(np.concatenate(p) for p in zip(*parts))
+
+    def sweep_chunk(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         key = np.floor((y - glo) / cell).astype(int)
         on_grid = np.nonzero(np.all((key >= 0) & (key < shape), axis=1))[0]
         flat = np.ravel_multi_index(key[on_grid].T, shape)

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .degree import winding_sum
 from .factorization import factor_shrink, factor_translation_along_path
 from .geometry_core import TOLERANCES, Cube, GeometryError, resample_polyline
 from .map_engine import (
@@ -112,18 +113,14 @@ def _psi_inverse(psi: MapExpr, base_side: float, target: np.ndarray) -> np.ndarr
 
 
 def _point_in_omega(boundary: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Winding test of the sampled region boundary around each point."""
-    out = np.zeros(pts.shape[0], dtype=bool)
-    for i, p in enumerate(pts):
-        rel = boundary - p
-        d = np.linalg.norm(rel, axis=1)
-        if d.min() < 1e-12:
-            out[i] = True
-            continue
-        ang = np.arctan2(rel[:, 1], rel[:, 0])
-        inc = np.diff(ang)
-        inc = (inc + math.pi) % (2.0 * math.pi) - math.pi
-        out[i] = round(abs(float(np.sum(inc))) / (2.0 * math.pi)) >= 1
+    """Winding test of the sampled region boundary around each point (inside within 1e-12 of it).
+    Points go 4 at a time, so that a (4, 2049) temporary stays below glibc's mmap threshold:
+    all the checker's points at once left the heap 2.5 MB larger for the run."""
+    out = np.empty(len(pts), dtype=bool)
+    for i in range(0, len(pts), 4):
+        dx, dy = (boundary[:, k] - pts[i : i + 4, k, None] for k in (0, 1))
+        near = np.min(np.sqrt(dx * dx + dy * dy), axis=1) < 1e-12
+        out[i : i + 4] = near | (np.round(np.abs(winding_sum(dx, dy)) / (2.0 * math.pi)) >= 1)
     return out
 
 

@@ -1,10 +1,11 @@
 """Chordal-metric computations on the extended plane and factoring of
 translations and scalings into small-spherical-distortion steps.
 
-The sphere of unit diameter is handled entirely through the chart
-R^d U {infinity}: the chordal metric has a closed three-case form there,
-the point at infinity enters the sampled pairs as one extra row
-(_chordal_pairs), and every map under test fixes it.
+The sphere of unit diameter is handled through the chart R^d U {infinity},
+and chordal distances are Euclidean distances of stereographic lifts, so a
+chordal sweep is kernels.pairwise_distortion on the lifted samples and
+images, infinity included (every map under test fixes it).  The scaling
+step is the closed-form root of its per-step bound.
 """
 
 from __future__ import annotations
@@ -16,21 +17,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .geometry_core import GeometryError, step_count
 from .map_engine import MapExpr, Scaling, Translation
 
 
-def _chordal_pairs(pts: np.ndarray, with_infinity: bool) -> np.ndarray:
-    """Condensed chordal distance matrix over finite points (+ infinity row)."""
+def stereographic_lift(pts: np.ndarray) -> np.ndarray:
+    """Lifts (x, |x|^2) / (1 + |x|^2) of the rows of pts, then infinity's (0, ..., 0, 1): their
+    Euclidean distances are the chordal distances on the sphere of unit diameter."""
     norms2 = np.einsum("ij,ij->i", pts, pts)
-    w = 1.0 / np.sqrt(1.0 + norms2)
-    diff = pts[:, None, :] - pts[None, :, :]
-    d = np.linalg.norm(diff, axis=2) * w[:, None] * w[None, :]
-    if with_infinity:
-        d = np.pad(d, ((0, 1), (0, 1)))
-        d[-1, :-1] = w
-        d[:-1, -1] = w
-    return d
+    lifted = np.column_stack([pts, norms2]) / (1.0 + norms2)[:, None]
+    return np.vstack([lifted, np.eye(1, lifted.shape[1], lifted.shape[1] - 1)])
 
 
 def sample_points(dim: int, radius: float, count: int) -> np.ndarray:
@@ -49,23 +46,18 @@ def sample_points(dim: int, radius: float, count: int) -> np.ndarray:
 
 
 def spherical_distortion(m: MapExpr, dim: int = 2, count: int = 160) -> float:
-    """Sampled lower bound on the chordal bi-Lipschitz constant of m.
+    """Largest chordal ratio over the sample pairs of m as evaluated in floats: a lower
+    bound on m's chordal constant up to the rounding of the images and lifts.
 
     m must fix infinity (translations, scalings, and their compositions
     do); the samples fill the ball of radius 4, and pairs include the
     infinity pairings.
     """
     pts = sample_points(dim, 4.0, count)
-    imgs = m.evaluate(pts)
-    d_src = _chordal_pairs(pts, with_infinity=True)
-    d_img = _chordal_pairs(imgs, with_infinity=True)
-    iu = np.triu_indices(d_src.shape[0], k=1)
-    src = d_src[iu]
-    img = d_img[iu]
-    if np.any(img <= 0.0):
+    ratio, min_img = kernels.pairwise_distortion(stereographic_lift(pts), stereographic_lift(m.evaluate(pts)))
+    if min_img == 0.0:
         raise GeometryError("coincident images in the spherical sweep")
-    ratios = img / src
-    return float(np.max(np.maximum(ratios, 1.0 / ratios)))
+    return ratio
 
 
 def translation_step_bound(step_length: float) -> float:
@@ -129,29 +121,18 @@ def factor_translation_sphere(v, epsilon: float) -> SphericalFactorReport:
         return SphericalFactorReport(None, 0, target, epsilon)
     v0 = epsilon / (1.0 + epsilon)
     n = step_count(length / v0, f"epsilon {epsilon}")
-    step_v = v / n
-    step = Translation(tuple(step_v))
-    bound = translation_step_bound(length / n)
+    step = Translation(tuple(v / n))
     sampled = spherical_distortion(step, dim=v.shape[0])
-    return SphericalFactorReport(SphericalStep(step, bound, sampled), n, target, epsilon)
+    return SphericalFactorReport(SphericalStep(step, translation_step_bound(length / n), sampled),
+                                 n, target, epsilon)
 
 
 def solve_scaling_step(epsilon: float) -> float:
-    """Bisection root of a (1 - (a^2 - 1))^-1 == 1 + epsilon on a > 1."""
-    target = 1.0 + epsilon
-    lo, hi = 1.0, math.sqrt(2.0) - 1e-9
-    f = lambda a: a / (1.0 - (a * a - 1.0)) - target
-    if f(hi) < 0:
-        raise GeometryError("epsilon too large for the per-step scaling bound")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo < 1e-12:
-            break
-        if f(mid) > 0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    """Root a > 1 of a (1 - (a^2 - 1))^-1 == 1 + epsilon: the positive root of
+    (1+epsilon) a^2 + a - 2 (1+epsilon) = 0, as (sqrt(u^2 + 8) - u) / 2 with
+    u = 1 / (1 + epsilon), in which no term overflows."""
+    u = 1.0 / (1.0 + epsilon)
+    return (math.sqrt(u * u + 8.0) - u) / 2.0
 
 
 def factor_scaling_sphere(a: float, epsilon: float) -> SphericalFactorReport:
@@ -168,10 +149,8 @@ def factor_scaling_sphere(a: float, epsilon: float) -> SphericalFactorReport:
     target = Scaling(a) if a != 1.0 else Scaling(1.0)
     if a == 1.0:
         return SphericalFactorReport(None, 0, target, epsilon)
-    a0 = solve_scaling_step(epsilon)
-    n = step_count(abs(math.log(a)) / math.log(a0), f"epsilon {epsilon}")
-    step_a = a ** (1.0 / n)
-    step = Scaling(step_a)
-    bound = scaling_step_bound(step_a)
-    sampled = spherical_distortion(step)
-    return SphericalFactorReport(SphericalStep(step, bound, sampled), n, target, epsilon)
+    log_a0 = math.log(solve_scaling_step(epsilon))  # 0 once the step rounds to 1
+    n = step_count(abs(math.log(a)) / log_a0 if log_a0 > 0.0 else math.inf, f"epsilon {epsilon}")
+    step = Scaling(a ** (1.0 / n))
+    return SphericalFactorReport(SphericalStep(step, scaling_step_bound(step.a), spherical_distortion(step)),
+                                 n, target, epsilon)

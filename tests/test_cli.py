@@ -324,8 +324,15 @@ def shuffle_input(**params) -> dict:
     return {"omega": {"psi": IDENTITY, "base_side": 4.0}, "pairs": pairs, "mu": 1.5, "C1": 8.0, **params}
 
 
-# (subcommand, input payload, text the error must contain)
+# (subcommand, input payload, text the error must contain, extra flags)
 MALFORMED = {
+    # Refused before anything of that size is allocated (a 5662^2 vertex grid, a 16385^2 lattice).
+    "pl-eta-oversized": ("pl", {"map": IDENTITY, "eta": 0.001}, "eta 0.001 needs 2.881e+08 sweep targets"),
+    "corona-h-oversized": (
+        "corona", {"map": IDENTITY, "depth": 7}, "h 6.103515625e-05 needs 2.685e+08 lattice points",
+        "--h", "0.00006103515625"),
+    "multilevel-depth-oversized": (
+        "multilevel", {"map": IDENTITY, "depth": 12}, "depth 12 in 2-D needs 2.237e+07 label cells"),
     "sphere-translation-v-not-numeric": ("sphere-factor", {"kind": "translation", "v": "abc"}, ""),
     "sphere-scaling-a-not-numeric": ("sphere-factor", {"kind": "scaling", "a": "x"}, ""),
     "sphere-translation-v-1d": (
@@ -431,10 +438,10 @@ MALFORMED = {
 class TestErrorPaths:
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_malformed_input_exit_two_with_report(self, tmp_path, case):
-        sub, payload, needle = MALFORMED[case]
+        sub, payload, needle, *flags = MALFORMED[case]
         inp = write_input(tmp_path, "x.json", payload)
         out = tmp_path / "o"
-        assert main([sub, "--input", inp, "--out", str(out)]) == 2
+        assert main([sub, "--input", inp, "--out", str(out), *flags]) == 2
         rep = load_report(out)
         assert rep["passed"] is False
         assert rep["error"] and needle in rep["error"]
@@ -443,13 +450,24 @@ class TestErrorPaths:
     @pytest.mark.parametrize("payload", [{"kind": "translation", "v": [1.0, 0.0]}, {"kind": "scaling", "a": 2.0}],
                              ids=["translation", "scaling"])
     def test_sphere_factor_tiny_epsilon_exit_two(self, tmp_path, payload):
-        # The step count is refused before any step is built: 1e300 steps, or about 1.8e12.
+        # The step count is refused before any step is built: 1e300 steps, or infinitely many
+        # once the scaling step rounds to 1.
         inp = write_input(tmp_path, "s.json", payload)
         out = tmp_path / "o"
         assert main(["sphere-factor", "--input", inp, "--out", str(out), "--epsilon", "1e-300"]) == 2
         rep = load_report(out)
         assert rep["passed"] is False
         assert rep["error"].startswith("epsilon 1e-300 needs ") and "steps, more than the" in rep["error"]
+        assert "result" not in rep
+
+    def test_sphere_factor_huge_epsilon_exit_two(self, tmp_path):
+        # The scaling step rounds to sqrt(2): 8 steps reach 16, and the step's bound is undefined.
+        inp = write_input(tmp_path, "s.json", {"kind": "scaling", "a": 16.0})
+        out = tmp_path / "o"
+        assert main(["sphere-factor", "--input", inp, "--out", str(out), "--epsilon", "1e300"]) == 2
+        rep = load_report(out)
+        assert rep["passed"] is False
+        assert rep["error"] == "scaling step outside the bound's validity range"
         assert "result" not in rep
 
     @pytest.mark.parametrize("sub, payload, steps", [

@@ -44,8 +44,10 @@ def sample(n: int, d: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     return xs, ys
 
 
-# 300 points hold 44,850 pairs, more than one 2^15-pair block.
-CASES = [(81, 2), (125, 3), (300, 2), (300, 3)]
+# 300 points hold 44,850 pairs, more than one 2^15-pair block.  162 points in
+# 3-D and 4-D are the shapes of sphere.spherical_distortion's lifted sweeps:
+# 161 samples and infinity, lifted from the plane or from 3-space.
+CASES = [(81, 2), (125, 3), (300, 2), (300, 3), (162, 3), (162, 4)]
 
 
 @pytest.mark.parametrize("n,d", CASES)

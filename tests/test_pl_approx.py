@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from bilipfactor import pl_approx
 from bilipfactor.geometry_core import AffineMapData, Cube, rotation_2d, rotation_3d
 from bilipfactor.map_engine import (
     Affine,
@@ -278,6 +279,17 @@ class TestDegreeSweep:
         # The first pass flags every target on a face, so a degree there comes from the retry.
         assert np.any(degrees[len(sweep) : -len(outside)] == 1)
         assert np.all(degrees[-len(outside) :] == 0) and not np.any(unresolved[-len(outside) :])
+
+    @pytest.mark.parametrize("per_pass", [1, 97])
+    def test_passes_equal_one_pass(self, per_pass, monkeypatch):
+        f, pitch, box = _ORACLE_CASES["logspiral-0.05"]
+        pl = pl_interpolate(f, freudenthal(box.dim, pitch, box))
+        targets = np.concatenate(_sweep_targets(pl))
+        whole = degrees_pl_batch(pl, targets)
+        assert len(targets) < pl_approx.SWEEP_TARGETS
+        monkeypatch.setattr(pl_approx, "SWEEP_TARGETS", per_pass)
+        for got, want in zip(degrees_pl_batch(pl, targets), whole):
+            assert np.array_equal(got, want)
 
     def test_unresolved_after_retry_matches_reference(self):
         # The shear sends the triangulation's e1 edges along the tie-break

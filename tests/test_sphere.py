@@ -5,17 +5,17 @@ import math
 import numpy as np
 import pytest
 
-from bilipfactor.geometry_core import GeometryError
-from bilipfactor.map_engine import Compose, Identity, MapExpr, Scaling, Translation
+from bilipfactor.geometry_core import AffineMapData, GeometryError, rotation_2d
+from bilipfactor.map_engine import Affine, Compose, Identity, MapExpr, Scaling, Translation
 from bilipfactor.sphere import (
     SphericalFactorReport,
-    _chordal_pairs,
     factor_scaling_sphere,
     factor_translation_sphere,
     sample_points,
     scaling_step_bound,
     solve_scaling_step,
     spherical_distortion,
+    stereographic_lift,
     translation_step_bound,
 )
 
@@ -77,6 +77,32 @@ def chordal_distance(x, y) -> float:
     )
 
 
+def dense_chordal_pairs(pts: np.ndarray) -> np.ndarray:
+    """All chordal distances of the points and infinity (last row and column), as one dense matrix."""
+    w = 1.0 / np.sqrt(1.0 + np.einsum("ij,ij->i", pts, pts))
+    d = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2) * w[:, None] * w[None, :]
+    d = np.pad(d, ((0, 1), (0, 1)))
+    d[-1, :-1] = w
+    d[:-1, -1] = w
+    return d
+
+
+def dense_spherical_distortion(m: MapExpr, dim: int, count: int = 160) -> float:
+    """The chordal sweep over the pairs i < j of the dense matrices, in the chart's own coordinates."""
+    pts = sample_points(dim, 4.0, count)
+    d_src, d_img = dense_chordal_pairs(pts), dense_chordal_pairs(m.evaluate(pts))
+    iu = np.triu_indices(d_src.shape[0], k=1)
+    ratios = d_img[iu] / d_src[iu]
+    return float(np.max(np.maximum(ratios, 1.0 / ratios)))
+
+
+def rotation(dim: int, rng) -> np.ndarray:
+    if dim == 2:
+        return rotation_2d(rng.uniform(-math.pi, math.pi))
+    q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    return q * np.sign(np.linalg.det(q))
+
+
 def lift_distortion_bound(eps_prime: float) -> float:
     """Chordal bound (1 + e')(1 - e')^-2 for a Euclidean (1+e')-bi-Lipschitz
     origin-fixing map, 0 <= e' < 1."""
@@ -118,11 +144,12 @@ class TestChordal:
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_pairs_match_oracle(self, dim):
-        # _chordal_pairs is the metric spherical_distortion sweeps; its
-        # last row and column are the distances to infinity.
-        pts = sample_points(dim, 4.0, 40)
-        got = _chordal_pairs(pts, True)
-        points = list(pts) + [INFINITY]
+        # Distances of the stereographic lifts are the metric spherical_distortion
+        # sweeps; the last lift is infinity's.
+        lifted = stereographic_lift(sample_points(dim, 4.0, 40))
+        assert np.array_equal(lifted[-1], np.eye(dim + 1)[dim])
+        got = np.linalg.norm(lifted[:, None, :] - lifted[None, :, :], axis=2)
+        points = list(sample_points(dim, 4.0, 40)) + [INFINITY]
         want = np.array([[chordal_distance(x, y) for y in points] for x in points])
         assert got.shape == want.shape == (42, 42)
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
@@ -131,6 +158,27 @@ class TestChordal:
 class TestDistortion:
     def test_identity(self):
         assert spherical_distortion(Identity()) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("kind", ["translation", "scaling", "rotation"])
+    def test_lifted_sweep_matches_dense_oracle(self, dim, kind, rng):
+        # The lift rounds each lifted coordinate, which the dense form's
+        # differences of chart coordinates do not, and a rotation's sweep is
+        # all rounding: its true ratio is 1.  So the two agree to a few
+        # ulps times max|x| / min|x - y| of the samples, not bit for bit.
+        for _ in range(12):
+            if kind == "translation":
+                m = Translation(tuple(rng.normal(scale=2.0, size=dim)))
+            elif kind == "scaling":
+                m = Scaling(float(np.exp(rng.uniform(-2.0, 2.0))))
+            else:
+                m = Affine(AffineMapData(rotation(dim, rng), np.zeros(dim)))
+            want = dense_spherical_distortion(m, dim)
+            assert spherical_distortion(m, dim) == pytest.approx(want, rel=1e-14, abs=0.0)
+
+    def test_coincident_images_refused(self):
+        with pytest.raises(GeometryError, match="coincident images"):
+            spherical_distortion(Affine(AffineMapData(np.zeros((2, 2)), np.zeros(2))))
 
     def test_small_translation_under_bound(self):
         v = 0.05
@@ -178,6 +226,35 @@ class TestTranslationFactoring:
 class TestScalingFactoring:
     def test_unit(self):
         assert factor_scaling_sphere(1.0, 0.3).count == 0
+
+    @pytest.mark.parametrize("epsilon", [1e-9, 1e-4, 0.01, 0.3, 0.5, 10.0, 1e8])
+    def test_closed_form_solves_the_bound(self, epsilon):
+        # a^2 + u a - 2 = 0 with u = 1 / (1 + epsilon) is the bound's equation
+        # divided by 1 + epsilon, and is well conditioned at every epsilon.
+        a, u = solve_scaling_step(epsilon), 1.0 / (1.0 + epsilon)
+        assert 1.0 < a < math.sqrt(2.0)
+        assert abs(a * a + u * a - 2.0) <= 1e-15  # a few ulps of 2
+        if epsilon <= 10.0:
+            assert scaling_step_bound(a) == pytest.approx(1.0 + epsilon, rel=1e-12)
+
+    def test_closed_form_at_extreme_epsilon(self):
+        # No term overflows: at epsilon 1e300 the root is sqrt(2) in floats.
+        assert solve_scaling_step(1e300) == math.sqrt(2.0)
+        assert solve_scaling_step(1e-300) == 1.0
+
+    @pytest.mark.parametrize("epsilon", [6e8, 1e10, 8e12])
+    def test_large_epsilon_takes_nine_steps(self, epsilon):
+        # sqrt(2)^8 = 16, so a step just below sqrt(2) needs 9 of them; above
+        # epsilon 5e8 the root lies within 1e-9 of sqrt(2).
+        rep = factor_scaling_sphere(16.0, epsilon)
+        assert rep.count == 9
+        assert rep.step.analytic_bound <= 1.0 + epsilon
+
+    def test_epsilon_beyond_the_bound_refused(self):
+        # The root rounds so close to sqrt(2) that 8 steps reach 16 and the
+        # step's bound is no longer defined.
+        with pytest.raises(GeometryError, match="validity range"):
+            factor_scaling_sphere(16.0, 1e300)
 
     def test_count_vs_bisection_oracle(self):
         a0 = solve_scaling_step(0.3)
