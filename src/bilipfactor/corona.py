@@ -60,6 +60,7 @@ from .geometry_core import (
     bilip_constants,
     box_lattice,
     check_points,
+    row_norms,
 )
 from .map_engine import MapExpr, affine_fit_samples, estimate_distortion
 
@@ -125,7 +126,7 @@ def _box_windows(f: MapExpr, level: int, coords: np.ndarray, h: float) -> tuple[
 
 def _sup_error(lin: np.ndarray, shift: np.ndarray, pts: np.ndarray, imgs: np.ndarray) -> float:
     """max |pts @ lin + shift - imgs|: the operands AffineMapData.apply multiplies for matrix lin.T."""
-    return float(np.max(np.linalg.norm(pts @ lin + shift - imgs, axis=1)))
+    return float(np.max(row_norms(pts @ lin + shift - imgs)))
 
 
 def region_fit_error(fit: AffineMapData, f: MapExpr, q: DyadicCube, h: float) -> float:

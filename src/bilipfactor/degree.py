@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .geometry_core import polyline_length, resample_polyline
+from .geometry_core import polyline_length, resample_polyline, row_norms
 from .map_engine import MapExpr
 
 class DegreeError(RuntimeError):
@@ -42,7 +42,7 @@ def degree_winding_2d(m: MapExpr, y: np.ndarray, boundary: np.ndarray) -> int:
         boundary = np.vstack([boundary, boundary[0]])
 
     probe = m.evaluate(resample_polyline(boundary, 256))
-    dist = float(np.min(np.linalg.norm(probe - y, axis=1)))
+    dist = float(np.min(row_norms(probe - y)))
     if dist <= 0:
         raise DegreeError("target lies on the sampled boundary image")
     perimeter = polyline_length(probe)
@@ -50,8 +50,8 @@ def degree_winding_2d(m: MapExpr, y: np.ndarray, boundary: np.ndarray) -> int:
     imgs = m.evaluate(resample_polyline(boundary, count + 1))
 
     rel = imgs - y
-    dist = float(np.min(np.linalg.norm(rel, axis=1)))
-    step = float(np.max(np.linalg.norm(np.diff(imgs, axis=0), axis=1)))
+    dist = float(np.min(row_norms(rel)))
+    step = float(np.max(row_norms(np.diff(imgs, axis=0))))
     if dist < 10.0 * step:
         raise DegreeError("insufficient boundary resolution near the target")
     total = float(winding_sum(rel[:, 0], rel[:, 1]))

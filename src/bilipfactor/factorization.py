@@ -44,6 +44,7 @@ from .geometry_core import (
     resample_polyline,
     rotation_2d,
     rotation_3d,
+    row_norms,
     step_count,
     svd,
 )
@@ -544,7 +545,7 @@ def factor_linear_outside_cube(
             pts, _ = cube_lattice(probe, probe.side / 16)
             outside = pts[~q.contains(pts, tol=1e-12)]
             comp = compose_sequence(factors)
-            err = float(np.max(np.linalg.norm(comp.evaluate(outside) - target.evaluate(outside), axis=1)))
+            err = float(np.max(row_norms(comp.evaluate(outside) - target.evaluate(outside))))
             if err > TOLERANCES["agreement_rel"] * probe.diam:
                 raise CertificationError(f"composite deviates from target outside the cube by {err:.3e}")
             return factors, certs, Cube(q.center, inner_side)
@@ -595,7 +596,7 @@ def glue_identity_outside(
     bounds = []
     for region, m in pieces:
         ring = _boundary_lattice(region, h)
-        dev = float(np.max(np.linalg.norm(m.evaluate(ring) - ring, axis=1)))
+        dev = float(np.max(row_norms(m.evaluate(ring) - ring)))
         if dev > 1e-9:
             raise GeometryError(f"not identity on boundary (deviation {dev:.3e})")
         pts, _ = cube_lattice(region, h)
@@ -650,7 +651,7 @@ def check_factor_sequence(fs: FactorSequence, epsilon: float | None = None) -> d
     worst = 0.0
     for i in run.touching(outside):
         moved = run[i : i + 1].evaluate(outside)
-        worst = max(worst, float(np.max(np.linalg.norm(moved - outside, axis=1))))
+        worst = max(worst, float(np.max(row_norms(moved - outside))))
         if worst > TOLERANCES["support_identity"]:
             break
     report["support_identity_dev"] = worst

@@ -387,16 +387,26 @@ def unit_cube_dyadics(dim: int, level: int) -> list[DyadicCube]:
     return [DyadicCube(level, (i, j, k)) for i in rng for j in rng for k in rng]
 
 
+def row_norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norms over the last axis of v (..., d), d < 8: np.linalg.norm(v, axis=-1)
+    bit for bit, since NumPy adds fewer than 8 squares in order, as this loop does."""
+    v = np.asarray(v, dtype=float)
+    s = v[..., 0] * v[..., 0]
+    for k in range(1, v.shape[-1]):
+        s += v[..., k] * v[..., k]
+    return np.sqrt(s, out=s)
+
+
 def polyline_length(path: np.ndarray) -> float:
     """Arc length of the polyline: the sum of its segment lengths."""
-    return float(np.linalg.norm(np.diff(path, axis=0), axis=1).sum())
+    return float(row_norms(np.diff(path, axis=0)).sum())
 
 
 def resample_polyline(path: np.ndarray, count: int) -> np.ndarray:
     """count points spread uniformly in arc length along the polyline."""
     path = np.asarray(path, dtype=float)
-    seg = np.linalg.norm(np.diff(path, axis=0), axis=1)
-    total = polyline_length(path)
+    seg = row_norms(np.diff(path, axis=0))
+    total = float(seg.sum())
     if total == 0:
         return np.repeat(path[:1], count, axis=0)
     cum = np.concatenate([[0.0], np.cumsum(seg)])

@@ -13,8 +13,9 @@ maps) as arrays of centres, sides, lambdas and inner maps.  It evaluates
 as the composition of its Blend factors does, bit for bit, and walk()
 returns the images after any list of prefixes in one pass; indexing
 builds the individual Blend objects for JSON and tests.  The walk holds
-points as coordinate rows (d, m): one M @ x per affine step, contiguous
-weight ratios.  M @ x must round as Blend's x @ M.T does on the same
+points as coordinate rows (d, m): one M @ x per affine step, and exact
+block tests on per-axis extremes and outward-rounded boxes in place of
+per-point weights.  M @ x must round as Blend's x @ M.T does on the same
 rows; tests/test_factorization.py pins that for the BLAS in use.
 """
 
@@ -34,6 +35,7 @@ from .geometry_core import (
     bilip_constant,
     box_lattice,
     cube_lattice,
+    row_norms,
 )
 
 
@@ -293,9 +295,12 @@ class BlendRun(MapExpr, Sequence):
         writes 0 * x + inner(x), which is inner(x) bit for bit unless
         inner(x) holds a -0.0.  So a step runs exactly, as Blend.evaluate
         does, wherever some point has 0 < w < 1 or a moving image holds a
-        -0.0.  Every block's path is a view of one buffer, sized for the
-        longest block and all points, so the walk takes its scratch memory
-        once.
+        -0.0.  _walk_block decides each block with exact tests that give
+        the per-point answers: the moving points' weights from their
+        per-axis extremes, the still points' behind an outward-rounded box,
+        and the -0.0 scan only at steps whose shift holds a -0.0.  Every
+        block's path is a view of one buffer, sized for the longest block
+        and all points, so the walk takes its scratch memory once.
         """
         pts = np.asarray(pts, dtype=float)
         x = np.array(pts.T, order="C")
@@ -323,10 +328,24 @@ class BlendRun(MapExpr, Sequence):
         """Move the coordinate rows x (d, m) in place over the steps k, k+1,
         ... (at most span of them) along which every point keeps its w of
         step k, 0 or 1, and no moving image holds a -0.0; return how many
-        steps that is (0: step k runs exactly).  The still points' ratios
-        are taken a chunk of steps at a time, at most _RATIO_ELEMS values,
-        up to the first step that moves one; the moving points' path is
-        built in buf, which holds at least (span + 1) * x.size floats."""
+        steps that is (0: step k runs exactly).
+
+        Each test answers as the per-point weights would, bit for bit:
+        - Still points: a chunk of steps at a time (at most _RATIO_ELEMS
+          ratios), only the points inside the chunk's outward-rounded union
+          box (_near) take weight ratios; the rest have w == 0 there.
+        - Moving points: their path is built in buf, which holds at least
+          (span + 1) * x.size floats.  |fl(x - c)| peaks at an end of each
+          axis and the ratio does not increase with the sup-norm radius, so
+          the smallest ratio at a step is that of the per-axis minimum or
+          maximum corner (a translation run's extremes are those of step k
+          summed with the steps, as each point's are).  A NaN coordinate
+          drops its point from the per-point maximum but not from the
+          corners, so a block with one takes the per-point ratios.
+        - -0.0 images: a rounded sum is -0.0 only if both terms are, so
+          path[i + 1] (M x or path[i], plus shifts[k + i]) can hold one
+          only where shifts[k + i] does; only those steps are scanned.
+        """
         first = self._ratio(x, k)
         still = first <= 0.0
         moving = first >= 1.0
@@ -336,7 +355,8 @@ class BlendRun(MapExpr, Sequence):
             xs = x[:, still]
             per = max(1, _RATIO_ELEMS // xs.shape[1])
             for a in range(0, span, per):
-                hit = np.any(self._ratio(xs, slice(k + a, k + min(a + per, span))) > 0.0, axis=1)
+                s = slice(k + a, k + min(a + per, span))
+                hit = np.any(self._ratio(xs[:, self._near(xs, s)], s) > 0.0, axis=1)
                 if hit.any():
                     span = a + int(hit.argmax())
                     break
@@ -345,28 +365,54 @@ class BlendRun(MapExpr, Sequence):
         d, m = x.shape[0], int(np.count_nonzero(moving))
         path = buf[: (span + 1) * d * m].reshape(span + 1, d, m)
         np.compress(moving, x, axis=1, out=path[0])
+        s = slice(k, k + span)
+        ends = np.empty((span, d, 2))  # per step and axis, the moving points' min and max
         if self.kind == "translation":
-            path[1:] = self.shifts[k : k + span, :, None]
+            path[1:] = self.shifts[s, :, None]
             np.add.accumulate(path, axis=0, out=path)
+            # fl(x + v) is monotone in x, so the extremes take the same steps.
+            np.min(path[0], axis=1, out=ends[0, :, 0])
+            np.max(path[0], axis=1, out=ends[0, :, 1])
+            ends[1:] = self.shifts[k : k + span - 1, :, None]
+            np.add.accumulate(ends, axis=0, out=ends)
         else:
             for i in range(span):
                 self._inner(path[i], k + i, path[i + 1])
-        miss = np.any(self._ratio(path[:-1], slice(k, k + span)) < 1.0, axis=1)
-        miss |= np.any(path[1:].view(np.int64) == _NEG_ZERO_BITS, axis=(1, 2))
+            np.min(path[:-1], axis=2, out=ends[..., 0])
+            np.max(path[:-1], axis=2, out=ends[..., 1])
+        if np.isnan(ends).any():
+            ends = path[:-1]
+        miss = np.any(self._ratio(ends, s) < 1.0, axis=1)
+        zero = np.flatnonzero(np.any(self.shifts[s].view(np.int64) == _NEG_ZERO_BITS, axis=1))
+        if zero.size:
+            miss[zero] |= np.any(path[zero + 1].view(np.int64) == _NEG_ZERO_BITS, axis=(1, 2))
         if miss.any():
             span = int(miss.argmax())
         if span:
             x[:, moving] = path[span]
         return span
 
+    def _near(self, x: np.ndarray, s: slice) -> np.ndarray:
+        """Indices of the columns of the coordinate rows x (d, m) inside the
+        union box of the lam-cubes of the factors s, its bounds rounded
+        outward.  lam * (side / 2.0) has _weight_ratio's bits, and a point
+        outside the box has |fl(x_k - c_k)| >= that for every factor of s
+        (lams > 1), so its ratio is <= 0 there (NaN points are outside)."""
+        reach = (self.lams[s] * (self.sides[s] / 2.0))[:, None]
+        lo = np.nextafter(np.min(self.centers[s] - reach, axis=0), -np.inf)[:, None]
+        hi = np.nextafter(np.max(self.centers[s] + reach, axis=0), np.inf)[:, None]
+        return np.flatnonzero(np.all((x >= lo) & (x <= hi), axis=0))
+
     def touching(self, pts) -> np.ndarray:
-        """Indices of the factors that move some of pts (w > 0 there)."""
+        """Indices of the factors that move some of pts (w > 0 there); only the
+        points inside a chunk's union box (_near) take weight ratios."""
         x = np.array(np.asarray(pts, dtype=float).T, order="C")
         chunk = max(1, _WALK_ELEMS // max(1, x.shape[1]))
-        hits = [
-            a + np.flatnonzero(np.any(self._ratio(x, slice(a, a + chunk)) > 0.0, axis=1))
-            for a in range(0, len(self), chunk)
-        ]
+        hits = []
+        for a in range(0, len(self), chunk):
+            s = slice(a, a + chunk)
+            hit = np.any(self._ratio(x[:, self._near(x, s)], s) > 0.0, axis=1)
+            hits.append(a + np.flatnonzero(hit))
         return np.concatenate(hits) if hits else np.empty(0, dtype=np.intp)
 
 
@@ -484,7 +530,7 @@ def sup_distance(m1: MapExpr, m2: MapExpr, region: Cube, h: float) -> float:
     """Max over the region lattice of |m1(x) - m2(x)| as evaluated in floats
     (a lower bound on the sup up to the rounding of those evaluations)."""
     pts, _ = cube_lattice(region, h)
-    return float(np.max(np.linalg.norm(m1.evaluate(pts) - m2.evaluate(pts), axis=1)))
+    return float(np.max(row_norms(m1.evaluate(pts) - m2.evaluate(pts))))
 
 
 def almost_affine_fit(
@@ -527,5 +573,5 @@ def affine_fit_samples(pts: np.ndarray, imgs: np.ndarray, centers: np.ndarray,
                                               signature="ddd->ddid")
     lin = sol[:, :-1]
     shift = sol[:, -1] + center_imgs - ((centers[:, None, :] @ lin)[:, 0] + sol[:, -1])
-    err = np.linalg.norm(imgs - (np.matmul(pts, lin) + shift[:, None, :]), axis=2)
+    err = row_norms(imgs - (np.matmul(pts, lin) + shift[:, None, :]))
     return lin, shift, err, rank

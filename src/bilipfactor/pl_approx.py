@@ -98,7 +98,13 @@ def freudenthal(dim: int, pitch: float, box: Cube | tuple) -> Triangulation:
     else:
         lo = np.asarray(box[0], dtype=float)
         hi = np.asarray(box[1], dtype=float)
-    cells = tuple(max(1, int(math.ceil((hi[k] - lo[k]) / pitch - 1e-12))) for k in range(dim))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        spans = (hi[:dim] - lo[:dim]) / pitch
+    # Refused before any ceil: a pitch that is not finite and positive, or one
+    # that underflows against the box (its cell counts overflow).
+    if not (0.0 < pitch < math.inf and np.all(np.isfinite(spans))):
+        raise GeometryError("triangulation pitch must be positive")
+    cells = tuple(max(1, int(math.ceil(spans[k] - 1e-12))) for k in range(dim))
     return Triangulation(dim=dim, pitch=pitch, origin=lo, cells=cells)
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .degree import winding_sum
 from .factorization import factor_shrink, factor_translation_along_path
-from .geometry_core import TOLERANCES, Cube, GeometryError, resample_polyline
+from .geometry_core import TOLERANCES, Cube, GeometryError, resample_polyline, row_norms
 from .map_engine import (
     AffineMapData,
     BlendRun,
@@ -97,7 +97,7 @@ def _psi_inverse(psi: MapExpr, base_side: float, target: np.ndarray) -> np.ndarr
     axes = np.linspace(0.0, base_side, n)
     gx, gy = np.meshgrid(axes, axes, indexing="ij")
     pts = np.stack([gx.ravel(), gy.ravel()], axis=-1)
-    best = pts[np.argmin(np.linalg.norm(psi.evaluate(pts) - target, axis=1))]
+    best = pts[np.argmin(row_norms(psi.evaluate(pts) - target))]
     u = best.astype(float)
     eps = base_side * 1e-7
     for _ in range(60):
@@ -545,10 +545,10 @@ def check_shuffle(result: ShuffleResult) -> dict:
     final = prefixes[-1] if stops else merged
     out_images = final[s1:s2]
     want = np.vstack([sim.apply(probes[j * n_per : (j + 1) * n_per]) for j, sim in enumerate(result.similarities)])
-    residual = float(np.max(np.linalg.norm(want - final[:s1], axis=1)))
+    residual = float(np.max(row_norms(want - final[:s1])))
     report["similarity_residual"] = residual
     report["similarity_ok"] = residual <= TOLERANCES["similarity_residual"]
-    dev = float(np.max(np.linalg.norm(out_images - outside, axis=1))) if len(outside) else 0.0
+    dev = float(np.max(row_norms(out_images - outside))) if len(outside) else 0.0
     report["outside_identity_dev"] = dev
     report["outside_ok"] = dev <= TOLERANCES["support_identity"]
     report["disjoint_ok"] = disjoint_ok

@@ -1061,3 +1061,147 @@ class TestBlendRun:
         assert result["max_certified"] == max(bounds)
         report["result"]["certificates"] = [certificate_json(run[i], bounds[i]) for i in range(8)]
         assert text == json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+def _loop_prefixes(run, pts) -> np.ndarray:
+    """Images of pts after every prefix, one Blend.evaluate per factor."""
+    cur = pts.copy()
+    out = [cur]
+    for f in list(run):
+        cur = f.evaluate(cur)
+        out.append(cur)
+    return np.array(out)
+
+
+def _first_product_inner(self, x, i, out):
+    """BlendRun._inner with a gemm that starts from the first product (coordinate rows x (d, m))."""
+    m = self.matrices[i]
+    y = m[:, :1] * x[:1]
+    for c in range(1, x.shape[0]):
+        y = y + m[:, c : c + 1] * x[c : c + 1]
+    out[...] = y + self.shifts[i, :, None]
+    return out
+
+
+def _first_product_apply(self, x):
+    """AffineMapData.apply with the same gemm (rows x (m, d))."""
+    y = x[:, :1] * self.matrix[:, 0]
+    for c in range(1, x.shape[1]):
+        y = y + x[:, c : c + 1] * self.matrix[:, c]
+    return y + self.shift
+
+
+class TestBlockTests:
+    """The walker's exact block tests against the per-factor loop, bit for bit."""
+
+    @staticmethod
+    def _record(monkeypatch, name):
+        """Log (the arguments after x, the result) of each BlendRun.<name> call."""
+        calls = []
+        inner = getattr(BlendRun, name)
+
+        def wrapper(self, x, *args):
+            got = inner(self, x, *args)
+            calls.append((args, got))
+            return got
+
+        monkeypatch.setattr(BlendRun, name, wrapper)
+        return calls
+
+    @pytest.mark.parametrize("kind", ["translation", "affine"])
+    def test_corner_radius_point_ends_the_block(self, kind, monkeypatch):
+        # Every point has w == 1 until p, the largest x, leaves the inner cube
+        # at step 5 of a 12-step block (after a longer fifth shift); no other
+        # point ever has w < 1.
+        n = 12
+        mats = np.tile(np.diag([1.0, 0.999]), (n, 1, 1)) if kind == "affine" else None
+        shifts = np.tile([0.0, -0.01], (n, 1))
+        shifts[:5, 0] = [0.02, 0.02, 0.02, 0.02, 0.05]
+        run = BlendRun(kind, np.zeros((n, 2)), np.ones(n), np.full(n, 2.0), shifts, mats)
+        g = np.linspace(-0.35, 0.35, 5)
+        pts = np.vstack([np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2), [[0.41, 0.05]]])
+        want = _loop_prefixes(run, pts)
+        w = np.array([blend_weight(want[i], run[i].cube, run[i].lam) for i in range(n)])
+        assert np.all(w[:5, -1] == 1.0) and np.all(w[5:, -1] < 1.0) and np.all(w[:, :-1] == 1.0)
+        blocks = self._record(monkeypatch, "_walk_block")
+        assert run.walk(pts, [n]).tobytes() == want[-1:].tobytes()
+        assert blocks[0][0][:2] == (0, n) and blocks[0][1] == 5  # the block ends mid-way, at p's step
+        assert run.walk(pts, range(n + 1)).tobytes() == want.tobytes()
+
+    def test_still_points_one_ulp_from_the_union_box(self, monkeypatch):
+        # Factor 0 is far from every point.  The union box of the factors has
+        # its x bounds from factor 4 (upper) and factor 2 (lower), each edge
+        # c +- lam * side / 2 rounded inward, so a point on the rounded edge
+        # (one ulp inside the outward-rounded box) has 0 < w there and moves
+        # in y; a point one ulp outside the box never moves.
+        def inward(sign, side):
+            """A centre whose edge c + sign * lam * side / 2 rounds inward: the
+            point on the rounded edge is at sup distance < lam * side / 2."""
+            reach = 1.5 * (side / 2.0)
+            for k in range(100):
+                c = sign * (1.0 + 0.01 * k)
+                edge = c + sign * reach
+                if sign * (edge - c) < reach:
+                    return c, edge
+            raise AssertionError("no inward-rounded edge")
+
+        (c_hi, e_hi), (c_lo, e_lo) = inward(1, 0.7), inward(-1, 0.5)
+        centers = np.array([[0.0, 8.0], [0.0, 0.0], [c_lo, 0.0], [0.05, 0.0], [c_hi, 0.0],
+                            [-0.05, 0.0], [0.0, 0.0], [0.1, 0.0]])
+        sides = np.array([0.4, 0.4, 0.5, 0.3, 0.7, 0.3, 0.2, 0.4])
+        n = len(sides)
+        run = BlendRun("translation", centers, sides, np.full(n, 1.5), np.tile([0.0, 1.0], (n, 1)))
+        hi, lo = np.nextafter(e_hi, math.inf), np.nextafter(e_lo, -math.inf)  # the box's x bounds
+        pts = np.array([[e_hi, 0.0], [np.nextafter(hi, math.inf), 0.0], [e_lo, 0.0],
+                        [np.nextafter(lo, -math.inf), 0.0], [0.0, -3.0]])
+        assert run._near(np.array(pts.T), slice(0, n)).tolist() == [0, 2]
+        want = _loop_prefixes(run, pts)
+        assert np.all(blend_weight(pts, run[0].cube, run[0].lam) == 0.0)
+        moved = want[-1, :, 1] != pts[:, 1]
+        assert moved.tolist() == [True, False, True, False, False]
+        assert run.walk(pts, [n]).tobytes() == want[-1:].tobytes()
+        assert run.walk(pts, range(n + 1)).tobytes() == want.tobytes()
+        touched = [i for i, f in enumerate(run) if np.any(blend_weight(pts, f.cube, f.lam) > 0.0)]
+        assert touched == [2, 4]
+        assert run.touching(pts).tolist() == touched
+        # Within a chunk of one step each the same points take the ratios.
+        monkeypatch.setattr(map_engine, "_RATIO_ELEMS", 1)
+        monkeypatch.setattr(map_engine, "_WALK_ELEMS", pts.shape[0])
+        assert run.walk(pts, range(n + 1)).tobytes() == want.tobytes()
+        assert run.touching(pts).tolist() == touched
+
+    def test_positive_zero_shifts_take_no_exact_step(self, monkeypatch):
+        # The first-product gemm gives M @ x == -0.0, but every shift is +0.0
+        # and -0.0 + 0.0 == +0.0, so no image holds a -0.0 and the walk jumps.
+        mats = np.array([[[-0.5, -0.0], [0.0, 1.0]], [[1.0, 0.0], [-0.0, 0.0]], [[-0.0, -0.0], [0.5, 1.0]]])
+        run = BlendRun("affine", np.zeros((6, 2)), np.full(6, 4.0), np.full(6, 2.0),
+                       np.zeros((6, 2)), np.tile(mats, (2, 1, 1)))
+        pts = np.array([[0.0, 0.0], [0.0, 0.5], [0.25, 0.0], [0.5, 0.25]])
+        monkeypatch.setattr(BlendRun, "_inner", _first_product_inner)
+        monkeypatch.setattr(AffineMapData, "apply", _first_product_apply)
+        product = _first_product_apply(AffineMapData(mats[0], np.full(2, -0.0)), pts)  # x + -0.0 == x
+        assert np.any((product == 0.0) & np.signbit(product))
+        want = _loop_prefixes(run, pts)
+        steps = self._record(monkeypatch, "_step")
+        assert run.walk(pts, range(len(run) + 1)).tobytes() == want.tobytes()
+        assert steps == []
+
+    def test_nan_point_takes_the_per_point_ratios(self, monkeypatch):
+        # With a gemm that rounds each product (an FMA would carry the exact
+        # second product and give inf), factor 0 sends p to (inf - inf, .) =
+        # NaN and q to (inf, .): at step 1 q has w == 0 and p a NaN w, so
+        # step 1 runs exactly.  The per-axis extremes would be NaN there and
+        # see no point leave the cube.
+        monkeypatch.setattr(BlendRun, "_inner", _first_product_inner)
+        monkeypatch.setattr(AffineMapData, "apply", _first_product_apply)
+        mats = np.array([[[1e308, 1e308], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]]])
+        shifts = np.array([[0.0, 0.0], [0.0, 0.5], [0.0, 0.5]])
+        run = BlendRun("affine", np.zeros((3, 2)), np.full(3, 8.0), np.full(3, 2.0), shifts, mats)
+        pts = np.array([[2.0, -2.0], [2.0, 2.0], [1e-310, 0.0]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = _loop_prefixes(run, pts)
+            assert np.isnan(want[1, 0, 0]) and want[1, 1, 0] == math.inf
+            blocks = self._record(monkeypatch, "_walk_block")
+            assert run.walk(pts, [len(run)]).tobytes() == want[-1:].tobytes()
+            assert blocks[0][0][:2] == (0, len(run)) and blocks[0][1] == 1
+            assert run.walk(pts, range(len(run) + 1)).tobytes() == want.tobytes()

@@ -16,6 +16,7 @@ from bilipfactor.geometry_core import (
     cube_lattices,
     polyline_length,
     rotation_2d,
+    row_norms,
     svd,
     unit_cube_dyadics,
 )
@@ -218,6 +219,30 @@ class TestCubeLattices:
         pts, pitch = cube_lattice(q, q.side / 4)
         assert pitch == q.side / 4
         assert np.array_equal(pts, self.meshgrid_lattice(q.center, q.side, 5))
+
+
+class TestRowNorms:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_equals_numpy_norm_in_bits(self, d, seed):
+        # Squares added in order are NumPy's sum for fewer than 8 terms, on any
+        # stack shape and with the special values mixed into the coordinates.
+        gen = np.random.default_rng(2700 + 10 * d + seed)
+        special = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, math.inf, -math.inf, math.nan,
+                            1e154, 1e-160, -1.7e308])
+        for shape in [(1,), (257,), (7, 33), (3, 4, 5)]:
+            v = gen.normal(size=shape + (d,)) * 10.0 ** gen.integers(-170, 170, size=shape + (d,))
+            pick = gen.random(v.shape) < 0.3
+            v[pick] = gen.choice(special, size=int(pick.sum()))
+            with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+                got, want = row_norms(v), np.linalg.norm(v, axis=-1)
+            assert got.shape == want.shape == shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_coordinate_rows_view(self):
+        # A transposed (non-contiguous) stack gives the same bits.
+        v = np.random.default_rng(27).normal(size=(3, 400)).T
+        assert row_norms(v).tobytes() == np.linalg.norm(v, axis=1).tobytes()
 
 
 class TestPolylineLength:

@@ -2,12 +2,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from bilipfactor import pl_approx
-from bilipfactor.geometry_core import AffineMapData, Cube, rotation_2d, rotation_3d
+from bilipfactor.geometry_core import AffineMapData, Cube, GeometryError, rotation_2d, rotation_3d
 from bilipfactor.map_engine import (
     Affine,
     DomainError,
@@ -38,6 +39,15 @@ class TestFreudenthal:
     def test_cell_counts(self):
         assert freudenthal(2, 1.0, (np.zeros(2), np.ones(2))).n_simplices == 2
         assert freudenthal(3, 1.0, (np.zeros(3), np.ones(3))).n_simplices == 6
+
+    @pytest.mark.parametrize("pitch", [0.0, 1e-320, -0.1, math.nan, math.inf])
+    def test_bad_pitch_refused(self, pitch):
+        # Refused with the triangulation's own error, before any cell count is
+        # rounded: no overflow warning, OverflowError or ValueError.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GeometryError, match="triangulation pitch must be positive"):
+                freudenthal(2, pitch, Cube((0.5, 0.5), 1.0))
 
     def test_offsets_partition_cell(self):
         # The d! simplices tile the unit cell: their volumes sum to 1.
