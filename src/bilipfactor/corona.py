@@ -25,15 +25,14 @@ are selected on the label arrays, one stacked mask pass per cube level.
 Storage: one int64 label array per level, labels[L] of shape (2^L,)*d,
 holding -1 for a bad cube and the region index for a good one, and the
 regions as columns of one row each: top [level, *coords], fit and residual;
-the multi-level R and Q cubes are int64 rows [level, *coords] too.  The
-build writes these arrays and the checker, Carleson sums, multi-level
-decomposition and report read them; the DyadicCube views (good, bad,
-members, region_index, r_cubes, q_cubes, owner) serve the tests and the
-acceptance suite.  One label per cube makes good/bad overlap, overlapping
-regions and cubes beyond the depth unrepresentable; the checker still finds
-cubes left unassigned, tops without their region's label, and members
-outside their top, cut off from it, or with their children split between
-regions.
+the multi-level R and Q cubes are int64 rows [level, *coords] too.  These
+are the library's only form of a dyadic cube: the build writes them, the
+checker, Carleson sums, multi-level decomposition and report read them, and
+Coronization.good and .bad are the rows of the good and bad cubes.  One
+label per cube makes good/bad overlap, overlapping regions and cubes beyond
+the depth unrepresentable; the checker still finds cubes left unassigned,
+tops without their region's label, and members outside their top, cut off
+from it, or with their children split between regions.
 
 Carleson sums are exact int64 counts in units of the finest cube volume
 2^-(d depth), summed over 2^d blocks level by level and turned into
@@ -48,14 +47,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 
 from .geometry_core import (
     AffineMapData,
     Cube,
-    DyadicCube,
     GeometryError,
     bilip_constants,
     box_lattice,
@@ -86,28 +83,24 @@ class Coronization:
     def depth(self) -> int:
         return len(self.labels) - 1
 
-    def _labelled(self, keep) -> dict[DyadicCube, int]:
-        """Cube -> label for every cube whose label passes keep, level by level in C order."""
-        out: dict[DyadicCube, int] = {}
+    def _rows(self, keep) -> np.ndarray:
+        """(k, 1+d) int64 rows [level, *coords] of the cubes whose label passes keep,
+        level by level in C order."""
+        rows = [np.empty((0, 1 + self.labels[0].ndim), np.int64)]
         for level, lab in enumerate(self.labels):
-            idx = np.argwhere(keep(lab))
-            for x, i in zip(idx.tolist(), lab[tuple(idx.T)].tolist()):
-                out[DyadicCube(level, tuple(x))] = i
-        return out
+            at = np.argwhere(keep(lab))
+            rows.append(np.column_stack([np.full(len(at), level, np.int64), at]))
+        return np.concatenate(rows)
 
     @property
-    def good(self) -> set[DyadicCube]:
-        return set(self.region_index())
+    def good(self) -> np.ndarray:
+        """Rows of the cubes labelled with a region index."""
+        return self._rows(lambda lab: (lab >= 0) & (lab < len(self.tops)))
 
     @property
-    def bad(self) -> set[DyadicCube]:
-        return set(self._labelled(lambda lab: lab == -1))
-
-    def members(self, i: int) -> set[DyadicCube]:
-        return set(self._labelled(lambda lab: lab == i))
-
-    def region_index(self) -> dict[DyadicCube, int]:
-        return self._labelled(lambda lab: (lab >= 0) & (lab < len(self.tops)))
+    def bad(self) -> np.ndarray:
+        """Rows of the cubes labelled -1."""
+        return self._rows(lambda lab: lab == -1)
 
 
 def _fit_window(level: int, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -129,9 +122,11 @@ def _sup_error(lin: np.ndarray, shift: np.ndarray, pts: np.ndarray, imgs: np.nda
     return float(np.max(row_norms(pts @ lin + shift - imgs)))
 
 
-def region_fit_error(fit: AffineMapData, f: MapExpr, q: DyadicCube, h: float) -> float:
-    """sup over the lattice of 2Q intersected with [0,1]^d of |fit - f|."""
-    pts, imgs = _box_windows(f, q.level, np.array([q.coords]), h)
+def region_fit_error(fit: AffineMapData, f: MapExpr, q: np.ndarray | tuple[int, ...], h: float) -> float:
+    """sup over the lattice of 2Q intersected with [0,1]^d of |fit - f|, for the
+    dyadic cube Q of the row q = [level, *coords]."""
+    level, *coords = q
+    pts, imgs = _box_windows(f, int(level), np.array([coords]), h)
     return _sup_error(fit.matrix.T, fit.shift, pts[0], imgs[0])
 
 
@@ -435,24 +430,12 @@ class DecompositionLevel:
     cubes (by R, then level, then C order) and owner_rows[i], the previous
     level's Q that owns R i; b_volumes[i] is the exact |B| of the good set
     B = lam R minus R i's Q cubes, from the label arrays in integers
-    (_good_sets).  r_cubes, q_cubes and owner (R -> Q) are cached cube views."""
+    (_good_sets)."""
 
     r_rows: np.ndarray
     q_rows: np.ndarray
     owner_rows: np.ndarray
     b_volumes: list[Fraction]
-
-    @cached_property
-    def r_cubes(self) -> list[DyadicCube]:
-        return [DyadicCube(level, tuple(x)) for level, *x in self.r_rows.tolist()]
-
-    @cached_property
-    def q_cubes(self) -> list[DyadicCube]:
-        return [DyadicCube(level, tuple(x)) for level, *x in self.q_rows.tolist()]
-
-    @cached_property
-    def owner(self) -> dict[DyadicCube, DyadicCube]:
-        return {r: DyadicCube(level, tuple(x)) for r, (level, *x) in zip(self.r_cubes, self.owner_rows.tolist())}
 
 
 @dataclass(eq=False)

@@ -1,4 +1,4 @@
-"""Exact small-dimension linear algebra, cubes, dyadic cubes, polylines, report tolerances.
+"""Exact small-dimension linear algebra, cubes, dyadic cube coords, polylines, report tolerances.
 
 Everything here is a plain value: matrices and vectors are small NumPy
 arrays, cubes are frozen dataclasses, and every operation is a pure
@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -322,69 +321,10 @@ def box_lattice(lo: np.ndarray, hi: np.ndarray, h: float) -> np.ndarray:
     return np.stack([g.ravel() for g in grid], axis=-1)
 
 
-@dataclass(frozen=True, slots=True)
-class DyadicCube:
-    """[j 2^-k, (j+1) 2^-k] per axis; level k, integer corner coords j."""
-
-    level: int
-    coords: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.level < 0:
-            raise GeometryError("dyadic level must be non-negative")
-        if len(self.coords) not in (2, 3):
-            raise GeometryError("dyadic coords must be a 2- or 3-tuple")
-        object.__setattr__(self, "coords", tuple(int(c) for c in self.coords))
-
-    @property
-    def dim(self) -> int:
-        return len(self.coords)
-
-    @property
-    def side(self) -> float:
-        return 2.0 ** (-self.level)
-
-    @property
-    def volume(self) -> Fraction:
-        return Fraction(1, 2 ** (self.level * self.dim))
-
-    def to_cube(self) -> Cube:
-        s = self.side
-        return Cube(tuple((c + 0.5) * s for c in self.coords), s)
-
-    def children(self) -> list[DyadicCube]:
-        kids = []
-        for i in range(2**self.dim):
-            offs = tuple((i >> k) & 1 for k in range(self.dim))
-            kids.append(
-                DyadicCube(self.level + 1, tuple(2 * c + o for c, o in zip(self.coords, offs)))
-            )
-        return kids
-
-    def parent(self) -> DyadicCube:
-        if self.level == 0:
-            raise GeometryError("level-0 cube has no parent")
-        return DyadicCube(self.level - 1, tuple(c >> 1 for c in self.coords))
-
-    def ancestor(self, levels: int) -> DyadicCube:
-        if levels < 0:
-            raise GeometryError("ancestor level count must be non-negative")
-        if levels > self.level:
-            raise GeometryError("ancestor request above level 0")
-        return DyadicCube(self.level - levels, tuple(c >> levels for c in self.coords))
-
-    def contains_dyadic(self, other: DyadicCube) -> bool:
-        if other.level < self.level:
-            return False
-        return other.ancestor(other.level - self.level) == self
-
-
-def unit_cube_dyadics(dim: int, level: int) -> list[DyadicCube]:
-    """All 2^(level*dim) dyadic cubes of [0,1]^dim at the given level."""
-    rng = range(2**level)
-    if dim == 2:
-        return [DyadicCube(level, (i, j)) for i in rng for j in rng]
-    return [DyadicCube(level, (i, j, k)) for i in rng for j in rng for k in rng]
+def unit_cube_dyadics(dim: int, level: int) -> np.ndarray:
+    """The int64 corner coords j of all 2^(level*dim) dyadic cubes [j 2^-level, (j+1) 2^-level]
+    of [0,1]^dim, one row each, in C order: shape (2^(level*dim), dim)."""
+    return np.indices((1 << level,) * dim, dtype=np.int64).reshape(dim, -1).T
 
 
 def row_norms(v: np.ndarray) -> np.ndarray:

@@ -98,6 +98,8 @@ def freudenthal(dim: int, pitch: float, box: Cube | tuple) -> Triangulation:
     else:
         lo = np.asarray(box[0], dtype=float)
         hi = np.asarray(box[1], dtype=float)
+    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+        raise GeometryError(f"triangulation box must have finite corners, got lo {lo.tolist()} and hi {hi.tolist()}")
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         spans = (hi[:dim] - lo[:dim]) / pitch
     # Refused before any ceil: a pitch that is not finite and positive, or one

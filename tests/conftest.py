@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+from dataclasses import dataclass
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from bilipfactor.geometry_core import AffineMapData, Cube, rotation_2d, rotation_3d
+from bilipfactor.geometry_core import AffineMapData, Cube, rotation_2d, rotation_3d, unit_cube_dyadics
 from bilipfactor.map_engine import Affine, Blend, Compose, LogSpiral, MapExpr, Scaling, Translation
 
 
@@ -54,3 +57,88 @@ def smooth_test_maps() -> list[MapExpr]:
     maps.append(Translation((0.07, 0.03)))
     assert len(maps) == 20
     return maps
+
+
+# The dyadic-cube vocabulary of the reference implementations: one object per
+# cube, built from the library's int64 rows [level, *coords].
+
+
+@dataclass(frozen=True)
+class DyadicCube:
+    """[j 2^-k, (j+1) 2^-k] per axis; level k, integer corner coords j."""
+
+    level: int
+    coords: tuple[int, ...]
+
+    @property
+    def dim(self) -> int:
+        return len(self.coords)
+
+    @property
+    def volume(self) -> Fraction:
+        return Fraction(1, 2 ** (self.level * self.dim))
+
+    @property
+    def row(self) -> tuple[int, ...]:
+        return (self.level, *self.coords)
+
+    def to_cube(self) -> Cube:
+        s = 2.0**-self.level
+        return Cube(tuple((c + 0.5) * s for c in self.coords), s)
+
+    def children(self) -> list[DyadicCube]:
+        """The 2^d children, the first axis slowest."""
+        return [DyadicCube(self.level + 1, tuple(2 * c + o for c, o in zip(self.coords, offs)))
+                for offs in np.ndindex((2,) * self.dim)]
+
+    def parent(self) -> DyadicCube:
+        return DyadicCube(self.level - 1, tuple(c >> 1 for c in self.coords))
+
+    def contains_dyadic(self, other: DyadicCube) -> bool:
+        shift = other.level - self.level
+        return shift >= 0 and tuple(c >> shift for c in other.coords) == self.coords
+
+
+def cubes(rows: np.ndarray) -> list[DyadicCube]:
+    """One cube per row [level, *coords], in row order."""
+    return [DyadicCube(level, tuple(x)) for level, *x in np.asarray(rows).tolist()]
+
+
+def dyadic_level(dim: int, level: int) -> list[DyadicCube]:
+    """The level's cubes of [0,1]^dim in C order."""
+    return [DyadicCube(level, tuple(x)) for x in unit_cube_dyadics(dim, level).tolist()]
+
+
+def good(c) -> set[DyadicCube]:
+    return set(cubes(c.good))
+
+
+def bad(c) -> set[DyadicCube]:
+    return set(cubes(c.bad))
+
+
+def region_index(c) -> dict[DyadicCube, int]:
+    """Good cube -> its region, level by level in C order."""
+    return {q: int(c.labels[q.level][q.coords]) for q in cubes(c.good)}
+
+
+def members(c, i: int) -> set[DyadicCube]:
+    return {DyadicCube(level, tuple(x)) for level, lab in enumerate(c.labels) for x in np.argwhere(lab == i).tolist()}
+
+
+def tops_of(c) -> list[DyadicCube]:
+    """The region tops, region by region."""
+    return cubes(c.tops)
+
+
+def r_cubes(level) -> list[DyadicCube]:
+    return cubes(level.r_rows)
+
+
+def q_cubes(level) -> list[DyadicCube]:
+    return cubes(level.q_rows)
+
+
+def owner(level) -> dict[DyadicCube, DyadicCube]:
+    """R -> the previous level's Q that owns it."""
+    return dict(zip(r_cubes(level), cubes(level.owner_rows)))

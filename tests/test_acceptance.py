@@ -39,7 +39,7 @@ from bilipfactor.shuffle import check_shuffle, execute_shuffle, plan_shuffle
 from bilipfactor.sphere import factor_scaling_sphere, factor_translation_sphere
 from bilipfactor.map_engine import Scaling
 
-from conftest import random_orientation_preserving, smooth_test_maps
+from conftest import owner, q_cubes, r_cubes, random_orientation_preserving, region_index, smooth_test_maps
 from test_corona import brute_force_carleson
 from test_degree import ComplexPower, _Tabulated, square_ring
 from test_factorization import oracle_diagonal_steps, oracle_rotation_steps
@@ -246,20 +246,21 @@ def test_criterion_06_multilevel():
     failures = []
     for idx, m in enumerate(smooth_test_maps()):
         c = build_coronization(m, 2, 5, theta=0.05, h=1 / 64, force_top_bad=True)
-        region_of = c.region_index()
+        region_of = region_index(c)
         for alpha in (0.5, 0.25):
             ml = multilevel_decomposition(c, alpha)
             if not ml.good_measure >= 1 - Fraction(alpha).limit_denominator(100):
                 failures.append((idx, alpha, "measure"))
             for level in ml.levels:
-                for r in level.r_cubes:
-                    qp = level.owner[r]
+                r_list, owner_of = r_cubes(level), owner(level)
+                for r in r_list:
+                    qp = owner_of[r]
                     if not (qp.contains_dyadic(r) and r != qp):
                         failures.append((idx, alpha, "item-ii"))
                     if not (qp.level + ml.k_param <= r.level <= qp.level + ml.zeta_log2):
                         failures.append((idx, alpha, "item-iii"))
-                for qc in level.q_cubes:
-                    owners = [r for r in level.r_cubes if r.contains_dyadic(qc)]
+                for qc in q_cubes(level):
+                    owners = [r for r in r_list if r.contains_dyadic(qc)]
                     if len(owners) != 1 or region_of[owners[0]] != region_of[qc]:
                         failures.append((idx, alpha, "item-i"))
     elapsed = time.monotonic() - t0

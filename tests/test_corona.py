@@ -25,7 +25,6 @@ from bilipfactor.corona import (
 from bilipfactor.geometry_core import (
     AffineMapData,
     Cube,
-    DyadicCube,
     GeometryError,
     bilip_constant,
     box_lattice,
@@ -44,7 +43,19 @@ from bilipfactor.map_engine import (
     estimate_distortion,
 )
 
-from conftest import smooth_test_maps
+from conftest import (
+    DyadicCube,
+    bad,
+    dyadic_level,
+    good,
+    members,
+    owner,
+    q_cubes,
+    r_cubes,
+    region_index,
+    smooth_test_maps,
+    tops_of,
+)
 from test_geometry_core import reference_bilip
 
 AFFINE = Affine(AffineMapData(np.array([[1.2, 0.1], [0.0, 0.9]]), np.array([0.1, 0.2])))
@@ -76,20 +87,16 @@ def labelled(dim: int, depth: int, labels: dict[DyadicCube, int], tops: list[Dya
     return Coronization(arrays, rows, np.zeros((n, dim, dim)), np.zeros((n, dim)), np.zeros(n), {"dim": dim})
 
 
-def tops_of(c: Coronization) -> list[DyadicCube]:
-    """The region tops, region by region, as cubes."""
-    return [DyadicCube(level, tuple(x)) for level, *x in c.tops.tolist()]
-
-
 def brute_force_carleson(c: Coronization) -> tuple[Fraction, Fraction]:
     """Direct enumeration oracle (no subtree DP)."""
     dim = c.labels[0].ndim
     tops = set(tops_of(c))
-    all_cubes = [q for lv in range(c.depth + 1) for q in unit_cube_dyadics(dim, lv)]
+    all_cubes = [q for lv in range(c.depth + 1) for q in dyadic_level(dim, lv)]
+    bad_cubes = bad(c)
     c_bad = Fraction(0)
     c_tops = Fraction(0)
     for r in all_cubes:
-        bad_mass = sum((q.volume for q in c.bad if r.contains_dyadic(q)), Fraction(0))
+        bad_mass = sum((q.volume for q in bad_cubes if r.contains_dyadic(q)), Fraction(0))
         top_mass = sum((q.volume for q in tops if r.contains_dyadic(q)), Fraction(0))
         c_bad = max(c_bad, bad_mass / r.volume)
         c_tops = max(c_tops, top_mass / r.volume)
@@ -117,7 +124,7 @@ def reference_coronization(f, dim, depth, theta, h) -> SetCoronization:
     assigned: dict[DyadicCube, int] = {}
     regions: list[SetRegion] = []
     for level in range(depth + 1):
-        for q in unit_cube_dyadics(dim, level):
+        for q in dyadic_level(dim, level):
             if q in assigned:
                 continue
             try:
@@ -137,7 +144,7 @@ def reference_coronization(f, dim, depth, theta, h) -> SetCoronization:
                 if p.level == depth:
                     continue
                 kids = p.children()
-                if all(region_fit_error(fit, f, c, h) <= theta * c.to_cube().diam for c in kids):
+                if all(region_fit_error(fit, f, c.row, h) <= theta * c.to_cube().diam for c in kids):
                     members.update(kids)
                     assigned.update(dict.fromkeys(kids, idx))
                     frontier.extend(kids)
@@ -154,30 +161,31 @@ def reference_check(c: Coronization) -> list[str]:
     member of every region."""
     issues: list[str] = []
     dim = c.labels[0].ndim
-    all_cubes = {q for lv in range(c.depth + 1) for q in unit_cube_dyadics(dim, lv)}
-    if c.good & c.bad:
+    all_cubes = {q for lv in range(c.depth + 1) for q in dyadic_level(dim, lv)}
+    good_cubes, bad_cubes = good(c), bad(c)
+    if good_cubes & bad_cubes:
         issues.append("good and bad overlap")
-    if (c.good | c.bad) != all_cubes:
+    if (good_cubes | bad_cubes) != all_cubes:
         issues.append("good + bad do not cover all dyadic cubes to depth")
     seen: set[DyadicCube] = set()
     for i, top in enumerate(tops_of(c)):
-        members = c.members(i)
-        if top not in members:
+        family = members(c, i)
+        if top not in family:
             issues.append(f"region {i}: top not a member")
-        if seen & members:
+        if seen & family:
             issues.append(f"region {i}: overlaps another region")
-        seen |= members
-        for m in members:
+        seen |= family
+        for m in family:
             if m != top:
                 if not top.contains_dyadic(m):
                     issues.append(f"region {i}: member outside the top")
-                if m.parent() not in members:
+                if m.parent() not in family:
                     issues.append(f"region {i}: gap between member and top")
             if m.level < c.depth:
-                kids_in = [k in members for k in m.children()]
+                kids_in = [k in family for k in m.children()]
                 if any(kids_in) and not all(kids_in):
                     issues.append(f"region {i}: children split at {m}")
-    if seen != c.good:
+    if seen != good_cubes:
         issues.append("regions do not partition the good cubes")
     return issues
 
@@ -219,10 +227,10 @@ class TestDenseSampling:
     def test_equals_per_window_loop(self, f, dim, depth, theta, h):
         c = build_coronization(f, dim, depth, theta=theta, h=h)
         ref = reference_coronization(f, dim, depth, theta, h)
-        assert c.good == ref.good and c.bad == ref.bad
+        assert good(c) == ref.good and bad(c) == ref.bad
         assert len(c.tops) == len(ref.regions) > 1
         for i, (top, r) in enumerate(zip(tops_of(c), ref.regions)):
-            assert top == r.top and c.members(i) == r.members
+            assert top == r.top and members(c, i) == r.members
             assert c.lin[i].T.tobytes() == r.fit.matrix.tobytes()
             assert c.shift[i].tobytes() == r.fit.shift.tobytes()
             assert c.residual[i] == r.residual
@@ -355,8 +363,8 @@ class TestStackedFit:
         sample.dim, sample.p = dim, windows.p
         verdicts = set()
         for level in range(depth + 1):
-            cubes = unit_cube_dyadics(dim, level)
-            lin, shift, res, bad, _ = _level_fits(f, level, np.array([q.coords for q in cubes]), sample, theta, l_est)
+            cubes = dyadic_level(dim, level)
+            lin, shift, res, bad, _ = _level_fits(f, level, unit_cube_dyadics(dim, level), sample, theta, l_est)
             ref = [reference_fit(f, q.to_cube(), *(a.reshape(-1, dim) for a in seen.pop(q))) for q in cubes]
             assert np.array_equal(lin.transpose(0, 2, 1).view(np.int64),
                                   np.array([a.matrix for a, _ in ref]).view(np.int64))
@@ -377,7 +385,7 @@ class TestStackedFit:
     def test_single_window_fit(self, f, dim, depth, h):
         # almost_affine_fit is the one-window stack: the same bits as reference_fit.
         unit, sample = (np.zeros(dim), np.ones(dim)), _WindowSamples(f, dim, h)
-        for q in (q for level in range(depth + 1) for q in unit_cube_dyadics(dim, level)):
+        for q in (q for level in range(depth + 1) for q in dyadic_level(dim, level)):
             fit, res = almost_affine_fit(f, q.to_cube(), h, clip=unit)
             ref, want = reference_fit(f, q.to_cube(), *window(sample, q))
             assert fit.matrix.tobytes() == ref.matrix.tobytes() and fit.shift.tobytes() == ref.shift.tobytes()
@@ -396,15 +404,14 @@ class TestStackedFit:
         *_, bad, _ = _level_fits(NanAtQuarter(), 1, q, _WindowSamples(NanAtQuarter(), 2, 0.02), 1.0, 10.0)
         assert bad.tolist() == [True]
         collapse = Affine(AffineMapData(np.array([[1.0, 0.0], [0.0, 0.0]]), np.zeros(2)))
-        cubes = np.array([q.coords for q in unit_cube_dyadics(2, 1)])
-        *_, bad, _ = _level_fits(collapse, 1, cubes, _WindowSamples(collapse, 2, 0.02), 1.0, 10.0)
+        *_, bad, _ = _level_fits(collapse, 1, unit_cube_dyadics(2, 1), _WindowSamples(collapse, 2, 0.02), 1.0, 10.0)
         assert bad.tolist() == [True] * 4
 
     def test_einsum_anchor_is_caught(self):
         # The anchor's bits depend on how c @ M is computed; an einsum rounds
         # differently on some level-5 cubes, and the bit check must see it.
         f, sample = LogSpiral(0.3), _WindowSamples(LogSpiral(0.3), 2, 2.0**-7)
-        cubes = [q for q in unit_cube_dyadics(2, 5) if 0 < min(q.coords) and max(q.coords) < 31]
+        cubes = [q for q in dyadic_level(2, 5) if 0 < min(q.coords) and max(q.coords) < 31]
         pts, imgs, centers, center_imgs = stacked_windows(f, cubes, sample)
         lin, shift, _, _ = affine_fit_samples(pts, imgs, centers, center_imgs)
         assert fit_mismatches(f, cubes, sample, lin, shift) == 0
@@ -420,7 +427,7 @@ class TestStackedFit:
         sample = _WindowSamples(f, 3, 1 / 16)
         mismatches = 0
         for level in range(sample.p):
-            for q in unit_cube_dyadics(3, level):
+            for q in dyadic_level(3, level):
                 pts, imgs, centers, _ = stacked_windows(f, [q], sample)
                 at = tuple((2 * c + 1) << (sample.p - level - 1) for c in q.coords)
                 assert np.array_equal(sample.pts[at], centers[0])
@@ -434,8 +441,8 @@ def verify_region_fits(c: Coronization, f: MapExpr) -> int:
     theta = c.params["theta"]
     h = c.params["h"] / 2.0
     warnings = 0
-    for q, i in c.region_index().items():
-        if region_fit_error(AffineMapData(c.lin[i].T, c.shift[i]), f, q, h) > theta * q.to_cube().diam:
+    for q, i in region_index(c).items():
+        if region_fit_error(AffineMapData(c.lin[i].T, c.shift[i]), f, q.row, h) > theta * q.to_cube().diam:
             warnings += 1
     return warnings
 
@@ -464,6 +471,26 @@ class TestBuild:
         with pytest.raises(GeometryError, match="resolution"):
             build_coronization(AFFINE, 2, 6, theta=0.05, h=1 / 16)
 
+    @pytest.mark.parametrize(
+        "f, dim, depth, theta, h",
+        [(AFFINE, 2, 4, 0.05, 1 / 64), (LogSpiral(0.3), 2, 5, 0.05, 1 / 64), (blend_3d(), 3, 2, 0.01, 1 / 8)],
+        ids=["affine", "2d", "3d"],
+    )
+    def test_good_bad_rows_are_label_argwhere(self, f, dim, depth, theta, h):
+        # good and bad are the [level, *coords] rows of np.argwhere over each
+        # level's labels, level by level; together they count every cube once.
+        c = build_coronization(f, dim, depth, theta=theta, h=h)
+        for rows, keep in ((c.good, lambda lab: lab >= 0), (c.bad, lambda lab: lab == -1)):
+            assert rows.dtype == np.int64 and rows.shape[1] == 1 + dim
+            assert np.all(np.diff(rows[:, 0]) >= 0)
+            for level, lab in enumerate(c.labels):
+                assert np.array_equal(rows[rows[:, 0] == level, 1:], np.argwhere(keep(lab)))
+        assert len(c.good) + len(c.bad) == sum(2 ** (dim * level) for level in range(depth + 1))
+        if f is AFFINE:
+            assert c.bad.shape == (0, 1 + dim)
+        else:
+            assert len(c.bad) and len(c.tops) > 1
+
     def test_region_fit_reverification(self):
         c = build_coronization(LogSpiral(0.2), 2, 4, theta=0.05, h=1 / 64)
         warnings = verify_region_fits(c, LogSpiral(0.2))
@@ -480,7 +507,7 @@ class TestCarleson:
 
     def test_all_bad_geometric_sum(self):
         dim, depth = 2, 3
-        c = labelled(dim, depth, {q: -1 for lv in range(depth + 1) for q in unit_cube_dyadics(dim, lv)}, [])
+        c = labelled(dim, depth, {q: -1 for lv in range(depth + 1) for q in dyadic_level(dim, lv)}, [])
         c_bad, _ = carleson_constant(c)
         assert c_bad == depth + 1
 
@@ -491,12 +518,12 @@ class TestCarleson:
 
     def test_3d_equals_brute_force(self):
         c = build_coronization(blend_3d(), 3, 2, theta=0.01, h=1 / 8)
-        assert c.bad and len(c.tops) > 1
+        assert len(c.bad) and len(c.tops) > 1
         assert carleson_constant(c) == brute_force_carleson(c)
 
     def test_random_3d_sets_equal_brute_force(self):
         gen = np.random.default_rng(7)
-        cubes = [q for lv in range(4) for q in unit_cube_dyadics(3, lv)]
+        cubes = [q for lv in range(4) for q in dyadic_level(3, lv)]
         for _ in range(3):
             pick = gen.random(len(cubes))
             bad = {q: -1 for q, u in zip(cubes, pick) if u < 0.15}
@@ -534,11 +561,11 @@ class TestCheck:
         base = build_coronization(LogSpiral(0.2), 2, 4, theta=0.05, h=1 / 64)
         assert check_coronization(base) == reference_check(base) == []
         tops = tops_of(base)
-        b = max(range(len(tops)), key=lambda i: len(base.members(i)))
-        big, members = tops[b], sorted(base.members(b), key=lambda q: (q.level, q.coords))
-        deep = members[-1]
-        inner = next(m for m in members if m != big and m.level < base.depth
-                     and m.children()[0] in members)
+        b = max(range(len(tops)), key=lambda i: len(members(base, i)))
+        big, family = tops[b], sorted(members(base, b), key=lambda q: q.row)
+        deep = family[-1]
+        inner = next(m for m in family if m != big and m.level < base.depth
+                     and m.children()[0] in family)
         other = next(t for t in tops if not big.contains_dyadic(t))
 
         def relabel(q, i):
@@ -619,15 +646,15 @@ class TestReport:
         assert cli.main(["multilevel", *argv]) == 0
         c = build_coronization(LogSpiral(0.15), 2, 6, theta=0.05, h=1 / 64, force_top_bad=True)
         ml = multilevel_decomposition(c, 0.5)
-        assert any(lv.q_cubes for lv in ml.levels)
+        assert any(len(lv.q_rows) for lv in ml.levels)
         assert_report_dumps(out, {
             "depth": 6,
             "dim": 2,
             "params": {"alpha": 0.5, "K": ml.k_param, "N_bound": ml.n_bound, "zeta_log2": ml.zeta_log2,
                        "lambda": ml.lam, "carleson": ml.carleson},
             "levels": [
-                {"R": [[r.level, list(r.coords)] for r in lv.r_cubes],
-                 "Q": [[q.level, list(q.coords)] for q in lv.q_cubes],
+                {"R": [[level, x] for level, *x in lv.r_rows.tolist()],
+                 "Q": [[level, x] for level, *x in lv.q_rows.tolist()],
                  "B_volumes": lv.b_volumes}
                 for lv in ml.levels
             ],
@@ -668,27 +695,23 @@ class TestReport:
         rep = json.loads((out / "report.json").read_text())["result"]
         c = build_coronization(LogSpiral(0.15), 2, 6, theta=0.05, h=1 / 64, force_top_bad=True)
         ml = multilevel_decomposition(c, 0.5)
-        assert len(rep["levels"]) == len(ml.levels) > 0 and any(lv.q_cubes for lv in ml.levels)
+        assert len(rep["levels"]) == len(ml.levels) > 0 and any(len(lv.q_rows) for lv in ml.levels)
         for got, lv in zip(rep["levels"], ml.levels):
-            assert got["R"] == [[r.level, list(r.coords)] for r in lv.r_cubes]
-            assert got["Q"] == [[q.level, list(q.coords)] for q in lv.q_cubes]
+            assert got["R"] == [[level, x] for level, *x in lv.r_rows.tolist()]
+            assert got["Q"] == [[level, x] for level, *x in lv.q_rows.tolist()]
             assert [Fraction(int(v["numerator"]), int(v["denominator"])) for v in got["B_volumes"]] == lv.b_volumes
 
     def test_cli_builds_no_cubes_or_fits(self, tmp_path, monkeypatch):
-        # Regions and R/Q cubes stay arrays from the build to the report: the
-        # cube and fit objects are views that only tests ask for.
+        # Regions and R/Q cubes stay arrays from the build to the report: no
+        # fit object is made on the way.
         made = []
+        post_init = AffineMapData.__post_init__
 
-        def counted(cls):
-            post_init = cls.__post_init__
+        def counted(self):
+            made.append(type(self).__name__)
+            post_init(self)
 
-            def wrapped(self):
-                made.append(cls.__name__)
-                post_init(self)
-            return wrapped
-
-        for cls in (DyadicCube, AffineMapData):
-            monkeypatch.setattr(cls, "__post_init__", counted(cls))
+        monkeypatch.setattr(AffineMapData, "__post_init__", counted)
         inp = tmp_path / "in.json"
         inp.write_text(json.dumps({"map": {"type": "logspiral", "k": 0.15}, "depth": 6}))
         for sub in ("corona", "multilevel"):
@@ -696,8 +719,8 @@ class TestReport:
             assert cli.main([sub, "--input", str(inp), "--out", str(out), "--h", str(1 / 64)]) == 0
             assert (out / "report.json").exists()
         assert made == []
-        DyadicCube(0, (0, 0))
-        assert made == ["DyadicCube"]
+        AffineMapData.identity(2)
+        assert made == ["AffineMapData"]
 
 
 Box = tuple[tuple[Fraction, ...], tuple[Fraction, ...]]
@@ -778,10 +801,10 @@ def reference_good_sets(c: Coronization, ml) -> list[tuple[list[DyadicCube], lis
     |lam R| minus box_union_volume of its Q boxes clipped to lam R, in Fractions."""
     out = []
     for lv in ml.levels:
-        q_cubes, volumes = [], []
-        for r in lv.r_cubes:
+        qs, volumes = [], []
+        for r in r_cubes(lv):
             mins = minimal_under(c, r)
-            q_cubes += mins
+            qs += mins
             side = Fraction(1, 2**r.level)
             loss = (1 - ml.lam) * side / 2
             outer = (tuple(x * side + loss for x in r.coords), tuple((x + 1) * side - loss for x in r.coords))
@@ -793,13 +816,13 @@ def reference_good_sets(c: Coronization, ml) -> list[tuple[list[DyadicCube], lis
                 if all(a < b for a, b in zip(lo, hi)):
                     holes.append((lo, hi))
             volumes.append(_box_volume(outer) - box_union_volume(holes))
-        out.append((q_cubes, volumes))
+        out.append((qs, volumes))
     return out
 
 
 def assert_good_sets_equal_reference(c: Coronization, ml) -> None:
-    for lv, (q_cubes, volumes) in zip(ml.levels, reference_good_sets(c, ml), strict=True):
-        assert lv.q_cubes == q_cubes
+    for lv, (qs, volumes) in zip(ml.levels, reference_good_sets(c, ml), strict=True):
+        assert q_cubes(lv) == qs
         assert lv.b_volumes == volumes
 
 
@@ -839,17 +862,16 @@ class TestMultilevel:
                                force_top_bad=True)
         ml = multilevel_decomposition(c, 0.5)
         assert ml.good_measure >= Fraction(1, 2)
-        region_of = c.region_index()
+        region_of = region_index(c)
         for n, level in enumerate(ml.levels):
-            for r in level.r_cubes:
-                qp = level.owner[r]
+            for r, qp in owner(level).items():
                 # (ii) strictly inside the owning previous-level cube
                 assert qp.contains_dyadic(r) and r != qp
                 # (iii) side window, exact dyadic comparison
                 assert r.level >= qp.level + ml.k_param
                 assert r.level <= qp.level + ml.zeta_log2
-            r_list = level.r_cubes
-            for q in level.q_cubes:
+            r_list = r_cubes(level)
+            for q in q_cubes(level):
                 owners = [r for r in r_list if r.contains_dyadic(q)]
                 # (i) inside some R of the same region
                 assert len(owners) == 1
@@ -879,8 +901,8 @@ class TestMultilevel:
         # At theta 0.02 every R is a whole region; at 0.05 the good sets have holes.
         c = build_coronization(blend_3d(), 3, 4, theta=theta, h=1 / 16, force_top_bad=True)
         ml = multilevel_decomposition(c, 0.9)
-        assert sum(len(lv.r_cubes) for lv in ml.levels) == n_r
-        assert sum(len(lv.q_cubes) for lv in ml.levels) == n_q
+        assert sum(len(lv.r_rows) for lv in ml.levels) == n_r
+        assert sum(len(lv.q_rows) for lv in ml.levels) == n_q
         assert_good_sets_equal_reference(c, ml)
         assert ml.good_measure == sum(v for lv in ml.levels for v in lv.b_volumes)
 
@@ -891,12 +913,11 @@ class TestMultilevel:
                                force_top_bad=True)
         ml = multilevel_decomposition(c, 0.6)
         assert len(ml.levels) == 2
-        assert len(ml.levels[1].r_cubes) > 0
-        region_of = c.region_index()
+        assert len(ml.levels[1].r_rows) > 0
+        region_of = region_index(c)
         level2 = ml.levels[1]
-        q1 = set(ml.levels[0].q_cubes)
-        for r in level2.r_cubes:
-            qp = level2.owner[r]
+        q1 = set(q_cubes(ml.levels[0]))
+        for r, qp in owner(level2).items():
             assert qp in q1
             assert qp.contains_dyadic(r) and r != qp
             assert qp.level + ml.k_param <= r.level <= qp.level + ml.zeta_log2

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -8,7 +9,6 @@ import pytest
 from bilipfactor.geometry_core import (
     AffineMapData,
     Cube,
-    DyadicCube,
     GeometryError,
     bilip_constant,
     bilip_constants,
@@ -151,36 +151,13 @@ class TestScalars:
 
 
 class TestDyadic:
-    def test_children_level0(self):
-        q = DyadicCube(0, (0, 0))
-        kids = q.children()
-        assert len(kids) == 4
-        assert all(k.level == 1 for k in kids)
-        # Children tile the parent exactly.
-        assert sum(k.volume for k in kids) == q.volume
-
-    def test_ancestor_roundtrip(self):
-        q = DyadicCube(0, (0, 0))
-        child = q.children()[2]
-        assert child.ancestor(1) == q
-
-    def test_3d_level2(self):
-        q = DyadicCube(2, (1, 2, 3))
-        kids = q.children()
-        assert len(kids) == 8
-        assert all(k.side == 0.125 for k in kids)
-
-    def test_negative_request(self):
-        with pytest.raises(GeometryError):
-            DyadicCube(1, (0, 0)).ancestor(-1)
-        with pytest.raises(GeometryError):
-            DyadicCube(1, (0, 0)).ancestor(2)
-
     def test_level_counts_and_tiling(self):
-        for d, k in ((2, 3), (3, 2)):
+        # The level's corner coords as int64 rows, in C order: each cube once.
+        for d, k in ((2, 0), (2, 3), (3, 2)):
             cubes = unit_cube_dyadics(d, k)
-            assert len(cubes) == 2 ** (k * d)
-            assert sum(q.volume for q in cubes) == 1
+            assert cubes.dtype == np.int64 and cubes.shape == (2 ** (k * d), d)
+            assert cubes.tolist() == [list(x) for x in itertools.product(range(2**k), repeat=d)]
+            assert np.array_equal(cubes, np.indices((2**k,) * d).reshape(d, -1).T)
 
     def test_cube_dilate(self):
         c = Cube((0.5, 0.5), 1.0)

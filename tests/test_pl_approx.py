@@ -49,6 +49,17 @@ class TestFreudenthal:
             with pytest.raises(GeometryError, match="triangulation pitch must be positive"):
                 freudenthal(2, pitch, Cube((0.5, 0.5), 1.0))
 
+    @pytest.mark.parametrize("corner", ["lo", "hi"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_box_refused(self, corner, value):
+        # A box corner that is not finite is named as the fault, not the pitch.
+        box = {"lo": np.zeros(2), "hi": np.ones(2)}
+        box[corner][0] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GeometryError, match=r"box must have finite corners, got lo \[.*\] and hi"):
+                freudenthal(2, 0.1, (box["lo"], box["hi"]))
+
     def test_offsets_partition_cell(self):
         # The d! simplices tile the unit cell: their volumes sum to 1.
         for d in (2, 3):

@@ -137,6 +137,17 @@ def test_perfbench_names_are_still_read_by_perfbench():
     assert not stale, f"perfbench no longer names {stale}: drop them from PERFBENCH_NAMES"
 
 
+def test_perfbench_traced_names_exist():
+    # tracer.py wraps each TRACED name through getattr; a name deleted from the
+    # library would fail only perfbench's own tests and traced runs.
+    tracer = _parse(ROOT / "perfbench" / "tracer.py")
+    traced = next(ast.literal_eval(n.value) for n in tracer.body
+                  if isinstance(n, ast.Assign) and any(getattr(t, "id", None) == "TRACED" for t in n.targets))
+    defined = {(mod, n) for mod, tree in MODULES.items() for stmt in tree.body for n in _binds(stmt)}
+    missing = sorted(f"{mod}.{n}" for mod, names in traced.items() for n in names if (mod, n) not in defined)
+    assert not missing, f"perfbench/tracer.py traces names bilipfactor no longer has: {missing}"
+
+
 @pytest.mark.parametrize("mod", sorted(IMPORTERS))
 def test_every_import_is_read(mod):
     unread = _unread_imports(IMPORTERS[mod])
