@@ -168,7 +168,10 @@ def _sweeps(run: BlendRun):
 
     Whole lattices are stacked, at most kernels._BLOCK_PAIRS pairs (or one
     lattice) a block, swept when its first bound is asked for; a factor's
-    DomainError or CertificationError is raised when its turn comes.
+    DomainError or CertificationError is raised when its turn comes.  A
+    block whose lattices are equal point for point hands the kernel one of
+    them as the source of every image set: the points are compared, not the
+    supports, since sides that differ in their last bit can give one lattice.
     """
     d = run.centers.shape[1]
     n = CERT_POINTS[d]  # cube_lattice's count at cert_pitch: side / (side / 2^k) is exact
@@ -179,7 +182,7 @@ def _sweeps(run: BlendRun):
         imgs = block.apply_each(pts)
         finite = np.isfinite(imgs).all(axis=(1, 2))
         imgs[~finite] = pts[~finite]  # a finite kernel input; such a factor raises at its turn
-        ratios, min_imgs = kernels.pairwise_distortions(pts, imgs)
+        ratios, min_imgs = kernels.pairwise_distortions(pts[:1] if (pts == pts[:1]).all() else pts, imgs)
         for ok, ratio, min_img in zip(finite.tolist(), ratios.tolist(), min_imgs.tolist()):
             if not ok:
                 raise DomainError("map produced non-finite values on the sampling lattice")

@@ -233,7 +233,7 @@ class TestCertificateCache:
         sweeps = []
 
         def counting(xs, ys):
-            sweeps.extend(range(xs.shape[0]))  # one lattice per swept key
+            sweeps.extend(range(ys.shape[0]))  # one image set per swept key
             return stacked(xs, ys)
 
         stacked = kernels.pairwise_distortions
@@ -383,6 +383,35 @@ class TestStackedSweep:
             keys = list(map(tuple, np.round(fs.factors.shifts / q.side, 12).tolist()))
             assert fs.T > 0
             assert list(cache.values()) == self.assert_sweeps_match_estimate(fs, keys)
+
+    def test_shared_lattices_handed_over_as_one_source(self, monkeypatch):
+        """The lattices of this shrink run are equal bit for bit (their supports' sides
+        are not), so its stack reaches the kernel as one source set; a translation run's
+        centres all differ, so its stack goes whole.  Bounds stay estimate_distortion's."""
+        real, calls = kernels.pairwise_distortions, []
+
+        def spy(xs, ys):
+            calls.append((xs.shape[0], ys.shape[0]))
+            return real(xs, ys)
+
+        monkeypatch.setattr(kernels, "pairwise_distortions", spy)
+        q = Cube((0.5, 0.5), 0.25)
+        fs = factor_shrink(q, 2.0, 0.5, 0.25, {})
+        shrink_calls = calls[:]
+        run = fs.factors
+        assert len(set((run.lams * run.sides).tolist())) > 1
+        keys = [(round(s, 14), round(l_i, 12)) for s, l_i in zip(run.sides.tolist(), run.lams.tolist())]
+        swept = self.assert_sweeps_match_estimate(fs, keys)
+        assert all(nx == 1 for nx, _ in shrink_calls) and max(ny for _, ny in shrink_calls) > 1
+        assert sum(ny for _, ny in shrink_calls) == len(swept)
+        del calls[:]
+        path = np.array([[0.5, 0.5], [1.6, 0.8], [1.2, 1.9]])
+        fs = factor_translation_along_path(q, path, 0.25, {})
+        translate_calls = calls[:]
+        keys = list(map(tuple, np.round(fs.factors.shifts / q.side, 12).tolist()))
+        swept = self.assert_sweeps_match_estimate(fs, keys)
+        assert all(nx == ny for nx, ny in translate_calls) and max(ny for _, ny in translate_calls) > 1
+        assert sum(ny for _, ny in translate_calls) == len(swept)
 
     def test_first_key_above_bound_is_decisive(self):
         # Keys pair up factors 2k, 2k + 1; key 8 (first at factor 16) moves
@@ -650,7 +679,7 @@ class TestTranslationAlongPath:
         calls = []
 
         def patched(xs, ys):
-            calls.append(xs.shape[0])
+            calls.append(ys.shape[0])
             ratios, min_imgs = real(xs, ys)
             if first_only and len(calls) > 1:
                 return ratios, min_imgs
