@@ -15,6 +15,7 @@ repeated runs with the same config are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -184,7 +185,16 @@ def _row_template(o, blocks: list[np.ndarray]):
 def _column(col: np.ndarray) -> tuple[list, str]:
     """A rows column of floats, ints or strs (one type) and its conversion:
     %r writes ints and finite floats as int.__repr__ and float.__repr__ do;
-    strs, and floats where one is not finite, are written as tokens."""
+    strs, and floats where one is not finite, are written as tokens.  A float
+    column with at most half as many runs of equal bits as values is written
+    as tokens converted once per run."""
+    if col.dtype == np.float64:
+        bits = col.view(np.int64)
+        heads = np.flatnonzero(bits[1:] != bits[:-1]) + 1
+        if 2 * (heads.size + 1) <= col.size:
+            starts = np.concatenate(([0], heads))
+            tokens = np.array([_encode_float(v) for v in col[starts].tolist()], dtype=object)
+            return np.repeat(tokens, np.diff(starts, append=col.size)).tolist(), "%s"
     vals = col.tolist()
     kinds = set(map(type, vals))
     if kinds == {int} or kinds == {float} and all(map(math.isfinite, vals)):
@@ -554,7 +564,9 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use and shared by later main calls."""
     p = argparse.ArgumentParser(
         prog="bilipfactor",
         description="Certified factorization and decomposition of bi-Lipschitz maps",

@@ -259,11 +259,9 @@ def _diagonal_steps(sigma: np.ndarray, alpha: float, l_bound: float, what: str) 
     n = diagonal_step_count(l_bound, alpha, what)
     steps = []
     for k in range(d):
-        factor = sigma[k] ** (1.0 / n)
-        for _ in range(n):
-            m = np.eye(d)
-            m[k, k] = factor
-            steps.append(m)
+        m = np.eye(d)
+        m[k, k] = sigma[k] ** (1.0 / n)
+        steps += [m] * n
     return steps
 
 
@@ -365,12 +363,14 @@ def factor_linear_in_cube(
         alpha = alpha0 / 2**attempt
         steps = _linear_chain(mat, alpha, f"epsilon {epsilon}")
         n = len(steps)
-        # Blend cube side: margin times the sup-norm diameter of the running image.
-        sides = np.empty(n)
+        # Blend cube side: margin times the sup-norm diameter of the running image,
+        # the images of the vertices under the partial products before each step.
+        partials = np.empty((n, d, d))
         partial = np.eye(d)
         for idx, step in enumerate(steps):
-            sides[idx] = margin * (2.0 * float(np.max(np.abs(verts @ partial.T))))
+            partials[idx] = partial
             partial = step @ partial
+        sides = margin * (2.0 * np.max(np.abs(verts @ partials.transpose(0, 2, 1)), axis=(1, 2)))
         run = BlendRun("affine", np.broadcast_to(np.asarray(q.center), (n, d)), sides, np.full(n, lam),
                        np.zeros((n, d)), np.array(steps).reshape(n, d, d))
         canonical = BlendRun("affine", np.zeros((n, d)), np.ones(n), run.lams, run.shifts, run.matrices)

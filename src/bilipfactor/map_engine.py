@@ -265,10 +265,16 @@ class BlendRun(MapExpr, Sequence):
         rows x: x (d, m) at each factor of s, or x[i] (x (span, d, m)) at the i-th factor of s."""
         return _weight_ratio(x, self.centers[s, :, None], self.sides[s, None], self.lams[s, None])
 
+    def _product(self, x: np.ndarray, i: int, out: np.ndarray) -> np.ndarray:
+        """matrices[i] @ x of the coordinate rows x (d, m) into out (kind "affine"): the
+        one product the walk's paths and exact steps take, with the bits of the factor's
+        x @ M.T on the same rows."""
+        return np.matmul(self.matrices[i], x, out=out)
+
     def _inner(self, x: np.ndarray, i: int, out: np.ndarray) -> np.ndarray:
         """inner_i of the coordinate rows x (d, m) into out: matrices[i] @ x (if affine), plus shift."""
         if self.kind == "affine":
-            x = np.matmul(self.matrices[i], x, out=out)
+            x = self._product(x, i, out)
         return np.add(x, self.shifts[i, :, None], out=out)
 
     def _step(self, x: np.ndarray, i: int) -> None:
@@ -288,7 +294,9 @@ class BlendRun(MapExpr, Sequence):
         w == 0 (it stays put) or w == 1 (it moves by inner alone).  The
         moving points, the columns of Blend.evaluate's active rows in their
         order, go through the block as one path: the steps summed in order
-        (translations) or one M @ x plus shift per step (affine).  M @ x has
+        (translations) or one M @ x per step (affine), plus the step's shift
+        where some shift of the block is not +0.0, else one + 0.0 to the
+        whole path at the end of the block.  M @ x has
         the bits of Blend's x @ M.T for the same rows (the tests pin this for
         the BLAS in use); a subset of the rows may round differently, so
         only the moving points are multiplied.  Where w == 1 Blend.evaluate
@@ -342,6 +350,13 @@ class BlendRun(MapExpr, Sequence):
           summed with the steps, as each point's are).  A NaN coordinate
           drops its point from the per-point maximum but not from the
           corners, so a block with one takes the per-point ratios.
+        - Affine paths: a block whose shifts are all +0.0 takes the products
+          alone, path[i + 1] = M path[i], and adds + 0.0 to path[1:] once.
+          x + 0.0 differs from x only at x == -0.0, and a zero's sign
+          reaches a product's result only when that result is a zero (with
+          or without FMA), so the path differs from the per-step one only in
+          the signs of zeros, which the final + 0.0 makes +0.0 as each step's
+          would.  Other blocks add each step's shift after its product.
         - -0.0 images: a rounded sum is -0.0 only if both terms are, so
           path[i + 1] (M x or path[i], plus shifts[k + i]) can hold one
           only where shifts[k + i] does; only those steps are scanned.
@@ -376,8 +391,14 @@ class BlendRun(MapExpr, Sequence):
             ends[1:] = self.shifts[k : k + span - 1, :, None]
             np.add.accumulate(ends, axis=0, out=ends)
         else:
-            for i in range(span):
-                self._inner(path[i], k + i, path[i + 1])
+            product, shifts = self._product, self.shifts[s, :, None]
+            if shifts.view(np.int64).any():  # some shift is not +0.0
+                for i in range(span):
+                    np.add(product(path[i], k + i, path[i + 1]), shifts[i], out=path[i + 1])
+            else:
+                for i in range(span):
+                    product(path[i], k + i, path[i + 1])
+                np.add(path[1:], 0.0, out=path[1:])
             np.min(path[:-1], axis=2, out=ends[..., 0])
             np.max(path[:-1], axis=2, out=ends[..., 1])
         if np.isnan(ends).any():

@@ -102,6 +102,23 @@ class TestDeterminism:
         assert load_report(fresh)["passed"] is True
         assert (tmp_path / "second" / "report.json").read_bytes() == (fresh / "report.json").read_bytes()
 
+    def test_reused_parser_keeps_no_flags_of_earlier_runs(self, tmp_path):
+        # main parses with one parser per process; flags of a run must not
+        # become the defaults of the next.
+        inp = write_input(tmp_path, "lin.json", LINEAR)
+        flagged = ["factor-linear", "--input", inp, "--out", str(tmp_path / "flagged"), "--svg", "--epsilon", "0.3"]
+        assert main(flagged) == 0
+        assert main(["factor-linear", "--input", inp, "--out", str(tmp_path / "second")]) == 0
+        src = str(Path(bilipfactor.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = "import sys; from bilipfactor.cli import main; sys.exit(main(sys.argv[1:]))"
+        fresh = tmp_path / "fresh"
+        subprocess.run([sys.executable, "-c", code, "factor-linear", "--input", inp, "--out", str(fresh)],
+                       env=env, check=True, timeout=300)
+        second = load_report(tmp_path / "second")
+        assert second["config"]["svg"] is False and second["config"]["epsilon"] == 0.25
+        assert (tmp_path / "second" / "report.json").read_bytes() == (fresh / "report.json").read_bytes()
+
 
 class TestImports:
     def test_jobs_do_not_import_numpy_ma(self, tmp_path):
@@ -186,9 +203,8 @@ class TestReportEncoding:
         # and compares the writer with json.dumps of the records it stands for.
         path = tmp_path / "report.json"
         rng = np.random.default_rng(20261019 + depth)
-        for _ in range(150):
-            n = int(rng.choice([0, 1, 2, 5]))
-            record = _rows_record(rng, n, 0)
+        cases = [(n, _rows_record(rng, n, 0)) for n in rng.choice([0, 1, 2, 5, 40], size=150).tolist()]
+        for n, record in cases + _RUN_RECORDS:
             plain = [_row(record, i) for i in range(n if _has_array(record) else 0)]
             rows = Rows(record)
             for k in range(depth):
@@ -269,17 +285,34 @@ _ROW_INTS = [0, -1, 7, 2**63 - 1, -(2**63), 2**64 + 1, -(2**70), 10**30]
 
 def _rows_column(rng, shape: tuple) -> np.ndarray:
     """An array leaf of a rows record: floats (with -0.0 and non-finite
-    values), int64, ints beyond int64, or text with % and non-ASCII."""
+    values), floats in runs of equal rows, int64, ints beyond int64, or text
+    with % and non-ASCII."""
     size = math.prod(shape)
-    kind = int(rng.integers(4))
+    kind = int(rng.integers(5))
     if kind == 0:
         return np.array([_ROW_FLOATS[i] for i in rng.integers(len(_ROW_FLOATS), size=size)]).reshape(shape)
+    if kind == 4:
+        rows = np.array([_ROW_FLOATS[i] for i in rng.integers(len(_ROW_FLOATS), size=size)]).reshape(shape)
+        return rows[np.sort(rng.integers(max(1, shape[0] // 4), size=shape[0]))]
     if kind == 1:
         return rng.integers(-(2**62), 2**62, size=shape)
     values = _ROW_INTS if kind == 2 else _TEMPLATE_TEXT + _TEXT
     out = np.empty(size, dtype=object)
     out[:] = [values[i] for i in rng.integers(len(values), size=size)]
     return out.reshape(shape)
+
+
+_NAN, _INF = float("nan"), float("inf")
+# Float columns written once per run of equal bits, next to columns that are not.
+_RUN_RECORDS = [
+    (300, {"long": np.repeat([0.1, 1 / 3, -2.5], [200, 1, 99])}),
+    (10, np.array([0.0, 0.0, 0.0, -0.0, -0.0, -0.0, 0.0, 0.0, -0.0, -0.0])),
+    (17, [np.repeat([_NAN, _INF, -_INF, 1.0, _NAN], [3, 4, 2, 5, 3]), "%"]),
+    (64, {"runs": np.repeat([-0.0, 0.0, 5e-324, 1e308, _NAN], [7, 20, 1, 30, 6]),
+          "distinct": np.arange(64) / 7.0,
+          "m": np.stack([np.repeat([_INF, 0.5], 32), np.linspace(-1.0, 1.0, 64)], axis=1),
+          "i": np.repeat(np.arange(4), 16)}),
+]
 
 
 def _rows_record(rng, n: int, depth: int):

@@ -201,6 +201,29 @@ class TestFactorLinearInCube:
         with pytest.raises(GeometryError, match="map and cube dimensions differ"):
             builder(np.diag(diag), Cube(center, 2.0), 2.0, 0.25)
 
+    @pytest.mark.parametrize("d, l_bound, epsilon", [(2, 1.8, 0.25), (2, 2.5, 0.3), (3, 1.5, 0.25),
+                                                     (3, 2.0, 0.3), (2, 6.0, 0.08)])
+    def test_sides_equal_the_per_step_loop(self, d, l_bound, epsilon):
+        # The sides come from one stacked product over the partial products;
+        # the oracle is the loop that took one product per step.
+        gen = np.random.default_rng([3000, d, int(10 * l_bound)])
+        a = random_orientation_preserving(gen, d, l_bound)
+        q = Cube((0.0,) * d, 2.0)
+        fs = factor_linear_in_cube(a, q, 2.0, epsilon)
+        steps = fs.meta["linear_steps"]
+        assert fs.T == len(steps) >= (500 if epsilon < 0.1 else 1)
+        # The chain holds all three kinds: rotation, diagonal, rotation.
+        diagonal = [not np.any(s - np.diag(np.diag(s))) for s in steps]
+        assert not diagonal[0] and any(diagonal) and not diagonal[-1]
+        margin = min(1.1, math.sqrt(2.0))
+        verts = q.vertices()
+        sides = np.empty(len(steps))
+        partial = np.eye(d)
+        for idx, step in enumerate(steps):
+            sides[idx] = margin * (2.0 * float(np.max(np.abs(verts @ partial.T))))
+            partial = step @ partial
+        assert fs.factors.sides.tobytes() == sides.tobytes()
+
     def test_count_monotone_in_epsilon(self, rng):
         q = Cube((0.0, 0.0), 1.0)
         for _ in range(10):
@@ -915,7 +938,7 @@ class TestBlendRun:
         # exactly.  OpenBLAS and NumPy's own loops start a dot product from
         # +0.0, so M @ x is never -0.0 with them; a gemm that starts from
         # the first product gives -0.0 when every product is -0.0, and the
-        # second half emulates one, in BlendRun._inner (the one product the
+        # second half emulates one, in BlendRun._product (the one product the
         # walk's paths and exact steps take) and in the factors' Affine maps.
         mats = np.array([[[-0.5, -0.0], [0.0, 1.0]], [[1.0, 0.0], [-0.0, 0.0]], [[-0.0, -0.0], [0.5, 1.0]]])
         shifts = np.array([[-0.0, 0.25], [0.125, -0.0], [-0.0, -0.0]])
@@ -931,13 +954,13 @@ class TestBlendRun:
 
         calls = []
 
-        def first_product_inner(self, x, i, out):  # coordinate rows x (d, m)
+        def first_product(self, x, i, out):  # coordinate rows x (d, m)
             calls.append(i)
             m = self.matrices[i]
             y = m[:, :1] * x[:1]
             for c in range(1, x.shape[0]):
                 y = y + m[:, c : c + 1] * x[c : c + 1]
-            out[...] = y + self.shifts[i, :, None]
+            out[...] = y
             return out
 
         def first_product_apply(self, x):  # rows x (m, d), as Affine.evaluate takes them
@@ -946,7 +969,7 @@ class TestBlendRun:
                 y = y + x[:, c : c + 1] * self.matrix[:, c]
             return y + self.shift
 
-        monkeypatch.setattr(BlendRun, "_inner", first_product_inner)
+        monkeypatch.setattr(BlendRun, "_product", first_product)
         monkeypatch.setattr(AffineMapData, "apply", first_product_apply)
         image = run._inner(pts.T.copy(), 0, np.empty((2, 4)))
         assert np.any((image == 0.0) & np.signbit(image))  # a -0.0 at x = +0.0
@@ -1102,13 +1125,13 @@ def _loop_prefixes(run, pts) -> np.ndarray:
     return np.array(out)
 
 
-def _first_product_inner(self, x, i, out):
-    """BlendRun._inner with a gemm that starts from the first product (coordinate rows x (d, m))."""
+def _first_product(self, x, i, out):
+    """BlendRun._product with a gemm that starts from the first product (coordinate rows x (d, m))."""
     m = self.matrices[i]
     y = m[:, :1] * x[:1]
     for c in range(1, x.shape[0]):
         y = y + m[:, c : c + 1] * x[c : c + 1]
-    out[...] = y + self.shifts[i, :, None]
+    out[...] = y
     return out
 
 
@@ -1206,7 +1229,7 @@ class TestBlockTests:
         run = BlendRun("affine", np.zeros((6, 2)), np.full(6, 4.0), np.full(6, 2.0),
                        np.zeros((6, 2)), np.tile(mats, (2, 1, 1)))
         pts = np.array([[0.0, 0.0], [0.0, 0.5], [0.25, 0.0], [0.5, 0.25]])
-        monkeypatch.setattr(BlendRun, "_inner", _first_product_inner)
+        monkeypatch.setattr(BlendRun, "_product", _first_product)
         monkeypatch.setattr(AffineMapData, "apply", _first_product_apply)
         product = _first_product_apply(AffineMapData(mats[0], np.full(2, -0.0)), pts)  # x + -0.0 == x
         assert np.any((product == 0.0) & np.signbit(product))
@@ -1221,7 +1244,7 @@ class TestBlockTests:
         # NaN and q to (inf, .): at step 1 q has w == 0 and p a NaN w, so
         # step 1 runs exactly.  The per-axis extremes would be NaN there and
         # see no point leave the cube.
-        monkeypatch.setattr(BlendRun, "_inner", _first_product_inner)
+        monkeypatch.setattr(BlendRun, "_product", _first_product)
         monkeypatch.setattr(AffineMapData, "apply", _first_product_apply)
         mats = np.array([[[1e308, 1e308], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]]])
         shifts = np.array([[0.0, 0.0], [0.0, 0.5], [0.0, 0.5]])
@@ -1234,3 +1257,76 @@ class TestBlockTests:
             assert run.walk(pts, [len(run)]).tobytes() == want[-1:].tobytes()
             assert blocks[0][0][:2] == (0, len(run)) and blocks[0][1] == 1
             assert run.walk(pts, range(len(run) + 1)).tobytes() == want.tobytes()
+
+    # Steps whose products give -0.0 at points on the axes under the
+    # first-product gemm: a -0.0 row times x > 0 and a negative entry times
+    # +0.0, or +0.0 times x < 0 (the quarter turn, at x on the negative axis).
+    _SIGNED_ZERO_MATS = np.array([[[-0.999, -0.0], [-0.0, -1.001]], [[-0.5, -0.0], [0.0, 1.0]],
+                                  [[1.0, 0.0], [-0.0, 0.0]], [[-0.0, -0.0], [0.5, 1.0]],
+                                  [[0.0, -1.0], [1.0, 0.0]]])
+    _AXIS_POINTS = np.array([[0.0, 0.0], [0.0, 0.5], [0.25, 0.0], [-0.25, 0.0], [0.0, -0.5],
+                             [0.5, 0.25], [10.0, 0.0], [0.0, 9.0]])
+
+    @pytest.mark.parametrize("gemm", ["blas", "first-product"])
+    def test_positive_zero_shift_blocks_add_zero_once(self, gemm, monkeypatch):
+        # With every shift +0.0 a block multiplies alone and adds +0.0 to its
+        # path once; the images must be those of the per-factor loop at every
+        # prefix, which never holds a -0.0, whichever sign M @ x gives a zero.
+        n = 60
+        mats = np.resize(self._SIGNED_ZERO_MATS, (n, 2, 2))
+        run = BlendRun("affine", np.zeros((n, 2)), np.full(n, 4.0), np.full(n, 2.0), np.zeros((n, 2)), mats)
+        pts = self._AXIS_POINTS
+        if gemm == "first-product":
+            monkeypatch.setattr(BlendRun, "_product", _first_product)
+            monkeypatch.setattr(AffineMapData, "apply", _first_product_apply)
+        want = _loop_prefixes(run, pts)
+        assert not np.any((want == 0.0) & np.signbit(want))
+        negative_zero = self._negative_zero_products(monkeypatch)
+        steps = self._record(monkeypatch, "_step")
+        assert run.walk(pts, range(n + 1)).tobytes() == want.tobytes()
+        assert run.walk(pts, [0, 7, 16, 33, 33, n]).tobytes() == want[[0, 7, 16, 33, 33, n]].tobytes()
+        assert steps == []
+        assert any(negative_zero) == (gemm == "first-product")  # the paths held -0.0 before the add
+
+    @staticmethod
+    def _negative_zero_products(monkeypatch):
+        """Log, for each BlendRun._product call, whether its result held a -0.0."""
+        seen = []
+        product = BlendRun._product
+
+        def wrapper(self, x, i, out):
+            got = product(self, x, i, out)
+            seen.append(bool(np.any((got == 0.0) & np.signbit(got))))
+            return got
+
+        monkeypatch.setattr(BlendRun, "_product", wrapper)
+        return seen
+
+    @pytest.mark.parametrize("gemm", ["blas", "first-product"])
+    def test_zero_and_nonzero_shift_blocks_alternate(self, gemm, monkeypatch):
+        # Groups of +0.0, nonzero and -0.0 shifts whose lengths are not the
+        # block sizes, so blocks hold steps of both kinds and end between them;
+        # the first block holds +0.0 and -0.0 shifts alone, on quarter turns
+        # that carry points on the negative x axis to -0.0 images.
+        kinds = [[0.0, 0.0], [-0.0, -0.0], [0.0, 0.0], [0.001, 0.0], [0.0, 0.0], [-0.0, -0.0], [0.0, 0.0],
+                 [0.0, -0.001], [-0.0, 0.0]]
+        lengths = [5, 6, 5, 5, 21, 9, 3, 17, 11]
+        shifts = np.concatenate([np.tile(v, (k, 1)) for v, k in zip(kinds, lengths)])
+        n = len(shifts)
+        mats = np.resize(self._SIGNED_ZERO_MATS, (n, 2, 2))
+        mats[:16] = self._SIGNED_ZERO_MATS[-1]
+        run = BlendRun("affine", np.zeros((n, 2)), np.full(n, 4.0), np.full(n, 2.0), shifts, mats)
+        pts = self._AXIS_POINTS
+        if gemm == "first-product":
+            monkeypatch.setattr(BlendRun, "_product", _first_product)
+            monkeypatch.setattr(AffineMapData, "apply", _first_product_apply)
+        want = _loop_prefixes(run, pts)
+        assert np.any((want[:17] == 0.0) & np.signbit(want[:17])) == (gemm == "first-product")
+        negative_zero = self._negative_zero_products(monkeypatch)
+        blocks = self._record(monkeypatch, "_walk_block")
+        assert run.walk(pts, range(n + 1)).tobytes() == want.tobytes()
+        assert run.walk(pts, [n]).tobytes() == want[-1:].tobytes()
+        zero = ~shifts.view(np.int64).any(axis=1)
+        mixed = [(k, e) for (k, span, _), e in blocks if e and 0 < zero[k : k + e].sum() < e]
+        assert mixed  # some block ran +0.0 and other shifts together
+        assert any(negative_zero) == (gemm == "first-product")
