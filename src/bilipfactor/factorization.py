@@ -224,7 +224,7 @@ def rotation_step_count(theta: float, alpha: float, what: str) -> int:
         return 0
     if alpha >= 2.0:
         return 1
-    n = max(1, step_count(theta / (2.0 * math.asin(alpha / 2.0)), what))
+    n = max(1, step_count(theta, 2.0 * math.asin(alpha / 2.0), what))
     while 2.0 * math.sin(theta / (2.0 * n)) >= alpha:
         n += 1
     return n
@@ -246,7 +246,7 @@ def diagonal_step_count(l_bound: float, alpha: float, what: str) -> int:
     """Minimal n with L^(1/n) strictly below 1 + alpha, at most MAX_STEPS."""
     if l_bound <= 1.0 + SVD_TOL:
         return 1
-    n = max(1, step_count(math.log(l_bound) / math.log1p(alpha), what))
+    n = max(1, step_count(math.log(l_bound), math.log1p(alpha), what))
     while l_bound ** (1.0 / n) >= 1.0 + alpha:
         n += 1
     return n
@@ -415,7 +415,7 @@ def factor_shrink(
     last_fail: tuple[int, float] | None = None
     for attempt in range(MAX_RETRIES + 1):
         cap = cap0 / 2**attempt
-        n = max(1, step_count(abs(math.log(c)) / math.log1p(cap), f"epsilon {epsilon}"))
+        n = max(1, step_count(abs(math.log(c)), math.log1p(cap), f"epsilon {epsilon}"))
         step = c ** (1.0 / n)
         # Factor i scales by step about the center, blended on q dilated by
         # margin c^(i/n) (the running image plus margin).
@@ -476,8 +476,7 @@ def factor_translation_along_path(
     for attempt in range(MAX_RETRIES + 1):
         delta = delta0 / 2**attempt
         # Refused before any node is made: a side small enough to zero delta, or too many steps.
-        n = max(1, step_count(total / delta if delta > 0.0 else math.inf,
-                              f"epsilon {epsilon} with cube side {q.side}"))
+        n = max(1, step_count(total, delta, f"epsilon {epsilon} with cube side {q.side}"))
         nodes = resample_polyline(path, n + 1)
         steps = np.diff(nodes, axis=0)
         run = BlendRun("translation", nodes[:-1], np.full(n, blend_side), np.full(n, lam), steps)

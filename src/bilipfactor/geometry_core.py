@@ -32,8 +32,10 @@ MAX_STEPS = 10**6  # most equal steps a factorization along a path or a sphere m
 MAX_POINTS = 1 << 19  # most lattice points, PL sweep targets or dyadic label cells one array may hold
 
 
-def step_count(ratio: float, what: str) -> int:
-    """ceil(ratio) up to float noise, refused when not finite or above MAX_STEPS."""
+def step_count(num: float, den: float, what: str) -> int:
+    """ceil(num / den) up to float noise, refused when not finite or above MAX_STEPS;
+    a den that is not > 0 (a step size that rounded to 0) is infinitely many steps."""
+    ratio = num / den if den > 0.0 else math.inf
     if not ratio - 1e-12 <= MAX_STEPS:  # inf and NaN fail too
         raise GeometryError(f"{what} needs {ratio - 1e-12:.4g} steps, more than the {MAX_STEPS} allowed")
     return math.ceil(ratio - 1e-12)

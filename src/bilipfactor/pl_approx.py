@@ -5,7 +5,7 @@ orderings; interpolating a map at the lattice vertices gives a globally
 continuous piecewise-affine map whose per-simplex data (affine pieces,
 distortion constants, orientation signs) is verified rather than assumed:
 orientation + per-simplex constants for the Lipschitz verdict, degree sweeps
-for injectivity and surjectivity.
+and orientation signs for injectivity, degree sweeps for surjectivity.
 """
 
 from __future__ import annotations
@@ -290,51 +290,20 @@ def degree_pl(pl: PLApprox, y: np.ndarray) -> int:
     return int(degrees[0])
 
 
-def _triangles_overlap_opposite(pl: PLApprox) -> bool:
-    """True when two simplices of opposite orientation have overlapping images.
-
-    Exact for d=2 (separating-axis test on triangles); for d=3 a bounding
-    box check is used, which can only over-report.
-    """
-    signs = pl.orientations
-    pos = np.nonzero(signs > 0)[0]
-    neg = np.nonzero(signs < 0)[0]
-    if len(pos) == 0 or len(neg) == 0:
-        return False
-    sims, _ = pl.image_simplices()
-    lo = sims.min(axis=1)
-    hi = sims.max(axis=1)
-    d = pl.tri.dim
-    for i in neg:
-        cand = pos[np.all(lo[pos] <= hi[i], axis=1) & np.all(hi[pos] >= lo[i], axis=1)]
-        for j in cand:
-            if d != 2 or _tri_tri_overlap(sims[i], sims[j]):
-                return True
-    return False
-
-
-def _tri_tri_overlap(t1: np.ndarray, t2: np.ndarray) -> bool:
-    # Separating axis test over the 6 edge normals; open overlap.
-    for tri_a, tri_b in ((t1, t2), (t2, t1)):
-        for k in range(3):
-            edge = tri_a[(k + 1) % 3] - tri_a[k]
-            normal = np.array([-edge[1], edge[0]])
-            a = tri_a @ normal
-            b = tri_b @ normal
-            if a.max() <= b.min() + 1e-15 or b.max() <= a.min() + 1e-15:
-                return False
-    return True
-
-
 def verify_pl(pl: PLApprox, epsilon: float) -> PLVerdicts:
     """Verify the interpolant is a small-distortion homeomorphism candidate.
 
     lipschitz_ok: every per-simplex constant <= (1+2*epsilon)+1e-9 with
     orientation +1.  injective_ok: degree exactly +1 at a deterministic
     sweep of image targets (values of the map on an offset interior
-    lattice at a third of the triangulation pitch) and no opposite-orientation image overlap.  The surjectivity
-    spot-check requires degree >= 1 at the same targets.  Unresolved
-    (non-regular) targets fail the verdicts when they exceed 0.1%.
+    lattice at a third of the triangulation pitch), and no fold: signs +1
+    and -1 not both present.  The surjectivity spot-check requires degree
+    >= 1 at the same targets.  Unresolved (non-regular) targets fail the
+    verdicts when they exceed 0.1%.  The fold rule is exact when no sign is
+    0: the facet-adjacency graph is connected, so both signs meet across a
+    facet, where the two images overlap in an open set; sign-0 simplices
+    can make it stricter, on maps that collapse a simplex and so are not
+    injective either.
     """
     bound = 1.0 + 2.0 * epsilon + 1e-9
     lipschitz_ok = bool(np.all(pl.constants <= bound) and np.all(pl.orientations == 1))
@@ -357,7 +326,7 @@ def verify_pl(pl: PLApprox, epsilon: float) -> PLVerdicts:
     n_unres = int(unresolved.sum())
     ok_frac = n_unres <= 0.001 * n_targets
     resolved = degrees[~unresolved]
-    injective_ok = bool(ok_frac and np.all(resolved == 1) and not _triangles_overlap_opposite(pl))
+    injective_ok = bool(ok_frac and np.all(resolved == 1) and not pl.orientations.max() > 0 > pl.orientations.min())
     surjective_ok = bool(ok_frac and np.all(resolved >= 1))
     return PLVerdicts(
         lipschitz_ok=lipschitz_ok,

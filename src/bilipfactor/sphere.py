@@ -120,7 +120,7 @@ def factor_translation_sphere(v, epsilon: float) -> SphericalFactorReport:
     if length == 0.0:
         return SphericalFactorReport(None, 0, target, epsilon)
     v0 = epsilon / (1.0 + epsilon)
-    n = step_count(length / v0, f"epsilon {epsilon}")
+    n = step_count(length, v0, f"epsilon {epsilon}")
     step = Translation(tuple(v / n))
     sampled = spherical_distortion(step, dim=v.shape[0])
     return SphericalFactorReport(SphericalStep(step, translation_step_bound(length / n), sampled),
@@ -146,11 +146,11 @@ def factor_scaling_sphere(a: float, epsilon: float) -> SphericalFactorReport:
         raise GeometryError(f"scaling factor must be finite, got {a}")
     if epsilon <= 0:
         raise GeometryError("epsilon must be positive")
-    target = Scaling(a) if a != 1.0 else Scaling(1.0)
+    target = Scaling(a)
     if a == 1.0:
         return SphericalFactorReport(None, 0, target, epsilon)
     log_a0 = math.log(solve_scaling_step(epsilon))  # 0 once the step rounds to 1
-    n = step_count(abs(math.log(a)) / log_a0 if log_a0 > 0.0 else math.inf, f"epsilon {epsilon}")
+    n = step_count(abs(math.log(a)), log_a0, f"epsilon {epsilon}")
     step = Scaling(a ** (1.0 / n))
     return SphericalFactorReport(SphericalStep(step, scaling_step_bound(step.a), spherical_distortion(step)),
                                  n, target, epsilon)

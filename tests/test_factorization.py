@@ -153,11 +153,22 @@ class TestRotation:
         with pytest.raises(GeometryError, match=r"^alpha 1e-12 needs 1e\+12 steps, more than the 1000000 allowed"):
             factor_rotation(rotation_2d(1.0), 1e-12)
 
+    def test_subnormal_alpha_needs_inf_steps(self):
+        # asin(alpha / 2) rounds to 0: a zero step angle is infinitely many
+        # steps, refused, not a ZeroDivisionError.
+        with pytest.raises(GeometryError, match=r"^alpha 5e-324 needs inf steps, more than the 1000000 allowed"):
+            factor_rotation(rotation_2d(0.5), 5e-324)
+
 
 class TestFactorLinearInCube:
     def test_identity(self):
         fs = factor_linear_in_cube(np.eye(2), Cube((0.0, 0.0), 2.0), 2.0, 0.25)
         assert fs.T == 0
+
+    def test_subnormal_epsilon_needs_inf_steps(self):
+        # A diagonal-only map reaches the diagonal count first; its log1p(alpha) rounds to 0.
+        with pytest.raises(GeometryError, match=r"^epsilon 5e-324 needs inf steps, more than the 1000000 allowed"):
+            factor_linear_in_cube(np.diag([2.0, 0.5]), Cube((0.0, 0.0), 2.0), 2.0, 5e-324)
 
     def test_diagonal_example(self):
         q = Cube((0.0, 0.0), 2.0)
@@ -652,6 +663,11 @@ class TestShrink:
     def test_support_budget_rejected(self):
         with pytest.raises(GeometryError):
             factor_shrink(Cube((0.0, 0.0), 1.0), 1.5, 2.0, 0.2)
+
+    def test_subnormal_epsilon_needs_inf_steps(self):
+        # log1p(cap) rounds to 0: infinitely many steps, refused.
+        with pytest.raises(GeometryError, match=r"^epsilon 5e-324 needs inf steps, more than the 1000000 allowed"):
+            factor_shrink(Cube((0.0, 0.0), 1.0), 2.0, 0.5, 5e-324)
 
 
 class TestTranslationAlongPath:

@@ -323,3 +323,117 @@ class TestDegreeSweep:
         assert unresolved.any()
         assert np.array_equal(unresolved, ref_unresolved)
         assert np.array_equal(degrees, ref_degrees)
+
+
+def reference_fold(pl: PLApprox) -> bool:
+    """The pairwise image-overlap search verify_pl's fold rule replaced, kept as its oracle.
+
+    True when a simplex of sign -1 and one of sign +1 have overlapping
+    images: a separating-axis test on triangles in 2-D (open overlap, an
+    absolute slack of 1e-15), bounding boxes alone in 3-D.
+    """
+    signs = pl.orientations
+    pos = np.nonzero(signs > 0)[0]
+    neg = np.nonzero(signs < 0)[0]
+    if len(pos) == 0 or len(neg) == 0:
+        return False
+    sims, _ = pl.image_simplices()
+    lo = sims.min(axis=1)
+    hi = sims.max(axis=1)
+    for i in neg:
+        cand = pos[np.all(lo[pos] <= hi[i], axis=1) & np.all(hi[pos] >= lo[i], axis=1)]
+        for j in cand:
+            if pl.tri.dim != 2 or _triangles_overlap(sims[i], sims[j]):
+                return True
+    return False
+
+
+def _triangles_overlap(t1: np.ndarray, t2: np.ndarray) -> bool:
+    # Separating axis test over the 6 edge normals; open overlap.
+    for tri_a, tri_b in ((t1, t2), (t2, t1)):
+        for k in range(3):
+            edge = tri_a[(k + 1) % 3] - tri_a[k]
+            normal = np.array([-edge[1], edge[0]])
+            a = tri_a @ normal
+            b = tri_b @ normal
+            if a.max() <= b.min() + 1e-15 or b.max() <= a.min() + 1e-15:
+                return False
+    return True
+
+
+class _Pointwise(MapExpr):
+    """x -> fn(x - 1/2) on the rows of pts."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def evaluate(self, pts):
+        return self.fn(np.atleast_2d(np.asarray(pts, dtype=float)) - 0.5)
+
+
+def _first_axis(g):
+    def fn(u):
+        out = u.copy()
+        out[:, 0] = g(u[:, 0])
+        return out
+    return fn
+
+
+def _swirl(u):
+    # A turn by 3 exp(-|u|^2 / 0.02) about the centre: a homeomorphism whose
+    # interpolant flips triangles at pitches 0.1 and 0.05, too coarse for the twist.
+    angle = 3.0 * np.exp(-np.sum(u * u, axis=1) / 0.02)
+    c, s = np.cos(angle), np.sin(angle)
+    return np.column_stack([c * u[:, 0] - s * u[:, 1], s * u[:, 0] + c * u[:, 1]])
+
+
+_FOLD_MAPS = {
+    "fold": _Pointwise(_first_axis(np.abs)),
+    "soft-fold": _Pointwise(_first_axis(lambda x: np.sqrt(x * x + 0.01))),
+    "cubic": _Pointwise(_first_axis(lambda x: x**3 - 0.05 * x)),
+    "swirl": _Pointwise(_swirl),
+}
+
+
+class TestFoldRule:
+    """verify_pl's fold rule (orientation signs holding both +1 and -1) against the overlap search."""
+
+    @staticmethod
+    def check(pl: PLApprox) -> bool:
+        folded = bool(pl.orientations.max() > 0 > pl.orientations.min())
+        assert folded == reference_fold(pl)
+        assert not np.any(pl.orientations == 0)
+        targets = _sweep_targets(pl)[0]
+        degrees, unresolved = degrees_pl_batch(pl, targets)
+        degree_ok = unresolved.sum() <= 0.001 * len(targets) and np.all(degrees[~unresolved] == 1)
+        assert verify_pl(pl, 0.2).injective_ok == (degree_ok and not folded)
+        return folded
+
+    @pytest.mark.parametrize("pitch", [0.1, 0.05, 0.02])
+    def test_rule_equals_overlap_search_2d(self, pitch):
+        tri = freudenthal(2, pitch, UNIT2)
+        folded = {name: self.check(pl_interpolate(f, tri)) for name, f in _FOLD_MAPS.items()}
+        assert folded == {"fold": True, "soft-fold": True, "cubic": True, "swirl": pitch > 0.02}
+
+    @pytest.mark.parametrize("name", ["fold", "cubic"])
+    def test_rule_equals_overlap_search_3d(self, name):
+        tri = freudenthal(3, 0.1, Cube((0.5, 0.5, 0.5), 1.0))
+        assert self.check(pl_interpolate(_FOLD_MAPS[name], tri))
+
+    def test_reflection_is_no_fold(self, monkeypatch):
+        # All signs -1: no fold, and injective_ok fails through the -1 degrees
+        # alone, so with the degrees negated it passes.
+        pl = pl_interpolate(Affine(AffineMapData(np.diag([-1.0, 1.0]), np.zeros(2))), freudenthal(2, 0.05, UNIT2))
+        assert np.all(pl.orientations == -1)
+        assert not self.check(pl)
+        degrees, unresolved = degrees_pl_batch(pl, _sweep_targets(pl)[0])
+        assert not unresolved.any() and np.all(degrees == -1)
+        v = verify_pl(pl, 0.2)
+        assert not v.injective_ok and not v.surjective_spotcheck_ok
+
+        def negated(pl, targets):
+            degrees, unresolved = degrees_pl_batch(pl, targets)
+            return -degrees, unresolved
+
+        monkeypatch.setattr(pl_approx, "degrees_pl_batch", negated)
+        assert verify_pl(pl, 0.2).injective_ok
