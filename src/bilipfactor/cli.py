@@ -75,7 +75,8 @@ def _json_default(obj):
 
 
 _encode_str = json.encoder.encode_basestring_ascii
-_FLOAT_TOKENS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# A non-finite float is written as its str in a JSON string, so every report is strict JSON.
+_FLOAT_TOKENS = {"nan": '"nan"', "inf": '"inf"', "-inf": '"-inf"'}
 
 
 def _encode_float(o: float) -> str:
@@ -467,7 +468,7 @@ def cmd_pl(payload: dict, args) -> tuple[dict, bool]:
     pitch = eta / (4.0 * math.sqrt(dim))
     # verify_pl's sweep, the largest point set, has at most 3 side / pitch + 4 targets per axis.
     check_points(math.prod([12.0 * math.sqrt(dim) * box.side / eta + 4.0] * dim), f"eta {eta}", "sweep targets")
-    tri = freudenthal(dim, pitch, box.dilate(1.0 + 4.0 * pitch / box.side))
+    tri = freudenthal(pitch, box.dilate(1.0 + 4.0 * pitch / box.side))
     pl = pl_interpolate(m, tri)
     verdicts = verify_pl(pl, args.epsilon)
     sup_err = sup_distance(pl.as_map(), m, box, pitch / 2.0)
@@ -586,9 +587,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    # a non-finite flag is echoed as its str ("inf", "nan"), so the report stays strict JSON
-    config = {k: str(v) if isinstance(v, float) and not math.isfinite(v) else v
-              for k, v in vars(args).items() if k != "out"}
+    config = {k: v for k, v in vars(args).items() if k != "out"}
     config["input"] = os.path.basename(args.input)
     envelope = {"tool": "bilipfactor", "version": __version__, "config": config, "tolerances": TOLERANCES}
     report_path = Path(args.out) / "report.json"

@@ -78,7 +78,6 @@ class FactorCertificationError(CertificationError):
         )
         self.index = index
         self.bound = bound
-        self.target = target
 
 
 def cert_pitch(side, dim: int):
@@ -191,11 +190,11 @@ def _sweeps(run: BlendRun):
             yield max(1.0, ratio)
 
 
-def _no_blends(kind: str, target: MapExpr, region: Cube, support: Cube, meta: dict) -> FactorSequence:
-    """A blend builder's sequence for a map that needs no factor."""
+def _no_blends(target: MapExpr, region: Cube, support: Cube, meta: dict) -> FactorSequence:
+    """A blend builder's sequence for a map that needs no factor: a run of none,
+    whose kind nothing reads, so it holds no matrices."""
     d = region.dim
-    run = BlendRun(kind, np.empty((0, d)), np.empty(0), np.empty(0), np.empty((0, d)),
-                   None if kind == "translation" else np.empty((0, d, d)))
+    run = BlendRun(np.empty((0, d)), np.empty(0), np.empty(0), np.empty((0, d)))
     return FactorSequence(run, target, region, support, np.empty(0), meta)
 
 
@@ -350,7 +349,7 @@ def factor_linear_in_cube(
     target = Affine(AffineMapData(mat, np.zeros(d)))
 
     if np.abs(mat - np.eye(d)).max() <= SVD_TOL:
-        return _no_blends("affine", target, q, support, {"alpha": 0.0, "linear_steps": []})
+        return _no_blends(target, q, support, {"alpha": 0.0})
 
     alpha0 = epsilon / (4.0 * c_support * l_bound * math.sqrt(d))
     # Strict w == 1 margin over the running image (see factor_shrink).
@@ -371,27 +370,26 @@ def factor_linear_in_cube(
             partials[idx] = partial
             partial = step @ partial
         sides = margin * (2.0 * np.max(np.abs(verts @ partials.transpose(0, 2, 1)), axis=(1, 2)))
-        run = BlendRun("affine", np.broadcast_to(np.asarray(q.center), (n, d)), sides, np.full(n, lam),
+        run = BlendRun(np.broadcast_to(np.asarray(q.center), (n, d)), sides, np.full(n, lam),
                        np.zeros((n, d)), np.array(steps).reshape(n, d, d))
-        canonical = BlendRun("affine", np.zeros((n, d)), np.ones(n), run.lams, run.shifts, run.matrices)
+        canonical = BlendRun(np.zeros((n, d)), np.ones(n), run.lams, run.shifts, run.matrices)
         bounds, last_fail = _certify(run, ("linear", d, lam), run.matrices.reshape(n, d * d).view(np.int64),
                                      1.0 + epsilon + TOLERANCES["certificate_slack"], cache, canonical)
         if bounds is not None:
             err = sup_distance(run, target, q, q.side / 8)
             if err > TOLERANCES["agreement_rel"] * q.diam:
                 raise CertificationError(f"composite deviates from target by {err:.3e} on the cube")
-            return FactorSequence(run, target, q, support, bounds, meta={"alpha": alpha, "linear_steps": steps})
+            return FactorSequence(run, target, q, support, bounds, meta={"alpha": alpha})
     raise FactorCertificationError(last_fail[0], last_fail[1], 1.0 + epsilon)
 
 
-def factor_shrink(
-    q: Cube, lam: float, c: float, epsilon: float, cache: dict | None = None
-) -> FactorSequence:
+def factor_shrink(q: Cube, lam: float, c: float, epsilon: float, cache: dict) -> FactorSequence:
     """Factor x -> center + c (x - center) on q into blended radial scalings.
 
     Factors are the identity outside lam * q; c may exceed 1 (expansion)
     as long as lam > c so the growing image keeps clear of the support
-    boundary.  Step scale auto-halves on certification failure.
+    boundary.  Step scale auto-halves on certification failure.  cache is
+    the key -> L_lo dict of _certify, shared by the calls of one shuffle.
     """
     d = q.dim
     if not (c > 0):
@@ -402,14 +400,13 @@ def factor_shrink(
     target = Affine(AffineMapData(c * np.eye(d), (1.0 - c) * center))
     support = q.dilate(lam)
     if abs(c - 1.0) <= SVD_TOL:
-        return _no_blends("affine", target, q, support, {"steps": 0})
+        return _no_blends(target, q, support, {})
 
     # The blend cube carries a strict margin over the moving cube so that
     # cube points sit in the w == 1 interior (an exact-boundary point would
     # lag by rounding and the lag compounds across steps).
     margin = min(1.2, (lam / max(1.0, c)) ** 0.25)
     lam_min = lam / (margin * max(1.0, c))
-    cache = {} if cache is None else cache
     kappa = 1.0 + math.sqrt(d) * lam_min / (lam_min - 1.0)
     cap0 = 0.99 * epsilon / ((1.0 + epsilon) * kappa)
     last_fail: tuple[int, float] | None = None
@@ -422,14 +419,14 @@ def factor_shrink(
         scale = np.array([margin * c ** (i / n) for i in range(n)])
         sides = scale * q.side
         lams = lam / scale
-        run = BlendRun("affine", np.broadcast_to(center, (n, d)), sides, lams,
+        run = BlendRun(np.broadcast_to(center, (n, d)), sides, lams,
                        np.broadcast_to((1.0 - step) * center, (n, d)),
                        np.broadcast_to(step * np.eye(d), (n, d, d)))
         rows = np.column_stack([[round(s, 14) for s in sides.tolist()], [round(l_i, 12) for l_i in lams.tolist()]])
         bounds, last_fail = _certify(run, ("shrink", d, round(step, 14)), rows,
                                      1.0 + epsilon + TOLERANCES["certificate_slack"], cache)
         if bounds is not None:
-            return FactorSequence(run, target, q, support, bounds, meta={"steps": n, "step_scale": step})
+            return FactorSequence(run, target, q, support, bounds, meta={"step_scale": step})
     raise FactorCertificationError(last_fail[0], last_fail[1], 1.0 + epsilon)
 
 
@@ -462,7 +459,7 @@ def factor_translation_along_path(
     tube = Cube(tuple((path.min(axis=0) + path.max(axis=0)) / 2.0),
                 float(np.max(path.max(axis=0) - path.min(axis=0)) + 4.0 * q.side))
     if total == 0.0:
-        return _no_blends("translation", target, q, tube, {"steps": 0})
+        return _no_blends(target, q, tube, {})
 
     # Blend cube 1.5x the moving cube (strict w == 1 margin over the cube;
     # an exact-boundary point would lag by rounding and the lag compounds),
@@ -479,11 +476,11 @@ def factor_translation_along_path(
         n = max(1, step_count(total, delta, f"epsilon {epsilon} with cube side {q.side}"))
         nodes = resample_polyline(path, n + 1)
         steps = np.diff(nodes, axis=0)
-        run = BlendRun("translation", nodes[:-1], np.full(n, blend_side), np.full(n, lam), steps)
+        run = BlendRun(nodes[:-1], np.full(n, blend_side), np.full(n, lam), steps)
         bounds, last_fail = _certify(run, prefix, np.round(steps / q.side, 12),
                                      1.0 + epsilon + TOLERANCES["certificate_slack"], cache)
         if bounds is not None:
-            return FactorSequence(run, target, q, tube, bounds, meta={"steps": n, "delta": delta})
+            return FactorSequence(run, target, q, tube, bounds, meta={"delta": delta})
     raise FactorCertificationError(last_fail[0], last_fail[1], 1.0 + epsilon)
 
 
@@ -576,7 +573,6 @@ class Piecewise(MapExpr):
 class GlueReport:
     piece_bounds: tuple[float, ...]
     glued: DistortionCertificate
-    bound: float
 
 
 def glue_identity_outside(
@@ -589,8 +585,8 @@ def glue_identity_outside(
     against the square of the largest piece bound.
     """
     if not pieces:
-        empty = DistortionCertificate(Cube((0.0, 0.0), 2.0), 0.0, 1.0, "exact-affine", 0)
-        return Identity(), GlueReport((), empty, 1.0)
+        empty = DistortionCertificate(Cube((0.0, 0.0), 2.0), 0.0, 1.0, "exact-affine")
+        return Identity(), GlueReport((), empty)
     for i, (r1, _) in enumerate(pieces):
         for r2, _ in pieces[i + 1 :]:
             if r1.overlaps(r2, tol=1e-12):
@@ -617,7 +613,7 @@ def glue_identity_outside(
         raise CertificationError(
             f"glued distortion {cert.L_lo:.6f} exceeds the squared piece bound {bound:.6f}"
         )
-    return glued, GlueReport(tuple(bounds), cert, bound)
+    return glued, GlueReport(tuple(bounds), cert)
 
 
 def _boundary_lattice(region: Cube, h: float) -> np.ndarray:
@@ -629,12 +625,12 @@ def _boundary_lattice(region: Cube, h: float) -> np.ndarray:
     return pts[on_face]
 
 
-def check_factor_sequence(fs: FactorSequence, epsilon: float | None = None) -> dict:
+def check_factor_sequence(fs: FactorSequence, epsilon: float) -> dict:
     """Re-verify a factor sequence's contracts; returns a report dict.
 
     Checks composite-vs-target agreement on the region lattice at pitch
-    side / 16, per-factor bounds against 1 + epsilon (when given), and
-    identity outside the support on a surrounding shell lattice.
+    side / 16, per-factor bounds against 1 + epsilon, and identity outside
+    the support on a surrounding shell lattice.
     """
     region = fs.region
     agree = sup_distance(fs.factors, fs.target, region, region.side / 16)
@@ -643,9 +639,8 @@ def check_factor_sequence(fs: FactorSequence, epsilon: float | None = None) -> d
         "agreement_sup": agree,
         "agreement_ok": agree <= TOLERANCES["agreement_rel"] * region.diam,
         "max_certified": fs.max_certified(),
+        "certificates_ok": bool(np.all(fs.L_lo <= 1.0 + epsilon + TOLERANCES["certificate_slack"])),
     }
-    if epsilon is not None:
-        report["certificates_ok"] = bool(np.all(fs.L_lo <= 1.0 + epsilon + TOLERANCES["certificate_slack"]))
     # A factor that moves no shell point is exactly the identity there.
     shell, _ = cube_lattice(fs.support.dilate(1.5), fs.support.side / 8)
     outside = shell[~fs.support.contains(shell, tol=1e-12)]

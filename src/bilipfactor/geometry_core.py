@@ -98,10 +98,6 @@ class SVDecomposition:
     u: np.ndarray
     sigma: np.ndarray
     v_t: np.ndarray
-    degenerate: bool
-
-    def reconstruct(self) -> np.ndarray:
-        return self.u @ np.diag(self.sigma) @ self.v_t
 
 
 def sigma_2d(e: float, f: float, g: float, h: float) -> tuple[float, float]:
@@ -209,10 +205,7 @@ def svd(m: np.ndarray | list) -> SVDecomposition:
         # (near-)degenerate sigma; flip the null direction.
         u[:, -1] = -u[:, -1]
         sigma = sigma.copy()
-
-    scale = sigma[0] if sigma[0] > 0 else 1.0
-    degenerate = bool(sigma[-1] <= SVD_TOL * scale)
-    return SVDecomposition(u=u, sigma=sigma, v_t=v_t, degenerate=degenerate)
+    return SVDecomposition(u=u, sigma=sigma, v_t=v_t)
 
 
 def bilip_constant(a: AffineMapData | np.ndarray | list) -> float:

@@ -136,7 +136,7 @@ def factor_sequence_to_json(fs) -> dict:
 
 def _blend_run_to_json(run: BlendRun) -> Rows:
     """map_to_json of every run[i], as rows of the run's arrays."""
-    if run.kind == "translation":
+    if run.matrices is None:
         inner = {"type": "translation", "v": run.shifts}
     else:
         inner = {"type": "affine", "matrix": run.matrices, "b": run.shifts}

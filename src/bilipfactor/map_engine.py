@@ -9,18 +9,20 @@ bi-Lipschitz constant up to that rounding, which a finer lattice that
 contains the coarser one can only raise.
 
 A BlendRun holds a chain of blends of one kind (translations, or affine
-maps) as arrays of centres, sides, lambdas and inner maps.  It evaluates
-as the composition of its Blend factors does, bit for bit, and walk()
-returns the images after any list of prefixes in one pass; indexing
-builds the individual Blend objects for JSON and tests.  The walk holds
-points as coordinate rows (d, m): one M @ x per affine step, and exact
-block tests on per-axis extremes and outward-rounded boxes in place of
-per-point weights.  M @ x must round as Blend's x @ M.T does on the same
-rows; tests/test_factorization.py pins that for the BLAS in use.
+maps, as its matrices are None or not) as arrays of centres, sides,
+lambdas and inner maps.  It evaluates as the composition of its Blend
+factors does, bit for bit, and walk() returns the images after any list
+of prefixes in one pass; indexing builds the individual Blend objects for
+JSON and tests.  The walk holds points as coordinate rows (d, m): one
+M @ x per affine step, and exact block tests on per-axis extremes and
+outward-rounded boxes in place of per-point weights.  M @ x must round as
+Blend's x @ M.T does on the same rows; tests/test_factorization.py pins
+that for the BLAS in use.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -141,6 +143,10 @@ class Grid(MapExpr):
     def __post_init__(self):
         origin = np.asarray(self.origin, dtype=float)
         values = np.asarray(self.values, dtype=float)
+        if not np.all(np.isfinite(origin)):
+            raise GeometryError(f"grid origin must be finite, got {origin.tolist()}")
+        if not 0.0 < self.pitch < math.inf:  # NaN fails too
+            raise GeometryError(f"grid pitch must be finite and positive, got {self.pitch!r}")
         if any(e < 2 for e in self.extents):
             raise GeometryError("grid extents must be >= 2 per axis")
         if values.shape != tuple(self.extents) + (origin.shape[0],):
@@ -222,17 +228,17 @@ class BlendRun(MapExpr, Sequence):
     """n blends applied in order, stored as arrays.
 
     Factor i is Blend(inner_i, C(centers[i], sides[i]), lams[i]); inner_i is
-    Translation(shifts[i]) for kind "translation" and the affine map
-    x -> matrices[i] x + shifts[i] for kind "affine".  run[i] and iteration
-    build those Blend objects; walk() evaluates prefixes without them.
+    Translation(shifts[i]) in a translation run (matrices None) and the
+    affine map x -> matrices[i] x + shifts[i] in an affine run.  run[i] and
+    iteration build those Blend objects; walk() evaluates prefixes without
+    them.
     """
 
-    kind: str  # "translation" | "affine"
     centers: np.ndarray  # (n, d)
     sides: np.ndarray  # (n,)
     lams: np.ndarray  # (n,)
     shifts: np.ndarray  # (n, d)
-    matrices: np.ndarray | None = None  # (n, d, d) for kind "affine"
+    matrices: np.ndarray | None = None  # (n, d, d) in an affine run
 
     def __len__(self) -> int:
         return self.sides.shape[0]
@@ -240,8 +246,8 @@ class BlendRun(MapExpr, Sequence):
     def __getitem__(self, i):
         if isinstance(i, (slice, np.ndarray)):
             mats = None if self.matrices is None else self.matrices[i]
-            return BlendRun(self.kind, self.centers[i], self.sides[i], self.lams[i], self.shifts[i], mats)
-        if self.kind == "translation":
+            return BlendRun(self.centers[i], self.sides[i], self.lams[i], self.shifts[i], mats)
+        if self.matrices is None:
             inner = Translation(tuple(self.shifts[i]))
         else:
             inner = Affine(AffineMapData(self.matrices[i], self.shifts[i]))
@@ -254,7 +260,7 @@ class BlendRun(MapExpr, Sequence):
         """Factor i alone applied to the points pts[i], pts (n, m, d), with
         Blend.evaluate's arithmetic: (1-w) x + w inner(x) where w > 0, else x."""
         w = np.clip(self._ratio(pts.swapaxes(1, 2), slice(None)), 0.0, 1.0)[..., None]
-        if self.kind == "translation":
+        if self.matrices is None:
             inner = pts + self.shifts[:, None]
         else:
             inner = np.matmul(pts, self.matrices.swapaxes(1, 2)) + self.shifts[:, None]
@@ -266,14 +272,14 @@ class BlendRun(MapExpr, Sequence):
         return _weight_ratio(x, self.centers[s, :, None], self.sides[s, None], self.lams[s, None])
 
     def _product(self, x: np.ndarray, i: int, out: np.ndarray) -> np.ndarray:
-        """matrices[i] @ x of the coordinate rows x (d, m) into out (kind "affine"): the
+        """matrices[i] @ x of the coordinate rows x (d, m) into out (an affine run): the
         one product the walk's paths and exact steps take, with the bits of the factor's
         x @ M.T on the same rows."""
         return np.matmul(self.matrices[i], x, out=out)
 
     def _inner(self, x: np.ndarray, i: int, out: np.ndarray) -> np.ndarray:
         """inner_i of the coordinate rows x (d, m) into out: matrices[i] @ x (if affine), plus shift."""
-        if self.kind == "affine":
+        if self.matrices is not None:
             x = self._product(x, i, out)
         return np.add(x, self.shifts[i, :, None], out=out)
 
@@ -382,7 +388,7 @@ class BlendRun(MapExpr, Sequence):
         np.compress(moving, x, axis=1, out=path[0])
         s = slice(k, k + span)
         ends = np.empty((span, d, 2))  # per step and axis, the moving points' min and max
-        if self.kind == "translation":
+        if self.matrices is None:
             path[1:] = self.shifts[s, :, None]
             np.add.accumulate(path, axis=0, out=path)
             # fl(x + v) is monotone in x, so the extremes take the same steps.
@@ -523,7 +529,6 @@ class DistortionCertificate:
     h: float
     L_lo: float
     method: str  # "exact-affine" | "sampled-pairs"
-    pair_count: int
 
 
 def estimate_distortion(m: MapExpr, region: Cube, h: float) -> DistortionCertificate:
@@ -531,9 +536,7 @@ def estimate_distortion(m: MapExpr, region: Cube, h: float) -> DistortionCertifi
     largest ratio of m's float images; an exact branch bypasses sampling for affine expressions."""
     aff = affine_part(m, region.dim)
     if aff is not None:
-        return DistortionCertificate(
-            region=region, h=0.0, L_lo=bilip_constant(aff), method="exact-affine", pair_count=0
-        )
+        return DistortionCertificate(region=region, h=0.0, L_lo=bilip_constant(aff), method="exact-affine")
     pts, pitch = cube_lattice(region, h)
     imgs = m.evaluate(pts)
     if not np.all(np.isfinite(imgs)):
@@ -541,10 +544,7 @@ def estimate_distortion(m: MapExpr, region: Cube, h: float) -> DistortionCertifi
     ratio, min_img = kernels.pairwise_distortion(pts, imgs)
     if min_img == 0.0:
         raise CertificationError("not injective on samples: coincident images")
-    pair_count = pts.shape[0] * (pts.shape[0] - 1) // 2
-    return DistortionCertificate(
-        region=region, h=pitch, L_lo=max(1.0, ratio), method="sampled-pairs", pair_count=pair_count
-    )
+    return DistortionCertificate(region=region, h=pitch, L_lo=max(1.0, ratio), method="sampled-pairs")
 
 
 def sup_distance(m1: MapExpr, m2: MapExpr, region: Cube, h: float) -> float:

@@ -91,23 +91,20 @@ class Triangulation:
         return out
 
 
-def freudenthal(dim: int, pitch: float, box: Cube | tuple) -> Triangulation:
-    """Triangulation whose cells cover the given box (cube or (lo, hi) pair)."""
-    if isinstance(box, Cube):
+def freudenthal(pitch: float, box: Cube) -> Triangulation:
+    """Triangulation of the box's dimension whose cells cover the box."""
+    with np.errstate(over="ignore"):  # a cube near the float limit overflows its corners
         lo, hi = box.lo(), box.hi()
-    else:
-        lo = np.asarray(box[0], dtype=float)
-        hi = np.asarray(box[1], dtype=float)
     if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
         raise GeometryError(f"triangulation box must have finite corners, got lo {lo.tolist()} and hi {hi.tolist()}")
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        spans = (hi[:dim] - lo[:dim]) / pitch
+        spans = (hi - lo) / pitch
     # Refused before any ceil: a pitch that is not finite and positive, or one
     # that underflows against the box (its cell counts overflow).
     if not (0.0 < pitch < math.inf and np.all(np.isfinite(spans))):
         raise GeometryError("triangulation pitch must be positive")
-    cells = tuple(max(1, int(math.ceil(spans[k] - 1e-12))) for k in range(dim))
-    return Triangulation(dim=dim, pitch=pitch, origin=lo, cells=cells)
+    cells = tuple(max(1, int(math.ceil(s - 1e-12))) for s in spans.tolist())
+    return Triangulation(dim=box.dim, pitch=pitch, origin=lo, cells=cells)
 
 
 @dataclass(frozen=True)
@@ -241,7 +238,10 @@ def degrees_pl_batch(pl: PLApprox, targets: np.ndarray) -> tuple[np.ndarray, np.
     inv = np.zeros_like(edges)
     inv[live] = np.linalg.inv(edges[live])
 
-    cell = float(np.mean(hi - lo)) or 1.0
+    with np.errstate(over="ignore"):  # an overflowing mean is refused below
+        cell = float(np.mean(hi - lo)) or 1.0
+    if not cell < math.inf:  # one bucket would hold every simplex: a sweep of all pairs
+        raise GeometryError(f"image simplices too large to bucket: mean box size {cell}")
     glo = lo.min(axis=0)
     key_lo = np.floor((lo[live] - glo) / cell).astype(int)
     span = np.floor((hi[live] - glo) / cell).astype(int) - key_lo + 1

@@ -92,8 +92,6 @@ class SphericalFactorReport:
 
     step: SphericalStep | None
     count: int
-    target: MapExpr
-    epsilon: float
 
     @property
     def steps(self) -> Iterator[SphericalStep]:
@@ -116,15 +114,13 @@ def factor_translation_sphere(v, epsilon: float) -> SphericalFactorReport:
         length = float(np.linalg.norm(v))
     if not math.isfinite(length):
         raise GeometryError(f"translation length must be finite, got {length}")
-    target = Translation(tuple(v))
     if length == 0.0:
-        return SphericalFactorReport(None, 0, target, epsilon)
+        return SphericalFactorReport(None, 0)
     v0 = epsilon / (1.0 + epsilon)
     n = step_count(length, v0, f"epsilon {epsilon}")
     step = Translation(tuple(v / n))
     sampled = spherical_distortion(step, dim=v.shape[0])
-    return SphericalFactorReport(SphericalStep(step, translation_step_bound(length / n), sampled),
-                                 n, target, epsilon)
+    return SphericalFactorReport(SphericalStep(step, translation_step_bound(length / n), sampled), n)
 
 
 def solve_scaling_step(epsilon: float) -> float:
@@ -146,11 +142,9 @@ def factor_scaling_sphere(a: float, epsilon: float) -> SphericalFactorReport:
         raise GeometryError(f"scaling factor must be finite, got {a}")
     if epsilon <= 0:
         raise GeometryError("epsilon must be positive")
-    target = Scaling(a)
     if a == 1.0:
-        return SphericalFactorReport(None, 0, target, epsilon)
+        return SphericalFactorReport(None, 0)
     log_a0 = math.log(solve_scaling_step(epsilon))  # 0 once the step rounds to 1
     n = step_count(abs(math.log(a)), log_a0, f"epsilon {epsilon}")
     step = Scaling(a ** (1.0 / n))
-    return SphericalFactorReport(SphericalStep(step, scaling_step_bound(step.a), spherical_distortion(step)),
-                                 n, target, epsilon)
+    return SphericalFactorReport(SphericalStep(step, scaling_step_bound(step.a), spherical_distortion(step)), n)

@@ -120,7 +120,7 @@ def test_criterion_02_counts_match_oracles():
 
 def test_criterion_03_degree_engine():
     gen = np.random.default_rng(33)
-    tri = freudenthal(2, 0.25, Cube((0.5, 0.5), 1.0))
+    tri = freudenthal(0.25, Cube((0.5, 0.5), 1.0))
     base = pl_interpolate(Identity(), tri)
     agree = 0
     total = 0
@@ -159,7 +159,7 @@ def test_criterion_03_degree_engine():
         additive_ok = additive_ok and (whole == parts)
         cases += 1
 
-    pl_sq = pl_interpolate(ComplexPower(2), freudenthal(2, 0.05, Cube((0.0, 0.0), 2.0)))
+    pl_sq = pl_interpolate(ComplexPower(2), freudenthal(0.05, Cube((0.0, 0.0), 2.0)))
     deg2 = degree_pl(pl_sq, np.array([0.0131, 0.0071]))
     th = np.linspace(0.0, 2.0 * math.pi, 257)
     circle = np.stack([np.cos(th), np.sin(th)], axis=-1)
@@ -188,7 +188,7 @@ def test_criterion_04_pl_approximation():
     all_ok = True
     for name, m in maps.items():
         pitch = eta / (4.0 * math.sqrt(2))
-        tri = freudenthal(2, pitch, box.dilate(1.0 + 8.0 * pitch))
+        tri = freudenthal(pitch, box.dilate(1.0 + 8.0 * pitch))
         pl = pl_interpolate(m, tri)
         sup = sup_distance(pl.as_map(), m, box, pitch / 2.0)
         v = verify_pl(pl, eps)
@@ -204,7 +204,7 @@ def test_criterion_04_pl_approximation():
     # Complexity scaling under eta -> eta/2 on the unit box.
     counts = []
     for e in (eta, eta / 2.0):
-        tri = freudenthal(2, e / (4.0 * math.sqrt(2)), Cube((0.5, 0.5), 1.0))
+        tri = freudenthal(e / (4.0 * math.sqrt(2)), Cube((0.5, 0.5), 1.0))
         counts.append(complexity_count(tri, Cube((0.5, 0.5), 1.0)))
     ratio = counts[1] / counts[0]
     scaling_ok = 0.8 * 4 <= ratio <= 1.25 * 4

@@ -152,8 +152,10 @@ class TestImports:
 
 def _sanitize(obj):
     """The copy a report used to go through before json.dumps, with NumPy
-    bools as JSON booleans: json.dumps of it is the reference for the report
-    encoder."""
+    bools as JSON booleans and each non-finite float as its str ("nan",
+    "inf", "-inf"): json.dumps of it is the reference for the report encoder."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return str(obj)
     if isinstance(obj, dict):
         return {k: _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -162,9 +164,9 @@ def _sanitize(obj):
         return {"numerator": str(obj.numerator), "denominator": str(obj.denominator),
                 "value": float(obj)}
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
+        return _sanitize(obj.item())
     if isinstance(obj, np.ndarray):
-        return obj.tolist()
+        return _sanitize(obj.tolist())
     if isinstance(obj, (bool, int, float, str)) or obj is None:
         return obj
     return str(obj)

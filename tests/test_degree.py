@@ -33,17 +33,17 @@ UNIT = Cube((0.5, 0.5), 1.0)
 
 class TestDegreePL:
     def test_identity_square(self):
-        pl = pl_interpolate(Identity(), freudenthal(2, 0.25, UNIT))
+        pl = pl_interpolate(Identity(), freudenthal(0.25, UNIT))
         assert degree_pl(pl, np.array([0.5, 0.5])) == 1
 
     def test_reflection(self):
         swap = Affine(AffineMapData(np.array([[0.0, 1.0], [1.0, 0.0]]), np.zeros(2)))
-        pl = pl_interpolate(swap, freudenthal(2, 0.25, UNIT))
+        pl = pl_interpolate(swap, freudenthal(0.25, UNIT))
         assert degree_pl(pl, np.array([0.4, 0.6])) == -1
 
     def test_squaring_map_degree_two(self):
         box = Cube((0.0, 0.0), 2.0)
-        pl = pl_interpolate(ComplexPower(2), freudenthal(2, 0.05, box))
+        pl = pl_interpolate(ComplexPower(2), freudenthal(0.05, box))
         y = np.array([0.0131, 0.0071])  # regular value near 0
         assert degree_pl(pl, y) == 2
         # Independent oracle: winding of the PL map over the box boundary.
@@ -73,7 +73,7 @@ class TestOracleAgreement:
         gen = np.random.default_rng(11)
         agree = 0
         total = 0
-        tri = freudenthal(2, 0.25, UNIT)
+        tri = freudenthal(0.25, UNIT)
         for trial in range(200):
             pl = pl_interpolate(Identity(), tri)
             images = pl.vertex_images + gen.uniform(-0.08, 0.08, size=pl.vertex_images.shape)

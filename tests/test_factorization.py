@@ -221,7 +221,7 @@ class TestFactorLinearInCube:
         a = random_orientation_preserving(gen, d, l_bound)
         q = Cube((0.0,) * d, 2.0)
         fs = factor_linear_in_cube(a, q, 2.0, epsilon)
-        steps = fs.meta["linear_steps"]
+        steps = fs.factors.matrices
         assert fs.T == len(steps) >= (500 if epsilon < 0.1 else 1)
         # The chain holds all three kinds: rotation, diagonal, rotation.
         diagonal = [not np.any(s - np.diag(np.diag(s))) for s in steps]
@@ -260,7 +260,8 @@ class TestCertificateCache:
         for f, l_lo in zip(fs.factors, fs.L_lo):
             want = certificate_json(f, l_lo)
             direct = estimate_distortion(f, f.cube.dilate(f.lam), want["h"])
-            assert direct.pair_count == want["pair_count"]
+            n = cube_lattice(f.cube.dilate(f.lam), want["h"])[0].shape[0]
+            assert want["pair_count"] == n * (n - 1) // 2
             assert abs(direct.L_lo - l_lo) <= 1e-12 * direct.L_lo
 
     def test_identical_rotation_steps_swept_once(self, monkeypatch):
@@ -273,7 +274,7 @@ class TestCertificateCache:
         stacked = kernels.pairwise_distortions
         monkeypatch.setattr(kernels, "pairwise_distortions", counting)
         fs = factor_linear_in_cube(rotation_2d(2.5), Cube((0.0, 0.0), 1.0), 2.0, 0.25)
-        distinct = {step.tobytes() for step in fs.meta["linear_steps"]}
+        distinct = {step.tobytes() for step in fs.factors.matrices}
         assert 0 < len(sweeps) <= len(distinct) < fs.T
 
     def test_shared_cache_reuses_certificates(self):
@@ -340,15 +341,15 @@ def hand_run(kind: str, inners: list) -> BlendRun:
     centers = np.stack([np.arange(n) / 4.0, np.zeros(n)], axis=1)
     inners = np.array(inners, dtype=float).reshape((n, 2) if kind == "translation" else (n, 2, 2))
     if kind == "translation":
-        return BlendRun(kind, centers, np.ones(n), np.full(n, 2.0), inners)
+        return BlendRun(centers, np.ones(n), np.full(n, 2.0), inners)
     shifts = centers - np.matmul(inners, centers[:, :, None])[:, :, 0]
-    return BlendRun(kind, centers, np.ones(n), np.full(n, 2.0), shifts, inners)
+    return BlendRun(centers, np.ones(n), np.full(n, 2.0), shifts, inners)
 
 
 def hand_rows(run: BlendRun) -> np.ndarray:
     """Key rows of a hand_run as the builders make them: rounded translation
     vectors (factor_translation_along_path), or matrix bits (factor_linear_in_cube)."""
-    if run.kind == "translation":
+    if run.matrices is None:
         return np.round(run.shifts, 12)
     return np.ascontiguousarray(run.matrices).reshape(len(run), 4).view(np.int64)
 
@@ -375,7 +376,8 @@ class TestStackedSweep:
             region = f.cube.dilate(f.lam)
             direct = estimate_distortion(f, region, cert_pitch(region.side, region.dim))
             cert = certificate_json(run[first], fs.L_lo[first])
-            assert (cert["L_lo"], cert["pair_count"]) == (direct.L_lo, direct.pair_count)
+            n = cube_lattice(region, cert_pitch(region.side, region.dim))[0].shape[0]
+            assert (cert["L_lo"], cert["pair_count"]) == (direct.L_lo, n * (n - 1) // 2)
             assert cert["method"] == direct.method == "sampled-pairs"
             assert conjugate or cert["h"] == direct.h
         return [fs.L_lo[first] for first in firsts.values()]
@@ -388,7 +390,7 @@ class TestStackedSweep:
             fs = factor_linear_in_cube(a, Cube((0.0,) * d, rng.uniform(0.3, 3.0)), rng.uniform(1.5, 3.0),
                                        rng.uniform(0.15, 0.4))
             assert fs.T > 0
-            self.assert_sweeps_match_estimate(fs, [step.tobytes() for step in fs.meta["linear_steps"]],
+            self.assert_sweeps_match_estimate(fs, [step.tobytes() for step in fs.factors.matrices],
                                               conjugate=True)
 
     @pytest.mark.parametrize("d", [2, 3])
@@ -635,24 +637,24 @@ class TestFactorLinearOutside:
 
 class TestShrink:
     def test_trivial(self):
-        assert factor_shrink(Cube((0.0, 0.0), 1.0), 2.0, 1.0, 0.2).T == 0
+        assert factor_shrink(Cube((0.0, 0.0), 1.0), 2.0, 1.0, 0.2, {}).T == 0
 
     def test_halving(self):
         q = Cube((0.0, 0.0), 1.0)
-        fs = factor_shrink(q, 2.0, 0.5, 0.2)
+        fs = factor_shrink(q, 2.0, 0.5, 0.2, {})
         rep = check_factor_sequence(fs, 0.2)
         assert rep["agreement_ok"] and rep["certificates_ok"] and rep["support_ok"]
-        # Count formula: per-step scale >= 1/(1+cap).
+        # Count formula: per-step scale >= 1/(1+cap), T steps of it make the scale.
         step = fs.meta["step_scale"]
         assert step >= 1.0 / (1.0 + 0.2)
-        assert fs.T == fs.meta["steps"]
+        assert step == 0.5 ** (1.0 / fs.T)
         # Vertex images are exact.
         comp = fs.factors
         assert np.abs(comp.evaluate(q.vertices()) - 0.5 * q.vertices()).max() <= 1e-12
 
     def test_off_center_and_growth(self):
         q = Cube((2.0, -1.0), 0.2)
-        fs = factor_shrink(q, 4.0, 3.0, 0.25)
+        fs = factor_shrink(q, 4.0, 3.0, 0.25, {})
         rep = check_factor_sequence(fs, 0.25)
         assert rep["agreement_ok"] and rep["certificates_ok"] and rep["support_ok"]
         comp = fs.factors
@@ -662,12 +664,12 @@ class TestShrink:
 
     def test_support_budget_rejected(self):
         with pytest.raises(GeometryError):
-            factor_shrink(Cube((0.0, 0.0), 1.0), 1.5, 2.0, 0.2)
+            factor_shrink(Cube((0.0, 0.0), 1.0), 1.5, 2.0, 0.2, {})
 
     def test_subnormal_epsilon_needs_inf_steps(self):
         # log1p(cap) rounds to 0: infinitely many steps, refused.
         with pytest.raises(GeometryError, match=r"^epsilon 5e-324 needs inf steps, more than the 1000000 allowed"):
-            factor_shrink(Cube((0.0, 0.0), 1.0), 2.0, 0.5, 5e-324)
+            factor_shrink(Cube((0.0, 0.0), 1.0), 2.0, 0.5, 5e-324, {})
 
 
 class TestTranslationAlongPath:
@@ -735,7 +737,7 @@ class TestTranslationAlongPath:
         assert len(calls) > 1
         assert fs.meta["delta"] == delta0 / 2
         nodes = reference_translation_nodes(self.RETRY_PATH, fs.meta["delta"])
-        assert fs.T == fs.meta["steps"] == nodes.shape[0] - 1
+        assert fs.T == nodes.shape[0] - 1
         assert fs.factors.centers.tobytes() == nodes[:-1].tobytes()
         assert fs.factors.shifts.tobytes() == np.diff(nodes, axis=0).tobytes()
         assert fs.max_certified() <= 1.2 + 1e-12
@@ -796,7 +798,7 @@ def reference_linear_factors(q: Cube, c_support: float, fs) -> list[Blend]:
     lam = c_support / margin
     partial = np.eye(d)
     out = []
-    for step in fs.meta["linear_steps"]:
+    for step in fs.factors.matrices:
         s_i = 2.0 * float(np.max(np.abs(q.vertices() @ partial.T)))
         out.append(Blend(Affine(AffineMapData(step, np.zeros(d))), Cube(q.center, margin * s_i), lam))
         partial = step @ partial
@@ -805,7 +807,7 @@ def reference_linear_factors(q: Cube, c_support: float, fs) -> list[Blend]:
 
 def reference_shrink_factors(q: Cube, lam: float, c: float, fs) -> list[Blend]:
     d = q.dim
-    n, step = fs.meta["steps"], fs.meta["step_scale"]
+    n, step = fs.T, fs.meta["step_scale"]
     margin = min(1.2, (lam / max(1.0, c)) ** 0.25)
     center = np.asarray(q.center)
     out = []
@@ -886,7 +888,7 @@ def _runs():
     lin = factor_linear_in_cube(a, q, c_support, eps)
     yield "linear", lin, reference_linear_factors(q, c_support, lin)
     for name, (q, lam, c, eps) in (("shrink", SHRINK_CASE), ("grow", GROW_CASE)):
-        fs = factor_shrink(q, lam, c, eps)
+        fs = factor_shrink(q, lam, c, eps, {})
         yield name, fs, reference_shrink_factors(q, lam, c, fs)
     q, path, eps = TRANSLATE_CASE
     fs = factor_translation_along_path(q, path, eps)
@@ -939,7 +941,7 @@ class TestBlendRun:
         # A jump over w == 1 steps adds the steps in order; 0 * x + (x + v)
         # keeps the sign of a zero sum, so the bytes agree with the factors.
         steps = np.array([[-0.0, 0.25], [-0.0, -0.25], [0.5, -0.0], [-0.5, 0.0]])
-        run = BlendRun("translation", np.zeros((4, 2)), np.full(4, 4.0), np.full(4, 2.0), steps)
+        run = BlendRun(np.zeros((4, 2)), np.full(4, 4.0), np.full(4, 2.0), steps)
         pts = np.array([[-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0], [0.5, -0.25]])
         prefixes = run.walk(pts, range(1, 5))
         cur = pts.copy()
@@ -958,7 +960,7 @@ class TestBlendRun:
         # walk's paths and exact steps take) and in the factors' Affine maps.
         mats = np.array([[[-0.5, -0.0], [0.0, 1.0]], [[1.0, 0.0], [-0.0, 0.0]], [[-0.0, -0.0], [0.5, 1.0]]])
         shifts = np.array([[-0.0, 0.25], [0.125, -0.0], [-0.0, -0.0]])
-        run = BlendRun("affine", np.zeros((6, 2)), np.full(6, 4.0), np.full(6, 2.0),
+        run = BlendRun(np.zeros((6, 2)), np.full(6, 4.0), np.full(6, 2.0),
                        np.tile(shifts, (2, 1)), np.tile(mats, (2, 1, 1)))
         pts = np.array([[0.0, 0.0], [0.0, 0.5], [0.25, 0.0], [0.5, 0.25]])
         assert np.all(blend_weight(pts, run[0].cube, run[0].lam) == 1.0)
@@ -1006,7 +1008,7 @@ class TestBlendRun:
         gen = np.random.default_rng(2300 + d)
         n = 5000
         mats = np.stack([random_orientation_preserving(gen, d, 1.01), gen.normal(size=(d, d))])
-        run = BlendRun("affine", np.zeros((2, d)), np.ones(2), np.full(2, 2.0), gen.normal(size=(2, d)), mats)
+        run = BlendRun(np.zeros((2, d)), np.ones(2), np.full(2, 2.0), gen.normal(size=(2, d)), mats)
         pts = gen.uniform(-3.0, 3.0, size=(n, d))
         for i in range(2):
             inner = run[i].inner
@@ -1049,7 +1051,7 @@ class TestBlendRun:
         mats = None
         if kind == "affine":
             mats = np.stack([random_orientation_preserving(gen, d, 1.0005) for _ in range(n)])
-        run = BlendRun(kind, centers, sides, np.full(n, 1.5), shifts, mats)
+        run = BlendRun(centers, sides, np.full(n, 1.5), shifts, mats)
         # Sup-norm radii: inside every cube, inside the two larger ones (w == 0
         # on the smallest), inside the largest alone, outside all, and 0 < w < 1
         # on the middle one.
@@ -1100,11 +1102,11 @@ class TestBlendRun:
     @pytest.mark.parametrize("name", sorted(RUNS))
     def test_support_identity_dev_matches_per_factor_loop(self, name):
         fs, _ = RUNS[name]
-        assert check_factor_sequence(fs)["support_identity_dev"] == reference_support_dev(fs) == 0.0
+        assert check_factor_sequence(fs, 0.25)["support_identity_dev"] == reference_support_dev(fs) == 0.0
         # A support far too small: factors move shell points, and the loop
         # stops at the first one that moves them by more than 1e-12.
         small = FactorSequence(fs.factors, fs.target, fs.region, fs.region.dilate(0.5), fs.L_lo)
-        dev = check_factor_sequence(small)["support_identity_dev"]
+        dev = check_factor_sequence(small, 0.25)["support_identity_dev"]
         assert dev == reference_support_dev(small)
         assert dev > 1e-12
 
@@ -1185,7 +1187,7 @@ class TestBlockTests:
         mats = np.tile(np.diag([1.0, 0.999]), (n, 1, 1)) if kind == "affine" else None
         shifts = np.tile([0.0, -0.01], (n, 1))
         shifts[:5, 0] = [0.02, 0.02, 0.02, 0.02, 0.05]
-        run = BlendRun(kind, np.zeros((n, 2)), np.ones(n), np.full(n, 2.0), shifts, mats)
+        run = BlendRun(np.zeros((n, 2)), np.ones(n), np.full(n, 2.0), shifts, mats)
         g = np.linspace(-0.35, 0.35, 5)
         pts = np.vstack([np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2), [[0.41, 0.05]]])
         want = _loop_prefixes(run, pts)
@@ -1218,7 +1220,7 @@ class TestBlockTests:
                             [-0.05, 0.0], [0.0, 0.0], [0.1, 0.0]])
         sides = np.array([0.4, 0.4, 0.5, 0.3, 0.7, 0.3, 0.2, 0.4])
         n = len(sides)
-        run = BlendRun("translation", centers, sides, np.full(n, 1.5), np.tile([0.0, 1.0], (n, 1)))
+        run = BlendRun(centers, sides, np.full(n, 1.5), np.tile([0.0, 1.0], (n, 1)))
         hi, lo = np.nextafter(e_hi, math.inf), np.nextafter(e_lo, -math.inf)  # the box's x bounds
         pts = np.array([[e_hi, 0.0], [np.nextafter(hi, math.inf), 0.0], [e_lo, 0.0],
                         [np.nextafter(lo, -math.inf), 0.0], [0.0, -3.0]])
@@ -1242,7 +1244,7 @@ class TestBlockTests:
         # The first-product gemm gives M @ x == -0.0, but every shift is +0.0
         # and -0.0 + 0.0 == +0.0, so no image holds a -0.0 and the walk jumps.
         mats = np.array([[[-0.5, -0.0], [0.0, 1.0]], [[1.0, 0.0], [-0.0, 0.0]], [[-0.0, -0.0], [0.5, 1.0]]])
-        run = BlendRun("affine", np.zeros((6, 2)), np.full(6, 4.0), np.full(6, 2.0),
+        run = BlendRun(np.zeros((6, 2)), np.full(6, 4.0), np.full(6, 2.0),
                        np.zeros((6, 2)), np.tile(mats, (2, 1, 1)))
         pts = np.array([[0.0, 0.0], [0.0, 0.5], [0.25, 0.0], [0.5, 0.25]])
         monkeypatch.setattr(BlendRun, "_product", _first_product)
@@ -1264,7 +1266,7 @@ class TestBlockTests:
         monkeypatch.setattr(AffineMapData, "apply", _first_product_apply)
         mats = np.array([[[1e308, 1e308], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]]])
         shifts = np.array([[0.0, 0.0], [0.0, 0.5], [0.0, 0.5]])
-        run = BlendRun("affine", np.zeros((3, 2)), np.full(3, 8.0), np.full(3, 2.0), shifts, mats)
+        run = BlendRun(np.zeros((3, 2)), np.full(3, 8.0), np.full(3, 2.0), shifts, mats)
         pts = np.array([[2.0, -2.0], [2.0, 2.0], [1e-310, 0.0]])
         with np.errstate(over="ignore", invalid="ignore"):
             want = _loop_prefixes(run, pts)
@@ -1290,7 +1292,7 @@ class TestBlockTests:
         # prefix, which never holds a -0.0, whichever sign M @ x gives a zero.
         n = 60
         mats = np.resize(self._SIGNED_ZERO_MATS, (n, 2, 2))
-        run = BlendRun("affine", np.zeros((n, 2)), np.full(n, 4.0), np.full(n, 2.0), np.zeros((n, 2)), mats)
+        run = BlendRun(np.zeros((n, 2)), np.full(n, 4.0), np.full(n, 2.0), np.zeros((n, 2)), mats)
         pts = self._AXIS_POINTS
         if gemm == "first-product":
             monkeypatch.setattr(BlendRun, "_product", _first_product)
@@ -1331,7 +1333,7 @@ class TestBlockTests:
         n = len(shifts)
         mats = np.resize(self._SIGNED_ZERO_MATS, (n, 2, 2))
         mats[:16] = self._SIGNED_ZERO_MATS[-1]
-        run = BlendRun("affine", np.zeros((n, 2)), np.full(n, 4.0), np.full(n, 2.0), shifts, mats)
+        run = BlendRun(np.zeros((n, 2)), np.full(n, 4.0), np.full(n, 2.0), shifts, mats)
         pts = self._AXIS_POINTS
         if gemm == "first-product":
             monkeypatch.setattr(BlendRun, "_product", _first_product)

@@ -81,7 +81,6 @@ def catalogue() -> list[tuple[str, MapExpr, int]]:
     axis = np.linspace(0.0, 1.0, 5)
     lattice = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1)
     run = BlendRun(
-        "affine",
         centers=np.array([[0.5, 0.5], [0.4, 0.6], [0.55, 0.45]]),
         sides=np.array([0.4, 0.3, 0.5]),
         lams=np.array([2.0, 1.5, 1.8]),
@@ -179,7 +178,7 @@ class TestSupDistance:
 
         eta = 0.05
         box = Cube((1.0, 1.0), 1.0)
-        tri = freudenthal(2, eta / (4 * np.sqrt(2)), box)
+        tri = freudenthal(eta / (4 * np.sqrt(2)), box)
         pl = pl_interpolate(LogSpiral(0.2), tri)
         assert sup_distance(pl.as_map(), LogSpiral(0.2), box, tri.pitch / 2) <= eta
 

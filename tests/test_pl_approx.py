@@ -12,6 +12,7 @@ from bilipfactor.geometry_core import AffineMapData, Cube, GeometryError, rotati
 from bilipfactor.map_engine import (
     Affine,
     DomainError,
+    Grid,
     Identity,
     LogSpiral,
     MapExpr,
@@ -37,8 +38,8 @@ UNIT2 = Cube((0.5, 0.5), 1.0)
 
 class TestFreudenthal:
     def test_cell_counts(self):
-        assert freudenthal(2, 1.0, (np.zeros(2), np.ones(2))).n_simplices == 2
-        assert freudenthal(3, 1.0, (np.zeros(3), np.ones(3))).n_simplices == 6
+        assert freudenthal(1.0, Cube((0.5, 0.5), 1.0)).n_simplices == 2
+        assert freudenthal(1.0, Cube((0.5, 0.5, 0.5), 1.0)).n_simplices == 6
 
     @pytest.mark.parametrize("pitch", [0.0, 1e-320, -0.1, math.nan, math.inf])
     def test_bad_pitch_refused(self, pitch):
@@ -47,23 +48,21 @@ class TestFreudenthal:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(GeometryError, match="triangulation pitch must be positive"):
-                freudenthal(2, pitch, Cube((0.5, 0.5), 1.0))
+                freudenthal(pitch, Cube((0.5, 0.5), 1.0))
 
-    @pytest.mark.parametrize("corner", ["lo", "hi"])
-    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
-    def test_non_finite_box_refused(self, corner, value):
-        # A box corner that is not finite is named as the fault, not the pitch.
-        box = {"lo": np.zeros(2), "hi": np.ones(2)}
-        box[corner][0] = value
+    @pytest.mark.parametrize("center", [(1.7e308, 0.0), (0.0, -1.7e308)], ids=["inf-hi", "-inf-lo"])
+    def test_non_finite_box_refused(self, center):
+        # A cube near the float limit overflows a corner: that corner is named
+        # as the fault, not the pitch, and the overflow raises no warning.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(GeometryError, match=r"box must have finite corners, got lo \[.*\] and hi"):
-                freudenthal(2, 0.1, (box["lo"], box["hi"]))
+                freudenthal(0.1, Cube(center, 1e308))
 
     def test_offsets_partition_cell(self):
         # The d! simplices tile the unit cell: their volumes sum to 1.
         for d in (2, 3):
-            tri = freudenthal(d, 1.0, (np.zeros(d), np.ones(d)))
+            tri = freudenthal(1.0, Cube((0.5,) * d, 1.0))
             offs = tri.simplex_vertex_offsets().astype(float)
             total = 0.0
             for s in offs:
@@ -74,38 +73,38 @@ class TestFreudenthal:
 class TestInterpolate:
     def test_affine_is_exact(self, rng):
         am = AffineMapData(random_orientation_preserving(rng, 2, 2.0), rng.normal(size=2))
-        pl = pl_interpolate(Affine(am), freudenthal(2, 0.25, UNIT2))
+        pl = pl_interpolate(Affine(am), freudenthal(0.25, UNIT2))
         assert np.abs(pl.matrices - am.matrix).max() < 1e-12
         pts = rng.uniform(0.05, 0.95, size=(100, 2))
         assert np.abs(pl.as_map().evaluate(pts) - am.apply(pts)).max() < 1e-12
 
     def test_rotation_unit_constants(self):
         rot = Affine(AffineMapData(rotation_2d(0.6), np.zeros(2)))
-        pl = pl_interpolate(rot, freudenthal(2, 0.1, UNIT2))
+        pl = pl_interpolate(rot, freudenthal(0.1, UNIT2))
         assert pl.constants.max() == pytest.approx(1.0, abs=1e-12)
         assert np.all(pl.orientations == 1)
 
     def test_rotation_3d(self):
         rot = Affine(AffineMapData(rotation_3d([1.0, 1.0, 0.0], 0.4), np.zeros(3)))
-        pl = pl_interpolate(rot, freudenthal(3, 0.25, Cube((0.5, 0.5, 0.5), 1.0)))
+        pl = pl_interpolate(rot, freudenthal(0.25, Cube((0.5, 0.5, 0.5), 1.0)))
         assert pl.constants.max() == pytest.approx(1.0, abs=1e-12)
         assert np.all(pl.orientations == 1)
 
     def test_logspiral_sup_bound(self):
         eta = 0.1
         box = Cube((1.0, 1.0), 1.0)  # [0.5, 1.5]^2
-        tri = freudenthal(2, eta / (4 * math.sqrt(2)), box)
+        tri = freudenthal(eta / (4 * math.sqrt(2)), box)
         pl = pl_interpolate(LogSpiral(0.05), tri)
         err = sup_distance(pl.as_map(), LogSpiral(0.05), box, tri.pitch / 2)
         assert err <= eta
 
     def test_outside_triangulation_is_domain_error(self):
-        g = pl_interpolate(Identity(), freudenthal(2, 0.25, UNIT2)).as_map()
+        g = pl_interpolate(Identity(), freudenthal(0.25, UNIT2)).as_map()
         with pytest.raises(DomainError, match="outside its triangulation"):
             g(np.array([1.5, 0.5]))
 
     def test_continuity_across_faces(self, rng):
-        pl = pl_interpolate(LogSpiral(0.2), freudenthal(2, 0.2, Cube((1.5, 0.5), 1.0)))
+        pl = pl_interpolate(LogSpiral(0.2), freudenthal(0.2, Cube((1.5, 0.5), 1.0)))
         g = pl.as_map()
         # Points on interior cell edges evaluate consistently from both sides.
         for x in np.linspace(1.05, 1.95, 7):
@@ -118,14 +117,14 @@ class TestInterpolate:
 class TestVerify:
     def test_rotation_all_verdicts(self):
         rot = Affine(AffineMapData(rotation_2d(0.4), np.zeros(2)))
-        pl = pl_interpolate(rot, freudenthal(2, 0.05, UNIT2))
+        pl = pl_interpolate(rot, freudenthal(0.05, UNIT2))
         v = verify_pl(pl, 0.05)
         assert v.lipschitz_ok and v.injective_ok and v.surjective_spotcheck_ok
         assert v.n_unresolved <= 0.001 * v.n_targets
 
     def test_logspiral_all_verdicts(self):
         eta = 0.1
-        tri = freudenthal(2, eta / (4 * math.sqrt(2)), Cube((1.0, 1.0), 1.0))
+        tri = freudenthal(eta / (4 * math.sqrt(2)), Cube((1.0, 1.0), 1.0))
         pl = pl_interpolate(LogSpiral(0.05), tri)
         v = verify_pl(pl, 0.2)
         assert v.lipschitz_ok and v.injective_ok and v.surjective_spotcheck_ok
@@ -137,7 +136,7 @@ class TestVerify:
                 out[..., 0] = np.abs(out[..., 0])
                 return out
 
-        pl = pl_interpolate(Fold(), freudenthal(2, 0.125, Cube((0.0, 0.0), 2.0)))
+        pl = pl_interpolate(Fold(), freudenthal(0.125, Cube((0.0, 0.0), 2.0)))
         v = verify_pl(pl, 0.2)
         assert (not v.lipschitz_ok) or (not v.injective_ok)
         assert pl.orientations.min() == -1
@@ -145,7 +144,7 @@ class TestVerify:
     def test_global_lipschitz_matches_per_simplex(self):
         # Sampled global estimate stays within the per-simplex bound.
         eps = 0.05
-        tri = freudenthal(2, 0.05, UNIT2)
+        tri = freudenthal(0.05, UNIT2)
         pl = pl_interpolate(LogSpiral(0.03), tri)
         assert np.all(pl.constants <= 1 + 2 * eps + 1e-9)
         cert = estimate_distortion(pl.as_map(), Cube((0.5, 0.5), 0.9), 0.05)
@@ -154,16 +153,16 @@ class TestVerify:
 
 class TestComplexity:
     def test_counts(self):
-        assert complexity_count(freudenthal(2, 0.25, UNIT2), UNIT2) == 32
+        assert complexity_count(freudenthal(0.25, UNIT2), UNIT2) == 32
         unit3 = Cube((0.5, 0.5, 0.5), 1.0)
-        assert complexity_count(freudenthal(3, 0.5, unit3), unit3) == 48
+        assert complexity_count(freudenthal(0.5, unit3), unit3) == 48
 
     def test_halving_eta_scales_by_two_to_d(self):
         for d in (2, 3):
             box = Cube((0.5,) * d, 1.0)
             counts = []
             for eta in (0.4, 0.2, 0.1):
-                tri = freudenthal(d, eta / (4 * math.sqrt(d)), box)
+                tri = freudenthal(eta / (4 * math.sqrt(d)), box)
                 counts.append(complexity_count(tri, box))
             for a, b in zip(counts, counts[1:]):
                 assert 0.8 * 2**d <= b / a <= 1.25 * 2**d
@@ -180,7 +179,7 @@ class TestPolarizationBound:
             mat = random_orientation_preserving(rng, 2, 1.0 + eps)
             shift = rng.normal(size=2)
             pl = pl_interpolate(
-                Affine(AffineMapData(mat, shift)), freudenthal(2, 1.0, (np.zeros(2), np.ones(2)))
+                Affine(AffineMapData(mat, shift)), freudenthal(1.0, Cube((0.5, 0.5), 1.0))
             )
             trials += 1
             ok += int(np.all(pl.constants <= 1 + 2 * eps + 1e-12))
@@ -291,7 +290,7 @@ class TestDegreeSweep:
     @pytest.mark.parametrize("name", list(_ORACLE_CASES))
     def test_matches_reference_loop(self, name):
         f, pitch, box = _ORACLE_CASES[name]
-        pl = pl_interpolate(f, freudenthal(box.dim, pitch, box))
+        pl = pl_interpolate(f, freudenthal(pitch, box))
         sweep, on_faces, outside = _sweep_targets(pl)
         degrees, unresolved = degrees_pl_batch(pl, np.concatenate([sweep, on_faces, outside]))
         ref_degrees, ref_unresolved = reference_degrees_pl_batch(pl, np.concatenate([sweep, on_faces, outside]))
@@ -304,7 +303,7 @@ class TestDegreeSweep:
     @pytest.mark.parametrize("per_pass", [1, 97])
     def test_passes_equal_one_pass(self, per_pass, monkeypatch):
         f, pitch, box = _ORACLE_CASES["logspiral-0.05"]
-        pl = pl_interpolate(f, freudenthal(box.dim, pitch, box))
+        pl = pl_interpolate(f, freudenthal(pitch, box))
         targets = np.concatenate(_sweep_targets(pl))
         whole = degrees_pl_batch(pl, targets)
         assert len(targets) < pl_approx.SWEEP_TARGETS
@@ -312,11 +311,20 @@ class TestDegreeSweep:
         for got, want in zip(degrees_pl_batch(pl, targets), whole):
             assert np.array_equal(got, want)
 
+    def test_overflowing_image_boxes_refused(self):
+        # One grid value near the float limit: the mean image box size overflows
+        # to inf, and a grid of inf cells would put every simplex in one bucket.
+        values = np.stack(np.meshgrid([0.0, 1.0], [0.0, 1.0], indexing="ij"), axis=-1)
+        values[1, 1, 0] = 1e308
+        pl = pl_interpolate(Grid(np.zeros(2), 1.0, (2, 2), values), freudenthal(0.05, UNIT2))
+        with pytest.raises(GeometryError, match="^image simplices too large to bucket: mean box size inf$"):
+            verify_pl(pl, 0.25)
+
     def test_unresolved_after_retry_matches_reference(self):
         # The shear sends the triangulation's e1 edges along the tie-break
         # direction, so a vertex-image target stays on a face after the retry.
         pl = pl_interpolate(Affine(AffineMapData(np.array([[1.0, 0.0], [1.0 / math.pi, 1.0]]), np.zeros(2))),
-                            freudenthal(2, 0.1, UNIT2))
+                            freudenthal(0.1, UNIT2))
         targets = np.concatenate(_sweep_targets(pl))
         degrees, unresolved = degrees_pl_batch(pl, targets)
         ref_degrees, ref_unresolved = reference_degrees_pl_batch(pl, targets)
@@ -411,19 +419,19 @@ class TestFoldRule:
 
     @pytest.mark.parametrize("pitch", [0.1, 0.05, 0.02])
     def test_rule_equals_overlap_search_2d(self, pitch):
-        tri = freudenthal(2, pitch, UNIT2)
+        tri = freudenthal(pitch, UNIT2)
         folded = {name: self.check(pl_interpolate(f, tri)) for name, f in _FOLD_MAPS.items()}
         assert folded == {"fold": True, "soft-fold": True, "cubic": True, "swirl": pitch > 0.02}
 
     @pytest.mark.parametrize("name", ["fold", "cubic"])
     def test_rule_equals_overlap_search_3d(self, name):
-        tri = freudenthal(3, 0.1, Cube((0.5, 0.5, 0.5), 1.0))
+        tri = freudenthal(0.1, Cube((0.5, 0.5, 0.5), 1.0))
         assert self.check(pl_interpolate(_FOLD_MAPS[name], tri))
 
     def test_reflection_is_no_fold(self, monkeypatch):
         # All signs -1: no fold, and injective_ok fails through the -1 degrees
         # alone, so with the degrees negated it passes.
-        pl = pl_interpolate(Affine(AffineMapData(np.diag([-1.0, 1.0]), np.zeros(2))), freudenthal(2, 0.05, UNIT2))
+        pl = pl_interpolate(Affine(AffineMapData(np.diag([-1.0, 1.0]), np.zeros(2))), freudenthal(0.05, UNIT2))
         assert np.all(pl.orientations == -1)
         assert not self.check(pl)
         degrees, unresolved = degrees_pl_batch(pl, _sweep_targets(pl)[0])

@@ -4,7 +4,8 @@ Every public top-level name of src/bilipfactor must be reached: read in the
 package outside its own definition, be the CLI entry point, be imported and
 read by the acceptance suite, or be one of the names perfbench looks up by
 name.  Every name a library module or a test module imports must be read
-there.
+there.  Every field and public method of a library class must be read as an
+attribute in src/, the acceptance suite or perfbench.
 """
 
 from __future__ import annotations
@@ -152,3 +153,38 @@ def test_perfbench_traced_names_exist():
 def test_every_import_is_read(mod):
     unread = _unread_imports(IMPORTERS[mod])
     assert not unread, f"{mod} imports names it never reads: {unread}"
+
+
+def _attribute_loads(tree: ast.AST) -> set[str]:
+    return {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+
+
+def _members() -> set[tuple[str, str]]:
+    """(class, name) of every field a src/ class body declares and every public method it defines."""
+    out = set()
+    for tree in MODULES.values():
+        for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+            for stmt in cls.body:
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                    out.add((cls.name, stmt.target.id))
+                elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)) and not stmt.name.startswith("_"):
+                    out.add((cls.name, stmt.name))
+    return out
+
+
+def test_every_member_is_read():
+    """Each class member is read as `x.name` in src/, tests/test_acceptance.py
+    (with the tests/conftest.py helpers it imports) or perfbench/.
+
+    The check goes by name alone, not by the class a read goes through: a
+    name read on one class hides an unread member of that name on another
+    (as `.target`, read on FactorSequence, would hide a SphericalFactorReport
+    field of that name)."""
+    conftest = TEST_MODULES["tests/conftest"]
+    helpers = {a.name for n in ast.walk(ACCEPTANCE)
+               if isinstance(n, ast.ImportFrom) and n.module == "conftest" for a in n.names}
+    trees = [*MODULES.values(), ACCEPTANCE, *(stmt for stmt in conftest.body if _binds(stmt) & helpers),
+             *(_parse(p) for p in sorted((ROOT / "perfbench").rglob("*.py")))]
+    read = set().union(*map(_attribute_loads, trees))
+    unread = sorted(f"{cls}.{name}" for cls, name in _members() if name not in read)
+    assert not unread, f"class members nothing in src/, acceptance or perfbench reads: {unread}"
