@@ -5,11 +5,13 @@ Every run writes one report.json, failures included.  Exit codes: 0 when
 every certification in the run passed, 1 on a certification failure (the
 report carries a "certification_error" when the run stopped early), 2 on
 malformed input (the report carries an "error"): a non-positive or
-non-finite flag value, unreadable or ill-typed JSON, a map that cannot be
-evaluated where the run needs it or whose values break the linear algebra,
-and geometry the command cannot use.  Reports embed the tool version, the
-configuration echo (every flag but --out), and every tolerance used, and
-repeated runs with the same config are byte-identical.
+non-finite flag value, unreadable or ill-typed JSON (every numeric leaf must
+be a JSON number; an integer beyond the float range reads as +-inf), input
+nested too deep to read or evaluate, a run out of memory, a map that cannot
+be evaluated where the run needs it or whose values break the linear
+algebra, and geometry the command cannot use.  Reports embed the tool
+version, the configuration echo (every flag but --out), and every
+tolerance used, and repeated runs with the same config are byte-identical.
 """
 
 from __future__ import annotations
@@ -45,11 +47,16 @@ from .geometry_core import TOLERANCES, Cube, check_points
 from .jsonio import (
     Rows,
     SchemaError,
+    boolean,
     certificates_to_json,
     cube_from_json,
     factor_sequence_to_json,
+    integer,
     map_from_json,
     map_to_json,
+    number,
+    numbers,
+    positive,
 )
 from .map_engine import CertificationError, affine_part, map_dim, sup_distance
 from .pl_approx import complexity_count, freudenthal, pl_interpolate, verify_pl
@@ -270,40 +277,6 @@ def _load_input(path: str) -> dict:
         raise SchemaError(f"cannot read input JSON: {e}") from e
 
 
-def _integer(payload: dict, key: str, default: int) -> int:
-    """payload[key] as an int: a JSON integer or an integral float, not a bool."""
-    v = payload.get(key, default)
-    if isinstance(v, bool) or not (isinstance(v, int) or isinstance(v, float) and v.is_integer()):
-        raise SchemaError(f"{key} must be an integer, got {v!r}")
-    return int(v)
-
-
-def _number(payload: dict, key: str, default: float | None) -> float:
-    """payload[key] (required when default is None) as a float: a JSON number, not a bool."""
-    v = payload[key] if default is None else payload.get(key, default)
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise SchemaError(f"{key} must be a number, got {v!r}")
-    try:
-        return float(v)
-    except OverflowError:  # an integer beyond the float range
-        return math.inf if v > 0 else -math.inf
-
-
-def _positive(payload: dict, key: str, default: float | None) -> float:
-    """_number(payload, key, default), refused unless finite and positive."""
-    v = _number(payload, key, default)
-    if not 0.0 < v < math.inf:  # NaN fails too
-        raise SchemaError(f"{key} must be finite and positive, got {v!r}")
-    return v
-
-
-def _boolean(payload: dict, key: str, default: bool) -> bool:
-    v = payload.get(key, default)
-    if not isinstance(v, bool):
-        raise SchemaError(f"{key} must be true or false, got {v!r}")
-    return v
-
-
 def _check_dim(m, dim: int, where: str) -> None:
     """Refuse, before any sampling, a map that does not send dim-D points to
     dim-D points."""
@@ -318,7 +291,7 @@ def cmd_factor_linear(payload: dict, args) -> tuple[dict, bool]:
     if aff is None:
         raise SchemaError("factor-linear expects an affine map")
     cube = cube_from_json(payload["cube"]) if "cube" in payload else Cube((0.0,) * aff.dim, 2.0)
-    c_support = _positive(payload, "C", 2.0)
+    c_support = positive(payload.get("C", 2.0), "C")
     fs = factor_linear_in_cube(aff, cube, c_support, args.epsilon)
     rep, ok = _sequence_report(fs, args.epsilon)
     if args.svg and cube.dim == 2:
@@ -328,7 +301,7 @@ def cmd_factor_linear(payload: dict, args) -> tuple[dict, bool]:
 
 def cmd_factor_translate(payload: dict, args) -> tuple[dict, bool]:
     cube = cube_from_json(payload["cube"])
-    path = np.asarray(payload["path"], dtype=float)
+    path = numbers(payload["path"], "path")
     fs = factor_translation_along_path(cube, path, args.epsilon)
     rep, ok = _sequence_report(fs, args.epsilon)
     if args.svg and cube.dim == 2:
@@ -339,9 +312,10 @@ def cmd_factor_translate(payload: dict, args) -> tuple[dict, bool]:
 def cmd_shuffle(payload: dict, args) -> tuple[dict, bool]:
     psi = map_from_json(payload["omega"]["psi"])
     _check_dim(psi, 2, "base square")
-    side = _positive(payload["omega"], "base_side", None)
+    side = positive(payload["omega"]["base_side"], "base_side")
     pairs = [(cube_from_json(p["r"]), cube_from_json(p["s"])) for p in payload["pairs"]]
-    plan = plan_shuffle((psi, side), pairs, _number(payload, "mu", 1.5), _number(payload, "C1", 8.0))
+    mu, c1 = number(payload.get("mu", 1.5), "mu"), number(payload.get("C1", 8.0), "C1")
+    plan = plan_shuffle((psi, side), pairs, mu, c1)
     result = execute_shuffle(plan, args.epsilon)
     check = check_shuffle(result)
     rep = {
@@ -396,10 +370,10 @@ def _shuffle_frames(result, outdir: Path) -> None:
 
 def cmd_corona(payload: dict, args) -> tuple[dict, bool]:
     m = map_from_json(payload["map"])
-    depth = _integer(payload, "depth", 5)
-    dim = _integer(payload, "dim", 2)
+    depth = integer(payload.get("depth", 5), "depth")
+    dim = integer(payload.get("dim", 2), "dim")
     _check_dim(m, dim, "unit cube")
-    force = _boolean(payload, "force_top_bad", False)
+    force = boolean(payload.get("force_top_bad", False), "force_top_bad")
     c = build_coronization(m, dim, depth, theta=args.theta, h=args.h, force_top_bad=force)
     issues = check_coronization(c)
     c_bad, c_tops = carleson_constant(c)
@@ -427,8 +401,8 @@ def cmd_corona(payload: dict, args) -> tuple[dict, bool]:
 
 def cmd_multilevel(payload: dict, args) -> tuple[dict, bool]:
     m = map_from_json(payload["map"])
-    depth = _integer(payload, "depth", 5)
-    dim = _integer(payload, "dim", 2)
+    depth = integer(payload.get("depth", 5), "depth")
+    dim = integer(payload.get("dim", 2), "dim")
     _check_dim(m, dim, "unit cube")
     c = build_coronization(m, dim, depth, theta=args.theta, h=args.h, force_top_bad=True)
     ml = multilevel_decomposition(c, args.alpha)
@@ -459,8 +433,8 @@ def cmd_multilevel(payload: dict, args) -> tuple[dict, bool]:
 
 def cmd_pl(payload: dict, args) -> tuple[dict, bool]:
     m = map_from_json(payload["map"])
-    eta = _positive(payload, "eta", args.eta)
-    dim = _integer(payload, "dim", 2)
+    eta = positive(payload.get("eta", args.eta), "eta")
+    dim = integer(payload.get("dim", 2), "dim")
     _check_dim(m, dim, "box")
     box = cube_from_json(payload["box"]) if "box" in payload else Cube((0.5,) * dim, 1.0)
     if box.dim != dim:
@@ -514,9 +488,9 @@ def _pl_frame(pl, box: Cube, outdir: Path) -> None:
 def cmd_sphere_factor(payload: dict, args) -> tuple[dict, bool]:
     kind = payload.get("kind")
     if kind == "translation":
-        report = factor_translation_sphere(np.asarray(payload["v"], dtype=float), args.epsilon)
+        report = factor_translation_sphere(numbers(payload["v"], "v"), args.epsilon)
     elif kind == "scaling":
-        report = factor_scaling_sphere(_number(payload, "a", None), args.epsilon)
+        report = factor_scaling_sphere(number(payload["a"], "a"), args.epsilon)
     else:
         raise SchemaError("sphere-factor kind must be 'translation' or 'scaling'")
     step = report.step
@@ -538,7 +512,7 @@ def cmd_sphere_factor(payload: dict, args) -> tuple[dict, bool]:
 
 def cmd_degree(payload: dict, args) -> tuple[dict, bool]:
     m = map_from_json(payload["map"])
-    target = np.asarray(payload["target"], dtype=float)
+    target = numbers(payload["target"], "target")
     cube = cube_from_json(payload["cube"])
     if target.shape != (2,) or cube.dim != 2:
         raise SchemaError("winding degree is planar only: target and cube must be 2-D")
@@ -599,9 +573,10 @@ def main(argv: list[str] | None = None) -> int:
                 raise ValueError(f"--{name} must be positive")
         payload = _load_input(args.input)
         body, ok = COMMANDS[args.subcommand](payload, args)
-    except (ValueError, KeyError, TypeError) as e:
+    except (ValueError, KeyError, TypeError, RecursionError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
-        write_json_atomic(report_path, {**envelope, "error": str(e), "passed": False})
+        # A MemoryError raised outside NumPy has no message.
+        write_json_atomic(report_path, {**envelope, "error": str(e) or repr(e), "passed": False})
         return 2
     except (CertificationError, DegreeError) as e:
         write_json_atomic(report_path, {**envelope, "certification_error": str(e), "passed": False})

@@ -97,8 +97,8 @@ class FactorSequence:
 
     Every factor is the identity outside support.  L_lo[i] is factors[i]'s
     sampled distortion bound over its support cube C(centers[i], lams[i]
-    sides[i]), swept at cert_pitch; check_factor_sequence finds the factors
-    that move shell points with BlendRun.touching.
+    sides[i]), swept at cert_pitch; check_factor_sequence alone checks the
+    composite against target, finding shell-moving factors with touching.
     """
 
     factors: BlendRun
@@ -118,27 +118,26 @@ class FactorSequence:
 
 def _certify(
     run: BlendRun, prefix: tuple, rows: np.ndarray, bound: float, cache: dict,
-    conjugates: BlendRun | None = None,
 ) -> tuple[np.ndarray | None, tuple[int, float] | None]:
     """The bound of every factor of a run, or its first factor above bound.
 
     run[i] has the key prefix + tuple(rows[i]).  A key names a factor up to
     the changes its sampled distortion does not see: position (shrink,
-    translate) or scale (linear).  cache maps each key swept so far to its
-    L_lo.  The distinct rows are looked up in first-occurrence order, and
-    the first factor under each key not in cache is swept over its own
-    support cube, or conjugates[i] (its conjugate by a similarity) in its
-    place, by _sweeps as the lookups reach it.  Returns (bounds, None), or
-    (None, (index, L_lo)) of the first factor certified above bound.  Cache
-    and errors raised are those of a scan over per-factor keys sweeping one
-    key at a time.
+    translate) or scale (linear), so run may hold the factors' conjugates by
+    similarities.  cache maps each key swept so far to its L_lo.  The
+    distinct rows are looked up in first-occurrence order, and run[i] of the
+    first i under each key not in cache is swept over its own support cube
+    by _sweeps as the lookups reach it.  Returns (bounds, None), or (None,
+    (index, L_lo)) of the first factor certified above bound.  Cache and
+    errors raised are those of a scan over per-factor keys sweeping one key
+    at a time.
     """
     firsts, inverse = _key_groups(rows)
     order = np.argsort(firsts)
     firsts = firsts[order].tolist()
     keys = [prefix + tuple(row) for row in rows[firsts].tolist()]
     todo = [first for key, first in zip(keys, firsts) if key not in cache]
-    sweeps = _sweeps((run if conjugates is None else conjugates)[np.array(todo, dtype=np.intp)])
+    sweeps = _sweeps(run[np.array(todo, dtype=np.intp)])
     bounds = np.empty(len(keys))
     for j, key, first in zip(order.tolist(), keys, firsts):
         l_lo = cache.get(key)
@@ -326,7 +325,7 @@ def factor_linear_in_cube(
     image of q and blends to the identity across an annulus of relative
     width c_support, so every factor is the identity outside the cube of
     side c_support * L * sqrt(d) * l(q).  Each factor is certified at or
-    below 1 + epsilon (internal step size auto-halves on failure).
+    below 1 + epsilon (its step auto-halves); check_factor_sequence checks agreement.
 
     A factor Blend(A, C(0, s), lam) with A linear is conjugate under
     x -> s x to Blend(A, C(0, 1), lam), so the latter is swept in its place,
@@ -373,12 +372,9 @@ def factor_linear_in_cube(
         run = BlendRun(np.broadcast_to(np.asarray(q.center), (n, d)), sides, np.full(n, lam),
                        np.zeros((n, d)), np.array(steps).reshape(n, d, d))
         canonical = BlendRun(np.zeros((n, d)), np.ones(n), run.lams, run.shifts, run.matrices)
-        bounds, last_fail = _certify(run, ("linear", d, lam), run.matrices.reshape(n, d * d).view(np.int64),
-                                     1.0 + epsilon + TOLERANCES["certificate_slack"], cache, canonical)
+        bounds, last_fail = _certify(canonical, ("linear", d, lam), run.matrices.reshape(n, d * d).view(np.int64),
+                                     1.0 + epsilon + TOLERANCES["certificate_slack"], cache)
         if bounds is not None:
-            err = sup_distance(run, target, q, q.side / 8)
-            if err > TOLERANCES["agreement_rel"] * q.diam:
-                raise CertificationError(f"composite deviates from target by {err:.3e} on the cube")
             return FactorSequence(run, target, q, support, bounds, meta={"alpha": alpha})
     raise FactorCertificationError(last_fail[0], last_fail[1], 1.0 + epsilon)
 

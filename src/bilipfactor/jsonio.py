@@ -1,6 +1,9 @@
-"""JSON encoding/decoding of map expressions, cubes, and factor sequences."""
+"""JSON encoding/decoding of map expressions, cubes, and factor sequences,
+and the readers every numeric input leaf goes through."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -22,6 +25,44 @@ from .map_engine import (
 
 class SchemaError(ValueError):
     pass
+
+
+def number(v, what: str) -> float:
+    """v as a float: a JSON number, not a bool; an integer beyond the float range reads as +-inf."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise SchemaError(f"{what} must be a number, got {v!r}")
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf if v > 0 else -math.inf
+
+
+def numbers(v, what: str) -> np.ndarray:
+    """v, a JSON number or nested lists of them, as a float array; each leaf is read by number."""
+    def leaves(e):
+        return [leaves(x) for x in e] if isinstance(e, list) else number(e, what)
+    return np.array(leaves(v), dtype=float)
+
+
+def positive(v, what: str) -> float:
+    """number(v, what), refused unless finite and positive."""
+    v = number(v, what)
+    if not 0.0 < v < math.inf:  # NaN fails too
+        raise SchemaError(f"{what} must be finite and positive, got {v!r}")
+    return v
+
+
+def integer(v, what: str) -> int:
+    """v as an int: a JSON integer or an integral float, not a bool."""
+    if isinstance(v, bool) or not (isinstance(v, int) or isinstance(v, float) and v.is_integer()):
+        raise SchemaError(f"{what} must be an integer, got {v!r}")
+    return int(v)
+
+
+def boolean(v, what: str) -> bool:
+    if not isinstance(v, bool):
+        raise SchemaError(f"{what} must be true or false, got {v!r}")
+    return v
 
 
 class Rows:
@@ -46,7 +87,7 @@ def cube_to_json(c: Cube) -> dict:
 
 def cube_from_json(obj) -> Cube:
     try:
-        return Cube(tuple(float(v) for v in obj["center"]), float(obj["side"]))
+        return Cube(tuple(number(v, "cube center") for v in obj["center"]), number(obj["side"], "cube side"))
     except (KeyError, TypeError, ValueError) as e:
         raise SchemaError(f"bad cube object: {e}") from e
 
@@ -94,31 +135,29 @@ def map_from_json(obj) -> MapExpr:
         if t == "identity":
             return Identity()
         if t == "translation":
-            return Translation(tuple(float(v) for v in obj["v"]))
+            return Translation(tuple(number(v, "translation v") for v in obj["v"]))
         if t == "scaling":
-            return Scaling(float(obj["a"]))
+            return Scaling(number(obj["a"], "scaling a"))
         if t == "affine":
-            return Affine(
-                AffineMapData(np.asarray(obj["matrix"], dtype=float),
-                              np.asarray(obj["b"], dtype=float))
-            )
+            return Affine(AffineMapData(numbers(obj["matrix"], "affine matrix"),
+                                        numbers(obj["b"], "affine b")))
         if t == "logspiral":
-            return LogSpiral(float(obj["k"]))
+            return LogSpiral(number(obj["k"], "logspiral k"))
         if t == "grid":
-            origin = np.asarray(obj["origin"], dtype=float)
-            extents = tuple(int(e) for e in obj["extents"])
-            values = np.asarray(obj["values"], dtype=float).reshape(extents + (origin.shape[0],))
-            return Grid(origin, float(obj["pitch"]), extents, values)
+            origin = numbers(obj["origin"], "grid origin")
+            extents = tuple(integer(e, "grid extents") for e in obj["extents"])
+            values = numbers(obj["values"], "grid values").reshape(extents + (origin.shape[0],))
+            return Grid(origin, number(obj["pitch"], "grid pitch"), extents, values)
         if t == "blend":
             return Blend(
-                map_from_json(obj["inner"]), cube_from_json(obj["cube"]), float(obj["lambda"])
+                map_from_json(obj["inner"]), cube_from_json(obj["cube"]), number(obj["lambda"], "blend lambda")
             )
         if t == "compose":
             maps = tuple(map_from_json(o) for o in obj["maps"])
             return Compose(maps)
     except SchemaError:
         raise
-    except (KeyError, TypeError, ValueError) as e:
+    except (LookupError, TypeError, ValueError) as e:  # IndexError: a grid origin with no axis
         raise SchemaError(f"bad '{t}' map object: {e}") from e
     raise SchemaError(f"unknown map type {t!r}")
 

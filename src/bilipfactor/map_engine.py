@@ -273,24 +273,13 @@ class BlendRun(MapExpr, Sequence):
 
     def _product(self, x: np.ndarray, i: int, out: np.ndarray) -> np.ndarray:
         """matrices[i] @ x of the coordinate rows x (d, m) into out (an affine run): the
-        one product the walk's paths and exact steps take, with the bits of the factor's
-        x @ M.T on the same rows."""
+        one product the walk's paths take, with the bits of the factor's x @ M.T on the
+        same rows."""
         return np.matmul(self.matrices[i], x, out=out)
 
-    def _inner(self, x: np.ndarray, i: int, out: np.ndarray) -> np.ndarray:
-        """inner_i of the coordinate rows x (d, m) into out: matrices[i] @ x (if affine), plus shift."""
-        if self.matrices is not None:
-            x = self._product(x, i, out)
-        return np.add(x, self.shifts[i, :, None], out=out)
-
     def _step(self, x: np.ndarray, i: int) -> None:
-        """Apply factor i to the coordinate rows x (d, m) in place, as Blend.evaluate does."""
-        w = np.clip(self._ratio(x, i), 0.0, 1.0)
-        active = w > 0.0
-        if np.any(active):
-            xa = x[:, active]
-            wa = w[active]
-            x[:, active] = (1.0 - wa) * xa + wa * self._inner(xa, i, np.empty_like(xa))
+        """Apply factor i to the coordinate rows x (d, m) in place: Blend.evaluate of self[i]."""
+        x[...] = self[i].evaluate(x.T).T
 
     def walk(self, pts, stops) -> np.ndarray:
         """Images of pts after each prefix of stops (non-decreasing lengths in [0, n]).
@@ -307,9 +296,9 @@ class BlendRun(MapExpr, Sequence):
         the BLAS in use); a subset of the rows may round differently, so
         only the moving points are multiplied.  Where w == 1 Blend.evaluate
         writes 0 * x + inner(x), which is inner(x) bit for bit unless
-        inner(x) holds a -0.0.  So a step runs exactly, as Blend.evaluate
-        does, wherever some point has 0 < w < 1 or a moving image holds a
-        -0.0.  _walk_block decides each block with exact tests that give
+        inner(x) holds a -0.0.  So a step runs exactly, as Blend.evaluate of
+        its factor, wherever some point has 0 < w < 1 or a moving image holds
+        a -0.0.  _walk_block decides each block with exact tests that give
         the per-point answers: the moving points' weights from their
         per-axis extremes, the still points' behind an outward-rounded box,
         and the -0.0 scan only at steps whose shift holds a -0.0.  Every
@@ -342,7 +331,7 @@ class BlendRun(MapExpr, Sequence):
         """Move the coordinate rows x (d, m) in place over the steps k, k+1,
         ... (at most span of them) along which every point keeps its w of
         step k, 0 or 1, and no moving image holds a -0.0; return how many
-        steps that is (0: step k runs exactly).
+        steps that is (0: step k runs exactly, through Blend.evaluate).
 
         Each test answers as the per-point weights would, bit for bit:
         - Still points: a chunk of steps at a time (at most _RATIO_ELEMS

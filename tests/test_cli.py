@@ -18,7 +18,7 @@ from bilipfactor.cli import main
 from bilipfactor.degree import DegreeError
 from bilipfactor.geometry_core import TOLERANCES
 from bilipfactor.jsonio import Rows
-from bilipfactor.map_engine import Translation
+from bilipfactor.map_engine import BlendRun, Translation
 from bilipfactor.sphere import spherical_distortion, translation_step_bound
 
 
@@ -65,6 +65,32 @@ class TestFactorLinear:
         frames = sorted(out.glob("factor_linear_*.svg"))
         assert len(frames) >= 2
         assert frames[0].read_text().startswith("<svg")
+
+    def test_failed_agreement_writes_the_full_report(self, tmp_path, monkeypatch):
+        # The builder certifies factors only; check_factor_sequence alone
+        # checks the composite, so a missed target keeps the sequence report.
+        monkeypatch.setitem(TOLERANCES, "agreement_rel", -1.0)
+        inp = write_input(tmp_path, "lin.json", LINEAR)
+        out = tmp_path / "run"
+        assert main(["factor-linear", "--input", inp, "--out", str(out)]) == 1
+        rep = load_report(out)
+        assert "certification_error" not in rep
+        assert rep["passed"] is False
+        assert rep["result"]["check"]["agreement_ok"] is False
+        assert rep["result"]["check"]["certificates_ok"] is True
+
+    def test_one_walk_per_run(self, tmp_path, monkeypatch):
+        walks = []
+        walk = BlendRun.walk
+
+        def counted(self, pts, stops):
+            walks.append(len(pts))
+            return walk(self, pts, stops)
+
+        monkeypatch.setattr(BlendRun, "walk", counted)
+        inp = write_input(tmp_path, "lin.json", LINEAR)
+        assert main(["factor-linear", "--input", inp, "--out", str(tmp_path / "run")]) == 0
+        assert walks == [17 * 17]  # check_factor_sequence's side / 16 lattice
 
 
 class TestDeterminism:
@@ -409,6 +435,12 @@ MALFORMED = {
     "multilevel-depth-fractional": ("multilevel", {"map": IDENTITY, "depth": 2.7}, "depth must be an integer"),
     "multilevel-dim-bool": ("multilevel", {"map": IDENTITY, "depth": 2, "dim": True}, "dim must be an integer"),
     "pl-dim-fractional": ("pl", {"map": IDENTITY, "dim": 2.5}, "dim must be an integer"),
+    "pl-grid-extents-fractional": (
+        "pl", {"map": {"type": "grid", "origin": [0.0, 0.0], "pitch": 0.5, "extents": [2.7, 3],
+                       "values": [[0.0, 0.0]] * 6}}, "grid extents must be an integer, got 2.7"),
+    "pl-grid-origin-scalar": (
+        "pl", {"map": {"type": "grid", "origin": 0.0, "pitch": 0.5, "extents": [3, 3],
+                       "values": [[0.0, 0.0]] * 9}}, "bad 'grid' map object"),
     "degree-3d-cube": (
         "degree", {"map": IDENTITY, "target": [0.4, 0.5, 0.5], "cube": {"center": [0.5, 0.5, 0.5], "side": 1.0}},
         "winding degree is planar only"),

@@ -206,6 +206,20 @@ class TestFactorLinearInCube:
         with pytest.raises(GeometryError):
             factor_linear_in_cube(np.diag([1.0, -1.0]), Cube((0.0, 0.0), 1.0), 2.0, 0.25)
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_check_lattice_holds_the_side_8_lattice(self, d):
+        # The builder has no agreement gate of its own: check_factor_sequence's
+        # side / 16 lattice holds the side / 8 lattice a gate would walk, bit for bit.
+        gen = np.random.default_rng(3300 + d)
+        cubes = [Cube((0.0,) * d, 2.0)]  # the benchmark pool's cube
+        cubes += [Cube(tuple(gen.uniform(-10.0, 10.0, d)), float(10.0 ** gen.uniform(-6.0, 3.0)))
+                  for _ in range(200)]
+        for q in cubes:
+            fine = {p.tobytes() for p in cube_lattice(q, q.side / 16)[0]}
+            coarse = cube_lattice(q, q.side / 8)[0]
+            assert coarse.shape[0] == 9**d
+            assert all(p.tobytes() in fine for p in coarse), q
+
     @pytest.mark.parametrize("builder", [factor_linear_in_cube, factor_linear_outside_cube])
     @pytest.mark.parametrize("diag, center", [([1.5, 0.8], (0.0, 0.0, 0.0)), ([1.5, 0.8, 1.2], (0.0, 0.0))])
     def test_dimension_mismatch_rejected(self, builder, diag, center):
@@ -957,7 +971,7 @@ class TestBlendRun:
         # +0.0, so M @ x is never -0.0 with them; a gemm that starts from
         # the first product gives -0.0 when every product is -0.0, and the
         # second half emulates one, in BlendRun._product (the one product the
-        # walk's paths and exact steps take) and in the factors' Affine maps.
+        # walk's paths take) and in the factors' Affine maps (its exact steps).
         mats = np.array([[[-0.5, -0.0], [0.0, 1.0]], [[1.0, 0.0], [-0.0, 0.0]], [[-0.0, -0.0], [0.5, 1.0]]])
         shifts = np.array([[-0.0, 0.25], [0.125, -0.0], [-0.0, -0.0]])
         run = BlendRun(np.zeros((6, 2)), np.full(6, 4.0), np.full(6, 2.0),
@@ -989,7 +1003,7 @@ class TestBlendRun:
 
         monkeypatch.setattr(BlendRun, "_product", first_product)
         monkeypatch.setattr(AffineMapData, "apply", first_product_apply)
-        image = run._inner(pts.T.copy(), 0, np.empty((2, 4)))
+        image = run._product(pts.T.copy(), 0, np.empty((2, 4))) + run.shifts[0, :, None]
         assert np.any((image == 0.0) & np.signbit(image))  # a -0.0 at x = +0.0
         assert image.T.tobytes() == run[0].inner.evaluate(pts).tobytes()
         calls.clear()
@@ -1014,7 +1028,7 @@ class TestBlendRun:
             inner = run[i].inner
             for m in range(1, n + 1):
                 x = pts[-m:]
-                got = run._inner(np.array(x.T, order="C"), i, np.empty((d, m)))
+                got = run._product(np.array(x.T, order="C"), i, np.empty((d, m))) + run.shifts[i, :, None]
                 assert got.T.tobytes() == inner.evaluate(x).tobytes(), f"factor {i}, {m} points"
 
     def test_small_blocks_on_the_check_lattice(self):
