@@ -94,53 +94,75 @@ def _encode_float(o: float) -> str:
 def _encode(o, ind: str) -> str:
     """o as json.dumps(o, indent=2, sort_keys=True, default=_json_default)
     writes it at indentation ind, in one pass: json skips its C encoder
-    whenever indent is set.  Exact types first, then json's isinstance order;
-    a key that is not a str raises TypeError."""
+    whenever indent is set."""
+    out = []
+    _put(o, ind, out)
+    return "".join(out)
+
+
+def _put(o, ind: str, out: list[str]) -> None:
+    """Append the pieces of _encode(o, ind) to out.  A container's children
+    go into the same list, so a report is one list of pieces, joined or
+    written once, and no text is copied per nesting level.  Exact types
+    first, then json's isinstance order; a key that is not a str raises
+    TypeError."""
     t = type(o)
     if t is float:
-        return _encode_float(o)
-    if t is int:
-        return int.__repr__(o)
-    if t is str:
-        return _encode_str(o)
-    if t is dict:
-        return _encode_dict(o, ind)
-    if t is list or t is tuple:
-        return _encode_list(o, ind)
-    if t is Rows:
-        return _encode_rows(o, ind)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, str):
-        return _encode_str(o)
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, float):
-        return _encode_float(o)
-    if isinstance(o, (list, tuple)):
-        return _encode_list(o, ind)
-    if isinstance(o, dict):
-        return _encode_dict(o, ind)
-    return _encode(_json_default(o), ind)
+        out.append(_encode_float(o))
+    elif t is int:
+        out.append(int.__repr__(o))
+    elif t is str:
+        out.append(_encode_str(o))
+    elif t is dict:
+        _put_dict(o, ind, out)
+    elif t is list or t is tuple:
+        _put_list(o, ind, out)
+    elif t is Rows:
+        out.append(_encode_rows(o, ind))
+    elif o is None:
+        out.append("null")
+    elif o is True:
+        out.append("true")
+    elif o is False:
+        out.append("false")
+    elif isinstance(o, str):
+        out.append(_encode_str(o))
+    elif isinstance(o, int):
+        out.append(int.__repr__(o))
+    elif isinstance(o, float):
+        out.append(_encode_float(o))
+    elif isinstance(o, (list, tuple)):
+        _put_list(o, ind, out)
+    elif isinstance(o, dict):
+        _put_dict(o, ind, out)
+    else:
+        _put(_json_default(o), ind, out)
 
 
-def _encode_dict(o: dict, ind: str) -> str:
+def _put_dict(o: dict, ind: str, out: list[str]) -> None:
     if not o:
-        return "{}"
+        out.append("{}")
+        return
     inner = ind + "  "
-    items = [_encode_str(k) + ": " + _encode(v, inner) for k, v in sorted(o.items())]
-    return "{\n" + inner + (",\n" + inner).join(items) + "\n" + ind + "}"
+    sep = "{\n" + inner
+    for k, v in sorted(o.items()):
+        out.append(sep + _encode_str(k) + ": ")
+        _put(v, inner, out)
+        sep = ",\n" + inner
+    out.append("\n" + ind + "}")
 
 
-def _encode_list(o, ind: str) -> str:
+def _put_list(o, ind: str, out: list[str]) -> None:
     if not o:
-        return "[]"
+        out.append("[]")
+        return
     inner = ind + "  "
-    return "[\n" + inner + (",\n" + inner).join([_encode(v, inner) for v in o]) + "\n" + ind + "]"
+    sep = "[\n" + inner
+    for v in o:
+        out.append(sep)
+        _put(v, inner, out)
+        sep = ",\n" + inner
+    out.append("\n" + ind + "]")
 
 
 _SLOT = re.compile(r'"%(\d+)"')
@@ -215,15 +237,19 @@ def _column(col: np.ndarray) -> tuple[list, str]:
 
 
 def write_json_atomic(path: Path, payload: dict) -> None:
-    _write_atomic(path, _encode(payload, "") + "\n")
+    pieces = []
+    _put(payload, "", pieces)
+    pieces.append("\n")
+    _write_atomic(path, pieces)
 
 
-def _write_atomic(path: Path, text: str) -> None:
+def _write_atomic(path: Path, pieces: list[str]) -> None:
+    """Write the pieces to path through a temporary file in its directory."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
     try:
         with os.fdopen(fd, "w") as f:
-            f.write(text)
+            f.writelines(pieces)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -259,14 +285,14 @@ def _sequence_frames(fs: FactorSequence, outdir: Path, prefix: str) -> None:
     canvas = SvgCanvas(frame_cube)
     canvas.rect(frame_cube, stroke="#999999")
     canvas.polyline(ring, closed=True)
-    _write_atomic(outdir / f"{prefix}_{0:04d}.svg", canvas.to_string())
+    _write_atomic(outdir / f"{prefix}_{0:04d}.svg", [canvas.to_string()])
     stops = [k for k in range(1, fs.T + 1) if k % stride == 0 or k == fs.T]
     for idx, (k, current) in enumerate(zip(stops, fs.factors.walk(ring, stops)), start=1):
         canvas = SvgCanvas(frame_cube)
         canvas.rect(frame_cube, stroke="#999999")
         canvas.polyline(current, closed=True)
         canvas.text(frame_cube.lo() + 0.02 * frame_cube.side, f"prefix {k}/{fs.T}")
-        _write_atomic(outdir / f"{prefix}_{idx:04d}.svg", canvas.to_string())
+        _write_atomic(outdir / f"{prefix}_{idx:04d}.svg", [canvas.to_string()])
 
 
 def _load_input(path: str) -> dict:
@@ -361,7 +387,7 @@ def _shuffle_frames(result, outdir: Path) -> None:
             canvas.rect(plan.pairs[j][1], stroke="#2ca02c")
             off += n
         canvas.text(frame.lo() + 0.02 * frame.side, f"stage {idx}")
-        _write_atomic(outdir / f"shuffle_stage_{idx}.svg", canvas.to_string())
+        _write_atomic(outdir / f"shuffle_stage_{idx}.svg", [canvas.to_string()])
 
     emit(0, merged)
     for s, cur in enumerate(result.walk(merged, bounds[1:]), start=1):
@@ -482,7 +508,7 @@ def _pl_frame(pl, box: Cube, outdir: Path) -> None:
     for i in range(sims.shape[0]):
         color = "#1f77b4" if signs[i] > 0 else "#d62728"
         canvas.polyline(sims[i], closed=True, stroke=color, width=0.4)
-    _write_atomic(outdir / "pl_image.svg", canvas.to_string())
+    _write_atomic(outdir / "pl_image.svg", [canvas.to_string()])
 
 
 def cmd_sphere_factor(payload: dict, args) -> tuple[dict, bool]:

@@ -14,13 +14,14 @@ lattice of a cube's 2Q window clipped to [0,1]^d.  A level's cubes are one
 (k, d) coordinate array, grouped once by clip class (per axis, the window
 is cut at 0, at 1 or neither), which fixes the window's shape.  When
 h = 2^-p the map is evaluated once on the pitch-h lattice of [0,1]^d, and a
-class's windows at a level L < p are one gather from it, point for point
-box_lattice's; other windows are sampled on their own and stacked.  Each
-stacked fit is bit for bit its window's own solve.  A level's regions grow
-together from the fit stacks' residuals |fit - f|: below level p a child
-check is a block maximum of its top's, equal bit for bit to the sup on the
-child's own window (a max does not round).  The multi-level R and Q cubes
-are selected on the label arrays, one stacked mask pass per cube level.
+class's windows at a level L < p are one strided view of it, indexed by the
+cubes, point for point box_lattice's; other windows are sampled on their
+own and stacked.  Each stacked fit is bit for bit its window's own solve.
+A level's regions grow together from the fit stacks' residuals |fit - f|:
+below level p a child check is a block maximum of its top's, equal bit for
+bit to the sup on the child's own window (a max does not round).  The
+multi-level R and Q cubes are selected on the label arrays, one stacked
+mask pass per cube level.
 
 Storage: one int64 label array per level, labels[L] of shape (2^L,)*d,
 holding -1 for a bad cube and the region index for a good one, and the
@@ -49,6 +50,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .geometry_core import (
     AffineMapData,
@@ -142,7 +144,10 @@ class _WindowSamples:
     When h = 2^-p, f is evaluated once on the pitch-h lattice of [0,1]^d.
     The window of a level-L cube has its corners at multiples of 2^-(L+1),
     so for L < p it is a box of that lattice holding the same points, in
-    the same order, as box_lattice gives for it.  Any other window is
+    the same order, as box_lattice gives for it.  The windows of one clip
+    class start 2^(p-L) pitches apart on each axis, so they are one strided
+    view of the lattice (and of its images), indexed by the cubes: one copy
+    each, C-contiguous and apart from the lattice.  Any other window is
     sampled on its own.
     """
 
@@ -159,13 +164,15 @@ class _WindowSamples:
         a clip class: (k,) + window shape + (d,) for lattice boxes, else (k, n, d)."""
         if self.p is None or level >= self.p:
             return _box_windows(self.f, level, coords, self.h)
-        step, size = 1 << (self.p - level - 1), self.pts.shape[:-1]
+        step, axes = 1 << (self.p - level - 1), tuple(range(self.dim))
         lo = np.maximum(2 * coords - 1, 0) * step
         shape = tuple((np.minimum(2 * coords[0] + 3, 2 << level) * step + 1 - lo[0]).tolist())
-        at = (np.ravel_multi_index(lo.T, size)[:, None]
-              + np.ravel_multi_index(np.indices(shape).reshape(self.dim, -1), size))
-        return tuple(a.reshape(-1, self.dim)[at].reshape(at.shape[:1] + shape + (self.dim,))
-                     for a in (self.pts, self.imgs))
+        base = lo.min(axis=0)
+        corner = tuple(slice(b, None) for b in base.tolist())
+        stride = (slice(None, None, 2 * step),) * self.dim
+        at = tuple(((lo - base) // (2 * step)).T)
+        views = (sliding_window_view(a[corner], shape, axis=axes)[stride] for a in (self.pts, self.imgs))
+        return tuple(np.moveaxis(v, self.dim, -1)[at] for v in views)
 
 
 def _children(a: np.ndarray, dim: int) -> np.ndarray:
@@ -218,9 +225,10 @@ def _grow_level(labels: list[np.ndarray], top: int, coords: np.ndarray, ids: np.
     sup |fit - f| <= theta diam on its window; joined children are the next
     frontier.  The tops' subtrees are disjoint and unassigned, so one (k,) +
     (n,)*d mask holds the frontiers.  Below level p child errors are block
-    maxima of the tops' error fields, a chunk (one clip class) at a time; from
-    p on they are _sup_error on each child of the frontier, stopping at a
-    cube's first failing child.
+    maxima of the tops' error fields, a chunk (one clip class) at a time,
+    skipping a chunk whose tops have all stopped growing; from p on they are
+    _sup_error on each child of the frontier, stopping at a cube's first
+    failing child.
     """
     good = ids >= 0
     if not good.any():
@@ -234,7 +242,9 @@ def _grow_level(labels: list[np.ndarray], top: int, coords: np.ndarray, ids: np.
         passed = np.zeros((len(tops),) + (n,) * dim, dtype=bool)
         if fields and level < sample.p:
             for sel, field in fields:
-                passed[ids[sel] - first] = _window_maxima(field, top, coords[sel[0]], level, sample.p) <= limit
+                rows = ids[sel] - first
+                if frontier[rows].any():  # else nothing reads these tops' passes
+                    passed[rows] = _window_maxima(field, top, coords[sel[0]], level, sample.p) <= limit
         else:
             for j, *x in np.argwhere(frontier).tolist():
                 for off in np.ndindex((2,) * dim):

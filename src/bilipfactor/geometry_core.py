@@ -41,10 +41,10 @@ def step_count(num: float, den: float, what: str) -> int:
     return math.ceil(ratio - 1e-12)
 
 
-def check_points(count: float, what: str, items: str) -> None:
-    """Refuse count items above MAX_POINTS before they are allocated; a float count that overflowed is inf."""
-    if not count <= MAX_POINTS:
-        raise GeometryError(f"{what} needs {count:.4g} {items}, more than the {MAX_POINTS} allowed")
+def check_points(count: float, what: str, items: str, limit: int = MAX_POINTS) -> None:
+    """Refuse count items above limit before they are allocated; a float count that overflowed is inf."""
+    if not count <= limit:
+        raise GeometryError(f"{what} needs {count:.4g} {items}, more than the {limit} allowed")
 
 
 def check_matrix(m: np.ndarray | list) -> np.ndarray:

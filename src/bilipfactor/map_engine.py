@@ -201,8 +201,8 @@ class Blend(MapExpr):
     lam: float
 
     def __post_init__(self):
-        if not (self.lam > 1.0):
-            raise GeometryError("blend requires lam > 1")
+        if not 1.0 < self.lam < math.inf:  # an infinite lambda makes every weight NaN
+            raise GeometryError(f"blend lambda must be finite and > 1, got {self.lam}")
 
     def evaluate(self, pts):
         w = blend_weight(pts, self.cube, self.lam)

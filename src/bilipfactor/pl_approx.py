@@ -18,12 +18,15 @@ from functools import cached_property
 import numpy as np
 
 from .degree import DegreeError
-from .geometry_core import Cube, GeometryError
+from .geometry_core import Cube, GeometryError, check_points
 from .map_engine import DomainError, MapExpr
 
 FACE_TOL = 1e-12
 PERTURB_SIZE = 1e-9
-SWEEP_TARGETS = 1 << 13  # targets per pass of the degree sweep, which bounds its candidate arrays
+SWEEP_TARGETS = 1 << 13  # targets per pass of the degree sweep
+# (target, simplex) candidate pairs one pass may gather: 4x the largest pass of the tests
+# (995,328, a 3-D sweep), 66x the benchmark pool's (63,319)
+SWEEP_CANDIDATES = 1 << 22
 # Deterministic tie-break direction for non-regular targets.
 _PERTURB_DIR = np.array([1.0, 1.0 / math.pi, 1.0 / math.pi**2])
 
@@ -221,7 +224,10 @@ def degrees_pl_batch(pl: PLApprox, targets: np.ndarray) -> tuple[np.ndarray, np.
     pairs over each bounding box, sorted by key, on a grid of the mean box size.
     Each pass of SWEEP_TARGETS targets gathers their buckets (a key off the
     grid has none), keeps the boxes that hold a target within the face
-    tolerance and solves all barycentric systems in one einsum.  Targets within
+    tolerance and solves all barycentric systems in one einsum; a pass whose
+    buckets hold more than SWEEP_CANDIDATES simplices in all is refused with
+    GeometryError before they are gathered (a few huge image simplices can
+    put nearly every simplex in every bucket).  Targets within
     the tolerance of a face are re-swept once, together, at the fixed tie-break
     perturbation; those still on a face get degree 0 and are flagged unresolved.
     """
@@ -266,6 +272,8 @@ def degrees_pl_batch(pl: PLApprox, targets: np.ndarray) -> tuple[np.ndarray, np.
         flat = np.ravel_multi_index(key[on_grid].T, shape)
         start = np.searchsorted(bucket_key, flat, side="left")
         count = np.searchsorted(bucket_key, flat, side="right") - start
+        check_points(int(count.sum()), f"the degree sweep of {len(y)} targets", "candidate simplices",
+                     SWEEP_CANDIDATES)
         tgt = np.repeat(on_grid, count)
         cand = bucket_sim[np.repeat(start - np.cumsum(count) + count, count) + np.arange(tgt.size)]
         near = ~np.any((y[tgt] < box_lo[cand]) | (y[tgt] > box_hi[cand]), axis=1)

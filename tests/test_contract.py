@@ -238,3 +238,18 @@ def test_deep_nesting_keeps_the_contract(tmp_path, name):
 @pytest.mark.parametrize("dim", sorted(FAR_BLENDS))
 def test_far_blend_sweep_keeps_the_contract(tmp_path, dim):
     assert_contract(tmp_path, "pl", FAR_BLENDS[dim], [])
+
+
+def test_far_blend_sweep_is_refused(tmp_path):
+    # About 6,000 candidate simplices per target: the pass is refused before its arrays are gathered.
+    report = assert_contract(tmp_path, "pl", FAR_BLENDS["2d"], [], run=main)
+    assert "the degree sweep of" in report["error"] and "candidate simplices" in report["error"]
+
+
+def test_infinite_blend_lambda_exits_2(tmp_path):
+    # JSON reads 1e400 as inf, where every blend weight would be inf/inf = NaN.
+    inp = tmp_path / "input.json"
+    inp.write_text(json.dumps({"map": BLEND}).replace('"lambda": 2.0', '"lambda": 1e400'))
+    assert main(["pl", "--input", str(inp), "--out", str(tmp_path / "out")]) == 2
+    report = json.loads((tmp_path / "out" / "report.json").read_text(), parse_constant=_not_json)
+    assert "blend lambda must be finite and > 1, got inf" in report["error"]

@@ -254,6 +254,23 @@ class TestDenseSampling:
                     assert a.reshape(-1, dim).tobytes() == box_lattice(lo[0], hi[0], h).tobytes()
                     assert b.tobytes() == a.tobytes()
 
+    @pytest.mark.parametrize("f, dim, h", [(LogSpiral(0.3), 2, 2.0**-8), (blend_3d(), 3, 2.0**-4)],
+                             ids=["2d-h256", "3d-h16"])
+    def test_windows_are_contiguous_copies(self, f, dim, h):
+        # Each clip class's windows are read through a strided view of the
+        # lattice; what a sample call returns must be its own C-contiguous
+        # arrays, so a fit cannot write into the lattice and _level_fits'
+        # reshape to (k, n, d) does not copy.
+        sample = _WindowSamples(f, dim, h)
+        for level in range(sample.p):
+            coords = np.argwhere(np.ones((1 << level,) * dim, dtype=bool))
+            clip = ((coords == 0) + 2 * (coords == (1 << level) - 1)) @ (4 ** np.arange(dim))
+            for c in np.unique(clip):
+                for a in sample(level, coords[clip == c]):
+                    assert a.flags.c_contiguous
+                    assert not np.shares_memory(a, sample.pts) and not np.shares_memory(a, sample.imgs)
+                    assert np.shares_memory(a.reshape(len(a), -1, dim), a)
+
     @pytest.mark.parametrize(
         "f, dim, h",
         [(LogSpiral(0.3), 2, 2.0**-7), (LogSpiral(0.3), 2, 2.0**-8), (blend_3d(), 3, 1 / 16)],

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from bilipfactor.geometry_core import AffineMapData, Cube, cube_lattice, rotation_2d
+from bilipfactor.geometry_core import AffineMapData, Cube, GeometryError, cube_lattice, rotation_2d
 from bilipfactor.map_engine import (
     Affine,
     Blend,
@@ -74,6 +74,12 @@ class TestEvaluate:
         assert np.allclose(bl([5.0, 5.0]), [5.0, 5.0])  # identity outside lam cube
         w = blend_weight(np.array([[0.75, 0.0]]), Cube((0.0, 0.0), 1.0), 2.0)
         assert 0.0 < w[0] < 1.0
+
+    @pytest.mark.parametrize("lam", [math.inf, math.nan, 1.0])
+    def test_blend_refuses_lambda_outside_one_to_inf(self, lam):
+        # An infinite lambda would make every weight inf/inf = NaN: the blend would act as the identity.
+        with pytest.raises(GeometryError, match="blend lambda must be finite and > 1"):
+            Blend(Translation((0.5, 0.0)), Cube((0.0, 0.0), 1.0), lam)
 
 
 def catalogue() -> list[tuple[str, MapExpr, int]]:
