@@ -471,7 +471,7 @@ def cmd_pl(payload: dict, args) -> tuple[dict, bool]:
     tri = freudenthal(pitch, box.dilate(1.0 + 4.0 * pitch / box.side))
     pl = pl_interpolate(m, tri)
     verdicts = verify_pl(pl, args.epsilon)
-    sup_err = sup_distance(pl.as_map(), m, box, pitch / 2.0)
+    sup_err = sup_distance(pl, m, box, pitch / 2.0)
     rep = {
         "eta": eta,
         "pitch": pitch,
@@ -500,7 +500,7 @@ def cmd_pl(payload: dict, args) -> tuple[dict, bool]:
 
 
 def _pl_frame(pl, box: Cube, outdir: Path) -> None:
-    sims, signs = pl.image_simplices()
+    sims, signs = pl.simplices, pl.orientations
     lo = sims.reshape(-1, 2).min(axis=0)
     hi = sims.reshape(-1, 2).max(axis=0)
     frame = Cube(tuple((lo + hi) / 2.0), float(np.max(hi - lo)))
@@ -604,7 +604,7 @@ def main(argv: list[str] | None = None) -> int:
         # A MemoryError raised outside NumPy has no message.
         write_json_atomic(report_path, {**envelope, "error": str(e) or repr(e), "passed": False})
         return 2
-    except (CertificationError, DegreeError) as e:
+    except CertificationError as e:
         write_json_atomic(report_path, {**envelope, "certification_error": str(e), "passed": False})
         return 1
     write_json_atomic(report_path, {**envelope, "passed": bool(ok), "result": body})

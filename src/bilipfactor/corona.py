@@ -155,8 +155,7 @@ class _WindowSamples:
         self.f, self.dim, self.h = f, dim, h
         self.p = _lattice_exponent(h)
         if self.p is not None:
-            axis = np.linspace(0.0, 1.0, 2**self.p + 1)
-            self.pts = np.stack(np.meshgrid(*[axis] * dim, indexing="ij"), axis=-1)
+            self.pts = box_lattice(np.zeros(dim), np.ones(dim), h).reshape((2**self.p + 1,) * dim + (dim,))
             self.imgs = f.evaluate(self.pts.reshape(-1, dim)).reshape(self.pts.shape)
 
     def __call__(self, level: int, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -581,7 +581,7 @@ def glue_identity_outside(
     against the square of the largest piece bound.
     """
     if not pieces:
-        empty = DistortionCertificate(Cube((0.0, 0.0), 2.0), 0.0, 1.0, "exact-affine")
+        empty = DistortionCertificate(0.0, 1.0, "exact-affine")
         return Identity(), GlueReport((), empty)
     for i, (r1, _) in enumerate(pieces):
         for r2, _ in pieces[i + 1 :]:

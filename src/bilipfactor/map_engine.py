@@ -514,7 +514,6 @@ class DistortionCertificate:
     """L_lo: the closed-form constant of an affine map ("exact-affine"), or the largest ratio over
     the pitch-h lattice pairs of the map as evaluated in floats, a lower bound up to that rounding."""
 
-    region: Cube
     h: float
     L_lo: float
     method: str  # "exact-affine" | "sampled-pairs"
@@ -525,7 +524,7 @@ def estimate_distortion(m: MapExpr, region: Cube, h: float) -> DistortionCertifi
     largest ratio of m's float images; an exact branch bypasses sampling for affine expressions."""
     aff = affine_part(m, region.dim)
     if aff is not None:
-        return DistortionCertificate(region=region, h=0.0, L_lo=bilip_constant(aff), method="exact-affine")
+        return DistortionCertificate(h=0.0, L_lo=bilip_constant(aff), method="exact-affine")
     pts, pitch = cube_lattice(region, h)
     imgs = m.evaluate(pts)
     if not np.all(np.isfinite(imgs)):
@@ -533,7 +532,7 @@ def estimate_distortion(m: MapExpr, region: Cube, h: float) -> DistortionCertifi
     ratio, min_img = kernels.pairwise_distortion(pts, imgs)
     if min_img == 0.0:
         raise CertificationError("not injective on samples: coincident images")
-    return DistortionCertificate(region=region, h=pitch, L_lo=max(1.0, ratio), method="sampled-pairs")
+    return DistortionCertificate(h=pitch, L_lo=max(1.0, ratio), method="sampled-pairs")
 
 
 def sup_distance(m1: MapExpr, m2: MapExpr, region: Cube, h: float) -> float:

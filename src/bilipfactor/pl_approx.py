@@ -2,8 +2,10 @@
 
 A box is tiled by cubical cells, each split into d! simplices by coordinate
 orderings; interpolating a map at the lattice vertices gives a globally
-continuous piecewise-affine map whose per-simplex data (affine pieces,
-distortion constants, orientation signs) is verified rather than assumed:
+continuous piecewise-affine map.  The interpolant is itself a map: it
+holds its simplex images, gathered once, and the per-simplex data (affine
+pieces, distortion constants, orientation signs) that is verified rather
+than assumed:
 orientation + per-simplex constants for the Lipschitz verdict, degree sweeps
 and orientation signs for injectivity, degree sweeps for surjectivity.
 """
@@ -39,11 +41,6 @@ class Triangulation:
     pitch: float
     origin: np.ndarray  # lower corner of the covered box
     cells: tuple[int, ...]  # number of cells per axis
-
-    def __post_init__(self):
-        object.__setattr__(self, "origin", np.asarray(self.origin, dtype=float))
-        if not (self.pitch > 0):
-            raise GeometryError("triangulation pitch must be positive")
 
     @property
     def permutations(self) -> list[tuple[int, ...]]:
@@ -120,35 +117,38 @@ class PLVerdicts:
     max_simplex_constant: float = 0.0
 
 
-@dataclass(eq=False)
-class PLApprox:
-    """Interpolant data: vertex images plus per-simplex affine pieces."""
+@dataclass(frozen=True, eq=False, slots=True)
+class PLApprox(MapExpr):
+    """The interpolant, a map on the covered box: vertex images, the image
+    vertices of each simplex, and per-simplex affine pieces."""
 
     tri: Triangulation
     vertex_images: np.ndarray  # shape (cells+1 per axis) + (dim,)
+    simplices: np.ndarray  # (n_simplices, d+1, d); simplex k d! + p is ordering p of cell k, cells in C order
     matrices: np.ndarray  # (n_simplices, d, d)
     shifts: np.ndarray  # (n_simplices, d)
     constants: np.ndarray  # per-simplex bi-Lipschitz constants
     orientations: np.ndarray  # per-simplex determinant signs
 
-    def image_simplices(self) -> tuple[np.ndarray, np.ndarray]:
-        """(image vertex arrays (n_simplices, d+1, d), orientation signs (n_simplices,))."""
-        return _simplex_images(self.tri, self.vertex_images)[1], self.orientations
-
-    def as_map(self) -> "PLMap":
-        return PLMap(self)
-
-
-def _simplex_images(tri: Triangulation, images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(cell corner indices (n_cells, d), vertex images of every simplex (n_simplices, d+1, d)).
-
-    Simplex k d! + p is ordering p of cell k, cells in C order.
-    """
-    d = tri.dim
-    grid = np.meshgrid(*[np.arange(c) for c in tri.cells], indexing="ij")
-    corners = np.stack([g.ravel() for g in grid], axis=-1)
-    idx = corners[:, None, None, :] + tri.simplex_vertex_offsets()[None, :, :, :]  # (cells, d!, d+1, d)
-    return corners, images[tuple(idx.reshape(-1, d).T)].reshape(-1, d + 1, d)
+    def evaluate(self, pts):
+        tri = self.tri
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        t = (pts - tri.origin) / tri.pitch
+        hi = np.asarray(tri.cells, dtype=float)
+        if np.any(t < -1e-9) or np.any(t > hi + 1e-9):
+            raise DomainError("piecewise-affine map evaluated outside its triangulation")
+        cell = np.minimum(np.floor(np.clip(t, 0.0, None)).astype(int), np.asarray(tri.cells) - 1)
+        frac = t - cell
+        order = np.argsort(frac, axis=1, kind="stable")  # ascending: simplex ordering
+        d = tri.dim
+        perm_idx = tri.permutation_index[order @ ((d + 1) ** np.arange(d))]
+        nf = math.factorial(d)
+        strides = np.concatenate([np.cumprod(np.asarray(tri.cells)[::-1])[::-1][1:], [1]])
+        cell_flat = cell @ strides
+        sim = cell_flat * nf + perm_idx
+        mats = self.matrices[sim]
+        shifts = self.shifts[sim]
+        return np.einsum("nij,nj->ni", mats, pts) + shifts
 
 
 def pl_interpolate(f: MapExpr, tri: Triangulation) -> PLApprox:
@@ -162,8 +162,11 @@ def pl_interpolate(f: MapExpr, tri: Triangulation) -> PLApprox:
     flat = verts.reshape(-1, tri.dim)
     images = f.evaluate(flat).reshape(verts.shape)
 
-    corners, img_flat = _simplex_images(tri, images)
     d = tri.dim
+    grid = np.meshgrid(*[np.arange(c) for c in tri.cells], indexing="ij")
+    corners = np.stack([g.ravel() for g in grid], axis=-1)
+    idx = corners[:, None, None, :] + tri.simplex_vertex_offsets()[None, :, :, :]  # (cells, d!, d+1, d)
+    img_flat = images[tuple(idx.reshape(-1, d).T)].reshape(-1, d + 1, d)
     nf = math.factorial(d)
     n = img_flat.shape[0]
     mats = np.empty((n, d, d))
@@ -183,38 +186,12 @@ def pl_interpolate(f: MapExpr, tri: Triangulation) -> PLApprox:
     return PLApprox(
         tri=tri,
         vertex_images=images,
+        simplices=img_flat,
         matrices=mats,
         shifts=shifts,
         constants=constants,
         orientations=orientations,
     )
-
-
-@dataclass(frozen=True, eq=False, slots=True)
-class PLMap(MapExpr):
-    """Evaluable view of a PLApprox (defined on the covered box only)."""
-
-    pl: PLApprox
-
-    def evaluate(self, pts):
-        tri = self.pl.tri
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        t = (pts - tri.origin) / tri.pitch
-        hi = np.asarray(tri.cells, dtype=float)
-        if np.any(t < -1e-9) or np.any(t > hi + 1e-9):
-            raise DomainError("piecewise-affine map evaluated outside its triangulation")
-        cell = np.minimum(np.floor(np.clip(t, 0.0, None)).astype(int), np.asarray(tri.cells) - 1)
-        frac = t - cell
-        order = np.argsort(frac, axis=1, kind="stable")  # ascending: simplex ordering
-        d = tri.dim
-        perm_idx = tri.permutation_index[order @ ((d + 1) ** np.arange(d))]
-        nf = math.factorial(d)
-        strides = np.concatenate([np.cumprod(np.asarray(tri.cells)[::-1])[::-1][1:], [1]])
-        cell_flat = cell @ strides
-        sim = cell_flat * nf + perm_idx
-        mats = self.pl.matrices[sim]
-        shifts = self.pl.shifts[sim]
-        return np.einsum("nij,nj->ni", mats, pts) + shifts
 
 
 def degrees_pl_batch(pl: PLApprox, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -231,7 +208,7 @@ def degrees_pl_batch(pl: PLApprox, targets: np.ndarray) -> tuple[np.ndarray, np.
     the tolerance of a face are re-swept once, together, at the fixed tie-break
     perturbation; those still on a face get degree 0 and are flagged unresolved.
     """
-    sims, signs = pl.image_simplices()
+    sims, signs = pl.simplices, pl.orientations
     d = pl.tri.dim
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     tol = FACE_TOL
@@ -327,7 +304,7 @@ def verify_pl(pl: PLApprox, epsilon: float) -> PLVerdicts:
         raise GeometryError("triangulation too coarse for a verification sweep")
     grid = np.meshgrid(*axes, indexing="ij")
     sources = np.stack([g.ravel() for g in grid], axis=-1)
-    targets = pl.as_map().evaluate(sources)
+    targets = pl.evaluate(sources)
 
     degrees, unresolved = degrees_pl_batch(pl, targets)
     n_targets = targets.shape[0]

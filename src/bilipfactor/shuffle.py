@@ -23,7 +23,7 @@ import numpy as np
 
 from .degree import winding_sum
 from .factorization import factor_shrink, factor_translation_along_path
-from .geometry_core import TOLERANCES, Cube, GeometryError, resample_polyline, row_norms
+from .geometry_core import TOLERANCES, Cube, GeometryError, box_lattice, resample_polyline, row_norms
 from .map_engine import (
     AffineMapData,
     BlendRun,
@@ -93,10 +93,7 @@ def _psi_inverse(psi: MapExpr, base_side: float, target: np.ndarray) -> np.ndarr
     if aff is not None:
         return aff.inverse().apply(target[None, :])[0]
     # Coarse grid argmin, then Gauss-Newton with finite differences.
-    n = 64
-    axes = np.linspace(0.0, base_side, n)
-    gx, gy = np.meshgrid(axes, axes, indexing="ij")
-    pts = np.stack([gx.ravel(), gy.ravel()], axis=-1)
+    pts = box_lattice(np.zeros(2), np.full(2, base_side), base_side / 63)
     best = pts[np.argmin(row_norms(psi.evaluate(pts) - target))]
     u = best.astype(float)
     eps = base_side * 1e-7

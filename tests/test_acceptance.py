@@ -129,10 +129,10 @@ def test_criterion_03_degree_engine():
         attempts += 1
         images = base.vertex_images + gen.uniform(-0.08, 0.08, size=base.vertex_images.shape)
         pl = pl_interpolate(_Tabulated(images, tri), tri)
-        target = pl.as_map()(np.array([0.5, 0.5])) + gen.uniform(-0.01, 0.01, size=2)
+        target = pl(np.array([0.5, 0.5])) + gen.uniform(-0.01, 0.01, size=2)
         ring = square_ring(Cube((0.5, 0.5), 1.0))
         try:
-            w = degree_winding_2d(pl.as_map(), target, ring)
+            w = degree_winding_2d(pl, target, ring)
             s = degree_pl(pl, target)
         except DegreeError:
             continue
@@ -190,7 +190,7 @@ def test_criterion_04_pl_approximation():
         pitch = eta / (4.0 * math.sqrt(2))
         tri = freudenthal(pitch, box.dilate(1.0 + 8.0 * pitch))
         pl = pl_interpolate(m, tri)
-        sup = sup_distance(pl.as_map(), m, box, pitch / 2.0)
+        sup = sup_distance(pl, m, box, pitch / 2.0)
         v = verify_pl(pl, eps)
         ok = (
             sup <= eta

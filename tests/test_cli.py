@@ -15,7 +15,6 @@ import pytest
 import bilipfactor
 from bilipfactor import cli
 from bilipfactor.cli import main
-from bilipfactor.degree import DegreeError
 from bilipfactor.geometry_core import TOLERANCES
 from bilipfactor.jsonio import Rows
 from bilipfactor.map_engine import BlendRun, Translation
@@ -650,20 +649,6 @@ class TestErrorPaths:
         with pytest.raises(ValueError, match="Infinity"):
             load_report(tmp_path)
 
-    def test_degree_error_outside_degree_exit_one(self, tmp_path, monkeypatch):
-        # No input makes a subcommand other than `degree` raise DegreeError
-        # today; a stand-in command checks where one would land.
-        def fails(payload, args):
-            raise DegreeError("non-regular value: target on a simplex face image")
-
-        monkeypatch.setitem(cli.COMMANDS, "pl", fails)
-        inp = write_input(tmp_path, "x.json", {})
-        out = tmp_path / "o"
-        assert main(["pl", "--input", inp, "--out", str(out)]) == 1
-        rep = load_report(out)
-        assert rep["passed"] is False
-        assert rep["certification_error"].startswith("non-regular value")
-
 
 class TestOtherSubcommands:
     def test_degree(self, tmp_path):
@@ -677,6 +662,33 @@ class TestOtherSubcommands:
         assert main(["degree", "--input", inp, "--out", str(out)]) == 0
         rep = load_report(out)
         assert rep["result"]["degree"] == 1
+
+    def test_degree_target_on_boundary_exit_one(self, tmp_path):
+        payload = {
+            "map": {"type": "identity"},
+            "target": [0.25, 0.25],
+            "cube": {"center": [0.5, 0.5], "side": 0.5},
+        }
+        inp = write_input(tmp_path, "deg.json", payload)
+        out = tmp_path / "o"
+        assert main(["degree", "--input", inp, "--out", str(out)]) == 1
+        rep = load_report(out)
+        assert rep["passed"] is False
+        assert rep["result"]["error"] == "target lies on the sampled boundary image"
+
+    @pytest.mark.parametrize("cmd,payload,frame", [
+        pytest.param("pl", {"map": {"type": "logspiral", "k": 0.05}, "box": {"center": [1.0, 1.0], "side": 1.0},
+                            "eta": 0.2}, "pl_image.svg", id="pl"),
+        pytest.param("factor-translate", {"cube": {"center": [0.0, 0.0], "side": 0.5},
+                                          "path": [[0.0, 0.0], [2.0, 0.0]]}, "factor_translate_0001.svg",
+                     id="factor-translate"),
+    ])
+    def test_svg_leaves_the_result(self, tmp_path, cmd, payload, frame):
+        inp = write_input(tmp_path, "in.json", payload)
+        for name, flags in (("plain", []), ("svg", ["--svg"])):
+            assert main([cmd, "--input", inp, "--out", str(tmp_path / name), "--epsilon", "0.2", *flags]) == 0
+        assert (tmp_path / "svg" / frame).read_text().startswith("<svg")
+        assert load_report(tmp_path / "svg")["result"] == load_report(tmp_path / "plain")["result"]
 
     def test_sphere_factor_near_step_ceiling(self, tmp_path):
         # 909,092 equal steps: the report holds the count and the one step,

@@ -47,7 +47,7 @@ class TestDegreePL:
         y = np.array([0.0131, 0.0071])  # regular value near 0
         assert degree_pl(pl, y) == 2
         # Independent oracle: winding of the PL map over the box boundary.
-        assert degree_winding_2d(pl.as_map(), y, square_ring(Cube((0.0, 0.0), 1.9))) == 2
+        assert degree_winding_2d(pl, y, square_ring(Cube((0.0, 0.0), 1.9))) == 2
 
 
 class TestWinding:
@@ -78,10 +78,10 @@ class TestOracleAgreement:
             pl = pl_interpolate(Identity(), tri)
             images = pl.vertex_images + gen.uniform(-0.08, 0.08, size=pl.vertex_images.shape)
             pl2 = pl_interpolate(_Tabulated(images, tri), tri)
-            target = pl2.as_map()(np.array([0.5, 0.5])) + gen.uniform(-0.01, 0.01, size=2)
+            target = pl2(np.array([0.5, 0.5])) + gen.uniform(-0.01, 0.01, size=2)
             ring = square_ring(Cube((0.5, 0.5), 1.0))
             try:
-                w = degree_winding_2d(pl2.as_map(), target, ring)
+                w = degree_winding_2d(pl2, target, ring)
                 s = degree_pl(pl2, target)
             except DegreeError:
                 continue

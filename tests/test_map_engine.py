@@ -186,7 +186,7 @@ class TestSupDistance:
         box = Cube((1.0, 1.0), 1.0)
         tri = freudenthal(eta / (4 * np.sqrt(2)), box)
         pl = pl_interpolate(LogSpiral(0.2), tri)
-        assert sup_distance(pl.as_map(), LogSpiral(0.2), box, tri.pitch / 2) <= eta
+        assert sup_distance(pl, LogSpiral(0.2), box, tri.pitch / 2) <= eta
 
 
 class TestStackedLstsq:

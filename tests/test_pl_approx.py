@@ -76,7 +76,7 @@ class TestInterpolate:
         pl = pl_interpolate(Affine(am), freudenthal(0.25, UNIT2))
         assert np.abs(pl.matrices - am.matrix).max() < 1e-12
         pts = rng.uniform(0.05, 0.95, size=(100, 2))
-        assert np.abs(pl.as_map().evaluate(pts) - am.apply(pts)).max() < 1e-12
+        assert np.abs(pl.evaluate(pts) - am.apply(pts)).max() < 1e-12
 
     def test_rotation_unit_constants(self):
         rot = Affine(AffineMapData(rotation_2d(0.6), np.zeros(2)))
@@ -95,17 +95,16 @@ class TestInterpolate:
         box = Cube((1.0, 1.0), 1.0)  # [0.5, 1.5]^2
         tri = freudenthal(eta / (4 * math.sqrt(2)), box)
         pl = pl_interpolate(LogSpiral(0.05), tri)
-        err = sup_distance(pl.as_map(), LogSpiral(0.05), box, tri.pitch / 2)
+        err = sup_distance(pl, LogSpiral(0.05), box, tri.pitch / 2)
         assert err <= eta
 
     def test_outside_triangulation_is_domain_error(self):
-        g = pl_interpolate(Identity(), freudenthal(0.25, UNIT2)).as_map()
+        g = pl_interpolate(Identity(), freudenthal(0.25, UNIT2))
         with pytest.raises(DomainError, match="outside its triangulation"):
             g(np.array([1.5, 0.5]))
 
     def test_continuity_across_faces(self, rng):
-        pl = pl_interpolate(LogSpiral(0.2), freudenthal(0.2, Cube((1.5, 0.5), 1.0)))
-        g = pl.as_map()
+        g = pl_interpolate(LogSpiral(0.2), freudenthal(0.2, Cube((1.5, 0.5), 1.0)))
         # Points on interior cell edges evaluate consistently from both sides.
         for x in np.linspace(1.05, 1.95, 7):
             p = np.array([x, 0.5])
@@ -147,7 +146,7 @@ class TestVerify:
         tri = freudenthal(0.05, UNIT2)
         pl = pl_interpolate(LogSpiral(0.03), tri)
         assert np.all(pl.constants <= 1 + 2 * eps + 1e-9)
-        cert = estimate_distortion(pl.as_map(), Cube((0.5, 0.5), 0.9), 0.05)
+        cert = estimate_distortion(pl, Cube((0.5, 0.5), 0.9), 0.05)
         assert cert.L_lo <= 1 + 2 * eps + 1e-6
 
 
@@ -188,7 +187,7 @@ class TestPolarizationBound:
 
 def reference_degrees_pl_batch(pl: PLApprox, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The per-target loop degrees_pl_batch replaced, kept as its oracle."""
-    sims, signs = pl.image_simplices()
+    sims, signs = pl.simplices, pl.orientations
     d = pl.tri.dim
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     m = targets.shape[0]
@@ -258,14 +257,14 @@ def _sweep_targets(pl: PLApprox) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     hi = tri.covered_hi() - 2.0 * tri.pitch
     axes = [np.arange(lo[k] + pitch / math.pi, hi[k], pitch) for k in range(tri.dim)]
     sources = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
-    sims, _ = pl.image_simplices()
+    sims = pl.simplices
     verts = pl.vertex_images.reshape(-1, tri.dim)
     i, j = np.triu_indices(tri.dim + 1, k=1)
     mids = np.unique(0.5 * (sims[:, i] + sims[:, j]).reshape(-1, tri.dim), axis=0)
     far_lo, far_hi = sims.min(axis=(0, 1)), sims.max(axis=(0, 1))
     below = verts[np.argmin(verts, axis=0)] - 1e-14 * np.eye(tri.dim)
     outside = np.concatenate([[far_lo - 0.5, far_hi + 0.5, far_hi + 1e6, far_lo - 1e6 * tri.pitch], below])
-    return pl.as_map().evaluate(sources), np.concatenate([verts, mids]), outside
+    return pl.evaluate(sources), np.concatenate([verts, mids]), outside
 
 
 # name -> (map, triangulation pitch, covered box); the 2-D maps are criterion 04's plus a faster spiral.
@@ -345,7 +344,7 @@ def reference_fold(pl: PLApprox) -> bool:
     neg = np.nonzero(signs < 0)[0]
     if len(pos) == 0 or len(neg) == 0:
         return False
-    sims, _ = pl.image_simplices()
+    sims = pl.simplices
     lo = sims.min(axis=1)
     hi = sims.max(axis=1)
     for i in neg:

@@ -11,7 +11,7 @@ import pytest
 
 import bilipfactor
 from bilipfactor.geometry_core import Cube, resample_polyline
-from bilipfactor.map_engine import Identity, compose_sequence
+from bilipfactor.map_engine import Identity, LogSpiral, compose_sequence
 from bilipfactor.shuffle import (
     PlanError,
     _boundary_route,
@@ -20,6 +20,7 @@ from bilipfactor.shuffle import (
     _dedupe,
     _min_distance,
     _point_in_omega,
+    _psi_inverse,
     check_shuffle,
     detour_around,
     execute_shuffle,
@@ -434,6 +435,25 @@ class TestExecute:
             assert res.T <= res.count_ceiling
             ceilings.add(res.count_ceiling)
         assert len(ceilings) == 1
+
+
+class TestCurvedChart:
+    # A log-spiral chart has no affine part, so the plan inverts it by a grid
+    # argmin and Gauss-Newton steps.
+    PSI = LogSpiral(0.05)
+
+    @pytest.mark.parametrize("u0", [(1e-3, 2e-3), (0.3, 3.6), (1.0, 1.5), (2.6, 1.5), (3.9, 0.2)])
+    def test_psi_inverse_lands_on_target(self, u0):
+        target = self.PSI(np.array(u0))
+        u = _psi_inverse(self.PSI, 4.0, target)
+        assert np.linalg.norm(self.PSI(u) - target) <= 1e-9 * 4.0
+
+    def test_single_cube_translation(self):
+        pairs = [(Cube((1.0, 1.5), 0.5), Cube((2.6, 1.5), 0.5))]
+        res = execute_shuffle(plan_shuffle((self.PSI, 4.0), pairs, mu=1.5, c1_bound=8.0), 0.25)
+        rep = check_shuffle(res)
+        assert res.T > 0
+        assert all(v for k, v in rep.items() if k.endswith("_ok"))
 
 
 class TestCheckReference:
