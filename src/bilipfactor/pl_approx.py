@@ -26,9 +26,15 @@ from .map_engine import DomainError, MapExpr
 FACE_TOL = 1e-12
 PERTURB_SIZE = 1e-9
 SWEEP_TARGETS = 1 << 13  # targets per pass of the degree sweep
-# (target, simplex) candidate pairs one pass may gather: 4x the largest pass of the tests
-# (995,328, a 3-D sweep), 66x the benchmark pool's (63,319)
+# (target, simplex) candidate pairs one pass may test, counted before any is gathered: it bounds
+# a pass's work (SWEEP_BLOCK bounds its memory); 4x the largest pass of the tests (995,328, a
+# 3-D sweep), 66x the benchmark pool's (63,319)
 SWEEP_CANDIDATES = 1 << 22
+# Matrix entries of a block of candidates tested together (SWEEP_BLOCK // d^2 candidates), so that
+# the largest temporary, inv[cand], is 128 KB, glibc's default mmap threshold: a block's arrays
+# reuse heap pages, where those of a whole pass (63,319 candidates on the benchmark pool) can be
+# mapped afresh and fault in their pages on each pass.
+SWEEP_BLOCK = 1 << 14
 # Deterministic tie-break direction for non-regular targets.
 _PERTURB_DIR = np.array([1.0, 1.0 / math.pi, 1.0 / math.pi**2])
 
@@ -199,14 +205,16 @@ def degrees_pl_batch(pl: PLApprox, targets: np.ndarray) -> tuple[np.ndarray, np.
 
     Non-degenerate image simplices sit in CSR buckets: (grid cell key, simplex)
     pairs over each bounding box, sorted by key, on a grid of the mean box size.
-    Each pass of SWEEP_TARGETS targets gathers their buckets (a key off the
-    grid has none), keeps the boxes that hold a target within the face
-    tolerance and solves all barycentric systems in one einsum; a pass whose
-    buckets hold more than SWEEP_CANDIDATES simplices in all is refused with
-    GeometryError before they are gathered (a few huge image simplices can
-    put nearly every simplex in every bucket).  Targets within
-    the tolerance of a face are re-swept once, together, at the fixed tie-break
-    perturbation; those still on a face get degree 0 and are flagged unresolved.
+    Each pass of SWEEP_TARGETS targets looks up their buckets (a key off the
+    grid has none); a pass whose buckets hold more than SWEEP_CANDIDATES
+    simplices in all is refused with GeometryError before any is gathered (a
+    few huge image simplices can put nearly every simplex in every bucket).
+    The pass's (target, simplex) candidates are then gathered and tested in
+    blocks of SWEEP_BLOCK // d^2: a box test per axis keeps the boxes that hold
+    a target within the face tolerance, and one einsum solves the block's
+    barycentric systems.  Targets within the tolerance of a face, if any, are
+    re-swept once, together, at the fixed tie-break perturbation; those still
+    on a face get degree 0 and are flagged unresolved.
     """
     sims, signs = pl.simplices, pl.orientations
     d = pl.tri.dim
@@ -215,7 +223,7 @@ def degrees_pl_batch(pl: PLApprox, targets: np.ndarray) -> tuple[np.ndarray, np.
 
     lo, hi = sims.min(axis=1), sims.max(axis=1)
     pad = tol * np.maximum(np.max(hi - lo, axis=1), 1e-300)[:, None]
-    box_lo, box_hi = lo - pad, hi + pad
+    box_lo, box_hi = np.ascontiguousarray((lo - pad).T), np.ascontiguousarray((hi + pad).T)  # one row per axis
     edges = np.transpose(sims[:, 1:, :] - sims[:, :1, :], (0, 2, 1))  # (n, d, d)
     live = np.nonzero(~(np.abs(np.linalg.det(edges)) < 1e-300))[0]
     inv = np.zeros_like(edges)
@@ -238,6 +246,7 @@ def degrees_pl_batch(pl: PLApprox, targets: np.ndarray) -> tuple[np.ndarray, np.
     bucket_key = np.ravel_multi_index(keys.T, shape)
     order = np.argsort(bucket_key, kind="stable")
     bucket_key, bucket_sim = bucket_key[order], live[owner[order]]
+    block = max(1, SWEEP_BLOCK // d**2)
 
     def sweep(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         parts = [sweep_chunk(y[i : i + SWEEP_TARGETS]) for i in range(0, max(len(y), 1), SWEEP_TARGETS)]
@@ -249,21 +258,37 @@ def degrees_pl_batch(pl: PLApprox, targets: np.ndarray) -> tuple[np.ndarray, np.
         flat = np.ravel_multi_index(key[on_grid].T, shape)
         start = np.searchsorted(bucket_key, flat, side="left")
         count = np.searchsorted(bucket_key, flat, side="right") - start
-        check_points(int(count.sum()), f"the degree sweep of {len(y)} targets", "candidate simplices",
-                     SWEEP_CANDIDATES)
-        tgt = np.repeat(on_grid, count)
-        cand = bucket_sim[np.repeat(start - np.cumsum(count) + count, count) + np.arange(tgt.size)]
-        near = ~np.any((y[tgt] < box_lo[cand]) | (y[tgt] > box_hi[cand]), axis=1)
-        tgt, cand = tgt[near], cand[near]
-        lam_rest = np.einsum("nij,nj->ni", inv[cand], y[tgt] - sims[cand, 0])
-        lam_min = np.minimum(1.0 - lam_rest.sum(axis=1), lam_rest.min(axis=1))
-        total = np.bincount(tgt, weights=signs[cand] * (lam_min >= tol), minlength=len(y))
-        on_face = np.bincount(tgt, weights=(lam_min >= -tol) & (lam_min < tol), minlength=len(y)) > 0
+        ends = np.cumsum(count)  # candidates of on_grid[t] are pass positions ends[t] - count[t] .. ends[t] - 1
+        n_cand = int(ends[-1]) if ends.size else 0
+        check_points(n_cand, f"the degree sweep of {len(y)} targets", "candidate simplices", SWEEP_CANDIDATES)
+        skip = start - ends + count  # a candidate's bucket position less its pass position
+        y_axes = np.ascontiguousarray(y.T)
+        total = np.zeros(len(y))
+        on_face = np.zeros(len(y), dtype=bool)
+        for b in range(0, n_cand, block):
+            e = min(b + block, n_cand)
+            t0, t1 = np.searchsorted(ends, (b, e - 1), side="right")  # the block's first and last target
+            t = np.repeat(np.arange(t0, t1 + 1), np.diff(np.minimum(ends[t0 : t1 + 1], e), prepend=b))
+            tgt, cand = on_grid[t], bucket_sim[skip[t] + np.arange(b, e)]
+            far = np.zeros(e - b, dtype=bool)
+            for k in range(d):
+                y_k = y_axes[k][tgt]
+                far |= (y_k < box_lo[k][cand]) | (y_k > box_hi[k][cand])
+            near = ~far
+            tgt, cand = tgt[near], cand[near]
+            lam_rest = np.einsum("nij,nj->ni", inv[cand], y[tgt] - sims[cand, 0])
+            lam_sum, lam_min = lam_rest[:, 0], lam_rest[:, 0]
+            for k in range(1, d):  # column by column, in the order of .sum(axis=1) and .min(axis=1)
+                lam_sum, lam_min = lam_sum + lam_rest[:, k], np.minimum(lam_min, lam_rest[:, k])
+            lam_min = np.minimum(1.0 - lam_sum, lam_min)
+            total += np.bincount(tgt, weights=signs[cand] * (lam_min >= tol), minlength=len(y))
+            on_face[tgt[(lam_min >= -tol) & (lam_min < tol)]] = True
         return np.where(on_face, 0, total).astype(int), on_face
 
     degrees, unresolved = sweep(targets)
     retry = np.nonzero(unresolved)[0]
-    degrees[retry], unresolved[retry] = sweep(targets[retry] + PERTURB_SIZE * _PERTURB_DIR[:d])
+    if retry.size:
+        degrees[retry], unresolved[retry] = sweep(targets[retry] + PERTURB_SIZE * _PERTURB_DIR[:d])
     return degrees, unresolved
 
 
@@ -280,9 +305,10 @@ def verify_pl(pl: PLApprox, epsilon: float) -> PLVerdicts:
 
     lipschitz_ok: every per-simplex constant <= (1+2*epsilon)+1e-9 with
     orientation +1.  injective_ok: degree exactly +1 at a deterministic
-    sweep of image targets (values of the map on an offset interior
-    lattice at a third of the triangulation pitch), and no fold: signs +1
-    and -1 not both present.  The surjectivity spot-check requires degree
+    sweep of image targets (values of the map on an interior lattice at a
+    third of the triangulation pitch, offset on axis k by 1/pi^(k+1) of its
+    spacing, so that no source lies on a simplex face), and no fold: signs
+    +1 and -1 not both present.  The surjectivity spot-check requires degree
     >= 1 at the same targets.  Unresolved (non-regular) targets fail the
     verdicts when they exceed 0.1%.  The fold rule is exact when no sign is
     0: the facet-adjacency graph is connected, so both signs meet across a
@@ -298,8 +324,8 @@ def verify_pl(pl: PLApprox, epsilon: float) -> PLVerdicts:
     margin = 2.0 * tri.pitch
     lo = tri.origin + margin
     hi = tri.covered_hi() - margin
-    offset = pitch / math.pi
-    axes = [np.arange(lo[k] + offset, hi[k], pitch) for k in range(tri.dim)]
+    # Unequal offsets: with equal ones, a source whose lattice indices agree mod 3 lies on its cell's diagonal.
+    axes = [np.arange(lo[k] + pitch / math.pi ** (k + 1), hi[k], pitch) for k in range(tri.dim)]
     if any(len(a) == 0 for a in axes):
         raise GeometryError("triangulation too coarse for a verification sweep")
     grid = np.meshgrid(*axes, indexing="ij")

@@ -140,6 +140,20 @@ class TestVerify:
         assert (not v.lipschitz_ok) or (not v.injective_ok)
         assert pl.orientations.min() == -1
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_sweep_targets_are_face_free(self, dim, monkeypatch):
+        # With no tie-break perturbation a target on a face image stays unresolved,
+        # so none may lie on one: no source on a cell's Freudenthal diagonal.
+        if dim == 2:  # the benchmark pool's pl inputs: eta 0.2 on a side-1 box about (1, 1)
+            f, pitch, box = LogSpiral(0.05), 0.2 / (4 * math.sqrt(2)), Cube((1.0, 1.0), 1.0)
+        else:
+            f, pitch, box = _ORACLE_CASES["rotation-3d"][0], 0.1, Cube((0.5,) * 3, 1.0)
+        pl = pl_interpolate(f, freudenthal(pitch, box.dilate(1.0 + 4.0 * pitch / box.side)))
+        monkeypatch.setattr(pl_approx, "PERTURB_SIZE", 0.0)
+        v = verify_pl(pl, 0.2)
+        assert v.n_targets > 5000 and v.n_unresolved == 0
+        assert v.injective_ok and v.surjective_spotcheck_ok
+
     def test_global_lipschitz_matches_per_simplex(self):
         # Sampled global estimate stays within the per-simplex bound.
         eps = 0.05
@@ -309,6 +323,21 @@ class TestDegreeSweep:
         monkeypatch.setattr(pl_approx, "SWEEP_TARGETS", per_pass)
         for got, want in zip(degrees_pl_batch(pl, targets), whole):
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("per_block", [1, 97])
+    @pytest.mark.parametrize("name", ["logspiral-0.05", "rotation-3d", "retry-shear"])
+    def test_blocks_equal_one_block(self, name, per_block, monkeypatch):
+        # retry-shear is the map of test_unresolved_after_retry_matches_reference.
+        shear = Affine(AffineMapData(np.array([[1.0, 0.0], [1.0 / math.pi, 1.0]]), np.zeros(2)))
+        f, pitch, box = {**_ORACLE_CASES, "retry-shear": (shear, 0.1, UNIT2)}[name]
+        pl = pl_interpolate(f, freudenthal(pitch, box))
+        targets = np.concatenate(_sweep_targets(pl))
+        reference = reference_degrees_pl_batch(pl, targets)
+        monkeypatch.setattr(pl_approx, "SWEEP_BLOCK", pl_approx.SWEEP_CANDIDATES * pl.tri.dim**2)
+        whole = degrees_pl_batch(pl, targets)
+        monkeypatch.setattr(pl_approx, "SWEEP_BLOCK", per_block)
+        for got, one, want in zip(degrees_pl_batch(pl, targets), whole, reference):
+            assert np.array_equal(got, one) and np.array_equal(got, want)
 
     def test_overflowing_image_boxes_refused(self):
         # One grid value near the float limit: the mean image box size overflows
