@@ -313,10 +313,11 @@ def _check_dim(m, dim: int, where: str) -> None:
 
 def cmd_factor_linear(payload: dict, args) -> tuple[dict, bool]:
     m = map_from_json(payload["map"])
-    aff = affine_part(m, 2 if "cube" not in payload else cube_from_json(payload["cube"]).dim)
+    cube = cube_from_json(payload["cube"]) if "cube" in payload else None
+    aff = affine_part(m, 2 if cube is None else cube.dim)
     if aff is None:
         raise SchemaError("factor-linear expects an affine map")
-    cube = cube_from_json(payload["cube"]) if "cube" in payload else Cube((0.0,) * aff.dim, 2.0)
+    cube = Cube((0.0,) * aff.dim, 2.0) if cube is None else cube
     c_support = positive(payload.get("C", 2.0), "C")
     fs = factor_linear_in_cube(aff, cube, c_support, args.epsilon)
     rep, ok = _sequence_report(fs, args.epsilon)

@@ -61,6 +61,7 @@ from .map_engine import (
     Translation,
     compose_sequence,
     estimate_distortion,
+    sampled_L_lo,
     sup_distance,
 )
 
@@ -184,9 +185,7 @@ def _sweeps(run: BlendRun):
         for ok, ratio, min_img in zip(finite.tolist(), ratios.tolist(), min_imgs.tolist()):
             if not ok:
                 raise DomainError("map produced non-finite values on the sampling lattice")
-            if min_img == 0.0:
-                raise CertificationError("not injective on samples: coincident images")
-            yield max(1.0, ratio)
+            yield sampled_L_lo(ratio, min_img)
 
 
 def _no_blends(target: MapExpr, region: Cube, support: Cube, meta: dict) -> FactorSequence:
@@ -643,7 +642,7 @@ def check_factor_sequence(fs: FactorSequence, epsilon: float) -> dict:
     run = fs.factors
     worst = 0.0
     for i in run.touching(outside):
-        moved = run[i : i + 1].evaluate(outside)
+        moved = run[i].evaluate(outside)
         worst = max(worst, float(np.max(row_norms(moved - outside))))
         if worst > TOLERANCES["support_identity"]:
             break

@@ -36,6 +36,9 @@ def pairwise_distortion(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float]:
     The ratio for a pair is max(|y_i-y_j|/|x_i-x_j|, |x_i-x_j|/|y_i-y_j|);
     pairs with coincident sources are skipped.  A coincident image pair
     yields min_image_distance == 0.0 (the caller decides how to fail).
+    A pair whose source and image squared distances both overflow has ratio
+    inf/inf, so its set's ratio is NaN; a set whose image distances all
+    overflow reads min image distance 0.0.  So a caller tests for NaN first.
     """
     ratio, min_img = pairwise_distortions(np.asarray(xs)[None], np.asarray(ys)[None])
     return float(ratio[0]), float(min_img[0])
@@ -56,7 +59,7 @@ def pairwise_distortions(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np
     xt = np.ascontiguousarray(np.moveaxis(xs, 2, 0), dtype=float)  # (d, 1 or k, n)
     yt = np.ascontiguousarray(np.moveaxis(ys, 2, 0), dtype=float)
     i0 = 0
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         while k and i0 < n - 1:
             cols = n - 1 - i0
             per = max(1, min(k, _INNER_PAIRS // cols))  # sets of a tile

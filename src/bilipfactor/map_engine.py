@@ -12,12 +12,8 @@ A BlendRun holds a chain of blends of one kind (translations, or affine
 maps, as its matrices are None or not) as arrays of centres, sides,
 lambdas and inner maps.  It evaluates as the composition of its Blend
 factors does, bit for bit, and walk() returns the images after any list
-of prefixes in one pass; indexing builds the individual Blend objects for
-JSON and tests.  The walk holds points as coordinate rows (d, m): one
-M @ x per affine step, and exact block tests on per-axis extremes and
-outward-rounded boxes in place of per-point weights.  M @ x must round as
-Blend's x @ M.T does on the same rows; tests/test_factorization.py pins
-that for the BLAS in use.
+of prefixes in one pass (see walk); indexing builds the individual Blend
+objects for JSON and tests.
 """
 
 from __future__ import annotations
@@ -192,9 +188,15 @@ def blend_weight(pts: np.ndarray, cube: Cube, lam: float) -> np.ndarray:
     return np.clip(_weight_ratio(pts.T, np.asarray(cube.center)[:, None], cube.side, lam), 0.0, 1.0)
 
 
+def _mix(x: np.ndarray, w: np.ndarray, inner: np.ndarray) -> np.ndarray:
+    """The blend of x and its inner image at the weights w (broadcast against x): x where
+    w == 0 (or NaN), inner exactly where w == 1, (1 - w) x + w inner in between."""
+    return np.where(w == 1.0, inner, np.where(w > 0.0, (1.0 - w) * x + w * inner, x))
+
+
 @dataclass(frozen=True, eq=False, slots=True)
 class Blend(MapExpr):
-    """x -> (1-w) x + w inner(x): inner on the cube, identity outside lam*cube."""
+    """x -> (1-w) x + w inner(x) by _mix: inner(x) on the cube, x outside lam*cube."""
 
     inner: MapExpr
     cube: Cube
@@ -210,7 +212,7 @@ class Blend(MapExpr):
         active = w > 0.0
         if np.any(active):
             inner_vals = self.inner.evaluate(np.atleast_2d(pts)[active])
-            out[active] = (1.0 - w[active, None]) * out[active] + w[active, None] * inner_vals
+            out[active] = _mix(out[active], w[active, None], inner_vals)
         return out
 
 
@@ -220,7 +222,6 @@ _WALK_MIN_BLOCK = 16
 # Still points x steps of one chunk of their weight ratios: 15 * 2^10 floats
 # are 120 KB, below glibc's default mmap threshold of 128 KB.
 _RATIO_ELEMS = 15 << 10
-_NEG_ZERO_BITS = np.float64(-0.0).view(np.int64)  # no other float has these bits
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -258,13 +259,13 @@ class BlendRun(MapExpr, Sequence):
 
     def apply_each(self, pts: np.ndarray) -> np.ndarray:
         """Factor i alone applied to the points pts[i], pts (n, m, d), with
-        Blend.evaluate's arithmetic: (1-w) x + w inner(x) where w > 0, else x."""
+        Blend.evaluate's arithmetic (_mix)."""
         w = np.clip(self._ratio(pts.swapaxes(1, 2), slice(None)), 0.0, 1.0)[..., None]
         if self.matrices is None:
             inner = pts + self.shifts[:, None]
         else:
             inner = np.matmul(pts, self.matrices.swapaxes(1, 2)) + self.shifts[:, None]
-        return np.where(w > 0.0, (1.0 - w) * pts + w * inner, pts)
+        return _mix(pts, w, inner)
 
     def _ratio(self, x: np.ndarray, s) -> np.ndarray:
         """blend_weight before clipping of the factors s (an index or a slice) at the coordinate
@@ -286,24 +287,19 @@ class BlendRun(MapExpr, Sequence):
 
         The walk copies pts (m, d) once, as coordinate rows (d, m).  Both
         kinds jump over each block of steps along which every point keeps
-        w == 0 (it stays put) or w == 1 (it moves by inner alone).  The
-        moving points, the columns of Blend.evaluate's active rows in their
-        order, go through the block as one path: the steps summed in order
-        (translations) or one M @ x per step (affine), plus the step's shift
-        where some shift of the block is not +0.0, else one + 0.0 to the
-        whole path at the end of the block.  M @ x has
-        the bits of Blend's x @ M.T for the same rows (the tests pin this for
-        the BLAS in use); a subset of the rows may round differently, so
-        only the moving points are multiplied.  Where w == 1 Blend.evaluate
-        writes 0 * x + inner(x), which is inner(x) bit for bit unless
-        inner(x) holds a -0.0.  So a step runs exactly, as Blend.evaluate of
-        its factor, wherever some point has 0 < w < 1 or a moving image holds
-        a -0.0.  _walk_block decides each block with exact tests that give
-        the per-point answers: the moving points' weights from their
-        per-axis extremes, the still points' behind an outward-rounded box,
-        and the -0.0 scan only at steps whose shift holds a -0.0.  Every
-        block's path is a view of one buffer, sized for the longest block
-        and all points, so the walk takes its scratch memory once.
+        w == 0 (it stays put) or w == 1 (Blend.evaluate gives it inner(x)
+        exactly).  The moving points, the columns of Blend.evaluate's active
+        rows in their order, go through the block as one path: the steps
+        summed in order (translations) or one M @ x per step (affine), plus
+        the step's shift where some shift of the block is not +0.0, else one
+        + 0.0 to the whole path at the end of the block.  M @ x has the bits
+        of Blend's x @ M.T for the same rows (the tests pin this for the BLAS
+        in use); a subset of the rows may round differently, so only the
+        moving points are multiplied.  A step runs exactly, as Blend.evaluate
+        of its factor, wherever some point has 0 < w < 1; _walk_block decides
+        each block with exact tests.  Every block's path is a view of one
+        buffer, sized for the longest block and all points, so the walk takes
+        its scratch memory once.
         """
         pts = np.asarray(pts, dtype=float)
         x = np.array(pts.T, order="C")
@@ -330,13 +326,12 @@ class BlendRun(MapExpr, Sequence):
     def _walk_block(self, x: np.ndarray, k: int, span: int, buf: np.ndarray) -> int:
         """Move the coordinate rows x (d, m) in place over the steps k, k+1,
         ... (at most span of them) along which every point keeps its w of
-        step k, 0 or 1, and no moving image holds a -0.0; return how many
-        steps that is (0: step k runs exactly, through Blend.evaluate).
+        step k, 0 or 1; return how many steps that is (0: step k runs
+        exactly, through Blend.evaluate).
 
         Each test answers as the per-point weights would, bit for bit:
-        - Still points: a chunk of steps at a time (at most _RATIO_ELEMS
-          ratios), only the points inside the chunk's outward-rounded union
-          box (_near) take weight ratios; the rest have w == 0 there.
+        - Still points: the first step that moves one (_movers, a chunk of
+          at most _RATIO_ELEMS ratios at a time) ends the block.
         - Moving points: their path is built in buf, which holds at least
           (span + 1) * x.size floats.  |fl(x - c)| peaks at an end of each
           axis and the ratio does not increase with the sup-norm radius, so
@@ -352,9 +347,6 @@ class BlendRun(MapExpr, Sequence):
           or without FMA), so the path differs from the per-step one only in
           the signs of zeros, which the final + 0.0 makes +0.0 as each step's
           would.  Other blocks add each step's shift after its product.
-        - -0.0 images: a rounded sum is -0.0 only if both terms are, so
-          path[i + 1] (M x or path[i], plus shifts[k + i]) can hold one
-          only where shifts[k + i] does; only those steps are scanned.
         """
         first = self._ratio(x, k)
         still = first <= 0.0
@@ -363,12 +355,9 @@ class BlendRun(MapExpr, Sequence):
             return 0
         if np.any(still):
             xs = x[:, still]
-            per = max(1, _RATIO_ELEMS // xs.shape[1])
-            for a in range(0, span, per):
-                s = slice(k + a, k + min(a + per, span))
-                hit = np.any(self._ratio(xs[:, self._near(xs, s)], s) > 0.0, axis=1)
-                if hit.any():
-                    span = a + int(hit.argmax())
+            for hit in self._movers(xs, k, k + span, max(1, _RATIO_ELEMS // xs.shape[1])):
+                if hit.size:
+                    span = int(hit[0]) - k
                     break
         if not np.any(moving):
             return span
@@ -399,9 +388,6 @@ class BlendRun(MapExpr, Sequence):
         if np.isnan(ends).any():
             ends = path[:-1]
         miss = np.any(self._ratio(ends, s) < 1.0, axis=1)
-        zero = np.flatnonzero(np.any(self.shifts[s].view(np.int64) == _NEG_ZERO_BITS, axis=1))
-        if zero.size:
-            miss[zero] |= np.any(path[zero + 1].view(np.int64) == _NEG_ZERO_BITS, axis=(1, 2))
         if miss.any():
             span = int(miss.argmax())
         if span:
@@ -419,17 +405,19 @@ class BlendRun(MapExpr, Sequence):
         hi = np.nextafter(np.max(self.centers[s] + reach, axis=0), np.inf)[:, None]
         return np.flatnonzero(np.all((x >= lo) & (x <= hi), axis=0))
 
+    def _movers(self, x: np.ndarray, start: int, stop: int, per: int):
+        """For each chunk of per factors from start to stop, the indices of those that move
+        some column of the coordinate rows x (d, m) (w > 0 there); only the points inside
+        a chunk's union box (_near) take weight ratios, the rest have w == 0 there."""
+        for a in range(start, stop, per):
+            s = slice(a, min(a + per, stop))
+            yield a + np.flatnonzero(np.any(self._ratio(x[:, self._near(x, s)], s) > 0.0, axis=1))
+
     def touching(self, pts) -> np.ndarray:
-        """Indices of the factors that move some of pts (w > 0 there); only the
-        points inside a chunk's union box (_near) take weight ratios."""
+        """Indices of the factors that move some of pts (w > 0 there)."""
         x = np.array(np.asarray(pts, dtype=float).T, order="C")
-        chunk = max(1, _WALK_ELEMS // max(1, x.shape[1]))
-        hits = []
-        for a in range(0, len(self), chunk):
-            s = slice(a, a + chunk)
-            hit = np.any(self._ratio(x[:, self._near(x, s)], s) > 0.0, axis=1)
-            hits.append(a + np.flatnonzero(hit))
-        return np.concatenate(hits) if hits else np.empty(0, dtype=np.intp)
+        hits = self._movers(x, 0, len(self), max(1, _WALK_ELEMS // max(1, x.shape[1])))
+        return np.concatenate([np.empty(0, dtype=np.intp), *hits])
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -529,10 +517,18 @@ def estimate_distortion(m: MapExpr, region: Cube, h: float) -> DistortionCertifi
     imgs = m.evaluate(pts)
     if not np.all(np.isfinite(imgs)):
         raise DomainError("map produced non-finite values on the sampling lattice")
-    ratio, min_img = kernels.pairwise_distortion(pts, imgs)
+    return DistortionCertificate(h=pitch, L_lo=sampled_L_lo(*kernels.pairwise_distortion(pts, imgs)),
+                                 method="sampled-pairs")
+
+
+def sampled_L_lo(ratio: float, min_img: float) -> float:
+    """The L_lo of one lattice's sweep from the kernel's ratio (>= 1 unless NaN, where squared
+    distances overflow: DomainError) and minimum image distance (0.0: CertificationError)."""
+    if math.isnan(ratio):
+        raise DomainError("squared distances overflow on the sampling lattice")
     if min_img == 0.0:
         raise CertificationError("not injective on samples: coincident images")
-    return DistortionCertificate(h=pitch, L_lo=max(1.0, ratio), method="sampled-pairs")
+    return ratio
 
 
 def sup_distance(m1: MapExpr, m2: MapExpr, region: Cube, h: float) -> float:

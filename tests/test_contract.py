@@ -11,7 +11,9 @@ psi).  Every numeric leaf of the inline inputs, and of a map of each kind
 on pl (the first entry standing for each array), is set in turn to true,
 the string "0.5" and an integer beyond the float range; a compose chain
 and a target list are nested past what the JSON reader can recurse into;
-and pl runs on two blends whose image simplices are too large to sweep.
+pl runs on two blends whose image simplices are too large to sweep; and
+factor-translate runs on two cubes so large that the certificate sweeps'
+squared distances overflow.
 Whatever the value, the run must end with exit 0, 1 or 2 and a
 report.json that is strict JSON, and an exit-2 report must say why in its
 "error" field: no value may reach a traceback.  A bool or a string must
@@ -156,6 +158,13 @@ FAR_BLENDS = {
                    "cube": {"center": [0.5, 0.5, 0.5], "side": 0.25}, "lambda": 2.0}, "dim": 3, "eta": 0.5},
 }
 
+# Cubes whose certificate lattices' squared distances overflow: on side 5e153
+# some pairs' source and image distances both do, on side 1e300 every pair's.
+OVERFLOWING_SWEEPS = {
+    "side-5e153": {"cube": {"center": [0.0, 0.0], "side": 5e153}, "path": [[0.0, 0.0], [1e154, 0.0]]},
+    "side-1e300": {"cube": {"center": [0.0, 0.0], "side": 1e300}, "path": [[0.0, 0.0], [1.0, 2.0]]},
+}
+
 
 def _not_json(name: str):
     raise ValueError(f"report.json holds {name}, which is not strict JSON")
@@ -244,6 +253,14 @@ def test_far_blend_sweep_is_refused(tmp_path):
     # About 6,000 candidate simplices per target: the pass is refused before its arrays are gathered.
     report = assert_contract(tmp_path, "pl", FAR_BLENDS["2d"], [], run=main)
     assert "the degree sweep of" in report["error"] and "candidate simplices" in report["error"]
+
+
+@pytest.mark.parametrize("name", sorted(OVERFLOWING_SWEEPS))
+def test_overflowing_sweep_exits_2(tmp_path, name):
+    # A NaN ratio (inf / inf) must neither certify at 1.0 nor read as
+    # coincident images.
+    report = assert_contract(tmp_path, "factor-translate", OVERFLOWING_SWEEPS[name], [])
+    assert report["error"] == "squared distances overflow on the sampling lattice"
 
 
 def test_infinite_blend_lambda_exits_2(tmp_path):

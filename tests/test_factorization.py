@@ -29,6 +29,7 @@ from bilipfactor.geometry_core import (
     GeometryError,
     bilip_constant,
     cube_lattice,
+    cube_lattices,
     resample_polyline,
     rotation_2d,
     rotation_3d,
@@ -965,13 +966,13 @@ class TestBlendRun:
         assert np.any((prefixes == 0.0) & np.signbit(prefixes))  # a -0.0 was carried
 
     def test_negative_zero_image_runs_exactly(self, monkeypatch):
-        # Where w == 1 Blend.evaluate writes 0 * x + inner(x): an image -0.0
-        # at x >= +0 becomes +0.0 there, so the walker runs such a step
-        # exactly.  OpenBLAS and NumPy's own loops start a dot product from
-        # +0.0, so M @ x is never -0.0 with them; a gemm that starts from
-        # the first product gives -0.0 when every product is -0.0, and the
-        # second half emulates one, in BlendRun._product (the one product the
-        # walk's paths take) and in the factors' Affine maps (its exact steps).
+        # Where w == 1 Blend.evaluate gives inner(x) exactly, a -0.0 image
+        # included, and the walker's path carries the same bits.  OpenBLAS
+        # and NumPy's own loops start a dot product from +0.0, so M @ x is
+        # never -0.0 with them; a gemm that starts from the first product
+        # gives -0.0 when every product is -0.0, and the second half emulates
+        # one, in BlendRun._product (the one product the walk's paths take)
+        # and in the factors' Affine maps (its exact steps).
         mats = np.array([[[-0.5, -0.0], [0.0, 1.0]], [[1.0, 0.0], [-0.0, 0.0]], [[-0.0, -0.0], [0.5, 1.0]]])
         shifts = np.array([[-0.0, 0.25], [0.125, -0.0], [-0.0, -0.0]])
         run = BlendRun(np.zeros((6, 2)), np.full(6, 4.0), np.full(6, 2.0),
@@ -1362,3 +1363,52 @@ class TestBlockTests:
         mixed = [(k, e) for (k, span, _), e in blocks if e and 0 < zero[k : k + e].sum() < e]
         assert mixed  # some block ran +0.0 and other shifts together
         assert any(negative_zero) == (gemm == "first-product")
+
+
+def _first_product_matmul(a, b):
+    """np.matmul of stacks a (n, m, d) @ b (n, d, e) with the same gemm, as BlendRun.apply_each calls it."""
+    y = a[..., :1] * b[:, :1]
+    for c in range(1, a.shape[-1]):
+        y = y + a[..., c : c + 1] * b[:, c : c + 1]
+    return y
+
+
+class TestBlendRule:
+    """A blend is x where w == 0, its inner map exactly where w == 1, and (1 - w) x + w inner(x) in between."""
+
+    # Under the first-product gemm each matrix, with shift -0.0, sends some
+    # point of its cube with a coordinate >= +0 to a -0.0 in that coordinate.
+    RUN = BlendRun(np.zeros((3, 2)), np.full(3, 4.0), np.full(3, 2.0), np.full((3, 2), -0.0),
+                   np.array([[[-0.999, -0.0], [-0.0, -1.001]], [[-0.5, -0.0], [0.0, 1.0]],
+                             [[-0.0, -0.0], [0.5, 1.0]]]))
+
+    def _lattices(self):
+        """The factors' certificate lattices, as _sweeps takes them: 9 x 9 points with
+        pitch 1 over [-4, 4]^2, so w == 1 on [-2, 2]^2, 0.5 at radius 3 and 0 at 4."""
+        run = self.RUN
+        return cube_lattices(run.centers, run.lams * run.sides, factorization.CERT_POINTS[2])
+
+    @pytest.mark.parametrize("i", range(3))
+    def test_evaluate_is_inner_where_w_is_one(self, i, monkeypatch):
+        monkeypatch.setattr(AffineMapData, "apply", _first_product_apply)
+        f, pts = self.RUN[i], self._lattices()[i]
+        w = blend_weight(pts, f.cube, f.lam)[:, None]
+        one, zero = w[:, 0] == 1.0, w[:, 0] == 0.0
+        mid = ~(one | zero)
+        image, got = f.inner.evaluate(pts), f.evaluate(pts)
+        assert np.any((image[one] == 0.0) & np.signbit(image[one]) & ~np.signbit(pts[one]))
+        assert got[one].tobytes() == image[one].tobytes()
+        assert got[zero].tobytes() == pts[zero].tobytes()
+        assert mid.any() and got[mid].tobytes() == ((1.0 - w[mid]) * pts[mid] + w[mid] * image[mid]).tobytes()
+
+    def test_apply_each_equals_each_blend(self, monkeypatch):
+        # The first-product gemm in apply_each's stacked product and in the
+        # factors' Affine maps: the bits agree, zero signs included, and the
+        # images hold a -0.0 at a coordinate >= +0, which only inner(x) gives.
+        pts = self._lattices()
+        monkeypatch.setattr(AffineMapData, "apply", _first_product_apply)
+        monkeypatch.setattr(np, "matmul", _first_product_matmul)
+        got = self.RUN.apply_each(pts)
+        for i, f in enumerate(self.RUN):
+            assert got[i].tobytes() == f.evaluate(pts[i]).tobytes(), f"factor {i}"
+        assert np.any((got == 0.0) & np.signbit(got) & ~np.signbit(pts))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -169,6 +170,16 @@ class TestEstimateDistortion:
 
         with pytest.raises(CertificationError, match="not injective"):
             estimate_distortion(Collapse(), Cube((0.0, 0.0), 1.0), 0.5)
+
+    def test_overflowing_squared_distances_refused(self):
+        # On a side-1e155 cube some pairs' source and image squared distances
+        # both overflow, their ratio is inf / inf = NaN, and the sweep is
+        # refused, not read as L_lo 1.0; the kernel warns of no overflow.
+        assert estimate_distortion(LogSpiral(0.1), Cube((0.0, 0.0), 1.0), 0.1).L_lo > 1.05
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="squared distances overflow"):
+                estimate_distortion(LogSpiral(0.1), Cube((0.0, 0.0), 1e155), 1e154)
 
 
 class TestSupDistance:
